@@ -85,51 +85,6 @@ fn bench_scheduler_hot_path(c: &mut Criterion) {
     group.finish();
 }
 
-/// Single-compile latency of the intra-compile parallel scorer: the
-/// scheduler alone (no tracing / report overhead) on the two largest QFT
-/// circuits at 1, 2, 4 and 8 scoring threads. Every thread count emits a
-/// bit-identical program (asserted against the serial op count each
-/// sample), so only the latency distribution — read `median_ns` as p50
-/// and `p99_ns` as the tail — may move. On a single-vCPU host (CI) the
-/// crew cannot beat serial; expect parity-to-overhead there and a real
-/// reduction only on multi-core machines.
-fn bench_intra_compile(c: &mut Criterion) {
-    use ssync_arch::Device;
-    use ssync_core::{initial, Scheduler};
-
-    let base = CompilerConfig::default();
-    let device = Device::build(QccdTopology::grid(2, 2, 10), base.weights);
-    let mut group = c.benchmark_group("intra_compile");
-    group.sample_size(10);
-    for (label, circuit) in
-        [("qft/24", scaled_app(AppKind::Qft, 24)), ("qft/28", scaled_app(AppKind::Qft, 28))]
-    {
-        let placement = initial::build_placement(&circuit, &device, &base);
-        let serial_config = base.with_scoring_threads(1);
-        let serial_ops = {
-            let mut scheduler = Scheduler::new(&device, &serial_config);
-            scheduler.run(&circuit, placement.clone()).expect("schedules").0.len()
-        };
-        for threads in [1usize, 2, 4, 8] {
-            let config = base.with_scoring_threads(threads);
-            group.bench_with_input(
-                BenchmarkId::new(format!("threads{threads}"), label),
-                &circuit,
-                |b, circuit| {
-                    b.iter(|| {
-                        let mut scheduler = Scheduler::new(&device, &config);
-                        let ops =
-                            scheduler.run(circuit, placement.clone()).expect("schedules").0.len();
-                        assert_eq!(ops, serial_ops, "thread count changed the program");
-                        ops
-                    })
-                },
-            );
-        }
-    }
-    group.finish();
-}
-
 /// Batch throughput over one shared device: the same circuit set compiled
 /// three ways — rebuilding the device artifact per compile like the
 /// pre-`Device` code did ("rebuild_device"), through one shared device a
@@ -520,7 +475,6 @@ criterion_group!(
     bench_compile_time,
     bench_compile_apps,
     bench_scheduler_hot_path,
-    bench_intra_compile,
     bench_batch_throughput,
     bench_device_build,
     bench_service_throughput,

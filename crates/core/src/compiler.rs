@@ -5,8 +5,7 @@ use crate::config::CompilerConfig;
 use crate::error::CompileError;
 use crate::idealized::IdealizationMode;
 use crate::initial;
-use crate::par_score::ScoringTelemetry;
-use crate::scheduler::{Scheduler, SchedulerScratch, SchedulerStats};
+use crate::scheduler::{Scheduler, SchedulerScratch, SchedulerStats, ScoringTelemetry};
 use ssync_arch::{Device, Placement, QccdTopology, TrapRouter};
 use ssync_circuit::Circuit;
 use ssync_sim::{CompiledProgram, ExecutionReport, ExecutionTracer, OpCounts};
@@ -127,9 +126,7 @@ impl CompileOutcome {
     /// The compile flight recording, when `CompilerConfig::flight_recorder`
     /// was on for this compile. Like [`CompileOutcome::scoring_telemetry`]
     /// it describes the scheduling run, not the result: cache hits and
-    /// codec-rebuilt outcomes return `None`, and event content may differ
-    /// between scoring backends even though compiled output is
-    /// bit-identical.
+    /// codec-rebuilt outcomes return `None`.
     pub fn flight_recording(&self) -> Option<&Arc<FlightRecording>> {
         self.flight_recording.as_ref()
     }
@@ -372,18 +369,8 @@ impl SSyncCompiler {
         circuits: &[C],
         workers: usize,
     ) -> Vec<Result<CompileOutcome, CompileError>> {
-        // Budget intra-compile scoring threads against the batch fan-out:
-        // `workers × scoring_threads` must not oversubscribe the host.
-        // Pinning the budgeted value (even when it is 1) also keeps each
-        // worker from re-consulting `SSYNC_SCORE_THREADS` unbudgeted.
-        // Output is unaffected — scoring threads never change results.
-        let scoring = crate::par_score::budget_scoring_threads(
-            crate::par_score::resolve_scoring_threads(self.config.scoring_threads),
-            workers.clamp(1, circuits.len().max(1)),
-        );
-        let compiler = SSyncCompiler::new(self.config.with_scoring_threads(scoring));
         batch::parallel_map_with(workers, circuits, CompileScratch::default, |scratch, _, c| {
-            compiler.compile_on_with_scratch(device, c.borrow(), scratch)
+            self.compile_on_with_scratch(device, c.borrow(), scratch)
         })
     }
 }

@@ -79,32 +79,24 @@ pub struct CompilerConfig {
     /// means "auto" (the machine's available parallelism). The
     /// `SSYNC_BATCH_WORKERS` environment variable overrides either.
     pub batch_workers: usize,
-    /// Scoring threads used *inside* one scheduler run (parallel
-    /// candidate evaluation). A positive count is used as-is — the
-    /// service pool pins a budgeted value per worker through this field —
-    /// while `0` ("auto") defers to the `SSYNC_SCORE_THREADS` environment
-    /// variable and finally to 1 (serial). Never affects compiled output:
-    /// the scheduler is bit-identical at every thread count, which is why
-    /// the cache key hash and the wire codec both skip this field.
-    pub scoring_threads: usize,
     /// Swap-schedule implementation used by the permutation-routing
     /// compiler (`CompilerKind::PermRoute`) to realise a blocked frontier
     /// layer's permutation wholesale. The default is the sub-quadratic
     /// production schedule; `BubbleSort` is the exact-oracle reference for
     /// ablations. Output-affecting (it changes the SWAP-gate stream), so
-    /// the cache key hash includes it — but like `scoring_threads` it
-    /// stays off the wire: it is a local ablation knob, and remote
-    /// submissions always run the production schedule.
+    /// the cache key hash includes it — but it stays off the wire: it is a
+    /// local ablation knob, and remote submissions always run the
+    /// production schedule.
     pub perm_schedule: SwapScheduleKind,
     /// Enables the compile flight recorder: a bounded, preallocated ring
     /// of scheduler decision events (layers, winning candidates, stalls,
     /// shuttles, swap schedules) carried on the `CompileOutcome` next to —
     /// never inside — the golden-compared stats. Observation-only by
     /// contract: compiled output is bit-identical on or off (the
-    /// `telemetry_overhead` bench enforces this), so like
-    /// `scoring_threads` the flag is excluded from the cache key hash and
-    /// never crosses the wire; the service pins it server-side from
-    /// `--flight-recorder` / `SSYNC_FLIGHT_RECORDER`.
+    /// `flight_recorder` bench enforces this), so the flag is excluded
+    /// from the cache key hash and never crosses the wire; the service
+    /// pins it server-side from `--flight-recorder` /
+    /// `SSYNC_FLIGHT_RECORDER`.
     pub flight_recorder: bool,
 }
 
@@ -125,7 +117,6 @@ impl Default for CompilerConfig {
             max_stall_iterations: 48,
             executable_bonus: 2.0,
             batch_workers: 0,
-            scoring_threads: 0,
             perm_schedule: SwapScheduleKind::default(),
             flight_recorder: false,
         }
@@ -162,14 +153,6 @@ impl CompilerConfig {
     /// (`0` restores "auto").
     pub fn with_batch_workers(mut self, workers: usize) -> Self {
         self.batch_workers = workers;
-        self
-    }
-
-    /// Returns a copy with an explicit intra-compile scoring-thread count
-    /// (`0` restores "auto": `SSYNC_SCORE_THREADS`, else serial). Output
-    /// is bit-identical at any value.
-    pub fn with_scoring_threads(mut self, threads: usize) -> Self {
-        self.scoring_threads = threads;
         self
     }
 

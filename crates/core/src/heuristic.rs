@@ -382,8 +382,8 @@ impl ScoreCache {
     }
 }
 
-/// A worker-local memo of space-readiness values, valid for one scoring
-/// pass (one placement snapshot) at a time.
+/// A memo of space-readiness values, valid for one scoring pass (one
+/// placement snapshot) at a time.
 ///
 /// The readiness term of `HeuristicScorer::pair_route_score` asks "how
 /// far is the nearest empty slot from this entry port?". Under a
@@ -391,13 +391,12 @@ impl ScoreCache {
 /// the answer is provably identical to the no-swap answer — the swap
 /// cannot change that trap's occupancy pattern — so the value can be
 /// computed once per (pass, port) and reused across every candidate of
-/// the pass. Each scoring worker (the serial path counts as one) owns one
-/// shard; shards never merge and never need invalidation messages:
+/// the pass. The scheduler keeps one memo in its scratch:
 /// [`ScoreShard::begin_pass`] bumps an epoch that lazily invalidates every
 /// slot, and the backing buffers persist across passes and compiles so the
 /// steady state allocates nothing. Values read through the memo are
 /// bit-identical to a fresh `HeuristicScorer::space_readiness` call,
-/// which keeps sharded scoring inside the scheduler's golden determinism
+/// which keeps memoised scoring inside the scheduler's golden determinism
 /// contract.
 #[derive(Debug, Clone, Default)]
 pub struct ScoreShard {
@@ -410,14 +409,9 @@ pub struct ScoreShard {
 impl ScoreShard {
     /// Starts a new scoring pass: every memoised value becomes stale.
     /// Call whenever the placement the pass scores against may have
-    /// changed (the scheduler calls it once per candidate pass).
+    /// changed (the scheduler calls it once per scoring pass).
     pub fn begin_pass(&mut self) {
         self.epoch += 1;
-    }
-
-    /// Memo hits accumulated since the last [`ScoreShard::take_hits`].
-    pub fn hits(&self) -> u64 {
-        self.hits
     }
 
     /// Returns and resets the accumulated memo-hit counter.
@@ -449,7 +443,7 @@ impl ScoreShard {
 ///
 /// Built once per scheduler iteration by [`HeuristicScorer::prepare_pass`]
 /// and then read for every candidate via
-/// [`HeuristicScorer::score_swap_prepared`], which reproduces
+/// [`HeuristicScorer::score_swap_sharded`], which reproduces
 /// [`HeuristicScorer::score_swap`] bit for bit while touching each gate in
 /// O(1) unless the candidate actually relocates one of its operands or
 /// perturbs its readiness traps.
@@ -458,19 +452,6 @@ pub struct ScoringScratch {
     terms: Vec<GateTerm>,
     frontier_len: usize,
     full_traps: usize,
-}
-
-impl ScoringScratch {
-    /// The full-trap penalty of the pass's placement snapshot.
-    pub fn full_traps(&self) -> usize {
-        self.full_traps
-    }
-
-    /// The cached base score of the `i`-th frontier gate of the pass, as
-    /// [`HeuristicScorer::gate_score`] would report it (route + penalty).
-    pub fn frontier_gate_score(&self, i: usize) -> f64 {
-        self.terms[i].route + self.full_traps as f64
-    }
 }
 
 impl<'a> HeuristicScorer<'a> {
@@ -549,40 +530,18 @@ impl<'a> HeuristicScorer<'a> {
         }
     }
 
-    /// `H(swap)` over a prepared pass — bit-identical to
+    /// `H(swap)` over a prepared pass, reading readiness values through
+    /// the pass's [`ScoreShard`] memo — bit-identical to
     /// [`HeuristicScorer::score_swap`] on the same frontier / look-ahead
-    /// lists, but each unchanged gate costs an integer compare instead of a
-    /// route recomputation.
-    pub fn score_swap_prepared(
-        &self,
-        scratch: &ScoringScratch,
-        placement: &Placement,
-        swap: &GenericSwap,
-    ) -> f64 {
-        self.score_swap_impl(scratch, placement, swap, None)
-    }
-
-    /// [`HeuristicScorer::score_swap_prepared`] routing readiness lookups
-    /// through a worker-local [`ScoreShard`] memo. Bit-identical to the
-    /// unsharded call (the memo only serves values the swap provably
-    /// cannot perturb); the scheduler's serial and parallel scoring paths
-    /// both use this entry point.
+    /// lists (the memo only serves values the swap provably cannot
+    /// perturb), but each unchanged gate costs an integer compare instead
+    /// of a route recomputation.
     pub fn score_swap_sharded(
         &self,
         scratch: &ScoringScratch,
         shard: &mut ScoreShard,
         placement: &Placement,
         swap: &GenericSwap,
-    ) -> f64 {
-        self.score_swap_impl(scratch, placement, swap, Some(shard))
-    }
-
-    fn score_swap_impl(
-        &self,
-        scratch: &ScoringScratch,
-        placement: &Placement,
-        swap: &GenericSwap,
-        mut shard: Option<&mut ScoreShard>,
     ) -> f64 {
         let occ_a = placement.occupant(swap.a);
         let occ_b = placement.occupant(swap.b);
@@ -606,7 +565,7 @@ impl<'a> HeuristicScorer<'a> {
                 pattern_preserving,
                 swap_ta,
                 swap_tb,
-                shard.as_deref_mut(),
+                shard,
             );
             let term = t.decay * score;
             if term < best_gate_term {
@@ -633,7 +592,7 @@ impl<'a> HeuristicScorer<'a> {
                     pattern_preserving,
                     swap_ta,
                     swap_tb,
-                    shard.as_deref_mut(),
+                    shard,
                 );
             }
             0.5 * sum / lookahead.len() as f64
@@ -661,7 +620,7 @@ impl<'a> HeuristicScorer<'a> {
         pattern_preserving: bool,
         swap_ta: TrapId,
         swap_tb: TrapId,
-        shard: Option<&mut ScoreShard>,
+        shard: &mut ScoreShard,
     ) -> f64 {
         let slots_unchanged = s1 == t.s1 && s2 == t.s2;
         let readiness_unchanged = pattern_preserving
@@ -673,13 +632,7 @@ impl<'a> HeuristicScorer<'a> {
         if slots_unchanged && readiness_unchanged {
             t.route + pen_after
         } else {
-            match shard {
-                Some(sh) => {
-                    self.pair_route_score_memo(sh, placement, swap, swap_ta, swap_tb, s1, s2)
-                        + pen_after
-                }
-                None => self.pair_route_score(placement, Some(swap), s1, s2) + pen_after,
-            }
+            self.pair_route_score_memo(shard, placement, swap, swap_ta, swap_tb, s1, s2) + pen_after
         }
     }
 
@@ -689,7 +642,7 @@ impl<'a> HeuristicScorer<'a> {
     /// the traps holding its endpoints, so for any entry port outside
     /// `swap_ta`/`swap_tb` the with-swap readiness equals the no-swap
     /// readiness — that value is memoised per pass and shared across every
-    /// candidate the worker scores. Ports inside the swap's traps are
+    /// candidate of the pass. Ports inside the swap's traps are
     /// recomputed directly, keeping the result bit-identical to
     /// [`HeuristicScorer::pair_route_score`].
     #[allow(clippy::too_many_arguments)]
@@ -751,8 +704,8 @@ impl<'a> HeuristicScorer<'a> {
         v
     }
 
-    /// [`HeuristicScorer::gate_score`] serving its readiness terms from a
-    /// worker-local [`ScoreShard`] memo — used by the stall-fallback
+    /// [`HeuristicScorer::gate_score`] serving its readiness terms from
+    /// the pass's [`ScoreShard`] memo — used by the stall-fallback
     /// frontier loop, where many gates share the same entry ports.
     /// Bit-identical to [`HeuristicScorer::gate_score`] (no hypothetical
     /// swap is involved, so every port is memoisable).

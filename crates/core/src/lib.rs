@@ -68,7 +68,6 @@ mod heuristic;
 mod idealized;
 pub mod initial;
 pub mod mechanics;
-pub mod par_score;
 mod perm_route;
 mod scheduler;
 mod swap_schedule;
@@ -79,9 +78,6 @@ pub use error::CompileError;
 pub use generic_swap::{GenericSwap, GenericSwapKind};
 pub use heuristic::{DecayTracker, HeuristicScorer, ScoreCache, ScoreShard, ScoringScratch};
 pub use idealized::IdealizationMode;
-pub use par_score::{
-    budget_scoring_threads, resolve_scoring_threads, ScoringTelemetry, SCORE_THREADS_ENV,
-};
 pub use perm_route::{meeting_cost, swap_cost, PermRouteCompiler};
-pub use scheduler::{Scheduler, SchedulerScratch, SchedulerStats};
+pub use scheduler::{Scheduler, SchedulerScratch, SchedulerStats, ScoringTelemetry};
 pub use swap_schedule::{BubbleSort, RecursiveSplitTwo, SwapSchedule, SwapScheduleKind};

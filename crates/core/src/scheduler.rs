@@ -1,17 +1,12 @@
 //! The generic-swap based shuttling scheduler (Algorithm 1 of the paper).
 //!
-//! Three implementations live here:
+//! Two implementations live here:
 //!
 //! * [`Scheduler::run`] — the optimized hot path: per-trap candidate
 //!   enumeration, incrementally maintained frontier / look-ahead gate
-//!   lists, a precomputed [`DistanceMatrix`], cached per-gate base scores
-//!   and reusable scratch buffers (the inner loop allocates nothing).
-//!   When [`CompilerConfig::scoring_threads`] (or `SSYNC_SCORE_THREADS`)
-//!   resolves above one, `run` dispatches to a parallel twin that scores
-//!   each candidate pass across a persistent crew of helper threads (see
-//!   [`crate::par_score`]) — output stays bit-identical at any thread
-//!   count because serial and parallel paths share one total-order
-//!   comparator on `(score, candidate index)`.
+//!   lists, a precomputed [`DistanceMatrix`], cached per-gate base scores,
+//!   a per-pass readiness memo and reusable scratch buffers (the inner
+//!   loop allocates nothing).
 //! * [`Scheduler::run_reference`] — the straightforward transcription of
 //!   Algorithm 1 (global candidate enumeration, fresh collections every
 //!   iteration, per-call distance recomputation). It exists as the golden
@@ -19,16 +14,15 @@
 //!   stats for the same inputs, which the `hot_path_equivalence`
 //!   integration tests enforce and the `compile_time` benchmark exploits
 //!   to measure the speedup.
+//!
+//! Both pick each pass's winner with `better_candidate`, a strict total
+//! order on `(score, candidate index)`.
 
 use crate::config::CompilerConfig;
 use crate::error::CompileError;
 use crate::generic_swap::{GenericSwap, GenericSwapKind};
 use crate::heuristic::{DecayTracker, HeuristicScorer, ScoreCache, ScoreShard, ScoringScratch};
 use crate::mechanics::Mechanics;
-use crate::par_score::{
-    better_candidate, crew_worker, resolve_scoring_threads, score_shard, CrewShared, PassPhase,
-    ScoringTelemetry, StopGuard,
-};
 use ssync_arch::{Device, DistanceMatrix, Placement, SlotGraph, SlotId, TrapId, TrapRouter};
 use ssync_circuit::{Circuit, DependencyDag, Gate, LookaheadScratch, NodeId};
 use ssync_sim::{CompiledProgram, ScheduledOp};
@@ -47,6 +41,63 @@ pub struct SchedulerStats {
     pub fallback_routed_gates: usize,
 }
 
+/// Counters describing the candidate-scoring work of one scheduler run.
+///
+/// Deliberately separate from [`SchedulerStats`]: the golden equivalence
+/// tests assert stats equality between `run` and `run_reference`, while
+/// these counters describe the hot path's work, wall time included (the
+/// reference path reports zeros).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScoringTelemetry {
+    /// Candidate generic swaps (plus fallback frontier gates) scored.
+    pub candidates_scored: u64,
+    /// Scoring passes run: one per candidate pass, one per stall-fallback
+    /// pass.
+    pub score_shards_spawned: u64,
+    /// Readiness values served from the per-pass [`ScoreShard`] memo
+    /// instead of being recomputed.
+    pub score_cache_shard_hits: u64,
+    /// Times the per-qubit gate lists were rebuilt after the frontier
+    /// went stale (lazy rebuilds, so this counts actual work done).
+    pub frontier_rebuilds: u64,
+    /// Times the scheduler entered the stall-fallback path (no candidate
+    /// swap made progress for `max_stall_iterations` rounds).
+    pub stall_fallback_entries: u64,
+    /// Wall time spent inside scoring passes, in nanoseconds. Timing is
+    /// observation-only and never feeds back into candidate choice, so it
+    /// cannot perturb the schedule.
+    pub scoring_time_ns: u64,
+}
+
+impl ScoringTelemetry {
+    /// Accumulates another run's counters into `self`.
+    pub fn merge(&mut self, other: &ScoringTelemetry) {
+        self.candidates_scored += other.candidates_scored;
+        self.score_shards_spawned += other.score_shards_spawned;
+        self.score_cache_shard_hits += other.score_cache_shard_hits;
+        self.frontier_rebuilds += other.frontier_rebuilds;
+        self.stall_fallback_entries += other.stall_fallback_entries;
+        self.scoring_time_ns = self.scoring_time_ns.saturating_add(other.scoring_time_ns);
+    }
+}
+
+/// `true` if `(score, idx)` beats the current best under the scheduler's
+/// total order: strictly lower score first (`f64::total_cmp`, so NaN
+/// sorts deterministically instead of poisoning the comparison), lower
+/// candidate index on exact ties. `run` and `run_reference` both select
+/// with it, so a NaN score can never make the two disagree.
+#[inline]
+fn better_candidate(score: f64, idx: usize, best: Option<(f64, usize)>) -> bool {
+    match best {
+        None => true,
+        Some((best_score, best_idx)) => match score.total_cmp(&best_score) {
+            std::cmp::Ordering::Less => true,
+            std::cmp::Ordering::Equal => idx < best_idx,
+            std::cmp::Ordering::Greater => false,
+        },
+    }
+}
+
 /// Ring buffer of the most recent generic swaps (tabu list). Fixed
 /// capacity, no heap traffic.
 #[derive(Debug, Clone)]
@@ -63,22 +114,6 @@ impl Default for RecentSwaps {
 }
 
 const RECENT_CAP: usize = 6;
-
-/// Hard ceiling on scoring threads per compile — a misconfigured knob
-/// must not spawn hundreds of helpers (output is identical at any count,
-/// so clamping is always safe).
-const MAX_SCORE_THREADS: usize = 64;
-
-/// Circuits with fewer two-qubit gates than this run serially even when
-/// parallel scoring is enabled: their candidate passes are too small to
-/// amortise spawning a crew. Output is unaffected — serial and parallel
-/// paths are bit-identical by construction.
-const MIN_PARALLEL_GATES: usize = 8;
-
-/// Candidate passes smaller than this are scored inline by the main
-/// thread without waking the (already spawned) crew: a condvar round-trip
-/// costs more than scoring a handful of candidates.
-const MIN_PARALLEL_CANDIDATES: usize = 24;
 
 impl RecentSwaps {
     fn push(&mut self, pair: (SlotId, SlotId)) {
@@ -118,8 +153,8 @@ pub struct SchedulerScratch {
     drain_scratch: Vec<NodeId>,
     executed_ids: Vec<NodeId>,
     scoring: ScoringScratch,
-    /// The main thread's readiness memo (shard 0 of every scoring pass;
-    /// the only shard on the serial path).
+    /// The readiness memo every scoring pass reads through (reset at the
+    /// start of each pass).
     shard: ScoreShard,
 }
 
@@ -224,10 +259,10 @@ impl<'a> Scheduler<'a> {
     }
 
     /// Scoring telemetry of the last [`Scheduler::run`]: candidates
-    /// scored, shards dispatched, readiness-memo hits. Deliberately not
-    /// part of [`SchedulerStats`] — it describes the scoring *backend*
-    /// (and so differs between serial and parallel runs), while the stats
-    /// are part of the golden output contract.
+    /// scored, scoring passes, readiness-memo hits, frontier rebuilds,
+    /// stall-fallback entries and scoring time. Deliberately not part of
+    /// [`SchedulerStats`] — it describes the hot path's work (wall time
+    /// included), while the stats are part of the golden output contract.
     /// [`Scheduler::run_reference`] reports zeros.
     pub fn scoring_telemetry(&self) -> ScoringTelemetry {
         self.telemetry
@@ -235,9 +270,8 @@ impl<'a> Scheduler<'a> {
 
     /// Takes the flight recording of the last [`Scheduler::run`], if
     /// [`CompilerConfig::flight_recorder`] was on. Like the scoring
-    /// telemetry, events describe the scoring backend's work (serial and
-    /// parallel runs record different candidate margins) while the
-    /// compiled output stays bit-identical either way.
+    /// telemetry, events describe the run's decisions, not its output,
+    /// which stays bit-identical with or without the recorder.
     pub fn take_recording(&mut self) -> Option<FlightRecording> {
         self.recorder.take().map(FlightRecorder::into_recording)
     }
@@ -255,34 +289,12 @@ impl<'a> Scheduler<'a> {
     /// Single-qubit gates are emitted up-front: they never constrain
     /// routing and only contribute (near-unity) fidelity.
     ///
-    /// When [`CompilerConfig::scoring_threads`] (or the
-    /// `SSYNC_SCORE_THREADS` environment variable, see
-    /// [`resolve_scoring_threads`]) resolves above one and the circuit is
-    /// big enough to amortise a crew spawn, candidate scoring fans out
-    /// over helper threads — the produced program, final placement and
-    /// [`SchedulerStats`] are **bit-identical** at every thread count.
-    ///
     /// # Errors
     ///
     /// Returns [`CompileError::SchedulingStalled`] if the iteration budget
     /// is exhausted, which indicates an internal error rather than an
     /// expected user-facing failure.
     pub fn run(
-        &mut self,
-        circuit: &Circuit,
-        placement: Placement,
-    ) -> Result<(CompiledProgram, Placement), CompileError> {
-        let threads = resolve_scoring_threads(self.config.scoring_threads).min(MAX_SCORE_THREADS);
-        if threads <= 1 || circuit.two_qubit_gate_count() < MIN_PARALLEL_GATES {
-            self.run_serial(circuit, placement)
-        } else {
-            self.run_parallel(circuit, placement, threads)
-        }
-    }
-
-    /// The single-threaded hot path (also the backend for circuits too
-    /// small to amortise a crew spawn).
-    fn run_serial(
         &mut self,
         circuit: &Circuit,
         mut placement: Placement,
@@ -485,301 +497,6 @@ impl<'a> Scheduler<'a> {
         }
 
         Ok((program, placement))
-    }
-
-    /// The parallel twin of [`Scheduler::run_serial`]: the same Algorithm 1
-    /// loop, with every scoring pass fanned out over a persistent crew of
-    /// `threads - 1` helper threads (the main thread always scores shard
-    /// 0). The two loop bodies must stay in lockstep — the corpus
-    /// determinism tests and the golden `run_reference` equivalence pin
-    /// them to bit-identical output.
-    ///
-    /// Concurrency protocol (see [`crate::par_score`] for the types):
-    /// the placement lives in a `RwLock` for the whole run. The main
-    /// thread holds the write lock through every mutation phase, publishes
-    /// each scoring pass by swapping the prepared scratch into a shared
-    /// `PassData` cell, *releases* the write lock, wakes the crew, scores
-    /// its own shard, and spin-waits for the countdown. Helpers only take
-    /// read locks after observing the generation bump, so the locks are
-    /// never contended; phases strictly alternate.
-    fn run_parallel(
-        &mut self,
-        circuit: &Circuit,
-        placement: Placement,
-        threads: usize,
-    ) -> Result<(CompiledProgram, Placement), CompileError> {
-        self.stats = SchedulerStats::default();
-        self.telemetry = ScoringTelemetry::default();
-        self.recorder = self.config.flight_recorder.then(FlightRecorder::with_default_capacity);
-        let mut program =
-            CompiledProgram::new(circuit.num_qubits(), self.graph.topology().num_traps());
-        for gate in circuit.iter() {
-            if !gate.is_two_qubit() {
-                let q = gate.qubits()[0];
-                program.push(ScheduledOp::SingleQubitGate { qubit: q });
-            }
-        }
-
-        let mut dag = DependencyDag::from_circuit(circuit);
-        let mechanics = Mechanics::new(self.graph, self.router);
-        let mut cache = ScoreCache::new(dag.len(), self.graph.topology().num_traps());
-        let mut decay = DecayTracker::new(
-            circuit.num_qubits(),
-            self.config.decay_delta,
-            self.config.decay_reset_interval,
-        );
-        let mut recent = RecentSwaps::default();
-        let mut stall = 0usize;
-        let budget = 10_000 + 400 * dag.len();
-        let mut gate_lists_stale = true;
-
-        let shared = CrewShared::new(placement, threads);
-        // Plain `&'a` refs, copied out so the helper closures don't
-        // capture `self` (which the main loop mutably borrows).
-        let (graph, router, config, dist) = (self.graph, self.router, self.config, self.dist);
-
-        let run_result: Result<(), CompileError> = std::thread::scope(|scope| {
-            // Dropped on every exit path (including unwinds): parks the
-            // crew permanently so the scope join can't deadlock.
-            let _stop = StopGuard(&shared);
-            for k in 1..threads {
-                let shared = &shared;
-                scope.spawn(move || crew_worker(shared, k, threads, graph, router, config, dist));
-            }
-
-            while !dag.is_complete() {
-                self.stats.iterations += 1;
-                if self.stats.iterations > budget {
-                    return Err(CompileError::SchedulingStalled {
-                        remaining_gates: dag.remaining(),
-                    });
-                }
-
-                let mut placement = shared.placement.write().expect("placement lock");
-                let executed =
-                    self.execute_ready(&mut dag, &mut placement, &mut program, &mechanics);
-                if executed > 0 {
-                    if let Some(rec) = self.recorder.as_mut() {
-                        rec.record(FlightEvent::LayerClosed {
-                            layer: self.stats.iterations as u64,
-                            executed: executed as u64,
-                        });
-                    }
-                    stall = 0;
-                    gate_lists_stale = true;
-                    continue;
-                }
-                if dag.is_complete() {
-                    break;
-                }
-
-                if gate_lists_stale {
-                    self.rebuild_gate_lists(&dag);
-                    gate_lists_stale = false;
-                    if let Some(rec) = self.recorder.as_mut() {
-                        rec.record(FlightEvent::LayerOpened {
-                            layer: self.stats.iterations as u64,
-                            ready_gates: self.scratch.frontier.len() as u64,
-                        });
-                    }
-                }
-                self.collect_relevant_traps(&placement);
-                self.collect_candidates(&placement, Some(&recent));
-                if self.scratch.candidates.is_empty() {
-                    self.collect_candidates(&placement, None);
-                }
-
-                let scorer =
-                    HeuristicScorer::with_distance_matrix(graph, router, config, self.dist);
-                let mut applied = false;
-                if !self.scratch.candidates.is_empty() {
-                    scorer.prepare_pass(
-                        &mut self.scratch.scoring,
-                        &mut cache,
-                        &placement,
-                        &decay,
-                        &self.scratch.frontier,
-                        &self.scratch.lookahead,
-                    );
-                    let n = self.scratch.candidates.len();
-                    self.telemetry.candidates_scored += n as u64;
-                    let pass_started = Instant::now();
-                    let best = if n < MIN_PARALLEL_CANDIDATES {
-                        // Too small to pay a crew wake-up: score inline,
-                        // exactly like the serial path.
-                        self.scratch.shard.begin_pass();
-                        let mut best: Option<(f64, usize)> = None;
-                        for (i, swap) in self.scratch.candidates.iter().enumerate() {
-                            let score = scorer.score_swap_sharded(
-                                &self.scratch.scoring,
-                                &mut self.scratch.shard,
-                                &placement,
-                                swap,
-                            );
-                            if better_candidate(score, i, best) {
-                                best = Some((score, i));
-                            }
-                        }
-                        self.telemetry.score_shards_spawned += 1;
-                        self.telemetry.score_cache_shard_hits += self.scratch.shard.take_hits();
-                        best
-                    } else {
-                        // Publish the pass, release the placement lock,
-                        // fan out.
-                        {
-                            let mut pass = shared.pass.write().expect("pass lock");
-                            pass.phase = PassPhase::Candidates;
-                            std::mem::swap(&mut pass.scoring, &mut self.scratch.scoring);
-                            std::mem::swap(&mut pass.candidates, &mut self.scratch.candidates);
-                        }
-                        drop(placement);
-                        let best = self.score_pass_with_crew(&shared, &scorer, threads, n);
-                        // Take the buffers back and re-acquire the
-                        // placement for the mutation phase.
-                        {
-                            let mut pass = shared.pass.write().expect("pass lock");
-                            std::mem::swap(&mut pass.scoring, &mut self.scratch.scoring);
-                            std::mem::swap(&mut pass.candidates, &mut self.scratch.candidates);
-                        }
-                        placement = shared.placement.write().expect("placement lock");
-                        best
-                    };
-                    self.telemetry.scoring_time_ns += pass_started.elapsed().as_nanos() as u64;
-                    if let Some((score, idx)) = best {
-                        if let Some(rec) = self.recorder.as_mut() {
-                            // The crew merge returns only the winner, so
-                            // parallel runs record no runner-up margin.
-                            rec.record(FlightEvent::CandidateChosen {
-                                layer: self.stats.iterations as u64,
-                                candidate: idx as u64,
-                                score_bits: score.to_bits(),
-                                margin_bits: f64::NAN.to_bits(),
-                            });
-                        }
-                        let swap = self.scratch.candidates[idx];
-                        let mut rec = self.recorder.take();
-                        self.apply_swap(
-                            &swap,
-                            &mut placement,
-                            &mut program,
-                            &mut decay,
-                            &mechanics,
-                            rec.as_mut(),
-                        );
-                        self.recorder = rec;
-                        bump_swap_epochs(&mut cache, self.graph, &swap);
-                        recent.push((swap.a, swap.b));
-                        self.stats.heuristic_swaps += 1;
-                        applied = true;
-                    }
-                }
-
-                decay.tick();
-                stall += 1;
-                if !applied || stall > self.config.max_stall_iterations {
-                    // Stall-fallback: score the frontier gates, sharded
-                    // the same way as the candidate pass.
-                    self.telemetry.stall_fallback_entries += 1;
-                    if let Some(rec) = self.recorder.as_mut() {
-                        rec.record(FlightEvent::StallFallback {
-                            layer: self.stats.iterations as u64,
-                            remaining: dag.remaining() as u64,
-                        });
-                    }
-                    let n = self.scratch.frontier.len();
-                    self.telemetry.candidates_scored += n as u64;
-                    let pass_started = Instant::now();
-                    let best_gate = if n < MIN_PARALLEL_CANDIDATES {
-                        self.scratch.shard.begin_pass();
-                        let mut best: Option<(f64, usize)> = None;
-                        for (i, (_, gate)) in self.scratch.frontier.iter().enumerate() {
-                            let score = scorer.gate_score_sharded(
-                                &mut self.scratch.shard,
-                                &placement,
-                                gate,
-                            );
-                            if better_candidate(score, i, best) {
-                                best = Some((score, i));
-                            }
-                        }
-                        self.telemetry.score_shards_spawned += 1;
-                        self.telemetry.score_cache_shard_hits += self.scratch.shard.take_hits();
-                        best
-                    } else {
-                        {
-                            let mut pass = shared.pass.write().expect("pass lock");
-                            pass.phase = PassPhase::FallbackGates;
-                            pass.gates.clear();
-                            pass.gates.extend(self.scratch.frontier.iter().map(|&(_, g)| g));
-                        }
-                        drop(placement);
-                        let best = self.score_pass_with_crew(&shared, &scorer, threads, n);
-                        placement = shared.placement.write().expect("placement lock");
-                        best
-                    };
-                    self.telemetry.scoring_time_ns += pass_started.elapsed().as_nanos() as u64;
-                    let gate = best_gate
-                        .map(|(_, i)| self.scratch.frontier[i].1)
-                        .expect("frontier is non-empty while the DAG is incomplete");
-                    let (q1, q2) = gate.two_qubit_pair().expect("frontier gates are two-qubit");
-                    let dest = placement.trap_of(q2).expect("qubit placed");
-                    if placement.trap_free_slots(dest) == 0 {
-                        mechanics.make_space(&mut placement, &mut program, dest, 1, &[q1, q2]);
-                    }
-                    let dest = placement.trap_of(q2).expect("qubit placed");
-                    if !mechanics.move_qubit_to_trap(&mut placement, &mut program, q1, dest) {
-                        return Err(CompileError::SchedulingStalled {
-                            remaining_gates: dag.remaining(),
-                        });
-                    }
-                    self.stats.fallback_routed_gates += 1;
-                    stall = 0;
-                    recent.clear();
-                    cache.bump_all();
-                }
-            }
-            Ok(())
-        });
-        run_result?;
-
-        let placement = shared.placement.into_inner().expect("placement lock");
-        Ok((program, placement))
-    }
-
-    /// Runs one published scoring pass over the crew: wakes the helpers,
-    /// scores shard 0 on the calling thread, waits for the countdown and
-    /// merges the shard winners in shard order under the shared total
-    /// order. Caller must have published `PassData` and released the
-    /// placement write lock.
-    fn score_pass_with_crew(
-        &mut self,
-        shared: &CrewShared,
-        scorer: &HeuristicScorer<'_>,
-        threads: usize,
-        pass_len: usize,
-    ) -> Option<(f64, usize)> {
-        shared.dispatch();
-        let own = {
-            let placement = shared.placement.read().expect("placement lock");
-            let pass = shared.pass.read().expect("pass lock");
-            score_shard(scorer, &pass, &placement, 0, threads, &mut self.scratch.shard)
-        };
-        shared.wait();
-
-        let chunk = pass_len.div_ceil(threads).max(1);
-        self.telemetry.score_shards_spawned += pass_len.div_ceil(chunk) as u64;
-        self.telemetry.score_cache_shard_hits += own.hits;
-        let mut best = own.best;
-        for slot in &shared.results[1..] {
-            let r = slot.lock().expect("result lock");
-            if let Some((score, idx)) = r.best {
-                if better_candidate(score, idx, best) {
-                    best = Some((score, idx));
-                }
-            }
-            self.telemetry.score_cache_shard_hits += r.hits;
-        }
-        best
     }
 
     /// Rebuilds the cached frontier and look-ahead `(id, gate)` lists from
@@ -1382,14 +1099,49 @@ mod tests {
         assert_eq!(base_stats, recording.stats());
         let stream = recording.take_recording().expect("recorder on yields a recording");
         assert!(!stream.events.is_empty());
-        assert!(stream.events.iter().any(|e| matches!(e, FlightEvent::CandidateChosen { .. })));
         assert!(stream.events.iter().any(|e| matches!(e, FlightEvent::LayerClosed { .. })));
+        // Every winner carries a real runner-up margin: never negative,
+        // NaN only for a pass with a single candidate.
+        let margins: Vec<f64> = stream
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                FlightEvent::CandidateChosen { margin_bits, .. } => {
+                    Some(f64::from_bits(*margin_bits))
+                }
+                _ => None,
+            })
+            .collect();
+        assert!(!margins.is_empty(), "the scheduler chose candidates");
+        assert!(margins.iter().all(|m| m.is_nan() || *m >= 0.0), "negative margin: {margins:?}");
+        assert!(margins.iter().any(|m| m.is_finite()), "no pass recorded a finite margin");
         assert!(recording.take_recording().is_none(), "take_recording drains");
 
         // run_reference never records, even with the flag on.
         let (ref_program, _) = recording.run_reference(&circuit, placement).unwrap();
         assert_eq!(base_program.ops(), ref_program.ops());
         assert!(recording.take_recording().is_none());
+    }
+
+    #[test]
+    fn better_candidate_orders_by_score_then_index() {
+        assert!(better_candidate(1.0, 5, None));
+        assert!(better_candidate(1.0, 5, Some((2.0, 0))));
+        assert!(!better_candidate(2.0, 0, Some((1.0, 5))));
+        // Exact tie: the lower candidate index wins.
+        assert!(better_candidate(1.0, 2, Some((1.0, 3))));
+        assert!(!better_candidate(1.0, 3, Some((1.0, 2))));
+    }
+
+    #[test]
+    fn better_candidate_is_nan_safe() {
+        // NaN sorts above every real score under total_cmp: a NaN
+        // candidate never displaces a finite one, and two NaNs tie by
+        // index — no unwrap, no order-dependence.
+        assert!(!better_candidate(f64::NAN, 0, Some((1.0, 5))));
+        assert!(better_candidate(1.0, 5, Some((f64::NAN, 0))));
+        assert!(better_candidate(f64::NAN, 1, Some((f64::NAN, 2))));
+        assert!(better_candidate(f64::INFINITY, 1, Some((f64::NAN, 0))));
     }
 
     #[test]

@@ -13,11 +13,6 @@
 //!
 //! * `--workers N` — worker threads (default: `SSYNC_BATCH_WORKERS` or
 //!   the machine's parallelism).
-//! * `--score-threads N` — intra-compile scoring threads per worker
-//!   (default: `SSYNC_SCORE_THREADS`, else 1 = serial). The request is
-//!   budgeted against the worker count at startup so
-//!   `workers × score-threads` never oversubscribes the host; compiled
-//!   output is bit-identical at any value.
 //! * `--cache-max-entries N` / `--cache-max-bytes N` — result-cache
 //!   bounds (default: the `SSYNC_CACHE_MAX_*` environment variables,
 //!   else unbounded).
@@ -101,7 +96,6 @@ struct Options {
     socket: Option<std::path::PathBuf>,
     tcp: Option<String>,
     workers: usize,
-    score_threads: usize,
     bounds: CacheBounds,
     cache_dir: Option<std::path::PathBuf>,
     cache_dir_max_bytes: Option<u64>,
@@ -124,7 +118,6 @@ struct Options {
 
 fn usage() -> &'static str {
     "usage: ssync-serviced (--stdio | --socket PATH | --tcp ADDR) [--workers N] \
-     [--score-threads N] \
      [--cache-max-entries N] [--cache-max-bytes N] [--cache-dir DIR] \
      [--cache-dir-max-bytes N] [--cache-dir-max-age-secs N] \
      [--janitor-interval-secs N] [--auth-token SECRET] [--idle-timeout-secs N] \
@@ -141,7 +134,6 @@ fn parse_args() -> Result<Options, String> {
         socket: None,
         tcp: None,
         workers: 0,
-        score_threads: 0,
         bounds: CacheBounds::from_env(),
         cache_dir: None,
         cache_dir_max_bytes: None,
@@ -176,13 +168,6 @@ fn parse_args() -> Result<Options, String> {
                 options.workers = value("--workers")?
                     .parse()
                     .map_err(|_| "--workers expects an integer".to_string())?
-            }
-            // `0` means auto (SSYNC_SCORE_THREADS, else serial), like
-            // `--workers 0` defers to its environment variable.
-            "--score-threads" => {
-                options.score_threads = value("--score-threads")?
-                    .parse()
-                    .map_err(|_| "--score-threads expects an integer".to_string())?
             }
             // `0` means unbounded, matching the SSYNC_CACHE_MAX_* env vars.
             "--cache-max-entries" => {
@@ -300,10 +285,8 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut builder = CompileService::builder()
-        .workers(options.workers)
-        .scoring_threads(options.score_threads)
-        .cache_bounds(options.bounds);
+    let mut builder =
+        CompileService::builder().workers(options.workers).cache_bounds(options.bounds);
     if let Some(enabled) = options.flight_recorder {
         builder = builder.flight_recorder(enabled);
     }
@@ -351,9 +334,8 @@ fn main() -> ExitCode {
         });
     }
     eprintln!(
-        "[ssync-serviced] serving with {} workers x {} scoring threads (cache: {:?}, persist: {:?}, janitor: {:?}, auth: {}, flight recorder: {})",
+        "[ssync-serviced] serving with {} workers (cache: {:?}, persist: {:?}, janitor: {:?}, auth: {}, flight recorder: {})",
         service.workers(),
-        service.scoring_threads(),
         service.cache().config().bounds,
         options.cache_dir,
         options.janitor_interval_secs,

@@ -340,12 +340,12 @@ pub fn decode_circuit(r: &mut ByteReader<'_>) -> Result<Circuit, CodecError> {
 // Compiler configuration.
 // ---------------------------------------------------------------------------
 
-/// Encodes every [`CompilerConfig`] field except `scoring_threads`
-/// (including `batch_workers`, which the cache key hash deliberately
-/// skips — the wire layer transports the config verbatim; only the cache
-/// decides what is output-affecting). `scoring_threads` stays off the
-/// wire entirely: it is a server-side resource budget, not part of the
-/// request (see [`decode_config`]).
+/// Encodes every [`CompilerConfig`] field except `perm_schedule` and
+/// `flight_recorder`, including `batch_workers`, which the cache key
+/// hash deliberately skips: the wire carries the request's config as
+/// given, and only the cache decides what is output-affecting. The two
+/// skipped fields are server-side choices, not part of the request (see
+/// [`decode_config`]).
 pub fn encode_config(w: &mut ByteWriter, c: &CompilerConfig) {
     w.put_f64(c.weights.inner_weight);
     w.put_f64(c.weights.shuttle_weight);
@@ -410,23 +410,16 @@ pub fn decode_config(r: &mut ByteReader<'_>) -> Result<CompilerConfig, CodecErro
         max_stall_iterations: r.get_usize()?,
         executable_bonus: r.get_f64()?,
         batch_workers: r.get_usize()?,
-        // Deliberately not wire-encoded: intra-compile scoring threads
-        // are a *server-side* resource decision (the pool budgets them
-        // against its worker count), never output-affecting, and a remote
-        // client must not be able to dictate server thread usage. Decoded
-        // configs land on "auto" and the executing pool pins the budget.
-        scoring_threads: 0,
-        // Also off the wire, but for a different reason: the bubble-sort
-        // oracle exists for local ablation and testing only, so remote
-        // submissions always run the production sub-quadratic schedule.
-        // Unlike scoring_threads this knob IS output-affecting, which is
-        // why `config_hash` includes it while the wire codec does not.
+        // Deliberately not wire-encoded: the bubble-sort oracle exists for
+        // local ablation and testing only, so remote submissions always
+        // run the production sub-quadratic schedule. The knob IS
+        // output-affecting, which is why `config_hash` includes it while
+        // the wire codec does not.
         perm_schedule: ssync_core::SwapScheduleKind::default(),
-        // Off the wire like scoring_threads: the flight recorder is a
-        // server-side observability decision (it never changes compiled
-        // output), so remote submissions cannot switch it on or off.
-        // Decoded configs land on "off" and the executing pool pins the
-        // operator's choice.
+        // Also off the wire: the flight recorder is a server-side
+        // observability decision (it never changes compiled output), so
+        // remote submissions cannot switch it on or off. Decoded configs
+        // land on "off" and the executing pool pins the operator's choice.
         flight_recorder: false,
     })
 }

@@ -43,16 +43,13 @@ pub fn device_fingerprint(device: &Device) -> u64 {
 /// A stable hash over every [`CompilerConfig`] field that can influence
 /// compiled output: heuristic hyper-parameters, mapping choice, gate
 /// implementation, operation times and the full noise model.
-/// `batch_workers` and `scoring_threads` are deliberately excluded —
-/// neither the batch worker count nor the intra-compile scoring-thread
-/// count ever changes results (the batch golden tests and the scoring
-/// determinism tests enforce that), so two configs differing only in
-/// parallelism share cache entries. The exclusion is also what lets the
-/// service pool pin its budgeted `scoring_threads` into a job's config
-/// *after* the cache key was computed. `flight_recorder` is excluded for
-/// the same reason: the recorder observes without steering (compiled
+/// `batch_workers` is deliberately excluded: the batch worker count never
+/// changes results (the batch golden tests enforce that), so two configs
+/// differing only in fan-out share cache entries. `flight_recorder` is
+/// excluded because the recorder observes without steering (compiled
 /// output is bit-identical on or off), so enabling it must not cold the
-/// cache.
+/// cache — which is also what lets the service pool pin the flag into a
+/// job's config *after* the cache key was computed.
 pub fn config_hash(config: &CompilerConfig) -> u64 {
     let mut h = StableHasher::new();
     write_weights(&mut h, config.weights);
@@ -123,10 +120,9 @@ mod tests {
             config_hash(&base),
             config_hash(&base.with_perm_schedule(ssync_core::SwapScheduleKind::BubbleSort))
         );
-        // Neither parallelism knob can change compiled output, so
-        // neither may split the cache.
+        // The batch fan-out cannot change compiled output, so it must not
+        // split the cache.
         assert_eq!(config_hash(&base), config_hash(&base.with_batch_workers(7)));
-        assert_eq!(config_hash(&base), config_hash(&base.with_scoring_threads(7)));
         // The flight recorder observes without steering (compiled output is
         // bit-identical on or off), so it must not split the cache either.
         assert_eq!(config_hash(&base), config_hash(&base.with_flight_recorder(true)));

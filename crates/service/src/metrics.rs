@@ -70,13 +70,12 @@ pub struct ServiceMetrics {
     /// did — the `persist_tier_outcomes_report_zero_scoring_counters`
     /// test pins this.
     pub candidates_scored: u64,
-    /// Scoring shards dispatched by those schedulers; equals the number
-    /// of scoring passes when compiles run serially, and grows with the
-    /// pool's [`scoring_threads`](crate::CompileService::scoring_threads)
-    /// budget when passes are split across a crew.
+    /// Scoring passes run by those schedulers: one per candidate pass and
+    /// one per stall-fallback pass. (The name predates the single scoring
+    /// loop; it is kept so the wire payload is unchanged.)
     pub score_shards_spawned: u64,
-    /// Per-shard route-readiness memo hits during candidate scoring — the
-    /// intra-pass locality the sharded memo recovers.
+    /// Route-readiness memo hits during scoring — the intra-pass
+    /// locality the per-pass memo recovers.
     pub score_cache_shard_hits: u64,
     /// Request traces finished by the telemetry layer (wire v5; decodes as
     /// zero from peers that predate it).

@@ -104,10 +104,7 @@ use crate::metrics::{ServiceMetrics, WorkerMetrics};
 use crate::registry::DeviceRegistry;
 use crate::telemetry::{kind_slug, ServiceTelemetry, Stage, TRACE_JOURNAL_CAPACITY};
 use ssync_circuit::{Circuit, Qubit};
-use ssync_core::{
-    batch, budget_scoring_threads, resolve_scoring_threads, CacheBounds, CompileError,
-    CompileScratch,
-};
+use ssync_core::{batch, CacheBounds, CompileError, CompileScratch};
 use ssync_telemetry::Span;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -271,16 +268,9 @@ struct SleepState {
 
 struct Shared {
     injector: Mutex<Injector<Job>>,
-    /// Effective intra-compile scoring-thread count every worker pins into
-    /// the config it executes (see [`CompileService::scoring_threads`]).
-    /// Computed once at start: the requested count (builder →
-    /// `SSYNC_SCORE_THREADS` → 1) budgeted against the pool size so
-    /// `workers × scoring_threads` never oversubscribes the host.
-    scoring_threads: usize,
     /// Whether executed compiles carry a flight recorder. Pinned into the
     /// job's config at execution time — after the cache key is computed —
-    /// exactly like `scoring_threads`, because the recorder observes
-    /// without changing compiled output.
+    /// because the recorder observes without changing compiled output.
     flight_recorder: bool,
     /// High-priority jobs currently in the injector. Incremented *before*
     /// the push (same never-ahead rule as `SleepState::queued`),
@@ -388,10 +378,6 @@ impl Shared {
 #[derive(Debug, Clone, Default)]
 pub struct CompileServiceBuilder {
     workers: usize,
-    /// Requested intra-compile scoring threads; `0` = auto
-    /// (`SSYNC_SCORE_THREADS`, then serial). Budgeted against the worker
-    /// count at build time — see [`CompileService::scoring_threads`].
-    scoring_threads: usize,
     /// `None` = never configured → fall back to the environment at build
     /// time. An explicit [`CacheBounds::UNBOUNDED`] is honoured as-is.
     bounds: Option<CacheBounds>,
@@ -411,19 +397,6 @@ impl CompileServiceBuilder {
     /// variable, then the machine's available parallelism).
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Requests `threads` intra-compile scoring threads per worker; `0`
-    /// (the default) resolves through the `SSYNC_SCORE_THREADS`
-    /// environment variable and falls back to 1 (serial). The request is
-    /// *budgeted*, not obeyed verbatim: at build time it is capped at
-    /// `available_parallelism / workers` so a saturated pool never
-    /// oversubscribes the host — an 8-worker daemon on an 8-core box runs
-    /// every compile serially no matter what was asked for. Scoring
-    /// threads never change compiled output (or cache keys).
-    pub fn scoring_threads(mut self, threads: usize) -> Self {
-        self.scoring_threads = threads;
         self
     }
 
@@ -499,7 +472,6 @@ impl CompileServiceBuilder {
     pub fn build(self) -> CompileService {
         let CompileServiceBuilder {
             workers,
-            scoring_threads,
             bounds,
             persist_dir,
             persist_max_bytes,
@@ -523,13 +495,7 @@ impl CompileServiceBuilder {
                 Some(v == "1" || v.eq_ignore_ascii_case("true"))
             })
             .unwrap_or(false);
-        CompileService::start(
-            batch::resolve_workers(workers),
-            cache,
-            scoring_threads,
-            journal_cap,
-            flight_recorder,
-        )
+        CompileService::start(batch::resolve_workers(workers), cache, journal_cap, flight_recorder)
     }
 }
 
@@ -578,22 +544,18 @@ impl CompileService {
     /// at least 1), ignoring the environment — the constructor for tests
     /// pinning worker-count independence. The cache is unbounded.
     pub fn with_workers(workers: usize) -> Self {
-        Self::start(workers, CacheConfig::default(), 0, TRACE_JOURNAL_CAPACITY, false)
+        Self::start(workers, CacheConfig::default(), TRACE_JOURNAL_CAPACITY, false)
     }
 
     fn start(
         workers: usize,
         cache: CacheConfig,
-        scoring_threads: usize,
         journal_cap: usize,
         flight_recorder: bool,
     ) -> Self {
         let workers = workers.max(1);
-        let scoring_threads =
-            budget_scoring_threads(resolve_scoring_threads(scoring_threads), workers);
         let shared = Arc::new(Shared {
             injector: Mutex::new(Injector::default()),
-            scoring_threads,
             flight_recorder,
             high_pending: AtomicUsize::new(0),
             deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
@@ -651,16 +613,6 @@ impl CompileService {
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
         self.workers.len()
-    }
-
-    /// Effective intra-compile scoring-thread count pinned into every
-    /// executed job's config: the builder's request (or
-    /// `SSYNC_SCORE_THREADS` when left at 0) capped at
-    /// `available_parallelism / workers`, never below 1. Pinning happens
-    /// at execution time, after the cache key is computed, so the budget
-    /// is invisible to caching and to compiled output.
-    pub fn scoring_threads(&self) -> usize {
-        self.shared.scoring_threads
     }
 
     /// Whether executed compiles carry a flight recorder (see
@@ -1151,11 +1103,10 @@ fn execute(shared: &Shared, me: usize, job: Job, scratch: &mut CompileScratch) {
 }
 
 /// Runs one compile, catching panics; `Err` carries the panic message.
-/// The pool's budgeted `scoring_threads` and its `flight_recorder` switch
-/// are pinned into the config here — *after* the cache key was computed
-/// from the request's own config — so neither server-side decision leaks
-/// into cache identity, and a remote client's config can dictate neither
-/// server thread usage nor recorder memory.
+/// The pool's `flight_recorder` switch is pinned into the config here —
+/// *after* the cache key was computed from the request's own config — so
+/// the server-side decision never leaks into cache identity, and a remote
+/// client's config cannot dictate recorder memory.
 fn run_compile(
     request: &CompileRequest,
     prep: &CircuitPrep,
@@ -1166,10 +1117,7 @@ fn run_compile(
         .compiler
         .uses_first_use_order()
         .then(|| prep.first_use.get_or_init(|| request.circuit.first_use_order()).as_slice());
-    let config = request
-        .config
-        .with_scoring_threads(shared.scoring_threads)
-        .with_flight_recorder(shared.flight_recorder);
+    let config = request.config.with_flight_recorder(shared.flight_recorder);
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         request
             .compiler
@@ -1569,12 +1517,8 @@ mod tests {
     }
 
     #[test]
-    fn scoring_threads_are_budgeted_and_counted() {
-        // The builder's request is budgeted against the pool size: the
-        // effective value is at least 1 and never exceeds the request.
-        let service = CompileService::builder().workers(2).scoring_threads(8).build();
-        let effective = service.scoring_threads();
-        assert!((1..=8).contains(&effective), "budgeted to {effective}");
+    fn scoring_work_is_counted_and_cache_hits_score_nothing() {
+        let service = CompileService::with_workers(2);
         let config = CompilerConfig::default();
         // Capacity-8 traps force qft(12) to actually route (the paper
         // topologies' capacity-22 traps would swallow it whole and score
@@ -1602,33 +1546,6 @@ mod tests {
             .wait()
             .expect("hits");
         assert_eq!(service.metrics().candidates_scored, metrics.candidates_scored);
-    }
-
-    #[test]
-    fn pool_scoring_budget_never_changes_results() {
-        let config = CompilerConfig::default();
-        let circuit = Arc::new(qft(12));
-        let compile = |threads: usize| {
-            let service = CompileService::builder().workers(1).scoring_threads(threads).build();
-            let device = service
-                .registry()
-                .get_or_build("tight", config.weights, || QccdTopology::grid(2, 2, 8));
-            service
-                .submit(CompileRequest::new(
-                    device,
-                    Arc::clone(&circuit),
-                    CompilerKind::SSync,
-                    config,
-                ))
-                .wait()
-                .expect("compiles")
-        };
-        let expected = compile(1);
-        for threads in [2, 8] {
-            let got = compile(threads);
-            assert_eq!(expected.program().ops(), got.program().ops(), "threads={threads}");
-            assert_eq!(expected.final_placement(), got.final_placement(), "threads={threads}");
-        }
     }
 
     #[test]
@@ -1661,7 +1578,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let config = CompilerConfig::default();
         // Capacity-8 traps force qft(12) to actually route and score
-        // (as in `scoring_threads_are_budgeted_and_counted`).
+        // (as in `scoring_work_is_counted_and_cache_hits_score_nothing`).
         let circuit = Arc::new(qft(12));
         let tight = |service: &CompileService| {
             let device = service

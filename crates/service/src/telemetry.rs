@@ -523,14 +523,10 @@ pub fn render_text(metrics: &ServiceMetrics, telemetry: &TelemetrySnapshot) -> S
             "Scheduler candidates scored across executed compiles.",
             metrics.candidates_scored,
         ),
-        (
-            "ssync_score_shards_spawned_total",
-            "Scoring shards dispatched.",
-            metrics.score_shards_spawned,
-        ),
+        ("ssync_score_shards_spawned_total", "Scoring passes run.", metrics.score_shards_spawned),
         (
             "ssync_score_cache_shard_hits_total",
-            "Per-shard readiness-memo hits.",
+            "Readiness-memo hits during scoring.",
             metrics.score_cache_shard_hits,
         ),
         ("ssync_cache_hits_total", "Result-cache hits.", metrics.cache.hits),

@@ -67,17 +67,14 @@
 //!
 //! ## Version 4
 //!
-//! v4 appends three **intra-compile scoring counters** to the `Metrics`
-//! payload (`candidates_scored`, `score_shards_spawned`,
+//! v4 appends three **scoring counters** to the `Metrics` payload
+//! (`candidates_scored`, `score_shards_spawned`,
 //! `score_cache_shard_hits`), after `uptime` — previously the final
 //! field. The decoder reads them only when payload bytes remain, so a
 //! v4 client decodes a v1–v3 daemon's shorter payload cleanly (the
 //! counters come back zero) and every older tag and encoding is
-//! unchanged. The scheduler's `scoring_threads` knob deliberately stays
-//! **off the wire**: thread budgeting is a server-side resource
-//! decision (`--score-threads` / `SSYNC_SCORE_THREADS`), never
-//! something a remote client dictates — and it cannot affect compiled
-//! output anyway.
+//! unchanged. `score_shards_spawned` counts scoring passes and
+//! `score_cache_shard_hits` counts readiness-memo hits.
 //!
 //! ## Version 5
 //!
@@ -109,10 +106,9 @@
 //! so the trace schema can grow without another wire bump. Every v1–v5
 //! tag and payload encoding is unchanged, and the
 //! `CompilerConfig::flight_recorder` flag deliberately stays **off the
-//! wire** like `scoring_threads`: recording is a server-side
-//! observability decision (`--flight-recorder` /
-//! `SSYNC_FLIGHT_RECORDER`), never something a remote client dictates —
-//! and it cannot affect compiled output anyway.
+//! wire**: recording is a server-side observability decision
+//! (`--flight-recorder` / `SSYNC_FLIGHT_RECORDER`), never something a
+//! remote client dictates — and it cannot affect compiled output anyway.
 //!
 //! Job ids are per-connection and **single-delivery**: the response that
 //! carries a job's terminal result (`Wait`, or a `Poll` that observes

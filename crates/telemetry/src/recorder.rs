@@ -15,11 +15,10 @@
 //! from values the scheduler already computed, no scheduling decision
 //! ever reads it, and compiled output is bit-identical recorder-on vs
 //! recorder-off (the `telemetry_overhead` bench enforces this for every
-//! `CompilerKind`). Like `ScoringTelemetry`, the event stream may differ
-//! between scoring backends (serial vs parallel candidate evaluation
-//! reports different margins) — it describes work performed, not the
-//! result — so it is carried *outside* the golden-compared scheduler
-//! statistics and is never persisted or sent in a compiled outcome.
+//! `CompilerKind`). Like `ScoringTelemetry`, the event stream describes
+//! work performed, not the result, so it is carried *outside* the
+//! golden-compared scheduler statistics and is never persisted or sent
+//! in a compiled outcome.
 
 use crate::span::escape_json_into;
 
@@ -53,9 +52,9 @@ pub enum FlightEvent {
         /// The winning heuristic score (its `f64::to_bits`).
         score_bits: u64,
         /// Runner-up margin: second-best score minus best score
-        /// (`f64::to_bits`). NaN bits when no runner-up exists or the
-        /// scoring backend does not track one (the parallel crew merges
-        /// shard winners only).
+        /// (`f64::to_bits`), never negative. NaN bits when no runner-up
+        /// exists: a single-candidate pass, or a PermRoute gate, whose
+        /// layer planner keeps only the winning meeting trap.
         margin_bits: u64,
     },
     /// The scheduler entered its deterministic stall-fallback router.

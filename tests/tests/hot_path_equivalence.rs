@@ -8,12 +8,16 @@
 //! same search statistics. Any divergence means the optimization changed
 //! the algorithm, not just its cost.
 
+use proptest::prelude::*;
 use ssync_arch::{Device, DistanceMatrix, QccdTopology, SlotGraph, SlotId, TrapRouter};
+use ssync_bench::qasm_corpus::{corpus_dir, load_corpus};
 use ssync_circuit::generators::{
     bernstein_vazirani, cuccaro_adder, qaoa_nearest_neighbor, qft, random_two_qubit_circuit,
 };
 use ssync_circuit::Circuit;
-use ssync_core::{initial, CompilerConfig, HeuristicScorer, InitialMapping, Scheduler};
+use ssync_core::{
+    initial, CompilerConfig, HeuristicScorer, InitialMapping, Scheduler, SchedulerStats,
+};
 
 fn topologies() -> Vec<QccdTopology> {
     vec![
@@ -24,8 +28,13 @@ fn topologies() -> Vec<QccdTopology> {
 }
 
 /// Runs both scheduler entry points from the same initial placement and
-/// asserts bit-identical results.
-fn assert_bit_identical(circuit: &Circuit, topo: &QccdTopology, config: &CompilerConfig) {
+/// asserts bit-identical results. Returns the shared stats so callers can
+/// check which paths the run took.
+fn assert_bit_identical(
+    circuit: &Circuit,
+    topo: &QccdTopology,
+    config: &CompilerConfig,
+) -> SchedulerStats {
     let device = Device::build(topo.clone(), config.weights);
     let placement = initial::build_placement(circuit, &device, config);
     let mut scheduler = Scheduler::new(&device, config);
@@ -48,6 +57,7 @@ fn assert_bit_identical(circuit: &Circuit, topo: &QccdTopology, config: &Compile
     assert_eq!(fast_stats, ref_stats, "stats diverge on {}", topo.name());
     assert_eq!(fast_placement, ref_placement, "final placements diverge on {}", topo.name());
     fast_placement.validate().expect("final placement is consistent");
+    fast_stats
 }
 
 #[test]
@@ -105,6 +115,59 @@ fn equivalence_holds_on_random_circuits_and_tight_devices() {
         let circuit = random_two_qubit_circuit(12, 70, seed);
         // 16 slots for 12 qubits: shuttle- and fallback-heavy territory.
         let topo = QccdTopology::grid(2, 2, 4);
+        assert_bit_identical(&circuit, &topo, &CompilerConfig::default());
+    }
+}
+
+/// Every checked-in `workloads/` circuit that fits, on a tight grid that
+/// forces routing.
+#[test]
+fn corpus_is_bit_identical_on_a_tight_grid() {
+    let topo = QccdTopology::grid(2, 2, 4);
+    let mut compared = 0usize;
+    for entry in load_corpus(&corpus_dir()).expect("workloads/ corpus checked in") {
+        let circuit = &entry.circuit;
+        if circuit.num_qubits() + 1 > topo.total_capacity() || circuit.two_qubit_gate_count() == 0 {
+            continue;
+        }
+        assert_bit_identical(circuit, &topo, &CompilerConfig::default());
+        compared += 1;
+    }
+    assert!(compared > 0, "no corpus circuit fits the tight grid");
+}
+
+/// `max_stall_iterations = 0` drives the scheduler into the stall-fallback
+/// router almost immediately on a tight device, so the fallback's
+/// frontier-gate choice (not just the candidate loop) must match the
+/// reference.
+#[test]
+fn stall_fallback_path_is_bit_identical() {
+    let config = CompilerConfig { max_stall_iterations: 0, ..CompilerConfig::default() };
+    let topo = QccdTopology::grid(2, 2, 4);
+    let mut fallback_seen = false;
+    for seed in 0..6u64 {
+        let circuit = random_two_qubit_circuit(12, 70, seed);
+        let stats = assert_bit_identical(&circuit, &topo, &config);
+        fallback_seen |= stats.fallback_routed_gates > 0;
+    }
+    assert!(fallback_seen, "no run engaged the fallback router — the test lost its teeth");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random circuits on random tight grids.
+    #[test]
+    fn random_circuits_on_random_grids_are_bit_identical(
+        traps in 2usize..4,
+        capacity in 4usize..6,
+        qubits in 6usize..12,
+        gates in 10usize..60,
+        seed in 0u64..1_000,
+    ) {
+        let topo = QccdTopology::grid(2, traps, capacity);
+        prop_assume!(topo.total_capacity() > qubits + 1);
+        let circuit = random_two_qubit_circuit(qubits, gates, seed);
         assert_bit_identical(&circuit, &topo, &CompilerConfig::default());
     }
 }

@@ -14,8 +14,7 @@
 //!   strictly with ion distance, chain length, hops and occupancy;
 //! * **compiler-level equivalence** — `CompilerKind::PermRoute` under the
 //!   bubble oracle and the production schedule agree on everything except
-//!   the SWAP-gate stream, and its output is bit-identical at every
-//!   scoring-thread count.
+//!   the SWAP-gate stream.
 
 use proptest::prelude::*;
 use ssync_arch::{Device, QccdTopology, WeightConfig};
@@ -218,27 +217,5 @@ fn emitted_schedule_lengths_hold_for_every_n_up_to_160() {
         if n >= 32 {
             assert!(recursive < bubble, "strictly-fewer at n = {n}: {recursive} vs {bubble}");
         }
-    }
-}
-
-/// PermRoute never consults the scoring crew, so its output must be
-/// bit-identical at every `scoring_threads` value — the same contract the
-/// scoring-determinism suite enforces for every kind, pinned here on the
-/// battery's own workloads.
-#[test]
-fn perm_route_is_bit_identical_at_every_thread_count() {
-    let circuit = random_two_qubit_circuit(12, 60, 17);
-    let base = CompilerConfig::default();
-    let device = Device::build(QccdTopology::grid(2, 2, 5), base.weights);
-    let serial = CompilerKind::PermRoute
-        .compile_on(&device, &circuit, &base.with_scoring_threads(1))
-        .expect("compiles");
-    for threads in [2, 8] {
-        let got = CompilerKind::PermRoute
-            .compile_on(&device, &circuit, &base.with_scoring_threads(threads))
-            .expect("compiles");
-        assert_eq!(serial.program().ops(), got.program().ops(), "threads = {threads}");
-        assert_eq!(serial.final_placement(), got.final_placement(), "threads = {threads}");
-        assert_eq!(serial.report(), got.report(), "threads = {threads}");
     }
 }
