@@ -86,12 +86,13 @@ impl CompilerKind {
     }
 
     /// [`CompilerKind::compile_on`] with reusable worker state: `scratch`
-    /// carries the S-SYNC scheduler's working memory across compiles (the
-    /// greedy kinds ignore it), and `first_use` optionally supplies the
+    /// carries the S-SYNC scheduler's working memory across compiles and
+    /// the flight-recorder switch S-SYNC and perm-route read (the greedy
+    /// kinds ignore it), and `first_use` optionally supplies the
     /// precomputed first-use qubit order the greedy kinds place ions in
     /// (S-SYNC ignores it; its initial mapping is a different scheme).
     /// Output is bit-identical to `compile_on` for any combination —
-    /// both arguments only recycle work.
+    /// both arguments only recycle work or observe it.
     ///
     /// # Errors
     ///
@@ -118,7 +119,7 @@ impl CompilerKind {
             CompilerKind::Greedy => GreedyRouter::new(BaselineStyle::Greedy, *config)
                 .compile_on_with_order(device, circuit, first_use),
             CompilerKind::PermRoute => {
-                PermRouteCompiler::new(*config).compile_on_with_order(device, circuit, first_use)
+                PermRouteCompiler::new(*config).compile_on_with(device, circuit, first_use, scratch)
             }
             CompilerKind::SSync => {
                 SSyncCompiler::new(*config).compile_on_with_scratch(device, circuit, scratch)

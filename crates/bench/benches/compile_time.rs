@@ -409,23 +409,31 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
 }
 
 /// Cost of the compile flight recorder: QFT-24 through every compiler
-/// with `CompilerConfig::flight_recorder` on versus off. Before anything
-/// is timed, one run of each mode is compared outcome-by-outcome for
-/// **every** [`CompilerKind`]: the recorder observes without steering, so
-/// a single differing op, placement entry or scheduler stat is a bug, not
-/// a regression. The two groups land side by side in
+/// with the `CompileScratch` recorder switch on versus off. Before
+/// anything is timed, one run of each mode is compared outcome-by-outcome
+/// for **every** [`CompilerKind`]: the recorder observes without steering,
+/// so a single differing op, placement entry or scheduler stat is a bug,
+/// not a regression. The two groups land side by side in
 /// `BENCH_scheduling.json`; the recorded overhead bound is
 /// `recorder_on / recorder_off`.
 fn bench_flight_recorder(c: &mut Criterion) {
+    use ssync_arch::Device;
+    use ssync_core::CompileScratch;
+
     let topo = QccdTopology::grid(2, 2, 10);
     let base = CompilerConfig::default();
     let circuit = scaled_app(AppKind::Qft, 24);
+    // Like `run_compiler`, builds a throw-away device per compile.
+    let compile = |kind: CompilerKind, recording: bool| {
+        let device = Device::build(topo.clone(), base.weights);
+        kind.compile_on_with(&device, &circuit, &base, None, &mut CompileScratch::new(recording))
+            .expect("compiles")
+    };
 
     // Bit-identity gate, outside the timed region.
     for kind in CompilerKind::ALL {
-        let plain = run_compiler(kind, &circuit, &topo, &base).expect("compiles");
-        let recorded = run_compiler(kind, &circuit, &topo, &base.with_flight_recorder(true))
-            .expect("compiles");
+        let plain = compile(kind, false);
+        let recorded = compile(kind, true);
         assert_eq!(
             plain.program().ops(),
             recorded.program().ops(),
@@ -450,19 +458,12 @@ fn bench_flight_recorder(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("flight_recorder");
     group.sample_size(10);
-    for (label, config) in
-        [("recorder_off", base), ("recorder_on", base.with_flight_recorder(true))]
-    {
+    for (label, recording) in [("recorder_off", false), ("recorder_on", true)] {
         group.bench_function(BenchmarkId::new(label, "qft/24"), |b| {
             b.iter(|| {
                 CompilerKind::ALL
                     .into_iter()
-                    .map(|kind| {
-                        run_compiler(kind, &circuit, &topo, &config)
-                            .expect("compiles")
-                            .counts()
-                            .shuttles
-                    })
+                    .map(|kind| compile(kind, recording).counts().shuttles)
                     .sum::<usize>()
             })
         });

@@ -117,7 +117,7 @@ fn main() {
     println!(
         "Sweep wall-clock: {:.2}s with {} batch workers (SSYNC_BATCH_WORKERS=1 for serial).",
         sweep_time.as_secs_f64(),
-        batch::resolve_workers(config.batch_workers)
+        batch::resolve_workers(0)
     );
     println!("Expected shape: grid topologies (G-2x3, G-3x3) give the best execution");
     println!("time / success rate; peak success occurs around 10-15 ions per trap.");

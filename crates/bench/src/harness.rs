@@ -17,7 +17,7 @@ use std::borrow::Borrow;
 /// Compiles `circuit` for `topology` with the selected compiler and a
 /// shared evaluation configuration, building a throw-away [`Device`].
 /// Sweeps should build the device once and use [`run_compiler_on`] or
-/// [`run_compiler_batch`] instead.
+/// [`run_compiler_batch_with_workers`] instead.
 ///
 /// # Errors
 ///
@@ -48,33 +48,17 @@ pub fn run_compiler_on(
 }
 
 /// Compiles every circuit against one shared `device` with the selected
-/// compiler, fanning out over worker threads (`SSYNC_BATCH_WORKERS`
-/// environment variable, then `config.batch_workers`, then available
-/// parallelism). Results come back in input order and are bit-identical
-/// to calling [`run_compiler_on`] per circuit, whatever the worker count.
-/// The work-list is generic over [`Borrow<Circuit>`], so `&[Circuit]` and
-/// `&[Arc<Circuit>]` both work without cloning circuits.
-pub fn run_compiler_batch<C: Borrow<Circuit> + Sync>(
-    kind: CompilerKind,
-    device: &Device,
-    circuits: &[C],
-    config: &CompilerConfig,
-) -> Vec<Result<CompileOutcome, CompileError>> {
-    run_compiler_batch_with_workers(
-        kind,
-        device,
-        circuits,
-        config,
-        batch::resolve_workers(config.batch_workers),
-    )
-}
-
-/// [`run_compiler_batch`] with an explicit worker count. Pass `1` when the
-/// per-circuit `compile_time` is the quantity under study (e.g. Fig. 15):
-/// concurrent workers contend for cores and would inflate the wall-clock
-/// readings, while the compiled programs themselves are identical either
-/// way. Every worker reuses one [`CompileScratch`] across its share of
-/// the batch.
+/// compiler, fanning out over `workers` threads. Results come back in
+/// input order and are bit-identical to calling [`run_compiler_on`] per
+/// circuit, whatever the worker count. The work-list is generic over
+/// [`Borrow<Circuit>`], so `&[Circuit]` and `&[Arc<Circuit>]` both work
+/// without cloning circuits.
+///
+/// Pass `1` when the per-circuit `compile_time` is the quantity under
+/// study (e.g. Fig. 15): concurrent workers contend for cores and would
+/// inflate the wall-clock readings, while the compiled programs
+/// themselves are identical either way. Every worker reuses one
+/// [`CompileScratch`] across its share of the batch.
 pub fn run_compiler_batch_with_workers<C: Borrow<Circuit> + Sync>(
     kind: CompilerKind,
     device: &Device,
@@ -139,7 +123,7 @@ mod tests {
         let config = CompilerConfig::default();
         let device = Device::build(QccdTopology::grid(2, 2, 5), config.weights);
         for kind in CompilerKind::ALL {
-            let batched = run_compiler_batch(kind, &device, &circuits, &config);
+            let batched = run_compiler_batch_with_workers(kind, &device, &circuits, &config, 2);
             assert_eq!(batched.len(), circuits.len());
             for (circuit, outcome) in circuits.iter().zip(&batched) {
                 let single = run_compiler_on(kind, &device, circuit, &config).unwrap();
@@ -155,7 +139,8 @@ mod tests {
         let circuits: Vec<Arc<Circuit>> = vec![Arc::new(qft(8)), Arc::new(qft(10))];
         let config = CompilerConfig::default();
         let device = Device::build(QccdTopology::grid(2, 2, 5), config.weights);
-        let batched = run_compiler_batch(CompilerKind::SSync, &device, &circuits, &config);
+        let batched =
+            run_compiler_batch_with_workers(CompilerKind::SSync, &device, &circuits, &config, 2);
         for (circuit, outcome) in circuits.iter().zip(&batched) {
             let single = run_compiler_on(CompilerKind::SSync, &device, circuit, &config).unwrap();
             assert_eq!(outcome.as_ref().unwrap().program().ops(), single.program().ops());

@@ -17,7 +17,7 @@
 //! | `fig14` | Fig. 14 — hyper-parameter sensitivity |
 //! | `fig15` | Fig. 15 — compilation-time scalability |
 //! | `fig16` | Fig. 16 — optimality analysis |
-//! | `fig_qasm` | the `workloads/` OpenQASM corpus across all four compilers |
+//! | `fig_qasm` | the `workloads/` OpenQASM corpus across all five compilers |
 //!
 //! Run them with `cargo run --release -p ssync-bench --bin fig08`. Set
 //! `SSYNC_BENCH_SCALE=small` to run reduced problem sizes (useful for smoke
@@ -35,7 +35,6 @@ pub mod table;
 pub use apps::{fitting_cells, scaled_app, AppKind};
 pub use comparison::{comparison_rows, comparison_table, comparison_targets, ComparisonRow};
 pub use harness::{
-    run_compiler, run_compiler_batch, run_compiler_batch_with_workers, run_compiler_on, BenchScale,
-    CompilerKind,
+    run_compiler, run_compiler_batch_with_workers, run_compiler_on, BenchScale, CompilerKind,
 };
 pub use table::Table;

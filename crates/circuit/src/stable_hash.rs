@@ -30,11 +30,17 @@ impl StableHasher {
         Self::default()
     }
 
-    /// Folds one 64-bit word in, byte by byte (little-endian).
-    pub fn write_u64(&mut self, v: u64) {
-        for byte in v.to_le_bytes() {
+    /// Folds raw bytes in, in order, with no length prefix (see
+    /// [`StableHasher::write_str`] for that).
+    pub fn write_bytes(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
             self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(Self::PRIME);
         }
+    }
+
+    /// Folds one 64-bit word in, byte by byte (little-endian).
+    pub fn write_u64(&mut self, v: u64) {
+        self.write_bytes(&v.to_le_bytes());
     }
 
     /// Folds a `usize` in (widened to 64 bits).
@@ -52,9 +58,7 @@ impl StableHasher {
     /// `("a", "bc")` cannot collide.
     pub fn write_str(&mut self, s: &str) {
         self.write_usize(s.len());
-        for byte in s.bytes() {
-            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(Self::PRIME);
-        }
+        self.write_bytes(s.as_bytes());
     }
 
     /// The accumulated 64-bit digest.

@@ -35,29 +35,16 @@ pub fn resolve_workers(configured: usize) -> usize {
 /// Applies `f` to every item, fanning out over `workers` scoped threads,
 /// and returns the results **in item order** regardless of worker count.
 /// Items are handed out through a shared atomic cursor, so long and short
-/// compilations load-balance naturally.
+/// compilations load-balance naturally. With one worker (or at most one
+/// item) everything runs on the calling thread — no spawn overhead for
+/// the degenerate cases.
 ///
-/// With one worker (or at most one item) everything runs on the calling
-/// thread — no spawn overhead for the degenerate cases.
-///
-/// # Panics
-///
-/// Re-raises a panic from `f` on the calling thread.
-pub fn parallel_map<T, R, F>(workers: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    parallel_map_with(workers, items, || (), |(), i, item| f(i, item))
-}
-
-/// [`parallel_map`] with per-worker state: every worker thread calls
-/// `init` exactly once and threads the resulting value through each of its
-/// `f` invocations. This is how batch workers carry a reusable
-/// [`crate::CompileScratch`] across their share of a batch — the state
-/// recycles allocations and must never influence results (determinism is
-/// enforced by the batch golden tests, which hold at any worker count).
+/// Every worker thread calls `init` exactly once and threads the
+/// resulting value through each of its `f` invocations. This is how batch
+/// workers carry a reusable [`crate::CompileScratch`] across their share
+/// of a batch — the state recycles allocations and must never influence
+/// results (determinism is enforced by the batch golden tests, which hold
+/// at any worker count).
 ///
 /// # Panics
 ///
@@ -111,10 +98,15 @@ mod tests {
         let items: Vec<usize> = (0..37).collect();
         let expected: Vec<usize> = items.iter().map(|x| x * 2).collect();
         for workers in [1, 2, 3, 8, 64] {
-            let got = parallel_map(workers, &items, |i, &x| {
-                assert_eq!(i, x);
-                x * 2
-            });
+            let got = parallel_map_with(
+                workers,
+                &items,
+                || (),
+                |(), i, &x| {
+                    assert_eq!(i, x);
+                    x * 2
+                },
+            );
             assert_eq!(got, expected, "workers = {workers}");
         }
     }
@@ -122,8 +114,8 @@ mod tests {
     #[test]
     fn empty_and_singleton_inputs_run_inline() {
         let empty: Vec<u32> = Vec::new();
-        assert!(parallel_map(8, &empty, |_, &x| x).is_empty());
-        assert_eq!(parallel_map(8, &[41u32], |_, &x| x + 1), vec![42]);
+        assert!(parallel_map_with(8, &empty, || (), |(), _, &x| x).is_empty());
+        assert_eq!(parallel_map_with(8, &[41u32], || (), |(), _, &x| x + 1), vec![42]);
     }
 
     #[test]

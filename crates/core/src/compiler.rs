@@ -16,13 +16,29 @@ use std::time::{Duration, Instant};
 
 /// Reusable per-worker compile state: the scheduler's working memory,
 /// carried across compiles so batch and service workers stop paying the
-/// per-compile scratch allocation. One instance belongs to one worker at a
-/// time (it is `Send` but deliberately not shared), may be reused across
-/// circuits *and* devices, and never influences compiled output — the
-/// batch golden tests pin that down.
+/// per-compile scratch allocation, plus the worker's flight-recorder
+/// switch. One instance belongs to one worker at a time (it is `Send` but
+/// deliberately not shared), may be reused across circuits *and* devices,
+/// and never influences compiled output — the batch golden tests and the
+/// `flight_recorder` bench pin that down.
 #[derive(Debug, Default)]
 pub struct CompileScratch {
     scheduler: SchedulerScratch,
+}
+
+impl CompileScratch {
+    /// Empty working memory; with `flight_recorder` set, compiles run with
+    /// it carry a [`CompileOutcome::flight_recording`].
+    pub fn new(flight_recorder: bool) -> Self {
+        let mut scratch = Self::default();
+        scratch.scheduler.flight_recorder = flight_recorder;
+        scratch
+    }
+
+    /// Whether compiles run with this scratch carry a flight recording.
+    pub fn flight_recorder(&self) -> bool {
+        self.scheduler.flight_recorder
+    }
 }
 
 /// The result of compiling (and evaluating) a circuit for a QCCD device.
@@ -123,8 +139,8 @@ impl CompileOutcome {
         self.scoring_telemetry
     }
 
-    /// The compile flight recording, when `CompilerConfig::flight_recorder`
-    /// was on for this compile. Like [`CompileOutcome::scoring_telemetry`]
+    /// The compile flight recording, when this compile ran with a
+    /// recording [`CompileScratch`]. Like [`CompileOutcome::scoring_telemetry`]
     /// it describes the scheduling run, not the result: cache hits and
     /// codec-rebuilt outcomes return `None`.
     pub fn flight_recording(&self) -> Option<&Arc<FlightRecording>> {
@@ -274,8 +290,9 @@ impl SSyncCompiler {
     /// [`CompileScratch`]: the scheduler's working memory is taken from
     /// `scratch` for the duration of the compile and handed back
     /// afterwards, so a worker compiling many circuits allocates its
-    /// buffers once. Output is bit-identical to `compile_on` — the scratch
-    /// only recycles allocations.
+    /// buffers once, and the scratch's flight-recorder switch decides
+    /// whether the outcome carries a recording. Output is bit-identical to
+    /// `compile_on` — the scratch only recycles allocations and observes.
     ///
     /// # Errors
     ///
@@ -326,11 +343,10 @@ impl SSyncCompiler {
     /// Compiles every circuit of `circuits` against one shared `device`,
     /// fanning the independent compilations out over scoped worker threads.
     /// The worker count comes from [`batch::resolve_workers`] (the
-    /// `SSYNC_BATCH_WORKERS` environment variable, then
-    /// [`CompilerConfig::batch_workers`], then the machine's available
-    /// parallelism). Results are returned **in input order** and are
-    /// bit-identical to calling [`SSyncCompiler::compile_on`] per circuit,
-    /// whatever the worker count.
+    /// `SSYNC_BATCH_WORKERS` environment variable, then the machine's
+    /// available parallelism). Results are returned **in input order** and
+    /// are bit-identical to calling [`SSyncCompiler::compile_on`] per
+    /// circuit, whatever the worker count.
     ///
     /// The work-list is generic over [`Borrow<Circuit>`], so both plain
     /// `&[Circuit]` slices and shared `&[Arc<Circuit>]` work-lists (the
@@ -346,11 +362,7 @@ impl SSyncCompiler {
         device: &Device,
         circuits: &[C],
     ) -> Vec<Result<CompileOutcome, CompileError>> {
-        self.compile_batch_with_workers(
-            device,
-            circuits,
-            batch::resolve_workers(self.config.batch_workers),
-        )
+        self.compile_batch_with_workers(device, circuits, batch::resolve_workers(0))
     }
 
     /// [`SSyncCompiler::compile_batch`] with an explicit worker count

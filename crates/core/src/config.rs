@@ -39,6 +39,12 @@ impl InitialMapping {
 /// Defaults follow Sec. 4.2: inner weight 0.001, shuttle weight 1, decay
 /// rate δ = 0.001 with a 5-iteration reset, heuristic look-ahead of 8
 /// layers for the intra-trap mapping score, and path truncation m = 2.
+///
+/// Every field can change compiled output or its evaluation, and nothing
+/// else lives here: the service's wire codec writes every field and its
+/// cache key hashes exactly those bytes. Per-worker concerns that never
+/// change output (worker counts, the flight recorder) live elsewhere —
+/// see [`crate::CompileScratch`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CompilerConfig {
     /// Static-graph edge weights.
@@ -75,29 +81,13 @@ pub struct CompilerConfig {
     /// cancellation between a shuttle's distance gain and its edge weight
     /// in Eq. (1), letting route-completing shuttles win over no-op moves.
     pub executable_bonus: f64,
-    /// Worker-thread count for batch compilation (`compile_batch`); `0`
-    /// means "auto" (the machine's available parallelism). The
-    /// `SSYNC_BATCH_WORKERS` environment variable overrides either.
-    pub batch_workers: usize,
     /// Swap-schedule implementation used by the permutation-routing
     /// compiler (`CompilerKind::PermRoute`) to realise a blocked frontier
     /// layer's permutation wholesale. The default is the sub-quadratic
     /// production schedule; `BubbleSort` is the exact-oracle reference for
-    /// ablations. Output-affecting (it changes the SWAP-gate stream), so
-    /// the cache key hash includes it — but it stays off the wire: it is a
-    /// local ablation knob, and remote submissions always run the
-    /// production schedule.
+    /// ablations. It changes the SWAP-gate stream, so remote submissions
+    /// carry it like every other field.
     pub perm_schedule: SwapScheduleKind,
-    /// Enables the compile flight recorder: a bounded, preallocated ring
-    /// of scheduler decision events (layers, winning candidates, stalls,
-    /// shuttles, swap schedules) carried on the `CompileOutcome` next to —
-    /// never inside — the golden-compared stats. Observation-only by
-    /// contract: compiled output is bit-identical on or off (the
-    /// `flight_recorder` bench enforces this), so the flag is excluded
-    /// from the cache key hash and never crosses the wire; the service
-    /// pins it server-side from `--flight-recorder` /
-    /// `SSYNC_FLIGHT_RECORDER`.
-    pub flight_recorder: bool,
 }
 
 impl Default for CompilerConfig {
@@ -116,9 +106,7 @@ impl Default for CompilerConfig {
             noise: NoiseModel::default(),
             max_stall_iterations: 48,
             executable_bonus: 2.0,
-            batch_workers: 0,
             perm_schedule: SwapScheduleKind::default(),
-            flight_recorder: false,
         }
     }
 }
@@ -149,24 +137,10 @@ impl CompilerConfig {
         self
     }
 
-    /// Returns a copy with an explicit batch-compilation worker count
-    /// (`0` restores "auto").
-    pub fn with_batch_workers(mut self, workers: usize) -> Self {
-        self.batch_workers = workers;
-        self
-    }
-
     /// Returns a copy with a different permutation-routing swap schedule
     /// (only `CompilerKind::PermRoute` reads it).
     pub fn with_perm_schedule(mut self, schedule: SwapScheduleKind) -> Self {
         self.perm_schedule = schedule;
-        self
-    }
-
-    /// Returns a copy with the compile flight recorder enabled or
-    /// disabled. Output is bit-identical either way.
-    pub fn with_flight_recorder(mut self, enabled: bool) -> Self {
-        self.flight_recorder = enabled;
         self
     }
 }

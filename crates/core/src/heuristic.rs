@@ -392,21 +392,21 @@ impl ScoreCache {
 /// cannot change that trap's occupancy pattern — so the value can be
 /// computed once per (pass, port) and reused across every candidate of
 /// the pass. The scheduler keeps one memo in its scratch:
-/// [`ScoreShard::begin_pass`] bumps an epoch that lazily invalidates every
+/// [`ReadinessMemo::begin_pass`] bumps an epoch that lazily invalidates every
 /// slot, and the backing buffers persist across passes and compiles so the
 /// steady state allocates nothing. Values read through the memo are
 /// bit-identical to a fresh `HeuristicScorer::space_readiness` call,
 /// which keeps memoised scoring inside the scheduler's golden determinism
 /// contract.
 #[derive(Debug, Clone, Default)]
-pub struct ScoreShard {
+pub struct ReadinessMemo {
     stamp: Vec<u64>,
     value: Vec<f64>,
     epoch: u64,
     hits: u64,
 }
 
-impl ScoreShard {
+impl ReadinessMemo {
     /// Starts a new scoring pass: every memoised value becomes stale.
     /// Call whenever the placement the pass scores against may have
     /// changed (the scheduler calls it once per scoring pass).
@@ -443,7 +443,7 @@ impl ScoreShard {
 ///
 /// Built once per scheduler iteration by [`HeuristicScorer::prepare_pass`]
 /// and then read for every candidate via
-/// [`HeuristicScorer::score_swap_sharded`], which reproduces
+/// [`HeuristicScorer::score_swap_memo`], which reproduces
 /// [`HeuristicScorer::score_swap`] bit for bit while touching each gate in
 /// O(1) unless the candidate actually relocates one of its operands or
 /// perturbs its readiness traps.
@@ -531,15 +531,15 @@ impl<'a> HeuristicScorer<'a> {
     }
 
     /// `H(swap)` over a prepared pass, reading readiness values through
-    /// the pass's [`ScoreShard`] memo — bit-identical to
+    /// the pass's [`ReadinessMemo`] — bit-identical to
     /// [`HeuristicScorer::score_swap`] on the same frontier / look-ahead
     /// lists (the memo only serves values the swap provably cannot
     /// perturb), but each unchanged gate costs an integer compare instead
     /// of a route recomputation.
-    pub fn score_swap_sharded(
+    pub fn score_swap_memo(
         &self,
         scratch: &ScoringScratch,
-        shard: &mut ScoreShard,
+        memo: &mut ReadinessMemo,
         placement: &Placement,
         swap: &GenericSwap,
     ) -> f64 {
@@ -565,7 +565,7 @@ impl<'a> HeuristicScorer<'a> {
                 pattern_preserving,
                 swap_ta,
                 swap_tb,
-                shard,
+                memo,
             );
             let term = t.decay * score;
             if term < best_gate_term {
@@ -592,7 +592,7 @@ impl<'a> HeuristicScorer<'a> {
                     pattern_preserving,
                     swap_ta,
                     swap_tb,
-                    shard,
+                    memo,
                 );
             }
             0.5 * sum / lookahead.len() as f64
@@ -620,7 +620,7 @@ impl<'a> HeuristicScorer<'a> {
         pattern_preserving: bool,
         swap_ta: TrapId,
         swap_tb: TrapId,
-        shard: &mut ScoreShard,
+        memo: &mut ReadinessMemo,
     ) -> f64 {
         let slots_unchanged = s1 == t.s1 && s2 == t.s2;
         let readiness_unchanged = pattern_preserving
@@ -632,12 +632,12 @@ impl<'a> HeuristicScorer<'a> {
         if slots_unchanged && readiness_unchanged {
             t.route + pen_after
         } else {
-            self.pair_route_score_memo(shard, placement, swap, swap_ta, swap_tb, s1, s2) + pen_after
+            self.pair_route_score_memo(memo, placement, swap, swap_ta, swap_tb, s1, s2) + pen_after
         }
     }
 
     /// [`HeuristicScorer::pair_route_score`] under a hypothetical swap,
-    /// serving readiness values from `shard` whenever the swap provably
+    /// serving readiness values from `memo` whenever the swap provably
     /// cannot change them. A swap only perturbs the occupancy pattern of
     /// the traps holding its endpoints, so for any entry port outside
     /// `swap_ta`/`swap_tb` the with-swap readiness equals the no-swap
@@ -648,7 +648,7 @@ impl<'a> HeuristicScorer<'a> {
     #[allow(clippy::too_many_arguments)]
     fn pair_route_score_memo(
         &self,
-        shard: &mut ScoreShard,
+        memo: &mut ReadinessMemo,
         placement: &Placement,
         swap: &GenericSwap,
         swap_ta: TrapId,
@@ -665,12 +665,12 @@ impl<'a> HeuristicScorer<'a> {
             if let Some(next) = self.router.next_hop(ta, tb) {
                 let entry = self.graph.topology().port_slot(next, ta);
                 readiness = readiness
-                    .min(self.readiness_memo(shard, placement, swap, swap_ta, swap_tb, entry));
+                    .min(self.readiness_memo(memo, placement, swap, swap_ta, swap_tb, entry));
             }
             if let Some(next) = self.router.next_hop(tb, ta) {
                 let entry = self.graph.topology().port_slot(next, tb);
                 readiness = readiness
-                    .min(self.readiness_memo(shard, placement, swap, swap_ta, swap_tb, entry));
+                    .min(self.readiness_memo(memo, placement, swap, swap_ta, swap_tb, entry));
             }
             if readiness.is_finite() {
                 score += inner * readiness;
@@ -679,13 +679,13 @@ impl<'a> HeuristicScorer<'a> {
         score
     }
 
-    /// One readiness term through the shard memo: direct recomputation
+    /// One readiness term through the pass memo: direct recomputation
     /// when `port`'s trap is one of the swap's endpoint traps (the swap
     /// may have changed the pattern), the memoised no-swap value
     /// otherwise.
     fn readiness_memo(
         &self,
-        shard: &mut ScoreShard,
+        memo: &mut ReadinessMemo,
         placement: &Placement,
         swap: &GenericSwap,
         swap_ta: TrapId,
@@ -696,22 +696,22 @@ impl<'a> HeuristicScorer<'a> {
         if trap == swap_ta || trap == swap_tb {
             return self.space_readiness(placement, Some(swap), port);
         }
-        if let Some(v) = shard.lookup(port.index()) {
+        if let Some(v) = memo.lookup(port.index()) {
             return v;
         }
         let v = self.space_readiness(placement, None, port);
-        shard.store(port.index(), v);
+        memo.store(port.index(), v);
         v
     }
 
     /// [`HeuristicScorer::gate_score`] serving its readiness terms from
-    /// the pass's [`ScoreShard`] memo — used by the stall-fallback
+    /// the pass's [`ReadinessMemo`] — used by the stall-fallback
     /// frontier loop, where many gates share the same entry ports.
     /// Bit-identical to [`HeuristicScorer::gate_score`] (no hypothetical
     /// swap is involved, so every port is memoisable).
-    pub fn gate_score_sharded(
+    pub fn gate_score_memo(
         &self,
-        shard: &mut ScoreShard,
+        memo: &mut ReadinessMemo,
         placement: &Placement,
         gate: &Gate,
     ) -> f64 {
@@ -729,11 +729,11 @@ impl<'a> HeuristicScorer<'a> {
             let mut readiness = f64::INFINITY;
             if let Some(next) = self.router.next_hop(ta, tb) {
                 let entry = self.graph.topology().port_slot(next, ta);
-                readiness = readiness.min(self.readiness_none_memo(shard, placement, entry));
+                readiness = readiness.min(self.readiness_none_memo(memo, placement, entry));
             }
             if let Some(next) = self.router.next_hop(tb, ta) {
                 let entry = self.graph.topology().port_slot(next, tb);
-                readiness = readiness.min(self.readiness_none_memo(shard, placement, entry));
+                readiness = readiness.min(self.readiness_none_memo(memo, placement, entry));
             }
             if readiness.is_finite() {
                 score += inner * readiness;
@@ -745,15 +745,15 @@ impl<'a> HeuristicScorer<'a> {
     /// The memoised no-swap readiness of one entry port.
     fn readiness_none_memo(
         &self,
-        shard: &mut ScoreShard,
+        memo: &mut ReadinessMemo,
         placement: &Placement,
         port: SlotId,
     ) -> f64 {
-        if let Some(v) = shard.lookup(port.index()) {
+        if let Some(v) = memo.lookup(port.index()) {
             return v;
         }
         let v = self.space_readiness(placement, None, port);
-        shard.store(port.index(), v);
+        memo.store(port.index(), v);
         v
     }
 

@@ -76,7 +76,7 @@ pub use compiler::{CompileOutcome, CompileScratch, SSyncCompiler};
 pub use config::{CacheBounds, CompilerConfig, InitialMapping};
 pub use error::CompileError;
 pub use generic_swap::{GenericSwap, GenericSwapKind};
-pub use heuristic::{DecayTracker, HeuristicScorer, ScoreCache, ScoreShard, ScoringScratch};
+pub use heuristic::{DecayTracker, HeuristicScorer, ReadinessMemo, ScoreCache, ScoringScratch};
 pub use idealized::IdealizationMode;
 pub use perm_route::{meeting_cost, swap_cost, PermRouteCompiler};
 pub use scheduler::{Scheduler, SchedulerScratch, SchedulerStats, ScoringTelemetry};

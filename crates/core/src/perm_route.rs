@@ -35,7 +35,7 @@
 use crate::config::CompilerConfig;
 use crate::error::CompileError;
 use crate::mechanics::Mechanics;
-use crate::CompileOutcome;
+use crate::{CompileOutcome, CompileScratch};
 use ssync_arch::{Device, Placement, QccdTopology, SlotGraph, TrapId, TrapRouter, WeightConfig};
 use ssync_circuit::{Circuit, DependencyDag, NodeId, Qubit};
 use ssync_sim::{CompiledProgram, ExecutionTracer, ScheduledOp};
@@ -146,12 +146,14 @@ impl PermRouteCompiler {
         device: &Device,
         circuit: &Circuit,
     ) -> Result<CompileOutcome, CompileError> {
-        self.compile_on_with_order(device, circuit, None)
+        self.compile_on_with(device, circuit, None, &CompileScratch::default())
     }
 
     /// [`PermRouteCompiler::compile_on`] with an optionally precomputed
-    /// first-use qubit order ([`Circuit::first_use_order`]); passing
-    /// `None` (or the correct order) is behaviourally identical.
+    /// first-use qubit order ([`Circuit::first_use_order`]) and the
+    /// worker's [`CompileScratch`], whose flight-recorder switch decides
+    /// whether the outcome carries a recording. Passing `None` (or the
+    /// correct order) and any scratch is behaviourally identical.
     ///
     /// # Errors
     ///
@@ -162,11 +164,12 @@ impl PermRouteCompiler {
     /// Panics if `device` was built with different edge weights than this
     /// compiler's configuration, or if `order` is not a permutation of the
     /// circuit's qubits.
-    pub fn compile_on_with_order(
+    pub fn compile_on_with(
         &self,
         device: &Device,
         circuit: &Circuit,
         order: Option<&[Qubit]>,
+        scratch: &CompileScratch,
     ) -> Result<CompileOutcome, CompileError> {
         assert!(
             device.weights() == self.config.weights,
@@ -200,7 +203,7 @@ impl PermRouteCompiler {
         }
 
         let mut dag = DependencyDag::from_circuit(circuit);
-        let mut recorder = self.config.flight_recorder.then(FlightRecorder::with_default_capacity);
+        let mut recorder = scratch.flight_recorder().then(FlightRecorder::with_default_capacity);
         let mut rounds = 0usize;
         let mut barren_rounds = 0usize;
         let budget = 10_000 + 100 * dag.len();
@@ -674,7 +677,9 @@ mod tests {
         let order = circuit.first_use_order();
         let compiler = PermRouteCompiler::new(config);
         let plain = compiler.compile_on(&device, &circuit).unwrap();
-        let cached = compiler.compile_on_with_order(&device, &circuit, Some(&order)).unwrap();
+        let cached = compiler
+            .compile_on_with(&device, &circuit, Some(&order), &CompileScratch::default())
+            .unwrap();
         assert_eq!(plain.program().ops(), cached.program().ops());
         assert_eq!(plain.final_placement(), cached.final_placement());
     }
@@ -706,10 +711,10 @@ mod tests {
         let topo = QccdTopology::grid(2, 2, 5);
         let config = CompilerConfig::default();
         let device = Device::build(topo, config.weights);
-        let plain = PermRouteCompiler::new(config).compile_on(&device, &circuit).unwrap();
-        let recorded = PermRouteCompiler::new(config.with_flight_recorder(true))
-            .compile_on(&device, &circuit)
-            .unwrap();
+        let compiler = PermRouteCompiler::new(config);
+        let plain = compiler.compile_on(&device, &circuit).unwrap();
+        let recorded =
+            compiler.compile_on_with(&device, &circuit, None, &CompileScratch::new(true)).unwrap();
 
         // Bit-identical output: the recorder observes, it never steers.
         assert_eq!(plain.program().ops(), recorded.program().ops());

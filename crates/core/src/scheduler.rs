@@ -21,7 +21,7 @@
 use crate::config::CompilerConfig;
 use crate::error::CompileError;
 use crate::generic_swap::{GenericSwap, GenericSwapKind};
-use crate::heuristic::{DecayTracker, HeuristicScorer, ScoreCache, ScoreShard, ScoringScratch};
+use crate::heuristic::{DecayTracker, HeuristicScorer, ReadinessMemo, ScoreCache, ScoringScratch};
 use crate::mechanics::Mechanics;
 use ssync_arch::{Device, DistanceMatrix, Placement, SlotGraph, SlotId, TrapId, TrapRouter};
 use ssync_circuit::{Circuit, DependencyDag, Gate, LookaheadScratch, NodeId};
@@ -51,12 +51,11 @@ pub struct SchedulerStats {
 pub struct ScoringTelemetry {
     /// Candidate generic swaps (plus fallback frontier gates) scored.
     pub candidates_scored: u64,
-    /// Scoring passes run: one per candidate pass, one per stall-fallback
-    /// pass.
-    pub score_shards_spawned: u64,
-    /// Readiness values served from the per-pass [`ScoreShard`] memo
+    /// Scoring passes run: one per candidate or stall-fallback pass.
+    pub scoring_passes: u64,
+    /// Readiness values served from the per-pass [`ReadinessMemo`]
     /// instead of being recomputed.
-    pub score_cache_shard_hits: u64,
+    pub readiness_memo_hits: u64,
     /// Times the per-qubit gate lists were rebuilt after the frontier
     /// went stale (lazy rebuilds, so this counts actual work done).
     pub frontier_rebuilds: u64,
@@ -73,8 +72,8 @@ impl ScoringTelemetry {
     /// Accumulates another run's counters into `self`.
     pub fn merge(&mut self, other: &ScoringTelemetry) {
         self.candidates_scored += other.candidates_scored;
-        self.score_shards_spawned += other.score_shards_spawned;
-        self.score_cache_shard_hits += other.score_cache_shard_hits;
+        self.scoring_passes += other.scoring_passes;
+        self.readiness_memo_hits += other.readiness_memo_hits;
         self.frontier_rebuilds += other.frontier_rebuilds;
         self.stall_fallback_entries += other.stall_fallback_entries;
         self.scoring_time_ns = self.scoring_time_ns.saturating_add(other.scoring_time_ns);
@@ -140,6 +139,9 @@ impl RecentSwaps {
 /// enforce.
 #[derive(Debug, Default)]
 pub struct SchedulerScratch {
+    /// Whether [`Scheduler::run`] fills a flight recorder (set through
+    /// [`crate::CompileScratch::new`]).
+    pub(crate) flight_recorder: bool,
     frontier: Vec<(NodeId, Gate)>,
     lookahead: Vec<(NodeId, Gate)>,
     lookahead_ids: Vec<NodeId>,
@@ -155,7 +157,7 @@ pub struct SchedulerScratch {
     scoring: ScoringScratch,
     /// The readiness memo every scoring pass reads through (reset at the
     /// start of each pass).
-    shard: ScoreShard,
+    memo: ReadinessMemo,
 }
 
 impl SchedulerScratch {
@@ -190,8 +192,8 @@ pub struct Scheduler<'a> {
     trap_edges: &'a [Vec<u32>],
     /// Reusable working memory (cleared, never reallocated, per iteration).
     scratch: SchedulerScratch,
-    /// The compile flight recorder, present while
-    /// [`CompilerConfig::flight_recorder`] is on for the current run.
+    /// The compile flight recorder, present while the scratch's
+    /// `flight_recorder` switch is on for the current run.
     /// Observation-only: nothing in the scheduling loop ever reads it, so
     /// output is bit-identical with or without it.
     /// [`Scheduler::run_reference`] never records.
@@ -268,8 +270,8 @@ impl<'a> Scheduler<'a> {
         self.telemetry
     }
 
-    /// Takes the flight recording of the last [`Scheduler::run`], if
-    /// [`CompilerConfig::flight_recorder`] was on. Like the scoring
+    /// Takes the flight recording of the last [`Scheduler::run`], if the
+    /// scratch's flight-recorder switch was on. Like the scoring
     /// telemetry, events describe the run's decisions, not its output,
     /// which stays bit-identical with or without the recorder.
     pub fn take_recording(&mut self) -> Option<FlightRecording> {
@@ -301,7 +303,7 @@ impl<'a> Scheduler<'a> {
     ) -> Result<(CompiledProgram, Placement), CompileError> {
         self.stats = SchedulerStats::default();
         self.telemetry = ScoringTelemetry::default();
-        self.recorder = self.config.flight_recorder.then(FlightRecorder::with_default_capacity);
+        self.recorder = self.scratch.flight_recorder.then(FlightRecorder::with_default_capacity);
         let mut program =
             CompiledProgram::new(circuit.num_qubits(), self.graph.topology().num_traps());
         for gate in circuit.iter() {
@@ -387,16 +389,16 @@ impl<'a> Scheduler<'a> {
                     &self.scratch.lookahead,
                 );
                 let pass_started = Instant::now();
-                self.scratch.shard.begin_pass();
+                self.scratch.memo.begin_pass();
                 // The runner-up score is tracked only while the recorder is
                 // on (it feeds the CandidateChosen margin and nothing else).
                 let track_margin = self.recorder.is_some();
                 let mut second: Option<f64> = None;
                 let mut best: Option<(f64, usize)> = None;
                 for (i, swap) in self.scratch.candidates.iter().enumerate() {
-                    let score = scorer.score_swap_sharded(
+                    let score = scorer.score_swap_memo(
                         &self.scratch.scoring,
-                        &mut self.scratch.shard,
+                        &mut self.scratch.memo,
                         &placement,
                         swap,
                     );
@@ -413,8 +415,8 @@ impl<'a> Scheduler<'a> {
                     }
                 }
                 self.telemetry.candidates_scored += self.scratch.candidates.len() as u64;
-                self.telemetry.score_shards_spawned += 1;
-                self.telemetry.score_cache_shard_hits += self.scratch.shard.take_hits();
+                self.telemetry.scoring_passes += 1;
+                self.telemetry.readiness_memo_hits += self.scratch.memo.take_hits();
                 self.telemetry.scoring_time_ns += pass_started.elapsed().as_nanos() as u64;
                 if let Some((score, idx)) = best {
                     if let Some(rec) = self.recorder.as_mut() {
@@ -460,18 +462,17 @@ impl<'a> Scheduler<'a> {
                     });
                 }
                 let pass_started = Instant::now();
-                self.scratch.shard.begin_pass();
+                self.scratch.memo.begin_pass();
                 let mut best_gate: Option<(f64, usize)> = None;
                 for (i, (_, gate)) in self.scratch.frontier.iter().enumerate() {
-                    let score =
-                        scorer.gate_score_sharded(&mut self.scratch.shard, &placement, gate);
+                    let score = scorer.gate_score_memo(&mut self.scratch.memo, &placement, gate);
                     if better_candidate(score, i, best_gate) {
                         best_gate = Some((score, i));
                     }
                 }
                 self.telemetry.candidates_scored += self.scratch.frontier.len() as u64;
-                self.telemetry.score_shards_spawned += 1;
-                self.telemetry.score_cache_shard_hits += self.scratch.shard.take_hits();
+                self.telemetry.scoring_passes += 1;
+                self.telemetry.readiness_memo_hits += self.scratch.memo.take_hits();
                 self.telemetry.scoring_time_ns += pass_started.elapsed().as_nanos() as u64;
                 let gate = best_gate
                     .map(|(_, i)| self.scratch.frontier[i].1)
@@ -1083,7 +1084,6 @@ mod tests {
         let circuit = qft(12);
         let topo = QccdTopology::grid(2, 2, 5);
         let config = CompilerConfig::default();
-        let recording_config = config.with_flight_recorder(true);
         let device = Device::build(topo, config.weights);
         let placement = initial::build_placement(&circuit, &device, &config);
 
@@ -1092,7 +1092,8 @@ mod tests {
         let base_stats = plain.stats();
         assert!(plain.take_recording().is_none(), "recorder off records nothing");
 
-        let mut recording = Scheduler::new(&device, &recording_config);
+        let recording_scratch = SchedulerScratch { flight_recorder: true, ..Default::default() };
+        let mut recording = Scheduler::with_scratch(&device, &config, recording_scratch);
         let (rec_program, rec_placement) = recording.run(&circuit, placement.clone()).unwrap();
         assert_eq!(base_program.ops(), rec_program.ops(), "recorder changed compiled output");
         assert_eq!(base_placement, rec_placement);

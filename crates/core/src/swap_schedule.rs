@@ -155,7 +155,7 @@ impl SwapScheduleKind {
     pub const ALL: [SwapScheduleKind; 2] =
         [SwapScheduleKind::BubbleSort, SwapScheduleKind::RecursiveSplitTwo];
 
-    /// Stable label used in reports, bench rows and the config hash.
+    /// Stable label used in reports and bench rows.
     pub fn label(self) -> &'static str {
         match self {
             SwapScheduleKind::BubbleSort => "bubble-sort",

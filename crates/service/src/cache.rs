@@ -51,15 +51,15 @@ use std::sync::{Arc, Mutex};
 /// (never from process-local pointers or randomly-seeded hashers):
 /// the device's [fingerprint](crate::hash::device_fingerprint), the
 /// circuit's [content hash](ssync_circuit::Circuit::content_hash), the
-/// config's [output-affecting hash](crate::hash::config_hash) and the
-/// compiler kind. Any component changing produces a different key.
+/// config's [hash](crate::hash::config_hash) and the compiler kind. Any
+/// component changing produces a different key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// Stable fingerprint of the target device (topology + weights).
     pub device_fingerprint: u64,
     /// Stable content hash of the input circuit.
     pub circuit_hash: u64,
-    /// Stable hash of the output-affecting configuration fields.
+    /// Stable hash of the configuration's wire encoding.
     pub config_hash: u64,
     /// Which compiler ran.
     pub compiler: CompilerKind,

@@ -322,9 +322,8 @@ impl ServiceClient {
     }
 
     /// [`submit`](ServiceClient::submit), additionally returning the
-    /// server-assigned **trace id** (wire v5) identifying this request's
+    /// server-assigned **trace id** identifying this request's
     /// end-to-end trace in the daemon's journal and slow-request log.
-    /// Zero when the daemon predates tracing.
     ///
     /// # Errors
     ///
@@ -428,7 +427,7 @@ impl ServiceClient {
         }
     }
 
-    /// Submits raw OpenQASM 2.0 source (wire v2): the daemon parses,
+    /// Submits raw OpenQASM 2.0 source: the daemon parses,
     /// lowers and compiles it server-side, bit-identically to parsing
     /// locally and calling [`ServiceClient::submit`] with the circuit.
     /// Alongside the job id, the returned
@@ -451,8 +450,7 @@ impl ServiceClient {
     }
 
     /// [`submit_qasm`](ServiceClient::submit_qasm), additionally
-    /// returning the server-assigned trace id (wire v5; zero when the
-    /// daemon predates tracing).
+    /// returning the server-assigned trace id.
     ///
     /// # Errors
     ///
@@ -522,13 +520,12 @@ impl ServiceClient {
     }
 
     /// Fetches the daemon's metrics and latency histograms rendered as
-    /// Prometheus-style text exposition (wire v5) — the same bytes the
-    /// daemon's `--metrics-text` flag writes to disk.
+    /// Prometheus-style text exposition — the same bytes the daemon's
+    /// `--metrics-text` flag writes to disk.
     ///
     /// # Errors
     ///
-    /// Transport/codec failures; a pre-v5 daemon answers the unknown tag
-    /// with a codec error, which surfaces here.
+    /// Transport/codec failures.
     pub fn stats_text(&mut self) -> Result<String, ClientError> {
         match self.round_trip(&Request::GetStats)? {
             Response::StatsText { text } => Ok(text),
@@ -537,8 +534,8 @@ impl ServiceClient {
     }
 
     /// Fetches one trace from the daemon's journal by the id
-    /// [`submit_traced`](ServiceClient::submit_traced) returned (wire
-    /// v6). The first string is the trace's span + stages + attributes
+    /// [`submit_traced`](ServiceClient::submit_traced) returned. The
+    /// first string is the trace's span + stages + attributes
     /// in the slow-request-log JSONL schema; the second is the flight-
     /// recorder event stream (header line plus one JSON object per
     /// event), empty when the daemon compiled with the recorder off.
@@ -546,8 +543,7 @@ impl ServiceClient {
     /// # Errors
     ///
     /// Transport/codec failures, [`ClientError::Rejected`] when the
-    /// journal no longer holds the id; a pre-v6 daemon answers the
-    /// unknown tag with a codec error, which surfaces here.
+    /// journal no longer holds the id.
     pub fn get_trace(&mut self, trace_id: u64) -> Result<(String, String), ClientError> {
         match self.round_trip(&Request::GetTrace { trace_id })? {
             Response::TraceDetail { span_jsonl, recorder_jsonl, .. } => {

@@ -20,7 +20,9 @@
 use ssync_arch::{Placement, RawPlacement, SlotId, TrapId, WeightConfig};
 use ssync_baselines::CompilerKind;
 use ssync_circuit::{Circuit, Gate, Qubit};
-use ssync_core::{CompileError, CompileOutcome, CompilerConfig, InitialMapping, SchedulerStats};
+use ssync_core::{
+    CompileError, CompileOutcome, CompilerConfig, InitialMapping, SchedulerStats, SwapScheduleKind,
+};
 use ssync_sim::{
     CompiledProgram, ExecutionReport, GateImplementation, NoiseModel, OpCounts, OperationTimes,
     ScheduledOp,
@@ -268,6 +270,21 @@ fn gate_impl_from_tag(tag: u8) -> Result<GateImplementation, CodecError> {
     })
 }
 
+fn perm_schedule_tag(s: SwapScheduleKind) -> u8 {
+    match s {
+        SwapScheduleKind::BubbleSort => 0,
+        SwapScheduleKind::RecursiveSplitTwo => 1,
+    }
+}
+
+fn perm_schedule_from_tag(tag: u8) -> Result<SwapScheduleKind, CodecError> {
+    Ok(match tag {
+        0 => SwapScheduleKind::BubbleSort,
+        1 => SwapScheduleKind::RecursiveSplitTwo,
+        tag => return Err(CodecError::BadTag { what: "swap schedule", tag }),
+    })
+}
+
 // ---------------------------------------------------------------------------
 // Circuits.
 // ---------------------------------------------------------------------------
@@ -340,39 +357,70 @@ pub fn decode_circuit(r: &mut ByteReader<'_>) -> Result<Circuit, CodecError> {
 // Compiler configuration.
 // ---------------------------------------------------------------------------
 
-/// Encodes every [`CompilerConfig`] field except `perm_schedule` and
-/// `flight_recorder`, including `batch_workers`, which the cache key
-/// hash deliberately skips: the wire carries the request's config as
-/// given, and only the cache decides what is output-affecting. The two
-/// skipped fields are server-side choices, not part of the request (see
-/// [`decode_config`]).
+/// Encodes every [`CompilerConfig`] leaf, in declaration order. The
+/// destructuring names every field with no `..`, so a new field — in the
+/// config or in the weight, timing and noise structs it nests — does not
+/// compile until it is written here. [`crate::hash::config_hash`] hashes
+/// exactly these bytes, so whatever crosses the wire is in the cache key.
 pub fn encode_config(w: &mut ByteWriter, c: &CompilerConfig) {
-    w.put_f64(c.weights.inner_weight);
-    w.put_f64(c.weights.shuttle_weight);
-    w.put_f64(c.weights.threshold);
-    w.put_f64(c.decay_delta);
-    w.put_usize(c.decay_reset_interval);
-    w.put_usize(c.lookahead_layers);
-    w.put_usize(c.path_truncation);
-    w.put_f64(c.alpha);
-    w.put_f64(c.beta);
-    w.put_u8(initial_mapping_tag(c.initial_mapping));
-    w.put_u8(gate_impl_tag(c.gate_impl));
-    w.put_f64(c.op_times.move_us);
-    w.put_f64(c.op_times.split_us);
-    w.put_f64(c.op_times.merge_us);
-    w.put_f64(c.op_times.junction_base_us);
-    w.put_f64(c.op_times.junction_per_path_us);
-    w.put_f64(c.op_times.reorder_us);
-    w.put_f64(c.noise.heating_rate_gamma);
-    w.put_f64(c.noise.k1_split_merge);
-    w.put_f64(c.noise.k2_shuttle_segment);
-    w.put_f64(c.noise.thermal_scale);
-    w.put_f64(c.noise.single_qubit_fidelity);
-    w.put_f64(c.noise.recooling_factor);
-    w.put_usize(c.max_stall_iterations);
-    w.put_f64(c.executable_bonus);
-    w.put_usize(c.batch_workers);
+    let CompilerConfig {
+        weights: WeightConfig { inner_weight, shuttle_weight, threshold },
+        decay_delta,
+        decay_reset_interval,
+        lookahead_layers,
+        path_truncation,
+        alpha,
+        beta,
+        initial_mapping,
+        gate_impl,
+        op_times:
+            OperationTimes {
+                move_us,
+                split_us,
+                merge_us,
+                junction_base_us,
+                junction_per_path_us,
+                reorder_us,
+            },
+        noise:
+            NoiseModel {
+                heating_rate_gamma,
+                k1_split_merge,
+                k2_shuttle_segment,
+                thermal_scale,
+                single_qubit_fidelity,
+                recooling_factor,
+            },
+        max_stall_iterations,
+        executable_bonus,
+        perm_schedule,
+    } = *c;
+    w.put_f64(inner_weight);
+    w.put_f64(shuttle_weight);
+    w.put_f64(threshold);
+    w.put_f64(decay_delta);
+    w.put_usize(decay_reset_interval);
+    w.put_usize(lookahead_layers);
+    w.put_usize(path_truncation);
+    w.put_f64(alpha);
+    w.put_f64(beta);
+    w.put_u8(initial_mapping_tag(initial_mapping));
+    w.put_u8(gate_impl_tag(gate_impl));
+    w.put_f64(move_us);
+    w.put_f64(split_us);
+    w.put_f64(merge_us);
+    w.put_f64(junction_base_us);
+    w.put_f64(junction_per_path_us);
+    w.put_f64(reorder_us);
+    w.put_f64(heating_rate_gamma);
+    w.put_f64(k1_split_merge);
+    w.put_f64(k2_shuttle_segment);
+    w.put_f64(thermal_scale);
+    w.put_f64(single_qubit_fidelity);
+    w.put_f64(recooling_factor);
+    w.put_usize(max_stall_iterations);
+    w.put_f64(executable_bonus);
+    w.put_u8(perm_schedule_tag(perm_schedule));
 }
 
 /// Decodes a configuration written by [`encode_config`].
@@ -409,18 +457,7 @@ pub fn decode_config(r: &mut ByteReader<'_>) -> Result<CompilerConfig, CodecErro
         },
         max_stall_iterations: r.get_usize()?,
         executable_bonus: r.get_f64()?,
-        batch_workers: r.get_usize()?,
-        // Deliberately not wire-encoded: the bubble-sort oracle exists for
-        // local ablation and testing only, so remote submissions always
-        // run the production sub-quadratic schedule. The knob IS
-        // output-affecting, which is why `config_hash` includes it while
-        // the wire codec does not.
-        perm_schedule: ssync_core::SwapScheduleKind::default(),
-        // Also off the wire: the flight recorder is a server-side
-        // observability decision (it never changes compiled output), so
-        // remote submissions cannot switch it on or off. Decoded configs
-        // land on "off" and the executing pool pins the operator's choice.
-        flight_recorder: false,
+        perm_schedule: perm_schedule_from_tag(r.get_u8()?)?,
     })
 }
 
@@ -679,9 +716,9 @@ pub fn decode_compile_error(r: &mut ByteReader<'_>) -> Result<CompileError, Code
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssync_arch::QccdTopology;
+    use ssync_arch::{Device, QccdTopology};
     use ssync_circuit::generators::{qaoa_nearest_neighbor, qft};
-    use ssync_core::SSyncCompiler;
+    use ssync_core::{CompileScratch, SSyncCompiler};
 
     fn assert_outcome_roundtrip(outcome: &CompileOutcome) {
         let mut w = ByteWriter::new();
@@ -731,12 +768,62 @@ mod tests {
             .with_weight_ratio(321.0)
             .with_initial_mapping(InitialMapping::Sta)
             .with_gate_impl(GateImplementation::Am2)
-            .with_batch_workers(7);
+            .with_perm_schedule(SwapScheduleKind::BubbleSort);
         let mut w = ByteWriter::new();
         encode_config(&mut w, &config);
         let bytes = w.into_bytes();
-        let decoded = decode_config(&mut ByteReader::new(&bytes)).expect("round-trips");
+        let mut r = ByteReader::new(&bytes);
+        let decoded = decode_config(&mut r).expect("round-trips");
         assert_eq!(config, decoded);
+        assert!(r.is_exhausted(), "no trailing bytes");
+    }
+
+    /// `perm_schedule` selects the SWAP stream a `PermRoute` compile
+    /// emits, so a remote request carries it: every schedule round-trips
+    /// under a stable tag, the config's last byte, and an unknown tag is
+    /// rejected.
+    #[test]
+    fn perm_schedule_crosses_the_wire() {
+        assert_eq!(perm_schedule_tag(SwapScheduleKind::BubbleSort), 0);
+        assert_eq!(perm_schedule_tag(SwapScheduleKind::RecursiveSplitTwo), 1);
+        for schedule in SwapScheduleKind::ALL {
+            let mut w = ByteWriter::new();
+            encode_config(&mut w, &CompilerConfig::default().with_perm_schedule(schedule));
+            let mut bytes = w.into_bytes();
+            assert_eq!(bytes.last(), Some(&perm_schedule_tag(schedule)));
+            let decoded = decode_config(&mut ByteReader::new(&bytes)).expect("round-trips");
+            assert_eq!(decoded.perm_schedule, schedule);
+            *bytes.last_mut().expect("non-empty") = SwapScheduleKind::ALL.len() as u8;
+            assert!(matches!(
+                decode_config(&mut ByteReader::new(&bytes)),
+                Err(CodecError::BadTag { what: "swap schedule", .. })
+            ));
+        }
+    }
+
+    /// The recorder is a per-worker switch on [`CompileScratch`], and a
+    /// recording describes one scheduling run, served by trace id: it
+    /// never rides in an encoded outcome, so a recorder-on compile encodes
+    /// to the same bytes as a recorder-off one, compile time aside.
+    #[test]
+    fn flight_recorder_stays_off_the_wire() {
+        let compiler = SSyncCompiler::default();
+        let device = Device::build(QccdTopology::grid(2, 2, 5), compiler.config().weights);
+        let encode = |recorder: bool| {
+            let mut scratch = CompileScratch::new(recorder);
+            let outcome = compiler
+                .compile_on_with_scratch(&device, &qft(10), &mut scratch)
+                .expect("compiles");
+            assert_eq!(outcome.flight_recording().is_some(), recorder);
+            let mut w = ByteWriter::new();
+            encode_outcome(&mut w, &outcome);
+            w.into_bytes()
+        };
+        let (on, off) = (encode(true), encode(false));
+        // The trailing u64 is the compile time, which differs run to run.
+        assert_eq!(on[..on.len() - 8], off[..off.len() - 8]);
+        let decoded = decode_outcome(&mut ByteReader::new(&on)).expect("decodes");
+        assert!(decoded.flight_recording().is_none());
     }
 
     #[test]
@@ -773,36 +860,6 @@ mod tests {
             compiler_kind_from_tag(CompilerKind::ALL.len() as u8),
             Err(CodecError::BadTag { what: "compiler kind", .. })
         ));
-    }
-
-    #[test]
-    fn perm_schedule_stays_off_the_wire() {
-        // The bubble-sort oracle is a local ablation knob: encoding a
-        // config that selects it and decoding lands on the production
-        // schedule, with every transported field intact.
-        let config = CompilerConfig::default()
-            .with_perm_schedule(ssync_core::SwapScheduleKind::BubbleSort)
-            .with_decay(0.0123);
-        let mut w = ByteWriter::new();
-        encode_config(&mut w, &config);
-        let bytes = w.into_bytes();
-        let decoded = decode_config(&mut ByteReader::new(&bytes)).expect("round-trips");
-        assert_eq!(decoded.perm_schedule, ssync_core::SwapScheduleKind::RecursiveSplitTwo);
-        assert_eq!(decoded.decay_delta, config.decay_delta);
-    }
-
-    #[test]
-    fn flight_recorder_stays_off_the_wire() {
-        // The recorder is a server-side observability switch: encoding a
-        // config with it enabled and decoding lands back on "off", with
-        // every transported field intact.
-        let config = CompilerConfig::default().with_flight_recorder(true).with_decay(0.0123);
-        let mut w = ByteWriter::new();
-        encode_config(&mut w, &config);
-        let bytes = w.into_bytes();
-        let decoded = decode_config(&mut ByteReader::new(&bytes)).expect("round-trips");
-        assert!(!decoded.flight_recorder);
-        assert_eq!(decoded.decay_delta, config.decay_delta);
     }
 
     #[test]

@@ -194,7 +194,7 @@ impl Session {
         )
     }
 
-    /// The wire-v2 ingestion path: parse the QASM source server-side,
+    /// The QASM ingestion path: parse the source server-side,
     /// then submit the lowered circuit exactly like `Submit`. Parse and
     /// lowering failures come back as `Rejected` carrying the
     /// `line:col` diagnostic, so the client sees the same message a
@@ -710,7 +710,7 @@ mod tests {
         assert!(matches!(&responses[6], Response::ShuttingDown));
     }
 
-    /// The v2 ingestion path through the same buffered session: QASM
+    /// The QASM ingestion path through the same buffered session: QASM
     /// source in, a compiled outcome identical to the local parse +
     /// submit path out, and a parse failure surfacing as `Rejected` with
     /// the line:column diagnostic.
@@ -960,7 +960,7 @@ mod tests {
         assert_eq!(service.metrics().rejected_overloaded, 2);
     }
 
-    /// The v6 trace fetch: a session submits, waits, then pulls the
+    /// The trace fetch: a session submits, waits, then pulls the
     /// request's trace back over the wire. With the flight recorder on,
     /// the detail carries the recorder's event stream; an unknown id is
     /// `Rejected`.

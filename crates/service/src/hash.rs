@@ -2,20 +2,14 @@
 //!
 //! Everything here folds through [`StableHasher`] — the workspace's single
 //! FNV-1a implementation, re-exported from `ssync-circuit` so circuit
-//! content hashes and device/config fingerprints can never drift apart —
-//! over an explicit, documented field walk: floats contribute their exact
-//! bit patterns, enum variants contribute their stable labels.
+//! content hashes and device/config fingerprints can never drift apart.
+//! Floats contribute their exact bit patterns.
 
-use ssync_arch::{Device, WeightConfig};
+use crate::codec::{self, ByteWriter};
+use ssync_arch::Device;
 use ssync_core::CompilerConfig;
 
 pub use ssync_circuit::StableHasher;
-
-fn write_weights(h: &mut StableHasher, w: WeightConfig) {
-    h.write_f64(w.inner_weight);
-    h.write_f64(w.shuttle_weight);
-    h.write_f64(w.threshold);
-}
 
 /// A stable fingerprint of a device's *content*: trap count, per-trap
 /// capacities, the inter-trap link list (endpoints + junction counts) and
@@ -36,57 +30,33 @@ pub fn device_fingerprint(device: &Device) -> u64 {
         h.write_u64(u64::from(a.0) | (u64::from(b.0) << 32));
         h.write_u64(u64::from(junctions));
     }
-    write_weights(&mut h, device.weights());
+    let weights = device.weights();
+    h.write_f64(weights.inner_weight);
+    h.write_f64(weights.shuttle_weight);
+    h.write_f64(weights.threshold);
     h.finish()
 }
 
-/// A stable hash over every [`CompilerConfig`] field that can influence
-/// compiled output: heuristic hyper-parameters, mapping choice, gate
-/// implementation, operation times and the full noise model.
-/// `batch_workers` is deliberately excluded: the batch worker count never
-/// changes results (the batch golden tests enforce that), so two configs
-/// differing only in fan-out share cache entries. `flight_recorder` is
-/// excluded because the recorder observes without steering (compiled
-/// output is bit-identical on or off), so enabling it must not cold the
-/// cache — which is also what lets the service pool pin the flag into a
-/// job's config *after* the cache key was computed.
+/// A stable hash of a [`CompilerConfig`]: the digest of its wire encoding
+/// ([`codec::encode_config`]). Every config field affects output and the
+/// encoding writes every field, so the key covers exactly the config's
+/// contribution to a compile — there is no field list to keep in sync.
 pub fn config_hash(config: &CompilerConfig) -> u64 {
+    let mut w = ByteWriter::new();
+    codec::encode_config(&mut w, config);
     let mut h = StableHasher::new();
-    write_weights(&mut h, config.weights);
-    h.write_f64(config.decay_delta);
-    h.write_usize(config.decay_reset_interval);
-    h.write_usize(config.lookahead_layers);
-    h.write_usize(config.path_truncation);
-    h.write_f64(config.alpha);
-    h.write_f64(config.beta);
-    h.write_str(config.initial_mapping.label());
-    h.write_str(config.gate_impl.label());
-    h.write_f64(config.op_times.move_us);
-    h.write_f64(config.op_times.split_us);
-    h.write_f64(config.op_times.merge_us);
-    h.write_f64(config.op_times.junction_base_us);
-    h.write_f64(config.op_times.junction_per_path_us);
-    h.write_f64(config.op_times.reorder_us);
-    h.write_f64(config.noise.heating_rate_gamma);
-    h.write_f64(config.noise.k1_split_merge);
-    h.write_f64(config.noise.k2_shuttle_segment);
-    h.write_f64(config.noise.thermal_scale);
-    h.write_f64(config.noise.single_qubit_fidelity);
-    h.write_f64(config.noise.recooling_factor);
-    h.write_usize(config.max_stall_iterations);
-    h.write_f64(config.executable_bonus);
-    // Output-affecting for CompilerKind::PermRoute (it selects the SWAP
-    // schedule realising each blocked layer), so it must split the cache
-    // even though the wire codec never transports it.
-    h.write_str(config.perm_schedule.label());
+    h.write_bytes(&w.into_bytes());
     h.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssync_arch::QccdTopology;
-    use ssync_core::InitialMapping;
+    use crate::codec::ByteReader;
+    use ssync_arch::{QccdTopology, WeightConfig};
+    use ssync_core::{InitialMapping, SwapScheduleKind};
+    use ssync_sim::GateImplementation;
+    use std::collections::HashSet;
 
     #[test]
     fn device_fingerprint_is_content_derived_and_stable() {
@@ -104,47 +74,71 @@ mod tests {
         assert_ne!(device_fingerprint(&a), device_fingerprint(&reweighted));
     }
 
+    /// The config holds only output-affecting fields, and the key is a
+    /// function of their values alone: equal configs share it however
+    /// they were built, and changing an output-affecting field splits it.
     #[test]
     fn config_hash_tracks_output_affecting_fields_only() {
         let base = CompilerConfig::default();
         assert_eq!(config_hash(&base), config_hash(&CompilerConfig::default()));
-        assert_ne!(config_hash(&base), config_hash(&base.with_decay(0.01)));
-        assert_ne!(
-            config_hash(&base),
-            config_hash(&base.with_initial_mapping(InitialMapping::Sta))
-        );
-        assert_ne!(config_hash(&base), config_hash(&base.with_weight_ratio(100.0)));
-        // The perm-route schedule changes the emitted SWAP stream, so it
-        // must split the cache.
-        assert_ne!(
-            config_hash(&base),
-            config_hash(&base.with_perm_schedule(ssync_core::SwapScheduleKind::BubbleSort))
-        );
-        // The batch fan-out cannot change compiled output, so it must not
-        // split the cache.
-        assert_eq!(config_hash(&base), config_hash(&base.with_batch_workers(7)));
-        // The flight recorder observes without steering (compiled output is
-        // bit-identical on or off), so it must not split the cache either.
-        assert_eq!(config_hash(&base), config_hash(&base.with_flight_recorder(true)));
+        let rebuilt = base.with_decay(0.01).with_decay(base.decay_delta);
+        assert_eq!(config_hash(&base), config_hash(&rebuilt));
+        for changed in [
+            base.with_decay(0.01),
+            base.with_initial_mapping(InitialMapping::Sta),
+            base.with_weight_ratio(100.0),
+            // The perm-route schedule changes the emitted SWAP stream.
+            base.with_perm_schedule(SwapScheduleKind::BubbleSort),
+        ] {
+            assert_ne!(config_hash(&base), config_hash(&changed), "{changed:?}");
+        }
     }
 
+    /// Every config leaf, the noise model's included, changes output or
+    /// its evaluation (the report is cached too), so each must split the
+    /// cache key and survive the wire round trip.
     #[test]
     fn every_noise_field_splits_the_cache_key() {
-        // The evaluation report is part of the cached outcome, so every
-        // noise parameter must contribute to the hash.
         let base = CompilerConfig::default();
-        let mutations: [fn(&mut CompilerConfig); 6] = [
+        let mutations: [fn(&mut CompilerConfig); 26] = [
+            |c| c.weights.inner_weight *= 2.0,
+            |c| c.weights.shuttle_weight *= 2.0,
+            |c| c.weights.threshold *= 2.0,
+            |c| c.decay_delta *= 2.0,
+            |c| c.decay_reset_interval += 1,
+            |c| c.lookahead_layers += 1,
+            |c| c.path_truncation += 1,
+            |c| c.alpha *= 2.0,
+            |c| c.beta *= 2.0,
+            |c| c.initial_mapping = InitialMapping::Sta,
+            |c| c.gate_impl = GateImplementation::Am2,
+            |c| c.op_times.move_us *= 2.0,
+            |c| c.op_times.split_us *= 2.0,
+            |c| c.op_times.merge_us *= 2.0,
+            |c| c.op_times.junction_base_us *= 2.0,
+            |c| c.op_times.junction_per_path_us *= 2.0,
+            |c| c.op_times.reorder_us *= 2.0,
             |c| c.noise.heating_rate_gamma += 0.5,
             |c| c.noise.k1_split_merge += 0.05,
             |c| c.noise.k2_shuttle_segment += 0.005,
             |c| c.noise.thermal_scale *= 2.0,
             |c| c.noise.single_qubit_fidelity -= 1e-4,
             |c| c.noise.recooling_factor += 0.25,
+            |c| c.max_stall_iterations += 1,
+            |c| c.executable_bonus *= 2.0,
+            |c| c.perm_schedule = SwapScheduleKind::BubbleSort,
         ];
+        let mut keys = HashSet::from([config_hash(&base)]);
         for (i, mutate) in mutations.iter().enumerate() {
             let mut changed = base;
             mutate(&mut changed);
-            assert_ne!(config_hash(&base), config_hash(&changed), "noise field {i}");
+            assert!(keys.insert(config_hash(&changed)), "leaf {i} must split the cache key");
+            let mut w = ByteWriter::new();
+            codec::encode_config(&mut w, &changed);
+            let bytes = w.into_bytes();
+            let mut r = ByteReader::new(&bytes);
+            assert_eq!(codec::decode_config(&mut r).expect("decodes"), changed, "leaf {i}");
+            assert!(r.is_exhausted(), "leaf {i}: no trailing bytes");
         }
     }
 }

@@ -70,19 +70,16 @@ pub struct ServiceMetrics {
     /// did — the `persist_tier_outcomes_report_zero_scoring_counters`
     /// test pins this.
     pub candidates_scored: u64,
-    /// Scoring passes run by those schedulers: one per candidate pass and
-    /// one per stall-fallback pass. (The name predates the single scoring
-    /// loop; it is kept so the wire payload is unchanged.)
-    pub score_shards_spawned: u64,
+    /// Scoring passes run by those schedulers: one per candidate or
+    /// stall-fallback pass.
+    pub scoring_passes: u64,
     /// Route-readiness memo hits during scoring — the intra-pass
     /// locality the per-pass memo recovers.
-    pub score_cache_shard_hits: u64,
-    /// Request traces finished by the telemetry layer (wire v5; decodes as
-    /// zero from peers that predate it).
+    pub readiness_memo_hits: u64,
+    /// Request traces finished by the telemetry layer.
     pub traces_recorded: u64,
     /// Traces at or above the daemon's slow-request threshold, each
-    /// emitted as a JSONL line on stderr (wire v5; zero when the
-    /// threshold is disabled or the peer predates it).
+    /// emitted as a JSONL line on stderr (zero when the threshold is off).
     pub slow_requests: u64,
     /// Result-cache counters (hits, misses, entries, bytes, evictions,
     /// persistent-tier traffic).

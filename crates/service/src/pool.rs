@@ -268,9 +268,8 @@ struct SleepState {
 
 struct Shared {
     injector: Mutex<Injector<Job>>,
-    /// Whether executed compiles carry a flight recorder. Pinned into the
-    /// job's config at execution time — after the cache key is computed —
-    /// because the recorder observes without changing compiled output.
+    /// Whether executed compiles carry a flight recorder: every worker's
+    /// [`CompileScratch`] is built with this switch.
     flight_recorder: bool,
     /// High-priority jobs currently in the injector. Incremented *before*
     /// the push (same never-ahead rule as `SleepState::queued`),
@@ -295,8 +294,8 @@ struct Shared {
     conns_timed_out: AtomicU64,
     janitor_gc_runs: AtomicU64,
     candidates_scored: AtomicU64,
-    score_shards_spawned: AtomicU64,
-    score_cache_shard_hits: AtomicU64,
+    scoring_passes: AtomicU64,
+    readiness_memo_hits: AtomicU64,
     executed: Vec<AtomicU64>,
     stolen: Vec<AtomicU64>,
     telemetry: ServiceTelemetry,
@@ -452,7 +451,8 @@ impl CompileServiceBuilder {
     /// called, [`CompileServiceBuilder::build`] falls back to the
     /// `SSYNC_FLIGHT_RECORDER` environment variable (`1`/`true` = on),
     /// then off. The recorder is observation-only: compiled output is
-    /// bit-identical either way and the knob never splits the cache.
+    /// bit-identical either way, and the switch lives on each worker's
+    /// [`CompileScratch`], not in any request's config or cache key.
     pub fn flight_recorder(mut self, enabled: bool) -> Self {
         self.flight_recorder = Some(enabled);
         self
@@ -575,8 +575,8 @@ impl CompileService {
             conns_timed_out: AtomicU64::new(0),
             janitor_gc_runs: AtomicU64::new(0),
             candidates_scored: AtomicU64::new(0),
-            score_shards_spawned: AtomicU64::new(0),
-            score_cache_shard_hits: AtomicU64::new(0),
+            scoring_passes: AtomicU64::new(0),
+            readiness_memo_hits: AtomicU64::new(0),
             executed: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             stolen: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             telemetry: ServiceTelemetry::with_journal_cap(journal_cap),
@@ -766,8 +766,8 @@ impl CompileService {
             conns_timed_out: self.shared.conns_timed_out.load(Ordering::Relaxed),
             janitor_gc_runs: self.shared.janitor_gc_runs.load(Ordering::Relaxed),
             candidates_scored: self.shared.candidates_scored.load(Ordering::Relaxed),
-            score_shards_spawned: self.shared.score_shards_spawned.load(Ordering::Relaxed),
-            score_cache_shard_hits: self.shared.score_cache_shard_hits.load(Ordering::Relaxed),
+            scoring_passes: self.shared.scoring_passes.load(Ordering::Relaxed),
+            readiness_memo_hits: self.shared.readiness_memo_hits.load(Ordering::Relaxed),
             traces_recorded: self.shared.telemetry.traces_recorded(),
             slow_requests: self.shared.telemetry.slow_requests(),
             cache: self.shared.cache.stats(),
@@ -987,7 +987,7 @@ impl Drop for CompileService {
 }
 
 fn worker_loop(shared: &Shared, me: usize) {
-    let mut scratch = CompileScratch::default();
+    let mut scratch = CompileScratch::new(shared.flight_recorder);
     loop {
         match shared.find_job(me) {
             Some((job, was_stolen)) => {
@@ -1032,15 +1032,14 @@ fn execute(shared: &Shared, me: usize, job: Job, scratch: &mut CompileScratch) {
         }
         None => {
             let compile_started = Instant::now();
-            let result =
-                run_compile(&request, &prep, shared, scratch).unwrap_or_else(|panic_message| {
-                    // A panicking compile must not take the worker (and
-                    // every queued tenant behind it) down; surface it on
-                    // the one affected handle and drop the
-                    // possibly-inconsistent scratch.
-                    *scratch = CompileScratch::default();
-                    Err(CompileError::Internal { message: panic_message })
-                });
+            let result = run_compile(&request, &prep, scratch).unwrap_or_else(|panic_message| {
+                // A panicking compile must not take the worker (and every
+                // queued tenant behind it) down; surface it on the one
+                // affected handle and replace the possibly-inconsistent
+                // scratch, keeping the pool's recorder switch.
+                *scratch = CompileScratch::new(shared.flight_recorder);
+                Err(CompileError::Internal { message: panic_message })
+            });
             let compile_time = compile_started.elapsed();
             shared.telemetry.span_record(&span, "compile", compile_time);
             shared.telemetry.record(Stage::Compile, priority, kind, compile_time);
@@ -1052,16 +1051,16 @@ fn execute(shared: &Shared, me: usize, job: Job, scratch: &mut CompileScratch) {
         // hits and codec-rebuilt outcomes report zeros by design.
         let scoring = outcome.scoring_telemetry();
         shared.candidates_scored.fetch_add(scoring.candidates_scored, Ordering::Relaxed);
-        shared.score_shards_spawned.fetch_add(scoring.score_shards_spawned, Ordering::Relaxed);
-        shared.score_cache_shard_hits.fetch_add(scoring.score_cache_shard_hits, Ordering::Relaxed);
+        shared.scoring_passes.fetch_add(scoring.scoring_passes, Ordering::Relaxed);
+        shared.readiness_memo_hits.fetch_add(scoring.readiness_memo_hits, Ordering::Relaxed);
         shared.telemetry.note_scheduler_phases(&scoring);
         // Per-request scoring work as span attributes, so the slow-request
         // JSONL and GetTrace show what this compile cost — not just the
         // pool-wide aggregates.
         let t = &shared.telemetry;
         t.span_attr(&span, "candidates_scored", scoring.candidates_scored.to_string());
-        t.span_attr(&span, "score_shards_spawned", scoring.score_shards_spawned.to_string());
-        t.span_attr(&span, "score_cache_shard_hits", scoring.score_cache_shard_hits.to_string());
+        t.span_attr(&span, "scoring_passes", scoring.scoring_passes.to_string());
+        t.span_attr(&span, "readiness_memo_hits", scoring.readiness_memo_hits.to_string());
         t.span_attr(&span, "frontier_rebuilds", scoring.frontier_rebuilds.to_string());
         t.span_attr(&span, "stall_fallback_entries", scoring.stall_fallback_entries.to_string());
         // Insert into the cache *before* retiring the pending entry:
@@ -1102,26 +1101,28 @@ fn execute(shared: &Shared, me: usize, job: Job, scratch: &mut CompileScratch) {
     state.fulfil(result);
 }
 
-/// Runs one compile, catching panics; `Err` carries the panic message.
-/// The pool's `flight_recorder` switch is pinned into the config here —
-/// *after* the cache key was computed from the request's own config — so
-/// the server-side decision never leaks into cache identity, and a remote
-/// client's config cannot dictate recorder memory.
+/// Runs one compile under the request's own config — the one its cache
+/// key was computed from — catching panics; `Err` carries the panic
+/// message.
 fn run_compile(
     request: &CompileRequest,
     prep: &CircuitPrep,
-    shared: &Shared,
     scratch: &mut CompileScratch,
 ) -> Result<JobResult, String> {
     let first_use = request
         .compiler
         .uses_first_use_order()
         .then(|| prep.first_use.get_or_init(|| request.circuit.first_use_order()).as_slice());
-    let config = request.config.with_flight_recorder(shared.flight_recorder);
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         request
             .compiler
-            .compile_on_with(request.device.device(), &request.circuit, &config, first_use, scratch)
+            .compile_on_with(
+                request.device.device(),
+                &request.circuit,
+                &request.config,
+                first_use,
+                scratch,
+            )
             .map(Arc::new)
     }))
     .map_err(|payload| {
@@ -1300,7 +1301,7 @@ mod tests {
 
     #[test]
     fn a_panicking_job_reports_internal_error_and_spares_the_pool() {
-        let service = CompileService::with_workers(1);
+        let service = CompileService::builder().workers(1).flight_recorder(true).build();
         let config = CompilerConfig::default();
         let circuit = Arc::new(qft(8));
         // A device registered under different weights than the request's
@@ -1317,9 +1318,11 @@ mod tests {
             config,
         ));
         assert!(matches!(bad.wait(), Err(CompileError::Internal { .. })));
-        // The (sole) worker survives and keeps serving.
+        // The (sole) worker survives and keeps serving, and its fresh
+        // scratch keeps the pool's recorder switch.
         let good = service.submit(request(&service, &circuit, CompilerKind::SSync, &config));
-        assert!(good.wait().is_ok());
+        let outcome = good.wait().expect("compiles after the panic");
+        assert!(outcome.flight_recording().is_some(), "the scratch reset kept the recorder on");
     }
 
     #[test]
@@ -1538,7 +1541,7 @@ mod tests {
             .expect("compiles");
         let metrics = service.metrics();
         assert!(metrics.candidates_scored > 0, "the S-SYNC scheduler scored candidates");
-        assert!(metrics.score_shards_spawned > 0);
+        assert!(metrics.scoring_passes > 0);
         assert_eq!(metrics.candidates_scored, outcome.scoring_telemetry().candidates_scored);
         // A cache hit re-serves the outcome without scoring anything.
         service
@@ -1597,8 +1600,8 @@ mod tests {
         assert_eq!(metrics.cache.persist_hits, 1, "served from the persistent tier");
         assert_eq!(metrics.jobs_executed(), 0, "no compile ran in the cold pool");
         assert_eq!(metrics.candidates_scored, 0, "scoring not performed here is not counted");
-        assert_eq!(metrics.score_shards_spawned, 0);
-        assert_eq!(metrics.score_cache_shard_hits, 0);
+        assert_eq!(metrics.scoring_passes, 0);
+        assert_eq!(metrics.readiness_memo_hits, 0);
         assert_eq!(metrics.traces_recorded, 1, "the cache hit still traces end to end");
         assert_eq!(original.program().ops(), replayed.program().ops());
         let _ = std::fs::remove_dir_all(&dir);

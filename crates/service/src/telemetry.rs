@@ -287,8 +287,7 @@ impl ServiceTelemetry {
     }
 
     /// Start a new span under a fresh server-assigned trace id (monotonic,
-    /// never zero — a zero trace id on the wire means "server predates
-    /// tracing").
+    /// never zero — zero marks an empty histogram exemplar slot).
     pub fn begin_trace(&self) -> Span {
         Span::new(self.next_trace_id.fetch_add(1, Ordering::Relaxed))
     }
@@ -523,11 +522,11 @@ pub fn render_text(metrics: &ServiceMetrics, telemetry: &TelemetrySnapshot) -> S
             "Scheduler candidates scored across executed compiles.",
             metrics.candidates_scored,
         ),
-        ("ssync_score_shards_spawned_total", "Scoring passes run.", metrics.score_shards_spawned),
+        ("ssync_scoring_passes_total", "Scoring passes run.", metrics.scoring_passes),
         (
-            "ssync_score_cache_shard_hits_total",
+            "ssync_readiness_memo_hits_total",
             "Readiness-memo hits during scoring.",
-            metrics.score_cache_shard_hits,
+            metrics.readiness_memo_hits,
         ),
         ("ssync_cache_hits_total", "Result-cache hits.", metrics.cache.hits),
         ("ssync_cache_misses_total", "Result-cache misses.", metrics.cache.misses),
@@ -729,8 +728,8 @@ mod tests {
             conns_timed_out: 0,
             janitor_gc_runs: 0,
             candidates_scored: 10,
-            score_shards_spawned: 2,
-            score_cache_shard_hits: 1,
+            scoring_passes: 2,
+            readiness_memo_hits: 1,
             traces_recorded: 3,
             slow_requests: 1,
             cache: Default::default(),

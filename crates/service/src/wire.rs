@@ -9,7 +9,7 @@
 //! +----------+------------+-----------+------------------+
 //! | magic u32| version u32| length u32| payload (length) |
 //! +----------+------------+-----------+------------------+
-//!      "CYSS"     1          LE bytes    codec-encoded body
+//!      "CYSS"     7          LE bytes    codec-encoded body
 //! ```
 //!
 //! All integers are little-endian. A frame whose magic or version doesn't
@@ -29,86 +29,31 @@
 //!
 //! | request | response |
 //! |---|---|
-//! | `Hello { token }` | `Welcome` or `Rejected` (v3; required first on authed TCP) |
-//! | `Submit(RemoteRequest)` | `Submitted { job }` or `Rejected` |
-//! | `SubmitQasm(RemoteQasmRequest)` | `QasmSubmitted { job, report }` or `Rejected` (v2) |
+//! | `Hello { token }` | `Welcome` or `Rejected` (required first on authed TCP) |
+//! | `Submit(RemoteRequest)` | `Submitted { job, trace_id }` or `Rejected` |
+//! | `SubmitQasm(RemoteQasmRequest)` | `QasmSubmitted { job, report, trace_id }` or `Rejected` |
 //! | `Poll { job }` | `Pending`, `Outcome`, `CompileFailed` or `Rejected` |
 //! | `Wait { job }` | `Outcome`, `CompileFailed` or `Rejected` (blocks) |
 //! | `Metrics` | `Metrics(ServiceMetrics)` |
-//! | `GetStats` | `StatsText { text }` (v5; Prometheus-style exposition) |
-//! | `GetTrace { trace_id }` | `TraceDetail` or `Rejected` (v6) |
+//! | `GetStats` | `StatsText { text }` (Prometheus-style exposition) |
+//! | `GetTrace { trace_id }` | `TraceDetail` or `Rejected` |
 //! | `Shutdown` | `ShuttingDown`, then the daemon exits |
 //!
-//! ## Version 2
+//! `SubmitQasm` carries raw OpenQASM 2.0 source: the daemon parses it
+//! with `ssync-qasm` and compiles the lowered circuit exactly as if the
+//! client had parsed locally and submitted the [`Circuit`]; parse errors
+//! come back as `Rejected` with the `line:col` diagnostic. `GetTrace`
+//! returns the trace's span in the slow-request-log JSONL schema plus —
+//! when the daemon runs with the flight recorder on — the request's
+//! recorder stream, both as plain strings.
 //!
-//! v2 adds **wire-level circuit ingestion**: `SubmitQasm` carries raw
-//! OpenQASM 2.0 source text (plus device name, compiler, config,
-//! priority/tenant and an optional deadline) under a *new, backward-
-//! compatible request tag* — every v1 tag and its payload encoding are
-//! unchanged, and [`read_frame`] accepts frames stamped with either
-//! version, so a v2 daemon understands everything a v1 peer can say.
-//! The daemon parses the source with `ssync-qasm` and compiles the
-//! lowered circuit exactly as if the client had parsed locally and
-//! submitted the [`Circuit`]; parse errors come back as `Rejected` with
-//! the `line:col` diagnostic. The only payload that grew is `Metrics`
-//! (the deadline/GC counters are appended), which is why outgoing
-//! frames are stamped v2.
+//! ## Versioning
 //!
-//! ## Version 3
-//!
-//! v3 adds the **hardened front-end**: a `Hello { token }` handshake
-//! (new request tag, required first on an auth-configured TCP listener,
-//! answered by `Welcome`), the `CompileError::Overloaded` tag the
-//! admission controller rejects with when queue depth breaches its
-//! watermark, and four appended `Metrics` counters
-//! (`rejected_overloaded`, `rejected_unauthorized`, `conns_timed_out`,
-//! `janitor_gc_runs`). Every v1/v2 tag and payload encoding is
-//! unchanged.
-//!
-//! ## Version 4
-//!
-//! v4 appends three **scoring counters** to the `Metrics` payload
-//! (`candidates_scored`, `score_shards_spawned`,
-//! `score_cache_shard_hits`), after `uptime` — previously the final
-//! field. The decoder reads them only when payload bytes remain, so a
-//! v4 client decodes a v1–v3 daemon's shorter payload cleanly (the
-//! counters come back zero) and every older tag and encoding is
-//! unchanged. `score_shards_spawned` counts scoring passes and
-//! `score_cache_shard_hits` counts readiness-memo hits.
-//!
-//! ## Version 5
-//!
-//! v5 adds the **observability surface**. Three append-only payload
-//! growths plus one new request/response pair, all following the v4
-//! pattern (decoders read appended fields only when payload bytes
-//! remain, so every older payload still decodes):
-//!
-//! * `Submitted` and `QasmSubmitted` each carry the server-assigned
-//!   **trace id** after their existing fields. A zero trace id means
-//!   the peer predates tracing (server-assigned ids start at 1).
-//! * `Metrics` appends `traces_recorded` and `slow_requests` after the
-//!   v4 scoring tail.
-//! * `GetStats` (new request tag) is answered with `StatsText` (new
-//!   response tag): the daemon's full metrics + latency-histogram
-//!   snapshot rendered in Prometheus-style text exposition — the same
-//!   bytes `--metrics-text` writes to disk, for peers that want to
-//!   scrape over the wire instead of through the filesystem.
-//!
-//! ## Version 6
-//!
-//! v6 adds **wire-fetchable traces**: `GetTrace { trace_id }` (new
-//! request tag) is answered with `TraceDetail` (new response tag)
-//! carrying the trace's span rendered to the slow-request-log JSONL
-//! schema plus — when the daemon ran with the flight recorder on — the
-//! request's flight-recorder event stream, one JSON object per line.
-//! An id the daemon's trace journal no longer holds (evicted, or never
-//! assigned) comes back as `Rejected`. Both payloads are plain strings,
-//! so the trace schema can grow without another wire bump. Every v1–v5
-//! tag and payload encoding is unchanged, and the
-//! `CompilerConfig::flight_recorder` flag deliberately stays **off the
-//! wire**: recording is a server-side observability decision
-//! (`--flight-recorder` / `SSYNC_FLIGHT_RECORDER`), never something a
-//! remote client dictates — and it cannot affect compiled output anyway.
+//! There is one protocol version, [`WIRE_VERSION`]: every peer is built
+//! from this repository, so [`read_frame`] rejects a frame stamped with
+//! any other version instead of decoding older layouts. Any change to a
+//! payload layout — including the [`CompilerConfig`] field walk in
+//! [`codec::encode_config`] — bumps the version.
 //!
 //! Job ids are per-connection and **single-delivery**: the response that
 //! carries a job's terminal result (`Wait`, or a `Poll` that observes
@@ -131,19 +76,9 @@ use std::time::Duration;
 
 /// Frame magic: `b"CYSS"` little-endian ("SSYC" on the wire).
 pub const WIRE_MAGIC: u32 = u32::from_le_bytes(*b"SSYC");
-/// Protocol version written on outgoing frames; bumped whenever the
-/// codec field walk changes. v2 added `SubmitQasm` and the extended
-/// metrics payload; v3 added the `Hello` auth handshake, the
-/// `Overloaded` compile-error tag and the front-end/janitor metrics
-/// counters; v4 appended the intra-compile scoring counters to
-/// `Metrics`; v5 added request tracing (trace ids on `Submitted` /
-/// `QasmSubmitted`, the trace counters on `Metrics`) and the
-/// `GetStats`/`StatsText` text-exposition scrape; v6 added the
-/// `GetTrace`/`TraceDetail` flight-recorder trace fetch. [`read_frame`]
-/// still accepts [`MIN_WIRE_VERSION`]-tagged frames from older peers.
-pub const WIRE_VERSION: u32 = 6;
-/// Oldest protocol version [`read_frame`] accepts.
-pub const MIN_WIRE_VERSION: u32 = 1;
+/// The protocol version, written on every frame and the only one
+/// [`read_frame`] accepts; bumped on any payload layout change.
+pub const WIRE_VERSION: u32 = 7;
 /// Upper bound on a frame payload (a defence against corrupt length
 /// prefixes, not a practical limit — outcomes are kilobytes).
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
@@ -201,7 +136,7 @@ impl RemoteRequest {
 }
 
 /// A compile request whose circuit travels as **raw OpenQASM 2.0 source
-/// text** (wire v2): the daemon parses and lowers it server-side, so any
+/// text**: the daemon parses and lowers it server-side, so any
 /// QASM-producing client — with no knowledge of the workspace's circuit
 /// IR or its binary encoding — can feed the service.
 #[derive(Debug, Clone)]
@@ -266,7 +201,7 @@ impl RemoteQasmRequest {
 /// A client→server message.
 #[derive(Debug, Clone)]
 pub enum Request {
-    /// The connection handshake (wire v3). On a TCP front-end configured
+    /// The connection handshake. On a TCP front-end configured
     /// with a shared auth token this MUST be the first frame and carry
     /// the matching token, or the connection is rejected and closed
     /// (counted in `ServiceMetrics::rejected_unauthorized`). On
@@ -282,8 +217,8 @@ pub enum Request {
     /// a request carries a whole circuit + config, dwarfing the other
     /// variants.
     Submit(Box<RemoteRequest>),
-    /// Queue a compile of raw QASM source (wire v2); answered with
-    /// `Submitted`, or `Rejected` carrying the parse diagnostic.
+    /// Queue a compile of raw QASM source; answered with
+    /// `QasmSubmitted`, or `Rejected` carrying the parse diagnostic.
     SubmitQasm(Box<RemoteQasmRequest>),
     /// Non-blocking status check of a submitted job.
     Poll {
@@ -298,11 +233,10 @@ pub enum Request {
     /// Fetch a metrics snapshot.
     Metrics,
     /// Fetch the daemon's metrics + latency histograms rendered as
-    /// Prometheus-style text exposition (wire v5); answered with
-    /// `StatsText`.
+    /// Prometheus-style text exposition; answered with `StatsText`.
     GetStats,
     /// Fetch one trace from the daemon's journal by the id `Submitted` /
-    /// `QasmSubmitted` returned (wire v6); answered with `TraceDetail`,
+    /// `QasmSubmitted` returned; answered with `TraceDetail`,
     /// or `Rejected` when the journal no longer holds the id.
     GetTrace {
         /// The server-assigned trace id to look up.
@@ -315,8 +249,8 @@ pub enum Request {
 /// A server→client message.
 #[derive(Debug, Clone)]
 pub enum Response {
-    /// Accepts a `Hello` (wire v3); carries the server's protocol
-    /// version so clients can log what they are talking to.
+    /// Accepts a `Hello`; carries the server's protocol version so
+    /// clients can log what they are talking to.
     Welcome {
         /// The server's [`WIRE_VERSION`].
         version: u32,
@@ -326,8 +260,7 @@ pub enum Response {
         /// Identifier to pass to `Poll` / `Wait`.
         job: u64,
         /// Server-assigned trace id for the request's end-to-end trace
-        /// (wire v5). Zero when the daemon predates tracing;
-        /// server-assigned ids start at 1.
+        /// (pass it to `GetTrace`).
         trace_id: u64,
     },
     /// The polled job has not finished yet.
@@ -346,7 +279,7 @@ pub enum Response {
     Metrics(ServiceMetrics),
     /// Acknowledges `Shutdown`; the daemon exits after sending it.
     ShuttingDown,
-    /// A QASM submission was parsed and queued (wire v2). Carries the
+    /// A QASM submission was parsed and queued. Carries the
     /// lowering's [`ParseReport`](ssync_qasm::ParseReport) so the remote
     /// caller learns what was stripped (measurements, resets,
     /// conditionals) exactly as a local `ssync_qasm::parse` would tell
@@ -356,20 +289,19 @@ pub enum Response {
         job: u64,
         /// What the server-side lowering stripped or counted.
         report: ssync_qasm::ParseReport,
-        /// Server-assigned trace id (wire v5); zero when the daemon
-        /// predates tracing.
+        /// Server-assigned trace id (pass it to `GetTrace`).
         trace_id: u64,
     },
     /// The daemon's metrics + latency histograms rendered as
-    /// Prometheus-style text exposition (wire v5; answers `GetStats`).
+    /// Prometheus-style text exposition (answers `GetStats`).
     StatsText {
         /// The rendered exposition — the same bytes the daemon's
         /// `--metrics-text` flag writes to disk.
         text: String,
     },
-    /// One trace from the daemon's journal (wire v6; answers
-    /// `GetTrace`). Both fields are rendered text so the trace schema
-    /// can grow without a wire bump.
+    /// One trace from the daemon's journal (answers `GetTrace`). Both
+    /// fields are rendered text so the trace schema can grow without a
+    /// wire bump.
     TraceDetail {
         /// The id that was looked up.
         trace_id: u64,
@@ -514,19 +446,15 @@ fn encode_metrics(w: &mut ByteWriter, m: &ServiceMetrics) {
         w.put_u64(worker.stolen);
     }
     w.put_u64(m.uptime.as_nanos() as u64);
-    // v4 tail: appended after what was the final v3 field so v1–v3
-    // decoders (which stop at `uptime`) never see them.
     w.put_u64(m.candidates_scored);
-    w.put_u64(m.score_shards_spawned);
-    w.put_u64(m.score_cache_shard_hits);
-    // v5 tail: the request-tracing counters, appended after the v4
-    // scoring counters under the same contract.
+    w.put_u64(m.scoring_passes);
+    w.put_u64(m.readiness_memo_hits);
     w.put_u64(m.traces_recorded);
     w.put_u64(m.slow_requests);
 }
 
 fn decode_metrics(r: &mut ByteReader<'_>) -> Result<ServiceMetrics, CodecError> {
-    let mut metrics = ServiceMetrics {
+    Ok(ServiceMetrics {
         jobs_submitted: r.get_u64()?,
         jobs_completed: r.get_u64()?,
         jobs_coalesced: r.get_u64()?,
@@ -538,11 +466,6 @@ fn decode_metrics(r: &mut ByteReader<'_>) -> Result<ServiceMetrics, CodecError> 
         rejected_unauthorized: r.get_u64()?,
         conns_timed_out: r.get_u64()?,
         janitor_gc_runs: r.get_u64()?,
-        candidates_scored: 0,
-        score_shards_spawned: 0,
-        score_cache_shard_hits: 0,
-        traces_recorded: 0,
-        slow_requests: 0,
         cache: crate::cache::CacheStats {
             hits: r.get_u64()?,
             misses: r.get_u64()?,
@@ -562,21 +485,12 @@ fn decode_metrics(r: &mut ByteReader<'_>) -> Result<ServiceMetrics, CodecError> 
             workers
         },
         uptime: Duration::from_nanos(r.get_u64()?),
-    };
-    // The v4 scoring counters live past the v3 end of the payload; a
-    // shorter (v1–v3) payload simply leaves them zero. The v5 tracing
-    // counters live past the v4 end under the same contract, so each
-    // tail re-checks exhaustion before reading.
-    if !r.is_exhausted() {
-        metrics.candidates_scored = r.get_u64()?;
-        metrics.score_shards_spawned = r.get_u64()?;
-        metrics.score_cache_shard_hits = r.get_u64()?;
-    }
-    if !r.is_exhausted() {
-        metrics.traces_recorded = r.get_u64()?;
-        metrics.slow_requests = r.get_u64()?;
-    }
-    Ok(metrics)
+        candidates_scored: r.get_u64()?,
+        scoring_passes: r.get_u64()?,
+        readiness_memo_hits: r.get_u64()?,
+        traces_recorded: r.get_u64()?,
+        slow_requests: r.get_u64()?,
+    })
 }
 
 /// Encodes a [`Response`] payload (no frame header).
@@ -586,8 +500,6 @@ pub fn encode_response(response: &Response) -> Vec<u8> {
         Response::Submitted { job, trace_id } => {
             w.put_u8(0);
             w.put_u64(*job);
-            // v5 tail: the trace id rides after the v1 payload so a
-            // pre-v5 decoder (which stops at `job`) never sees it.
             w.put_u64(*trace_id);
         }
         Response::Pending => w.put_u8(1),
@@ -620,7 +532,6 @@ pub fn encode_response(response: &Response) -> Vec<u8> {
             w.put_usize(report.conditionals_stripped);
             w.put_usize(report.barriers);
             w.put_usize(report.gates_inlined);
-            // v5 tail: appended after the v2 report fields.
             w.put_u64(*trace_id);
         }
         Response::StatsText { text } => {
@@ -641,12 +552,7 @@ pub fn encode_response(response: &Response) -> Vec<u8> {
 pub fn decode_response(payload: &[u8]) -> Result<Response, CodecError> {
     let mut r = ByteReader::new(payload);
     let response = match r.get_u8()? {
-        0 => Response::Submitted {
-            job: r.get_u64()?,
-            // A pre-v5 daemon's payload ends at `job`; zero means "the
-            // peer predates tracing" (real ids start at 1).
-            trace_id: if r.is_exhausted() { 0 } else { r.get_u64()? },
-        },
+        0 => Response::Submitted { job: r.get_u64()?, trace_id: r.get_u64()? },
         1 => Response::Pending,
         2 => Response::Outcome(codec::decode_outcome(&mut r)?),
         3 => Response::CompileFailed(codec::decode_compile_error(&mut r)?),
@@ -662,7 +568,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, CodecError> {
                 barriers: r.get_usize()?,
                 gates_inlined: r.get_usize()?,
             },
-            trace_id: if r.is_exhausted() { 0 } else { r.get_u64()? },
+            trace_id: r.get_u64()?,
         },
         8 => Response::Welcome { version: r.get_u32()? },
         9 => Response::StatsText { text: r.get_str()? },
@@ -773,7 +679,7 @@ pub fn read_frame_deadline(
     if magic != WIRE_MAGIC {
         return Err(protocol_error("bad frame magic"));
     }
-    if !(MIN_WIRE_VERSION..=WIRE_VERSION).contains(&version) {
+    if version != WIRE_VERSION {
         return Err(protocol_error("unsupported protocol version"));
     }
     // Guard BEFORE the allocation below: the length header is
@@ -802,9 +708,10 @@ fn protocol_error(message: &str) -> std::io::Error {
 mod tests {
     use super::*;
     use ssync_circuit::generators::qft;
+    use ssync_core::SwapScheduleKind;
 
-    #[test]
-    fn requests_round_trip() {
+    /// One instance of every [`Request`] variant.
+    fn every_request() -> Vec<Request> {
         let remote = RemoteRequest::new(
             "G-2x3",
             qft(8),
@@ -816,13 +723,13 @@ mod tests {
         let qasm = RemoteQasmRequest::new(
             "L-4",
             "OPENQASM 2.0;\nqreg q[2];\ncx q[0], q[1];\n",
-            CompilerKind::SSync,
-            CompilerConfig::default(),
+            CompilerKind::PermRoute,
+            CompilerConfig::default().with_perm_schedule(SwapScheduleKind::BubbleSort),
         )
         .with_priority(Priority::High)
-        .with_tenant(TenantId::from_name("wire-v2"))
+        .with_tenant(TenantId::from_name("qasm"))
         .with_deadline_us(250_000);
-        for request in [
+        vec![
             Request::Submit(Box::new(remote)),
             Request::SubmitQasm(Box::new(qasm)),
             Request::Hello { token: "super-secret".into() },
@@ -830,59 +737,128 @@ mod tests {
             Request::Wait { job: 9 },
             Request::Metrics,
             Request::GetStats,
-            Request::GetTrace { trace_id: 41 },
+            Request::GetTrace { trace_id: u64::MAX },
             Request::Shutdown,
-        ] {
-            let bytes = encode_request(&request);
-            let decoded = decode_request(&bytes).expect("round-trips");
-            match (&request, &decoded) {
-                (Request::Submit(a), Request::Submit(b)) => {
-                    assert_eq!(a.device, b.device);
-                    assert_eq!(a.circuit, b.circuit);
-                    assert_eq!(a.compiler, b.compiler);
-                    assert_eq!(a.config, b.config);
-                    assert_eq!(a.priority, b.priority);
-                    assert_eq!(a.tenant, b.tenant);
-                }
-                (Request::SubmitQasm(a), Request::SubmitQasm(b)) => {
-                    assert_eq!(a.device, b.device);
-                    assert_eq!(a.source, b.source);
-                    assert_eq!(a.compiler, b.compiler);
-                    assert_eq!(a.config, b.config);
-                    assert_eq!(a.priority, b.priority);
-                    assert_eq!(a.tenant, b.tenant);
-                    assert_eq!(a.deadline_us, b.deadline_us);
-                }
-                (Request::Hello { token: a }, Request::Hello { token: b }) => assert_eq!(a, b),
-                (Request::Poll { job: a }, Request::Poll { job: b })
-                | (Request::Wait { job: a }, Request::Wait { job: b })
-                | (Request::GetTrace { trace_id: a }, Request::GetTrace { trace_id: b }) => {
-                    assert_eq!(a, b)
-                }
-                (Request::Metrics, Request::Metrics)
-                | (Request::GetStats, Request::GetStats)
-                | (Request::Shutdown, Request::Shutdown) => {}
-                other => panic!("variant changed in transit: {other:?}"),
-            }
+        ]
+    }
+
+    fn sample_metrics() -> ServiceMetrics {
+        ServiceMetrics {
+            jobs_submitted: 10,
+            jobs_completed: 9,
+            jobs_coalesced: 2,
+            jobs_near_duplicate: 3,
+            jobs_deadline_expired: 1,
+            submitted_by_priority: [1, 5, 4],
+            queue_depth: 1,
+            rejected_overloaded: 7,
+            rejected_unauthorized: 2,
+            conns_timed_out: 3,
+            janitor_gc_runs: 11,
+            candidates_scored: 4242,
+            scoring_passes: 99,
+            readiness_memo_hits: 1717,
+            traces_recorded: 88,
+            slow_requests: 6,
+            cache: crate::cache::CacheStats {
+                hits: 4,
+                misses: 6,
+                entries: 5,
+                bytes: 12345,
+                evictions: 1,
+                persist_hits: 1,
+                persist_stores: 5,
+                persist_gc_deleted: 2,
+            },
+            workers: vec![
+                WorkerMetrics { executed: 5, stolen: 1 },
+                WorkerMetrics { executed: 4, stolen: 0 },
+            ],
+            uptime: Duration::from_millis(1234),
         }
     }
 
-    /// A frame stamped with the previous protocol version still reads:
-    /// v1 request tags are a strict subset of v2's, so a v2 daemon
-    /// understands a v1 peer.
+    /// One instance of every [`Response`] variant.
+    fn every_response() -> Vec<Response> {
+        let outcome = ssync_core::SSyncCompiler::default()
+            .compile(&qft(6), &ssync_arch::QccdTopology::linear(2, 4))
+            .expect("compiles");
+        vec![
+            Response::Welcome { version: WIRE_VERSION },
+            Response::Submitted { job: 5, trace_id: 42 },
+            Response::Pending,
+            Response::Outcome(outcome),
+            Response::CompileFailed(CompileError::Overloaded { retry_after_ms: 25 }),
+            Response::Rejected { reason: "unknown job".into() },
+            Response::Metrics(sample_metrics()),
+            Response::ShuttingDown,
+            Response::QasmSubmitted {
+                job: 11,
+                report: ssync_qasm::ParseReport { barriers: 4, ..Default::default() },
+                trace_id: 77,
+            },
+            Response::StatsText { text: "ssync_jobs_submitted 3\n".into() },
+            Response::TraceDetail {
+                trace_id: 42,
+                span_jsonl: "{\"trace_id\":\"000000000000002a\"}".into(),
+                recorder_jsonl: "{\"events\":0}\n".into(),
+            },
+        ]
+    }
+
+    /// Decoding and re-encoding gives back the exact bytes. The sample
+    /// values differ field by field, so a dropped, defaulted or swapped
+    /// field changes the bytes.
     #[test]
-    fn v1_stamped_frames_are_accepted() {
+    fn requests_round_trip() {
+        for request in every_request() {
+            let bytes = encode_request(&request);
+            let decoded = decode_request(&bytes).expect("round-trips");
+            assert_eq!(encode_request(&decoded), bytes, "{request:?}");
+        }
+    }
+
+    /// `requests_round_trip` for every response, the compiled outcome and
+    /// compile error included.
+    #[test]
+    fn responses_round_trip() {
+        for response in every_response() {
+            let bytes = encode_response(&response);
+            let decoded = decode_response(&bytes).expect("round-trips");
+            assert_eq!(encode_response(&decoded), bytes, "{response:?}");
+        }
+    }
+
+    /// One protocol version: a frame stamped with any other — zero, the
+    /// first, the previous or the next — is a protocol error.
+    #[test]
+    fn frames_stamped_with_another_version_are_rejected() {
         let payload = encode_request(&Request::Poll { job: 3 });
         let mut buf = Vec::new();
         write_frame(&mut buf, &payload).expect("write");
-        buf[4..8].copy_from_slice(&MIN_WIRE_VERSION.to_le_bytes());
-        let read = read_frame(&mut std::io::Cursor::new(&buf)).expect("v1 accepted");
+        let read = read_frame(&mut std::io::Cursor::new(&buf)).expect("current version reads");
         assert_eq!(read, Some(payload));
-        // ... but version 0 and future versions are rejected.
-        for bad in [0u32, WIRE_VERSION + 1] {
-            let mut corrupt = buf.clone();
-            corrupt[4..8].copy_from_slice(&bad.to_le_bytes());
-            assert!(read_frame(&mut std::io::Cursor::new(&corrupt)).is_err(), "version {bad}");
+        for bad in [0, 1, WIRE_VERSION - 1, WIRE_VERSION + 1] {
+            let mut stamped = buf.clone();
+            stamped[4..8].copy_from_slice(&bad.to_le_bytes());
+            let err = read_frame(&mut std::io::Cursor::new(&stamped)).expect_err("rejected");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "version {bad}");
+        }
+    }
+
+    /// `WIRE_VERSION` is the one supported version, and every message
+    /// travels under it: each request and response framed by
+    /// `write_frame` is stamped with it and reads back intact.
+    #[test]
+    fn all_supported_versions_are_accepted() {
+        let requests = every_request().iter().map(encode_request).collect::<Vec<_>>();
+        let responses = every_response().iter().map(encode_response).collect::<Vec<_>>();
+        for payload in requests.into_iter().chain(responses) {
+            let mut buf = Vec::new();
+            write_frame(&mut buf, &payload).expect("write");
+            assert_eq!(buf[4..8], WIRE_VERSION.to_le_bytes(), "tag {}", payload[0]);
+            let read = read_frame(&mut std::io::Cursor::new(&buf)).expect("supported version");
+            assert_eq!(read, Some(payload));
         }
     }
 
@@ -974,40 +950,6 @@ mod tests {
             }
             other => panic!("wrong variant: {other:?}"),
         }
-
-        // A pre-v5 daemon's payload ends at the report fields: dropping
-        // the appended trace id must still decode, with the id zeroed.
-        let truncated = &bytes[..bytes.len() - 8];
-        match decode_response(truncated).expect("v2-length payload decodes") {
-            Response::QasmSubmitted { job, trace_id, .. } => {
-                assert_eq!(job, 11);
-                assert_eq!(trace_id, 0);
-            }
-            other => panic!("wrong variant: {other:?}"),
-        }
-    }
-
-    /// `Submitted` grew a trace id in v5; a pre-v5 payload (ending at
-    /// `job`) decodes with the id zeroed — the "peer predates tracing"
-    /// sentinel.
-    #[test]
-    fn submitted_responses_round_trip_and_accept_v4_length() {
-        let bytes = encode_response(&Response::Submitted { job: 5, trace_id: 42 });
-        match decode_response(&bytes).expect("round-trips") {
-            Response::Submitted { job, trace_id } => {
-                assert_eq!(job, 5);
-                assert_eq!(trace_id, 42);
-            }
-            other => panic!("wrong variant: {other:?}"),
-        }
-        let truncated = &bytes[..bytes.len() - 8];
-        match decode_response(truncated).expect("v4-length payload decodes") {
-            Response::Submitted { job, trace_id } => {
-                assert_eq!(job, 5);
-                assert_eq!(trace_id, 0);
-            }
-            other => panic!("wrong variant: {other:?}"),
-        }
     }
 
     #[test]
@@ -1020,25 +962,9 @@ mod tests {
         }
     }
 
-    /// Frames stamped with every protocol version back to v1 are
-    /// accepted: the v6 tag set is a strict superset of each
-    /// predecessor's, so a v6 daemon understands every older peer.
-    #[test]
-    fn all_supported_versions_are_accepted() {
-        let payload = encode_request(&Request::GetTrace { trace_id: 12 });
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &payload).expect("write");
-        for version in MIN_WIRE_VERSION..=WIRE_VERSION {
-            let mut stamped = buf.clone();
-            stamped[4..8].copy_from_slice(&version.to_le_bytes());
-            let read = read_frame(&mut std::io::Cursor::new(&stamped)).expect("supported version");
-            assert_eq!(read, Some(payload.clone()), "version {version}");
-        }
-    }
-
-    /// `TraceDetail` round-trips, and — the v6 truncation-fuzz contract —
-    /// cutting its payload at ANY interior length fails cleanly with a
-    /// codec error: the new tag never panics and never decodes garbage.
+    /// `TraceDetail` round-trips, and cutting its payload at ANY interior
+    /// length fails cleanly with a codec error: the tag never panics and
+    /// never decodes garbage.
     #[test]
     fn trace_detail_round_trips_and_rejects_every_truncation() {
         let span_jsonl = r#"{"trace_id":"000000000000002a","total_us":1234}"#.to_string();
@@ -1058,8 +984,7 @@ mod tests {
             }
             other => panic!("wrong variant: {other:?}"),
         }
-        // Unlike `Metrics` (which has version-boundary cut points), a
-        // `TraceDetail` payload has no valid prefix: every cut must be
+        // A `TraceDetail` payload has no valid prefix: every cut must be
         // rejected, never panic.
         for cut in 0..bytes.len() {
             assert!(decode_response(&bytes[..cut]).is_err(), "cut {cut} should be rejected");
@@ -1076,105 +1001,36 @@ mod tests {
         }
     }
 
-    /// Same fuzz for the new request tag: `GetTrace` is a tag byte plus
-    /// a u64, and every shorter prefix errors cleanly.
-    #[test]
-    fn get_trace_requests_reject_every_truncation() {
-        let bytes = encode_request(&Request::GetTrace { trace_id: u64::MAX });
-        for cut in 0..bytes.len() {
-            assert!(decode_request(&bytes[..cut]).is_err(), "cut {cut} should be rejected");
-        }
-        // ... and trailing garbage is rejected too.
-        let mut padded = bytes.clone();
-        padded.push(0);
-        assert!(decode_request(&padded).is_err());
-    }
-
     #[test]
     fn metrics_responses_round_trip() {
-        let metrics = ServiceMetrics {
-            jobs_submitted: 10,
-            jobs_completed: 9,
-            jobs_coalesced: 2,
-            jobs_near_duplicate: 3,
-            jobs_deadline_expired: 1,
-            submitted_by_priority: [1, 5, 4],
-            queue_depth: 1,
-            rejected_overloaded: 7,
-            rejected_unauthorized: 2,
-            conns_timed_out: 3,
-            janitor_gc_runs: 11,
-            candidates_scored: 4242,
-            score_shards_spawned: 99,
-            score_cache_shard_hits: 1717,
-            traces_recorded: 88,
-            slow_requests: 6,
-            cache: crate::cache::CacheStats {
-                hits: 4,
-                misses: 6,
-                entries: 5,
-                bytes: 12345,
-                evictions: 1,
-                persist_hits: 1,
-                persist_stores: 5,
-                persist_gc_deleted: 2,
-            },
-            workers: vec![
-                WorkerMetrics { executed: 5, stolen: 1 },
-                WorkerMetrics { executed: 4, stolen: 0 },
-            ],
-            uptime: Duration::from_millis(1234),
-        };
+        let metrics = sample_metrics();
         let bytes = encode_response(&Response::Metrics(metrics.clone()));
         match decode_response(&bytes).expect("round-trips") {
             Response::Metrics(decoded) => assert_eq!(metrics, decoded),
             other => panic!("wrong variant: {other:?}"),
         }
+    }
 
-        // A v4 peer's payload ends at the scoring counters: dropping the
-        // v5 tail (two appended u64s) must still decode, with the
-        // tracing counters zeroed but the scoring counters intact.
-        let v4_length = &bytes[..bytes.len() - 16];
-        match decode_response(v4_length).expect("v4-length payload decodes") {
-            Response::Metrics(decoded) => {
-                assert_eq!(decoded.traces_recorded, 0);
-                assert_eq!(decoded.slow_requests, 0);
-                assert_eq!(decoded.candidates_scored, metrics.candidates_scored);
-                assert_eq!(decoded.score_cache_shard_hits, metrics.score_cache_shard_hits);
-                assert_eq!(decoded.uptime, metrics.uptime);
+    /// Truncation fuzz over every message: each payload decodes whole,
+    /// while every proper prefix — and the payload plus one trailing
+    /// byte — fails cleanly with a codec error, never a panic. No payload
+    /// has optional tail fields, so no prefix is a valid message.
+    #[test]
+    fn every_message_rejects_every_truncation() {
+        fn check<T>(bytes: &[u8], decode: fn(&[u8]) -> Result<T, CodecError>) {
+            assert!(decode(bytes).is_ok(), "tag {}: whole payload decodes", bytes[0]);
+            for cut in 0..bytes.len() {
+                assert!(decode(&bytes[..cut]).is_err(), "tag {}: cut {cut} decoded", bytes[0]);
             }
-            other => panic!("wrong variant: {other:?}"),
+            let mut padded = bytes.to_vec();
+            padded.push(0);
+            assert!(decode(&padded).is_err(), "tag {}: trailing byte accepted", bytes[0]);
         }
-
-        // A v1–v3 peer's payload ends at `uptime`: dropping both tails
-        // (five appended u64s) must still decode, with the scoring AND
-        // tracing counters zeroed — the backward-compatibility contract.
-        let truncated = &bytes[..bytes.len() - 40];
-        match decode_response(truncated).expect("v3-length payload decodes") {
-            Response::Metrics(decoded) => {
-                assert_eq!(decoded.candidates_scored, 0);
-                assert_eq!(decoded.score_shards_spawned, 0);
-                assert_eq!(decoded.score_cache_shard_hits, 0);
-                assert_eq!(decoded.traces_recorded, 0);
-                assert_eq!(decoded.slow_requests, 0);
-                assert_eq!(decoded.jobs_submitted, metrics.jobs_submitted);
-                assert_eq!(decoded.uptime, metrics.uptime);
-            }
-            other => panic!("wrong variant: {other:?}"),
+        for request in every_request() {
+            check(&encode_request(&request), decode_request);
         }
-
-        // Truncation fuzz: cutting the payload at ANY length must either
-        // decode (at a version boundary) or fail cleanly with a codec
-        // error — never panic and never hand back garbage trailing
-        // state. The only valid cut points are the v3, v4 and v5 ends.
-        let valid = [bytes.len(), bytes.len() - 16, bytes.len() - 40];
-        for cut in 0..bytes.len() {
-            let result = decode_response(&bytes[..cut]);
-            if valid.contains(&cut) {
-                assert!(result.is_ok(), "cut {cut} should decode");
-            } else {
-                assert!(result.is_err(), "cut {cut} should be rejected");
-            }
+        for response in every_response() {
+            check(&encode_response(&response), decode_response);
         }
     }
 }

@@ -7,7 +7,7 @@
 use ssync_arch::{Device, QccdTopology};
 use ssync_baselines::CompilerKind;
 use ssync_circuit::generators::qft;
-use ssync_core::{CompileOutcome, CompilerConfig};
+use ssync_core::{CompileOutcome, CompilerConfig, SwapScheduleKind};
 use ssync_service::client::ServiceClient;
 use ssync_service::wire::{RemoteQasmRequest, RemoteRequest};
 use ssync_service::{Priority, TenantId};
@@ -101,13 +101,29 @@ fn all_compiler_kinds_agree_over_stdio() {
         assert_bit_identical(&direct, &remote, &format!("{kind:?}"));
     }
 
+    // The perm-route swap schedule crosses the wire like every other
+    // config field: on QFT-24 / G-3x3 the bubble-sort oracle emits a
+    // different op stream than the production schedule, and the daemon
+    // must compile the one the request asked for.
+    let circuit = qft(24);
+    let bubble = config.with_perm_schedule(SwapScheduleKind::BubbleSort);
+    let device = Device::build(QccdTopology::named("G-3x3").unwrap(), config.weights);
+    let production = CompilerKind::PermRoute.compile_on(&device, &circuit, &config).unwrap();
+    let direct = CompilerKind::PermRoute.compile_on(&device, &circuit, &bubble).unwrap();
+    assert_ne!(production.program().ops(), direct.program().ops(), "schedules must differ here");
+    let job = client
+        .submit(&RemoteRequest::new("G-3x3", circuit, CompilerKind::PermRoute, bubble))
+        .expect("submit");
+    let remote = client.wait(job).expect("wait").expect("compiles");
+    assert_bit_identical(&direct, &remote, "PermRoute with the bubble-sort schedule");
+
     client.shutdown().expect("shutdown");
     assert!(child.wait().expect("daemon exits").success());
 }
 
-/// The ISSUE-5 acceptance path: raw QASM source submitted over the wire
-/// (v2 `SubmitQasm`) compiles in the daemon bit-identically to parsing
-/// the same source locally and calling `compile_on`; a corpus file from
+/// Raw QASM source submitted over the wire (`SubmitQasm`) compiles in the
+/// daemon bit-identically to parsing the same source locally and calling
+/// `compile_on`; a corpus file from
 /// `workloads/` rides along; parse failures surface as rejections with
 /// the diagnostic; and an expired deadline crosses the wire as
 /// `DeadlineExceeded`.

@@ -91,7 +91,7 @@ fn daemon_reports_latency_histograms_on_both_surfaces() {
             let request =
                 RemoteRequest::new("G-2x2", circuit, kind, config).with_priority(priority);
             let (job, trace_id) = client.submit_traced(&request).expect("submit");
-            assert!(trace_id > 0, "a v5 daemon always assigns a trace id");
+            assert!(trace_id > 0, "the daemon always assigns a trace id");
             trace_ids.push(trace_id);
             jobs.push(job);
         }
@@ -117,7 +117,7 @@ fn daemon_reports_latency_histograms_on_both_surfaces() {
             .is_some_and(|count| count > 0),
         "the QASM parse stage is recorded"
     );
-    // The plain wire metrics carry the v5 counters too.
+    // The plain wire metrics carry the tracing counters too.
     let metrics = client.metrics().expect("metrics");
     assert_eq!(metrics.traces_recorded, trace_ids.len() as u64);
     assert_eq!(metrics.slow_requests, trace_ids.len() as u64, "threshold 0 flags everything");

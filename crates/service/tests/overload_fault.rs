@@ -10,7 +10,7 @@ use ssync_baselines::CompilerKind;
 use ssync_circuit::generators::qft;
 use ssync_core::{CompileOutcome, CompilerConfig};
 use ssync_service::client::{BackoffPolicy, ClientError, ServiceClient};
-use ssync_service::wire::{RemoteRequest, WIRE_MAGIC, WIRE_VERSION};
+use ssync_service::wire::{encode_request, RemoteRequest, Request, WIRE_MAGIC, WIRE_VERSION};
 use ssync_service::{front, CompileService, FrontConfig, Priority, TenantId};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -94,6 +94,17 @@ fn hostile_peers_are_cut_off_and_counted() {
     stream.write_all(&header(0xDEAD_BEEF, WIRE_VERSION, 4)).expect("write");
     read_until_server_closes(&mut stream, patience);
 
+    // A well-formed `Hello` with the right token, stamped with the
+    // previous protocol version: there is one version, so the server
+    // closes without a `Welcome`.
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let hello = encode_request(&Request::Hello { token: "sesame".into() });
+    let mut frame = header(WIRE_MAGIC, WIRE_VERSION - 1, hello.len() as u32).to_vec();
+    frame.extend_from_slice(&hello);
+    stream.write_all(&frame).expect("write");
+    let answer = read_until_server_closes(&mut stream, patience);
+    assert!(answer.is_empty(), "an old-version peer must get no answer, got {answer:?}");
+
     // Forged huge length: u32::MAX (4 GiB) must be rejected before any
     // payload buffer exists — the guard runs on the decoded header, so
     // the connection dies immediately even though we sent no payload.
@@ -119,7 +130,7 @@ fn hostile_peers_are_cut_off_and_counted() {
     // and the connection closed. (`connect_tcp` always greets, so this
     // peer speaks raw frames.)
     let mut stream = TcpStream::connect(addr).expect("connect");
-    let metrics_req = ssync_service::wire::encode_request(&ssync_service::wire::Request::Metrics);
+    let metrics_req = encode_request(&Request::Metrics);
     let mut frame = header(WIRE_MAGIC, WIRE_VERSION, metrics_req.len() as u32).to_vec();
     frame.extend_from_slice(&metrics_req);
     stream.write_all(&frame).expect("write");

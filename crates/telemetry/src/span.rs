@@ -10,7 +10,7 @@
 //!
 //! Trace ids are assigned by whoever creates the span (the compile service
 //! hands out a process-local monotonic counter) and are never zero, so a
-//! zero trace id on the wire unambiguously means "peer predates tracing".
+//! zero id can mean "no trace" — an empty histogram exemplar slot.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -85,7 +85,7 @@ fn main() {
     println!("  success rate {:.4}", remote.report().success_rate);
     println!("  bit-identical to direct compile_on: yes");
 
-    // The wire-v2 QASM path: ship raw OpenQASM 2.0 source text and let
+    // The QASM path: ship raw OpenQASM 2.0 source text and let
     // the daemon parse + lower + compile it. Proven bit-identical to
     // parsing locally and compiling in-process.
     let source = ssync_qasm::export(&circuit);

@@ -149,13 +149,10 @@ fn cache_serves_identical_resubmissions_and_respects_config_changes() {
     assert_eq!(metrics.cache.hits, 1);
     assert_eq!(metrics.jobs_executed(), 1);
 
-    // An output-affecting config change must miss and recompile …
+    // A config change must miss and recompile.
     let changed = submit(&config.with_decay(0.01));
     assert!(!Arc::ptr_eq(&first, &changed));
     assert_eq!(service.metrics().jobs_executed(), 2);
-    // … while a parallelism-only change shares the cache entry.
-    let same_output = submit(&config.with_batch_workers(5));
-    assert!(Arc::ptr_eq(&first, &same_output), "batch_workers never changes output");
 }
 
 /// The priority/fairness golden test: tagging the full (device × circuit
