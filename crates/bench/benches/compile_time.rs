@@ -1,7 +1,7 @@
 //! Criterion benchmark behind Fig. 15: compilation time of S-SYNC and the
 //! two baselines as the application grows.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ssync_arch::QccdTopology;
 use ssync_bench::{run_compiler, scaled_app, AppKind, CompilerKind};
 use ssync_core::CompilerConfig;
@@ -471,6 +471,38 @@ fn bench_flight_recorder(c: &mut Criterion) {
     group.finish();
 }
 
+/// QASM ingest: `ssync_qasm::parse` over each `workloads/` corpus file and
+/// over a Heisenberg-48×48 export (678 KB, the largest file the
+/// end-to-end benchmark sends). Each row reports the median µs per parse
+/// and the MB/s that implies.
+fn bench_qasm_parse(c: &mut Criterion) {
+    use ssync_circuit::generators::heisenberg_chain;
+
+    let mut inputs: Vec<(String, String)> =
+        std::fs::read_dir(ssync_bench::qasm_corpus::corpus_dir())
+            .expect("workloads/ checked in")
+            .filter_map(|entry| entry.ok().map(|e| e.path()))
+            .filter(|path| path.extension().is_some_and(|ext| ext == "qasm"))
+            .map(|path| {
+                let name =
+                    path.file_stem().and_then(|s| s.to_str()).unwrap_or("unnamed").to_string();
+                (name, std::fs::read_to_string(&path).expect("readable corpus file"))
+            })
+            .collect();
+    inputs.sort();
+    inputs.push(("heisenberg_48x48".into(), ssync_qasm::export(&heisenberg_chain(48, 48))));
+
+    let mut group = c.benchmark_group("qasm_parse");
+    group.sample_size(30);
+    for (name, text) in &inputs {
+        group.throughput(Throughput::Bytes(text.len() as u64));
+        group.bench_with_input(BenchmarkId::new("parse", name), text, |b, text| {
+            b.iter(|| ssync_qasm::parse(text).expect("corpus parses").circuit.len())
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_compile_time,
@@ -481,6 +513,7 @@ criterion_group!(
     bench_service_throughput,
     bench_cache_eviction,
     bench_telemetry_overhead,
-    bench_flight_recorder
+    bench_flight_recorder,
+    bench_qasm_parse
 );
 criterion_main!(benches);

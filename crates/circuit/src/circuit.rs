@@ -100,21 +100,23 @@ impl Circuit {
     /// `0..num_qubits`, or [`CircuitError::DuplicateOperand`] if a two-qubit
     /// gate names the same qubit twice.
     pub fn try_push(&mut self, gate: Gate) -> Result<(), CircuitError> {
-        for q in gate.qubits() {
-            if q.index() >= self.num_qubits {
-                return Err(CircuitError::QubitOutOfRange {
-                    qubit: q.0,
-                    num_qubits: self.num_qubits,
-                });
-            }
-        }
-        if let Some((a, b)) = gate.two_qubit_pair() {
-            if a == b {
-                return Err(CircuitError::DuplicateOperand { qubit: a.0 });
-            }
-        }
+        check_operands(self.num_qubits, &gate)?;
         self.gates.push(gate);
         Ok(())
+    }
+
+    /// Builds an unnamed circuit over `num_qubits` qubits from a gate
+    /// list, checking every gate as [`Circuit::try_push`] does.
+    ///
+    /// # Errors
+    ///
+    /// The error [`Circuit::try_push`] would return for the first invalid
+    /// gate.
+    pub fn from_gates(num_qubits: usize, gates: Vec<Gate>) -> Result<Self, CircuitError> {
+        for gate in &gates {
+            check_operands(num_qubits, gate)?;
+        }
+        Ok(Circuit { num_qubits, gates, name: String::new() })
     }
 
     /// Appends a gate.
@@ -337,6 +339,23 @@ impl Circuit {
         }
         out
     }
+}
+
+/// The [`Circuit::try_push`] operand check, without allocating.
+fn check_operands(num_qubits: usize, gate: &Gate) -> Result<(), CircuitError> {
+    let (first, second) = match gate.two_qubit_pair() {
+        Some((a, b)) => (a, Some(b)),
+        None => (gate.max_qubit(), None),
+    };
+    for q in std::iter::once(first).chain(second) {
+        if q.index() >= num_qubits {
+            return Err(CircuitError::QubitOutOfRange { qubit: q.0, num_qubits });
+        }
+    }
+    if second == Some(first) {
+        return Err(CircuitError::DuplicateOperand { qubit: first.0 });
+    }
+    Ok(())
 }
 
 impl fmt::Display for Circuit {

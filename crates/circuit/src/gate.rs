@@ -141,7 +141,17 @@ impl Gate {
 
     /// Returns the highest qubit index referenced by the gate.
     pub fn max_qubit(&self) -> Qubit {
-        self.qubits().into_iter().max().expect("gate touches at least one qubit")
+        match *self {
+            Gate::H(q) | Gate::X(q) | Gate::Rx(q, _) | Gate::Ry(q, _) | Gate::Rz(q, _) => q,
+            Gate::Cx(a, b)
+            | Gate::Cz(a, b)
+            | Gate::Ms(a, b)
+            | Gate::Swap(a, b)
+            | Gate::Cp(a, b, _)
+            | Gate::Rzz(a, b, _)
+            | Gate::Rxx(a, b, _)
+            | Gate::Ryy(a, b, _) => a.max(b),
+        }
     }
 }
 

@@ -1,4 +1,4 @@
-//! Parse and lowering errors, with precise source positions.
+//! Parse errors, with precise source positions.
 
 use std::error::Error;
 use std::fmt;
@@ -17,6 +17,18 @@ impl SourcePos {
     pub fn new(line: usize, col: usize) -> Self {
         SourcePos { line, col }
     }
+
+    /// The position of byte `offset` in `source`, which must be a char
+    /// boundary. Tokens carry byte offsets; this scan runs only when a
+    /// diagnostic is built.
+    pub(crate) fn of_offset(source: &str, offset: usize) -> Self {
+        let before = &source[..offset];
+        let line_start = before.rfind('\n').map_or(0, |newline| newline + 1);
+        SourcePos {
+            line: before.bytes().filter(|&b| b == b'\n').count() + 1,
+            col: before[line_start..].chars().count() + 1,
+        }
+    }
 }
 
 impl fmt::Display for SourcePos {
@@ -25,7 +37,7 @@ impl fmt::Display for SourcePos {
     }
 }
 
-/// What went wrong while lexing, parsing or lowering a QASM program.
+/// What went wrong while parsing a QASM program.
 #[derive(Debug, Clone, PartialEq)]
 pub enum QasmErrorKind {
     /// A character the lexer cannot start a token with.
@@ -94,6 +106,16 @@ pub enum QasmErrorKind {
     RecursiveGate(String),
     /// A register was declared with size zero.
     EmptyRegister(String),
+    /// A fixed front-end limit was exceeded: expression nesting, gate
+    /// definition nesting or the total qubit count. The nesting limits
+    /// bound the parser's recursion, so hostile input cannot overflow
+    /// the stack of the thread that parses it.
+    LimitExceeded {
+        /// What was limited.
+        what: &'static str,
+        /// The limit.
+        limit: usize,
+    },
 }
 
 /// An error in a QASM program, carrying the [`SourcePos`] it was detected
@@ -110,6 +132,11 @@ impl QasmError {
     /// An error of `kind` at `pos`.
     pub fn new(kind: QasmErrorKind, pos: SourcePos) -> Self {
         QasmError { kind, pos }
+    }
+
+    /// An error of `kind` at byte `offset` of `source`.
+    pub(crate) fn at(kind: QasmErrorKind, source: &str, offset: usize) -> Self {
+        QasmError { kind, pos: SourcePos::of_offset(source, offset) }
     }
 }
 
@@ -156,6 +183,9 @@ impl fmt::Display for QasmError {
             }
             QasmErrorKind::EmptyRegister(name) => {
                 write!(f, "register '{name}' declared with size 0")
+            }
+            QasmErrorKind::LimitExceeded { what, limit } => {
+                write!(f, "{what} exceeds the limit of {limit}")
             }
         }
     }

@@ -5,9 +5,14 @@
 //! benchmarks on, and export the workspace's own circuits back out.
 //!
 //! Hermetic by construction (matching the workspace's vendored-deps
-//! policy): a hand-rolled lexer, a recursive-descent parser and a
-//! semantic lowering pass, no external crates and no file-system access —
-//! `include "qelib1.inc"` resolves to a built-in gate table.
+//! policy): one streaming pass, no external crates and no file-system
+//! access — `include "qelib1.inc"` resolves to a built-in gate table. A
+//! byte lexer hands out tokens that borrow from the source, and a
+//! recursive-descent parser lowers each top-level statement as soon as it
+//! is parsed; only `gate` bodies are kept, in a compiled form. Nothing is
+//! allocated per token. Declarations must precede use, and expression and
+//! gate-definition nesting are capped so that no input can exhaust the
+//! parsing thread's stack.
 //!
 //! * [`parse`] — source text → [`ParseOutput`] (a
 //!   [`Circuit`](ssync_circuit::Circuit) + a [`ParseReport`] counting
@@ -44,28 +49,26 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ast;
 mod error;
 mod export;
-pub mod lexer;
+mod lexer;
 mod lower;
 mod parser;
 
 pub use error::{QasmError, QasmErrorKind, SourcePos};
 pub use export::export;
-pub use lower::{lower, ParseOutput, ParseReport};
-pub use parser::parse_program;
+pub use lower::{ParseOutput, ParseReport};
 
 /// Parses OpenQASM 2.0 source text into a
-/// [`Circuit`](ssync_circuit::Circuit) plus a lowering report:
-/// tokenize → parse → lower, in one call.
+/// [`Circuit`](ssync_circuit::Circuit) plus a lowering report, in one
+/// pass over the text.
 ///
 /// # Errors
 ///
-/// Returns the first lexical, syntactic or semantic error with its
-/// 1-based line:column position.
+/// Returns the first lexical, syntactic or semantic error in source
+/// order, with its 1-based line:column position.
 pub fn parse(source: &str) -> Result<ParseOutput, QasmError> {
-    lower(&parse_program(source)?)
+    parser::parse(source)
 }
 
 /// [`parse`], then names the resulting circuit (e.g. after the source

@@ -1,27 +1,30 @@
-//! Semantic lowering: AST → [`ssync_circuit::Circuit`].
+//! Lowering into [`ssync_circuit::Circuit`] gates: the built-in gate
+//! table, compiled parameter expressions, and the stored form of user
+//! `gate` bodies with their expansion.
 //!
-//! The lowering walks the program in source order, maintaining
+//! The parser lowers each top-level statement as soon as it has parsed
+//! it, through an [`Emitter`]:
 //!
-//! * a **quantum register table** — every `qreg` is assigned a contiguous
-//!   block of the flat qubit index space, in declaration order, so a
-//!   program with `qreg a[3]; qreg b[2];` lowers to a 5-qubit circuit
-//!   with `a[0..3] ↦ q0..q2`, `b[0..2] ↦ q3..q4`;
-//! * a **classical register table** — tracked only for validation
-//!   (measure targets, `if` guards) since the IR is purely quantum;
-//! * a **user gate table** — `gate` definitions are *inlined recursively*
-//!   at every application: formals bind to concrete qubits, parameter
-//!   expressions evaluate in the caller's environment, and the body
-//!   expands gate by gate. Definitions must precede use (QASM 2.0 rules),
-//!   which also rules out recursion.
-//!
-//! The **built-in table** covers `U`/`CX` and the `qelib1.inc` standard
-//! library (`u1..u3`, Paulis, `h`, `s`/`t` and adjoints, rotations,
-//! controlled gates, `swap`, `ccx`, `cswap`, `rxx`/`rzz`), plus the
-//! trapped-ion natives `ms` and `ryy` this workspace's exporter emits.
-//! Built-in names always win over user definitions of the same name — a
-//! benchmark that inlines the standard library's own definitions (common
-//! in circuit dumps) lowers to the native gates rather than their
-//! decompositions, which keeps export→import round-trips exact.
+//! * **registers** — every `qreg` owns a contiguous block of the flat
+//!   qubit index space, in declaration order, so `qreg a[3]; qreg b[2];`
+//!   lowers to a 5-qubit circuit with `a[0..3] ↦ q0..q2`,
+//!   `b[0..2] ↦ q3..q4`;
+//! * **built-in gates** — a gate name maps to a [`Native`] in one `match`.
+//!   The table covers `U`/`CX` and the `qelib1.inc` standard library
+//!   (`u1..u3`, Paulis, `h`, `s`/`t` and adjoints, rotations, controlled
+//!   gates, `swap`, `ccx`, `cswap`, `rxx`/`rzz`), plus the trapped-ion
+//!   natives `ms` and `ryy` this workspace's exporter emits. Built-in
+//!   names always win over user definitions of the same name — a
+//!   benchmark that inlines the standard library's own definitions
+//!   (common in circuit dumps) lowers to the native gates rather than
+//!   their decompositions, which keeps export→import round-trips exact;
+//! * **user gates** — a `gate` definition is the only statement kept in
+//!   a stored form ([`GateDef`]): its formals and parameters become
+//!   indices, its parameter expressions compiled [`Op`] lists. Each
+//!   application expands the body in place. Definitions must precede use
+//!   (QASM 2.0 rules), which also rules out recursion, their nesting
+//!   depth is capped when they are defined, and the gates a program
+//!   expands to are capped ([`MAX_GATES`]) as they are emitted.
 //!
 //! Gates with no native IR equivalent lower to standard decompositions
 //! over the IR's gate set (`z → rz(π)`, `ccx` → the textbook 6-CX
@@ -34,10 +37,8 @@
 //! qubit, the fence each barrier imposes on the qubits it names is
 //! respected by construction.
 
-use crate::ast::{Argument, BinOp, BodyStatement, Expr, GateApply, GateDef, Program, Statement};
-use crate::error::{QasmError, QasmErrorKind, SourcePos};
-use ssync_circuit::{Circuit, CircuitError, Gate, Qubit};
-use std::collections::HashMap;
+use crate::error::{QasmError, QasmErrorKind};
+use ssync_circuit::{Circuit, Gate, Qubit};
 use std::f64::consts::PI;
 
 /// What the lowering stripped or merely counted, so callers can warn.
@@ -75,601 +76,529 @@ pub struct ParseOutput {
     pub report: ParseReport,
 }
 
-/// Lowers a parsed program into a circuit.
-///
-/// # Errors
-///
-/// Returns the first semantic error (unknown gate or register, arity or
-/// index violation, bad expression, ...) with its source position.
-pub fn lower(program: &Program) -> Result<ParseOutput, QasmError> {
-    let mut lowerer = Lowerer::default();
-    lowerer.declare_all(program)?;
-    lowerer.circuit = Circuit::new(lowerer.num_qubits);
-    for statement in &program.statements {
-        lowerer.statement(statement)?;
-    }
-    Ok(ParseOutput { circuit: lowerer.circuit, report: lowerer.report })
+/// A built-in gate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Native {
+    U3,
+    U2,
+    U1,
+    Id,
+    X,
+    Y,
+    Z,
+    H,
+    S,
+    Sdg,
+    T,
+    Tdg,
+    Sx,
+    Sxdg,
+    Rx,
+    Ry,
+    Rz,
+    Cx,
+    Cz,
+    Cp,
+    Swap,
+    Ms,
+    Rxx,
+    Ryy,
+    Rzz,
+    Cy,
+    Ch,
+    Crx,
+    Cry,
+    Crz,
+    Cu3,
+    Ccx,
+    Cswap,
 }
 
-/// One declared quantum register: its flat-index offset and size.
-#[derive(Debug, Clone, Copy)]
-struct QregEntry {
-    offset: usize,
-    size: usize,
-}
-
-#[derive(Default)]
-struct Lowerer {
-    circuit: Circuit,
-    num_qubits: usize,
-    qregs: HashMap<String, QregEntry>,
-    cregs: HashMap<String, usize>,
-    gates: HashMap<String, GateDef>,
-    opaques: HashMap<String, (usize, usize)>,
-    report: ParseReport,
-}
-
-impl Lowerer {
-    /// First pass: register/gate declarations, so the register width is
-    /// known before any gate lowers (QASM requires declaration before use
-    /// anyway; this pass just sizes the circuit and catches clashes).
-    fn declare_all(&mut self, program: &Program) -> Result<(), QasmError> {
-        for statement in &program.statements {
-            match statement {
-                Statement::QregDecl(decl) => {
-                    if decl.size == 0 {
-                        return Err(QasmError::new(
-                            QasmErrorKind::EmptyRegister(decl.name.clone()),
-                            decl.pos,
-                        ));
-                    }
-                    if self.qregs.contains_key(&decl.name) || self.cregs.contains_key(&decl.name) {
-                        return Err(QasmError::new(
-                            QasmErrorKind::Redefinition(decl.name.clone()),
-                            decl.pos,
-                        ));
-                    }
-                    self.qregs.insert(
-                        decl.name.clone(),
-                        QregEntry { offset: self.num_qubits, size: decl.size },
-                    );
-                    self.num_qubits += decl.size;
-                }
-                Statement::CregDecl(decl) => {
-                    if decl.size == 0 {
-                        return Err(QasmError::new(
-                            QasmErrorKind::EmptyRegister(decl.name.clone()),
-                            decl.pos,
-                        ));
-                    }
-                    if self.qregs.contains_key(&decl.name) || self.cregs.contains_key(&decl.name) {
-                        return Err(QasmError::new(
-                            QasmErrorKind::Redefinition(decl.name.clone()),
-                            decl.pos,
-                        ));
-                    }
-                    self.cregs.insert(decl.name.clone(), decl.size);
-                }
-                Statement::GateDef(def) => self.declare_gate(def)?,
-                Statement::OpaqueDef(def) => {
-                    if self.opaques.contains_key(&def.name) || self.gates.contains_key(&def.name) {
-                        return Err(QasmError::new(
-                            QasmErrorKind::Redefinition(def.name.clone()),
-                            def.pos,
-                        ));
-                    }
-                    self.opaques.insert(def.name.clone(), (def.params.len(), def.qubits.len()));
-                }
-                _ => {}
-            }
-        }
-        Ok(())
-    }
-
-    /// Validates a `gate` definition at declaration time: every body
-    /// application must reference a built-in or *previously defined* gate
-    /// with matching arity, over formal qubits (no indexing) and
-    /// parameters in scope. Self-reference is reported as recursion.
-    fn declare_gate(&mut self, def: &GateDef) -> Result<(), QasmError> {
-        if self.gates.contains_key(&def.name) || self.opaques.contains_key(&def.name) {
-            // Built-in names may be "redefined" (circuit dumps inline the
-            // standard library); the built-in table wins at application
-            // time, so the duplicate definition is simply ignored.
-            if native_signature(&def.name).is_none() {
-                return Err(QasmError::new(QasmErrorKind::Redefinition(def.name.clone()), def.pos));
-            }
-        }
-        for body in &def.body {
-            let BodyStatement::Apply(apply) = body else { continue };
-            if apply.name == def.name {
-                return Err(QasmError::new(
-                    QasmErrorKind::RecursiveGate(def.name.clone()),
-                    apply.pos,
-                ));
-            }
-            let (want_params, want_qubits) = match native_signature(&apply.name) {
-                Some(sig) => sig,
-                None => match self.gates.get(&apply.name) {
-                    Some(inner) => (inner.params.len(), inner.qubits.len()),
-                    None => {
-                        return Err(QasmError::new(
-                            QasmErrorKind::UnknownGate(apply.name.clone()),
-                            apply.pos,
-                        ))
-                    }
-                },
-            };
-            check_arity(&apply.name, want_params, apply.params.len(), "parameters", apply.pos)?;
-            check_arity(&apply.name, want_qubits, apply.args.len(), "qubit arguments", apply.pos)?;
-            for arg in &apply.args {
-                if arg.index.is_some() || !def.qubits.contains(&arg.register) {
-                    return Err(QasmError::new(
-                        QasmErrorKind::UnknownRegister(arg.register.clone()),
-                        arg.pos,
-                    ));
-                }
-            }
-            for param in &apply.params {
-                validate_params_in_scope(param, &def.params)?;
-            }
-        }
-        if native_signature(&def.name).is_none() {
-            self.gates.insert(def.name.clone(), def.clone());
-        }
-        Ok(())
-    }
-
-    fn statement(&mut self, statement: &Statement) -> Result<(), QasmError> {
-        match statement {
-            Statement::QregDecl(_)
-            | Statement::CregDecl(_)
-            | Statement::GateDef(_)
-            | Statement::OpaqueDef(_) => Ok(()), // handled by declare_all
-            Statement::Apply(apply) => self.apply_broadcast(apply),
-            Statement::Barrier { args, pos } => {
-                for arg in args {
-                    self.resolve_argument(arg)?;
-                }
-                let _ = pos;
-                self.report.barriers += 1;
-                Ok(())
-            }
-            Statement::Measure { source, .. } => {
-                self.resolve_argument(source)?;
-                self.report.measurements_stripped += 1;
-                Ok(())
-            }
-            Statement::Reset { target, .. } => {
-                self.resolve_argument(target)?;
-                self.report.resets_stripped += 1;
-                Ok(())
-            }
-            Statement::Conditional { guard, body, pos } => {
-                // Strip, but validate everything the unconditional form
-                // would: the guard creg must exist, and the guarded qop's
-                // registers/gate/arity/parameters must all check out — a
-                // typo inside `if (...)` is still a typo.
-                if !self.cregs.contains_key(guard) {
-                    return Err(QasmError::new(
-                        QasmErrorKind::UnknownRegister(guard.clone()),
-                        *pos,
-                    ));
-                }
-                match &**body {
-                    Statement::Apply(apply) => self.validate_apply(apply)?,
-                    Statement::Measure { source, .. } => {
-                        self.resolve_argument(source)?;
-                    }
-                    Statement::Reset { target, .. } => {
-                        self.resolve_argument(target)?;
-                    }
-                    other => unreachable!("parser only guards qops, got {other:?}"),
-                }
-                self.report.conditionals_stripped += 1;
-                Ok(())
-            }
-        }
-    }
-
-    /// Validates a gate application — registers resolve, the gate exists
-    /// (built-in or user-defined) with matching arities, parameters
-    /// evaluate — without emitting anything. Used for `if`-guarded
-    /// applications, which are stripped but must still be well-formed.
-    fn validate_apply(&self, apply: &GateApply) -> Result<(), QasmError> {
-        for arg in &apply.args {
-            self.resolve_argument(arg)?;
-        }
-        let params: Vec<f64> =
-            apply.params.iter().map(|p| eval_expr(p, None)).collect::<Result<_, _>>()?;
-        let (want_params, want_qubits) = match native_signature(&apply.name) {
-            Some(sig) => sig,
-            None => match self.gates.get(&apply.name) {
-                Some(def) => (def.params.len(), def.qubits.len()),
-                None => {
-                    return Err(QasmError::new(
-                        QasmErrorKind::UnknownGate(apply.name.clone()),
-                        apply.pos,
-                    ))
-                }
-            },
-        };
-        check_arity(&apply.name, want_params, params.len(), "parameters", apply.pos)?;
-        check_arity(&apply.name, want_qubits, apply.args.len(), "qubit arguments", apply.pos)
-    }
-
-    /// Resolves one top-level argument to the flat qubit indices it
-    /// denotes: one index for `reg[i]`, all of them for a bare `reg`.
-    fn resolve_argument(&self, arg: &Argument) -> Result<(usize, usize), QasmError> {
-        let entry = self.qregs.get(&arg.register).ok_or_else(|| {
-            QasmError::new(QasmErrorKind::UnknownRegister(arg.register.clone()), arg.pos)
-        })?;
-        match arg.index {
-            Some(index) => {
-                if index >= entry.size {
-                    return Err(QasmError::new(
-                        QasmErrorKind::IndexOutOfRange {
-                            register: arg.register.clone(),
-                            index,
-                            size: entry.size,
-                        },
-                        arg.pos,
-                    ));
-                }
-                Ok((entry.offset + index, 1))
-            }
-            None => Ok((entry.offset, entry.size)),
-        }
-    }
-
-    /// Applies one top-level gate statement, expanding QASM's register
-    /// broadcasting: whole-register arguments iterate element-wise (all
-    /// must have equal length), indexed arguments stay fixed.
-    fn apply_broadcast(&mut self, apply: &GateApply) -> Result<(), QasmError> {
-        let mut resolved = Vec::with_capacity(apply.args.len());
-        let mut broadcast: Option<usize> = None;
-        for arg in &apply.args {
-            let (base, len) = self.resolve_argument(arg)?;
-            let is_register = arg.index.is_none();
-            if is_register {
-                match broadcast {
-                    None => broadcast = Some(len),
-                    Some(existing) if existing == len => {}
-                    Some(_) => {
-                        return Err(QasmError::new(
-                            QasmErrorKind::BroadcastMismatch { gate: apply.name.clone() },
-                            arg.pos,
-                        ));
-                    }
-                }
-            }
-            resolved.push((base, is_register));
-        }
-        let params: Vec<f64> =
-            apply.params.iter().map(|p| eval_expr(p, None)).collect::<Result<_, _>>()?;
-        let repeats = broadcast.unwrap_or(1);
-        for i in 0..repeats {
-            let qubits: Vec<usize> = resolved
-                .iter()
-                .map(|&(base, is_register)| if is_register { base + i } else { base })
-                .collect();
-            self.apply_gate(&apply.name, &params, &qubits, apply.pos)?;
-        }
-        Ok(())
-    }
-
-    /// Applies a gate by name to concrete flat qubit indices: built-in
-    /// first, then user-defined (inlined recursively), else unknown.
-    fn apply_gate(
-        &mut self,
-        name: &str,
-        params: &[f64],
-        qubits: &[usize],
-        pos: SourcePos,
-    ) -> Result<(), QasmError> {
-        // A multi-qubit application must name distinct qubits — checked
-        // here uniformly, so user-defined gates are covered too (their
-        // bodies may never emit a multi-qubit native that would trip the
-        // circuit-level check).
-        if qubits.len() >= 2 {
-            let mut seen = qubits.to_vec();
-            seen.sort_unstable();
-            if seen.windows(2).any(|w| w[0] == w[1]) {
-                return Err(QasmError::new(QasmErrorKind::DuplicateQubit(name.to_string()), pos));
-            }
-        }
-        if let Some((want_params, want_qubits)) = native_signature(name) {
-            check_arity(name, want_params, params.len(), "parameters", pos)?;
-            check_arity(name, want_qubits, qubits.len(), "qubit arguments", pos)?;
-            return self.emit_native(name, params, qubits, pos);
-        }
-        let def = match self.gates.get(name) {
-            Some(def) => def.clone(),
-            None => return Err(QasmError::new(QasmErrorKind::UnknownGate(name.to_string()), pos)),
-        };
-        check_arity(name, def.params.len(), params.len(), "parameters", pos)?;
-        check_arity(name, def.qubits.len(), qubits.len(), "qubit arguments", pos)?;
-        self.report.gates_inlined += 1;
-        let param_env: HashMap<String, f64> =
-            def.params.iter().cloned().zip(params.iter().copied()).collect();
-        let qubit_env: HashMap<&str, usize> =
-            def.qubits.iter().map(String::as_str).zip(qubits.iter().copied()).collect();
-        for body in &def.body {
-            let BodyStatement::Apply(inner) = body else { continue };
-            let inner_params: Vec<f64> = inner
-                .params
-                .iter()
-                .map(|p| eval_expr(p, Some(&param_env)))
-                .collect::<Result<_, _>>()?;
-            let inner_qubits: Vec<usize> = inner
-                .args
-                .iter()
-                .map(|arg| {
-                    qubit_env.get(arg.register.as_str()).copied().ok_or_else(|| {
-                        QasmError::new(
-                            QasmErrorKind::UnknownRegister(arg.register.clone()),
-                            arg.pos,
-                        )
-                    })
-                })
-                .collect::<Result<_, _>>()?;
-            self.apply_gate(&inner.name, &inner_params, &inner_qubits, inner.pos)?;
-        }
-        Ok(())
-    }
-
-    fn push(&mut self, gate: Gate, pos: SourcePos) -> Result<(), QasmError> {
-        self.circuit.try_push(gate).map_err(|e| match e {
-            CircuitError::DuplicateOperand { .. } => {
-                QasmError::new(QasmErrorKind::DuplicateQubit("<builtin>".into()), pos)
-            }
-            CircuitError::QubitOutOfRange { qubit, num_qubits } => QasmError::new(
-                QasmErrorKind::IndexOutOfRange {
-                    register: "<flat>".into(),
-                    index: qubit as usize,
-                    size: num_qubits,
-                },
-                pos,
-            ),
-            CircuitError::InvalidSize { .. } => {
-                QasmError::new(QasmErrorKind::BadExpression("invalid circuit size"), pos)
-            }
+impl Native {
+    /// The built-in gate called `name`, if any.
+    pub(crate) fn from_name(name: &str) -> Option<Native> {
+        Some(match name {
+            "U" | "u3" => Native::U3,
+            "u2" => Native::U2,
+            "u1" | "p" => Native::U1,
+            "id" => Native::Id,
+            "x" => Native::X,
+            "y" => Native::Y,
+            "z" => Native::Z,
+            "h" => Native::H,
+            "s" => Native::S,
+            "sdg" => Native::Sdg,
+            "t" => Native::T,
+            "tdg" => Native::Tdg,
+            "sx" => Native::Sx,
+            "sxdg" => Native::Sxdg,
+            "rx" => Native::Rx,
+            "ry" => Native::Ry,
+            "rz" => Native::Rz,
+            "CX" | "cx" => Native::Cx,
+            "cz" => Native::Cz,
+            "cp" | "cu1" => Native::Cp,
+            "swap" => Native::Swap,
+            "ms" => Native::Ms,
+            "rxx" => Native::Rxx,
+            "ryy" => Native::Ryy,
+            "rzz" => Native::Rzz,
+            "cy" => Native::Cy,
+            "ch" => Native::Ch,
+            "crx" => Native::Crx,
+            "cry" => Native::Cry,
+            "crz" => Native::Crz,
+            "cu3" => Native::Cu3,
+            "ccx" => Native::Ccx,
+            "cswap" => Native::Cswap,
+            _ => return None,
         })
     }
 
-    /// `U(θ,φ,λ) = Rz(φ)·Ry(θ)·Rz(λ)` up to global phase: lowered as the
-    /// gate sequence Rz(λ), Ry(θ), Rz(φ) with exact-zero angles skipped.
-    fn lower_u(
-        &mut self,
-        theta: f64,
-        phi: f64,
-        lambda: f64,
-        q: Qubit,
-        pos: SourcePos,
-    ) -> Result<(), QasmError> {
-        if lambda != 0.0 {
-            self.push(Gate::Rz(q, lambda), pos)?;
+    /// `(parameter count, qubit count)`.
+    pub(crate) fn signature(self) -> (usize, usize) {
+        use Native::*;
+        match self {
+            U3 => (3, 1),
+            U2 => (2, 1),
+            U1 | Rx | Ry | Rz => (1, 1),
+            Id | X | Y | Z | H | S | Sdg | T | Tdg | Sx | Sxdg => (0, 1),
+            Cx | Cz | Cy | Ch | Swap | Ms => (0, 2),
+            Cp | Crx | Cry | Crz | Rxx | Ryy | Rzz => (1, 2),
+            Cu3 => (3, 2),
+            Ccx | Cswap => (0, 3),
         }
-        if theta != 0.0 {
-            self.push(Gate::Ry(q, theta), pos)?;
+    }
+
+    /// Appends the gate's IR lowering to `out`. Arities are checked and
+    /// the operands are distinct and in range, so this cannot fail.
+    fn emit(self, p: &[f64], q: &[usize], out: &mut Vec<Gate>) {
+        let qb = |i: usize| Qubit(q[i] as u32);
+        match self {
+            Native::U3 => push_u(out, p[0], p[1], p[2], qb(0)),
+            Native::U2 => push_u(out, PI / 2.0, p[0], p[1], qb(0)),
+            Native::U1 => out.push(Gate::Rz(qb(0), p[0])),
+            Native::Id => {}
+            Native::X => out.push(Gate::X(qb(0))),
+            Native::Y => out.push(Gate::Ry(qb(0), PI)),
+            Native::Z => out.push(Gate::Rz(qb(0), PI)),
+            Native::H => out.push(Gate::H(qb(0))),
+            Native::S => out.push(Gate::Rz(qb(0), PI / 2.0)),
+            Native::Sdg => out.push(Gate::Rz(qb(0), -PI / 2.0)),
+            Native::T => out.push(Gate::Rz(qb(0), PI / 4.0)),
+            Native::Tdg => out.push(Gate::Rz(qb(0), -PI / 4.0)),
+            Native::Sx => out.push(Gate::Rx(qb(0), PI / 2.0)),
+            Native::Sxdg => out.push(Gate::Rx(qb(0), -PI / 2.0)),
+            Native::Rx => out.push(Gate::Rx(qb(0), p[0])),
+            Native::Ry => out.push(Gate::Ry(qb(0), p[0])),
+            Native::Rz => out.push(Gate::Rz(qb(0), p[0])),
+            Native::Cx => out.push(Gate::Cx(qb(0), qb(1))),
+            Native::Cz => out.push(Gate::Cz(qb(0), qb(1))),
+            Native::Cp => out.push(Gate::Cp(qb(0), qb(1), p[0])),
+            Native::Swap => out.push(Gate::Swap(qb(0), qb(1))),
+            Native::Ms => out.push(Gate::Ms(qb(0), qb(1))),
+            Native::Rxx => out.push(Gate::Rxx(qb(0), qb(1), p[0])),
+            Native::Ryy => out.push(Gate::Ryy(qb(0), qb(1), p[0])),
+            Native::Rzz => out.push(Gate::Rzz(qb(0), qb(1), p[0])),
+            Native::Cy => {
+                let (a, b) = (qb(0), qb(1));
+                out.extend([Gate::Rz(b, -PI / 2.0), Gate::Cx(a, b), Gate::Rz(b, PI / 2.0)]);
+            }
+            Native::Ch => {
+                // qelib1's decomposition, with s/t lowered to rz.
+                let (a, b) = (qb(0), qb(1));
+                out.extend([
+                    Gate::H(b),
+                    Gate::Rz(b, -PI / 2.0),
+                    Gate::Cx(a, b),
+                    Gate::H(b),
+                    Gate::Rz(b, PI / 4.0),
+                    Gate::Cx(a, b),
+                    Gate::Rz(b, PI / 4.0),
+                    Gate::H(b),
+                    Gate::Rz(b, PI / 2.0),
+                    Gate::X(b),
+                    Gate::Rz(a, PI / 2.0),
+                ]);
+            }
+            Native::Crx => {
+                let (a, b) = (qb(0), qb(1));
+                out.extend([Gate::Rz(b, PI / 2.0), Gate::Cx(a, b)]);
+                push_u(out, -p[0] / 2.0, 0.0, 0.0, b);
+                out.push(Gate::Cx(a, b));
+                push_u(out, p[0] / 2.0, -PI / 2.0, 0.0, b);
+            }
+            Native::Cry => {
+                let (a, b) = (qb(0), qb(1));
+                out.extend([
+                    Gate::Ry(b, p[0] / 2.0),
+                    Gate::Cx(a, b),
+                    Gate::Ry(b, -p[0] / 2.0),
+                    Gate::Cx(a, b),
+                ]);
+            }
+            Native::Crz => {
+                let (a, b) = (qb(0), qb(1));
+                out.extend([
+                    Gate::Rz(b, p[0] / 2.0),
+                    Gate::Cx(a, b),
+                    Gate::Rz(b, -p[0] / 2.0),
+                    Gate::Cx(a, b),
+                ]);
+            }
+            Native::Cu3 => {
+                let (c, t) = (qb(0), qb(1));
+                let (theta, phi, lambda) = (p[0], p[1], p[2]);
+                out.extend([
+                    Gate::Rz(c, (lambda + phi) / 2.0),
+                    Gate::Rz(t, (lambda - phi) / 2.0),
+                    Gate::Cx(c, t),
+                ]);
+                push_u(out, -theta / 2.0, 0.0, -(phi + lambda) / 2.0, t);
+                out.push(Gate::Cx(c, t));
+                push_u(out, theta / 2.0, phi, 0.0, t);
+            }
+            Native::Ccx => {
+                // The textbook 6-CX Toffoli network, t/tdg as rz(±π/4).
+                let (a, b, c) = (qb(0), qb(1), qb(2));
+                out.extend([
+                    Gate::H(c),
+                    Gate::Cx(b, c),
+                    Gate::Rz(c, -PI / 4.0),
+                    Gate::Cx(a, c),
+                    Gate::Rz(c, PI / 4.0),
+                    Gate::Cx(b, c),
+                    Gate::Rz(c, -PI / 4.0),
+                    Gate::Cx(a, c),
+                    Gate::Rz(b, PI / 4.0),
+                    Gate::Rz(c, PI / 4.0),
+                    Gate::H(c),
+                    Gate::Cx(a, b),
+                    Gate::Rz(a, PI / 4.0),
+                    Gate::Rz(b, -PI / 4.0),
+                    Gate::Cx(a, b),
+                ]);
+            }
+            Native::Cswap => {
+                let (b, c) = (qb(1), qb(2));
+                out.push(Gate::Cx(c, b));
+                Native::Ccx.emit(&[], q, out);
+                out.push(Gate::Cx(c, b));
+            }
         }
-        if phi != 0.0 {
-            self.push(Gate::Rz(q, phi), pos)?;
+    }
+}
+
+/// `U(θ,φ,λ) = Rz(φ)·Ry(θ)·Rz(λ)` up to global phase: lowered as the
+/// gate sequence Rz(λ), Ry(θ), Rz(φ) with exact-zero angles skipped.
+fn push_u(out: &mut Vec<Gate>, theta: f64, phi: f64, lambda: f64, q: Qubit) {
+    if lambda != 0.0 {
+        out.push(Gate::Rz(q, lambda));
+    }
+    if theta != 0.0 {
+        out.push(Gate::Ry(q, theta));
+    }
+    if phi != 0.0 {
+        out.push(Gate::Rz(q, phi));
+    }
+}
+
+/// The unary math functions OpenQASM 2.0 allows in expressions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum MathFn {
+    Sin,
+    Cos,
+    Tan,
+    Exp,
+    Ln,
+    Sqrt,
+}
+
+impl MathFn {
+    /// Looks a function up by its QASM name.
+    pub(crate) fn from_name(name: &str) -> Option<MathFn> {
+        Some(match name {
+            "sin" => MathFn::Sin,
+            "cos" => MathFn::Cos,
+            "tan" => MathFn::Tan,
+            "exp" => MathFn::Exp,
+            "ln" => MathFn::Ln,
+            "sqrt" => MathFn::Sqrt,
+            _ => return None,
+        })
+    }
+
+    fn apply(self, x: f64) -> f64 {
+        match self {
+            MathFn::Sin => x.sin(),
+            MathFn::Cos => x.cos(),
+            MathFn::Tan => x.tan(),
+            MathFn::Exp => x.exp(),
+            MathFn::Ln => x.ln(),
+            MathFn::Sqrt => x.sqrt(),
+        }
+    }
+}
+
+/// One instruction of a compiled parameter expression, in postfix order:
+/// evaluating a list pushes one value per expression it holds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Op {
+    /// A literal (or `pi`).
+    Num(f64),
+    /// The enclosing gate definition's parameter at this index.
+    Param(usize),
+    Neg,
+    Call(MathFn),
+    Add,
+    Sub,
+    Mul,
+    /// Division; the byte offset of the `/` for a division-by-zero error.
+    Div(usize),
+    /// `^`.
+    Pow,
+}
+
+/// What an application names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Callee {
+    Native(Native),
+    /// An index into the user gate definitions.
+    User(usize),
+}
+
+/// A user `gate` definition in stored form.
+pub(crate) struct GateDef<'a> {
+    /// Parameter count.
+    pub(crate) params: usize,
+    /// Formal qubit count.
+    pub(crate) qubits: usize,
+    /// One more than the deepest user gate the body applies (1 for a body
+    /// of built-ins only): the recursion depth of an expansion.
+    pub(crate) depth: usize,
+    /// The body's gate applications, in order (barriers are dropped: an
+    /// inlined body keeps program order anyway).
+    pub(crate) body: Vec<BodyOp<'a>>,
+}
+
+/// One gate application inside a gate body.
+pub(crate) struct BodyOp<'a> {
+    /// The applied gate's name, for diagnostics.
+    pub(crate) name: &'a str,
+    pub(crate) callee: Callee,
+    /// The parameter expressions, compiled back to back; they refer to the
+    /// definition's parameters by index.
+    pub(crate) code: Vec<Op>,
+    /// The arguments as indices into the definition's formals.
+    pub(crate) args: Vec<usize>,
+    /// The arguments name one formal twice.
+    pub(crate) repeats_a_qubit: bool,
+    /// Byte offset of the gate name.
+    pub(crate) at: usize,
+}
+
+/// `true` when `values` holds a duplicate; `scratch` is reused storage.
+pub(crate) fn repeats(values: &[usize], scratch: &mut Vec<usize>) -> bool {
+    match values {
+        [] | [_] => false,
+        [a, b] => a == b,
+        _ => {
+            scratch.clear();
+            scratch.extend_from_slice(values);
+            scratch.sort_unstable();
+            scratch.windows(2).any(|w| w[0] == w[1])
+        }
+    }
+}
+
+/// How many gates a program may lower to. An application that lowers to
+/// no gate (`id`, a gate with an empty body) counts as one, and so does
+/// every user gate application, so the cap bounds the work of expanding
+/// as well as the size of the circuit: a few lines of definitions that
+/// each apply the previous one twice, or one broadcast over a huge
+/// register, fail with a typed error instead of exhausting memory.
+pub(crate) const MAX_GATES: usize = 1 << 22;
+
+/// The output side of the single pass: the gates emitted so far, and two
+/// stacks that expansion pushes onto and pops, so that lowering a
+/// statement allocates nothing once they have grown. The stack layout is
+/// private: [`Emitter::evaluate`] binds a statement's parameters and
+/// [`Emitter::apply`] expands one application of it.
+pub(crate) struct Emitter<'a> {
+    source: &'a str,
+    gates: Vec<Gate>,
+    /// Parameter values: the statement's own, then those of each body
+    /// application being expanded, innermost last.
+    params: Vec<f64>,
+    /// Flat qubit indices, stacked like `params`.
+    qubits: Vec<usize>,
+    scratch: Vec<usize>,
+    /// Gates counted against [`MAX_GATES`] so far.
+    counted: usize,
+    /// User gate applications expanded by inlining.
+    inlined: usize,
+}
+
+impl<'a> Emitter<'a> {
+    pub(crate) fn new(source: &'a str) -> Self {
+        Emitter {
+            source,
+            gates: Vec::new(),
+            params: Vec::new(),
+            qubits: Vec::new(),
+            scratch: Vec::new(),
+            counted: 0,
+            inlined: 0,
+        }
+    }
+
+    /// The gates emitted and the number of user gate applications inlined.
+    pub(crate) fn finish(self) -> (Vec<Gate>, usize) {
+        (self.gates, self.inlined)
+    }
+
+    /// Evaluates the parameter expressions of a top-level statement, which
+    /// refer to no gate parameters; [`Emitter::apply`] uses the values
+    /// until the next call.
+    ///
+    /// # Errors
+    ///
+    /// A division by zero.
+    pub(crate) fn evaluate(&mut self, code: &[Op]) -> Result<(), QasmError> {
+        self.params.clear();
+        self.eval(code, 0)
+    }
+
+    /// Evaluates `code` onto the parameter stack; `Param(i)` reads
+    /// `params[frame + i]`.
+    fn eval(&mut self, code: &[Op], frame: usize) -> Result<(), QasmError> {
+        for op in code {
+            let value = match *op {
+                Op::Num(v) => v,
+                Op::Param(i) => self.params[frame + i],
+                Op::Neg => -self.pop(),
+                Op::Call(func) => func.apply(self.pop()),
+                Op::Add => self.pop_pair(|a, b| a + b),
+                Op::Sub => self.pop_pair(|a, b| a - b),
+                Op::Mul => self.pop_pair(|a, b| a * b),
+                Op::Pow => self.pop_pair(f64::powf),
+                Op::Div(at) => {
+                    let b = self.pop();
+                    if b == 0.0 {
+                        return Err(QasmError::at(
+                            QasmErrorKind::BadExpression("division by zero"),
+                            self.source,
+                            at,
+                        ));
+                    }
+                    self.pop() / b
+                }
+            };
+            self.params.push(value);
         }
         Ok(())
     }
 
-    /// Emits a built-in gate (arity already checked). Gates with no IR
-    /// equivalent expand to their standard decompositions.
-    fn emit_native(
+    fn pop(&mut self) -> f64 {
+        self.params.pop().expect("compiled expressions are balanced")
+    }
+
+    fn pop_pair(&mut self, op: impl Fn(f64, f64) -> f64) -> f64 {
+        let b = self.pop();
+        op(self.pop(), b)
+    }
+
+    /// Applies `callee`, named `name` at byte `at`, to `qubits` with the
+    /// parameters of the last [`Emitter::evaluate`].
+    ///
+    /// # Errors
+    ///
+    /// The qubits repeat, the program passes [`MAX_GATES`], or an
+    /// expansion fails (a repeated formal, a division by zero).
+    pub(crate) fn apply(
         &mut self,
+        defs: &[GateDef<'a>],
         name: &str,
-        p: &[f64],
-        q: &[usize],
-        pos: SourcePos,
+        callee: Callee,
+        qubits: impl IntoIterator<Item = usize>,
+        at: usize,
     ) -> Result<(), QasmError> {
-        let qb = |i: usize| Qubit(q[i] as u32);
-        // Distinct operands were already enforced in `apply_gate`, so a
-        // duplicate can never surface from inside a decomposition.
-        match name {
-            "U" | "u3" => self.lower_u(p[0], p[1], p[2], qb(0), pos),
-            "u2" => self.lower_u(PI / 2.0, p[0], p[1], qb(0), pos),
-            "u1" | "p" => self.push(Gate::Rz(qb(0), p[0]), pos),
-            "id" => Ok(()),
-            "x" => self.push(Gate::X(qb(0)), pos),
-            "y" => self.push(Gate::Ry(qb(0), PI), pos),
-            "z" => self.push(Gate::Rz(qb(0), PI), pos),
-            "h" => self.push(Gate::H(qb(0)), pos),
-            "s" => self.push(Gate::Rz(qb(0), PI / 2.0), pos),
-            "sdg" => self.push(Gate::Rz(qb(0), -PI / 2.0), pos),
-            "t" => self.push(Gate::Rz(qb(0), PI / 4.0), pos),
-            "tdg" => self.push(Gate::Rz(qb(0), -PI / 4.0), pos),
-            "sx" => self.push(Gate::Rx(qb(0), PI / 2.0), pos),
-            "sxdg" => self.push(Gate::Rx(qb(0), -PI / 2.0), pos),
-            "rx" => self.push(Gate::Rx(qb(0), p[0]), pos),
-            "ry" => self.push(Gate::Ry(qb(0), p[0]), pos),
-            "rz" => self.push(Gate::Rz(qb(0), p[0]), pos),
-            "CX" | "cx" => self.push(Gate::Cx(qb(0), qb(1)), pos),
-            "cz" => self.push(Gate::Cz(qb(0), qb(1)), pos),
-            "cp" | "cu1" => self.push(Gate::Cp(qb(0), qb(1), p[0]), pos),
-            "swap" => self.push(Gate::Swap(qb(0), qb(1)), pos),
-            "ms" => self.push(Gate::Ms(qb(0), qb(1)), pos),
-            "rxx" => self.push(Gate::Rxx(qb(0), qb(1), p[0]), pos),
-            "ryy" => self.push(Gate::Ryy(qb(0), qb(1), p[0]), pos),
-            "rzz" => self.push(Gate::Rzz(qb(0), qb(1), p[0]), pos),
-            "cy" => {
-                self.push(Gate::Rz(qb(1), -PI / 2.0), pos)?;
-                self.push(Gate::Cx(qb(0), qb(1)), pos)?;
-                self.push(Gate::Rz(qb(1), PI / 2.0), pos)
-            }
-            "ch" => {
-                // qelib1's decomposition, with s/t lowered to rz.
-                let (a, b) = (qb(0), qb(1));
-                self.push(Gate::H(b), pos)?;
-                self.push(Gate::Rz(b, -PI / 2.0), pos)?;
-                self.push(Gate::Cx(a, b), pos)?;
-                self.push(Gate::H(b), pos)?;
-                self.push(Gate::Rz(b, PI / 4.0), pos)?;
-                self.push(Gate::Cx(a, b), pos)?;
-                self.push(Gate::Rz(b, PI / 4.0), pos)?;
-                self.push(Gate::H(b), pos)?;
-                self.push(Gate::Rz(b, PI / 2.0), pos)?;
-                self.push(Gate::X(b), pos)?;
-                self.push(Gate::Rz(a, PI / 2.0), pos)
-            }
-            "crx" => {
-                let (a, b) = (qb(0), qb(1));
-                self.push(Gate::Rz(b, PI / 2.0), pos)?;
-                self.push(Gate::Cx(a, b), pos)?;
-                self.lower_u(-p[0] / 2.0, 0.0, 0.0, b, pos)?;
-                self.push(Gate::Cx(a, b), pos)?;
-                self.lower_u(p[0] / 2.0, -PI / 2.0, 0.0, b, pos)
-            }
-            "cry" => {
-                let (a, b) = (qb(0), qb(1));
-                self.push(Gate::Ry(b, p[0] / 2.0), pos)?;
-                self.push(Gate::Cx(a, b), pos)?;
-                self.push(Gate::Ry(b, -p[0] / 2.0), pos)?;
-                self.push(Gate::Cx(a, b), pos)
-            }
-            "crz" => {
-                let (a, b) = (qb(0), qb(1));
-                self.push(Gate::Rz(b, p[0] / 2.0), pos)?;
-                self.push(Gate::Cx(a, b), pos)?;
-                self.push(Gate::Rz(b, -p[0] / 2.0), pos)?;
-                self.push(Gate::Cx(a, b), pos)
-            }
-            "cu3" => {
-                let (c, t) = (qb(0), qb(1));
-                let (theta, phi, lambda) = (p[0], p[1], p[2]);
-                self.push(Gate::Rz(c, (lambda + phi) / 2.0), pos)?;
-                self.push(Gate::Rz(t, (lambda - phi) / 2.0), pos)?;
-                self.push(Gate::Cx(c, t), pos)?;
-                self.lower_u(-theta / 2.0, 0.0, -(phi + lambda) / 2.0, t, pos)?;
-                self.push(Gate::Cx(c, t), pos)?;
-                self.lower_u(theta / 2.0, phi, 0.0, t, pos)
-            }
-            "ccx" => {
-                // The textbook 6-CX Toffoli network, t/tdg as rz(±π/4).
-                let (a, b, c) = (qb(0), qb(1), qb(2));
-                self.push(Gate::H(c), pos)?;
-                self.push(Gate::Cx(b, c), pos)?;
-                self.push(Gate::Rz(c, -PI / 4.0), pos)?;
-                self.push(Gate::Cx(a, c), pos)?;
-                self.push(Gate::Rz(c, PI / 4.0), pos)?;
-                self.push(Gate::Cx(b, c), pos)?;
-                self.push(Gate::Rz(c, -PI / 4.0), pos)?;
-                self.push(Gate::Cx(a, c), pos)?;
-                self.push(Gate::Rz(b, PI / 4.0), pos)?;
-                self.push(Gate::Rz(c, PI / 4.0), pos)?;
-                self.push(Gate::H(c), pos)?;
-                self.push(Gate::Cx(a, b), pos)?;
-                self.push(Gate::Rz(a, PI / 4.0), pos)?;
-                self.push(Gate::Rz(b, -PI / 4.0), pos)?;
-                self.push(Gate::Cx(a, b), pos)
-            }
-            "cswap" => {
-                let (a, b, c) = (q[0], q[1], q[2]);
-                self.push(Gate::Cx(Qubit(c as u32), Qubit(b as u32)), pos)?;
-                self.emit_native("ccx", &[], &[a, b, c], pos)?;
-                self.push(Gate::Cx(Qubit(c as u32), Qubit(b as u32)), pos)
-            }
-            _ => unreachable!("native_signature and emit_native must list the same gates"),
+        self.qubits.clear();
+        self.qubits.extend(qubits);
+        if repeats(&self.qubits, &mut self.scratch) {
+            return Err(self.duplicate(name, at));
         }
+        self.call(defs, callee, 0, 0, at)
     }
-}
 
-fn check_arity(
-    gate: &str,
-    expected: usize,
-    got: usize,
-    what: &'static str,
-    pos: SourcePos,
-) -> Result<(), QasmError> {
-    if expected != got {
-        return Err(QasmError::new(
-            QasmErrorKind::ArityMismatch { gate: gate.to_string(), expected, got, what },
-            pos,
-        ));
+    fn duplicate(&self, name: &str, at: usize) -> QasmError {
+        QasmError::at(QasmErrorKind::DuplicateQubit(name.to_string()), self.source, at)
     }
-    Ok(())
-}
 
-/// `(parameter count, qubit count)` of a built-in gate, `None` when the
-/// name is not built in. Must stay in sync with `emit_native`.
-fn native_signature(name: &str) -> Option<(usize, usize)> {
-    Some(match name {
-        "U" | "u3" | "cu3" => (3, if name == "cu3" { 2 } else { 1 }),
-        "u2" => (2, 1),
-        "u1" | "p" | "rx" | "ry" | "rz" => (1, 1),
-        "id" | "x" | "y" | "z" | "h" | "s" | "sdg" | "t" | "tdg" | "sx" | "sxdg" => (0, 1),
-        "CX" | "cx" | "cz" | "cy" | "ch" | "swap" | "ms" => (0, 2),
-        "cp" | "cu1" | "crx" | "cry" | "crz" | "rxx" | "ryy" | "rzz" => (1, 2),
-        "ccx" | "cswap" => (0, 3),
-        _ => return None,
-    })
-}
-
-/// Validates that every `Param` reference in `expr` names a parameter in
-/// `scope` (used at definition time, before values exist).
-fn validate_params_in_scope(expr: &Expr, scope: &[String]) -> Result<(), QasmError> {
-    match expr {
-        Expr::Number(_) | Expr::Pi => Ok(()),
-        Expr::Param(name, pos) => {
-            if scope.iter().any(|p| p == name) {
-                Ok(())
-            } else {
-                Err(QasmError::new(QasmErrorKind::UnknownParameter(name.clone()), *pos))
-            }
+    /// Counts `gates` more against [`MAX_GATES`] for the statement at
+    /// byte `at`.
+    fn count(&mut self, gates: usize, at: usize) -> Result<(), QasmError> {
+        self.counted += gates;
+        if self.counted <= MAX_GATES {
+            return Ok(());
         }
-        Expr::Neg(inner) => validate_params_in_scope(inner, scope),
-        Expr::Binary { lhs, rhs, .. } => {
-            validate_params_in_scope(lhs, scope)?;
-            validate_params_in_scope(rhs, scope)
-        }
-        Expr::Call { arg, .. } => validate_params_in_scope(arg, scope),
+        let kind = QasmErrorKind::LimitExceeded { what: "gate count", limit: MAX_GATES };
+        Err(QasmError::at(kind, self.source, at))
     }
-}
 
-/// Evaluates a constant parameter expression. `params` carries the
-/// enclosing gate definition's parameter bindings; top-level expressions
-/// have none (`None`).
-fn eval_expr(expr: &Expr, params: Option<&HashMap<String, f64>>) -> Result<f64, QasmError> {
-    Ok(match expr {
-        Expr::Number(v) => *v,
-        Expr::Pi => PI,
-        Expr::Param(name, pos) => params
-            .and_then(|p| p.get(name).copied())
-            .ok_or_else(|| QasmError::new(QasmErrorKind::UnknownParameter(name.clone()), *pos))?,
-        Expr::Neg(inner) => -eval_expr(inner, params)?,
-        Expr::Binary { op, lhs, rhs, pos } => {
-            let (a, b) = (eval_expr(lhs, params)?, eval_expr(rhs, params)?);
-            match op {
-                BinOp::Add => a + b,
-                BinOp::Sub => a - b,
-                BinOp::Mul => a * b,
-                BinOp::Div => {
-                    if b == 0.0 {
-                        return Err(QasmError::new(
-                            QasmErrorKind::BadExpression("division by zero"),
-                            *pos,
-                        ));
-                    }
-                    a / b
-                }
-                BinOp::Pow => a.powf(b),
+    /// Emits `callee` over `qubits[qubit_frame..]` with parameters
+    /// `params[param_frame..]`, expanding user gates recursively; the
+    /// recursion is as deep as the definition's `depth`. `at` is the
+    /// top-level statement being expanded.
+    fn call(
+        &mut self,
+        defs: &[GateDef<'a>],
+        callee: Callee,
+        param_frame: usize,
+        qubit_frame: usize,
+        at: usize,
+    ) -> Result<(), QasmError> {
+        let index = match callee {
+            Callee::Native(gate) => {
+                let before = self.gates.len();
+                gate.emit(
+                    &self.params[param_frame..],
+                    &self.qubits[qubit_frame..],
+                    &mut self.gates,
+                );
+                return self.count((self.gates.len() - before).max(1), at);
             }
+            Callee::User(index) => index,
+        };
+        self.count(1, at)?;
+        self.inlined += 1;
+        for op in &defs[index].body {
+            let (params, qubits) = (self.params.len(), self.qubits.len());
+            self.eval(&op.code, param_frame)?;
+            // The formals are bound to distinct qubits, so only a formal
+            // named twice can repeat a qubit.
+            if op.repeats_a_qubit {
+                return Err(self.duplicate(op.name, op.at));
+            }
+            for &formal in &op.args {
+                let qubit = self.qubits[qubit_frame + formal];
+                self.qubits.push(qubit);
+            }
+            self.call(defs, op.callee, params, qubits, at)?;
+            self.params.truncate(params);
+            self.qubits.truncate(qubits);
         }
-        Expr::Call { func, arg } => func.apply(eval_expr(arg, params)?),
-    })
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse_program;
+    use crate::parse;
 
     fn lower_source(source: &str) -> Result<ParseOutput, QasmError> {
-        lower(&parse_program(source).expect("parses"))
+        parse(source)
     }
 
     #[test]
@@ -678,6 +607,12 @@ mod tests {
             lower_source("OPENQASM 2.0;\nqreg a[2];\nqreg b[3];\ncx a[1], b[2];").expect("lowers");
         assert_eq!(out.circuit.num_qubits(), 5);
         assert_eq!(out.circuit.gates(), &[Gate::Cx(Qubit(1), Qubit(4))]);
+        // A register declared after gates widens the circuit; the gates
+        // before it keep their indices.
+        let out = lower_source("OPENQASM 2.0;\nqreg a[1];\nh a[0];\nqreg b[2];\ncx a[0], b[1];")
+            .expect("lowers");
+        assert_eq!(out.circuit.num_qubits(), 3);
+        assert_eq!(out.circuit.gates(), &[Gate::H(Qubit(0)), Gate::Cx(Qubit(0), Qubit(2))]);
     }
 
     #[test]
@@ -685,9 +620,7 @@ mod tests {
         let out =
             lower_source("OPENQASM 2.0;\nqreg q[3];\nqreg a[3];\nh q;\ncx q, a;\ncx q, a[0];")
                 .expect("lowers");
-        // 3 h + 3 pairwise cx + 3 cx onto the fixed a[0]... but the last
-        // broadcast includes cx q[3+0]? No: cx q, a[0] repeats q over the
-        // register and pins a[0].
+        // 3 h, then 3 pairwise cx, then 3 cx from each q onto the pinned a[0].
         let gates = out.circuit.gates();
         assert_eq!(gates.len(), 9);
         assert_eq!(gates[3], Gate::Cx(Qubit(0), Qubit(3)));
@@ -747,7 +680,7 @@ mod tests {
         // table must win so round-trips stay exact.
         let out = lower_source(
             "OPENQASM 2.0;\nqreg q[2];\n\
-             gate h a { u2(0, pi) a; }\nh q[0];",
+             gate h a { u2(0, pi) a; }\ngate h a { u2(0, pi) a; }\nh q[0];",
         )
         .expect("lowers");
         assert_eq!(out.circuit.gates(), &[Gate::H(Qubit(0))]);
@@ -795,6 +728,12 @@ mod tests {
 
         let err = lower_source("OPENQASM 2.0;\nqreg q[1];\ngate f(x) a { rz(yy) a; }").unwrap_err();
         assert!(matches!(err.kind, QasmErrorKind::UnknownParameter(_)));
+
+        // Inside a body, a division by zero surfaces when the gate expands.
+        let err = lower_source("OPENQASM 2.0;\nqreg q[1];\ngate f(x) a { rz(1/x) a; }\nf(0) q[0];")
+            .unwrap_err();
+        assert_eq!(err.kind, QasmErrorKind::BadExpression("division by zero"));
+        assert_eq!((err.pos.line, err.pos.col), (3, 19));
     }
 
     #[test]
@@ -833,18 +772,33 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err.kind, QasmErrorKind::DuplicateQubit(name) if name == "pp"));
+        // A body naming one formal twice fails when the gate expands.
+        let err = lower_source("OPENQASM 2.0;\nqreg q[1];\ngate twice a { cx a, a; }\ntwice q[0];")
+            .unwrap_err();
+        assert!(matches!(err.kind, QasmErrorKind::DuplicateQubit(name) if name == "cx"));
+        assert!(repeats(&[3, 1, 2, 1], &mut Vec::new()));
+        assert!(!repeats(&[3, 1, 2], &mut Vec::new()));
     }
 
     #[test]
     fn expressions_evaluate_with_precedence_and_functions() {
         let out = lower_source(
-            "OPENQASM 2.0;\nqreg q[1];\nrz(-pi/4 + 2^3 * 0.125) q[0];\nrz(cos(0)) q[0];",
+            "OPENQASM 2.0;\nqreg q[1];\nrz(-pi/4 + 2^3 * 0.125) q[0];\nrz(cos(0)) q[0];\n\
+             rz(-2^2) q[0];\nrz(2^-1) q[0];\nrz(2^3^2) q[0];\nrz(8/2/2) q[0];",
         )
         .expect("lowers");
-        let Gate::Rz(_, angle) = out.circuit.gates()[0] else { panic!("rz") };
-        assert!((angle - (-PI / 4.0 + 1.0)).abs() < 1e-12);
-        let Gate::Rz(_, angle) = out.circuit.gates()[1] else { panic!("rz") };
-        assert_eq!(angle, 1.0);
+        let angles: Vec<f64> = out
+            .circuit
+            .iter()
+            .map(|gate| match *gate {
+                Gate::Rz(_, angle) => angle,
+                other => panic!("rz expected, got {other:?}"),
+            })
+            .collect();
+        assert!((angles[0] - (-PI / 4.0 + 1.0)).abs() < 1e-12);
+        assert_eq!(angles[1], 1.0);
+        // Unary minus binds tighter than '^', which is right-associative.
+        assert_eq!(&angles[2..], &[4.0, 0.5, 512.0, 2.0]);
     }
 
     #[test]

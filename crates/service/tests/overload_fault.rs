@@ -2,7 +2,9 @@
 //! hostile peers (wrong magic, truncated frames, forged length headers,
 //! bad tokens, slow-loris trickles, silent half-open connections), load
 //! shedding under a queue watermark, the client's backoff contract, the
-//! drain path, and two daemons sharing one persistent cache directory.
+//! drain path, two daemons sharing one persistent cache directory, and
+//! QASM nested deeply enough to overflow a connection thread's stack or
+//! expanding to more gates than memory holds.
 //! CI's `overload-smoke` job runs this file.
 
 use ssync_arch::{Device, QccdTopology};
@@ -10,7 +12,9 @@ use ssync_baselines::CompilerKind;
 use ssync_circuit::generators::qft;
 use ssync_core::{CompileOutcome, CompilerConfig};
 use ssync_service::client::{BackoffPolicy, ClientError, ServiceClient};
-use ssync_service::wire::{encode_request, RemoteRequest, Request, WIRE_MAGIC, WIRE_VERSION};
+use ssync_service::wire::{
+    encode_request, RemoteQasmRequest, RemoteRequest, Request, WIRE_MAGIC, WIRE_VERSION,
+};
 use ssync_service::{front, CompileService, FrontConfig, Priority, TenantId};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -448,6 +452,71 @@ fn daemon_tcp_transport_round_trips_with_auth_and_janitor() {
 
     client.shutdown().expect("shutdown");
     drop(client);
+    assert!(child.wait().expect("daemon exits").success(), "clean drain");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A 6 KB `SubmitQasm` nesting 3,000 parentheses would recurse past the
+/// 2 MiB stack of the daemon's connection thread; a stack overflow
+/// aborts the whole process and breaks every other tenant's connection.
+/// Forty gate definitions that each apply the previous one twice would
+/// expand to 2^39 gates. The parser's nesting and gate-count caps turn
+/// each into a `Rejected` for that connection alone: a tenant connected
+/// beforehand is still served, bit-identically.
+#[test]
+fn deeply_nested_qasm_is_rejected_and_the_daemon_keeps_serving() {
+    let dir = std::env::temp_dir().join(format!("ssync-nested-qasm-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let port_file = dir.join("port");
+    let mut child = std::process::Command::new(DAEMON)
+        .args(["--tcp", "127.0.0.1:0", "--workers", "1"])
+        .args(["--port-file", port_file.to_str().unwrap()])
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn ssync-serviced");
+    let mut addr = None;
+    for _ in 0..500 {
+        if let Ok(contents) = std::fs::read_to_string(&port_file) {
+            addr = Some(contents.trim().to_string());
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let addr = addr.expect("daemon published its port within 5s");
+
+    let config = CompilerConfig::default();
+    let mut bystander = ServiceClient::connect_tcp(addr.as_str(), None).expect("connect");
+    let mut hostile = ServiceClient::connect_tcp(addr.as_str(), None).expect("connect");
+    let nested =
+        format!("OPENQASM 2.0;\nqreg q[1];\nrz({}1{}) q[0];\n", "(".repeat(3000), ")".repeat(3000));
+    let doubling: String =
+        (1..40).map(|i| format!("gate g{i} a {{ g{0} a; g{0} a; }}\n", i - 1)).collect();
+    let doubling =
+        format!("OPENQASM 2.0;\nqreg q[1];\ngate g0 a {{ id a; }}\n{doubling}g39 q[0];\n");
+    for (source, expected) in [
+        (nested, "3:132: expression nesting depth exceeds the limit"),
+        (doubling, "43:1: gate count exceeds the limit"),
+    ] {
+        let request = RemoteQasmRequest::new("G-2x2", source, CompilerKind::SSync, config);
+        match hostile.submit_qasm(&request) {
+            Err(ClientError::Rejected(reason)) => assert!(reason.contains(expected), "{reason}"),
+            other => panic!("{expected}: the QASM must be rejected, got {other:?}"),
+        }
+    }
+
+    let circuit = qft(6);
+    let source = ssync_qasm::export(&circuit);
+    let (job, _) = bystander
+        .submit_qasm(&RemoteQasmRequest::new("G-2x2", source, CompilerKind::SSync, config))
+        .expect("the daemon is still up");
+    let remote = bystander.wait(job).expect("wait").expect("compiles");
+    let device = Device::build(QccdTopology::named("G-2x2").unwrap(), config.weights);
+    let direct = CompilerKind::SSync.compile_on(&device, &circuit, &config).expect("compiles");
+    assert_bit_identical(&direct, &remote, "after the hostile submissions");
+
+    bystander.shutdown().expect("shutdown");
+    drop((bystander, hostile));
     assert!(child.wait().expect("daemon exits").success(), "clean drain");
     let _ = std::fs::remove_dir_all(&dir);
 }
