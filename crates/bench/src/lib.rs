@@ -18,6 +18,7 @@
 //! | `fig15` | Fig. 15 — compilation-time scalability |
 //! | `fig16` | Fig. 16 — optimality analysis |
 //! | `fig_qasm` | the `workloads/` OpenQASM corpus across all five compilers |
+//! | `quality_pins` | rewrites `BENCH_quality.json`, the absolute output pins |
 //!
 //! Run them with `cargo run --release -p ssync-bench --bin fig08`. Set
 //! `SSYNC_BENCH_SCALE=small` to run reduced problem sizes (useful for smoke
@@ -30,6 +31,7 @@ pub mod apps;
 pub mod comparison;
 pub mod harness;
 pub mod qasm_corpus;
+pub mod quality;
 pub mod table;
 
 pub use apps::{fitting_cells, scaled_app, AppKind};
