@@ -34,23 +34,6 @@ fn usable_capacity(topology: &QccdTopology, num_qubits: usize) -> Vec<usize> {
         .collect()
 }
 
-/// Qubits ordered by their first appearance in the circuit; qubits never
-/// used come last in index order.
-fn qubits_by_first_use(circuit: &Circuit) -> Vec<Qubit> {
-    let n = circuit.num_qubits();
-    let mut first_use = vec![usize::MAX; n];
-    for (i, gate) in circuit.iter().enumerate() {
-        for q in gate.qubits() {
-            if first_use[q.index()] == usize::MAX {
-                first_use[q.index()] = i;
-            }
-        }
-    }
-    let mut order: Vec<Qubit> = (0..n as u32).map(Qubit).collect();
-    order.sort_by_key(|q| (first_use[q.index()], q.0));
-    order
-}
-
 /// Even-divided mapping: spread the qubits uniformly over every trap
 /// (round-robin in program-qubit order), inspired by distributed-NISQ
 /// compilers.
@@ -89,7 +72,7 @@ fn gathering(circuit: &Circuit, topology: &QccdTopology) -> Vec<Vec<Qubit>> {
     let num_traps = topology.num_traps();
     let mut groups: Vec<Vec<Qubit>> = vec![Vec::new(); num_traps];
     let mut trap = 0usize;
-    for q in qubits_by_first_use(circuit) {
+    for q in circuit.first_use_order() {
         while trap < num_traps && groups[trap].len() >= caps[trap] {
             trap += 1;
         }
@@ -120,7 +103,7 @@ fn sta(circuit: &Circuit, topology: &QccdTopology, router: &TrapRouter) -> Vec<V
     let mut groups: Vec<Vec<Qubit>> = vec![Vec::new(); num_traps];
     let mut trap_of: Vec<Option<usize>> = vec![None; n];
 
-    for q in qubits_by_first_use(circuit) {
+    for q in circuit.first_use_order() {
         let mut best_trap = None;
         let mut best_score = f64::NEG_INFINITY;
         for t in 0..num_traps {
@@ -226,15 +209,5 @@ mod tests {
                 assert!(g.len() <= trap.capacity());
             }
         }
-    }
-
-    #[test]
-    fn first_use_ordering_prefers_earlier_qubits() {
-        let mut c = Circuit::new(4);
-        c.cx(Qubit(2), Qubit(3));
-        c.cx(Qubit(0), Qubit(1));
-        let order = qubits_by_first_use(&c);
-        assert_eq!(order[0], Qubit(2));
-        assert_eq!(order[1], Qubit(3));
     }
 }

@@ -5,7 +5,9 @@
 //! * **Second level** ([`intra`]) orders the qubits inside each trap into a
 //!   "mountain" shape driven by the look-ahead score `l(q) = −αE(q) + βI(q)`
 //!   (Eq. 3): qubits likely to leave the trap soon sit near the chain ends,
-//!   qubits that mostly interact locally sit in the middle.
+//!   qubits that mostly interact locally sit in the middle. Every qubit's
+//!   score comes from one walk over the circuit, after the first level
+//!   has fixed each qubit's trap.
 
 pub mod first_level;
 pub mod intra;
@@ -32,10 +34,17 @@ pub fn build_placement(circuit: &Circuit, device: &Device, config: &CompilerConf
         circuit.num_qubits()
     );
     let groups = first_level::assign_traps(circuit, device, config);
+    let mut trap_of = vec![usize::MAX; circuit.num_qubits()];
+    for (trap_idx, qubits) in groups.iter().enumerate() {
+        for q in qubits {
+            trap_of[q.index()] = trap_idx;
+        }
+    }
+    let scores = intra::location_scores(circuit, &trap_of, config);
     let mut placement = Placement::new(topology, circuit.num_qubits());
     for (trap_idx, qubits) in groups.iter().enumerate() {
         let trap = topology.traps()[trap_idx].id();
-        let ordered = intra::mountain_order(circuit, qubits, config);
+        let ordered = intra::mountain_order(qubits, &scores);
         let slots = intra::slot_layout(topology.trap(trap), ordered.len());
         for (qubit, slot) in ordered.into_iter().zip(slots) {
             placement.place(qubit, slot);
