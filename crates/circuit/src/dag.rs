@@ -155,8 +155,8 @@ impl DependencyDag {
         self.frontier.swap_remove(pos);
         self.nodes[id.0].executed = true;
         self.remaining -= 1;
-        let succs = self.nodes[id.0].succs.clone();
-        for s in succs {
+        for i in 0..self.nodes[id.0].succs.len() {
+            let s = self.nodes[id.0].succs[i];
             let node = &mut self.nodes[s.0];
             node.pending_preds -= 1;
             if node.pending_preds == 0 {

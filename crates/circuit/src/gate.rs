@@ -2,6 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::Deref;
 
 /// A logical (program) qubit index.
 ///
@@ -89,12 +90,51 @@ pub enum Gate {
     Swap(Qubit, Qubit),
 }
 
+/// The operands of a gate, held inline (a gate has one or two), so
+/// asking for them never allocates. Derefs to `[Qubit]`: index it, iterate
+/// it, or call slice methods on it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GateQubits {
+    qubits: [Qubit; 2],
+    len: u8,
+}
+
+impl Deref for GateQubits {
+    type Target = [Qubit];
+
+    #[inline]
+    fn deref(&self) -> &[Qubit] {
+        &self.qubits[..usize::from(self.len)]
+    }
+}
+
+impl IntoIterator for GateQubits {
+    type Item = Qubit;
+    type IntoIter = std::iter::Take<std::array::IntoIter<Qubit, 2>>;
+
+    #[inline]
+    fn into_iter(self) -> Self::IntoIter {
+        self.qubits.into_iter().take(usize::from(self.len))
+    }
+}
+
+impl<'a> IntoIterator for &'a GateQubits {
+    type Item = &'a Qubit;
+    type IntoIter = std::slice::Iter<'a, Qubit>;
+
+    #[inline]
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
 impl Gate {
     /// Returns the qubits this gate acts on (one or two entries).
-    pub fn qubits(&self) -> Vec<Qubit> {
+    #[inline]
+    pub fn qubits(&self) -> GateQubits {
         match *self {
             Gate::H(q) | Gate::X(q) | Gate::Rx(q, _) | Gate::Ry(q, _) | Gate::Rz(q, _) => {
-                vec![q]
+                GateQubits { qubits: [q, q], len: 1 }
             }
             Gate::Cx(a, b)
             | Gate::Cz(a, b)
@@ -103,11 +143,12 @@ impl Gate {
             | Gate::Cp(a, b, _)
             | Gate::Rzz(a, b, _)
             | Gate::Rxx(a, b, _)
-            | Gate::Ryy(a, b, _) => vec![a, b],
+            | Gate::Ryy(a, b, _) => GateQubits { qubits: [a, b], len: 2 },
         }
     }
 
     /// Returns the pair of qubits if this is a two-qubit gate.
+    #[inline]
     pub fn two_qubit_pair(&self) -> Option<(Qubit, Qubit)> {
         match *self {
             Gate::Cx(a, b)
@@ -193,6 +234,7 @@ mod tests {
             assert_eq!(g.kind(), GateKind::SingleQubit);
             assert!(!g.is_two_qubit());
             assert_eq!(g.qubits().len(), 1);
+            assert_eq!(g.qubits()[0], g.max_qubit());
             assert!(g.two_qubit_pair().is_none());
         }
     }
@@ -204,6 +246,9 @@ mod tests {
         assert!(g.is_two_qubit());
         assert_eq!(g.two_qubit_pair(), Some((Qubit(0), Qubit(3))));
         assert_eq!(g.max_qubit(), Qubit(3));
+        assert_eq!(*g.qubits(), [Qubit(0), Qubit(3)]);
+        assert_eq!(g.qubits().into_iter().collect::<Vec<_>>(), vec![Qubit(0), Qubit(3)]);
+        assert_eq!((&g.qubits()).into_iter().count(), 2);
     }
 
     #[test]

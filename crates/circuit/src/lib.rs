@@ -44,7 +44,7 @@ mod stable_hash;
 pub use circuit::{Circuit, CircuitStats};
 pub use dag::{DependencyDag, LookaheadScratch, NodeId};
 pub use error::CircuitError;
-pub use gate::{Gate, GateKind, Qubit};
+pub use gate::{Gate, GateKind, GateQubits, Qubit};
 pub use interaction::InteractionGraph;
 pub use layers::Layers;
 pub use stable_hash::StableHasher;
