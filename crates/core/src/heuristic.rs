@@ -382,26 +382,79 @@ impl ScoreCache {
     }
 }
 
-/// A memo of space-readiness values, valid for one scoring pass (one
-/// placement snapshot) at a time.
+/// Distance sentinel for "the trap has no space".
+const NO_SPACE: usize = usize::MAX;
+
+/// The spaces of one chain as seen from one slot, as far as the readiness
+/// term needs them: the nearest space's distance and chain position and
+/// the runner-up space's distance (`NO_SPACE` where there is none). A
+/// generic swap removes at most one space from a trap and adds at most
+/// one, so these three numbers answer the readiness term under any
+/// hypothetical swap without rescanning the chain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct NearestSpaces {
+    nearest: usize,
+    nearest_pos: usize,
+    runner_up: usize,
+}
+
+impl NearestSpaces {
+    /// The distance to the nearest space once `shift` (if any) has changed
+    /// which of the chain's positions are spaces.
+    #[inline]
+    fn after(self, port_pos: usize, shift: Option<SpaceShift>) -> usize {
+        let Some(shift) = shift else { return self.nearest };
+        let mut best =
+            if shift.lost == Some(self.nearest_pos) { self.runner_up } else { self.nearest };
+        if let Some(gained) = shift.gained {
+            best = best.min(gained.abs_diff(port_pos));
+        }
+        best
+    }
+}
+
+/// How a hypothetical generic swap changes the spaces of one trap: the
+/// chain position that stops being a space and the one that becomes one.
+#[derive(Debug, Clone, Copy)]
+struct SpaceShift {
+    trap: TrapId,
+    lost: Option<usize>,
+    gained: Option<usize>,
+}
+
+/// The space changes of one candidate swap. A reorder moves one trap's
+/// space by one position; a shuttle takes the receiving trap's port space
+/// and leaves a space at the sending trap's port; a SWAP gate exchanges two
+/// ions and changes no space.
+#[derive(Debug, Clone, Copy, Default)]
+struct SwapSpaces([Option<SpaceShift>; 2]);
+
+impl SwapSpaces {
+    #[inline]
+    fn shift_of(&self, trap: TrapId) -> Option<SpaceShift> {
+        self.0.into_iter().flatten().find(|s| s.trap == trap)
+    }
+}
+
+/// A memo of each entry port's [`NearestSpaces`], valid for one scoring
+/// pass (one placement snapshot) at a time.
 ///
 /// The readiness term of `HeuristicScorer::pair_route_score` asks "how
-/// far is the nearest empty slot from this entry port?". Under a
-/// hypothetical swap whose endpoints both lie *outside* the port's trap,
-/// the answer is provably identical to the no-swap answer — the swap
-/// cannot change that trap's occupancy pattern — so the value can be
-/// computed once per (pass, port) and reused across every candidate of
-/// the pass. The scheduler keeps one memo in its scratch:
-/// [`ReadinessMemo::begin_pass`] bumps an epoch that lazily invalidates every
-/// slot, and the backing buffers persist across passes and compiles so the
-/// steady state allocates nothing. Values read through the memo are
-/// bit-identical to a fresh `HeuristicScorer::space_readiness` call,
-/// which keeps memoised scoring inside the scheduler's golden determinism
-/// contract.
+/// far is the nearest empty slot from this entry port?". Within a pass the
+/// placement is fixed, so each port's chain is scanned once, on the
+/// pass's first request; every candidate then answers the question under
+/// its own hypothetical swap from the memoised nearest and runner-up
+/// spaces with integer arithmetic. The scheduler keeps one memo in its
+/// scratch: [`ReadinessMemo::begin_pass`] bumps an epoch that lazily
+/// invalidates every slot, and the backing buffers persist across passes
+/// and compiles so the steady state allocates nothing. Values read
+/// through the memo are bit-identical to a fresh
+/// `HeuristicScorer::space_readiness` call, which keeps memoised scoring
+/// inside the scheduler's golden determinism contract.
 #[derive(Debug, Clone, Default)]
 pub struct ReadinessMemo {
     stamp: Vec<u64>,
-    value: Vec<f64>,
+    spaces: Vec<NearestSpaces>,
     epoch: u64,
     hits: u64,
 }
@@ -420,22 +473,24 @@ impl ReadinessMemo {
     }
 
     #[inline]
-    fn lookup(&mut self, slot: usize) -> Option<f64> {
+    fn lookup(&mut self, slot: usize) -> Option<NearestSpaces> {
         if self.stamp.get(slot) == Some(&self.epoch) {
             self.hits += 1;
-            return Some(self.value[slot]);
+            return Some(self.spaces[slot]);
         }
         None
     }
 
     #[inline]
-    fn store(&mut self, slot: usize, v: f64) {
+    fn store(&mut self, slot: usize, v: NearestSpaces) {
         if slot >= self.stamp.len() {
+            let none =
+                NearestSpaces { nearest: NO_SPACE, nearest_pos: NO_SPACE, runner_up: NO_SPACE };
             self.stamp.resize(slot + 1, 0);
-            self.value.resize(slot + 1, 0.0);
+            self.spaces.resize(slot + 1, none);
         }
         self.stamp[slot] = self.epoch;
-        self.value[slot] = v;
+        self.spaces[slot] = v;
     }
 }
 
@@ -446,19 +501,74 @@ impl ReadinessMemo {
 /// [`HeuristicScorer::score_swap_memo`], which reproduces
 /// [`HeuristicScorer::score_swap`] bit for bit while touching each gate in
 /// O(1) unless the candidate actually relocates one of its operands or
-/// perturbs its readiness traps.
+/// perturbs its readiness traps, and skipping every look-ahead gate before
+/// the first one the candidate can change.
 #[derive(Debug, Clone, Default)]
 pub struct ScoringScratch {
     terms: Vec<GateTerm>,
     frontier_len: usize,
     full_traps: usize,
+    /// In-order running sums of the cached look-ahead terms `route + pen`:
+    /// three rows of `look-ahead length + 1` sums, one row per full-trap
+    /// penalty a candidate can leave (`full − 1`, `full`, `full + 1`).
+    prefix: Vec<f64>,
+    /// Per slot, the index of the first look-ahead term with an operand
+    /// there (`u32::MAX` for none): a swap touching the slot moves it.
+    first_at_slot: Vec<u32>,
+    /// Per trap, the index of the first look-ahead term whose readiness
+    /// reads that trap's spaces: a reorder or shuttle there can change it.
+    first_at_trap: Vec<u32>,
+}
+
+impl ScoringScratch {
+    fn lookahead_len(&self) -> usize {
+        self.terms.len() - self.frontier_len
+    }
+
+    /// Index of the first look-ahead term `view`'s swap can change; every
+    /// term before it takes its cached value.
+    #[inline]
+    fn first_changed(&self, view: &SwapView<'_>) -> usize {
+        let mut first =
+            self.first_at_slot[view.swap.a.index()].min(self.first_at_slot[view.swap.b.index()]);
+        if !view.pattern_preserving {
+            first = first
+                .min(self.first_at_trap[view.trap_a.index()])
+                .min(self.first_at_trap[view.trap_b.index()]);
+        }
+        (first as usize).min(self.lookahead_len())
+    }
+
+    /// The in-order sum of the first `count` cached look-ahead terms under
+    /// full-trap penalty `pen`.
+    #[inline]
+    fn prefix_sum(&self, pen: usize, count: usize) -> f64 {
+        let row = pen + 1 - self.full_traps;
+        self.prefix[row * (self.lookahead_len() + 1) + count]
+    }
+}
+
+/// What scoring one candidate needs to know about it, worked out once per
+/// candidate instead of once per gate term.
+struct SwapView<'s> {
+    swap: &'s GenericSwap,
+    occ_a: Option<Qubit>,
+    occ_b: Option<Qubit>,
+    trap_a: TrapId,
+    trap_b: TrapId,
+    /// SWAP gates leave every trap's occupancy pattern as it was.
+    pattern_preserving: bool,
+    spaces: SwapSpaces,
+    pen_after: f64,
 }
 
 impl<'a> HeuristicScorer<'a> {
     /// Prepares a scoring pass: computes (or reuses from `cache`) the base
     /// score of every frontier and look-ahead gate under the current
-    /// placement. Gate lists carry DAG node ids so cached entries survive
-    /// across iterations until an operand moves or an entry trap's
+    /// placement, then indexes, per slot and per trap, the first look-ahead
+    /// term a swap there can change, and sums the look-ahead terms' cached
+    /// values in order. Gate lists carry DAG node ids so cached entries
+    /// survive across iterations until an operand moves or an entry trap's
     /// occupancy pattern changes.
     pub fn prepare_pass(
         &self,
@@ -476,6 +586,34 @@ impl<'a> HeuristicScorer<'a> {
             for &(id, gate) in list {
                 let term = self.gate_term(cache, placement, id, &gate, is_frontier, decay);
                 scratch.terms.push(term);
+            }
+        }
+
+        let lookahead_terms = &scratch.terms[scratch.frontier_len..];
+        scratch.first_at_slot.clear();
+        scratch.first_at_slot.resize(self.graph.num_slots(), u32::MAX);
+        scratch.first_at_trap.clear();
+        scratch.first_at_trap.resize(self.graph.topology().num_traps(), u32::MAX);
+        for (i, t) in lookahead_terms.iter().enumerate() {
+            let i = i as u32;
+            for slot in [t.s1, t.s2] {
+                let first = &mut scratch.first_at_slot[slot.index()];
+                *first = (*first).min(i);
+            }
+            for trap in [t.entry_a, t.entry_b].into_iter().flatten() {
+                let first = &mut scratch.first_at_trap[trap.index()];
+                *first = (*first).min(i);
+            }
+        }
+        scratch.prefix.clear();
+        for offset in 0..3 {
+            // `(full + offset − 1) as f64`, the value `penalty_with` yields.
+            let pen = (scratch.full_traps + offset) as f64 - 1.0;
+            let mut sum = 0.0f64;
+            scratch.prefix.push(sum);
+            for t in lookahead_terms {
+                sum += t.route + pen;
+                scratch.prefix.push(sum);
             }
         }
     }
@@ -533,9 +671,10 @@ impl<'a> HeuristicScorer<'a> {
     /// `H(swap)` over a prepared pass, reading readiness values through
     /// the pass's [`ReadinessMemo`] — bit-identical to
     /// [`HeuristicScorer::score_swap`] on the same frontier / look-ahead
-    /// lists (the memo only serves values the swap provably cannot
-    /// perturb), but each unchanged gate costs an integer compare instead
-    /// of a route recomputation.
+    /// lists, but each unchanged gate costs an integer compare instead of
+    /// a route recomputation, and the look-ahead sum resumes from the
+    /// pass's prefix sums at the first term the swap can change (the same
+    /// additions in the same order, so the same bits).
     pub fn score_swap_memo(
         &self,
         scratch: &ScoringScratch,
@@ -543,31 +682,24 @@ impl<'a> HeuristicScorer<'a> {
         placement: &Placement,
         swap: &GenericSwap,
     ) -> f64 {
-        let occ_a = placement.occupant(swap.a);
-        let occ_b = placement.occupant(swap.b);
-        let pen_after = self.penalty_with(placement, swap, scratch.full_traps) as f64;
-        let swap_ta = self.graph.slot_trap(swap.a);
-        let swap_tb = self.graph.slot_trap(swap.b);
-        let pattern_preserving = swap.kind == GenericSwapKind::SwapGate;
+        let pen = self.penalty_with(placement, swap, scratch.full_traps);
+        let view = SwapView {
+            swap,
+            occ_a: placement.occupant(swap.a),
+            occ_b: placement.occupant(swap.b),
+            trap_a: self.graph.slot_trap(swap.a),
+            trap_b: self.graph.slot_trap(swap.b),
+            pattern_preserving: swap.kind == GenericSwapKind::SwapGate,
+            spaces: self.swap_spaces(placement, swap),
+            pen_after: pen as f64,
+        };
 
         let mut best_gate_term = f64::INFINITY;
         let mut enables_gate = false;
         let (frontier, lookahead) = scratch.terms.split_at(scratch.frontier_len);
         for t in frontier {
-            let (s1, s2) = slots_after_swap(t.q1, t.q2, t.s1, t.s2, swap, occ_a, occ_b);
-            let score = self.term_score(
-                t,
-                placement,
-                swap,
-                s1,
-                s2,
-                pen_after,
-                pattern_preserving,
-                swap_ta,
-                swap_tb,
-                memo,
-            );
-            let term = t.decay * score;
+            let (s1, s2) = slots_after_swap(t.q1, t.q2, t.s1, t.s2, swap, view.occ_a, view.occ_b);
+            let term = t.decay * self.term_score(t, &view, s1, s2, placement, memo);
             if term < best_gate_term {
                 best_gate_term = term;
             }
@@ -579,21 +711,12 @@ impl<'a> HeuristicScorer<'a> {
         let lookahead_term = if lookahead.is_empty() {
             0.0
         } else {
-            let mut sum = 0.0f64;
-            for t in lookahead {
-                let (s1, s2) = slots_after_swap(t.q1, t.q2, t.s1, t.s2, swap, occ_a, occ_b);
-                sum += self.term_score(
-                    t,
-                    placement,
-                    swap,
-                    s1,
-                    s2,
-                    pen_after,
-                    pattern_preserving,
-                    swap_ta,
-                    swap_tb,
-                    memo,
-                );
+            let first = scratch.first_changed(&view);
+            let mut sum = scratch.prefix_sum(pen, first);
+            for t in &lookahead[first..] {
+                let (s1, s2) =
+                    slots_after_swap(t.q1, t.q2, t.s1, t.s2, swap, view.occ_a, view.occ_b);
+                sum += self.term_score(t, &view, s1, s2, placement, memo);
             }
             0.5 * sum / lookahead.len() as f64
         };
@@ -605,54 +728,43 @@ impl<'a> HeuristicScorer<'a> {
         gate_term + lookahead_term + effective_weight - bonus
     }
 
-    /// The score of one prepared gate under a hypothetical swap: the cached
-    /// base when the swap provably cannot change the gate's route or
-    /// readiness, the full recomputation otherwise.
-    #[allow(clippy::too_many_arguments)]
+    /// The score of one prepared gate under a hypothetical swap that puts
+    /// its operands at `s1`, `s2`: the cached base when the swap provably
+    /// cannot change the gate's route or readiness, the full recomputation
+    /// otherwise.
+    #[inline]
     fn term_score(
         &self,
         t: &GateTerm,
-        placement: &Placement,
-        swap: &GenericSwap,
+        view: &SwapView<'_>,
         s1: SlotId,
         s2: SlotId,
-        pen_after: f64,
-        pattern_preserving: bool,
-        swap_ta: TrapId,
-        swap_tb: TrapId,
+        placement: &Placement,
         memo: &mut ReadinessMemo,
     ) -> f64 {
         let slots_unchanged = s1 == t.s1 && s2 == t.s2;
-        let readiness_unchanged = pattern_preserving
+        let readiness_unchanged = view.pattern_preserving
             || t.ta == t.tb
-            || (Some(swap_ta) != t.entry_a
-                && Some(swap_ta) != t.entry_b
-                && Some(swap_tb) != t.entry_a
-                && Some(swap_tb) != t.entry_b);
+            || (Some(view.trap_a) != t.entry_a
+                && Some(view.trap_a) != t.entry_b
+                && Some(view.trap_b) != t.entry_a
+                && Some(view.trap_b) != t.entry_b);
         if slots_unchanged && readiness_unchanged {
-            t.route + pen_after
+            t.route + view.pen_after
         } else {
-            self.pair_route_score_memo(memo, placement, swap, swap_ta, swap_tb, s1, s2) + pen_after
+            self.pair_route_score_memo(memo, placement, &view.spaces, s1, s2) + view.pen_after
         }
     }
 
-    /// [`HeuristicScorer::pair_route_score`] under a hypothetical swap,
-    /// serving readiness values from `memo` whenever the swap provably
-    /// cannot change them. A swap only perturbs the occupancy pattern of
-    /// the traps holding its endpoints, so for any entry port outside
-    /// `swap_ta`/`swap_tb` the with-swap readiness equals the no-swap
-    /// readiness — that value is memoised per pass and shared across every
-    /// candidate of the pass. Ports inside the swap's traps are
-    /// recomputed directly, keeping the result bit-identical to
-    /// [`HeuristicScorer::pair_route_score`].
-    #[allow(clippy::too_many_arguments)]
+    /// [`HeuristicScorer::pair_route_score`] under the hypothetical swap
+    /// whose space changes are `spaces`, reading each entry port's
+    /// readiness through the pass memo. Bit-identical to
+    /// [`HeuristicScorer::pair_route_score`] with that swap.
     fn pair_route_score_memo(
         &self,
         memo: &mut ReadinessMemo,
         placement: &Placement,
-        swap: &GenericSwap,
-        swap_ta: TrapId,
-        swap_tb: TrapId,
+        spaces: &SwapSpaces,
         s1: SlotId,
         s2: SlotId,
     ) -> f64 {
@@ -664,13 +776,11 @@ impl<'a> HeuristicScorer<'a> {
             let mut readiness = f64::INFINITY;
             if let Some(next) = self.router.next_hop(ta, tb) {
                 let entry = self.graph.topology().port_slot(next, ta);
-                readiness = readiness
-                    .min(self.readiness_memo(memo, placement, swap, swap_ta, swap_tb, entry));
+                readiness = readiness.min(self.readiness_after(memo, placement, spaces, entry));
             }
             if let Some(next) = self.router.next_hop(tb, ta) {
                 let entry = self.graph.topology().port_slot(next, tb);
-                readiness = readiness
-                    .min(self.readiness_memo(memo, placement, swap, swap_ta, swap_tb, entry));
+                readiness = readiness.min(self.readiness_after(memo, placement, spaces, entry));
             }
             if readiness.is_finite() {
                 score += inner * readiness;
@@ -679,36 +789,88 @@ impl<'a> HeuristicScorer<'a> {
         score
     }
 
-    /// One readiness term through the pass memo: direct recomputation
-    /// when `port`'s trap is one of the swap's endpoint traps (the swap
-    /// may have changed the pattern), the memoised no-swap value
-    /// otherwise.
-    fn readiness_memo(
+    /// The readiness of `port` once a swap with space changes `spaces` is
+    /// applied, from the port's memoised [`NearestSpaces`] (scanned on the
+    /// pass's first request). Equals `space_readiness(placement,
+    /// Some(swap), port)` bit for bit.
+    #[inline]
+    fn readiness_after(
         &self,
         memo: &mut ReadinessMemo,
         placement: &Placement,
-        swap: &GenericSwap,
-        swap_ta: TrapId,
-        swap_tb: TrapId,
+        spaces: &SwapSpaces,
         port: SlotId,
     ) -> f64 {
+        let nearest = match memo.lookup(port.index()) {
+            Some(v) => v,
+            None => {
+                let v = self.nearest_spaces(placement, port);
+                memo.store(port.index(), v);
+                v
+            }
+        };
         let trap = self.graph.slot_trap(port);
-        if trap == swap_ta || trap == swap_tb {
-            return self.space_readiness(placement, Some(swap), port);
+        let best = nearest.after(self.graph.slot_position(port), spaces.shift_of(trap));
+        if best == NO_SPACE {
+            self.graph.topology().trap(trap).capacity() as f64
+        } else {
+            best as f64
         }
-        if let Some(v) = memo.lookup(port.index()) {
-            return v;
+    }
+
+    /// Scans `port`'s chain for the nearest and runner-up spaces (ties go
+    /// to the lower chain position; the runner-up may sit at the same
+    /// distance on the other side).
+    fn nearest_spaces(&self, placement: &Placement, port: SlotId) -> NearestSpaces {
+        let trap = self.graph.topology().trap(self.graph.slot_trap(port));
+        let port_pos = self.graph.slot_position(port);
+        let mut spaces =
+            NearestSpaces { nearest: NO_SPACE, nearest_pos: NO_SPACE, runner_up: NO_SPACE };
+        for pos in 0..trap.capacity() {
+            if placement.occupant(trap.slot_at(pos)).is_none() {
+                let d = pos.abs_diff(port_pos);
+                if d < spaces.nearest {
+                    spaces.runner_up = spaces.nearest;
+                    spaces.nearest = d;
+                    spaces.nearest_pos = pos;
+                } else if d < spaces.runner_up {
+                    spaces.runner_up = d;
+                }
+            }
         }
-        let v = self.space_readiness(placement, None, port);
-        memo.store(port.index(), v);
-        v
+        spaces
+    }
+
+    /// The space changes `swap` would make (see [`SwapSpaces`]).
+    fn swap_spaces(&self, placement: &Placement, swap: &GenericSwap) -> SwapSpaces {
+        let (ion, space) =
+            if placement.occupant(swap.a).is_some() { (swap.a, swap.b) } else { (swap.b, swap.a) };
+        let pos = |slot| Some(self.graph.slot_position(slot));
+        match swap.kind {
+            GenericSwapKind::SwapGate => SwapSpaces::default(),
+            GenericSwapKind::Reorder => SwapSpaces([
+                Some(SpaceShift {
+                    trap: self.graph.slot_trap(space),
+                    lost: pos(space),
+                    gained: pos(ion),
+                }),
+                None,
+            ]),
+            GenericSwapKind::Shuttle { .. } => SwapSpaces([
+                Some(SpaceShift { trap: self.graph.slot_trap(ion), lost: None, gained: pos(ion) }),
+                Some(SpaceShift {
+                    trap: self.graph.slot_trap(space),
+                    lost: pos(space),
+                    gained: None,
+                }),
+            ]),
+        }
     }
 
     /// [`HeuristicScorer::gate_score`] serving its readiness terms from
     /// the pass's [`ReadinessMemo`] — used by the stall-fallback
     /// frontier loop, where many gates share the same entry ports.
-    /// Bit-identical to [`HeuristicScorer::gate_score`] (no hypothetical
-    /// swap is involved, so every port is memoisable).
+    /// Bit-identical to [`HeuristicScorer::gate_score`].
     pub fn gate_score_memo(
         &self,
         memo: &mut ReadinessMemo,
@@ -721,40 +883,8 @@ impl<'a> HeuristicScorer<'a> {
         let (Some(s1), Some(s2)) = (placement.slot_of(q1), placement.slot_of(q2)) else {
             return f64::INFINITY;
         };
-        let inner = self.config.weights.inner_weight;
-        let mut score = self.slot_distance(s1, s2);
-        let ta = self.graph.slot_trap(s1);
-        let tb = self.graph.slot_trap(s2);
-        if ta != tb {
-            let mut readiness = f64::INFINITY;
-            if let Some(next) = self.router.next_hop(ta, tb) {
-                let entry = self.graph.topology().port_slot(next, ta);
-                readiness = readiness.min(self.readiness_none_memo(memo, placement, entry));
-            }
-            if let Some(next) = self.router.next_hop(tb, ta) {
-                let entry = self.graph.topology().port_slot(next, tb);
-                readiness = readiness.min(self.readiness_none_memo(memo, placement, entry));
-            }
-            if readiness.is_finite() {
-                score += inner * readiness;
-            }
-        }
-        score + placement.full_trap_count() as f64
-    }
-
-    /// The memoised no-swap readiness of one entry port.
-    fn readiness_none_memo(
-        &self,
-        memo: &mut ReadinessMemo,
-        placement: &Placement,
-        port: SlotId,
-    ) -> f64 {
-        if let Some(v) = memo.lookup(port.index()) {
-            return v;
-        }
-        let v = self.space_readiness(placement, None, port);
-        memo.store(port.index(), v);
-        v
+        self.pair_route_score_memo(memo, placement, &SwapSpaces::default(), s1, s2)
+            + placement.full_trap_count() as f64
     }
 
     /// [`HeuristicScorer::penalty_after`] with the current full-trap count
@@ -809,7 +939,8 @@ fn slots_after_swap(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssync_arch::{QccdTopology, TrapRouter};
+    use proptest::prelude::*;
+    use ssync_arch::{Device, QccdTopology, TrapRouter};
     use ssync_circuit::Qubit;
 
     fn setup() -> (SlotGraph, TrapRouter, CompilerConfig, Placement) {
@@ -942,5 +1073,213 @@ mod tests {
         // not help the frontier gate; moving it is still scored consistently.
         assert!(s_towards.is_finite() && s_away.is_finite());
         assert!(s_towards >= s_away - 1.0); // sanity: both scores comparable
+    }
+
+    /// A small deterministic generator for the property tests (SplitMix64).
+    struct Mix(u64);
+
+    impl Mix {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+    }
+
+    /// A tight device of kind `kind` (0 linear, 1 grid, 2 fully connected).
+    fn tight_device(kind: usize, traps: usize, capacity: usize) -> Device {
+        let topo = match kind {
+            0 => QccdTopology::linear(traps, capacity),
+            1 => QccdTopology::grid(2, traps.div_ceil(2), capacity),
+            _ => QccdTopology::fully_connected(traps, capacity),
+        };
+        Device::build(topo, CompilerConfig::default().weights)
+    }
+
+    /// `qubits` qubits on distinct random slots.
+    fn random_placement(device: &Device, qubits: usize, rng: &mut Mix) -> Placement {
+        let mut slots: Vec<u32> = (0..device.graph().num_slots() as u32).collect();
+        let mut p = Placement::new(device.topology(), qubits);
+        for q in 0..qubits {
+            let pick = q + rng.below(slots.len() - q);
+            slots.swap(q, pick);
+            p.place(Qubit(q as u32), SlotId(slots[q]));
+        }
+        p
+    }
+
+    /// Asserts that the memoised readiness of every slot under every
+    /// candidate swap (and under no swap) equals a fresh chain scan, to the
+    /// bit, and returns how many lookups hit each edge case: a trap left
+    /// without a space, a swap filling a trap's only space, and a swap
+    /// removing one of two spaces tied for nearest.
+    fn check_readiness(device: &Device, p: &Placement) -> [usize; 3] {
+        let config = CompilerConfig::default();
+        let scorer = HeuristicScorer::new(device.graph(), device.router(), &config);
+        let mut memo = ReadinessMemo::default();
+        memo.begin_pass();
+        let mut seen = [0usize; 3];
+        let graph = device.graph();
+        for port in (0..graph.num_slots() as u32).map(SlotId) {
+            let none = scorer.readiness_after(&mut memo, p, &SwapSpaces::default(), port);
+            assert_eq!(none.to_bits(), scorer.space_readiness(p, None, port).to_bits());
+            for swap in GenericSwap::candidates(graph, p) {
+                let spaces = scorer.swap_spaces(p, &swap);
+                let fast = scorer.readiness_after(&mut memo, p, &spaces, port);
+                let scan = scorer.space_readiness(p, Some(&swap), port);
+                assert_eq!(fast.to_bits(), scan.to_bits(), "{swap} at {port}");
+                let trap = graph.slot_trap(port);
+                let before = scorer.nearest_spaces(p, port);
+                let shift = spaces.shift_of(trap);
+                let capacity = graph.topology().trap(trap).capacity() as f64;
+                seen[0] += usize::from(before.nearest == NO_SPACE);
+                seen[1] += usize::from(scan == capacity && before.nearest != NO_SPACE);
+                seen[2] += usize::from(
+                    before.nearest == before.runner_up
+                        && shift.is_some_and(|s| s.lost == Some(before.nearest_pos)),
+                );
+            }
+        }
+        seen
+    }
+
+    #[test]
+    fn readiness_edge_cases_match_a_chain_scan() {
+        // Linear, two traps of capacity 5: trap 0 full, trap 1 holds one ion
+        // in its middle so its spaces tie on both sides of position 2.
+        let device = tight_device(0, 2, 5);
+        let mut p = Placement::new(device.topology(), 6);
+        for q in 0..5u32 {
+            p.place(Qubit(q), SlotId(q));
+        }
+        p.place(Qubit(5), SlotId(7));
+        let [no_space, _, tied] = check_readiness(&device, &p);
+        assert!(no_space > 0, "a full trap was read");
+        assert!(tied > 0, "a swap removed one of two tied spaces");
+        // Trap 1's only space is its port: the shuttle in from trap 0 fills it.
+        let mut p = Placement::new(device.topology(), 8);
+        for q in 0..8u32 {
+            p.place(Qubit(q), SlotId(q + u32::from(q >= 4) + 1));
+        }
+        let [_, filled, _] = check_readiness(&device, &p);
+        assert!(filled > 0, "the shuttle filled the last space");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn readiness_memo_matches_a_chain_scan(
+            kind in 0usize..3,
+            traps in 2usize..5,
+            capacity in 2usize..9,
+            fill in 0usize..100,
+            seed in 0u64..1_000_000,
+        ) {
+            let device = tight_device(kind, traps, capacity);
+            let slots = device.graph().num_slots();
+            let qubits = (1 + fill * slots / 100).min(slots);
+            let p = random_placement(&device, qubits, &mut Mix(seed));
+            check_readiness(&device, &p);
+        }
+
+        #[test]
+        fn prefix_resumed_scores_equal_score_swap(
+            kind in 0usize..3,
+            traps in 2usize..5,
+            capacity in 2usize..7,
+            spare in 0usize..4,
+            frontier_len in 1usize..6,
+            lookahead_len in 0usize..40,
+            seed in 0u64..1_000_000,
+        ) {
+            let device = tight_device(kind, traps, capacity);
+            let slots = device.graph().num_slots();
+            let qubits = slots.saturating_sub(spare).max(2);
+            let mut rng = Mix(seed);
+            let p = random_placement(&device, qubits, &mut rng);
+            let config = CompilerConfig::default();
+            let mut decay = DecayTracker::new(qubits, config.decay_delta, 3);
+            for _ in 0..rng.below(4) {
+                decay.mark(Qubit(rng.below(qubits) as u32));
+                decay.tick();
+            }
+            let gates: Vec<(NodeId, Gate)> = (0..frontier_len + lookahead_len)
+                .map(|i| {
+                    let a = rng.below(qubits);
+                    let b = (a + 1 + rng.below(qubits - 1)) % qubits;
+                    (NodeId(i), Gate::Cx(Qubit(a as u32), Qubit(b as u32)))
+                })
+                .collect();
+            let (frontier, lookahead) = gates.split_at(frontier_len);
+            let plain = |list: &[(NodeId, Gate)]| list.iter().map(|&(_, g)| g).collect::<Vec<_>>();
+            let (frontier_gates, lookahead_gates) = (plain(frontier), plain(lookahead));
+
+            let reference = HeuristicScorer::new(device.graph(), device.router(), &config);
+            let scorer = HeuristicScorer::with_distance_matrix(
+                device.graph(),
+                device.router(),
+                &config,
+                device.distance_matrix(),
+            );
+            let mut scratch = ScoringScratch::default();
+            let mut cache = ScoreCache::new(gates.len(), device.topology().num_traps());
+            let mut memo = ReadinessMemo::default();
+            scorer.prepare_pass(&mut scratch, &mut cache, &p, &decay, frontier, lookahead);
+            memo.begin_pass();
+            for swap in GenericSwap::candidates(device.graph(), &p) {
+                let fast = scorer.score_swap_memo(&scratch, &mut memo, &p, &swap);
+                let slow =
+                    reference.score_swap(&p, &decay, &frontier_gates, &lookahead_gates, &swap);
+                prop_assert_eq!(fast.to_bits(), slow.to_bits(), "{}", swap);
+            }
+        }
+    }
+
+    #[test]
+    fn prefix_resume_covers_shuttles_that_move_the_penalty_both_ways() {
+        // Linear L-3 of capacity 3. Trap 0 is full; trap 1 holds one ion at
+        // its right port; trap 2 holds two ions, leaving its left port free.
+        // Shuttling trap 0's port ion out lowers the penalty; shuttling
+        // trap 1's into trap 2 fills trap 2 and raises it.
+        let device = tight_device(0, 3, 3);
+        let mut p = Placement::new(device.topology(), 6);
+        for (q, slot) in [(0u32, 0u32), (1, 1), (2, 2), (3, 5), (4, 7), (5, 8)] {
+            p.place(Qubit(q), SlotId(slot));
+        }
+        let config = CompilerConfig::default();
+        let decay = DecayTracker::new(6, config.decay_delta, config.decay_reset_interval);
+        let gates: Vec<(NodeId, Gate)> = [(0, 5), (2, 3), (1, 4), (0, 3), (2, 5), (4, 5)]
+            .into_iter()
+            .enumerate()
+            .map(|(i, (a, b))| (NodeId(i), Gate::Cx(Qubit(a), Qubit(b))))
+            .collect();
+        let (frontier, lookahead) = gates.split_at(1);
+        let reference = HeuristicScorer::new(device.graph(), device.router(), &config);
+        let scorer = HeuristicScorer::with_distance_matrix(
+            device.graph(),
+            device.router(),
+            &config,
+            device.distance_matrix(),
+        );
+        let mut scratch = ScoringScratch::default();
+        let mut cache = ScoreCache::new(gates.len(), 3);
+        let mut memo = ReadinessMemo::default();
+        scorer.prepare_pass(&mut scratch, &mut cache, &p, &decay, frontier, lookahead);
+        memo.begin_pass();
+        let full = p.full_trap_count();
+        let mut moved = (false, false);
+        let plain = |list: &[(NodeId, Gate)]| list.iter().map(|&(_, g)| g).collect::<Vec<_>>();
+        for swap in GenericSwap::candidates(device.graph(), &p) {
+            let pen = reference.penalty_after(&p, &swap);
+            moved.0 |= pen < full;
+            moved.1 |= pen > full;
+            let fast = scorer.score_swap_memo(&scratch, &mut memo, &p, &swap);
+            let slow = reference.score_swap(&p, &decay, &plain(frontier), &plain(lookahead), &swap);
+            assert_eq!(fast.to_bits(), slow.to_bits(), "{swap}");
+        }
+        assert_eq!(moved, (true, true), "shuttles lowered and raised the full-trap penalty");
     }
 }

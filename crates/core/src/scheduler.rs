@@ -53,8 +53,9 @@ pub struct ScoringTelemetry {
     pub candidates_scored: u64,
     /// Scoring passes run: one per candidate or stall-fallback pass.
     pub scoring_passes: u64,
-    /// Readiness values served from the per-pass [`ReadinessMemo`]
-    /// instead of being recomputed.
+    /// Readiness lookups served from the per-pass [`ReadinessMemo`]
+    /// instead of a chain scan, counting lookups under a candidate's
+    /// hypothetical swap as well as plain ones.
     pub readiness_memo_hits: u64,
     /// Times the per-qubit gate lists were rebuilt after the frontier
     /// went stale (lazy rebuilds, so this counts actual work done).
