@@ -37,8 +37,10 @@ impl InitialMapping {
 /// Hyper-parameters of the S-SYNC compiler.
 ///
 /// Defaults follow Sec. 4.2: inner weight 0.001, shuttle weight 1, decay
-/// rate δ = 0.001 with a 5-iteration reset, heuristic look-ahead of 8
-/// layers for the intra-trap mapping score, and path truncation m = 2.
+/// rate δ = 0.001 with a 5-iteration reset, and a heuristic look-ahead of
+/// 8 layers for the intra-trap mapping score and the extended heuristic.
+/// The paper's path truncation m has no field: the trap-level router
+/// scores whole shortest routes, so no compiler would read it.
 ///
 /// Every field can change compiled output or its evaluation, and nothing
 /// else lives here: the service's wire codec writes every field and its
@@ -56,10 +58,6 @@ pub struct CompilerConfig {
     /// Look-ahead depth (DAG layers) for the intra-trap mapping score and
     /// the extended heuristic.
     pub lookahead_layers: usize,
-    /// Maximum number of intermediate hops considered when scoring a path
-    /// (the paper's m; the trap-level router generalises beyond it, but the
-    /// sensitivity study keeps it configurable).
-    pub path_truncation: usize,
     /// Weight α of the inter-trap interaction term in Eq. (3).
     pub alpha: f64,
     /// Weight β of the intra-trap interaction term in Eq. (3).
@@ -97,7 +95,6 @@ impl Default for CompilerConfig {
             decay_delta: 0.001,
             decay_reset_interval: 5,
             lookahead_layers: 8,
-            path_truncation: 2,
             alpha: 1.0,
             beta: 1.0,
             initial_mapping: InitialMapping::default(),
@@ -223,7 +220,6 @@ mod tests {
         assert_eq!(c.decay_delta, 0.001);
         assert_eq!(c.decay_reset_interval, 5);
         assert_eq!(c.lookahead_layers, 8);
-        assert_eq!(c.path_truncation, 2);
         assert_eq!(c.initial_mapping, InitialMapping::Gathering);
         assert_eq!(c.gate_impl, GateImplementation::Fm);
     }

@@ -368,7 +368,6 @@ pub fn encode_config(w: &mut ByteWriter, c: &CompilerConfig) {
         decay_delta,
         decay_reset_interval,
         lookahead_layers,
-        path_truncation,
         alpha,
         beta,
         initial_mapping,
@@ -401,7 +400,6 @@ pub fn encode_config(w: &mut ByteWriter, c: &CompilerConfig) {
     w.put_f64(decay_delta);
     w.put_usize(decay_reset_interval);
     w.put_usize(lookahead_layers);
-    w.put_usize(path_truncation);
     w.put_f64(alpha);
     w.put_f64(beta);
     w.put_u8(initial_mapping_tag(initial_mapping));
@@ -434,7 +432,6 @@ pub fn decode_config(r: &mut ByteReader<'_>) -> Result<CompilerConfig, CodecErro
         decay_delta: r.get_f64()?,
         decay_reset_interval: r.get_usize()?,
         lookahead_layers: r.get_usize()?,
-        path_truncation: r.get_usize()?,
         alpha: r.get_f64()?,
         beta: r.get_f64()?,
         initial_mapping: initial_mapping_from_tag(r.get_u8()?)?,

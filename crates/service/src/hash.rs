@@ -100,14 +100,13 @@ mod tests {
     #[test]
     fn every_noise_field_splits_the_cache_key() {
         let base = CompilerConfig::default();
-        let mutations: [fn(&mut CompilerConfig); 26] = [
+        let mutations: [fn(&mut CompilerConfig); 25] = [
             |c| c.weights.inner_weight *= 2.0,
             |c| c.weights.shuttle_weight *= 2.0,
             |c| c.weights.threshold *= 2.0,
             |c| c.decay_delta *= 2.0,
             |c| c.decay_reset_interval += 1,
             |c| c.lookahead_layers += 1,
-            |c| c.path_truncation += 1,
             |c| c.alpha *= 2.0,
             |c| c.beta *= 2.0,
             |c| c.initial_mapping = InitialMapping::Sta,

@@ -78,7 +78,7 @@ use std::time::Duration;
 pub const WIRE_MAGIC: u32 = u32::from_le_bytes(*b"SSYC");
 /// The protocol version, written on every frame and the only one
 /// [`read_frame`] accepts; bumped on any payload layout change.
-pub const WIRE_VERSION: u32 = 7;
+pub const WIRE_VERSION: u32 = 8;
 /// Upper bound on a frame payload (a defence against corrupt length
 /// prefixes, not a practical limit — outcomes are kilobytes).
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
