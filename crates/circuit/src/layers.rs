@@ -70,9 +70,10 @@ impl Layers {
         self.layers.iter()
     }
 
-    /// The gates of the first `k` layers, flattened in layer order. This is
-    /// the look-ahead window used by the intra-trap initial mapping score
-    /// (Eq. 3 of the paper).
+    /// The gates of the first `k` layers, flattened in layer order: the
+    /// look-ahead window of the intra-trap initial mapping score (Eq. 3 of
+    /// the paper), which placement counts in one pass without building
+    /// the layers.
     pub fn first_k(&self, k: usize) -> Vec<Gate> {
         self.layers.iter().take(k).flatten().copied().collect()
     }

@@ -300,8 +300,6 @@ struct GateTerm {
     q2: Qubit,
     s1: SlotId,
     s2: SlotId,
-    ta: TrapId,
-    tb: TrapId,
     /// Traps whose occupancy pattern feeds the readiness term (the
     /// next-hop entry traps of the route), `None` for same-trap gates.
     entry_a: Option<TrapId>,
@@ -399,6 +397,9 @@ struct NearestSpaces {
 }
 
 impl NearestSpaces {
+    const NONE: NearestSpaces =
+        NearestSpaces { nearest: NO_SPACE, nearest_pos: NO_SPACE, runner_up: NO_SPACE };
+
     /// The distance to the nearest space once `shift` (if any) has changed
     /// which of the chain's positions are spaces.
     #[inline]
@@ -433,6 +434,13 @@ impl SwapSpaces {
     #[inline]
     fn shift_of(&self, trap: TrapId) -> Option<SpaceShift> {
         self.0.into_iter().flatten().find(|s| s.trap == trap)
+    }
+
+    /// The traps whose spaces the swap changes: none for a SWAP gate, the
+    /// one chain for a reorder, both ends of a shuttle.
+    #[inline]
+    fn traps(&self) -> impl Iterator<Item = TrapId> {
+        self.0.into_iter().flatten().map(|s| s.trap)
     }
 }
 
@@ -484,10 +492,8 @@ impl ReadinessMemo {
     #[inline]
     fn store(&mut self, slot: usize, v: NearestSpaces) {
         if slot >= self.stamp.len() {
-            let none =
-                NearestSpaces { nearest: NO_SPACE, nearest_pos: NO_SPACE, runner_up: NO_SPACE };
             self.stamp.resize(slot + 1, 0);
-            self.spaces.resize(slot + 1, none);
+            self.spaces.resize(slot + 1, NearestSpaces::NONE);
         }
         self.stamp[slot] = self.epoch;
         self.spaces[slot] = v;
@@ -529,13 +535,10 @@ impl ScoringScratch {
     /// term before it takes its cached value.
     #[inline]
     fn first_changed(&self, view: &SwapView<'_>) -> usize {
-        let mut first =
+        let moved =
             self.first_at_slot[view.swap.a.index()].min(self.first_at_slot[view.swap.b.index()]);
-        if !view.pattern_preserving {
-            first = first
-                .min(self.first_at_trap[view.trap_a.index()])
-                .min(self.first_at_trap[view.trap_b.index()]);
-        }
+        let first =
+            view.spaces.traps().map(|t| self.first_at_trap[t.index()]).fold(moved, u32::min);
         (first as usize).min(self.lookahead_len())
     }
 
@@ -554,10 +557,6 @@ struct SwapView<'s> {
     swap: &'s GenericSwap,
     occ_a: Option<Qubit>,
     occ_b: Option<Qubit>,
-    trap_a: TrapId,
-    trap_b: TrapId,
-    /// SWAP gates leave every trap's occupancy pattern as it was.
-    pattern_preserving: bool,
     spaces: SwapSpaces,
     pen_after: f64,
 }
@@ -658,8 +657,6 @@ impl<'a> HeuristicScorer<'a> {
             q2,
             s1,
             s2,
-            ta,
-            tb,
             entry_a,
             entry_b,
             route,
@@ -687,9 +684,6 @@ impl<'a> HeuristicScorer<'a> {
             swap,
             occ_a: placement.occupant(swap.a),
             occ_b: placement.occupant(swap.b),
-            trap_a: self.graph.slot_trap(swap.a),
-            trap_b: self.graph.slot_trap(swap.b),
-            pattern_preserving: swap.kind == GenericSwapKind::SwapGate,
             spaces: self.swap_spaces(placement, swap),
             pen_after: pen as f64,
         };
@@ -743,12 +737,10 @@ impl<'a> HeuristicScorer<'a> {
         memo: &mut ReadinessMemo,
     ) -> f64 {
         let slots_unchanged = s1 == t.s1 && s2 == t.s2;
-        let readiness_unchanged = view.pattern_preserving
-            || t.ta == t.tb
-            || (Some(view.trap_a) != t.entry_a
-                && Some(view.trap_a) != t.entry_b
-                && Some(view.trap_b) != t.entry_a
-                && Some(view.trap_b) != t.entry_b);
+        // Readiness reads only the entry traps' spaces (none for a
+        // same-trap gate), so it holds unless the swap changes those.
+        let readiness_unchanged =
+            view.spaces.traps().all(|trap| Some(trap) != t.entry_a && Some(trap) != t.entry_b);
         if slots_unchanged && readiness_unchanged {
             t.route + view.pen_after
         } else {
@@ -824,8 +816,7 @@ impl<'a> HeuristicScorer<'a> {
     fn nearest_spaces(&self, placement: &Placement, port: SlotId) -> NearestSpaces {
         let trap = self.graph.topology().trap(self.graph.slot_trap(port));
         let port_pos = self.graph.slot_position(port);
-        let mut spaces =
-            NearestSpaces { nearest: NO_SPACE, nearest_pos: NO_SPACE, runner_up: NO_SPACE };
+        let mut spaces = NearestSpaces::NONE;
         for pos in 0..trap.capacity() {
             if placement.occupant(trap.slot_at(pos)).is_none() {
                 let d = pos.abs_diff(port_pos);
