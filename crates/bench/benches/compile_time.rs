@@ -85,6 +85,31 @@ fn bench_scheduler_hot_path(c: &mut Criterion) {
     group.finish();
 }
 
+/// S-SYNC initial placement alone (`initial::build_placement`: the
+/// first-level trap assignment plus the Eq. 3 mountain ordering inside
+/// each trap) on three paper-device cells, the long-chain ones where
+/// placement once rivalled the scheduler in a short compile.
+fn bench_initial_placement(c: &mut Criterion) {
+    use ssync_arch::Device;
+    use ssync_core::initial;
+
+    let config = CompilerConfig::default();
+    let mut group = c.benchmark_group("initial_placement");
+    group.sample_size(10);
+    for (label, app, qubits, device) in [
+        ("qft-48@G-3x3", AppKind::Qft, 48, "G-3x3"),
+        ("heisenberg-40@L-2", AppKind::Heisenberg, 40, "L-2"),
+        ("qaoa-40@G-2x2", AppKind::Qaoa, 40, "G-2x2"),
+    ] {
+        let circuit = scaled_app(app, qubits);
+        let device = Device::named(device, config.weights).expect("paper topology");
+        group.bench_with_input(BenchmarkId::new("ssync", label), &circuit, |b, circuit| {
+            b.iter(|| initial::build_placement(circuit, &device, &config).num_placed())
+        });
+    }
+    group.finish();
+}
+
 /// Batch throughput over one shared device: the same circuit set compiled
 /// three ways — rebuilding the device artifact per compile like the
 /// pre-`Device` code did ("rebuild_device"), through one shared device a
@@ -508,6 +533,7 @@ criterion_group!(
     bench_compile_time,
     bench_compile_apps,
     bench_scheduler_hot_path,
+    bench_initial_placement,
     bench_batch_throughput,
     bench_device_build,
     bench_service_throughput,
