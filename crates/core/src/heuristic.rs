@@ -444,8 +444,9 @@ impl SwapSpaces {
     }
 }
 
-/// A memo of each entry port's [`NearestSpaces`], valid for one scoring
-/// pass (one placement snapshot) at a time.
+/// A memo of each entry port's nearest spaces (the nearest one's
+/// distance and position, the runner-up's distance), valid for one
+/// scoring pass (one placement snapshot) at a time.
 ///
 /// The readiness term of `HeuristicScorer::pair_route_score` asks "how
 /// far is the nearest empty slot from this entry port?". Within a pass the
