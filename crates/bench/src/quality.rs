@@ -21,9 +21,9 @@ use crate::harness::CompilerKind;
 use crate::qasm_corpus::{corpus_dir, load_corpus};
 use ssync_arch::{Device, QccdTopology};
 use ssync_circuit::{Circuit, Qubit, StableHasher};
-use ssync_core::{CompileOutcome, CompilerConfig, InitialMapping};
+use ssync_core::{CompileOutcome, CompilerConfig, InitialMapping, SwapScheduleKind};
 use ssync_service::telemetry::kind_slug;
-use ssync_sim::ScheduledOp;
+use ssync_sim::{GateImplementation, ScheduledOp};
 use std::path::PathBuf;
 
 /// One pinned compile: a circuit on a device under one compiler setting.
@@ -52,7 +52,11 @@ pub fn quality_path() -> PathBuf {
 const APP_SIZES: [usize; 2] = [6, 10];
 
 /// The compiler settings every (circuit, device) pair runs under: S-SYNC
-/// under each initial mapping, the other kinds under the default config.
+/// under each initial mapping, the other kinds under the default config,
+/// perm-route under the bubble-sort schedule, and every kind under a
+/// non-default evaluation model (`-eval`: AM2 gates, twice the move time,
+/// twice the heating rate), which pins that each kind's tracer reads the
+/// config it was given.
 fn settings() -> Vec<(String, CompilerKind, CompilerConfig)> {
     let base = CompilerConfig::default();
     let mut settings: Vec<_> = InitialMapping::ALL
@@ -64,6 +68,14 @@ fn settings() -> Vec<(String, CompilerKind, CompilerConfig)> {
         .collect();
     for kind in CompilerKind::ALL.into_iter().filter(|&k| k != CompilerKind::SSync) {
         settings.push((kind_slug(kind).to_string(), kind, base));
+    }
+    let bubble = base.with_perm_schedule(SwapScheduleKind::BubbleSort);
+    settings.push(("perm_route-bubble".to_string(), CompilerKind::PermRoute, bubble));
+    let mut eval = base.with_gate_impl(GateImplementation::Am2);
+    eval.op_times.move_us *= 2.0;
+    eval.noise.heating_rate_gamma *= 2.0;
+    for kind in CompilerKind::ALL {
+        settings.push((format!("{}-eval", kind_slug(kind)), kind, eval));
     }
     settings
 }
