@@ -1,11 +1,9 @@
-//! The shared greedy routing engine behind both baseline compilers.
+//! The greedy routing policy behind the Murali, Dai and Greedy kinds.
 
-use ssync_arch::{Device, Placement, QccdTopology, SlotGraph, TrapRouter};
-use ssync_circuit::{Circuit, DependencyDag, Gate, NodeId, Qubit};
-use ssync_core::mechanics::Mechanics;
-use ssync_core::{CompileError, CompileOutcome, CompilerConfig};
-use ssync_sim::{CompiledProgram, ExecutionTracer, ScheduledOp};
-use std::time::Instant;
+use ssync_arch::{Device, Placement, SlotGraph, TrapRouter};
+use ssync_circuit::{Circuit, Gate, Qubit};
+use ssync_core::driver::{BlockedRound, RoutingPolicy};
+use ssync_core::{initial, CompileError};
 
 /// What differentiates the baselines inside the shared greedy engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -33,246 +31,49 @@ impl BaselineStyle {
     }
 }
 
-/// Greedy QCCD router: executes co-located frontier gates, and resolves
-/// blocked gates by physically moving one operand to the other operand's
-/// trap using the shared placement mechanics.
-#[derive(Debug, Clone)]
+/// The greedy routing policy behind Murali, Dai and the plain greedy
+/// ablation: qubits start in [`initial::first_use_packing`] order with the
+/// style's reserved slots, and each blocked round moves one operand of
+/// one frontier gate into its partner's trap through the shared placement
+/// mechanics.
+#[derive(Debug, Clone, Copy)]
 pub struct GreedyRouter {
     style: BaselineStyle,
-    config: CompilerConfig,
 }
 
 impl GreedyRouter {
-    /// Creates a router with the given style and evaluation configuration.
-    pub fn new(style: BaselineStyle, config: CompilerConfig) -> Self {
-        GreedyRouter { style, config }
+    /// A policy with the given style.
+    pub fn new(style: BaselineStyle) -> Self {
+        GreedyRouter { style }
+    }
+}
+
+impl RoutingPolicy for GreedyRouter {
+    const ROUNDS_PER_GATE: usize = 100;
+
+    fn place(&mut self, device: &Device, circuit: &Circuit) -> Placement {
+        initial::first_use_packing(circuit, device.topology(), self.style.reserved_slots())
     }
 
-    /// The evaluation configuration (weights, gate implementation, noise).
-    pub fn config(&self) -> &CompilerConfig {
-        &self.config
-    }
-
-    /// Compiles `circuit` for `topology`.
-    ///
-    /// This is a convenience wrapper that builds a throw-away [`Device`]
-    /// and forwards to [`GreedyRouter::compile_on`]; sweeps should build
-    /// the device once and call `compile_on` directly.
-    ///
-    /// # Errors
-    ///
-    /// See [`GreedyRouter::compile_on`].
-    pub fn compile(
-        &self,
-        circuit: &Circuit,
-        topology: &QccdTopology,
-    ) -> Result<CompileOutcome, CompileError> {
-        let device = Device::build(topology.clone(), self.config.weights);
-        self.compile_on(&device, circuit)
-    }
-
-    /// Compiles `circuit` against a prepared, shared `device` artifact.
-    /// The slot graph and trap router come from the device; nothing
-    /// device-derived is rebuilt per compile.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompileError::DeviceTooSmall`] when the device cannot hold
-    /// every qubit plus a free slot, and
-    /// [`CompileError::DisconnectedTopology`] for unreachable traps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `device` was built with different edge weights than this
-    /// router's configuration.
-    pub fn compile_on(
-        &self,
-        device: &Device,
-        circuit: &Circuit,
-    ) -> Result<CompileOutcome, CompileError> {
-        self.compile_on_with_order(device, circuit, None)
-    }
-
-    /// [`GreedyRouter::compile_on`] with an optionally precomputed
-    /// first-use qubit order ([`Circuit::first_use_order`]). The order
-    /// depends only on the circuit — not on the device, the style, or the
-    /// configuration — so sweeps compiling one circuit across many
-    /// topology cells should compute it once and pass it here instead of
-    /// re-sorting inside every `initial_placement`. Passing `None` (or the
-    /// correct order) is behaviourally identical to `compile_on`.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`GreedyRouter::compile_on`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `device` was built with different edge weights than this
-    /// router's configuration, or if `order` is not a permutation of the
-    /// circuit's qubits.
-    pub fn compile_on_with_order(
-        &self,
-        device: &Device,
-        circuit: &Circuit,
-        order: Option<&[Qubit]>,
-    ) -> Result<CompileOutcome, CompileError> {
-        assert!(
-            device.weights() == self.config.weights,
-            "device was built with different edge weights than the baseline config"
-        );
-        let topology = device.topology();
-        let slots = topology.total_capacity();
-        if slots < circuit.num_qubits() + 1 {
-            return Err(CompileError::DeviceTooSmall { qubits: circuit.num_qubits(), slots });
+    fn route_blocked(&mut self, step: BlockedRound<'_>) -> Result<(), CompileError> {
+        let BlockedRound { dag, placement, program, mechanics, .. } = step;
+        let (graph, router) = (mechanics.graph(), mechanics.router());
+        let frontier: Vec<Gate> = dag.frontier().iter().map(|&id| dag.gate(id)).collect();
+        let gate = self.pick_gate(&frontier, placement, router, graph);
+        let (mover, anchor) = self.pick_mover(&gate, placement, router, graph);
+        let dest = placement.trap_of(anchor).expect("anchor placed");
+        if placement.trap_free_slots(dest) == 0 {
+            mechanics.make_space(placement, program, dest, 1, &[mover, anchor]);
         }
-        if !device.is_connected() {
-            return Err(CompileError::DisconnectedTopology);
+        let dest = placement.trap_of(anchor).expect("anchor placed");
+        if !mechanics.move_qubit_to_trap(placement, program, mover, dest) {
+            return Err(CompileError::SchedulingStalled { remaining_gates: dag.remaining() });
         }
-
-        let start = Instant::now();
-        let graph = device.graph();
-        let router = device.router();
-        let mechanics = Mechanics::new(graph, router);
-        let mut placement = match order {
-            Some(order) => {
-                assert_eq!(order.len(), circuit.num_qubits(), "order must cover every qubit");
-                self.initial_placement_with_order(circuit, graph, order)
-            }
-            None => self.initial_placement(circuit, graph),
-        };
-        let mut program = CompiledProgram::new(circuit.num_qubits(), topology.num_traps());
-        for gate in circuit.iter() {
-            if !gate.is_two_qubit() {
-                program.push(ScheduledOp::SingleQubitGate { qubit: gate.qubits()[0] });
-            }
-        }
-
-        let mut dag = DependencyDag::from_circuit(circuit);
-        let mut rounds = 0usize;
-        let budget = 10_000 + 100 * dag.len();
-        let mut drain_scratch: Vec<NodeId> = Vec::new();
-        let mut executed: Vec<NodeId> = Vec::new();
-        while !dag.is_complete() {
-            rounds += 1;
-            if rounds > budget {
-                return Err(CompileError::SchedulingStalled { remaining_gates: dag.remaining() });
-            }
-            // Execute everything already co-located.
-            let placement_ref = &placement;
-            dag.drain_executable_into(
-                |gate| {
-                    let Some((a, b)) = gate.two_qubit_pair() else { return false };
-                    match (placement_ref.slot_of(a), placement_ref.slot_of(b)) {
-                        (Some(sa), Some(sb)) => graph.same_trap(sa, sb),
-                        _ => false,
-                    }
-                },
-                &mut drain_scratch,
-                &mut executed,
-            );
-            for id in &executed {
-                let (a, b) = dag.gate(*id).two_qubit_pair().expect("two-qubit gate");
-                mechanics.emit_two_qubit_gate(&placement, &mut program, a, b);
-            }
-            if dag.is_complete() {
-                break;
-            }
-            if !executed.is_empty() {
-                continue;
-            }
-
-            // Every frontier gate is blocked: pick one and route it.
-            let frontier: Vec<Gate> = dag.frontier().iter().map(|&id| dag.gate(id)).collect();
-            let gate = self.pick_gate(&frontier, &placement, router, graph);
-            let (mover, anchor) = self.pick_mover(&gate, &placement, router, graph);
-            let dest = placement.trap_of(anchor).expect("anchor placed");
-            if placement.trap_free_slots(dest) == 0 {
-                mechanics.make_space(&mut placement, &mut program, dest, 1, &[mover, anchor]);
-            }
-            let dest = placement.trap_of(anchor).expect("anchor placed");
-            if !mechanics.move_qubit_to_trap(&mut placement, &mut program, mover, dest) {
-                return Err(CompileError::SchedulingStalled { remaining_gates: dag.remaining() });
-            }
-        }
-
-        let compile_time = start.elapsed();
-        let tracer = ExecutionTracer {
-            gate_impl: self.config.gate_impl,
-            op_times: self.config.op_times,
-            noise: self.config.noise,
-        };
-        let report = tracer.evaluate(&program);
-        Ok(CompileOutcome::from_parts(program, report, placement, compile_time))
+        Ok(())
     }
+}
 
-    /// Sequential first-use packing with the style's reserved slots,
-    /// computing the order locally ([`Circuit::first_use_order`]).
-    fn initial_placement(&self, circuit: &Circuit, graph: &SlotGraph) -> Placement {
-        self.initial_placement_with_order(circuit, graph, &circuit.first_use_order())
-    }
-
-    /// Sequential packing of a precomputed first-use order with the
-    /// style's reserved slots.
-    fn initial_placement_with_order(
-        &self,
-        circuit: &Circuit,
-        graph: &SlotGraph,
-        order: &[Qubit],
-    ) -> Placement {
-        let topology = graph.topology();
-        let n = circuit.num_qubits();
-        let mut placement = Placement::new(topology, n);
-
-        // Soft capacity: reserve routing slots when the device has room.
-        let reserve = self.style.reserved_slots();
-        let total: usize = topology.total_capacity();
-        let soft_caps: Vec<usize> = topology
-            .traps()
-            .iter()
-            .map(|t| {
-                if total >= n + reserve * topology.num_traps() {
-                    t.capacity().saturating_sub(reserve)
-                } else {
-                    t.capacity().saturating_sub(1).max(1)
-                }
-            })
-            .collect();
-
-        let mut trap = 0usize;
-        let mut placed_in_trap = 0usize;
-        for &q in order {
-            while trap < topology.num_traps()
-                && (placed_in_trap >= soft_caps[trap]
-                    || placed_in_trap >= topology.traps()[trap].capacity())
-            {
-                trap += 1;
-                placed_in_trap = 0;
-            }
-            let t = if trap < topology.num_traps() {
-                trap
-            } else {
-                // Soft caps exhausted: any trap with hard room.
-                (0..topology.num_traps())
-                    .find(|&t| {
-                        placement.trap_occupancy(topology.traps()[t].id())
-                            < topology.traps()[t].capacity()
-                    })
-                    .expect("device has room for every qubit")
-            };
-            let trap_ref = &topology.traps()[t];
-            let slot = trap_ref
-                .slots()
-                .into_iter()
-                .find(|&s| placement.is_space(s))
-                .expect("trap below capacity has a free slot");
-            placement.place(q, slot);
-            if t == trap {
-                placed_in_trap += 1;
-            }
-        }
-        placement
-    }
-
+impl GreedyRouter {
     /// Which blocked gate to serve next.
     fn pick_gate(
         &self,
@@ -348,31 +149,28 @@ impl GreedyRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ssync_arch::QccdTopology;
     use ssync_circuit::generators::{qft, random_two_qubit_circuit};
+    use ssync_core::{driver, CompileOutcome, CompilerConfig};
 
-    #[test]
-    fn precomputed_order_matches_internal_sort() {
-        let circuit = qft(14);
-        let topo = QccdTopology::grid(2, 2, 6);
+    const STYLES: [BaselineStyle; 3] =
+        [BaselineStyle::Murali, BaselineStyle::Dai, BaselineStyle::Greedy];
+
+    fn compile(style: BaselineStyle, circuit: &Circuit, topo: &QccdTopology) -> CompileOutcome {
         let config = CompilerConfig::default();
-        let device = Device::build(topo, config.weights);
-        let order = circuit.first_use_order();
-        for style in [BaselineStyle::Murali, BaselineStyle::Dai, BaselineStyle::Greedy] {
-            let router = GreedyRouter::new(style, config);
-            let plain = router.compile_on(&device, &circuit).unwrap();
-            let cached = router.compile_on_with_order(&device, &circuit, Some(&order)).unwrap();
-            assert_eq!(plain.program().ops(), cached.program().ops(), "{style:?}");
-            assert_eq!(plain.final_placement(), cached.final_placement(), "{style:?}");
-        }
+        let device = Device::build(topo.clone(), config.weights);
+        driver::compile(GreedyRouter::new(style), &device, circuit, &config, false).unwrap()
+    }
+
+    fn place(style: BaselineStyle, circuit: &Circuit, topo: &QccdTopology) -> Placement {
+        let device = Device::build(topo.clone(), CompilerConfig::default().weights);
+        GreedyRouter::new(style).place(&device, circuit)
     }
 
     #[test]
     fn plain_greedy_packs_traps_full() {
-        let circuit = qft(12);
         let topo = QccdTopology::linear(4, 8);
-        let router = GreedyRouter::new(BaselineStyle::Greedy, CompilerConfig::default());
-        let graph = SlotGraph::new(topo.clone(), CompilerConfig::default().weights);
-        let placement = router.initial_placement(&circuit, &graph);
+        let placement = place(BaselineStyle::Greedy, &qft(12), &topo);
         // 12 qubits into capacity-8 traps with zero reserved slots: the
         // first trap fills completely.
         assert_eq!(placement.trap_occupancy(topo.traps()[0].id()), 8);
@@ -382,10 +180,8 @@ mod tests {
     fn both_styles_schedule_every_gate() {
         let circuit = qft(14);
         let topo = QccdTopology::grid(2, 2, 6);
-        for style in [BaselineStyle::Murali, BaselineStyle::Dai, BaselineStyle::Greedy] {
-            let outcome = GreedyRouter::new(style, CompilerConfig::default())
-                .compile(&circuit, &topo)
-                .unwrap();
+        for style in STYLES {
+            let outcome = compile(style, &circuit, &topo);
             assert_eq!(
                 outcome.counts().two_qubit_gates,
                 circuit.two_qubit_gate_count(),
@@ -397,11 +193,8 @@ mod tests {
 
     #[test]
     fn murali_reserves_two_slots_per_trap() {
-        let circuit = qft(12);
         let topo = QccdTopology::linear(4, 8);
-        let router = GreedyRouter::new(BaselineStyle::Murali, CompilerConfig::default());
-        let graph = SlotGraph::new(topo.clone(), CompilerConfig::default().weights);
-        let placement = router.initial_placement(&circuit, &graph);
+        let placement = place(BaselineStyle::Murali, &qft(12), &topo);
         for trap in topo.traps() {
             assert!(placement.trap_occupancy(trap.id()) <= trap.capacity() - 2);
         }
@@ -411,24 +204,10 @@ mod tests {
     fn dai_moves_the_cheaper_operand() {
         let circuit = random_two_qubit_circuit(10, 40, 9);
         let topo = QccdTopology::linear(3, 6);
-        let murali = GreedyRouter::new(BaselineStyle::Murali, CompilerConfig::default())
-            .compile(&circuit, &topo)
-            .unwrap();
-        let dai = GreedyRouter::new(BaselineStyle::Dai, CompilerConfig::default())
-            .compile(&circuit, &topo)
-            .unwrap();
+        let murali = compile(BaselineStyle::Murali, &circuit, &topo);
+        let dai = compile(BaselineStyle::Dai, &circuit, &topo);
         // Dai's cost-aware mover choice should not need more shuttles than
         // the always-move-first policy on the same workload.
         assert!(dai.counts().shuttles <= murali.counts().shuttles + 5);
-    }
-
-    #[test]
-    fn too_small_device_is_rejected() {
-        let circuit = qft(12);
-        let topo = QccdTopology::linear(2, 6);
-        let err = GreedyRouter::new(BaselineStyle::Murali, CompilerConfig::default())
-            .compile(&circuit, &topo)
-            .unwrap_err();
-        assert!(matches!(err, CompileError::DeviceTooSmall { .. }));
     }
 }

@@ -1,6 +1,7 @@
 //! The unified compiler selector: one enum naming every compiler the
 //! workspace can run, with a uniform `compile_on`-style entry point.
 //!
+//! Every kind is one routing policy run by `ssync_core::driver::compile`.
 //! The bench harness, the batch fan-out and the `ssync-service` worker
 //! pool all dispatch through [`CompilerKind`], so heterogeneous work-lists
 //! — the full (device × circuit × compiler × config) product of the
@@ -8,9 +9,9 @@
 
 use crate::greedy::{BaselineStyle, GreedyRouter};
 use ssync_arch::Device;
-use ssync_circuit::{Circuit, Qubit};
+use ssync_circuit::Circuit;
 use ssync_core::{
-    CompileError, CompileOutcome, CompileScratch, CompilerConfig, PermRouteCompiler, SSyncCompiler,
+    driver, CompileError, CompileOutcome, CompileScratch, CompilerConfig, PermRouter, SSyncCompiler,
 };
 
 /// Every compiler the workspace can run against a prepared [`Device`].
@@ -25,7 +26,7 @@ pub enum CompilerKind {
     /// The plain greedy ablation ([`BaselineStyle::Greedy`]): no reserved
     /// routing slots, first-operand movement, DAG-order gate service.
     Greedy,
-    /// Permutation-level routing (`ssync_core::PermRouteCompiler`):
+    /// Permutation-level routing (`ssync_core::PermRouter`):
     /// blocked frontier layers are realised wholesale through a
     /// sub-quadratic swap schedule with Eq. 2 cost-weighted swap
     /// selection.
@@ -58,19 +59,12 @@ impl CompilerKind {
         }
     }
 
-    /// `true` for the kinds built on the shared greedy engine, whose
-    /// initial placement consumes a first-use qubit order that callers can
-    /// precompute once per circuit ([`Circuit::first_use_order`]).
-    pub fn uses_first_use_order(self) -> bool {
-        !matches!(self, CompilerKind::SSync)
-    }
-
     /// Compiles `circuit` against a prepared, shared `device` with this
     /// compiler under `config`.
     ///
     /// # Errors
     ///
-    /// Propagates the underlying compiler's [`CompileError`].
+    /// Propagates the compile driver's [`CompileError`].
     ///
     /// # Panics
     ///
@@ -82,49 +76,44 @@ impl CompilerKind {
         circuit: &Circuit,
         config: &CompilerConfig,
     ) -> Result<CompileOutcome, CompileError> {
-        self.compile_on_with(device, circuit, config, None, &mut CompileScratch::default())
+        self.compile_on_with(device, circuit, config, &mut CompileScratch::default())
     }
 
     /// [`CompilerKind::compile_on`] with reusable worker state: `scratch`
     /// carries the S-SYNC scheduler's working memory across compiles and
-    /// the flight-recorder switch S-SYNC and perm-route read (the greedy
-    /// kinds ignore it), and `first_use` optionally supplies the
-    /// precomputed first-use qubit order the greedy kinds place ions in
-    /// (S-SYNC ignores it; its initial mapping is a different scheme).
-    /// Output is bit-identical to `compile_on` for any combination —
-    /// both arguments only recycle work or observe it.
+    /// the flight-recorder switch every kind reads. Output is
+    /// bit-identical to `compile_on` for any scratch — it only recycles
+    /// allocations and observes.
     ///
     /// # Errors
     ///
-    /// Propagates the underlying compiler's [`CompileError`].
+    /// Propagates the compile driver's [`CompileError`].
     ///
     /// # Panics
     ///
     /// Panics if `device` was built with different edge weights than
-    /// `config`, or if `first_use` is not a permutation of the circuit's
-    /// qubits.
+    /// `config`.
     pub fn compile_on_with(
         self,
         device: &Device,
         circuit: &Circuit,
         config: &CompilerConfig,
-        first_use: Option<&[Qubit]>,
         scratch: &mut CompileScratch,
     ) -> Result<CompileOutcome, CompileError> {
-        match self {
-            CompilerKind::Murali => GreedyRouter::new(BaselineStyle::Murali, *config)
-                .compile_on_with_order(device, circuit, first_use),
-            CompilerKind::Dai => GreedyRouter::new(BaselineStyle::Dai, *config)
-                .compile_on_with_order(device, circuit, first_use),
-            CompilerKind::Greedy => GreedyRouter::new(BaselineStyle::Greedy, *config)
-                .compile_on_with_order(device, circuit, first_use),
-            CompilerKind::PermRoute => {
-                PermRouteCompiler::new(*config).compile_on_with(device, circuit, first_use, scratch)
-            }
+        let record = scratch.flight_recorder();
+        let style = match self {
             CompilerKind::SSync => {
-                SSyncCompiler::new(*config).compile_on_with_scratch(device, circuit, scratch)
+                return SSyncCompiler::new(*config)
+                    .compile_on_with_scratch(device, circuit, scratch)
             }
-        }
+            CompilerKind::PermRoute => {
+                return driver::compile(PermRouter::new(config), device, circuit, config, record)
+            }
+            CompilerKind::Murali => BaselineStyle::Murali,
+            CompilerKind::Dai => BaselineStyle::Dai,
+            CompilerKind::Greedy => BaselineStyle::Greedy,
+        };
+        driver::compile(GreedyRouter::new(style), device, circuit, config, record)
     }
 }
 
@@ -132,16 +121,45 @@ impl CompilerKind {
 mod tests {
     use super::*;
     use ssync_arch::QccdTopology;
-    use ssync_circuit::generators::qft;
+    use ssync_circuit::generators::{qaoa_nearest_neighbor, qft};
+    use ssync_telemetry::FlightEvent;
 
     #[test]
     fn every_kind_compiles_through_the_uniform_entry() {
-        let circuit = qft(12);
         let config = CompilerConfig::default();
-        let device = Device::build(QccdTopology::grid(2, 2, 5), config.weights);
+        for (circuit, topo) in [
+            (qft(12), QccdTopology::grid(2, 2, 5)),
+            (qft(12), QccdTopology::fully_connected(4, 5)),
+            (qaoa_nearest_neighbor(20, 2), QccdTopology::linear(3, 9)),
+        ] {
+            let device = Device::build(topo.clone(), config.weights);
+            for kind in CompilerKind::ALL {
+                let what = format!("{kind:?} on {}", topo.name());
+                let outcome = kind.compile_on(&device, &circuit, &config).unwrap();
+                assert_eq!(
+                    outcome.counts().two_qubit_gates,
+                    circuit.two_qubit_gate_count(),
+                    "{what}"
+                );
+                assert!(outcome.report().success_rate > 0.0, "{what}");
+                outcome.final_placement().validate().unwrap();
+                // Every input spans several traps, so every kind shuttles.
+                assert!(outcome.counts().shuttles >= 2, "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_kind_rejects_a_device_too_small() {
+        let config = CompilerConfig::default();
+        // Exactly 16 slots for 16 qubits: no free space to route through.
+        let device = Device::build(QccdTopology::linear(2, 8), config.weights);
         for kind in CompilerKind::ALL {
-            let outcome = kind.compile_on(&device, &circuit, &config).unwrap();
-            assert_eq!(outcome.counts().two_qubit_gates, 132, "{kind:?}");
+            let err = kind.compile_on(&device, &qft(16), &config).unwrap_err();
+            assert!(
+                matches!(err, CompileError::DeviceTooSmall { qubits: 16, slots: 16 }),
+                "{kind:?}: {err:?}"
+            );
         }
     }
 
@@ -150,16 +168,44 @@ mod tests {
         let circuit = qft(12);
         let config = CompilerConfig::default();
         let device = Device::build(QccdTopology::grid(2, 2, 5), config.weights);
-        let order = circuit.first_use_order();
         let mut scratch = CompileScratch::default();
         for kind in CompilerKind::ALL {
             let plain = kind.compile_on(&device, &circuit, &config).unwrap();
-            let first_use = kind.uses_first_use_order().then_some(order.as_slice());
-            let prepared =
-                kind.compile_on_with(&device, &circuit, &config, first_use, &mut scratch).unwrap();
+            let prepared = kind.compile_on_with(&device, &circuit, &config, &mut scratch).unwrap();
             assert_eq!(plain.program().ops(), prepared.program().ops(), "{kind:?}");
             assert_eq!(plain.final_placement(), prepared.final_placement(), "{kind:?}");
             assert_eq!(plain.scheduler_stats(), prepared.scheduler_stats(), "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn every_kind_records_layers_without_changing_output() {
+        let circuit = qft(12);
+        let config = CompilerConfig::default();
+        let device = Device::build(QccdTopology::grid(2, 2, 5), config.weights);
+        for kind in CompilerKind::ALL {
+            let plain = kind.compile_on(&device, &circuit, &config).unwrap();
+            let recorded = kind
+                .compile_on_with(&device, &circuit, &config, &mut CompileScratch::new(true))
+                .unwrap();
+            assert!(plain.counts().shuttles > 0, "{kind:?} routes on this device");
+            assert_eq!(plain.program().ops(), recorded.program().ops(), "{kind:?}");
+            assert_eq!(plain.final_placement(), recorded.final_placement(), "{kind:?}");
+            assert_eq!(plain.scheduler_stats(), recorded.scheduler_stats(), "{kind:?}");
+            assert!(plain.flight_recording().is_none(), "{kind:?} recorded with the switch off");
+            let events = &recorded.flight_recording().expect("switch on records").events;
+            let opened = events.iter().filter(|e| matches!(e, FlightEvent::LayerOpened { .. }));
+            let drained: u64 = events
+                .iter()
+                .filter_map(|e| match e {
+                    FlightEvent::LayerClosed { executed, .. } => Some(*executed),
+                    _ => None,
+                })
+                .sum();
+            assert!(opened.count() > 0, "{kind:?} opened no layer");
+            // Every drained gate is counted once, so the ring (which holds
+            // this whole compile) accounts for every two-qubit gate.
+            assert_eq!(drained as usize, circuit.two_qubit_gate_count(), "{kind:?}");
         }
     }
 
@@ -170,8 +216,5 @@ mod tests {
         assert_eq!(CompilerKind::ALL.len(), 5);
         assert_eq!(CompilerKind::Greedy.label(), "Greedy");
         assert_eq!(CompilerKind::PermRoute.label(), "Perm-Route");
-        assert!(CompilerKind::Murali.uses_first_use_order());
-        assert!(CompilerKind::PermRoute.uses_first_use_order());
-        assert!(!CompilerKind::SSync.uses_first_use_order());
     }
 }

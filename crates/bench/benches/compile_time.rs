@@ -451,7 +451,7 @@ fn bench_flight_recorder(c: &mut Criterion) {
     // Like `run_compiler`, builds a throw-away device per compile.
     let compile = |kind: CompilerKind, recording: bool| {
         let device = Device::build(topo.clone(), base.weights);
-        kind.compile_on_with(&device, &circuit, &base, None, &mut CompileScratch::new(recording))
+        kind.compile_on_with(&device, &circuit, &base, &mut CompileScratch::new(recording))
             .expect("compiles")
     };
 

@@ -2,17 +2,19 @@
 
 use crate::batch;
 use crate::config::CompilerConfig;
+use crate::driver;
 use crate::error::CompileError;
 use crate::idealized::IdealizationMode;
-use crate::initial;
-use crate::scheduler::{Scheduler, SchedulerScratch, SchedulerStats, ScoringTelemetry};
-use ssync_arch::{Device, Placement, QccdTopology, TrapRouter};
+use crate::scheduler::{
+    SSyncRouting, Scheduler, SchedulerScratch, SchedulerStats, ScoringTelemetry,
+};
+use ssync_arch::{Device, Placement, QccdTopology};
 use ssync_circuit::Circuit;
 use ssync_sim::{CompiledProgram, ExecutionReport, ExecutionTracer, OpCounts};
 use ssync_telemetry::FlightRecording;
 use std::borrow::Borrow;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Reusable per-worker compile state: the scheduler's working memory,
 /// carried across compiles so batch and service workers stop paying the
@@ -44,19 +46,19 @@ impl CompileScratch {
 /// The result of compiling (and evaluating) a circuit for a QCCD device.
 #[derive(Debug, Clone)]
 pub struct CompileOutcome {
-    program: CompiledProgram,
-    report: ExecutionReport,
-    final_placement: Placement,
-    scheduler_stats: SchedulerStats,
-    scoring_telemetry: ScoringTelemetry,
-    flight_recording: Option<Arc<FlightRecording>>,
-    compile_time: Duration,
+    pub(crate) program: CompiledProgram,
+    pub(crate) report: ExecutionReport,
+    pub(crate) final_placement: Placement,
+    pub(crate) scheduler_stats: SchedulerStats,
+    pub(crate) scoring_telemetry: ScoringTelemetry,
+    pub(crate) flight_recording: Option<Arc<FlightRecording>>,
+    pub(crate) compile_time: Duration,
 }
 
 impl CompileOutcome {
-    /// Assembles an outcome from its parts. Intended for alternative
-    /// compiler front-ends (e.g. the baseline compilers) that produce the
-    /// same artefacts through a different scheduling algorithm.
+    /// Assembles an outcome from its parts, with default scheduler
+    /// statistics. Intended for tools that build a program outside the
+    /// compile driver, such as checkers fed deliberately altered ops.
     pub fn from_parts(
         program: CompiledProgram,
         report: ExecutionReport,
@@ -98,14 +100,6 @@ impl CompileOutcome {
         }
     }
 
-    /// Returns this outcome with a compile flight recording attached
-    /// (builder-style; used by compilers whose scheduling loop recorded
-    /// decision events).
-    pub fn with_flight_recording(mut self, recording: Option<Arc<FlightRecording>>) -> Self {
-        self.flight_recording = recording;
-        self
-    }
-
     /// The hardware-compatible operation stream.
     pub fn program(&self) -> &CompiledProgram {
         &self.program
@@ -132,7 +126,7 @@ impl CompileOutcome {
     }
 
     /// Candidate-scoring telemetry of the scheduler run that produced this
-    /// outcome (zeros for baseline compilers, for outcomes rebuilt by a
+    /// outcome (zeros for the other compiler kinds, for outcomes rebuilt by a
     /// codec, and for cache hits — the counters describe *work performed*,
     /// not the result, so they are deliberately not persisted).
     pub fn scoring_telemetry(&self) -> ScoringTelemetry {
@@ -147,7 +141,8 @@ impl CompileOutcome {
         self.flight_recording.as_ref()
     }
 
-    /// Wall-clock compilation time (the Fig. 15 quantity).
+    /// Wall-clock compilation time (the Fig. 15 quantity): initial
+    /// placement and routing, without the evaluation.
     pub fn compile_time(&self) -> Duration {
         self.compile_time
     }
@@ -195,47 +190,7 @@ impl SSyncCompiler {
     /// The execution tracer matching this configuration's gate
     /// implementation, operation times and noise model.
     pub fn tracer(&self) -> ExecutionTracer {
-        ExecutionTracer {
-            gate_impl: self.config.gate_impl,
-            op_times: self.config.op_times,
-            noise: self.config.noise,
-        }
-    }
-
-    /// Validates that `circuit` can run on `topology`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompileError::DeviceTooSmall`] if the device cannot hold
-    /// every qubit plus one free space, and
-    /// [`CompileError::DisconnectedTopology`] if some traps are unreachable.
-    pub fn validate(&self, circuit: &Circuit, topology: &QccdTopology) -> Result<(), CompileError> {
-        let slots = topology.total_capacity();
-        if slots < circuit.num_qubits() + 1 {
-            return Err(CompileError::DeviceTooSmall { qubits: circuit.num_qubits(), slots });
-        }
-        let router = TrapRouter::new(topology, self.config.weights);
-        if !router.is_connected() {
-            return Err(CompileError::DisconnectedTopology);
-        }
-        Ok(())
-    }
-
-    /// Validates that `circuit` can run on the prepared `device`, using the
-    /// device's precomputed router (nothing is rebuilt).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SSyncCompiler::validate`].
-    pub fn validate_on(&self, device: &Device, circuit: &Circuit) -> Result<(), CompileError> {
-        let slots = device.topology().total_capacity();
-        if slots < circuit.num_qubits() + 1 {
-            return Err(CompileError::DeviceTooSmall { qubits: circuit.num_qubits(), slots });
-        }
-        if !device.is_connected() {
-            return Err(CompileError::DisconnectedTopology);
-        }
-        Ok(())
+        driver::tracer(&self.config)
     }
 
     /// Compiles `circuit` for `topology` and evaluates the result with the
@@ -265,9 +220,10 @@ impl SSyncCompiler {
     /// candidate index all come from `device`; nothing device-derived is
     /// rebuilt, so this is the entry point to amortise over many circuits.
     ///
-    /// [`CompileOutcome::compile_time`] covers compilation proper (initial
-    /// mapping + scheduling + evaluation) and deliberately excludes the
-    /// device build, which is a per-sweep rather than per-circuit cost.
+    /// [`CompileOutcome::compile_time`] covers initial placement and
+    /// scheduling. It excludes the evaluation, which runs after the clock
+    /// stops, and the device build, which is a per-sweep rather than a
+    /// per-circuit cost.
     ///
     /// # Errors
     ///
@@ -308,36 +264,21 @@ impl SSyncCompiler {
         circuit: &Circuit,
         scratch: &mut CompileScratch,
     ) -> Result<CompileOutcome, CompileError> {
-        assert!(
-            device.weights() == self.config.weights,
-            "device was built with different edge weights than the compiler config"
-        );
-        self.validate_on(device, circuit)?;
-        // Force the lazily-built all-pairs matrix before the timer starts:
-        // it is a per-device cost, and letting the first compile of a batch
-        // absorb it would skew that circuit's reported compile_time.
-        device.distance_matrix();
-        let start = Instant::now();
-        let placement = initial::build_placement(circuit, device, &self.config);
+        let flight_recorder = scratch.flight_recorder();
+        // The scheduler borrows the lazily-built all-pairs matrix, so
+        // building it here, before the driver starts its timer, keeps that
+        // per-device cost out of the first compile's compile_time.
         let mut scheduler =
             Scheduler::with_scratch(device, &self.config, std::mem::take(&mut scratch.scheduler));
-        let result = scheduler.run(circuit, placement);
-        let scheduler_stats = scheduler.stats();
-        let scoring_telemetry = scheduler.scoring_telemetry();
-        let flight_recording = scheduler.take_recording().map(Arc::new);
+        let outcome = driver::compile(
+            SSyncRouting::new(&mut scheduler, circuit),
+            device,
+            circuit,
+            &self.config,
+            flight_recorder,
+        );
         scratch.scheduler = scheduler.into_scratch();
-        let (program, final_placement) = result?;
-        let compile_time = start.elapsed();
-        let report = self.tracer().evaluate(&program);
-        Ok(CompileOutcome {
-            program,
-            report,
-            final_placement,
-            scheduler_stats,
-            scoring_telemetry,
-            flight_recording,
-            compile_time,
-        })
+        outcome
     }
 
     /// Compiles every circuit of `circuits` against one shared `device`,
@@ -405,14 +346,6 @@ mod tests {
         assert_eq!(counts.single_qubit_gates, circuit.single_qubit_gate_count());
         assert!(outcome.report().success_rate > 0.0);
         assert!(outcome.compile_time() > Duration::ZERO);
-    }
-
-    #[test]
-    fn device_too_small_is_rejected() {
-        let circuit = qft(16);
-        let topo = QccdTopology::linear(2, 8); // exactly 16 slots: no spare space
-        let err = SSyncCompiler::default().compile(&circuit, &topo).unwrap_err();
-        assert!(matches!(err, CompileError::DeviceTooSmall { .. }));
     }
 
     #[test]

@@ -8,12 +8,14 @@
 //!   qubits that mostly interact locally sit in the middle. Every qubit's
 //!   score comes from one walk over the circuit, after the first level
 //!   has fixed each qubit's trap.
+//!
+//! The other compiler kinds start from [`first_use_packing`] instead.
 
 pub mod first_level;
 pub mod intra;
 
 use crate::config::CompilerConfig;
-use ssync_arch::{Device, Placement};
+use ssync_arch::{Device, Placement, QccdTopology};
 use ssync_circuit::Circuit;
 
 /// Builds the complete initial placement for `circuit` on the shared
@@ -48,6 +50,66 @@ pub fn build_placement(circuit: &Circuit, device: &Device, config: &CompilerConf
         let slots = intra::slot_layout(topology.trap(trap), ordered.len());
         for (qubit, slot) in ordered.into_iter().zip(slots) {
             placement.place(qubit, slot);
+        }
+    }
+    placement
+}
+
+/// Sequential first-use packing, the initial placement of the greedy
+/// kinds and of perm-route: qubits in [`Circuit::first_use_order`] fill the
+/// traps in index order. Each trap takes its capacity minus `reserve`
+/// routing slots when the device has room for that many per trap, and
+/// its capacity minus one (at least one ion) otherwise. Qubits left over
+/// once every trap is at that soft cap go to the first trap with a free
+/// slot.
+///
+/// # Panics
+///
+/// Panics if the device has fewer slots than the circuit has qubits.
+pub fn first_use_packing(circuit: &Circuit, topology: &QccdTopology, reserve: usize) -> Placement {
+    let n = circuit.num_qubits();
+    let mut placement = Placement::new(topology, n);
+    let total: usize = topology.total_capacity();
+    let soft_caps: Vec<usize> = topology
+        .traps()
+        .iter()
+        .map(|t| {
+            if total >= n + reserve * topology.num_traps() {
+                t.capacity().saturating_sub(reserve)
+            } else {
+                t.capacity().saturating_sub(1).max(1)
+            }
+        })
+        .collect();
+
+    let mut trap = 0usize;
+    let mut placed_in_trap = 0usize;
+    for q in circuit.first_use_order() {
+        while trap < topology.num_traps()
+            && (placed_in_trap >= soft_caps[trap]
+                || placed_in_trap >= topology.traps()[trap].capacity())
+        {
+            trap += 1;
+            placed_in_trap = 0;
+        }
+        let t = if trap < topology.num_traps() {
+            trap
+        } else {
+            (0..topology.num_traps())
+                .find(|&t| {
+                    placement.trap_occupancy(topology.traps()[t].id())
+                        < topology.traps()[t].capacity()
+                })
+                .expect("device has room for every qubit")
+        };
+        let slot = topology.traps()[t]
+            .slots()
+            .into_iter()
+            .find(|&s| placement.is_space(s))
+            .expect("trap below capacity has a free slot");
+        placement.place(q, slot);
+        if t == trap {
+            placed_in_trap += 1;
         }
     }
     placement

@@ -21,6 +21,13 @@
 //!    Eqs. (1)–(2) (distance + full-trap penalty, with a decay term that
 //!    spreads work across qubits) and apply the cheapest.
 //!
+//! Every compiler kind runs through one compile driver,
+//! [`driver::compile`]. It validates the device, drains the DAG and
+//! evaluates the program; a [`driver::RoutingPolicy`] supplies the initial
+//! placement and the step taken while every frontier gate is blocked.
+//! S-SYNC (run by [`SSyncCompiler`]) and permutation routing ([`PermRouter`])
+//! are two such policies, and `ssync-baselines` adds the greedy ones.
+//!
 //! ## Quickstart
 //!
 //! ```
@@ -62,6 +69,7 @@
 pub mod batch;
 mod compiler;
 mod config;
+pub mod driver;
 mod error;
 mod generic_swap;
 mod heuristic;
@@ -78,6 +86,6 @@ pub use error::CompileError;
 pub use generic_swap::{GenericSwap, GenericSwapKind};
 pub use heuristic::{DecayTracker, HeuristicScorer, ReadinessMemo, ScoreCache, ScoringScratch};
 pub use idealized::IdealizationMode;
-pub use perm_route::{meeting_cost, swap_cost, PermRouteCompiler};
+pub use perm_route::{meeting_cost, swap_cost, PermRouter};
 pub use scheduler::{Scheduler, SchedulerScratch, SchedulerStats, ScoringTelemetry};
 pub use swap_schedule::{BubbleSort, RecursiveSplitTwo, SwapSchedule, SwapScheduleKind};

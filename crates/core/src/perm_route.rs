@@ -1,7 +1,7 @@
 //! Permutation-level routing: layer-at-a-time swap/shuttle synthesis.
 //!
 //! Where the greedy baselines and the S-SYNC scheduler insert movement
-//! per-gate, this compiler treats every *blocked frontier layer* as one
+//! per-gate, this policy treats every *blocked frontier layer* as one
 //! rearrangement problem. Frontier gates of a dependency DAG touch
 //! pairwise-disjoint qubits, so the layer defines a target placement
 //! (every pair co-trapped and adjacent); the difference between the
@@ -33,15 +33,14 @@
 //! against the bubble-sort oracle.
 
 use crate::config::CompilerConfig;
+use crate::driver::{BlockedRound, RoutingPolicy};
 use crate::error::CompileError;
+use crate::initial;
 use crate::mechanics::Mechanics;
-use crate::{CompileOutcome, CompileScratch};
-use ssync_arch::{Device, Placement, QccdTopology, SlotGraph, TrapId, TrapRouter, WeightConfig};
+use ssync_arch::{Device, Placement, QccdTopology, TrapId, TrapRouter, WeightConfig};
 use ssync_circuit::{Circuit, DependencyDag, NodeId, Qubit};
-use ssync_sim::{CompiledProgram, ExecutionTracer, ScheduledOp};
+use ssync_sim::{CompiledProgram, ScheduledOp};
 use ssync_telemetry::{FlightEvent, FlightRecorder, SWAP_SCHEDULE_BUBBLE, SWAP_SCHEDULE_RECURSIVE};
-use std::sync::Arc;
-use std::time::Instant;
 
 /// Routing slots kept free per trap by the initial placement when the
 /// device has room (the Dai-style single-slot headroom: enough for an
@@ -91,257 +90,56 @@ struct PlannedGate {
     cost: f64,
 }
 
-/// The permutation-routing compiler (`CompilerKind::PermRoute` in
+/// The permutation-routing policy (`CompilerKind::PermRoute` in
 /// `ssync-baselines`): blocked frontier layers are realised wholesale via
 /// a sub-quadratic swap schedule with Eq. 2 cost-weighted swap selection.
+/// Qubits start in [`initial::first_use_packing`] order with one routing
+/// slot reserved per trap.
 #[derive(Debug, Clone)]
-pub struct PermRouteCompiler {
+pub struct PermRouter {
     config: CompilerConfig,
+    barren_rounds: usize,
 }
 
-impl PermRouteCompiler {
-    /// Creates a compiler with the given configuration. The schedule kind
-    /// comes from [`CompilerConfig::perm_schedule`].
-    pub fn new(config: CompilerConfig) -> Self {
-        PermRouteCompiler { config }
+impl PermRouter {
+    /// A policy for one compile. It reads the weights and
+    /// [`CompilerConfig::perm_schedule`] of `config`.
+    pub fn new(config: &CompilerConfig) -> Self {
+        PermRouter { config: *config, barren_rounds: 0 }
+    }
+}
+
+impl RoutingPolicy for PermRouter {
+    const ROUNDS_PER_GATE: usize = 100;
+
+    fn place(&mut self, device: &Device, circuit: &Circuit) -> Placement {
+        initial::first_use_packing(circuit, device.topology(), RESERVED_SLOTS)
     }
 
-    /// The evaluation configuration (weights, schedule kind, noise).
-    pub fn config(&self) -> &CompilerConfig {
-        &self.config
-    }
-
-    /// Compiles `circuit` for `topology`, building a throw-away
-    /// [`Device`]; sweeps should build the device once and call
-    /// [`PermRouteCompiler::compile_on`].
-    ///
-    /// # Errors
-    ///
-    /// See [`PermRouteCompiler::compile_on`].
-    pub fn compile(
-        &self,
-        circuit: &Circuit,
-        topology: &QccdTopology,
-    ) -> Result<CompileOutcome, CompileError> {
-        let device = Device::build(topology.clone(), self.config.weights);
-        self.compile_on(&device, circuit)
-    }
-
-    /// Compiles `circuit` against a prepared, shared `device` artifact.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompileError::DeviceTooSmall`] when the device cannot
-    /// hold every qubit plus a free slot,
-    /// [`CompileError::DisconnectedTopology`] for unreachable traps, and
-    /// [`CompileError::SchedulingStalled`] if layer realisation stops
-    /// making progress.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `device` was built with different edge weights than this
-    /// compiler's configuration.
-    pub fn compile_on(
-        &self,
-        device: &Device,
-        circuit: &Circuit,
-    ) -> Result<CompileOutcome, CompileError> {
-        self.compile_on_with(device, circuit, None, &CompileScratch::default())
-    }
-
-    /// [`PermRouteCompiler::compile_on`] with an optionally precomputed
-    /// first-use qubit order ([`Circuit::first_use_order`]) and the
-    /// worker's [`CompileScratch`], whose flight-recorder switch decides
-    /// whether the outcome carries a recording. Passing `None` (or the
-    /// correct order) and any scratch is behaviourally identical.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`PermRouteCompiler::compile_on`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `device` was built with different edge weights than this
-    /// compiler's configuration, or if `order` is not a permutation of the
-    /// circuit's qubits.
-    pub fn compile_on_with(
-        &self,
-        device: &Device,
-        circuit: &Circuit,
-        order: Option<&[Qubit]>,
-        scratch: &CompileScratch,
-    ) -> Result<CompileOutcome, CompileError> {
-        assert!(
-            device.weights() == self.config.weights,
-            "device was built with different edge weights than the perm-route config"
-        );
-        let topology = device.topology();
-        let slots = topology.total_capacity();
-        if slots < circuit.num_qubits() + 1 {
-            return Err(CompileError::DeviceTooSmall { qubits: circuit.num_qubits(), slots });
-        }
-        if !device.is_connected() {
-            return Err(CompileError::DisconnectedTopology);
-        }
-
-        let start = Instant::now();
-        let graph = device.graph();
-        let router = device.router();
-        let mechanics = Mechanics::new(graph, router);
-        let mut placement = match order {
-            Some(order) => {
-                assert_eq!(order.len(), circuit.num_qubits(), "order must cover every qubit");
-                self.initial_placement_with_order(circuit, graph, order)
-            }
-            None => self.initial_placement_with_order(circuit, graph, &circuit.first_use_order()),
-        };
-        let mut program = CompiledProgram::new(circuit.num_qubits(), topology.num_traps());
-        for gate in circuit.iter() {
-            if !gate.is_two_qubit() {
-                program.push(ScheduledOp::SingleQubitGate { qubit: gate.qubits()[0] });
-            }
-        }
-
-        let mut dag = DependencyDag::from_circuit(circuit);
-        let mut recorder = scratch.flight_recorder().then(FlightRecorder::with_default_capacity);
-        let mut rounds = 0usize;
-        let mut barren_rounds = 0usize;
-        let budget = 10_000 + 100 * dag.len();
-        let mut drain_scratch: Vec<NodeId> = Vec::new();
-        let mut executed: Vec<NodeId> = Vec::new();
-        while !dag.is_complete() {
-            rounds += 1;
-            if rounds > budget {
-                return Err(CompileError::SchedulingStalled { remaining_gates: dag.remaining() });
-            }
-            // Execute everything already co-located.
-            let placement_ref = &placement;
-            dag.drain_executable_into(
-                |gate| {
-                    let Some((a, b)) = gate.two_qubit_pair() else { return false };
-                    match (placement_ref.slot_of(a), placement_ref.slot_of(b)) {
-                        (Some(sa), Some(sb)) => graph.same_trap(sa, sb),
-                        _ => false,
-                    }
-                },
-                &mut drain_scratch,
-                &mut executed,
-            );
-            for id in &executed {
-                let (a, b) = dag.gate(*id).two_qubit_pair().expect("two-qubit gate");
-                mechanics.emit_two_qubit_gate(&placement, &mut program, a, b);
-            }
-            if dag.is_complete() {
-                break;
-            }
-            if !executed.is_empty() {
-                continue;
-            }
-
-            // Every frontier gate is blocked: route the whole layer.
-            if let Some(rec) = recorder.as_mut() {
-                rec.record(FlightEvent::LayerOpened {
-                    layer: rounds as u64,
-                    ready_gates: dag.frontier().len() as u64,
+    fn route_blocked(&mut self, step: BlockedRound<'_>) -> Result<(), CompileError> {
+        let realized = self.route_layer(
+            step.mechanics,
+            step.placement,
+            step.program,
+            step.dag,
+            step.round as u64,
+            step.recorder,
+        )?;
+        if realized > 0 {
+            self.barren_rounds = 0;
+        } else {
+            self.barren_rounds += 1;
+            if self.barren_rounds > MAX_BARREN_ROUNDS {
+                return Err(CompileError::SchedulingStalled {
+                    remaining_gates: step.dag.remaining(),
                 });
             }
-            let realized = self.route_layer(
-                &mechanics,
-                &mut placement,
-                &mut program,
-                &dag,
-                rounds as u64,
-                recorder.as_mut(),
-            )?;
-            if let Some(rec) = recorder.as_mut() {
-                rec.record(FlightEvent::LayerClosed {
-                    layer: rounds as u64,
-                    executed: realized as u64,
-                });
-            }
-            if realized == 0 {
-                barren_rounds += 1;
-                if barren_rounds > MAX_BARREN_ROUNDS {
-                    return Err(CompileError::SchedulingStalled {
-                        remaining_gates: dag.remaining(),
-                    });
-                }
-            } else {
-                barren_rounds = 0;
-            }
         }
-
-        let compile_time = start.elapsed();
-        let tracer = ExecutionTracer {
-            gate_impl: self.config.gate_impl,
-            op_times: self.config.op_times,
-            noise: self.config.noise,
-        };
-        let report = tracer.evaluate(&program);
-        Ok(CompileOutcome::from_parts(program, report, placement, compile_time)
-            .with_flight_recording(recorder.map(|r| Arc::new(r.into_recording()))))
+        Ok(())
     }
+}
 
-    /// Sequential first-use packing with [`RESERVED_SLOTS`] routing slots
-    /// per trap when the device has room (same scheme as the greedy
-    /// engine, so the two strategies differ only in routing).
-    fn initial_placement_with_order(
-        &self,
-        circuit: &Circuit,
-        graph: &SlotGraph,
-        order: &[Qubit],
-    ) -> Placement {
-        let topology = graph.topology();
-        let n = circuit.num_qubits();
-        let mut placement = Placement::new(topology, n);
-
-        let total: usize = topology.total_capacity();
-        let soft_caps: Vec<usize> = topology
-            .traps()
-            .iter()
-            .map(|t| {
-                if total >= n + RESERVED_SLOTS * topology.num_traps() {
-                    t.capacity().saturating_sub(RESERVED_SLOTS)
-                } else {
-                    t.capacity().saturating_sub(1).max(1)
-                }
-            })
-            .collect();
-
-        let mut trap = 0usize;
-        let mut placed_in_trap = 0usize;
-        for &q in order {
-            while trap < topology.num_traps()
-                && (placed_in_trap >= soft_caps[trap]
-                    || placed_in_trap >= topology.traps()[trap].capacity())
-            {
-                trap += 1;
-                placed_in_trap = 0;
-            }
-            let t = if trap < topology.num_traps() {
-                trap
-            } else {
-                (0..topology.num_traps())
-                    .find(|&t| {
-                        placement.trap_occupancy(topology.traps()[t].id())
-                            < topology.traps()[t].capacity()
-                    })
-                    .expect("device has room for every qubit")
-            };
-            let trap_ref = &topology.traps()[t];
-            let slot = trap_ref
-                .slots()
-                .into_iter()
-                .find(|&s| placement.is_space(s))
-                .expect("trap below capacity has a free slot");
-            placement.place(q, slot);
-            if t == trap {
-                placed_in_trap += 1;
-            }
-        }
-        placement
-    }
-
+impl PermRouter {
     /// Routes one blocked frontier layer: plan meeting traps, shuttle the
     /// operands in (cheapest plan first), then realise the intra-trap
     /// permutation per meeting trap through the configured swap schedule.
@@ -628,8 +426,20 @@ impl PermRouteCompiler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver;
     use crate::swap_schedule::SwapScheduleKind;
+    use crate::CompileOutcome;
     use ssync_circuit::generators::{qft, random_two_qubit_circuit};
+
+    fn compile(
+        circuit: &Circuit,
+        topo: &QccdTopology,
+        config: &CompilerConfig,
+        flight_recorder: bool,
+    ) -> CompileOutcome {
+        let device = Device::build(topo.clone(), config.weights);
+        driver::compile(PermRouter::new(config), &device, circuit, config, flight_recorder).unwrap()
+    }
 
     #[test]
     fn schedules_every_gate_and_validates() {
@@ -637,7 +447,7 @@ mod tests {
         let topo = QccdTopology::grid(2, 2, 6);
         for kind in SwapScheduleKind::ALL {
             let config = CompilerConfig::default().with_perm_schedule(kind);
-            let outcome = PermRouteCompiler::new(config).compile(&circuit, &topo).unwrap();
+            let outcome = compile(&circuit, &topo, &config, false);
             assert_eq!(
                 outcome.counts().two_qubit_gates,
                 circuit.two_qubit_gate_count(),
@@ -652,15 +462,18 @@ mod tests {
         let circuit = random_two_qubit_circuit(12, 60, 3);
         let topo = QccdTopology::grid(2, 2, 5);
         let config = CompilerConfig::default();
-        let device = Device::build(topo, config.weights);
-        let bubble =
-            PermRouteCompiler::new(config.with_perm_schedule(SwapScheduleKind::BubbleSort))
-                .compile_on(&device, &circuit)
-                .unwrap();
-        let recursive =
-            PermRouteCompiler::new(config.with_perm_schedule(SwapScheduleKind::RecursiveSplitTwo))
-                .compile_on(&device, &circuit)
-                .unwrap();
+        let bubble = compile(
+            &circuit,
+            &topo,
+            &config.with_perm_schedule(SwapScheduleKind::BubbleSort),
+            false,
+        );
+        let recursive = compile(
+            &circuit,
+            &topo,
+            &config.with_perm_schedule(SwapScheduleKind::RecursiveSplitTwo),
+            false,
+        );
         assert_eq!(bubble.final_placement(), recursive.final_placement());
         let strip = |ops: &[ScheduledOp]| -> Vec<ScheduledOp> {
             ops.iter().filter(|op| !matches!(op, ScheduledOp::SwapGate { .. })).copied().collect()
@@ -670,39 +483,14 @@ mod tests {
     }
 
     #[test]
-    fn precomputed_order_matches_internal_sort() {
-        let circuit = qft(14);
-        let config = CompilerConfig::default();
-        let device = Device::build(QccdTopology::grid(2, 2, 6), config.weights);
-        let order = circuit.first_use_order();
-        let compiler = PermRouteCompiler::new(config);
-        let plain = compiler.compile_on(&device, &circuit).unwrap();
-        let cached = compiler
-            .compile_on_with(&device, &circuit, Some(&order), &CompileScratch::default())
-            .unwrap();
-        assert_eq!(plain.program().ops(), cached.program().ops());
-        assert_eq!(plain.final_placement(), cached.final_placement());
-    }
-
-    #[test]
     fn compiles_on_a_tight_device() {
         // 15 qubits into 16 slots: one global space, every layer relies on
         // cascaded space-making.
         let circuit = random_two_qubit_circuit(15, 80, 11);
         let topo = QccdTopology::grid(2, 2, 4);
-        let outcome =
-            PermRouteCompiler::new(CompilerConfig::default()).compile(&circuit, &topo).unwrap();
+        let outcome = compile(&circuit, &topo, &CompilerConfig::default(), false);
         assert_eq!(outcome.counts().two_qubit_gates, circuit.two_qubit_gate_count());
         outcome.final_placement().validate().unwrap();
-    }
-
-    #[test]
-    fn too_small_device_is_rejected() {
-        let circuit = qft(12);
-        let err = PermRouteCompiler::new(CompilerConfig::default())
-            .compile(&circuit, &QccdTopology::linear(2, 6))
-            .unwrap_err();
-        assert!(matches!(err, CompileError::DeviceTooSmall { .. }));
     }
 
     #[test]
@@ -710,11 +498,8 @@ mod tests {
         let circuit = random_two_qubit_circuit(12, 60, 7);
         let topo = QccdTopology::grid(2, 2, 5);
         let config = CompilerConfig::default();
-        let device = Device::build(topo, config.weights);
-        let compiler = PermRouteCompiler::new(config);
-        let plain = compiler.compile_on(&device, &circuit).unwrap();
-        let recorded =
-            compiler.compile_on_with(&device, &circuit, None, &CompileScratch::new(true)).unwrap();
+        let plain = compile(&circuit, &topo, &config, false);
+        let recorded = compile(&circuit, &topo, &config, true);
 
         // Bit-identical output: the recorder observes, it never steers.
         assert_eq!(plain.program().ops(), recorded.program().ops());

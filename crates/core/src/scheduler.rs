@@ -2,11 +2,13 @@
 //!
 //! Two implementations live here:
 //!
-//! * [`Scheduler::run`] — the optimized hot path: per-trap candidate
-//!   enumeration, incrementally maintained frontier / look-ahead gate
-//!   lists, a precomputed [`DistanceMatrix`], cached per-gate base scores,
-//!   a per-pass readiness memo and reusable scratch buffers (the inner
-//!   loop allocates nothing).
+//! * [`Scheduler::run`] — the optimized hot path: the compile driver's
+//!   drain-and-route loop ([`crate::driver`]) with the S-SYNC routing
+//!   policy, which does per-trap candidate enumeration over incrementally
+//!   maintained frontier / look-ahead gate lists, a precomputed
+//!   [`DistanceMatrix`], cached per-gate base scores, a per-pass readiness
+//!   memo and reusable scratch buffers (the inner loop allocates nothing).
+//!   S-SYNC compiles run the same policy through `driver::compile`.
 //! * [`Scheduler::run_reference`] — the straightforward transcription of
 //!   Algorithm 1 (global candidate enumeration, fresh collections every
 //!   iteration, per-call distance recomputation). It exists as the golden
@@ -19,9 +21,11 @@
 //! order on `(score, candidate index)`.
 
 use crate::config::CompilerConfig;
+use crate::driver::{self, BlockedRound, RoutingPolicy};
 use crate::error::CompileError;
 use crate::generic_swap::{GenericSwap, GenericSwapKind};
 use crate::heuristic::{DecayTracker, HeuristicScorer, ReadinessMemo, ScoreCache, ScoringScratch};
+use crate::initial;
 use crate::mechanics::Mechanics;
 use ssync_arch::{Device, DistanceMatrix, Placement, SlotGraph, SlotId, TrapId, TrapRouter};
 use ssync_circuit::{Circuit, DependencyDag, Gate, LookaheadScratch, NodeId};
@@ -140,8 +144,8 @@ impl RecentSwaps {
 /// enforce.
 #[derive(Debug, Default)]
 pub struct SchedulerScratch {
-    /// Whether [`Scheduler::run`] fills a flight recorder (set through
-    /// [`crate::CompileScratch::new`]).
+    /// Whether compiles and [`Scheduler::run`] fill a flight recorder
+    /// (set through [`crate::CompileScratch::new`]).
     pub(crate) flight_recorder: bool,
     frontier: Vec<(NodeId, Gate)>,
     lookahead: Vec<(NodeId, Gate)>,
@@ -153,8 +157,6 @@ pub struct SchedulerScratch {
     edge_epoch: u64,
     edge_list: Vec<u32>,
     candidates: Vec<GenericSwap>,
-    drain_scratch: Vec<NodeId>,
-    executed_ids: Vec<NodeId>,
     scoring: ScoringScratch,
     /// The readiness memo every scoring pass reads through (reset at the
     /// start of each pass).
@@ -193,11 +195,11 @@ pub struct Scheduler<'a> {
     trap_edges: &'a [Vec<u32>],
     /// Reusable working memory (cleared, never reallocated, per iteration).
     scratch: SchedulerScratch,
-    /// The compile flight recorder, present while the scratch's
-    /// `flight_recorder` switch is on for the current run.
-    /// Observation-only: nothing in the scheduling loop ever reads it, so
-    /// output is bit-identical with or without it.
-    /// [`Scheduler::run_reference`] never records.
+    /// The flight recorder of the last [`Scheduler::run`], present when
+    /// the scratch's `flight_recorder` switch was on. Observation-only:
+    /// nothing in the scheduling loop ever reads it, so output is
+    /// bit-identical with or without it. [`Scheduler::run_reference`]
+    /// never records.
     recorder: Option<FlightRecorder>,
 }
 
@@ -287,10 +289,9 @@ impl<'a> Scheduler<'a> {
     /// Runs Algorithm 1: schedules every two-qubit gate of `circuit`
     /// starting from `placement` (which must already place every program
     /// qubit), appending the generated hardware operations to a fresh
-    /// [`CompiledProgram`].
-    ///
-    /// Single-qubit gates are emitted up-front: they never constrain
-    /// routing and only contribute (near-unity) fidelity.
+    /// [`CompiledProgram`]. This is the compile driver's routing loop with
+    /// the S-SYNC policy, minus the initial placement, validation and
+    /// evaluation, so output and stats are those of an S-SYNC compile.
     ///
     /// # Errors
     ///
@@ -300,205 +301,21 @@ impl<'a> Scheduler<'a> {
     pub fn run(
         &mut self,
         circuit: &Circuit,
-        mut placement: Placement,
+        placement: Placement,
     ) -> Result<(CompiledProgram, Placement), CompileError> {
-        self.stats = SchedulerStats::default();
-        self.telemetry = ScoringTelemetry::default();
-        self.recorder = self.scratch.flight_recorder.then(FlightRecorder::with_default_capacity);
-        let mut program =
-            CompiledProgram::new(circuit.num_qubits(), self.graph.topology().num_traps());
-        for gate in circuit.iter() {
-            if !gate.is_two_qubit() {
-                let q = gate.qubits()[0];
-                program.push(ScheduledOp::SingleQubitGate { qubit: q });
-            }
-        }
-
-        let mut dag = DependencyDag::from_circuit(circuit);
+        let mut recorder = self.scratch.flight_recorder.then(FlightRecorder::with_default_capacity);
         let mechanics = Mechanics::new(self.graph, self.router);
-        let mut cache = ScoreCache::new(dag.len(), self.graph.topology().num_traps());
-        let mut decay = DecayTracker::new(
-            circuit.num_qubits(),
-            self.config.decay_delta,
-            self.config.decay_reset_interval,
+        let routed = driver::route(
+            &mut SSyncRouting::new(self, circuit),
+            &mechanics,
+            circuit,
+            placement,
+            recorder.as_mut(),
         );
-        let mut recent = RecentSwaps::default();
-        let mut stall = 0usize;
-        let budget = 10_000 + 400 * dag.len();
-        // The frontier / look-ahead gate lists only change when the DAG
-        // retires gates, not when ions move; rebuild them lazily.
-        let mut gate_lists_stale = true;
-
-        while !dag.is_complete() {
-            self.stats.iterations += 1;
-            if self.stats.iterations > budget {
-                return Err(CompileError::SchedulingStalled { remaining_gates: dag.remaining() });
-            }
-
-            // Step 4-10: execute every frontier gate whose qubits share a trap.
-            let executed = self.execute_ready(&mut dag, &mut placement, &mut program, &mechanics);
-            if executed > 0 {
-                if let Some(rec) = self.recorder.as_mut() {
-                    rec.record(FlightEvent::LayerClosed {
-                        layer: self.stats.iterations as u64,
-                        executed: executed as u64,
-                    });
-                }
-                stall = 0;
-                gate_lists_stale = true;
-                continue;
-            }
-            if dag.is_complete() {
-                break;
-            }
-
-            // Step 11: gather the candidate generic swaps near the frontier.
-            if gate_lists_stale {
-                self.rebuild_gate_lists(&dag);
-                gate_lists_stale = false;
-                if let Some(rec) = self.recorder.as_mut() {
-                    rec.record(FlightEvent::LayerOpened {
-                        layer: self.stats.iterations as u64,
-                        ready_gates: self.scratch.frontier.len() as u64,
-                    });
-                }
-            }
-            self.collect_relevant_traps(&placement);
-            self.collect_candidates(&placement, Some(&recent));
-            if self.scratch.candidates.is_empty() {
-                // Allow undoing recent swaps rather than stalling outright.
-                self.collect_candidates(&placement, None);
-            }
-
-            // The scorer borrows only the `dist` field, so the remaining
-            // per-iteration scratch mutations stay disjoint.
-            let scorer = HeuristicScorer::with_distance_matrix(
-                self.graph,
-                self.router,
-                self.config,
-                self.dist,
-            );
-            let mut applied = false;
-            if !self.scratch.candidates.is_empty() {
-                // Steps 12-18: score each candidate, apply the cheapest.
-                scorer.prepare_pass(
-                    &mut self.scratch.scoring,
-                    &mut cache,
-                    &placement,
-                    &decay,
-                    &self.scratch.frontier,
-                    &self.scratch.lookahead,
-                );
-                let pass_started = Instant::now();
-                self.scratch.memo.begin_pass();
-                // The runner-up score is tracked only while the recorder is
-                // on (it feeds the CandidateChosen margin and nothing else).
-                let track_margin = self.recorder.is_some();
-                let mut second: Option<f64> = None;
-                let mut best: Option<(f64, usize)> = None;
-                for (i, swap) in self.scratch.candidates.iter().enumerate() {
-                    let score = scorer.score_swap_memo(
-                        &self.scratch.scoring,
-                        &mut self.scratch.memo,
-                        &placement,
-                        swap,
-                    );
-                    if better_candidate(score, i, best) {
-                        if track_margin {
-                            second = best.map(|(s, _)| s);
-                        }
-                        best = Some((score, i));
-                    } else if track_margin {
-                        second = Some(match second {
-                            Some(s2) if s2.total_cmp(&score).is_le() => s2,
-                            _ => score,
-                        });
-                    }
-                }
-                self.telemetry.candidates_scored += self.scratch.candidates.len() as u64;
-                self.telemetry.scoring_passes += 1;
-                self.telemetry.readiness_memo_hits += self.scratch.memo.take_hits();
-                self.telemetry.scoring_time_ns += pass_started.elapsed().as_nanos() as u64;
-                if let Some((score, idx)) = best {
-                    if let Some(rec) = self.recorder.as_mut() {
-                        rec.record(FlightEvent::CandidateChosen {
-                            layer: self.stats.iterations as u64,
-                            candidate: idx as u64,
-                            score_bits: score.to_bits(),
-                            margin_bits: second
-                                .map(|s| (s - score).to_bits())
-                                .unwrap_or_else(|| f64::NAN.to_bits()),
-                        });
-                    }
-                    let swap = self.scratch.candidates[idx];
-                    let mut rec = self.recorder.take();
-                    self.apply_swap(
-                        &swap,
-                        &mut placement,
-                        &mut program,
-                        &mut decay,
-                        &mechanics,
-                        rec.as_mut(),
-                    );
-                    self.recorder = rec;
-                    bump_swap_epochs(&mut cache, self.graph, &swap);
-                    recent.push((swap.a, swap.b));
-                    self.stats.heuristic_swaps += 1;
-                    applied = true;
-                }
-            }
-
-            decay.tick();
-            stall += 1;
-            if !applied || stall > self.config.max_stall_iterations {
-                // Safety net: route the cheapest frontier gate directly,
-                // scoring each frontier gate exactly once through the
-                // readiness memo (gates routing through a shared entry
-                // port reuse its readiness scan).
-                self.telemetry.stall_fallback_entries += 1;
-                if let Some(rec) = self.recorder.as_mut() {
-                    rec.record(FlightEvent::StallFallback {
-                        layer: self.stats.iterations as u64,
-                        remaining: dag.remaining() as u64,
-                    });
-                }
-                let pass_started = Instant::now();
-                self.scratch.memo.begin_pass();
-                let mut best_gate: Option<(f64, usize)> = None;
-                for (i, (_, gate)) in self.scratch.frontier.iter().enumerate() {
-                    let score = scorer.gate_score_memo(&mut self.scratch.memo, &placement, gate);
-                    if better_candidate(score, i, best_gate) {
-                        best_gate = Some((score, i));
-                    }
-                }
-                self.telemetry.candidates_scored += self.scratch.frontier.len() as u64;
-                self.telemetry.scoring_passes += 1;
-                self.telemetry.readiness_memo_hits += self.scratch.memo.take_hits();
-                self.telemetry.scoring_time_ns += pass_started.elapsed().as_nanos() as u64;
-                let gate = best_gate
-                    .map(|(_, i)| self.scratch.frontier[i].1)
-                    .expect("frontier is non-empty while the DAG is incomplete");
-                let (q1, q2) = gate.two_qubit_pair().expect("frontier gates are two-qubit");
-                let dest = placement.trap_of(q2).expect("qubit placed");
-                if placement.trap_free_slots(dest) == 0 {
-                    mechanics.make_space(&mut placement, &mut program, dest, 1, &[q1, q2]);
-                }
-                let dest = placement.trap_of(q2).expect("qubit placed");
-                if !mechanics.move_qubit_to_trap(&mut placement, &mut program, q1, dest) {
-                    return Err(CompileError::SchedulingStalled {
-                        remaining_gates: dag.remaining(),
-                    });
-                }
-                self.stats.fallback_routed_gates += 1;
-                stall = 0;
-                recent.clear();
-                // The fallback reshuffles ions arbitrarily: drop every
-                // cached base score.
-                cache.bump_all();
-            }
-        }
-
-        Ok((program, placement))
+        self.recorder = recorder;
+        let routed = routed?;
+        self.stats.iterations = routed.rounds;
+        Ok((routed.program, routed.placement))
     }
 
     /// Rebuilds the cached frontier and look-ahead `(id, gate)` lists from
@@ -733,38 +550,7 @@ impl<'a> Scheduler<'a> {
         Ok((program, placement))
     }
 
-    /// Executes every currently executable frontier gate; returns how many.
-    /// Reuses the scheduler's drain buffers, so the per-iteration check
-    /// allocates nothing.
-    fn execute_ready(
-        &mut self,
-        dag: &mut DependencyDag,
-        placement: &mut Placement,
-        program: &mut CompiledProgram,
-        mechanics: &Mechanics<'_>,
-    ) -> usize {
-        let placement_ref = &*placement;
-        let graph = self.graph;
-        dag.drain_executable_into(
-            |gate| {
-                let Some((a, b)) = gate.two_qubit_pair() else { return false };
-                match (placement_ref.slot_of(a), placement_ref.slot_of(b)) {
-                    (Some(sa), Some(sb)) => graph.same_trap(sa, sb),
-                    _ => false,
-                }
-            },
-            &mut self.scratch.drain_scratch,
-            &mut self.scratch.executed_ids,
-        );
-        for id in &self.scratch.executed_ids {
-            let gate = dag.gate(*id);
-            let (a, b) = gate.two_qubit_pair().expect("two-qubit gate");
-            mechanics.emit_two_qubit_gate(placement, program, a, b);
-        }
-        self.scratch.executed_ids.len()
-    }
-
-    /// The straightforward, allocating twin of [`Scheduler::execute_ready`]
+    /// The straightforward, allocating twin of the compile driver's drain
     /// used by the reference transcription: fresh `Vec`s every call via
     /// [`DependencyDag::drain_executable`].
     fn execute_ready_reference(
@@ -922,6 +708,200 @@ impl<'a> Scheduler<'a> {
                 });
             }
         }
+    }
+}
+
+/// The S-SYNC routing policy: each blocked round applies the generic swap
+/// the Eq. (1)–(2) heuristic scores cheapest, and routes the cheapest
+/// frontier gate directly when no swap applies or the search stalls. It
+/// borrows a [`Scheduler`] for its working memory and statistics and owns
+/// the search state of one compile.
+pub(crate) struct SSyncRouting<'s, 'a> {
+    scheduler: &'s mut Scheduler<'a>,
+    cache: ScoreCache,
+    decay: DecayTracker,
+    recent: RecentSwaps,
+    stall: usize,
+}
+
+impl<'s, 'a> SSyncRouting<'s, 'a> {
+    /// Fresh search state for compiling `circuit`; resets the scheduler's
+    /// statistics and telemetry.
+    pub(crate) fn new(scheduler: &'s mut Scheduler<'a>, circuit: &Circuit) -> Self {
+        scheduler.stats = SchedulerStats::default();
+        scheduler.telemetry = ScoringTelemetry::default();
+        let config = scheduler.config;
+        SSyncRouting {
+            cache: ScoreCache::new(
+                circuit.two_qubit_gate_count(),
+                scheduler.graph.topology().num_traps(),
+            ),
+            decay: DecayTracker::new(
+                circuit.num_qubits(),
+                config.decay_delta,
+                config.decay_reset_interval,
+            ),
+            recent: RecentSwaps::default(),
+            stall: 0,
+            scheduler,
+        }
+    }
+}
+
+impl RoutingPolicy for SSyncRouting<'_, '_> {
+    const ROUNDS_PER_GATE: usize = 400;
+
+    fn place(&mut self, device: &Device, circuit: &Circuit) -> Placement {
+        initial::build_placement(circuit, device, self.scheduler.config)
+    }
+
+    fn route_blocked(&mut self, step: BlockedRound<'_>) -> Result<(), CompileError> {
+        let BlockedRound {
+            round,
+            dag,
+            placement,
+            program,
+            mechanics,
+            mut recorder,
+            frontier_changed,
+        } = step;
+        let s = &mut *self.scheduler;
+        // The frontier / look-ahead gate lists only change when the DAG
+        // retires gates, not when ions move; rebuild them lazily.
+        if frontier_changed {
+            self.stall = 0;
+            s.rebuild_gate_lists(dag);
+        }
+
+        // Step 11: gather the candidate generic swaps near the frontier.
+        s.collect_relevant_traps(placement);
+        s.collect_candidates(placement, Some(&self.recent));
+        if s.scratch.candidates.is_empty() {
+            // Allow undoing recent swaps rather than stalling outright.
+            s.collect_candidates(placement, None);
+        }
+
+        let scorer = HeuristicScorer::with_distance_matrix(s.graph, s.router, s.config, s.dist);
+        let mut applied = false;
+        if !s.scratch.candidates.is_empty() {
+            // Steps 12-18: score each candidate, apply the cheapest.
+            scorer.prepare_pass(
+                &mut s.scratch.scoring,
+                &mut self.cache,
+                placement,
+                &self.decay,
+                &s.scratch.frontier,
+                &s.scratch.lookahead,
+            );
+            let pass_started = Instant::now();
+            s.scratch.memo.begin_pass();
+            // The runner-up score is tracked only while the recorder is
+            // on (it feeds the CandidateChosen margin and nothing else).
+            let track_margin = recorder.is_some();
+            let mut second: Option<f64> = None;
+            let mut best: Option<(f64, usize)> = None;
+            for (i, swap) in s.scratch.candidates.iter().enumerate() {
+                let score = scorer.score_swap_memo(
+                    &s.scratch.scoring,
+                    &mut s.scratch.memo,
+                    placement,
+                    swap,
+                );
+                if better_candidate(score, i, best) {
+                    if track_margin {
+                        second = best.map(|(s, _)| s);
+                    }
+                    best = Some((score, i));
+                } else if track_margin {
+                    second = Some(match second {
+                        Some(s2) if s2.total_cmp(&score).is_le() => s2,
+                        _ => score,
+                    });
+                }
+            }
+            s.telemetry.candidates_scored += s.scratch.candidates.len() as u64;
+            s.telemetry.scoring_passes += 1;
+            s.telemetry.readiness_memo_hits += s.scratch.memo.take_hits();
+            s.telemetry.scoring_time_ns += pass_started.elapsed().as_nanos() as u64;
+            if let Some((score, idx)) = best {
+                if let Some(rec) = recorder.as_deref_mut() {
+                    rec.record(FlightEvent::CandidateChosen {
+                        layer: round as u64,
+                        candidate: idx as u64,
+                        score_bits: score.to_bits(),
+                        margin_bits: second
+                            .map(|s| (s - score).to_bits())
+                            .unwrap_or_else(|| f64::NAN.to_bits()),
+                    });
+                }
+                let swap = s.scratch.candidates[idx];
+                s.apply_swap(
+                    &swap,
+                    placement,
+                    program,
+                    &mut self.decay,
+                    mechanics,
+                    recorder.as_deref_mut(),
+                );
+                bump_swap_epochs(&mut self.cache, s.graph, &swap);
+                self.recent.push((swap.a, swap.b));
+                s.stats.heuristic_swaps += 1;
+                applied = true;
+            }
+        }
+
+        self.decay.tick();
+        self.stall += 1;
+        if !applied || self.stall > s.config.max_stall_iterations {
+            // Safety net: route the cheapest frontier gate directly,
+            // scoring each frontier gate exactly once through the
+            // readiness memo (gates routing through a shared entry
+            // port reuse its readiness scan).
+            s.telemetry.stall_fallback_entries += 1;
+            if let Some(rec) = recorder {
+                rec.record(FlightEvent::StallFallback {
+                    layer: round as u64,
+                    remaining: dag.remaining() as u64,
+                });
+            }
+            let pass_started = Instant::now();
+            s.scratch.memo.begin_pass();
+            let mut best_gate: Option<(f64, usize)> = None;
+            for (i, (_, gate)) in s.scratch.frontier.iter().enumerate() {
+                let score = scorer.gate_score_memo(&mut s.scratch.memo, placement, gate);
+                if better_candidate(score, i, best_gate) {
+                    best_gate = Some((score, i));
+                }
+            }
+            s.telemetry.candidates_scored += s.scratch.frontier.len() as u64;
+            s.telemetry.scoring_passes += 1;
+            s.telemetry.readiness_memo_hits += s.scratch.memo.take_hits();
+            s.telemetry.scoring_time_ns += pass_started.elapsed().as_nanos() as u64;
+            let gate = best_gate
+                .map(|(_, i)| s.scratch.frontier[i].1)
+                .expect("frontier is non-empty while the DAG is incomplete");
+            let (q1, q2) = gate.two_qubit_pair().expect("frontier gates are two-qubit");
+            let dest = placement.trap_of(q2).expect("qubit placed");
+            if placement.trap_free_slots(dest) == 0 {
+                mechanics.make_space(placement, program, dest, 1, &[q1, q2]);
+            }
+            let dest = placement.trap_of(q2).expect("qubit placed");
+            if !mechanics.move_qubit_to_trap(placement, program, q1, dest) {
+                return Err(CompileError::SchedulingStalled { remaining_gates: dag.remaining() });
+            }
+            s.stats.fallback_routed_gates += 1;
+            self.stall = 0;
+            self.recent.clear();
+            // The fallback reshuffles ions arbitrarily: drop every
+            // cached base score.
+            self.cache.bump_all();
+        }
+        Ok(())
+    }
+
+    fn stats(&self, rounds: usize) -> (SchedulerStats, ScoringTelemetry) {
+        let stats = SchedulerStats { iterations: rounds, ..self.scheduler.stats };
+        (stats, self.scheduler.telemetry)
     }
 }
 

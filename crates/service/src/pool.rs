@@ -45,9 +45,9 @@
 //! **Near-duplicates are not coalesced.** Two requests for the same
 //! device and circuit under *different* configs (or compilers) run as two
 //! independent compiles, even though a planner could conceivably batch
-//! them onto one warm worker sharing the device artifact and circuit
-//! prep. That planner does not exist yet; to keep the gap measurable the
-//! service counts such submissions in
+//! them onto one warm worker sharing the device artifact. That planner
+//! does not exist yet; to keep the gap measurable the service counts
+//! such submissions in
 //! [`ServiceMetrics::jobs_near_duplicate`] — compare it against
 //! `jobs_coalesced` to see what exact-duplicate coalescing misses.
 //!
@@ -103,24 +103,12 @@ use crate::job::{CompileRequest, JobHandle, JobResult, JobState, Priority, Tenan
 use crate::metrics::{ServiceMetrics, WorkerMetrics};
 use crate::registry::DeviceRegistry;
 use crate::telemetry::{kind_slug, ServiceTelemetry, Stage, TRACE_JOURNAL_CAPACITY};
-use ssync_circuit::{Circuit, Qubit};
 use ssync_core::{batch, CacheBounds, CompileError, CompileScratch};
 use ssync_telemetry::Span;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
-
-/// Per-circuit preparation shared by every job over the same circuit
-/// content: the stable hash (computed at submission) and the greedy
-/// baselines' first-use qubit order, computed lazily by the first worker
-/// that needs it and reused across every topology cell and compiler kind
-/// afterwards.
-#[derive(Debug)]
-struct CircuitPrep {
-    hash: u64,
-    first_use: OnceLock<Vec<Qubit>>,
-}
 
 /// One queued unit of work. `attached` counts the submissions sharing this
 /// job's `state` (1 plus any identical requests coalesced onto it while it
@@ -130,7 +118,6 @@ struct CircuitPrep {
 /// coalesced waiter). `submitted` anchors the deadline clock.
 struct Job {
     request: CompileRequest,
-    prep: Arc<CircuitPrep>,
     key: CacheKey,
     state: Arc<JobState>,
     attached: Arc<AtomicU64>,
@@ -281,7 +268,6 @@ struct Shared {
     sleep: Mutex<SleepState>,
     wake: Condvar,
     cache: ResultCache,
-    preps: Mutex<HashMap<u64, Arc<CircuitPrep>>>,
     pending: Mutex<PendingState>,
     submitted: AtomicU64,
     submitted_by_priority: [AtomicU64; 3],
@@ -562,7 +548,6 @@ impl CompileService {
             sleep: Mutex::new(SleepState::default()),
             wake: Condvar::new(),
             cache: ResultCache::with_config(cache),
-            preps: Mutex::new(HashMap::new()),
             pending: Mutex::new(PendingState::default()),
             submitted: AtomicU64::new(0),
             submitted_by_priority: Default::default(),
@@ -808,10 +793,9 @@ impl CompileService {
         let kind = request.compiler;
         telemetry.span_attr(&span, "priority", priority.label());
         telemetry.span_attr(&span, "compiler", kind_slug(kind));
-        let prep = self.prep_for(&request.circuit);
         let key = CacheKey {
             device_fingerprint: request.device.fingerprint(),
-            circuit_hash: prep.hash,
+            circuit_hash: request.circuit.content_hash(),
             config_hash: config_hash(&request.config),
             compiler: request.compiler,
         };
@@ -838,7 +822,6 @@ impl CompileService {
             let (handle, state) = JobHandle::new();
             let attached = Arc::new(AtomicU64::new(1));
             let job = Job {
-                prep,
                 key,
                 state,
                 attached,
@@ -895,7 +878,6 @@ impl CompileService {
         };
         let job = Job {
             request,
-            prep,
             key,
             state,
             attached,
@@ -932,19 +914,6 @@ impl CompileService {
             }
         }
         self.shared.wake.notify_one();
-    }
-
-    /// The shared per-circuit preparation, deduplicated by content hash so
-    /// one circuit submitted across many devices/compilers shares a single
-    /// lazily-computed first-use order.
-    fn prep_for(&self, circuit: &Circuit) -> Arc<CircuitPrep> {
-        let hash = circuit.content_hash();
-        let mut preps = self.shared.preps.lock().expect("prep lock poisoned");
-        Arc::clone(
-            preps
-                .entry(hash)
-                .or_insert_with(|| Arc::new(CircuitPrep { hash, first_use: OnceLock::new() })),
-        )
     }
 }
 
@@ -1013,7 +982,7 @@ fn worker_loop(shared: &Shared, me: usize) {
 }
 
 fn execute(shared: &Shared, me: usize, job: Job, scratch: &mut CompileScratch) {
-    let Job { request, prep, key, state, attached, registered, submitted, span } = job;
+    let Job { request, key, state, attached, registered, submitted, span } = job;
     let priority = request.priority;
     let kind = request.compiler;
     let queue_wait = submitted.elapsed();
@@ -1032,7 +1001,7 @@ fn execute(shared: &Shared, me: usize, job: Job, scratch: &mut CompileScratch) {
         }
         None => {
             let compile_started = Instant::now();
-            let result = run_compile(&request, &prep, scratch).unwrap_or_else(|panic_message| {
+            let result = run_compile(&request, scratch).unwrap_or_else(|panic_message| {
                 // A panicking compile must not take the worker (and every
                 // queued tenant behind it) down; surface it on the one
                 // affected handle and replace the possibly-inconsistent
@@ -1106,23 +1075,12 @@ fn execute(shared: &Shared, me: usize, job: Job, scratch: &mut CompileScratch) {
 /// message.
 fn run_compile(
     request: &CompileRequest,
-    prep: &CircuitPrep,
     scratch: &mut CompileScratch,
 ) -> Result<JobResult, String> {
-    let first_use = request
-        .compiler
-        .uses_first_use_order()
-        .then(|| prep.first_use.get_or_init(|| request.circuit.first_use_order()).as_slice());
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         request
             .compiler
-            .compile_on_with(
-                request.device.device(),
-                &request.circuit,
-                &request.config,
-                first_use,
-                scratch,
-            )
+            .compile_on_with(request.device.device(), &request.circuit, &request.config, scratch)
             .map(Arc::new)
     }))
     .map_err(|payload| {
@@ -1142,6 +1100,7 @@ mod tests {
     use ssync_arch::QccdTopology;
     use ssync_baselines::CompilerKind;
     use ssync_circuit::generators::qft;
+    use ssync_circuit::Circuit;
     use ssync_core::CompilerConfig;
 
     fn request(

@@ -3,10 +3,14 @@
 //! the paper, checked here at laptop-friendly sizes.
 
 use ssync_arch::QccdTopology;
-use ssync_baselines::{DaiCompiler, MuraliCompiler};
+use ssync_bench::{run_compiler, CompilerKind};
 use ssync_circuit::generators::{alt_ansatz, cuccaro_adder, qaoa_nearest_neighbor, qft};
 use ssync_circuit::Circuit;
-use ssync_core::SSyncCompiler;
+use ssync_core::{CompileOutcome, CompilerConfig, SSyncCompiler};
+
+fn compile(kind: CompilerKind, circuit: &Circuit, device: &QccdTopology) -> CompileOutcome {
+    run_compiler(kind, circuit, device, &CompilerConfig::default()).unwrap()
+}
 
 fn suite() -> Vec<(Circuit, QccdTopology)> {
     vec![
@@ -21,14 +25,12 @@ fn suite() -> Vec<(Circuit, QccdTopology)> {
 #[test]
 fn ssync_shuttles_less_than_baselines_in_aggregate() {
     let ssync = SSyncCompiler::default();
-    let murali = MuraliCompiler::default();
-    let dai = DaiCompiler::default();
     let mut totals = [0usize; 3];
     for (circuit, device) in suite() {
         let so = ssync.compile(&circuit, &device).unwrap();
         let s = so.counts().shuttles;
-        let m = murali.compile(&circuit, &device).unwrap().counts().shuttles;
-        let d = dai.compile(&circuit, &device).unwrap().counts().shuttles;
+        let m = compile(CompilerKind::Murali, &circuit, &device).counts().shuttles;
+        let d = compile(CompilerKind::Dai, &circuit, &device).counts().shuttles;
         println!(
             "{:<12} on {:<6}: ssync {:>4} (swaps {:>4}, fallback {:>3}) murali {:>4} dai {:>4}",
             circuit.name(),
@@ -60,12 +62,11 @@ fn ssync_shuttles_less_than_baselines_in_aggregate() {
 #[test]
 fn ssync_success_rate_is_competitive_in_aggregate() {
     let ssync = SSyncCompiler::default();
-    let murali = MuraliCompiler::default();
     let mut log_ssync = 0.0f64;
     let mut log_murali = 0.0f64;
     for (circuit, device) in suite() {
         let s = ssync.compile(&circuit, &device).unwrap().report().success_rate;
-        let m = murali.compile(&circuit, &device).unwrap().report().success_rate;
+        let m = compile(CompilerKind::Murali, &circuit, &device).report().success_rate;
         log_ssync += s.max(1e-30).ln();
         log_murali += m.max(1e-30).ln();
     }
@@ -84,11 +85,11 @@ fn all_compilers_agree_on_gate_counts() {
             expected
         );
         assert_eq!(
-            MuraliCompiler::default().compile(&circuit, &device).unwrap().counts().two_qubit_gates,
+            compile(CompilerKind::Murali, &circuit, &device).counts().two_qubit_gates,
             expected
         );
         assert_eq!(
-            DaiCompiler::default().compile(&circuit, &device).unwrap().counts().two_qubit_gates,
+            compile(CompilerKind::Dai, &circuit, &device).counts().two_qubit_gates,
             expected
         );
     }

@@ -2,14 +2,14 @@
 //! refactor.
 //!
 //! The contract: compiling through a prebuilt [`Device`]
-//! ([`SSyncCompiler::compile_on`], the baselines' `compile_on`, batch
+//! ([`SSyncCompiler::compile_on`], every kind's `compile_on`, batch
 //! compilation at any worker count) must emit **bit-identical** programs,
 //! statistics and placements to the single-shot `compile(circuit,
 //! topology)` path that rebuilds the device internally. Any divergence
 //! means sharing the artifact changed the algorithm, not just its cost.
 
 use ssync_arch::{Device, QccdTopology};
-use ssync_baselines::{DaiCompiler, MuraliCompiler};
+use ssync_bench::{run_compiler, CompilerKind};
 use ssync_circuit::generators::{
     bernstein_vazirani, cuccaro_adder, qaoa_nearest_neighbor, qft, random_two_qubit_circuit,
 };
@@ -74,20 +74,14 @@ fn baselines_compile_on_matches_single_shot_compile() {
     let config = CompilerConfig::default();
     let topo = QccdTopology::grid(2, 2, 6);
     let device = Device::build(topo.clone(), config.weights);
-    let murali = MuraliCompiler::new(config);
-    let dai = DaiCompiler::new(config);
     for circuit in suite() {
-        let what = circuit.name();
-        assert_same_outcome(
-            &murali.compile(&circuit, &topo).expect("compiles"),
-            &murali.compile_on(&device, &circuit).expect("compiles"),
-            &format!("murali {what}"),
-        );
-        assert_same_outcome(
-            &dai.compile(&circuit, &topo).expect("compiles"),
-            &dai.compile_on(&device, &circuit).expect("compiles"),
-            &format!("dai {what}"),
-        );
+        for kind in CompilerKind::ALL {
+            assert_same_outcome(
+                &run_compiler(kind, &circuit, &topo, &config).expect("compiles"),
+                &kind.compile_on(&device, &circuit, &config).expect("compiles"),
+                &format!("{kind:?} {}", circuit.name()),
+            );
+        }
     }
 }
 

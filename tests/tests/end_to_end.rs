@@ -2,7 +2,7 @@
 //! realistic (but laptop-sized) workloads.
 
 use ssync_arch::QccdTopology;
-use ssync_baselines::{DaiCompiler, MuraliCompiler};
+use ssync_bench::{run_compiler, CompilerKind};
 use ssync_circuit::generators::{
     alt_ansatz, bernstein_vazirani, cuccaro_adder, qaoa_nearest_neighbor, qft,
 };
@@ -48,15 +48,14 @@ fn ssync_satisfies_program_invariants_everywhere() {
 
 #[test]
 fn baselines_satisfy_program_invariants_everywhere() {
-    let murali = MuraliCompiler::default();
-    let dai = DaiCompiler::default();
+    let config = CompilerConfig::default();
     for circuit in workloads() {
         for device in devices() {
             if device.total_capacity() <= circuit.num_qubits() + 2 {
                 continue;
             }
-            for outcome in [murali.compile(&circuit, &device), dai.compile(&circuit, &device)] {
-                let outcome = outcome
+            for kind in [CompilerKind::Murali, CompilerKind::Dai] {
+                let outcome = run_compiler(kind, &circuit, &device, &config)
                     .unwrap_or_else(|e| panic!("{} on {}: {e}", circuit.name(), device.name()));
                 check_program_invariants(&circuit, &device, &outcome);
             }
@@ -84,7 +83,7 @@ fn errors_are_reported_not_panicked() {
         Err(CompileError::DeviceTooSmall { .. })
     ));
     assert!(matches!(
-        MuraliCompiler::default().compile(&circuit, &tiny),
+        run_compiler(CompilerKind::Murali, &circuit, &tiny, &CompilerConfig::default()),
         Err(CompileError::DeviceTooSmall { .. })
     ));
 }
