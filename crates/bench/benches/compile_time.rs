@@ -1,5 +1,5 @@
-//! Criterion benchmark behind Fig. 15: compilation time of S-SYNC and the
-//! two baselines as the application grows.
+//! Criterion benchmark behind Fig. 15: compilation time of every compiler
+//! kind as the application grows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ssync_arch::QccdTopology;
@@ -13,7 +13,7 @@ fn bench_compile_time(c: &mut Criterion) {
     group.sample_size(10);
     for qubits in [12usize, 20, 28] {
         let circuit = scaled_app(AppKind::Qft, qubits);
-        for compiler in CompilerKind::PAPER {
+        for compiler in CompilerKind::ALL {
             group.bench_with_input(
                 BenchmarkId::new(compiler.label(), qubits),
                 &circuit,
