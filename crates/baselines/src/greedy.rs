@@ -41,17 +41,10 @@ pub struct GreedyRouter {
     style: BaselineStyle,
 }
 
-impl GreedyRouter {
-    /// A policy with the given style.
-    pub fn new(style: BaselineStyle) -> Self {
-        GreedyRouter { style }
-    }
-}
-
 impl RoutingPolicy for GreedyRouter {
     const ROUNDS_PER_GATE: usize = 100;
 
-    fn place(&mut self, device: &Device, circuit: &Circuit) -> Placement {
+    fn place(&self, device: &Device, circuit: &Circuit) -> Placement {
         initial::first_use_packing(circuit, device.topology(), self.style.reserved_slots())
     }
 
@@ -74,6 +67,11 @@ impl RoutingPolicy for GreedyRouter {
 }
 
 impl GreedyRouter {
+    /// A policy with the given style.
+    pub fn new(style: BaselineStyle) -> Self {
+        GreedyRouter { style }
+    }
+
     /// Which blocked gate to serve next.
     fn pick_gate(
         &self,

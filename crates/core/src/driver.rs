@@ -33,7 +33,7 @@ pub trait RoutingPolicy {
     const ROUNDS_PER_GATE: usize;
 
     /// Places every program qubit of `circuit` on `device`.
-    fn place(&mut self, device: &Device, circuit: &Circuit) -> Placement;
+    fn place(&self, device: &Device, circuit: &Circuit) -> Placement;
 
     /// Takes one routing step while no frontier gate can execute. The
     /// step may leave the frontier blocked; the driver then calls again
@@ -47,8 +47,7 @@ pub trait RoutingPolicy {
 
     /// The search statistics and scoring telemetry of a routing that took
     /// `rounds` rounds. Kinds without a search keep the defaults.
-    fn stats(&self, rounds: usize) -> (SchedulerStats, ScoringTelemetry) {
-        let _ = rounds;
+    fn stats(&self, _rounds: usize) -> (SchedulerStats, ScoringTelemetry) {
         Default::default()
     }
 }

@@ -101,18 +101,10 @@ pub struct PermRouter {
     barren_rounds: usize,
 }
 
-impl PermRouter {
-    /// A policy for one compile. It reads the weights and
-    /// [`CompilerConfig::perm_schedule`] of `config`.
-    pub fn new(config: &CompilerConfig) -> Self {
-        PermRouter { config: *config, barren_rounds: 0 }
-    }
-}
-
 impl RoutingPolicy for PermRouter {
     const ROUNDS_PER_GATE: usize = 100;
 
-    fn place(&mut self, device: &Device, circuit: &Circuit) -> Placement {
+    fn place(&self, device: &Device, circuit: &Circuit) -> Placement {
         initial::first_use_packing(circuit, device.topology(), RESERVED_SLOTS)
     }
 
@@ -140,6 +132,12 @@ impl RoutingPolicy for PermRouter {
 }
 
 impl PermRouter {
+    /// A policy for one compile. It reads the weights and
+    /// [`CompilerConfig::perm_schedule`] of `config`.
+    pub fn new(config: &CompilerConfig) -> Self {
+        PermRouter { config: *config, barren_rounds: 0 }
+    }
+
     /// Routes one blocked frontier layer: plan meeting traps, shuttle the
     /// operands in (cheapest plan first), then realise the intra-trap
     /// permutation per meeting trap through the configured swap schedule.

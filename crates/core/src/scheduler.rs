@@ -751,7 +751,7 @@ impl<'s, 'a> SSyncRouting<'s, 'a> {
 impl RoutingPolicy for SSyncRouting<'_, '_> {
     const ROUNDS_PER_GATE: usize = 400;
 
-    fn place(&mut self, device: &Device, circuit: &Circuit) -> Placement {
+    fn place(&self, device: &Device, circuit: &Circuit) -> Placement {
         initial::build_placement(circuit, device, self.scheduler.config)
     }
 
