@@ -208,4 +208,20 @@ mod tests {
         // the always-move-first policy on the same workload.
         assert!(dai.counts().shuttles <= murali.counts().shuttles + 5);
     }
+
+    #[test]
+    fn too_small_device_is_rejected() {
+        let circuit = qft(12);
+        let config = CompilerConfig::default();
+        let device = Device::build(QccdTopology::linear(2, 6), config.weights);
+        let err = driver::compile(
+            GreedyRouter::new(BaselineStyle::Murali),
+            &device,
+            &circuit,
+            &config,
+            false,
+        )
+        .unwrap_err();
+        assert!(matches!(err, CompileError::DeviceTooSmall { .. }));
+    }
 }

@@ -349,6 +349,14 @@ mod tests {
     }
 
     #[test]
+    fn device_too_small_is_rejected() {
+        let circuit = qft(16);
+        let topo = QccdTopology::linear(2, 8); // exactly 16 slots: no spare space
+        let err = SSyncCompiler::default().compile(&circuit, &topo).unwrap_err();
+        assert!(matches!(err, CompileError::DeviceTooSmall { .. }));
+    }
+
+    #[test]
     fn bv_needs_few_shuttles_under_gathering() {
         // BV's 2-qubit gates all target one ancilla; with the gathering
         // mapping most of them are already co-located.

@@ -492,6 +492,16 @@ mod tests {
     }
 
     #[test]
+    fn too_small_device_is_rejected() {
+        let circuit = qft(12);
+        let config = CompilerConfig::default();
+        let device = Device::build(QccdTopology::linear(2, 6), config.weights);
+        let err = driver::compile(PermRouter::new(&config), &device, &circuit, &config, false)
+            .unwrap_err();
+        assert!(matches!(err, CompileError::DeviceTooSmall { .. }));
+    }
+
+    #[test]
     fn flight_recorder_is_observation_only() {
         let circuit = random_two_qubit_circuit(12, 60, 7);
         let topo = QccdTopology::grid(2, 2, 5);
