@@ -1,6 +1,7 @@
 //! Error type for machine-model construction and placement operations.
 
 use crate::ids::{SlotId, TrapId};
+use crate::topology::MAX_TRAP_CAPACITY;
 use std::error::Error;
 use std::fmt;
 
@@ -12,6 +13,13 @@ pub enum ArchError {
     /// A trap capacity below the minimum of 2 slots was requested (a trap
     /// needs at least one qubit slot plus the room to receive an ion).
     CapacityTooSmall {
+        /// The requested per-trap capacity.
+        requested: usize,
+    },
+    /// A trap capacity above [`MAX_TRAP_CAPACITY`] was requested. Compiled
+    /// ops store chain lengths and ion distances as `u16`, so no chain may
+    /// hold more ions than that.
+    CapacityTooLarge {
         /// The requested per-trap capacity.
         requested: usize,
     },
@@ -46,6 +54,9 @@ impl fmt::Display for ArchError {
             ArchError::CapacityTooSmall { requested } => {
                 write!(f, "trap capacity must be at least 2, got {requested}")
             }
+            ArchError::CapacityTooLarge { requested } => {
+                write!(f, "trap capacity must be at most {MAX_TRAP_CAPACITY}, got {requested}")
+            }
             ArchError::InsufficientCapacity { qubits, slots } => {
                 write!(f, "cannot place {qubits} qubits into {slots} slots")
             }
@@ -66,6 +77,9 @@ mod tests {
     fn messages_are_informative() {
         assert!(ArchError::EmptyTopology.to_string().contains("at least one trap"));
         assert!(ArchError::CapacityTooSmall { requested: 1 }.to_string().contains("at least 2"));
+        assert!(ArchError::CapacityTooLarge { requested: 70_000 }
+            .to_string()
+            .contains("at most 65535"));
         assert!(ArchError::InsufficientCapacity { qubits: 10, slots: 4 }
             .to_string()
             .contains("10 qubits"));

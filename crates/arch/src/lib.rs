@@ -57,5 +57,5 @@ pub use graph::{EdgeKind, SlotEdge, SlotGraph, WeightConfig};
 pub use ids::{SlotId, TrapId};
 pub use placement::{Placement, RawPlacement};
 pub use routing::TrapRouter;
-pub use topology::{QccdTopology, Side, TopologyKind};
+pub use topology::{QccdTopology, Side, TopologyKind, MAX_TRAP_CAPACITY};
 pub use trap::Trap;

@@ -6,6 +6,10 @@ use crate::trap::Trap;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
+/// The largest per-trap capacity a topology accepts: `u16::MAX`, the
+/// widest chain count a compiled op stores.
+pub const MAX_TRAP_CAPACITY: usize = u16::MAX as usize;
+
 /// The device family of a topology, following Fig. 7 of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum TopologyKind {
@@ -76,6 +80,9 @@ impl QccdTopology {
         if let Some(&c) = capacities.iter().find(|&&c| c < 2) {
             return Err(ArchError::CapacityTooSmall { requested: c });
         }
+        if let Some(&c) = capacities.iter().find(|&&c| c > MAX_TRAP_CAPACITY) {
+            return Err(ArchError::CapacityTooLarge { requested: c });
+        }
         let mut traps = Vec::with_capacity(capacities.len());
         let mut next_slot = 0u32;
         for (i, &cap) in capacities.iter().enumerate() {
@@ -90,7 +97,8 @@ impl QccdTopology {
     ///
     /// # Panics
     ///
-    /// Panics if `num_traps == 0` or `capacity < 2`.
+    /// Panics if `num_traps == 0` or `capacity` is outside
+    /// `2..=MAX_TRAP_CAPACITY`.
     pub fn linear(num_traps: usize, capacity: usize) -> Self {
         Self::try_linear(num_traps, capacity).expect("invalid linear topology parameters")
     }
@@ -99,7 +107,8 @@ impl QccdTopology {
     ///
     /// # Errors
     ///
-    /// Returns an error if `num_traps == 0` or `capacity < 2`.
+    /// Returns an error if `num_traps == 0` or `capacity` is outside
+    /// `2..=MAX_TRAP_CAPACITY`.
     pub fn try_linear(num_traps: usize, capacity: usize) -> Result<Self, ArchError> {
         let edges = (0..num_traps.saturating_sub(1))
             .map(|i| TrapEdge { a: TrapId(i as u32), b: TrapId(i as u32 + 1), junctions: 0 })
@@ -117,7 +126,8 @@ impl QccdTopology {
     ///
     /// # Panics
     ///
-    /// Panics if `rows * cols == 0` or `capacity < 2`.
+    /// Panics if `rows * cols == 0` or `capacity` is outside
+    /// `2..=MAX_TRAP_CAPACITY`.
     pub fn grid(rows: usize, cols: usize, capacity: usize) -> Self {
         Self::try_grid(rows, cols, capacity).expect("invalid grid topology parameters")
     }
@@ -126,7 +136,8 @@ impl QccdTopology {
     ///
     /// # Errors
     ///
-    /// Returns an error if the grid is empty or `capacity < 2`.
+    /// Returns an error if the grid is empty or `capacity` is outside
+    /// `2..=MAX_TRAP_CAPACITY`.
     pub fn try_grid(rows: usize, cols: usize, capacity: usize) -> Result<Self, ArchError> {
         let id = |r: usize, c: usize| TrapId((r * cols + c) as u32);
         let mut edges = Vec::new();
@@ -153,7 +164,8 @@ impl QccdTopology {
     ///
     /// # Panics
     ///
-    /// Panics if `num_traps == 0` or `capacity < 2`.
+    /// Panics if `num_traps == 0` or `capacity` is outside
+    /// `2..=MAX_TRAP_CAPACITY`.
     pub fn fully_connected(num_traps: usize, capacity: usize) -> Self {
         Self::try_fully_connected(num_traps, capacity)
             .expect("invalid fully-connected topology parameters")
@@ -163,7 +175,8 @@ impl QccdTopology {
     ///
     /// # Errors
     ///
-    /// Returns an error if `num_traps == 0` or `capacity < 2`.
+    /// Returns an error if `num_traps == 0` or `capacity` is outside
+    /// `2..=MAX_TRAP_CAPACITY`.
     pub fn try_fully_connected(num_traps: usize, capacity: usize) -> Result<Self, ArchError> {
         let mut edges = Vec::new();
         for a in 0..num_traps {
@@ -202,6 +215,10 @@ impl QccdTopology {
 
     /// Rebuilds this topology with a different uniform per-trap capacity
     /// (used by the capacity sweeps of Fig. 11).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is outside `2..=MAX_TRAP_CAPACITY`.
     pub fn with_capacity(&self, capacity: usize) -> Self {
         let capacities = vec![capacity; self.traps.len()];
         Self::build(self.name.clone(), self.kind, &capacities, self.edges.clone())
@@ -410,6 +427,20 @@ mod tests {
             ArchError::CapacityTooSmall { requested: 1 }
         );
         assert!(QccdTopology::try_grid(0, 3, 5).is_err());
+    }
+
+    #[test]
+    fn capacities_beyond_the_op_count_width_are_rejected() {
+        assert_eq!(
+            QccdTopology::try_linear(2, 70_000).unwrap_err(),
+            ArchError::CapacityTooLarge { requested: 70_000 }
+        );
+        let too_wide = MAX_TRAP_CAPACITY + 1;
+        assert_eq!(
+            QccdTopology::try_grid(1, 2, too_wide).unwrap_err(),
+            ArchError::CapacityTooLarge { requested: too_wide }
+        );
+        assert!(QccdTopology::try_fully_connected(2, MAX_TRAP_CAPACITY).is_ok());
     }
 
     #[test]

@@ -112,8 +112,10 @@ pub fn compile<P: RoutingPolicy>(
     let start = Instant::now();
     let placement = policy.place(device, circuit);
     let mechanics = Mechanics::new(device.graph(), device.router());
-    let routed = route(&mut policy, &mechanics, circuit, placement, recorder.as_mut())?;
+    let mut routed = route(&mut policy, &mechanics, circuit, placement, recorder.as_mut())?;
     let compile_time = start.elapsed();
+    // The outcome may live for long in a result cache: keep no slack.
+    routed.program.shrink_to_fit();
     let (scheduler_stats, scoring_telemetry) = policy.stats(routed.rounds);
     let report = tracer(config).evaluate(&routed.program);
     Ok(CompileOutcome {

@@ -11,6 +11,20 @@ use ssync_circuit::Qubit;
 use ssync_sim::{CompiledProgram, ScheduledOp};
 use std::collections::VecDeque;
 
+/// Narrows a chain count (ions in a chain, positions between two ions,
+/// reorder steps) to the `u16` a [`ScheduledOp`] stores. Every op emitter
+/// narrows through here. Each such count is bounded by one trap's
+/// capacity, and `QccdTopology` rejects capacities above
+/// [`ssync_arch::MAX_TRAP_CAPACITY`] (`u16::MAX`), so this cannot fail on
+/// a valid device.
+///
+/// # Panics
+///
+/// Panics if `n` exceeds `u16::MAX`.
+pub(crate) fn op_count(n: usize) -> u16 {
+    u16::try_from(n).expect("chain counts never exceed the u16 trap capacity cap")
+}
+
 /// Placement-mechanics helper bound to a device graph and trap router.
 #[derive(Debug, Clone, Copy)]
 pub struct Mechanics<'a> {
@@ -76,8 +90,8 @@ impl<'a> Mechanics<'a> {
             a,
             b,
             trap,
-            chain_len: placement.trap_occupancy(trap),
-            ion_distance: self.ion_distance(placement, sa, sb),
+            chain_len: op_count(placement.trap_occupancy(trap)),
+            ion_distance: op_count(self.ion_distance(placement, sa, sb)),
         });
     }
 
@@ -154,7 +168,7 @@ impl<'a> Mechanics<'a> {
                         a: qubit,
                         b: other,
                         trap,
-                        chain_len: placement.trap_occupancy(trap),
+                        chain_len: op_count(placement.trap_occupancy(trap)),
                         ion_distance: 1,
                     });
                     swaps += 1;
@@ -194,8 +208,8 @@ impl<'a> Mechanics<'a> {
         let entry = self.graph.topology().port_slot(to, from);
         self.bring_qubit_to_slot(placement, program, qubit, exit);
         self.free_slot(placement, program, entry);
-        let source_chain_len = placement.trap_occupancy(from);
-        let dest_chain_len = placement.trap_occupancy(to) + 1;
+        let source_chain_len = op_count(placement.trap_occupancy(from));
+        let dest_chain_len = op_count(placement.trap_occupancy(to) + 1);
         placement.swap_slots(exit, entry);
         program.push(ScheduledOp::Shuttle {
             qubit,

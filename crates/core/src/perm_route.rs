@@ -36,7 +36,7 @@ use crate::config::CompilerConfig;
 use crate::driver::{BlockedRound, RoutingPolicy};
 use crate::error::CompileError;
 use crate::initial;
-use crate::mechanics::Mechanics;
+use crate::mechanics::{op_count, Mechanics};
 use ssync_arch::{Device, Placement, QccdTopology, TrapId, TrapRouter, WeightConfig};
 use ssync_circuit::{Circuit, DependencyDag, NodeId, Qubit};
 use ssync_sim::{CompiledProgram, ScheduledOp};
@@ -357,7 +357,7 @@ impl PermRouter {
                     .find(|&p| placement.occupant(trap_ref.slot_at(p)).is_some())
                     .expect("occupancy guarantees an ion to the right");
                 placement.swap_slots(trap_ref.slot_at(src), slot);
-                program.push(ScheduledOp::IonReorder { trap, steps: src - target_pos });
+                program.push(ScheduledOp::IonReorder { trap, steps: op_count(src - target_pos) });
             }
         }
 
@@ -404,7 +404,13 @@ impl PermRouter {
             let (si, sj) = (trap_ref.slot_at(i), trap_ref.slot_at(j));
             let a = placement.occupant(si).expect("compacted prefix stays occupied");
             let b = placement.occupant(sj).expect("compacted prefix stays occupied");
-            program.push(ScheduledOp::SwapGate { a, b, trap, chain_len: occ, ion_distance: j - i });
+            program.push(ScheduledOp::SwapGate {
+                a,
+                b,
+                trap,
+                chain_len: op_count(occ),
+                ion_distance: op_count(j - i),
+            });
             placement.swap_slots(si, sj);
         }
         if let Some(rec) = recorder {

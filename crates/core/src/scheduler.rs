@@ -26,7 +26,7 @@ use crate::error::CompileError;
 use crate::generic_swap::{GenericSwap, GenericSwapKind};
 use crate::heuristic::{DecayTracker, HeuristicScorer, ReadinessMemo, ScoreCache, ScoringScratch};
 use crate::initial;
-use crate::mechanics::Mechanics;
+use crate::mechanics::{op_count, Mechanics};
 use ssync_arch::{Device, DistanceMatrix, Placement, SlotGraph, SlotId, TrapId, TrapRouter};
 use ssync_circuit::{Circuit, DependencyDag, Gate, LookaheadScratch, NodeId};
 use ssync_sim::{CompiledProgram, ScheduledOp};
@@ -665,8 +665,8 @@ impl<'a> Scheduler<'a> {
                     a,
                     b,
                     trap,
-                    chain_len: placement.trap_occupancy(trap),
-                    ion_distance: mechanics.ion_distance(placement, swap.a, swap.b),
+                    chain_len: op_count(placement.trap_occupancy(trap)),
+                    ion_distance: op_count(mechanics.ion_distance(placement, swap.a, swap.b)),
                 });
                 placement.swap_slots(swap.a, swap.b);
             }
@@ -703,8 +703,8 @@ impl<'a> Scheduler<'a> {
                     to_trap,
                     junctions,
                     segments: 1,
-                    source_chain_len,
-                    dest_chain_len,
+                    source_chain_len: op_count(source_chain_len),
+                    dest_chain_len: op_count(dest_chain_len),
                 });
             }
         }

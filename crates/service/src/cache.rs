@@ -625,7 +625,7 @@ fn evict_one(inner: &mut Inner, from_protected: bool) -> bool {
 }
 
 const PERSIST_MAGIC: u32 = 0x5353_4352; // "SSCR"
-const PERSIST_VERSION: u32 = 1;
+pub(crate) const PERSIST_VERSION: u32 = 1;
 
 fn encode_persisted(key: &CacheKey, outcome: &CompileOutcome) -> Vec<u8> {
     let mut w = ByteWriter::new();
@@ -836,6 +836,36 @@ mod tests {
         let fresh = ResultCache::with_config(CacheConfig::default().with_persist_dir(&dir));
         assert!(fresh.get(&k).is_none());
         assert_eq!(fresh.stats().misses, 1);
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A cache file that is well formed except for one op count too wide
+    /// for `u16` is a miss: the tier never serves a truncated count.
+    #[test]
+    fn a_cache_file_with_an_op_count_beyond_u16_is_a_miss() {
+        let dir = std::env::temp_dir().join(format!("ssync-cache-count-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let (outcome, count_at) = codec::one_gate_outcome();
+        let k = key_n(9);
+        let mut bytes = encode_persisted(&k, &outcome);
+        // The file is a header followed by the encoded outcome.
+        let mut w = ByteWriter::new();
+        codec::encode_outcome(&mut w, &outcome);
+        let at = bytes.len() - w.into_bytes().len() + count_at;
+        let path = dir.join(k.file_name());
+
+        std::fs::write(&path, &bytes).expect("write");
+        let intact = ResultCache::with_config(CacheConfig::default().with_persist_dir(&dir));
+        assert!(intact.get(&k).is_some(), "the unaltered file is a hit");
+
+        bytes[at..at + 8].copy_from_slice(&(u64::from(u16::MAX) + 1).to_le_bytes());
+        std::fs::write(&path, &bytes).expect("overwrite");
+        let widened = ResultCache::with_config(CacheConfig::default().with_persist_dir(&dir));
+        assert!(widened.get(&k).is_none());
+        let stats = widened.stats();
+        assert_eq!((stats.hits, stats.persist_hits, stats.misses), (0, 0, 1));
 
         let _ = std::fs::remove_dir_all(&dir);
     }

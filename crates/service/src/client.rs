@@ -52,6 +52,7 @@ use crate::wire::{
 };
 use ssync_core::{CompileError, CompileOutcome};
 use std::io::{Read, Write};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// What can go wrong talking to a remote service.
@@ -483,7 +484,7 @@ impl ServiceClient {
         job: RemoteJob,
     ) -> Result<Result<CompileOutcome, CompileError>, ClientError> {
         match self.round_trip(&Request::Wait { job: job.0 })? {
-            Response::Outcome(outcome) => Ok(Ok(outcome)),
+            Response::Outcome(outcome) => Ok(Ok(Arc::unwrap_or_clone(outcome))),
             Response::CompileFailed(error) => Ok(Err(error)),
             _ => Err(ClientError::UnexpectedResponse("wait expected a result")),
         }
@@ -501,7 +502,7 @@ impl ServiceClient {
     ) -> Result<Option<Result<CompileOutcome, CompileError>>, ClientError> {
         match self.round_trip(&Request::Poll { job: job.0 })? {
             Response::Pending => Ok(None),
-            Response::Outcome(outcome) => Ok(Some(Ok(outcome))),
+            Response::Outcome(outcome) => Ok(Some(Ok(Arc::unwrap_or_clone(outcome)))),
             Response::CompileFailed(error) => Ok(Some(Err(error))),
             _ => Err(ClientError::UnexpectedResponse("poll expected a status")),
         }

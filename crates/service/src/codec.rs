@@ -491,21 +491,21 @@ fn encode_op(w: &mut ByteWriter, op: &ScheduledOp) {
             w.put_u32(a.0);
             w.put_u32(b.0);
             w.put_u32(trap.0);
-            w.put_usize(chain_len);
-            w.put_usize(ion_distance);
+            w.put_u64(chain_len.into());
+            w.put_u64(ion_distance.into());
         }
         ScheduledOp::SwapGate { a, b, trap, chain_len, ion_distance } => {
             w.put_u8(2);
             w.put_u32(a.0);
             w.put_u32(b.0);
             w.put_u32(trap.0);
-            w.put_usize(chain_len);
-            w.put_usize(ion_distance);
+            w.put_u64(chain_len.into());
+            w.put_u64(ion_distance.into());
         }
         ScheduledOp::IonReorder { trap, steps } => {
             w.put_u8(3);
             w.put_u32(trap.0);
-            w.put_usize(steps);
+            w.put_u64(steps.into());
         }
         ScheduledOp::Shuttle {
             qubit,
@@ -521,11 +521,17 @@ fn encode_op(w: &mut ByteWriter, op: &ScheduledOp) {
             w.put_u32(from_trap.0);
             w.put_u32(to_trap.0);
             w.put_u32(junctions);
-            w.put_usize(segments);
-            w.put_usize(source_chain_len);
-            w.put_usize(dest_chain_len);
+            w.put_u64(segments.into());
+            w.put_u64(source_chain_len.into());
+            w.put_u64(dest_chain_len.into());
         }
     }
+}
+
+/// Reads an op's chain count, a `u64` on the wire and a `u16` in
+/// [`ScheduledOp`]; a wider value is invalid, not truncated.
+fn get_count(r: &mut ByteReader<'_>) -> Result<u16, CodecError> {
+    u16::try_from(r.get_u64()?).map_err(|_| CodecError::Invalid("op count"))
 }
 
 fn decode_op(r: &mut ByteReader<'_>) -> Result<ScheduledOp, CodecError> {
@@ -535,25 +541,25 @@ fn decode_op(r: &mut ByteReader<'_>) -> Result<ScheduledOp, CodecError> {
             a: Qubit(r.get_u32()?),
             b: Qubit(r.get_u32()?),
             trap: TrapId(r.get_u32()?),
-            chain_len: r.get_usize()?,
-            ion_distance: r.get_usize()?,
+            chain_len: get_count(r)?,
+            ion_distance: get_count(r)?,
         },
         2 => ScheduledOp::SwapGate {
             a: Qubit(r.get_u32()?),
             b: Qubit(r.get_u32()?),
             trap: TrapId(r.get_u32()?),
-            chain_len: r.get_usize()?,
-            ion_distance: r.get_usize()?,
+            chain_len: get_count(r)?,
+            ion_distance: get_count(r)?,
         },
-        3 => ScheduledOp::IonReorder { trap: TrapId(r.get_u32()?), steps: r.get_usize()? },
+        3 => ScheduledOp::IonReorder { trap: TrapId(r.get_u32()?), steps: get_count(r)? },
         4 => ScheduledOp::Shuttle {
             qubit: Qubit(r.get_u32()?),
             from_trap: TrapId(r.get_u32()?),
             to_trap: TrapId(r.get_u32()?),
             junctions: r.get_u32()?,
-            segments: r.get_usize()?,
-            source_chain_len: r.get_usize()?,
-            dest_chain_len: r.get_usize()?,
+            segments: get_count(r)?,
+            source_chain_len: get_count(r)?,
+            dest_chain_len: get_count(r)?,
         },
         tag => return Err(CodecError::BadTag { what: "scheduled op", tag }),
     })
@@ -647,7 +653,7 @@ pub fn decode_outcome(r: &mut ByteReader<'_>) -> Result<CompileOutcome, CodecErr
     let num_qubits = r.get_usize()?;
     let num_traps = r.get_usize()?;
     let len = r.get_len(5)?;
-    let mut program = CompiledProgram::new(num_qubits, num_traps);
+    let mut program = CompiledProgram::with_capacity(num_qubits, num_traps, len);
     for _ in 0..len {
         program.push(decode_op(r)?);
     }
@@ -710,9 +716,37 @@ pub fn decode_compile_error(r: &mut ByteReader<'_>) -> Result<CompileError, Code
     })
 }
 
+/// A compiled outcome whose op stream is one two-qubit gate, and the
+/// offset of that gate's `chain_len` in the bytes [`encode_outcome`]
+/// writes for it (three `u64` headers, the tag, three `u32` operands), so
+/// decoder tests can widen the count on the wire.
+#[cfg(test)]
+pub(crate) fn one_gate_outcome() -> (CompileOutcome, usize) {
+    let compiled = ssync_core::SSyncCompiler::default()
+        .compile(&ssync_circuit::generators::qft(6), &ssync_arch::QccdTopology::linear(2, 4))
+        .expect("compiles");
+    let mut program = CompiledProgram::new(6, 2);
+    program.push(ScheduledOp::TwoQubitGate {
+        a: Qubit(0),
+        b: Qubit(1),
+        trap: TrapId(0),
+        chain_len: 4,
+        ion_distance: 1,
+    });
+    let outcome = CompileOutcome::from_saved_parts(
+        program,
+        compiled.report(),
+        compiled.final_placement().clone(),
+        compiled.scheduler_stats(),
+        compiled.compile_time(),
+    );
+    (outcome, 3 * 8 + 1 + 3 * 4)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hash::StableHasher;
     use ssync_arch::{Device, QccdTopology};
     use ssync_circuit::generators::{qaoa_nearest_neighbor, qft};
     use ssync_core::{CompileScratch, SSyncCompiler};
@@ -745,6 +779,48 @@ mod tests {
             .compile(&qft(10), &QccdTopology::grid(2, 2, 5))
             .expect("compiles");
         assert_outcome_roundtrip(&outcome);
+    }
+
+    /// The bytes of one fixed compile, pinned at wire version 8 and cache
+    /// file version 1. Ops are narrower in memory than on the wire, so a
+    /// layout change can move these bytes unnoticed by a round trip; if
+    /// this fails, bump `WIRE_VERSION` and `PERSIST_VERSION` and re-pin.
+    #[test]
+    fn outcome_bytes_are_pinned() {
+        let outcome = SSyncCompiler::default()
+            .compile(&qft(12), &QccdTopology::grid(2, 2, 5))
+            .expect("compiles");
+        let mut w = ByteWriter::new();
+        encode_outcome(&mut w, &outcome);
+        let bytes = w.into_bytes();
+        // The trailing u64 is the compile time, which differs run to run.
+        let mut h = StableHasher::new();
+        h.write_bytes(&bytes[..bytes.len() - 8]);
+        assert_eq!((bytes.len(), h.finish()), (11_924, 0xecb0_81d3_f142_cb96));
+        assert_eq!((crate::wire::WIRE_VERSION, crate::cache::PERSIST_VERSION), (8, 1));
+    }
+
+    /// An op count is a `u64` on the wire but a `u16` in memory: the
+    /// widest count decodes, one more is rejected rather than truncated.
+    #[test]
+    fn op_counts_beyond_u16_are_invalid() {
+        let (outcome, at) = one_gate_outcome();
+        let mut w = ByteWriter::new();
+        encode_outcome(&mut w, &outcome);
+        let mut bytes = w.into_bytes();
+        assert_eq!(bytes[at..at + 8], 4u64.to_le_bytes(), "the gate's chain_len");
+        let widest = u64::from(u16::MAX);
+        bytes[at..at + 8].copy_from_slice(&widest.to_le_bytes());
+        let decoded = decode_outcome(&mut ByteReader::new(&bytes)).expect("u16::MAX fits");
+        assert!(matches!(
+            decoded.program().ops()[0],
+            ScheduledOp::TwoQubitGate { chain_len: u16::MAX, .. }
+        ));
+        bytes[at..at + 8].copy_from_slice(&(widest + 1).to_le_bytes());
+        assert_eq!(
+            decode_outcome(&mut ByteReader::new(&bytes)).err(),
+            Some(CodecError::Invalid("op count"))
+        );
     }
 
     #[test]

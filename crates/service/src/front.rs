@@ -309,7 +309,7 @@ impl Session {
 
     fn result_response(result: crate::job::JobResult) -> Response {
         match result {
-            Ok(outcome) => Response::Outcome((*outcome).clone()),
+            Ok(outcome) => Response::Outcome(outcome),
             Err(error) => Response::CompileFailed(error),
         }
     }

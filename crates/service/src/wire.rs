@@ -72,6 +72,7 @@ use ssync_baselines::CompilerKind;
 use ssync_circuit::Circuit;
 use ssync_core::{CompileError, CompileOutcome, CompilerConfig};
 use std::io::{Read, Write};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Frame magic: `b"CYSS"` little-endian ("SSYC" on the wire).
@@ -265,8 +266,9 @@ pub enum Response {
     },
     /// The polled job has not finished yet.
     Pending,
-    /// The job finished successfully.
-    Outcome(CompileOutcome),
+    /// The job finished successfully. The server encodes the cached
+    /// outcome in place, without copying it.
+    Outcome(Arc<CompileOutcome>),
     /// The job finished with a compile error.
     CompileFailed(CompileError),
     /// The request itself was invalid (unknown device name, unknown job
@@ -554,7 +556,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, CodecError> {
     let response = match r.get_u8()? {
         0 => Response::Submitted { job: r.get_u64()?, trace_id: r.get_u64()? },
         1 => Response::Pending,
-        2 => Response::Outcome(codec::decode_outcome(&mut r)?),
+        2 => Response::Outcome(Arc::new(codec::decode_outcome(&mut r)?)),
         3 => Response::CompileFailed(codec::decode_compile_error(&mut r)?),
         4 => Response::Rejected { reason: r.get_str()? },
         5 => Response::Metrics(decode_metrics(&mut r)?),
@@ -787,7 +789,7 @@ mod tests {
             Response::Welcome { version: WIRE_VERSION },
             Response::Submitted { job: 5, trace_id: 42 },
             Response::Pending,
-            Response::Outcome(outcome),
+            Response::Outcome(Arc::new(outcome)),
             Response::CompileFailed(CompileError::Overloaded { retry_after_ms: 25 }),
             Response::Rejected { reason: "unknown job".into() },
             Response::Metrics(sample_metrics()),
@@ -827,6 +829,21 @@ mod tests {
             let decoded = decode_response(&bytes).expect("round-trips");
             assert_eq!(encode_response(&decoded), bytes, "{response:?}");
         }
+    }
+
+    /// A well-framed outcome whose op carries a count wider than `u16`
+    /// fails to decode as invalid, exactly like any other bad value.
+    #[test]
+    fn an_outcome_frame_with_an_op_count_beyond_u16_is_invalid() {
+        let (outcome, at) = codec::one_gate_outcome();
+        let mut payload = encode_response(&Response::Outcome(Arc::new(outcome)));
+        // The payload is the response tag, then the encoded outcome.
+        let at = 1 + at;
+        payload[at..at + 8].copy_from_slice(&(u64::from(u16::MAX) + 1).to_le_bytes());
+        let mut frame = Vec::new();
+        write_frame(&mut frame, &payload).expect("write");
+        let read = read_frame(&mut std::io::Cursor::new(&frame)).expect("frame").expect("payload");
+        assert_eq!(decode_response(&read).err(), Some(CodecError::Invalid("op count")));
     }
 
     /// One protocol version: a frame stamped with any other — zero, the

@@ -50,12 +50,16 @@ impl OperationTimes {
 
     /// Total time of a shuttle: split + per-segment moves + junction
     /// crossings + merge. `segments` is the number of linear transport
-    /// segments traversed and `junction_paths` lists the path count of each
-    /// junction crossed.
-    pub fn shuttle_us(&self, segments: usize, junction_paths: &[u32]) -> f64 {
+    /// segments traversed and `junction_paths` yields the path count of
+    /// each junction crossed, in order.
+    pub fn shuttle_us(
+        &self,
+        segments: usize,
+        junction_paths: impl IntoIterator<Item = u32>,
+    ) -> f64 {
         self.split_us
             + self.move_us * segments as f64
-            + junction_paths.iter().map(|&n| self.junction_crossing_us(n)).sum::<f64>()
+            + junction_paths.into_iter().map(|n| self.junction_crossing_us(n)).sum::<f64>()
             + self.merge_us
     }
 }
@@ -79,14 +83,14 @@ mod tests {
         let t = OperationTimes::default();
         // split + 2 moves + one 3-path junction + merge
         let expected = 80.0 + 10.0 + (40.0 + 60.0) + 80.0;
-        assert_eq!(t.shuttle_us(2, &[3]), expected);
+        assert_eq!(t.shuttle_us(2, [3]), expected);
         // Junction-free shuttle.
-        assert_eq!(t.shuttle_us(1, &[]), 165.0);
+        assert_eq!(t.shuttle_us(1, []), 165.0);
     }
 
     #[test]
     fn more_junctions_cost_more() {
         let t = OperationTimes::default();
-        assert!(t.shuttle_us(1, &[2, 2]) > t.shuttle_us(1, &[2]));
+        assert!(t.shuttle_us(1, [2, 2]) > t.shuttle_us(1, [2]));
     }
 }

@@ -10,6 +10,13 @@ use std::fmt;
 /// Each variant carries the chain-shape information captured at emission
 /// time (chain length, ion separation, junction count) so the timing and
 /// fidelity models can be evaluated without replaying the placement.
+///
+/// The chain counts (`chain_len`, `ion_distance`, `steps`, `segments`,
+/// `source_chain_len`, `dest_chain_len`) are `u16`: each is bounded by one
+/// trap's capacity, which [`QccdTopology`](ssync_arch::QccdTopology) caps
+/// at [`MAX_TRAP_CAPACITY`](ssync_arch::MAX_TRAP_CAPACITY) (`u16::MAX`).
+/// That keeps an op at 24 bytes instead of 48, and a cached compile is
+/// mostly its ops. Readers widen the counts losslessly with `.into()`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum ScheduledOp {
     /// A single-qubit gate (always executable; never routed).
@@ -26,9 +33,9 @@ pub enum ScheduledOp {
         /// Trap in which the gate executes.
         trap: TrapId,
         /// Number of ions in the trap's chain at execution time.
-        chain_len: usize,
+        chain_len: u16,
         /// Chain-position distance between the two ions (adjacent = 1).
-        ion_distance: usize,
+        ion_distance: u16,
     },
     /// A SWAP gate inserted by the compiler (three entangling gates).
     SwapGate {
@@ -39,9 +46,9 @@ pub enum ScheduledOp {
         /// Trap in which the SWAP executes.
         trap: TrapId,
         /// Number of ions in the trap's chain at execution time.
-        chain_len: usize,
+        chain_len: u16,
         /// Chain-position distance between the two ions (adjacent = 1).
-        ion_distance: usize,
+        ion_distance: u16,
     },
     /// A physical intra-trap reorder: shifting a space node towards a chain
     /// end by `steps` positions (no gate is applied; only transport).
@@ -49,7 +56,7 @@ pub enum ScheduledOp {
         /// Trap in which the reorder happens.
         trap: TrapId,
         /// Number of single-position shifts performed.
-        steps: usize,
+        steps: u16,
     },
     /// A shuttle: split at the source trap edge, transport (possibly through
     /// junctions) and merge into the destination trap edge.
@@ -63,13 +70,16 @@ pub enum ScheduledOp {
         /// Junctions crossed on the way.
         junctions: u32,
         /// Linear transport segments traversed.
-        segments: usize,
+        segments: u16,
         /// Source-chain ion count *before* the split.
-        source_chain_len: usize,
+        source_chain_len: u16,
         /// Destination-chain ion count *after* the merge.
-        dest_chain_len: usize,
+        dest_chain_len: u16,
     },
 }
+
+// A wider field would double the memory of every cached op stream.
+const _: () = assert!(std::mem::size_of::<ScheduledOp>() == 24);
 
 impl ScheduledOp {
     /// `true` for operations that apply an entangling interaction (two-qubit
@@ -131,6 +141,17 @@ impl CompiledProgram {
     /// with `num_traps` traps.
     pub fn new(num_qubits: usize, num_traps: usize) -> Self {
         CompiledProgram { num_qubits, num_traps, ops: Vec::new() }
+    }
+
+    /// [`CompiledProgram::new`] with room for exactly `ops` operations.
+    pub fn with_capacity(num_qubits: usize, num_traps: usize, ops: usize) -> Self {
+        CompiledProgram { num_qubits, num_traps, ops: Vec::with_capacity(ops) }
+    }
+
+    /// Drops the op vector's unused capacity, so a program kept for long
+    /// (a cached compile) holds no growth slack.
+    pub fn shrink_to_fit(&mut self) {
+        self.ops.shrink_to_fit();
     }
 
     /// Number of program qubits.

@@ -84,6 +84,7 @@ impl ExecutionTracer {
                     success *= self.noise.single_qubit_fidelity;
                 }
                 ScheduledOp::TwoQubitGate { trap, chain_len, ion_distance, .. } => {
+                    let (chain_len, ion_distance) = (chain_len.into(), ion_distance.into());
                     let tau = self.gate_impl.two_qubit_duration_us(chain_len, ion_distance);
                     let f = self.noise.two_qubit_fidelity(tau, chain_len, trap_nbar[trap.index()]);
                     success *= f;
@@ -93,6 +94,7 @@ impl ExecutionTracer {
                 }
                 ScheduledOp::SwapGate { trap, chain_len, ion_distance, .. } => {
                     // A SWAP is three entangling gates.
+                    let (chain_len, ion_distance) = (chain_len.into(), ion_distance.into());
                     let tau = self.gate_impl.two_qubit_duration_us(chain_len, ion_distance);
                     for _ in 0..3 {
                         let f =
@@ -104,13 +106,14 @@ impl ExecutionTracer {
                     self.recool(&mut trap_nbar[trap.index()]);
                 }
                 ScheduledOp::IonReorder { trap, steps } => {
-                    let tau = self.op_times.reorder_us * steps as f64;
+                    let tau = self.op_times.reorder_us * f64::from(steps);
                     trap_clock[trap.index()] += tau;
                     transport_time += tau;
                 }
                 ScheduledOp::Shuttle { from_trap, to_trap, junctions, segments, .. } => {
-                    let junction_paths: Vec<u32> = (0..junctions).map(|_| 3).collect();
-                    let tau = self.op_times.shuttle_us(segments, &junction_paths);
+                    // Every junction crossing is costed as a 3-path junction.
+                    let junction_paths = std::iter::repeat_n(3, junctions as usize);
+                    let tau = self.op_times.shuttle_us(segments.into(), junction_paths);
                     let start = trap_clock[from_trap.index()].max(trap_clock[to_trap.index()]);
                     let end = start + tau;
                     trap_clock[from_trap.index()] = end;
@@ -154,7 +157,7 @@ mod tests {
     use ssync_arch::TrapId;
     use ssync_circuit::Qubit;
 
-    fn gate(trap: u32, chain_len: usize) -> ScheduledOp {
+    fn gate(trap: u32, chain_len: u16) -> ScheduledOp {
         ScheduledOp::TwoQubitGate {
             a: Qubit(0),
             b: Qubit(1),
@@ -252,7 +255,7 @@ mod tests {
         p.push(gate(0, 2)); // trap 0 busy until 100
         p.push(shuttle(0, 1, 0)); // starts at 100
         let r = tracer.evaluate(&p);
-        let shuttle_time = OperationTimes::default().shuttle_us(1, &[]);
+        let shuttle_time = OperationTimes::default().shuttle_us(1, []);
         assert!((r.total_time_us - (100.0 + shuttle_time)).abs() < 1e-9);
     }
 

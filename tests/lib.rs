@@ -65,7 +65,7 @@ pub fn check_program_invariants(
                 );
                 assert!(source_chain_len >= 1, "the shuttled ion was in the source chain");
                 assert!(dest_chain_len >= 1);
-                assert!(dest_chain_len <= topology.trap(to_trap).capacity());
+                assert!(usize::from(dest_chain_len) <= topology.trap(to_trap).capacity());
             }
         }
     }
