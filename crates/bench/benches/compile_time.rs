@@ -528,6 +528,58 @@ fn bench_qasm_parse(c: &mut Criterion) {
     group.finish();
 }
 
+/// The request path outside the compile, on three fixed `chain-swap-cold`
+/// cells (a long-chain device, a binary submit): the circuit's content
+/// hash that keys the result cache, the circuit codec a submit crosses
+/// and the outcome codec every result crosses. Outcomes are S-SYNC's.
+fn bench_request_path(c: &mut Criterion) {
+    use ssync_arch::Device;
+    use ssync_service::codec::{
+        decode_circuit, decode_outcome, encode_circuit, encode_outcome, ByteReader, ByteWriter,
+    };
+
+    let config = CompilerConfig::default();
+    let encode = |write: &dyn Fn(&mut ByteWriter)| {
+        let mut w = ByteWriter::new();
+        write(&mut w);
+        w.into_bytes()
+    };
+    let mut group = c.benchmark_group("request_path");
+    group.sample_size(50);
+    for (label, app, qubits, device) in [
+        ("qft-40@L-2", AppKind::Qft, 40, "L-2"),
+        ("heisenberg-20@S-4", AppKind::Heisenberg, 20, "S-4"),
+        ("qaoa-30@G-2x2", AppKind::Qaoa, 30, "G-2x2"),
+    ] {
+        let circuit = scaled_app(app, qubits);
+        let device = Device::named(device, config.weights).expect("paper topology");
+        let outcome = CompilerKind::SSync.compile_on(&device, &circuit, &config).expect("compiles");
+        let circuit_bytes = encode(&|w| encode_circuit(w, &circuit));
+        let outcome_bytes = encode(&|w| encode_outcome(w, &outcome));
+        group.bench_function(BenchmarkId::new("content_hash", label), |b| {
+            b.iter(|| circuit.content_hash())
+        });
+        group.bench_function(BenchmarkId::new("encode_circuit", label), |b| {
+            b.iter(|| encode(&|w| encode_circuit(w, &circuit)).len())
+        });
+        group.bench_function(BenchmarkId::new("decode_circuit", label), |b| {
+            b.iter(|| decode_circuit(&mut ByteReader::new(&circuit_bytes)).expect("decodes").len())
+        });
+        group.bench_function(BenchmarkId::new("encode_outcome", label), |b| {
+            b.iter(|| encode(&|w| encode_outcome(w, &outcome)).len())
+        });
+        group.bench_function(BenchmarkId::new("decode_outcome", label), |b| {
+            b.iter(|| {
+                decode_outcome(&mut ByteReader::new(&outcome_bytes))
+                    .expect("decodes")
+                    .program()
+                    .len()
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_compile_time,
@@ -540,6 +592,7 @@ criterion_group!(
     bench_cache_eviction,
     bench_telemetry_overhead,
     bench_flight_recorder,
-    bench_qasm_parse
+    bench_qasm_parse,
+    bench_request_path
 );
 criterion_main!(benches);

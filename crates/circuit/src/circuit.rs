@@ -105,6 +105,12 @@ impl Circuit {
         Ok(())
     }
 
+    /// Reserves room for exactly `additional` more gates, so a caller that
+    /// knows the final gate count (a decoder) appends without regrowth.
+    pub fn reserve_exact(&mut self, additional: usize) {
+        self.gates.reserve_exact(additional);
+    }
+
     /// Builds an unnamed circuit over `num_qubits` qubits from a gate
     /// list, checking every gate as [`Circuit::try_push`] does.
     ///
@@ -299,33 +305,33 @@ impl Circuit {
     /// A stable 64-bit content hash over the register width and the gate
     /// list (kinds, operands and angle bit patterns). The circuit's name is
     /// deliberately excluded: two circuits with identical structure hash
-    /// identically. The hash is FNV-1a, so it is reproducible across runs,
-    /// platforms and processes — suitable as a compile-result cache key.
+    /// identically. It has no per-process seed, so it is reproducible
+    /// across runs, platforms and processes — suitable as a compile-result
+    /// cache key.
+    ///
+    /// The walk folds one 64-bit word per step: the width, then per gate
+    /// its [fields](Gate::fields) as the tag, `a | b << 32` and the
+    /// angle's bits, then the gate count. Each step rotates the state,
+    /// XORs the word in and multiplies by an odd constant, so for a fixed
+    /// word it is a bijection of the state and circuits that differ in one
+    /// field never collide. The SplitMix64 finalizer then mixes every
+    /// state bit into every digest bit.
     pub fn content_hash(&self) -> u64 {
-        let mut hasher = crate::StableHasher::new();
-        let mut write = |v: u64| hasher.write_u64(v);
+        const K: u64 = 0x9e37_79b9_7f4a_7c15;
+        let mut state = 0x243f_6a88_85a3_08d3_u64;
+        let mut write = |word: u64| state = (state.rotate_left(26) ^ word).wrapping_mul(K);
         write(self.num_qubits as u64);
         for gate in &self.gates {
-            let (tag, a, b, angle): (u64, u32, u32, f64) = match *gate {
-                Gate::H(q) => (0, q.0, u32::MAX, 0.0),
-                Gate::X(q) => (1, q.0, u32::MAX, 0.0),
-                Gate::Rx(q, t) => (2, q.0, u32::MAX, t),
-                Gate::Ry(q, t) => (3, q.0, u32::MAX, t),
-                Gate::Rz(q, t) => (4, q.0, u32::MAX, t),
-                Gate::Cx(x, y) => (5, x.0, y.0, 0.0),
-                Gate::Cz(x, y) => (6, x.0, y.0, 0.0),
-                Gate::Cp(x, y, t) => (7, x.0, y.0, t),
-                Gate::Ms(x, y) => (8, x.0, y.0, 0.0),
-                Gate::Rzz(x, y, t) => (9, x.0, y.0, t),
-                Gate::Rxx(x, y, t) => (10, x.0, y.0, t),
-                Gate::Ryy(x, y, t) => (11, x.0, y.0, t),
-                Gate::Swap(x, y) => (12, x.0, y.0, 0.0),
-            };
-            write(tag);
+            let (tag, a, b, angle) = gate.fields();
+            write(u64::from(tag));
             write(u64::from(a) | (u64::from(b) << 32));
             write(angle.to_bits());
         }
-        hasher.finish()
+        write(self.gates.len() as u64);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
     }
 
     /// Restricts the circuit to the first `n` qubits, dropping every gate
@@ -523,6 +529,99 @@ mod tests {
         operands.rz(Qubit(2), 0.25);
         assert_ne!(a.content_hash(), operands.content_hash());
         assert_ne!(Circuit::new(3).content_hash(), Circuit::new(4).content_hash());
+    }
+
+    /// The digest is part of every persisted cache key, so it is pinned:
+    /// a change to the walk or the fold fails here.
+    #[test]
+    fn content_hashes_are_pinned() {
+        let mut sample = Circuit::new(3);
+        sample.extend([
+            Gate::H(Qubit(0)),
+            Gate::Rz(Qubit(1), 0.25),
+            Gate::Cx(Qubit(0), Qubit(2)),
+            Gate::Rzz(Qubit(2), Qubit(1), -1.5),
+            Gate::Swap(Qubit(1), Qubit(0)),
+        ]);
+        assert_eq!(sample.content_hash(), 0x6862_b389_e363_fa07);
+        assert_eq!(crate::generators::qft(8).content_hash(), 0x6c0f_3d09_d156_7c4f);
+    }
+
+    /// Changing any one field of any gate variant, the width or the gate
+    /// order changes the digest. One changed word is a guaranteed change:
+    /// each fold step is a bijection of the state for a fixed word.
+    #[test]
+    fn content_hash_sees_every_field_width_and_order() {
+        let (q0, q1, q2) = (Qubit(0), Qubit(1), Qubit(2));
+        let mut gates = Vec::new();
+        // Every variant on (q0, q1); then a changed first operand (q2, q1),
+        // a changed second operand (q0, q2) and, per angle-carrying
+        // variant, four angles, -0.0 among them.
+        for (a, b) in [(q0, q1), (q2, q1), (q0, q2)] {
+            let single = b == q1;
+            for angle in [0.5, 0.25, 0.0, -0.0] {
+                if single {
+                    gates.extend([Gate::Rx(a, angle), Gate::Ry(a, angle), Gate::Rz(a, angle)]);
+                }
+                gates.extend([
+                    Gate::Cp(a, b, angle),
+                    Gate::Rzz(a, b, angle),
+                    Gate::Rxx(a, b, angle),
+                    Gate::Ryy(a, b, angle),
+                ]);
+            }
+            gates.extend([Gate::Cx(a, b), Gate::Cz(a, b), Gate::Ms(a, b), Gate::Swap(a, b)]);
+            if single {
+                gates.extend([Gate::H(a), Gate::X(a)]);
+            }
+        }
+        let digest = |width: usize, gates: &[Gate]| {
+            let mut c = Circuit::new(width);
+            c.extend(gates.iter().copied());
+            c.content_hash()
+        };
+        let mut seen = std::collections::HashMap::new();
+        for gate in &gates {
+            let earlier = seen.insert(digest(3, &[*gate]), gate);
+            assert!(earlier.is_none(), "{earlier:?} and {gate:?} share a digest");
+        }
+
+        let pair = [Gate::Cx(q0, q1), Gate::Rz(q2, 0.5)];
+        assert_ne!(digest(3, &pair), digest(4, &pair), "width");
+        assert_ne!(digest(3, &pair), digest(3, &[pair[1], pair[0]]), "order");
+        let entangling = [Gate::Cx(q0, q1), Gate::Cx(q1, q2)];
+        assert_ne!(digest(3, &entangling), digest(3, &[entangling[1], entangling[0]]), "order");
+        assert_ne!(digest(3, &pair), digest(3, &pair[..1]), "gate count");
+    }
+
+    /// Distinct circuits of every generator app at sizes 4–48 have
+    /// distinct digests.
+    #[test]
+    fn generator_apps_have_distinct_digests() {
+        use crate::generators::*;
+        let mut seen: std::collections::HashMap<u64, Circuit> = std::collections::HashMap::new();
+        for n in 4..=48 {
+            for circuit in [
+                qft(n),
+                cuccaro_adder(n / 2),
+                bernstein_vazirani(n),
+                qaoa_nearest_neighbor(n, 10),
+                alt_ansatz(n, 10),
+                heisenberg_chain(n, n),
+            ] {
+                if let Some(twin) = seen.get(&circuit.content_hash()) {
+                    assert!(
+                        twin.num_qubits() == circuit.num_qubits()
+                            && twin.gates() == circuit.gates(),
+                        "{} and {} share a digest",
+                        twin.name(),
+                        circuit.name()
+                    );
+                }
+                seen.insert(circuit.content_hash(), circuit);
+            }
+        }
+        assert!(seen.len() > 200, "{} distinct circuits", seen.len());
     }
 
     #[test]

@@ -194,6 +194,55 @@ impl Gate {
             | Gate::Ryy(a, b, _) => a.max(b),
         }
     }
+
+    /// The gate as the flat record that [`Circuit::content_hash`] and the
+    /// service codec walk: a stable tag per variant, the first operand,
+    /// the second operand (`u32::MAX` for a single-qubit gate) and the
+    /// angle (`0.0` for a gate without one). [`Gate::from_fields`] inverts
+    /// it.
+    ///
+    /// [`Circuit::content_hash`]: crate::Circuit::content_hash
+    #[inline]
+    pub fn fields(&self) -> (u8, u32, u32, f64) {
+        match *self {
+            Gate::H(q) => (0, q.0, u32::MAX, 0.0),
+            Gate::X(q) => (1, q.0, u32::MAX, 0.0),
+            Gate::Rx(q, t) => (2, q.0, u32::MAX, t),
+            Gate::Ry(q, t) => (3, q.0, u32::MAX, t),
+            Gate::Rz(q, t) => (4, q.0, u32::MAX, t),
+            Gate::Cx(x, y) => (5, x.0, y.0, 0.0),
+            Gate::Cz(x, y) => (6, x.0, y.0, 0.0),
+            Gate::Cp(x, y, t) => (7, x.0, y.0, t),
+            Gate::Ms(x, y) => (8, x.0, y.0, 0.0),
+            Gate::Rzz(x, y, t) => (9, x.0, y.0, t),
+            Gate::Rxx(x, y, t) => (10, x.0, y.0, t),
+            Gate::Ryy(x, y, t) => (11, x.0, y.0, t),
+            Gate::Swap(x, y) => (12, x.0, y.0, 0.0),
+        }
+    }
+
+    /// The gate a [`Gate::fields`] record describes, or `None` for an
+    /// unknown tag. Fields the tag's variant does not carry are ignored.
+    #[inline]
+    pub fn from_fields(tag: u8, a: u32, b: u32, angle: f64) -> Option<Gate> {
+        let (a, b) = (Qubit(a), Qubit(b));
+        Some(match tag {
+            0 => Gate::H(a),
+            1 => Gate::X(a),
+            2 => Gate::Rx(a, angle),
+            3 => Gate::Ry(a, angle),
+            4 => Gate::Rz(a, angle),
+            5 => Gate::Cx(a, b),
+            6 => Gate::Cz(a, b),
+            7 => Gate::Cp(a, b, angle),
+            8 => Gate::Ms(a, b),
+            9 => Gate::Rzz(a, b, angle),
+            10 => Gate::Rxx(a, b, angle),
+            11 => Gate::Ryy(a, b, angle),
+            12 => Gate::Swap(a, b),
+            _ => return None,
+        })
+    }
 }
 
 impl fmt::Display for Gate {
@@ -256,6 +305,35 @@ mod tests {
         let g = Gate::Swap(Qubit(1), Qubit(2));
         assert_eq!(g.kind(), GateKind::Swap);
         assert!(g.is_two_qubit());
+    }
+
+    /// `from_fields` inverts `fields` for every variant, and tags past the
+    /// last variant describe no gate.
+    #[test]
+    fn fields_round_trip_every_variant() {
+        let (a, b) = (Qubit(3), Qubit(5));
+        let gates = [
+            Gate::H(a),
+            Gate::X(a),
+            Gate::Rx(a, 0.5),
+            Gate::Ry(a, -0.5),
+            Gate::Rz(a, 1.5),
+            Gate::Cx(a, b),
+            Gate::Cz(a, b),
+            Gate::Cp(a, b, 0.25),
+            Gate::Ms(a, b),
+            Gate::Rzz(a, b, -0.25),
+            Gate::Rxx(a, b, 2.0),
+            Gate::Ryy(a, b, -2.0),
+            Gate::Swap(a, b),
+        ];
+        for (tag, gate) in gates.into_iter().enumerate() {
+            let (t, a, b, angle) = gate.fields();
+            assert_eq!(usize::from(t), tag, "{gate}");
+            assert_eq!(Gate::from_fields(t, a, b, angle), Some(gate));
+        }
+        assert_eq!(Gate::from_fields(13, 0, 1, 0.0), None);
+        assert_eq!(Gate::from_fields(u8::MAX, 0, 1, 0.0), None);
     }
 
     #[test]

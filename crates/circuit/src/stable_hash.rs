@@ -2,11 +2,12 @@
 //!
 //! `std::collections::hash_map::DefaultHasher` is randomly seeded per
 //! process, so anything whose digest must mean the same thing across runs
-//! (circuit content hashes, device fingerprints, compile-result cache
-//! keys) uses this FNV-1a accumulator instead. It lives in `ssync-circuit`
-//! — the lowest crate in the workspace — so every layer keys against the
-//! *same* implementation; [`Circuit::content_hash`](crate::Circuit) and
-//! the `ssync-service` fingerprints all fold through it.
+//! (device fingerprints, config hashes, output digests) uses this FNV-1a
+//! accumulator instead. It lives in `ssync-circuit` — the lowest crate in
+//! the workspace — so every layer keys against the *same* implementation.
+//! [`Circuit::content_hash`](crate::Circuit::content_hash), which runs on
+//! every request and over every gate, uses its own unseeded word-wise fold
+//! instead of this byte-serial one.
 
 /// A minimal FNV-1a accumulator. Deterministic across processes and
 /// platforms; collisions are as unlikely as any 64-bit hash, and a

@@ -30,9 +30,13 @@
 //!
 //! ## The persistent tier
 //!
-//! Cache keys are built from stable content fingerprints (FNV-1a over
-//! device/circuit/config content — see [`crate::hash`]), so they are valid
-//! *across processes*. With [`CacheConfig::persist_dir`] set, every insert
+//! Cache keys are built from stable, unseeded content fingerprints of the
+//! device, circuit and config (see [`crate::hash`] and
+//! [`Circuit::content_hash`](ssync_circuit::Circuit::content_hash)), so
+//! they are valid *across processes*. Changing how one is computed strands
+//! the files written under the old keys: they are never hit again, and
+//! the startup GC's age and byte budgets retire them. With
+//! [`CacheConfig::persist_dir`] set, every insert
 //! is written through to `<dir>/<key>.outcome` (atomic tmp-file + rename)
 //! and an in-memory miss falls back to loading that file, letting separate
 //! bench runs share one compile. Files use the [`crate::codec`] binary

@@ -45,10 +45,10 @@
 //! println!("{} shuttles", outcome.counts().shuttles);
 //! ```
 
-use crate::codec::CodecError;
+use crate::codec::{ByteWriter, CodecError};
 use crate::wire::{
-    decode_response, encode_request, read_frame, write_frame, RemoteQasmRequest, RemoteRequest,
-    Request, Response,
+    decode_response, encode_request, encode_submit, encode_submit_qasm, read_frame, write_frame,
+    RemoteQasmRequest, RemoteRequest, Request, Response,
 };
 use ssync_core::{CompileError, CompileOutcome};
 use std::io::{Read, Write};
@@ -302,7 +302,12 @@ impl ServiceClient {
     }
 
     fn round_trip(&mut self, request: &Request) -> Result<Response, ClientError> {
-        write_frame(&mut self.writer, &encode_request(request))?;
+        self.exchange(&encode_request(request))
+    }
+
+    /// Sends one encoded request and reads its response.
+    fn exchange(&mut self, request: &[u8]) -> Result<Response, ClientError> {
+        write_frame(&mut self.writer, request)?;
         let payload = read_frame(&mut self.reader)?.ok_or(ClientError::Disconnected)?;
         let response = decode_response(&payload)?;
         if let Response::Rejected { reason } = response {
@@ -333,7 +338,9 @@ impl ServiceClient {
         &mut self,
         request: &RemoteRequest,
     ) -> Result<(RemoteJob, u64), ClientError> {
-        match self.round_trip(&Request::Submit(Box::new(request.clone())))? {
+        let mut w = ByteWriter::new();
+        encode_submit(&mut w, request);
+        match self.exchange(&w.into_bytes())? {
             Response::Submitted { job, trace_id } => Ok((RemoteJob(job), trace_id)),
             Response::CompileFailed(CompileError::Overloaded { retry_after_ms }) => {
                 Err(ClientError::Overloaded { retry_after_ms })
@@ -460,7 +467,9 @@ impl ServiceClient {
         &mut self,
         request: &RemoteQasmRequest,
     ) -> Result<(RemoteJob, ssync_qasm::ParseReport, u64), ClientError> {
-        match self.round_trip(&Request::SubmitQasm(Box::new(request.clone())))? {
+        let mut w = ByteWriter::new();
+        encode_submit_qasm(&mut w, request);
+        match self.exchange(&w.into_bytes())? {
             Response::QasmSubmitted { job, report, trace_id } => {
                 Ok((RemoteJob(job), report, trace_id))
             }

@@ -289,30 +289,19 @@ fn perm_schedule_from_tag(tag: u8) -> Result<SwapScheduleKind, CodecError> {
 // Circuits.
 // ---------------------------------------------------------------------------
 
-/// Encodes a circuit: register width, name, then one (tag, operands,
-/// angle-bits) triple per gate — the same field walk
-/// [`Circuit::content_hash`] uses, so two circuits encode identically iff
-/// they hash identically (plus the name, which the hash excludes).
+/// The bytes [`encode_circuit`] writes per gate: a tag, two `u32`
+/// operands and the angle's bits.
+const GATE_RECORD_BYTES: usize = 17;
+
+/// Encodes a circuit: register width, name, gate count, then one 17-byte
+/// record (tag, operands, angle bits) per gate, in the field order
+/// [`Circuit::content_hash`] walks.
 pub fn encode_circuit(w: &mut ByteWriter, circuit: &Circuit) {
     w.put_usize(circuit.num_qubits());
     w.put_str(circuit.name());
     w.put_usize(circuit.len());
     for gate in circuit.gates() {
-        let (tag, a, b, angle): (u8, u32, u32, f64) = match *gate {
-            Gate::H(q) => (0, q.0, u32::MAX, 0.0),
-            Gate::X(q) => (1, q.0, u32::MAX, 0.0),
-            Gate::Rx(q, t) => (2, q.0, u32::MAX, t),
-            Gate::Ry(q, t) => (3, q.0, u32::MAX, t),
-            Gate::Rz(q, t) => (4, q.0, u32::MAX, t),
-            Gate::Cx(x, y) => (5, x.0, y.0, 0.0),
-            Gate::Cz(x, y) => (6, x.0, y.0, 0.0),
-            Gate::Cp(x, y, t) => (7, x.0, y.0, t),
-            Gate::Ms(x, y) => (8, x.0, y.0, 0.0),
-            Gate::Rzz(x, y, t) => (9, x.0, y.0, t),
-            Gate::Rxx(x, y, t) => (10, x.0, y.0, t),
-            Gate::Ryy(x, y, t) => (11, x.0, y.0, t),
-            Gate::Swap(x, y) => (12, x.0, y.0, 0.0),
-        };
+        let (tag, a, b, angle) = gate.fields();
         w.put_u8(tag);
         w.put_u32(a);
         w.put_u32(b);
@@ -321,33 +310,24 @@ pub fn encode_circuit(w: &mut ByteWriter, circuit: &Circuit) {
 }
 
 /// Decodes a circuit written by [`encode_circuit`], re-validating every
-/// gate's operands against the register width.
+/// gate's operands against the register width. The gate count is checked
+/// against the remaining input before the gate list is reserved, and the
+/// reservation is exact.
 pub fn decode_circuit(r: &mut ByteReader<'_>) -> Result<Circuit, CodecError> {
     let num_qubits = r.get_usize()?;
     let name = r.get_str()?;
-    let len = r.get_len(17)?;
+    let len = r.get_len(GATE_RECORD_BYTES)?;
     let mut circuit = Circuit::with_name(num_qubits, name);
+    circuit.reserve_exact(len);
     for _ in 0..len {
-        let tag = r.get_u8()?;
-        let a = Qubit(r.get_u32()?);
-        let b = Qubit(r.get_u32()?);
-        let angle = r.get_f64()?;
-        let gate = match tag {
-            0 => Gate::H(a),
-            1 => Gate::X(a),
-            2 => Gate::Rx(a, angle),
-            3 => Gate::Ry(a, angle),
-            4 => Gate::Rz(a, angle),
-            5 => Gate::Cx(a, b),
-            6 => Gate::Cz(a, b),
-            7 => Gate::Cp(a, b, angle),
-            8 => Gate::Ms(a, b),
-            9 => Gate::Rzz(a, b, angle),
-            10 => Gate::Rxx(a, b, angle),
-            11 => Gate::Ryy(a, b, angle),
-            12 => Gate::Swap(a, b),
-            tag => return Err(CodecError::BadTag { what: "gate", tag }),
-        };
+        let record: &[u8; GATE_RECORD_BYTES] =
+            r.take(GATE_RECORD_BYTES)?.try_into().expect("a whole gate record");
+        let operand =
+            |at: usize| u32::from_le_bytes(record[at..at + 4].try_into().expect("4 bytes"));
+        let angle = f64::from_bits(u64::from_le_bytes(record[9..].try_into().expect("8 bytes")));
+        let tag = record[0];
+        let gate = Gate::from_fields(tag, operand(1), operand(5), angle)
+            .ok_or(CodecError::BadTag { what: "gate", tag })?;
         circuit.try_push(gate).map_err(|_| CodecError::Invalid("gate operands"))?;
     }
     Ok(circuit)
@@ -832,6 +812,39 @@ mod tests {
         let decoded = decode_circuit(&mut ByteReader::new(&bytes)).expect("round-trips");
         assert_eq!(circuit, decoded);
         assert_eq!(circuit.content_hash(), decoded.content_hash());
+    }
+
+    /// A corrupt gate list fails at its first bad record in stream order,
+    /// with the same error kinds whichever record it is; a gate count the
+    /// remaining bytes cannot hold fails before anything is reserved.
+    #[test]
+    fn circuit_decode_reports_the_first_bad_gate() {
+        let mut circuit = Circuit::new(3);
+        circuit.cx(Qubit(0), Qubit(1));
+        circuit.h(Qubit(2));
+        circuit.rz(Qubit(1), 0.5);
+        let mut w = ByteWriter::new();
+        encode_circuit(&mut w, &circuit);
+        let bytes = w.into_bytes();
+        // Width, the empty name's length, then the gate count.
+        let records = 3 * 8;
+        let record = |i: usize| records + i * GATE_RECORD_BYTES;
+        let decode = |bytes: &[u8]| decode_circuit(&mut ByteReader::new(bytes)).err();
+        assert_eq!(decode(&bytes), None);
+
+        let mut corrupt = bytes.clone();
+        corrupt[record(1) + 1..record(1) + 5].copy_from_slice(&7u32.to_le_bytes());
+        corrupt[record(2)] = 13;
+        assert_eq!(decode(&corrupt), Some(CodecError::Invalid("gate operands")));
+        corrupt[record(0)] = 0xEE;
+        assert_eq!(decode(&corrupt), Some(CodecError::BadTag { what: "gate", tag: 0xEE }));
+
+        let mut overlong = bytes.clone();
+        overlong[records - 8..records].copy_from_slice(&4u64.to_le_bytes());
+        assert_eq!(decode(&overlong), Some(CodecError::BadLength));
+        for cut in 0..bytes.len() {
+            assert!(decode(&bytes[..cut]).is_some(), "cut {cut} decoded");
+        }
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Stable, process-independent fingerprints for cache keys.
 //!
-//! Everything here folds through [`StableHasher`] — the workspace's single
-//! FNV-1a implementation, re-exported from `ssync-circuit` so circuit
-//! content hashes and device/config fingerprints can never drift apart.
-//! Floats contribute their exact bit patterns.
+//! Everything here folds through [`StableHasher`] — the workspace's
+//! FNV-1a implementation, re-exported from `ssync-circuit`. The third key
+//! component, [`Circuit::content_hash`](ssync_circuit::Circuit::content_hash),
+//! is a word-wise fold of its own. Floats contribute their exact bit
+//! patterns.
 
 use crate::codec::{self, ByteWriter};
 use ssync_arch::Device;

@@ -793,12 +793,16 @@ impl CompileService {
         let kind = request.compiler;
         telemetry.span_attr(&span, "priority", priority.label());
         telemetry.span_attr(&span, "compiler", kind_slug(kind));
+        let key_started = Instant::now();
         let key = CacheKey {
             device_fingerprint: request.device.fingerprint(),
             circuit_hash: request.circuit.content_hash(),
             config_hash: config_hash(&request.config),
             compiler: request.compiler,
         };
+        let key_time = key_started.elapsed();
+        telemetry.span_record(&span, "cache_key", key_time);
+        telemetry.record(Stage::CacheKey, priority, kind, key_time);
         let lookup_started = Instant::now();
         let cached = self.shared.cache.get(&key);
         let lookup = lookup_started.elapsed();

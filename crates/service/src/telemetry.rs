@@ -5,17 +5,18 @@
 //! ## What is measured
 //!
 //! Every request is followed from admission to response delivery by a
-//! [`Span`] (see `ssync-telemetry`), and five pipeline stages are
+//! [`Span`] (see `ssync-telemetry`), and six pipeline stages are
 //! additionally aggregated into log2 latency histograms, each keyed twice
 //! — once per [`Priority`] and once per [`CompilerKind`]:
 //!
-//! | stage          | measured where                                      |
-//! |----------------|-----------------------------------------------------|
-//! | `cache_lookup` | result-cache probe inside `submit`                  |
-//! | `parse`        | OpenQASM parse in the front-end's `SubmitQasm` path |
-//! | `queue_wait`   | submission → worker claim                           |
-//! | `compile`      | the `compile_on` call itself                        |
-//! | `end_to_end`   | span creation → terminal fulfilment                 |
+//! | stage          | measured where                                       |
+//! |----------------|------------------------------------------------------|
+//! | `cache_key`    | circuit content hash and config hash inside `submit` |
+//! | `cache_lookup` | result-cache probe inside `submit`                   |
+//! | `parse`        | OpenQASM parse in the front-end's `SubmitQasm` path  |
+//! | `queue_wait`   | submission → worker claim                            |
+//! | `compile`      | the `compile_on` call itself                         |
+//! | `end_to_end`   | span creation → terminal fulfilment                  |
 //!
 //! The front-end also records a `delivery` span event (response write on
 //! the wire) on each job's trace; it is span-only, not histogrammed.
@@ -78,9 +79,13 @@ fn window_capacity(window: Duration) -> usize {
     (window.as_millis() / SLO_TICK_INTERVAL.as_millis()) as usize + 1
 }
 
-/// The five histogrammed pipeline stages (see the module docs).
+/// The six histogrammed pipeline stages (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
+    /// Cache-key build during submission: the circuit's content hash and
+    /// the config hash (the device fingerprint is computed at
+    /// registration).
+    CacheKey,
     /// Result-cache probe during submission.
     CacheLookup,
     /// OpenQASM source parse (front-end `SubmitQasm` only).
@@ -95,12 +100,19 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in exposition order.
-    pub const ALL: [Stage; 5] =
-        [Stage::CacheLookup, Stage::Parse, Stage::QueueWait, Stage::Compile, Stage::EndToEnd];
+    pub const ALL: [Stage; 6] = [
+        Stage::CacheKey,
+        Stage::CacheLookup,
+        Stage::Parse,
+        Stage::QueueWait,
+        Stage::Compile,
+        Stage::EndToEnd,
+    ];
 
     /// Stable label used in span events and exposition `stage=` labels.
     pub fn label(self) -> &'static str {
         match self {
+            Stage::CacheKey => "cache_key",
             Stage::CacheLookup => "cache_lookup",
             Stage::Parse => "parse",
             Stage::QueueWait => "queue_wait",
@@ -110,13 +122,7 @@ impl Stage {
     }
 
     fn index(self) -> usize {
-        match self {
-            Stage::CacheLookup => 0,
-            Stage::Parse => 1,
-            Stage::QueueWait => 2,
-            Stage::Compile => 3,
-            Stage::EndToEnd => 4,
-        }
+        self as usize
     }
 }
 
@@ -192,7 +198,7 @@ impl StageSnapshot {
 /// [`ServiceTelemetry::snapshot`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TelemetrySnapshot {
-    stages: [StageSnapshot; 5],
+    stages: [StageSnapshot; Stage::ALL.len()],
     /// Finished request traces (cache hits, coalesced waiters, expired
     /// deadlines and executed compiles alike).
     pub traces_recorded: u64,
@@ -225,7 +231,7 @@ impl TelemetrySnapshot {
 pub struct ServiceTelemetry {
     enabled: AtomicBool,
     next_trace_id: AtomicU64,
-    stages: [StageFamily; 5],
+    stages: [StageFamily; Stage::ALL.len()],
     journal: TraceJournal,
     slow_threshold_ns: AtomicU64,
     traces_recorded: AtomicU64,

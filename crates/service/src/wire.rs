@@ -71,7 +71,7 @@ use crate::metrics::{ServiceMetrics, WorkerMetrics};
 use ssync_baselines::CompilerKind;
 use ssync_circuit::Circuit;
 use ssync_core::{CompileError, CompileOutcome, CompilerConfig};
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -332,15 +332,7 @@ fn priority_from_tag(tag: u8) -> Result<Priority, CodecError> {
 pub fn encode_request(request: &Request) -> Vec<u8> {
     let mut w = ByteWriter::new();
     match request {
-        Request::Submit(remote) => {
-            w.put_u8(0);
-            w.put_str(&remote.device);
-            codec::encode_circuit(&mut w, &remote.circuit);
-            w.put_u8(codec::compiler_kind_tag(remote.compiler));
-            codec::encode_config(&mut w, &remote.config);
-            w.put_u8(priority_tag(remote.priority));
-            w.put_u64(remote.tenant.0);
-        }
+        Request::Submit(remote) => encode_submit(&mut w, remote),
         Request::Poll { job } => {
             w.put_u8(1);
             w.put_u64(*job);
@@ -360,24 +352,40 @@ pub fn encode_request(request: &Request) -> Vec<u8> {
             w.put_u8(6);
             w.put_str(token);
         }
-        Request::SubmitQasm(remote) => {
-            w.put_u8(5);
-            w.put_str(&remote.device);
-            w.put_str(&remote.source);
-            w.put_u8(codec::compiler_kind_tag(remote.compiler));
-            codec::encode_config(&mut w, &remote.config);
-            w.put_u8(priority_tag(remote.priority));
-            w.put_u64(remote.tenant.0);
-            match remote.deadline_us {
-                Some(deadline) => {
-                    w.put_u8(1);
-                    w.put_u64(deadline);
-                }
-                None => w.put_u8(0),
-            }
-        }
+        Request::SubmitQasm(remote) => encode_submit_qasm(&mut w, remote),
     }
     w.into_bytes()
+}
+
+/// Writes a `Submit` request. The client calls it on the caller's
+/// borrowed request, so a submit encodes without copying the circuit.
+pub(crate) fn encode_submit(w: &mut ByteWriter, remote: &RemoteRequest) {
+    w.put_u8(0);
+    w.put_str(&remote.device);
+    codec::encode_circuit(w, &remote.circuit);
+    w.put_u8(codec::compiler_kind_tag(remote.compiler));
+    codec::encode_config(w, &remote.config);
+    w.put_u8(priority_tag(remote.priority));
+    w.put_u64(remote.tenant.0);
+}
+
+/// Writes a `SubmitQasm` request; like [`encode_submit`], the client
+/// calls it on the borrowed request, so the source is not copied.
+pub(crate) fn encode_submit_qasm(w: &mut ByteWriter, remote: &RemoteQasmRequest) {
+    w.put_u8(5);
+    w.put_str(&remote.device);
+    w.put_str(&remote.source);
+    w.put_u8(codec::compiler_kind_tag(remote.compiler));
+    codec::encode_config(w, &remote.config);
+    w.put_u8(priority_tag(remote.priority));
+    w.put_u64(remote.tenant.0);
+    match remote.deadline_us {
+        Some(deadline) => {
+            w.put_u8(1);
+            w.put_u64(deadline);
+        }
+        None => w.put_u8(0),
+    }
 }
 
 /// Decodes a [`Request`] payload written by [`encode_request`].
@@ -589,13 +597,19 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, CodecError> {
 
 /// Writes one frame (header + payload) and flushes.
 ///
+/// The header and the payload go to one [`Write::write_vectored`] call,
+/// so a socket never sends the header in a segment of its own and the
+/// peer wakes once per frame; the payload is not copied. A partial write resumes where it
+/// stopped, and an `Interrupted` write is retried, as in
+/// [`Write::write_all`].
+///
 /// # Errors
 ///
-/// Propagates the underlying I/O failure; a payload over
-/// [`MAX_FRAME_BYTES`] is rejected up front (`InvalidData`) — writing it
-/// would produce a frame the peer must reject, and a payload past
-/// `u32::MAX` would truncate the length header and desynchronise the
-/// stream.
+/// Propagates the underlying I/O failure, and `WriteZero` when the writer
+/// accepts no bytes; a payload over [`MAX_FRAME_BYTES`] is rejected up
+/// front (`InvalidData`) — writing it would produce a frame the peer must
+/// reject, and a payload past `u32::MAX` would truncate the length header
+/// and desynchronise the stream.
 pub fn write_frame(writer: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
     if payload.len() > MAX_FRAME_BYTES {
         return Err(protocol_error("payload exceeds MAX_FRAME_BYTES"));
@@ -604,8 +618,21 @@ pub fn write_frame(writer: &mut impl Write, payload: &[u8]) -> std::io::Result<(
     header[0..4].copy_from_slice(&WIRE_MAGIC.to_le_bytes());
     header[4..8].copy_from_slice(&WIRE_VERSION.to_le_bytes());
     header[8..12].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    writer.write_all(&header)?;
-    writer.write_all(payload)?;
+    let mut slices = [IoSlice::new(&header), IoSlice::new(payload)];
+    let mut unwritten = &mut slices[..];
+    while !unwritten.is_empty() {
+        match writer.write_vectored(unwritten) {
+            Ok(0) => {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::WriteZero,
+                    "failed to write the whole frame",
+                ))
+            }
+            Ok(n) => IoSlice::advance_slices(&mut unwritten, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     writer.flush()
 }
 
@@ -901,6 +928,98 @@ mod tests {
         let mut oversized = buf.clone();
         oversized[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(read_frame(&mut std::io::Cursor::new(&oversized)).is_err());
+    }
+
+    /// A writer that takes at most 7 bytes per call and fails the first
+    /// call with `Interrupted` still receives the whole frame: the write
+    /// resumes mid-header and mid-payload and retries the interruption.
+    #[test]
+    fn partial_and_interrupted_writes_still_send_the_whole_frame() {
+        struct Choppy {
+            bytes: Vec<u8>,
+            interrupted: bool,
+        }
+        impl Write for Choppy {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.write_vectored(&[IoSlice::new(buf)])
+            }
+            fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+                if !self.interrupted {
+                    self.interrupted = true;
+                    return Err(std::io::ErrorKind::Interrupted.into());
+                }
+                let before = self.bytes.len();
+                for buf in bufs {
+                    let room = 7 - (self.bytes.len() - before);
+                    self.bytes.extend_from_slice(&buf[..buf.len().min(room)]);
+                }
+                Ok(self.bytes.len() - before)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        for request in every_request() {
+            let payload = encode_request(&request);
+            let mut writer = Choppy { bytes: Vec::new(), interrupted: false };
+            write_frame(&mut writer, &payload).expect("write");
+            let read = read_frame(&mut std::io::Cursor::new(&writer.bytes)).expect("frame");
+            assert_eq!(read, Some(payload), "{request:?}");
+        }
+    }
+
+    /// Each frame is one `write_vectored` call: header and payload leave
+    /// together, never as two writes.
+    #[test]
+    fn each_frame_is_one_vectored_write() {
+        #[derive(Default)]
+        struct Counting {
+            bytes: Vec<u8>,
+            writes: usize,
+            vectored_writes: usize,
+        }
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+                self.vectored_writes += 1;
+                bufs.iter().for_each(|buf| self.bytes.extend_from_slice(buf));
+                Ok(bufs.iter().map(|buf| buf.len()).sum())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut writer = Counting::default();
+        let payloads = every_request().iter().map(encode_request).collect::<Vec<_>>();
+        for payload in &payloads {
+            write_frame(&mut writer, payload).expect("write");
+        }
+        assert_eq!((writer.writes, writer.vectored_writes), (0, payloads.len()));
+        let mut cursor = std::io::Cursor::new(&writer.bytes);
+        for payload in payloads {
+            assert_eq!(read_frame(&mut cursor).expect("frame"), Some(payload));
+        }
+        assert_eq!(read_frame(&mut cursor).expect("clean EOF"), None);
+    }
+
+    /// A writer that accepts nothing fails the frame instead of spinning.
+    #[test]
+    fn a_writer_that_accepts_nothing_fails_the_frame() {
+        struct Full;
+        impl Write for Full {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Ok(0)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let err = write_frame(&mut Full, &[1, 2, 3]).expect_err("nothing was written");
+        assert_eq!(err.kind(), std::io::ErrorKind::WriteZero);
     }
 
     #[test]

@@ -70,6 +70,11 @@ fn assert_stage_populated(text: &str, stage: &str, surface: &str) {
     }
 }
 
+/// The histogrammed stages every submission passes through, in pipeline
+/// order: the cache-key build and lookup at admission, the queue, the
+/// whole request.
+const SUBMIT_STAGES: [&str; 4] = ["cache_key", "cache_lookup", "queue_wait", "end_to_end"];
+
 #[test]
 fn daemon_reports_latency_histograms_on_both_surfaces() {
     let dir = std::env::temp_dir().join(format!("ssync-obs-smoke-{}", std::process::id()));
@@ -110,8 +115,9 @@ fn daemon_reports_latency_histograms_on_both_surfaces() {
 
     // Surface 1: the wire `GetStats` request on the live daemon.
     let stats = client.stats_text().expect("GetStats");
-    assert_stage_populated(&stats, "queue_wait", "GetStats");
-    assert_stage_populated(&stats, "end_to_end", "GetStats");
+    for stage in SUBMIT_STAGES {
+        assert_stage_populated(&stats, stage, "GetStats");
+    }
     assert!(
         metric(&stats, "ssync_stage_latency_ns_count", "stage=\"parse\",priority=\"normal\"")
             .is_some_and(|count| count > 0),
@@ -134,8 +140,9 @@ fn daemon_reports_latency_histograms_on_both_surfaces() {
 
     // Surface 2: the final `--metrics-text` flush after drain.
     let finale = std::fs::read_to_string(&metrics_path).expect("final --metrics-text file");
-    assert_stage_populated(&finale, "queue_wait", "--metrics-text");
-    assert_stage_populated(&finale, "end_to_end", "--metrics-text");
+    for stage in SUBMIT_STAGES {
+        assert_stage_populated(&finale, stage, "--metrics-text");
+    }
     assert!(
         metric(&finale, "ssync_traces_recorded_total", "")
             .or_else(|| {
@@ -163,7 +170,9 @@ fn daemon_reports_latency_histograms_on_both_surfaces() {
         assert!(line.starts_with("{\"trace_id\":\""), "line leads with the trace id: {line}");
         assert!(line.ends_with('}'), "line is a complete object: {line}");
         assert!(line.contains("\"stages\":["), "line carries the stage timeline: {line}");
-        assert!(line.contains("\"end_to_end\""), "line includes the end-to-end stage: {line}");
+        for stage in ["cache_key", "cache_lookup", "end_to_end"] {
+            assert!(line.contains(&format!("\"{stage}\"")), "line includes {stage}: {line}");
+        }
     }
     for trace_id in &trace_ids {
         let hex = format!("{trace_id:016x}");
@@ -258,6 +267,7 @@ fn tcp_daemon_serves_flight_recorder_traces_exemplars_and_slo_gauges() {
             span_jsonl.contains("candidates_scored"),
             "span carries the scoring attributes: {span_jsonl}"
         );
+        assert!(span_jsonl.contains("\"cache_key\""), "span times the key build: {span_jsonl}");
         assert!(!recorder_jsonl.is_empty(), "recorder stream travels for trace {trace_id}");
         assert!(
             recorder_jsonl.lines().count() > 1,
