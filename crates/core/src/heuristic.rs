@@ -456,16 +456,25 @@ impl SwapSpaces {
 /// spaces with integer arithmetic. The scheduler keeps one memo in its
 /// scratch: [`ReadinessMemo::begin_pass`] bumps an epoch that lazily
 /// invalidates every slot, and the backing buffers persist across passes
-/// and compiles so the steady state allocates nothing. Values read
-/// through the memo are bit-identical to a fresh
-/// `HeuristicScorer::space_readiness` call, which keeps memoised scoring
-/// inside the scheduler's golden determinism contract.
-#[derive(Debug, Clone, Default)]
+/// and compiles so the steady state allocates nothing. A fresh memo
+/// misses on every slot, so it may serve a pass before the first
+/// `begin_pass` too. Values read through the memo are bit-identical to a
+/// fresh `HeuristicScorer::space_readiness` call, which keeps memoised
+/// scoring inside the scheduler's golden determinism contract.
+#[derive(Debug, Clone)]
 pub struct ReadinessMemo {
+    /// The epoch each slot was stored in; 0, which no epoch equals, for
+    /// a slot never stored.
     stamp: Vec<u64>,
     spaces: Vec<NearestSpaces>,
     epoch: u64,
     hits: u64,
+}
+
+impl Default for ReadinessMemo {
+    fn default() -> Self {
+        ReadinessMemo { stamp: Vec::new(), spaces: Vec::new(), epoch: 1, hits: 0 }
+    }
 }
 
 impl ReadinessMemo {
@@ -992,6 +1001,30 @@ mod tests {
         let near = Gate::Cx(Qubit(0), Qubit(1));
         let far = Gate::Cx(Qubit(0), Qubit(3));
         assert!(scorer.gate_score(&p, &near) < scorer.gate_score(&p, &far));
+    }
+
+    #[test]
+    fn a_fresh_memo_misses_before_its_first_pass() {
+        // L-3 of capacity 4: q0 at the far end of trap 0, q1 and q2 at the
+        // left of trap 1. Scoring cx q0, q1 reads the readiness of both
+        // entry ports; the first one stored (slot 4) grows the memo past
+        // the second (slot 3), which no pass has stored.
+        let device = Device::build(QccdTopology::linear(3, 4), CompilerConfig::default().weights);
+        let config = CompilerConfig::default();
+        let scorer = HeuristicScorer::new(device.graph(), device.router(), &config);
+        let mut p = Placement::new(device.topology(), 3);
+        for (q, slot) in [(0u32, 0u32), (1, 4), (2, 5)] {
+            p.place(Qubit(q), SlotId(slot));
+        }
+        let gate = Gate::Cx(Qubit(0), Qubit(1));
+        let scan = scorer.gate_score(&p, &gate);
+        assert_eq!(scan, 1.003);
+        let mut memo = ReadinessMemo::default();
+        let fresh = scorer.gate_score_memo(&mut memo, &p, &gate);
+        assert_eq!(fresh.to_bits(), scan.to_bits(), "a fresh memo scored {fresh}");
+        let again = scorer.gate_score_memo(&mut memo, &p, &gate);
+        assert_eq!(again.to_bits(), scan.to_bits());
+        assert_eq!(memo.take_hits(), 2, "the second score reads both ports from the memo");
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! its first character, and the 1-based `line:col` (columns counted in
 //! characters) is worked out from that offset only when a diagnostic
 //! needs it. Line (`// ...`) and block (`/* ... */`) comments are skipped.
+//! A register index written directly after its name, `[digits]`, can also
+//! be read from the bytes in one step instead of as three tokens.
 //!
 //! The scan steps over whole ASCII bytes and jumps over comment and
 //! string bodies to an ASCII delimiter, so every offset it stops at is a
@@ -235,10 +237,33 @@ impl<'a> Lexer<'a> {
         let tok = if real {
             Tok::Real(text.parse().map_err(|_| malformed())?)
         } else {
-            Tok::Int(text.parse().map_err(|_| malformed())?)
+            Tok::Int(decimal(text.as_bytes()).ok_or_else(malformed)?)
         };
         Ok(Token { tok, at: start })
     }
+
+    /// Reads a register index written directly at the current position,
+    /// `[` digits `]` with nothing in between, and moves past it. Any other
+    /// form (a space, comment or line break, a non-digit, an overflow, a
+    /// missing `]`) returns `None` and leaves the position unchanged, so
+    /// the token path reads it and reports what it reports.
+    pub(crate) fn bracket_index(&mut self) -> Option<u64> {
+        let rest = self.source.as_bytes().get(self.at..)?.strip_prefix(b"[")?;
+        let len = rest.iter().position(|b| !b.is_ascii_digit())?;
+        if len == 0 || rest[len] != b']' {
+            return None;
+        }
+        let index = decimal(&rest[..len])?;
+        self.at += len + 2;
+        Some(index)
+    }
+}
+
+/// The value of a run of ASCII digits, or `None` past `u64::MAX`.
+fn decimal(digits: &[u8]) -> Option<u64> {
+    digits
+        .iter()
+        .try_fold(0u64, |value, digit| value.checked_mul(10)?.checked_add(u64::from(digit - b'0')))
 }
 
 #[cfg(test)]
@@ -323,5 +348,48 @@ mod tests {
         assert_eq!(tokens(".").unwrap_err().kind, QasmErrorKind::MalformedNumber(".".into()));
         let err = tokens("18446744073709551616").unwrap_err();
         assert_eq!(err.kind, QasmErrorKind::MalformedNumber("18446744073709551616".into()));
+    }
+
+    #[test]
+    fn integers_are_exact_up_to_u64_max() {
+        assert_eq!(
+            kinds("0 007 18446744073709551615"),
+            vec![Tok::Int(0), Tok::Int(7), Tok::Int(u64::MAX)]
+        );
+        for overflow in ["18446744073709551616", "99999999999999999999", "184467440737095516150"] {
+            let err = tokens(overflow).unwrap_err();
+            assert_eq!(err.kind, QasmErrorKind::MalformedNumber(overflow.into()));
+        }
+    }
+
+    #[test]
+    fn bracket_index_reads_only_the_direct_form() {
+        let read = |source: &str| {
+            let mut lexer = Lexer::new(source);
+            let index = lexer.bracket_index();
+            (index, lexer.at)
+        };
+        assert_eq!(read("[0];"), (Some(0), 3));
+        assert_eq!(read("[42],"), (Some(42), 4));
+        assert_eq!(read("[18446744073709551615]"), (Some(u64::MAX), 22));
+        for other in [
+            "",
+            "q[0]",
+            " [0]",
+            "[ 0]",
+            "[0 ]",
+            "[\n0]",
+            "[/**/0]",
+            "[]",
+            "[x]",
+            "[1.5]",
+            "[1e2]",
+            "[-1]",
+            "[0",
+            "[0;",
+            "[18446744073709551616]",
+        ] {
+            assert_eq!(read(other), (None, 0), "{other:?}");
+        }
     }
 }

@@ -423,7 +423,8 @@ pub(crate) const MAX_GATES: usize = 1 << 22;
 /// stacks that expansion pushes onto and pops, so that lowering a
 /// statement allocates nothing once they have grown. The stack layout is
 /// private: [`Emitter::evaluate`] binds a statement's parameters and
-/// [`Emitter::apply`] expands one application of it.
+/// [`Emitter::apply`] expands one application of it; [`Emitter::native`]
+/// emits a built-in over fixed qubits without the qubit stack.
 pub(crate) struct Emitter<'a> {
     source: &'a str,
     gates: Vec<Gate>,
@@ -458,8 +459,8 @@ impl<'a> Emitter<'a> {
     }
 
     /// Evaluates the parameter expressions of a top-level statement, which
-    /// refer to no gate parameters; [`Emitter::apply`] uses the values
-    /// until the next call.
+    /// refer to no gate parameters; [`Emitter::apply`] and
+    /// [`Emitter::native`] use the values until the next call.
     ///
     /// # Errors
     ///
@@ -531,6 +532,27 @@ impl<'a> Emitter<'a> {
         self.call(defs, callee, 0, 0, at)
     }
 
+    /// [`Emitter::apply`] for built-in `gate` over `qubits`, which need not
+    /// be copied onto the qubit stack.
+    ///
+    /// # Errors
+    ///
+    /// The qubits repeat, or the program passes [`MAX_GATES`].
+    pub(crate) fn native(
+        &mut self,
+        gate: Native,
+        name: &str,
+        qubits: &[usize],
+        at: usize,
+    ) -> Result<(), QasmError> {
+        if repeats(qubits, &mut self.scratch) {
+            return Err(self.duplicate(name, at));
+        }
+        let before = self.gates.len();
+        gate.emit(&self.params, qubits, &mut self.gates);
+        self.count_emitted(before, at)
+    }
+
     fn duplicate(&self, name: &str, at: usize) -> QasmError {
         QasmError::at(QasmErrorKind::DuplicateQubit(name.to_string()), self.source, at)
     }
@@ -544,6 +566,12 @@ impl<'a> Emitter<'a> {
         }
         let kind = QasmErrorKind::LimitExceeded { what: "gate count", limit: MAX_GATES };
         Err(QasmError::at(kind, self.source, at))
+    }
+
+    /// Counts the gates emitted since the gate list held `before`, and
+    /// one for a built-in that lowered to none.
+    fn count_emitted(&mut self, before: usize, at: usize) -> Result<(), QasmError> {
+        self.count((self.gates.len() - before).max(1), at)
     }
 
     /// Emits `callee` over `qubits[qubit_frame..]` with parameters
@@ -566,7 +594,7 @@ impl<'a> Emitter<'a> {
                     &self.qubits[qubit_frame..],
                     &mut self.gates,
                 );
-                return self.count((self.gates.len() - before).max(1), at);
+                return self.count_emitted(before, at);
             }
             Callee::User(index) => index,
         };

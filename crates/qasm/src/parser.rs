@@ -82,6 +82,9 @@ struct Parser<'a> {
     tok: Token<'a>,
     /// Quantum registers: `(flat offset, size)`.
     qregs: HashMap<&'a str, (usize, usize)>,
+    /// The register [`Parser::argument`] resolved last, checked before
+    /// `qregs`: consecutive arguments mostly name the same register.
+    last_qreg: Option<(&'a str, (usize, usize))>,
     cregs: HashSet<&'a str>,
     /// User gates (`Some(index into defs)`) and opaque declarations
     /// (`None`).
@@ -109,6 +112,7 @@ impl<'a> Parser<'a> {
             lexer,
             tok,
             qregs: HashMap::new(),
+            last_qreg: None,
             cregs: HashSet::new(),
             gates: HashMap::new(),
             defs: Vec::new(),
@@ -286,12 +290,34 @@ impl<'a> Parser<'a> {
         Ok(Some(index))
     }
 
+    /// `id ("[" int "]")?`, with the name's offset. An index written
+    /// directly after the name is read in one step; any other form goes
+    /// through the tokens, which report its errors.
+    fn indexed_name(
+        &mut self,
+        expected: &'static str,
+    ) -> Result<(&'a str, usize, Option<u64>), QasmError> {
+        let Token { tok: Tok::Ident(name), at } = self.tok else {
+            return Err(self.expected(expected));
+        };
+        let direct = self.lexer.bracket_index();
+        self.advance()?;
+        let index = if direct.is_some() { direct } else { self.index()? };
+        Ok((name, at, index))
+    }
+
     /// A top-level argument, resolved to flat qubit indices.
     fn argument(&mut self) -> Result<Arg, QasmError> {
-        let (name, at) = self.ident("a register name")?;
-        let index = self.index()?;
-        let Some(&(offset, size)) = self.qregs.get(name) else {
-            return Err(self.error(QasmErrorKind::UnknownRegister(name.into()), at));
+        let (name, at, index) = self.indexed_name("a register name")?;
+        let (offset, size) = match self.last_qreg {
+            Some((last, register)) if last == name => register,
+            _ => {
+                let Some(&register) = self.qregs.get(name) else {
+                    return Err(self.error(QasmErrorKind::UnknownRegister(name.into()), at));
+                };
+                self.last_qreg = Some((name, register));
+                register
+            }
         };
         match index {
             None => Ok(Arg { base: offset, whole: Some(size), at }),
@@ -314,8 +340,7 @@ impl<'a> Parser<'a> {
     fn measure(&mut self) -> Result<(), QasmError> {
         self.argument()?;
         self.expect(Tok::Arrow, "'->' after the measured qubit")?;
-        self.ident("a register name")?;
-        self.index()?;
+        self.indexed_name("a register name")?;
         self.expect(Tok::Semicolon, "';' after measure")
     }
 
@@ -403,14 +428,19 @@ impl<'a> Parser<'a> {
     /// A top-level gate application `name(exprs)? args;`, lowered at once
     /// — or, under `if`, validated and dropped. Whole-register arguments
     /// broadcast element-wise (all must have equal length); indexed
-    /// arguments stay fixed.
+    /// arguments stay fixed. A built-in over fixed arguments is emitted
+    /// directly; broadcasts and user gates expand through
+    /// [`Emitter::apply`].
     fn application(&mut self, conditional: bool) -> Result<(), QasmError> {
         let (name, at) = self.ident("a gate name")?;
         let (callee, want_params, want_qubits) = self.callee(name, at)?;
         self.scope.clear();
         let got = self.parameters()?;
         self.check_arity(name, want_params, got, "parameters", at)?;
-        self.emit.evaluate(&self.code)?;
+        // A gate without parameters reads none of the values.
+        if got > 0 {
+            self.emit.evaluate(&self.code)?;
+        }
         self.args.clear();
         let mut repeat: Option<usize> = None;
         loop {
@@ -434,6 +464,14 @@ impl<'a> Parser<'a> {
         self.check_arity(name, want_qubits, self.args.len(), "qubit arguments", at)?;
         if conditional {
             return Ok(());
+        }
+        if let (Callee::Native(gate), None) = (callee, repeat) {
+            // Built-ins take at most three qubits.
+            let mut qubits = [0; 3];
+            for (qubit, arg) in qubits.iter_mut().zip(&self.args) {
+                *qubit = arg.base;
+            }
+            return self.emit.native(gate, name, &qubits[..self.args.len()], at);
         }
         for i in 0..repeat.unwrap_or(1) {
             let qubits =
@@ -496,8 +534,7 @@ impl<'a> Parser<'a> {
                 Tok::Ident("barrier") => {
                     self.advance()?;
                     loop {
-                        self.ident("a register name")?;
-                        self.index()?;
+                        self.indexed_name("a register name")?;
                         if !self.eat(Tok::Comma)? {
                             break;
                         }
@@ -541,8 +578,8 @@ impl<'a> Parser<'a> {
         self.check_arity(name, want_params, got, "parameters", at)?;
         let mut args = Vec::with_capacity(want_qubits);
         loop {
-            let (arg, arg_at) = self.ident("a register name")?;
-            let indexed = self.index()?.is_some();
+            let (arg, arg_at, index) = self.indexed_name("a register name")?;
+            let indexed = index.is_some();
             // The last formal of a name wins, as a later binding would.
             match self.formals.iter().rposition(|formal| *formal == arg) {
                 Some(formal) if !indexed => args.push(formal),

@@ -432,6 +432,69 @@ fn diagnostics() -> Vec<(String, QasmErrorKind, &'static str, &'static str)> {
             "3:3",
             "index 5 out of range for q[2]",
         ),
+        // Register indices that are not `[digits]` go through the tokens.
+        (
+            h("qreg q[2];\nh q[];"),
+            Expected { expected: "a register index", found: "']'".into() },
+            "3:5",
+            "expected a register index, found ']'",
+        ),
+        (
+            h("qreg q[2];\nh q[x];"),
+            Expected { expected: "a register index", found: "identifier 'x'".into() },
+            "3:5",
+            "expected a register index, found identifier 'x'",
+        ),
+        (
+            h("qreg q[2];\nh q[1.5];"),
+            Expected { expected: "a register index", found: "number 1.5".into() },
+            "3:5",
+            "expected a register index, found number 1.5",
+        ),
+        (
+            h("qreg q[2];\nh q[-1];"),
+            Expected { expected: "a register index", found: "'-'".into() },
+            "3:5",
+            "expected a register index, found '-'",
+        ),
+        (
+            h("qreg q[2];\nh q[0"),
+            Expected { expected: "']' after the register index", found: "end of input".into() },
+            "3:6",
+            "expected ']' after the register index, found end of input",
+        ),
+        (
+            h("qreg q[2];\ncx q[0], q[18446744073709551616];"),
+            MalformedNumber("18446744073709551616".into()),
+            "3:12",
+            "malformed number '18446744073709551616'",
+        ),
+        (
+            h("qreg q[3];\nh q[3];"),
+            IndexOutOfRange { register: "q".into(), index: 3, size: 3 },
+            "3:3",
+            "index 3 out of range for q[3]",
+        ),
+        // The last register resolved does not stand in for another name,
+        // even one it starts with.
+        (
+            h("qreg q[2];\ncx q[0], r[1];"),
+            UnknownRegister("r".into()),
+            "3:10",
+            "unknown quantum register 'r'",
+        ),
+        (
+            h("qreg qq[2];\ncx qq[0], q[1];"),
+            UnknownRegister("q".into()),
+            "3:11",
+            "unknown quantum register 'q'",
+        ),
+        (
+            h("qreg q[2];\ncx q[0], qq[1];"),
+            UnknownRegister("qq".into()),
+            "3:10",
+            "unknown quantum register 'qq'",
+        ),
         // Lines keep counting through a block comment that spans several.
         (
             h("/* one\n   two\n   three */ qreg q[1];\nh q[1];"),
@@ -533,6 +596,29 @@ fn diagnostics_pin_kind_position_and_message() {
     }
 }
 
+/// An index written with spaces, a comment or line breaks around its
+/// brackets lowers like `q[0]`.
+#[test]
+fn spaced_and_commented_indices_lower_like_the_direct_form() {
+    let program = |arg: &str| {
+        format!(
+            "OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nh {arg};\ncx {arg}, q[1];\n\
+             rz(0.5) {arg};\ncx q[1], {arg};\nbarrier {arg}, q[1];\nmeasure {arg} -> c[0];"
+        )
+    };
+    let direct = parse(&program("q[0]")).expect("parses");
+    let (q0, q1) = (Qubit(0), Qubit(1));
+    assert_eq!(
+        direct.circuit.gates(),
+        &[Gate::H(q0), Gate::Cx(q0, q1), Gate::Rz(q0, 0.5), Gate::Cx(q1, q0)]
+    );
+    assert_eq!(direct.report, report(1, 0, 0, 1, 0));
+    for arg in ["q [0]", "q[ 0 ]", "q/* c */[0]", "q[\n0\n]"] {
+        let out = parse(&program(arg)).unwrap_or_else(|e| panic!("{arg:?}: {e}"));
+        assert_eq!(out, direct, "{arg:?}");
+    }
+}
+
 /// Byte strings the edit fuzzer splices in: punctuation, operators and
 /// keywords of the grammar, comment and string openers, numbers that
 /// overflow, and multi-byte UTF-8 characters.
@@ -618,6 +704,91 @@ proptest! {
             }
         }
         let _ = parse(&String::from_utf8_lossy(&bytes));
+    }
+}
+
+/// The programs the spacing property edits: the corpus files and a few
+/// generator exports.
+fn spacing_sources() -> Vec<String> {
+    let exports = [
+        generators::qft(6),
+        generators::cuccaro_adder(3),
+        generators::qaoa_random_graph(6, 1, 0.5, 3),
+        generators::heisenberg_chain(4, 2),
+    ];
+    let corpus = corpus_sources().into_iter().map(|(_, source)| source);
+    corpus.chain(exports.iter().map(export)).collect()
+}
+
+/// The byte offsets just before and just after each punctuation token of
+/// `source` (`[ ] ( ) , ; { } -> ==`) outside comments and strings.
+fn punctuation_boundaries(source: &str) -> Vec<usize> {
+    let bytes = source.as_bytes();
+    let past = |from: usize, end: &str| {
+        source[from..].find(end).map_or(bytes.len(), |at| from + at + end.len())
+    };
+    let mut points = Vec::new();
+    let mut i = 0;
+    while i < bytes.len() {
+        match &bytes[i..] {
+            [b'/', b'/', ..] => i = past(i, "\n"),
+            [b'/', b'*', ..] => i = past(i + 2, "*/"),
+            [b'"', ..] => i = past(i + 1, "\""),
+            [b'-', b'>', ..] | [b'=', b'=', ..] => {
+                points.extend([i, i + 2]);
+                i += 2;
+            }
+            [b'[' | b']' | b'(' | b')' | b',' | b';' | b'{' | b'}', ..] => {
+                points.extend([i, i + 1]);
+                i += 1;
+            }
+            _ => i += 1,
+        }
+    }
+    points
+}
+
+/// What the spacing property inserts, one to three pieces at a time.
+const SPACING: [&str; 8] = [" ", "\t", "\n", "\r\n", "/* c */", "/**/", "/* ; [0], q */", "/*\n*/"];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Spaces, tabs, line breaks and block comments next to punctuation
+    /// change nothing: each edited program lowers to the same circuit and
+    /// report. An edit next to a register's `[` moves that index from the
+    /// one-step read to the token path.
+    #[test]
+    fn whitespace_and_comments_next_to_punctuation_change_nothing(
+        file in 0usize..1 << 10,
+        edits in proptest::collection::vec(
+            (0usize..1 << 20, proptest::collection::vec(0usize..SPACING.len(), 1..4)),
+            1..16,
+        ),
+    ) {
+        let sources = spacing_sources();
+        let source = &sources[file % sources.len()];
+        let original = parse(source).expect("unedited programs parse");
+        let points = punctuation_boundaries(source);
+        let mut inserts: Vec<(usize, String)> = edits
+            .into_iter()
+            .map(|(point, pieces)| {
+                let at = points[point % points.len()];
+                let mut text: String = pieces.into_iter().map(|piece| SPACING[piece]).collect();
+                // A comment right after a '/' would open a line comment.
+                if source.as_bytes()[..at].ends_with(b"/") {
+                    text.insert(0, ' ');
+                }
+                (at, text)
+            })
+            .collect();
+        inserts.sort_by_key(|&(at, _)| std::cmp::Reverse(at));
+        let mut edited = source.clone();
+        for (at, text) in inserts {
+            edited.insert_str(at, &text);
+        }
+        let out = parse(&edited).unwrap_or_else(|e| panic!("{e}\n{edited}"));
+        prop_assert_eq!(out, original, "{}", edited);
     }
 }
 
