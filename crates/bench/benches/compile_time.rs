@@ -53,31 +53,35 @@ fn bench_compile_apps(c: &mut Criterion) {
 /// The hot-path speedup measurement: the optimized scheduler
 /// ([`ssync_core::Scheduler::run`]) against the straightforward reference
 /// transcription of Algorithm 1 (`run_reference`), scheduler-only (no
-/// tracing / report overhead), on the largest circuits of the suite. Both
-/// produce bit-identical programs; only the wall clock differs.
+/// tracing / report overhead), on the largest circuits of the suite and on
+/// QFT-36 on the paper's G-3x3. Its short traps make that cell
+/// shuttle-heavy, so candidate scoring is most of its time. Both produce
+/// bit-identical programs; only the wall clock differs.
 fn bench_scheduler_hot_path(c: &mut Criterion) {
     use ssync_arch::Device;
     use ssync_core::{initial, Scheduler};
 
     let config = CompilerConfig::default();
-    let device = Device::build(QccdTopology::grid(2, 2, 10), config.weights);
+    let long_traps = Device::build(QccdTopology::grid(2, 2, 10), config.weights);
+    let short_traps = Device::named("G-3x3", config.weights).expect("paper topology");
     let mut group = c.benchmark_group("scheduler_hot_path");
     group.sample_size(10);
-    for (label, circuit) in [
-        ("qft/28", scaled_app(AppKind::Qft, 28)),
-        ("qaoa/24", scaled_app(AppKind::Qaoa, 24)),
-        ("adder/24", scaled_app(AppKind::Adder, 24)),
+    for (label, circuit, device) in [
+        ("qft/28", scaled_app(AppKind::Qft, 28), &long_traps),
+        ("qaoa/24", scaled_app(AppKind::Qaoa, 24), &long_traps),
+        ("adder/24", scaled_app(AppKind::Adder, 24), &long_traps),
+        ("qft-36@G-3x3", scaled_app(AppKind::Qft, 36), &short_traps),
     ] {
-        let placement = initial::build_placement(&circuit, &device, &config);
+        let placement = initial::build_placement(&circuit, device, &config);
         group.bench_with_input(BenchmarkId::new("optimized", label), &circuit, |b, circuit| {
             b.iter(|| {
-                let mut scheduler = Scheduler::new(&device, &config);
+                let mut scheduler = Scheduler::new(device, &config);
                 scheduler.run(circuit, placement.clone()).expect("schedules").0.len()
             })
         });
         group.bench_with_input(BenchmarkId::new("reference", label), &circuit, |b, circuit| {
             b.iter(|| {
-                let mut scheduler = Scheduler::new(&device, &config);
+                let mut scheduler = Scheduler::new(device, &config);
                 scheduler.run_reference(circuit, placement.clone()).expect("schedules").0.len()
             })
         });

@@ -71,8 +71,14 @@ pub struct CompilerConfig {
     /// Fidelity model (Eq. 4).
     pub noise: NoiseModel,
     /// Number of consecutive no-progress scheduler iterations before the
-    /// deterministic fallback router takes over (safety net; the heuristic
-    /// almost never reaches it).
+    /// deterministic fallback router takes over. The heuristic reaches it
+    /// often. Measured on one block of S-SYNC cells at the benchmark's
+    /// base sizes (the six apps at 12–48 qubits on G-3x3 and G-2x3): 392
+    /// fallbacks on 48 cells, and 19,208 of 28,903 blocked rounds (66%)
+    /// fall inside stall windows that end in a fallback. On the long-chain
+    /// cells (20–40 qubits on L-2, S-4 and G-2x2): 94 fallbacks on 54
+    /// cells, 4,606 of 9,996 blocked rounds (46%). ROADMAP item 3 plans to
+    /// rewind those windows.
     pub max_stall_iterations: usize,
     /// Bonus subtracted from a candidate's heuristic score when applying it
     /// makes a frontier gate immediately executable. This breaks the exact

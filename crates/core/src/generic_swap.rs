@@ -101,9 +101,12 @@ impl GenericSwap {
     }
 
     /// The qubits moved by this swap (one for reorders/shuttles, two for
-    /// SWAP gates).
-    pub fn moved_qubits(&self, placement: &Placement) -> Vec<ssync_circuit::Qubit> {
-        [self.a, self.b].iter().filter_map(|&s| placement.occupant(s)).collect()
+    /// SWAP gates), read from its endpoints without allocating.
+    pub fn moved_qubits<'p>(
+        &self,
+        placement: &'p Placement,
+    ) -> impl Iterator<Item = ssync_circuit::Qubit> + 'p {
+        [self.a, self.b].into_iter().filter_map(|s| placement.occupant(s))
     }
 
     /// `true` if this swap is a shuttle.
@@ -177,7 +180,7 @@ mod tests {
         let (graph, p) = setup();
         let cands = GenericSwap::candidates(&graph, &p);
         let swap = cands.iter().find(|c| c.kind == GenericSwapKind::SwapGate).unwrap();
-        let mut moved = swap.moved_qubits(&p);
+        let mut moved: Vec<Qubit> = swap.moved_qubits(&p).collect();
         moved.sort();
         assert_eq!(moved, vec![Qubit(0), Qubit(1)]);
         let _ = graph; // silence unused in some cfgs

@@ -291,39 +291,84 @@ impl<'a> HeuristicScorer<'a> {
     }
 }
 
-/// One gate of the active scoring pass, with every placement-derived term
-/// precomputed so that scoring a candidate against it is O(1) in the
-/// common case.
+/// Entry-port sentinel: a same-trap gate reads no readiness, and a route
+/// with no next hop on one side (an unreachable pair) reads none there.
+const NO_PORT: SlotId = SlotId(u32::MAX);
+
+/// Readiness sentinel of a missing port. It is above every real
+/// readiness, so the smaller of a route's two values is a real one
+/// whenever the route reads a port at all.
+const NO_READY: u32 = u32::MAX;
+
+/// A gate's route score under the pass's placement, kept in the parts a
+/// candidate swap can change: the slot distance of its operands and the
+/// readiness of the two next-hop entry ports its route reads (see
+/// `HeuristicScorer::pair_route_score`).
+#[derive(Debug, Clone, Copy)]
+struct Route {
+    /// `slot_distance(s1, s2)`.
+    dist: f64,
+    /// The entry ports the readiness term reads (`NO_PORT` for none).
+    ports: [SlotId; 2],
+    /// Their readiness (`NO_READY` where there is no port).
+    ready: [u32; 2],
+    /// `pair_route_score(placement, None, s1, s2)`, to the bit.
+    score: f64,
+}
+
+impl Route {
+    const NONE: Route = Route { dist: 0.0, ports: [NO_PORT; 2], ready: [NO_READY; 2], score: 0.0 };
+
+    /// `pair_route_score` from the parts: the distance plus the inner
+    /// weight times the smaller readiness, when the route reads a port.
+    #[inline]
+    fn score_of(dist: f64, ready: [u32; 2], inner: f64) -> f64 {
+        let readiness = ready[0].min(ready[1]);
+        if readiness == NO_READY {
+            dist
+        } else {
+            dist + inner * f64::from(readiness)
+        }
+    }
+
+    /// The score of this route at slot distance `dist` once a swap has
+    /// made the readiness changes `changes` lists. The operands stay in
+    /// their traps, so the ports stay; only their readiness can move.
+    #[inline]
+    fn rescored(&self, dist: f64, changes: &PortChanges, inner: f64) -> f64 {
+        let ready_a = changes.get(self.ports[0]).unwrap_or(self.ready[0]);
+        let ready_b = changes.get(self.ports[1]).unwrap_or(self.ready[1]);
+        Route::score_of(dist, [ready_a, ready_b], inner)
+    }
+}
+
+/// One gate of the active scoring pass: its operand slots and its base
+/// route, so that scoring a candidate against it costs a few compares
+/// unless the candidate moves an operand or changes one of its ports.
 #[derive(Debug, Clone, Copy)]
 struct GateTerm {
-    q1: Qubit,
-    q2: Qubit,
     s1: SlotId,
     s2: SlotId,
-    /// Traps whose occupancy pattern feeds the readiness term (the
-    /// next-hop entry traps of the route), `None` for same-trap gates.
-    entry_a: Option<TrapId>,
-    entry_b: Option<TrapId>,
-    /// `pair_route_score(placement, None, s1, s2)` — the cached base.
-    route: f64,
+    route: Route,
     /// Decay factor (frontier gates only; 1.0 for look-ahead gates).
     decay: f64,
     /// `true` if the gate's qubits already share a trap.
     executable: bool,
 }
 
-/// Cross-iteration cache of per-gate base route scores.
+/// Cross-iteration cache of per-gate base routes.
 ///
-/// A gate's base score (`pair_route_score` with no hypothetical swap)
-/// depends on (a) the slots of its two operands and (b) the occupancy
-/// *pattern* of the two next-hop entry traps along its route (the
-/// readiness term). The cache therefore keys each entry on the operand
-/// slots plus a per-trap epoch counter: the scheduler bumps a trap's
-/// epoch whenever an applied generic swap changes which of its slots are
-/// occupied (reorders and shuttles — SWAP gates permute ions between two
-/// occupied slots and leave the pattern untouched). An entry is reused
-/// only when both the slots and the entry-trap epochs still match, which
-/// makes the cached value bit-identical to a fresh recomputation.
+/// A gate's base route (`pair_route_score` with no hypothetical swap, its
+/// slot distance, entry ports and their readiness) depends on (a) the
+/// slots of its two operands and (b) the occupancy *pattern* of the two
+/// next-hop entry traps along its route (the readiness term). The cache
+/// therefore keys each entry on the operand slots plus a per-trap epoch
+/// counter: the scheduler bumps a trap's epoch whenever an applied
+/// generic swap changes which of its slots are occupied (reorders and
+/// shuttles — SWAP gates permute ions between two occupied slots and
+/// leave the pattern untouched). An entry is reused only when both the
+/// slots and the entry-trap epochs still match, which makes the cached
+/// route bit-identical to a fresh recomputation.
 #[derive(Debug, Clone)]
 pub struct ScoreCache {
     entries: Vec<CachedRoute>,
@@ -337,7 +382,7 @@ struct CachedRoute {
     s2: SlotId,
     epoch_a: u64,
     epoch_b: u64,
-    route: f64,
+    route: Route,
 }
 
 impl ScoreCache {
@@ -352,7 +397,7 @@ impl ScoreCache {
                     s2: SlotId(0),
                     epoch_a: 0,
                     epoch_b: 0,
-                    route: 0.0,
+                    route: Route::NONE,
                 };
                 num_gates
             ],
@@ -383,6 +428,13 @@ impl ScoreCache {
 /// Distance sentinel for "the trap has no space".
 const NO_SPACE: usize = usize::MAX;
 
+/// The readiness of a port whose nearest space is `distance` away: the
+/// distance itself, or the trap's capacity when it has no space.
+#[inline]
+fn readiness(distance: usize, capacity: usize) -> u32 {
+    (if distance == NO_SPACE { capacity } else { distance }) as u32
+}
+
 /// The spaces of one chain as seen from one slot, as far as the readiness
 /// term needs them: the nearest space's distance and chain position and
 /// the runner-up space's distance (`NO_SPACE` where there is none). A
@@ -400,11 +452,10 @@ impl NearestSpaces {
     const NONE: NearestSpaces =
         NearestSpaces { nearest: NO_SPACE, nearest_pos: NO_SPACE, runner_up: NO_SPACE };
 
-    /// The distance to the nearest space once `shift` (if any) has changed
-    /// which of the chain's positions are spaces.
+    /// The distance to the nearest space once `shift` has changed which
+    /// of the chain's positions are spaces.
     #[inline]
-    fn after(self, port_pos: usize, shift: Option<SpaceShift>) -> usize {
-        let Some(shift) = shift else { return self.nearest };
+    fn after(self, port_pos: usize, shift: SpaceShift) -> usize {
         let mut best =
             if shift.lost == Some(self.nearest_pos) { self.runner_up } else { self.nearest };
         if let Some(gained) = shift.gained {
@@ -430,37 +481,61 @@ struct SpaceShift {
 #[derive(Debug, Clone, Copy, Default)]
 struct SwapSpaces([Option<SpaceShift>; 2]);
 
-impl SwapSpaces {
+/// The chain-end ports whose readiness one candidate swap changes, each
+/// with its readiness after the swap. Only a chain end is ever an entry
+/// port, and a swap shifts the spaces of at most two traps (see
+/// [`SwapSpaces`]), so four entries suffice. A port of a shifted trap
+/// whose value the swap leaves as it is does not appear, so every term
+/// reading only such ports keeps its cached route.
+#[derive(Debug, Clone, Copy)]
+struct PortChanges {
+    len: usize,
+    ports: [SlotId; 4],
+    ready: [u32; 4],
+}
+
+impl PortChanges {
+    const NONE: PortChanges = PortChanges { len: 0, ports: [NO_PORT; 4], ready: [NO_READY; 4] };
+
+    /// The ports the swap changes.
     #[inline]
-    fn shift_of(&self, trap: TrapId) -> Option<SpaceShift> {
-        self.0.into_iter().flatten().find(|s| s.trap == trap)
+    fn ports(&self) -> &[SlotId] {
+        &self.ports[..self.len]
     }
 
-    /// The traps whose spaces the swap changes: none for a SWAP gate, the
-    /// one chain for a reorder, both ends of a shuttle.
+    /// `port`'s readiness after the swap, if the swap changes it.
     #[inline]
-    fn traps(&self) -> impl Iterator<Item = TrapId> {
-        self.0.into_iter().flatten().map(|s| s.trap)
+    fn get(&self, port: SlotId) -> Option<u32> {
+        self.ports().iter().position(|&p| p == port).map(|i| self.ready[i])
+    }
+
+    #[inline]
+    fn push(&mut self, port: SlotId, ready: u32) {
+        self.ports[self.len] = port;
+        self.ready[self.len] = ready;
+        self.len += 1;
     }
 }
 
-/// A memo of each entry port's nearest spaces (the nearest one's
+/// A memo of each chain-end port's nearest spaces (the nearest one's
 /// distance and position, the runner-up's distance), valid for one
 /// scoring pass (one placement snapshot) at a time.
 ///
 /// The readiness term of `HeuristicScorer::pair_route_score` asks "how
 /// far is the nearest empty slot from this entry port?". Within a pass the
 /// placement is fixed, so each port's chain is scanned once, on the
-/// pass's first request; every candidate then answers the question under
-/// its own hypothetical swap from the memoised nearest and runner-up
-/// spaces with integer arithmetic. The scheduler keeps one memo in its
-/// scratch: [`ReadinessMemo::begin_pass`] bumps an epoch that lazily
-/// invalidates every slot, and the backing buffers persist across passes
-/// and compiles so the steady state allocates nothing. A fresh memo
-/// misses on every slot, so it may serve a pass before the first
-/// `begin_pass` too. Values read through the memo are bit-identical to a
-/// fresh `HeuristicScorer::space_readiness` call, which keeps memoised
-/// scoring inside the scheduler's golden determinism contract.
+/// pass's first request. [`HeuristicScorer::prepare_pass`] begins the
+/// pass and reads the ports of every route it recomputes; each candidate
+/// then reads the two chain ends of every trap whose spaces it shifts and
+/// answers the readiness there under its own hypothetical swap with
+/// integer arithmetic. The scheduler keeps one memo in its scratch:
+/// [`ReadinessMemo::begin_pass`] bumps an epoch that lazily invalidates
+/// every slot, and the backing buffers persist across passes and compiles
+/// so the steady state allocates nothing. A fresh memo misses on every
+/// slot, so it may serve a pass before the first `begin_pass` too. Values
+/// read through the memo are bit-identical to a fresh
+/// `HeuristicScorer::space_readiness` call, which keeps memoised scoring
+/// inside the scheduler's golden determinism contract.
 #[derive(Debug, Clone)]
 pub struct ReadinessMemo {
     /// The epoch each slot was stored in; 0, which no epoch equals, for
@@ -480,7 +555,8 @@ impl Default for ReadinessMemo {
 impl ReadinessMemo {
     /// Starts a new scoring pass: every memoised value becomes stale.
     /// Call whenever the placement the pass scores against may have
-    /// changed (the scheduler calls it once per scoring pass).
+    /// changed ([`HeuristicScorer::prepare_pass`] calls it, and the
+    /// scheduler's stall fallback does before its own pass).
     pub fn begin_pass(&mut self) {
         self.epoch += 1;
     }
@@ -517,8 +593,8 @@ impl ReadinessMemo {
 /// [`HeuristicScorer::score_swap_memo`], which reproduces
 /// [`HeuristicScorer::score_swap`] bit for bit while touching each gate in
 /// O(1) unless the candidate actually relocates one of its operands or
-/// perturbs its readiness traps, and skipping every look-ahead gate before
-/// the first one the candidate can change.
+/// changes the readiness of one of its entry ports, and skipping every
+/// look-ahead gate before the first one the candidate can change.
 #[derive(Debug, Clone, Default)]
 pub struct ScoringScratch {
     terms: Vec<GateTerm>,
@@ -531,9 +607,10 @@ pub struct ScoringScratch {
     /// Per slot, the index of the first look-ahead term with an operand
     /// there (`u32::MAX` for none): a swap touching the slot moves it.
     first_at_slot: Vec<u32>,
-    /// Per trap, the index of the first look-ahead term whose readiness
-    /// reads that trap's spaces: a reorder or shuttle there can change it.
-    first_at_trap: Vec<u32>,
+    /// Per slot, the index of the first look-ahead term whose readiness
+    /// reads that slot as an entry port: a swap changing the port's
+    /// readiness changes the term.
+    first_at_port: Vec<u32>,
 }
 
 impl ScoringScratch {
@@ -541,14 +618,14 @@ impl ScoringScratch {
         self.terms.len() - self.frontier_len
     }
 
-    /// Index of the first look-ahead term `view`'s swap can change; every
-    /// term before it takes its cached value.
+    /// Index of the first look-ahead term that `swap`, with readiness
+    /// changes `changes`, can change; every term before it takes its
+    /// cached value.
     #[inline]
-    fn first_changed(&self, view: &SwapView<'_>) -> usize {
-        let moved =
-            self.first_at_slot[view.swap.a.index()].min(self.first_at_slot[view.swap.b.index()]);
+    fn first_changed(&self, swap: &GenericSwap, changes: &PortChanges) -> usize {
+        let moved = self.first_at_slot[swap.a.index()].min(self.first_at_slot[swap.b.index()]);
         let first =
-            view.spaces.traps().map(|t| self.first_at_trap[t.index()]).fold(moved, u32::min);
+            changes.ports().iter().map(|p| self.first_at_port[p.index()]).fold(moved, u32::min);
         (first as usize).min(self.lookahead_len())
     }
 
@@ -561,56 +638,49 @@ impl ScoringScratch {
     }
 }
 
-/// What scoring one candidate needs to know about it, worked out once per
-/// candidate instead of once per gate term.
-struct SwapView<'s> {
-    swap: &'s GenericSwap,
-    occ_a: Option<Qubit>,
-    occ_b: Option<Qubit>,
-    spaces: SwapSpaces,
-    pen_after: f64,
-}
-
 impl<'a> HeuristicScorer<'a> {
-    /// Prepares a scoring pass: computes (or reuses from `cache`) the base
-    /// score of every frontier and look-ahead gate under the current
-    /// placement, then indexes, per slot and per trap, the first look-ahead
-    /// term a swap there can change, and sums the look-ahead terms' cached
-    /// values in order. Gate lists carry DAG node ids so cached entries
-    /// survive across iterations until an operand moves or an entry trap's
-    /// occupancy pattern changes.
+    /// Prepares a scoring pass: begins a new pass of `memo`, computes (or
+    /// reuses from `cache`) the base route of every frontier and look-ahead
+    /// gate under the current placement, then indexes, per slot and per
+    /// entry port, the first look-ahead term a swap there can change, and
+    /// sums the look-ahead terms' cached values in order. Gate lists carry
+    /// DAG node ids so cached entries survive across iterations until an
+    /// operand moves or an entry trap's occupancy pattern changes.
+    #[allow(clippy::too_many_arguments)]
     pub fn prepare_pass(
         &self,
         scratch: &mut ScoringScratch,
         cache: &mut ScoreCache,
+        memo: &mut ReadinessMemo,
         placement: &Placement,
         decay: &DecayTracker,
         frontier: &[(NodeId, Gate)],
         lookahead: &[(NodeId, Gate)],
     ) {
+        memo.begin_pass();
         scratch.terms.clear();
         scratch.frontier_len = frontier.len();
         scratch.full_traps = placement.full_trap_count();
-        for (is_frontier, list) in [(true, frontier), (false, lookahead)] {
+        for (decay, list) in [(Some(decay), frontier), (None, lookahead)] {
             for &(id, gate) in list {
-                let term = self.gate_term(cache, placement, id, &gate, is_frontier, decay);
-                scratch.terms.push(term);
+                scratch.terms.push(self.gate_term(cache, memo, placement, id, &gate, decay));
             }
         }
 
         let lookahead_terms = &scratch.terms[scratch.frontier_len..];
+        let num_slots = self.graph.num_slots();
         scratch.first_at_slot.clear();
-        scratch.first_at_slot.resize(self.graph.num_slots(), u32::MAX);
-        scratch.first_at_trap.clear();
-        scratch.first_at_trap.resize(self.graph.topology().num_traps(), u32::MAX);
+        scratch.first_at_slot.resize(num_slots, u32::MAX);
+        scratch.first_at_port.clear();
+        scratch.first_at_port.resize(num_slots, u32::MAX);
         for (i, t) in lookahead_terms.iter().enumerate() {
             let i = i as u32;
             for slot in [t.s1, t.s2] {
                 let first = &mut scratch.first_at_slot[slot.index()];
                 *first = (*first).min(i);
             }
-            for trap in [t.entry_a, t.entry_b].into_iter().flatten() {
-                let first = &mut scratch.first_at_trap[trap.index()];
+            for port in t.route.ports.into_iter().filter(|&p| p != NO_PORT) {
+                let first = &mut scratch.first_at_port[port.index()];
                 *first = (*first).min(i);
             }
         }
@@ -621,20 +691,22 @@ impl<'a> HeuristicScorer<'a> {
             let mut sum = 0.0f64;
             scratch.prefix.push(sum);
             for t in lookahead_terms {
-                sum += t.route + pen;
+                sum += t.route.score + pen;
                 scratch.prefix.push(sum);
             }
         }
     }
 
+    /// The pass term of gate `id`; `decay` is given for a frontier gate
+    /// and `None` for a look-ahead gate.
     fn gate_term(
         &self,
         cache: &mut ScoreCache,
+        memo: &mut ReadinessMemo,
         placement: &Placement,
         id: NodeId,
         gate: &Gate,
-        is_frontier: bool,
-        decay: &DecayTracker,
+        decay: Option<&DecayTracker>,
     ) -> GateTerm {
         let (q1, q2) =
             gate.two_qubit_pair().expect("the scheduler DAG only contains two-qubit gates");
@@ -658,30 +730,28 @@ impl<'a> HeuristicScorer<'a> {
         {
             cached.route
         } else {
-            let route = self.pair_route_score(placement, None, s1, s2);
+            let route = self.pair_route_memo(memo, placement, &PortChanges::NONE, s1, s2);
             *cached = CachedRoute { set: true, s1, s2, epoch_a, epoch_b, route };
             route
         };
         GateTerm {
-            q1,
-            q2,
             s1,
             s2,
-            entry_a,
-            entry_b,
             route,
-            decay: if is_frontier { decay.gate_factor(gate) } else { 1.0 },
+            decay: decay.map_or(1.0, |d| d.gate_factor(gate)),
             executable: ta == tb,
         }
     }
 
-    /// `H(swap)` over a prepared pass, reading readiness values through
-    /// the pass's [`ReadinessMemo`] — bit-identical to
+    /// `H(swap)` over a prepared pass — bit-identical to
     /// [`HeuristicScorer::score_swap`] on the same frontier / look-ahead
-    /// lists, but each unchanged gate costs an integer compare instead of
-    /// a route recomputation, and the look-ahead sum resumes from the
-    /// pass's prefix sums at the first term the swap can change (the same
-    /// additions in the same order, so the same bits).
+    /// lists. Before the term loop it works out which chain-end ports the
+    /// swap actually changes: for each trap whose spaces it shifts, the
+    /// ends whose nearest-space distance moves. A gate whose operands stay
+    /// and whose ports keep their readiness costs a few compares, and the
+    /// look-ahead sum resumes from the pass's prefix sums at the first
+    /// term the swap can change (the same additions in the same order, so
+    /// the same bits).
     pub fn score_swap_memo(
         &self,
         scratch: &ScoringScratch,
@@ -690,24 +760,23 @@ impl<'a> HeuristicScorer<'a> {
         swap: &GenericSwap,
     ) -> f64 {
         let pen = self.penalty_with(placement, swap, scratch.full_traps);
-        let view = SwapView {
-            swap,
-            occ_a: placement.occupant(swap.a),
-            occ_b: placement.occupant(swap.b),
-            spaces: self.swap_spaces(placement, swap),
-            pen_after: pen as f64,
-        };
+        let pen_after = pen as f64;
+        let changes = self.port_changes(memo, placement, swap);
 
         let mut best_gate_term = f64::INFINITY;
         let mut enables_gate = false;
         let (frontier, lookahead) = scratch.terms.split_at(scratch.frontier_len);
         for t in frontier {
-            let (s1, s2) = slots_after_swap(t.q1, t.q2, t.s1, t.s2, swap, view.occ_a, view.occ_b);
-            let term = t.decay * self.term_score(t, &view, s1, s2, placement, memo);
+            let term = t.decay * (self.route_after(t, swap, &changes, memo, placement) + pen_after);
             if term < best_gate_term {
                 best_gate_term = term;
             }
-            if !enables_gate && !t.executable && self.graph.same_trap(s1, s2) {
+            // Only a shuttle moves an ion to another trap.
+            if swap.is_shuttle()
+                && !enables_gate
+                && !t.executable
+                && self.graph.same_trap(moved_to(t.s1, swap), moved_to(t.s2, swap))
+            {
                 enables_gate = true;
             }
         }
@@ -715,12 +784,10 @@ impl<'a> HeuristicScorer<'a> {
         let lookahead_term = if lookahead.is_empty() {
             0.0
         } else {
-            let first = scratch.first_changed(&view);
+            let first = scratch.first_changed(swap, &changes);
             let mut sum = scratch.prefix_sum(pen, first);
             for t in &lookahead[first..] {
-                let (s1, s2) =
-                    slots_after_swap(t.q1, t.q2, t.s1, t.s2, swap, view.occ_a, view.occ_b);
-                sum += self.term_score(t, &view, s1, s2, placement, memo);
+                sum += self.route_after(t, swap, &changes, memo, placement) + pen_after;
             }
             0.5 * sum / lookahead.len() as f64
         };
@@ -732,92 +799,125 @@ impl<'a> HeuristicScorer<'a> {
         gate_term + lookahead_term + effective_weight - bonus
     }
 
-    /// The score of one prepared gate under a hypothetical swap that puts
-    /// its operands at `s1`, `s2`: the cached base when the swap provably
-    /// cannot change the gate's route or readiness, the full recomputation
-    /// otherwise.
-    #[inline]
-    fn term_score(
+    /// The route score of prepared gate `t` once `swap`, with readiness
+    /// changes `changes`, is applied: `pair_route_score` under the swap, to
+    /// the bit. Operands that stay keep the cached route unless one of the
+    /// gate's ports changes; an operand moved inside its trap keeps the
+    /// ports and costs one distance read; only a shuttled operand takes a
+    /// new route.
+    #[inline(always)]
+    fn route_after(
         &self,
         t: &GateTerm,
-        view: &SwapView<'_>,
-        s1: SlotId,
-        s2: SlotId,
-        placement: &Placement,
+        swap: &GenericSwap,
+        changes: &PortChanges,
         memo: &mut ReadinessMemo,
+        placement: &Placement,
     ) -> f64 {
-        let slots_unchanged = s1 == t.s1 && s2 == t.s2;
-        // Readiness reads only the entry traps' spaces (none for a
-        // same-trap gate), so it holds unless the swap changes those.
-        let readiness_unchanged =
-            view.spaces.traps().all(|trap| Some(trap) != t.entry_a && Some(trap) != t.entry_b);
-        if slots_unchanged && readiness_unchanged {
-            t.route + view.pen_after
+        let inner = self.config.weights.inner_weight;
+        let (s1, s2) = (moved_to(t.s1, swap), moved_to(t.s2, swap));
+        if s1 == t.s1 && s2 == t.s2 {
+            if changes.len == 0 {
+                t.route.score
+            } else {
+                t.route.rescored(t.route.dist, changes, inner)
+            }
+        } else if swap.is_shuttle() {
+            self.pair_route_memo(memo, placement, changes, s1, s2).score
         } else {
-            self.pair_route_score_memo(memo, placement, &view.spaces, s1, s2) + view.pen_after
+            t.route.rescored(self.slot_distance(s1, s2), changes, inner)
         }
     }
 
-    /// [`HeuristicScorer::pair_route_score`] under the hypothetical swap
-    /// whose space changes are `spaces`, reading each entry port's
-    /// readiness through the pass memo. Bit-identical to
+    /// [`HeuristicScorer::pair_route_score`] under a hypothetical swap
+    /// whose readiness changes are `changes`, in parts: each entry port
+    /// reads its value from `changes`, or through the pass memo where the
+    /// swap leaves it as it is. The route's `score` is bit-identical to
     /// [`HeuristicScorer::pair_route_score`] with that swap.
-    fn pair_route_score_memo(
+    fn pair_route_memo(
         &self,
         memo: &mut ReadinessMemo,
         placement: &Placement,
-        spaces: &SwapSpaces,
+        changes: &PortChanges,
         s1: SlotId,
         s2: SlotId,
-    ) -> f64 {
-        let inner = self.config.weights.inner_weight;
-        let mut score = self.slot_distance(s1, s2);
+    ) -> Route {
+        let mut route = Route { dist: self.slot_distance(s1, s2), ..Route::NONE };
         let ta = self.graph.slot_trap(s1);
         let tb = self.graph.slot_trap(s2);
         if ta != tb {
-            let mut readiness = f64::INFINITY;
-            if let Some(next) = self.router.next_hop(ta, tb) {
-                let entry = self.graph.topology().port_slot(next, ta);
-                readiness = readiness.min(self.readiness_after(memo, placement, spaces, entry));
-            }
-            if let Some(next) = self.router.next_hop(tb, ta) {
-                let entry = self.graph.topology().port_slot(next, tb);
-                readiness = readiness.min(self.readiness_after(memo, placement, spaces, entry));
-            }
-            if readiness.is_finite() {
-                score += inner * readiness;
+            for (i, (from, to)) in [(ta, tb), (tb, ta)].into_iter().enumerate() {
+                if let Some(next) = self.router.next_hop(from, to) {
+                    let port = self.graph.topology().port_slot(next, from);
+                    route.ports[i] = port;
+                    route.ready[i] = self.port_readiness(memo, placement, changes, port);
+                }
             }
         }
-        score
+        route.score = Route::score_of(route.dist, route.ready, self.config.weights.inner_weight);
+        route
     }
 
-    /// The readiness of `port` once a swap with space changes `spaces` is
-    /// applied, from the port's memoised [`NearestSpaces`] (scanned on the
-    /// pass's first request). Equals `space_readiness(placement,
-    /// Some(swap), port)` bit for bit.
+    /// The readiness of `port` under a swap with readiness changes
+    /// `changes`: the listed value, or the pass memo's where the swap
+    /// leaves the port as it is. Equals `space_readiness(placement,
+    /// Some(swap), port)` for every chain-end port.
     #[inline]
-    fn readiness_after(
+    fn port_readiness(
         &self,
         memo: &mut ReadinessMemo,
         placement: &Placement,
-        spaces: &SwapSpaces,
+        changes: &PortChanges,
         port: SlotId,
-    ) -> f64 {
-        let nearest = match memo.lookup(port.index()) {
-            Some(v) => v,
+    ) -> u32 {
+        match changes.get(port) {
+            Some(ready) => ready,
             None => {
-                let v = self.nearest_spaces(placement, port);
-                memo.store(port.index(), v);
-                v
+                let trap = self.graph.topology().trap(self.graph.slot_trap(port));
+                readiness(self.nearest_memo(memo, placement, port).nearest, trap.capacity())
             }
-        };
-        let trap = self.graph.slot_trap(port);
-        let best = nearest.after(self.graph.slot_position(port), spaces.shift_of(trap));
-        if best == NO_SPACE {
-            self.graph.topology().trap(trap).capacity() as f64
-        } else {
-            best as f64
         }
+    }
+
+    /// The chain-end ports whose readiness `swap` changes: both chain ends
+    /// of every trap whose spaces it shifts are read through the pass memo,
+    /// and a port is listed only where its nearest-space distance moves.
+    fn port_changes(
+        &self,
+        memo: &mut ReadinessMemo,
+        placement: &Placement,
+        swap: &GenericSwap,
+    ) -> PortChanges {
+        let mut changes = PortChanges::NONE;
+        for shift in self.swap_spaces(placement, swap).0.into_iter().flatten() {
+            let trap = self.graph.topology().trap(shift.trap);
+            let capacity = trap.capacity();
+            for (port, pos) in [(trap.left_end(), 0), (trap.right_end(), capacity - 1)] {
+                let before = self.nearest_memo(memo, placement, port);
+                let after = before.after(pos, shift);
+                if after != before.nearest {
+                    changes.push(port, readiness(after, capacity));
+                }
+            }
+        }
+        changes
+    }
+
+    /// `port`'s nearest spaces under the pass's placement, scanned on the
+    /// pass's first request and served from `memo` after that.
+    #[inline]
+    fn nearest_memo(
+        &self,
+        memo: &mut ReadinessMemo,
+        placement: &Placement,
+        port: SlotId,
+    ) -> NearestSpaces {
+        if let Some(v) = memo.lookup(port.index()) {
+            return v;
+        }
+        let v = self.nearest_spaces(placement, port);
+        memo.store(port.index(), v);
+        v
     }
 
     /// Scans `port`'s chain for the nearest and runner-up spaces (ties go
@@ -884,7 +984,7 @@ impl<'a> HeuristicScorer<'a> {
         let (Some(s1), Some(s2)) = (placement.slot_of(q1), placement.slot_of(q2)) else {
             return f64::INFINITY;
         };
-        self.pair_route_score_memo(memo, placement, &SwapSpaces::default(), s1, s2)
+        self.pair_route_memo(memo, placement, &PortChanges::NONE, s1, s2).score
             + placement.full_trap_count() as f64
     }
 
@@ -911,10 +1011,24 @@ impl<'a> HeuristicScorer<'a> {
     }
 }
 
-/// The slots of a gate's qubits after hypothetically applying `swap`: the
-/// single source of truth behind both `HeuristicScorer::slots_after` and
-/// the prepared-pass fast path. The swap's endpoint occupants are passed
-/// in so the caller can hoist the two lookups out of its gate loop.
+/// The slot `swap` moves the ion at `slot` to: the swap's other endpoint
+/// when `slot` is one of its endpoints, else `slot` itself. On a
+/// consistent placement this is what [`slots_after_swap`] computes for
+/// each operand of a gate, without reading the endpoints' occupants.
+#[inline]
+fn moved_to(slot: SlotId, swap: &GenericSwap) -> SlotId {
+    if slot == swap.a {
+        swap.b
+    } else if slot == swap.b {
+        swap.a
+    } else {
+        slot
+    }
+}
+
+/// The slots of a gate's qubits after hypothetically applying `swap`, as
+/// `HeuristicScorer::slots_after` (the reference scoring path) computes
+/// them. The swap's endpoint occupants are passed in.
 #[inline]
 fn slots_after_swap(
     q1: Qubit,
@@ -1135,36 +1249,43 @@ mod tests {
         p
     }
 
-    /// Asserts that the memoised readiness of every slot under every
-    /// candidate swap (and under no swap) equals a fresh chain scan, to the
-    /// bit, and returns how many lookups hit each edge case: a trap left
-    /// without a space, a swap filling a trap's only space, and a swap
-    /// removing one of two spaces tied for nearest.
+    /// Asserts that the readiness of every chain end (the only slots that
+    /// are ever entry ports) under every candidate swap, and under no
+    /// swap, read the way scoring reads it — the swap's listed change,
+    /// else the pass memo — equals a fresh chain scan to the bit, and that
+    /// a swap lists a port exactly when it changes the port's value.
+    /// Returns how many lookups hit each edge case: a trap left without a
+    /// space, a swap filling a trap's only space, and a swap removing a
+    /// port's nearest space so that the runner-up answers.
     fn check_readiness(device: &Device, p: &Placement) -> [usize; 3] {
         let config = CompilerConfig::default();
         let scorer = HeuristicScorer::new(device.graph(), device.router(), &config);
         let mut memo = ReadinessMemo::default();
         memo.begin_pass();
         let mut seen = [0usize; 3];
-        let graph = device.graph();
-        for port in (0..graph.num_slots() as u32).map(SlotId) {
-            let none = scorer.readiness_after(&mut memo, p, &SwapSpaces::default(), port);
-            assert_eq!(none.to_bits(), scorer.space_readiness(p, None, port).to_bits());
-            for swap in GenericSwap::candidates(graph, p) {
-                let spaces = scorer.swap_spaces(p, &swap);
-                let fast = scorer.readiness_after(&mut memo, p, &spaces, port);
-                let scan = scorer.space_readiness(p, Some(&swap), port);
-                assert_eq!(fast.to_bits(), scan.to_bits(), "{swap} at {port}");
-                let trap = graph.slot_trap(port);
+        let candidates = GenericSwap::candidates(device.graph(), p);
+        for trap in device.topology().traps() {
+            for port in [trap.left_end(), trap.right_end()] {
+                let none = scorer.port_readiness(&mut memo, p, &PortChanges::NONE, port);
+                let scan = scorer.space_readiness(p, None, port);
+                assert_eq!(f64::from(none).to_bits(), scan.to_bits(), "{port}");
                 let before = scorer.nearest_spaces(p, port);
-                let shift = spaces.shift_of(trap);
-                let capacity = graph.topology().trap(trap).capacity() as f64;
-                seen[0] += usize::from(before.nearest == NO_SPACE);
-                seen[1] += usize::from(scan == capacity && before.nearest != NO_SPACE);
-                seen[2] += usize::from(
-                    before.nearest == before.runner_up
-                        && shift.is_some_and(|s| s.lost == Some(before.nearest_pos)),
-                );
+                for swap in &candidates {
+                    let changes = scorer.port_changes(&mut memo, p, swap);
+                    let fast = scorer.port_readiness(&mut memo, p, &changes, port);
+                    let scan = scorer.space_readiness(p, Some(swap), port);
+                    assert_eq!(f64::from(fast).to_bits(), scan.to_bits(), "{swap} at {port}");
+                    assert_eq!(changes.get(port).is_some(), fast != none, "{swap} lists {port}");
+                    let mut shifts = scorer.swap_spaces(p, swap).0.into_iter().flatten();
+                    let lost =
+                        shifts.any(|s| s.trap == trap.id() && s.lost == Some(before.nearest_pos));
+                    seen[0] += usize::from(before.nearest == NO_SPACE);
+                    seen[1] +=
+                        usize::from(fast as usize == trap.capacity() && before.nearest != NO_SPACE);
+                    seen[2] += usize::from(
+                        lost && before.runner_up != NO_SPACE && fast as usize == before.runner_up,
+                    );
+                }
             }
         }
         seen
@@ -1173,16 +1294,17 @@ mod tests {
     #[test]
     fn readiness_edge_cases_match_a_chain_scan() {
         // Linear, two traps of capacity 5: trap 0 full, trap 1 holds one ion
-        // in its middle so its spaces tie on both sides of position 2.
+        // in its middle. The shuttle in from trap 0 takes trap 1's left
+        // port space, so the runner-up answers there.
         let device = tight_device(0, 2, 5);
         let mut p = Placement::new(device.topology(), 6);
         for q in 0..5u32 {
             p.place(Qubit(q), SlotId(q));
         }
         p.place(Qubit(5), SlotId(7));
-        let [no_space, _, tied] = check_readiness(&device, &p);
+        let [no_space, _, runner_up] = check_readiness(&device, &p);
         assert!(no_space > 0, "a full trap was read");
-        assert!(tied > 0, "a swap removed one of two tied spaces");
+        assert!(runner_up > 0, "a swap removed a port's nearest space");
         // Trap 1's only space is its port: the shuttle in from trap 0 fills it.
         let mut p = Placement::new(device.topology(), 8);
         for q in 0..8u32 {
@@ -1190,6 +1312,118 @@ mod tests {
         }
         let [_, filled, _] = check_readiness(&device, &p);
         assert!(filled > 0, "the shuttle filled the last space");
+    }
+
+    /// The per-port cases [`check_scores`] tallies, in its order.
+    const PORT_CASES: [&str; 5] = [
+        "a reorder that moves a read port's nearest space",
+        "a reorder that leaves a read port's value, so the term keeps its cached route",
+        "a shuttle that fills the receiving trap's last space (readiness = capacity)",
+        "a shuttle whose sending trap's far port gains the nearest space",
+        "a SWAP gate between the two operands of a look-ahead gate",
+    ];
+
+    /// Scores every candidate swap on `p` through a prepared pass and
+    /// through `score_swap`, asserts the two agree to the bit, and tallies
+    /// the [`PORT_CASES`] the candidates hit. A port counts as read when a
+    /// term of the pass reads its readiness.
+    fn check_scores(
+        device: &Device,
+        p: &Placement,
+        decay: &DecayTracker,
+        frontier: &[(NodeId, Gate)],
+        lookahead: &[(NodeId, Gate)],
+    ) -> [usize; 5] {
+        let config = CompilerConfig::default();
+        let reference = HeuristicScorer::new(device.graph(), device.router(), &config);
+        let scorer = HeuristicScorer::with_distance_matrix(
+            device.graph(),
+            device.router(),
+            &config,
+            device.distance_matrix(),
+        );
+        let graph = device.graph();
+        let mut scratch = ScoringScratch::default();
+        let mut cache =
+            ScoreCache::new(frontier.len() + lookahead.len(), graph.topology().num_traps());
+        let mut memo = ReadinessMemo::default();
+        scorer.prepare_pass(&mut scratch, &mut cache, &mut memo, p, decay, frontier, lookahead);
+        let plain = |list: &[(NodeId, Gate)]| list.iter().map(|&(_, g)| g).collect::<Vec<_>>();
+        let (frontier_gates, lookahead_gates) = (plain(frontier), plain(lookahead));
+        let terms = &scratch.terms;
+        let read = |port: SlotId| terms.iter().any(|t| t.route.ports.contains(&port));
+        let mut seen = [0usize; 5];
+        for swap in GenericSwap::candidates(graph, p) {
+            let fast = scorer.score_swap_memo(&scratch, &mut memo, p, &swap);
+            let slow = reference.score_swap(p, decay, &frontier_gates, &lookahead_gates, &swap);
+            assert_eq!(fast.to_bits(), slow.to_bits(), "{swap}");
+            let changes = scorer.port_changes(&mut memo, p, &swap);
+            let (from, to) =
+                if p.occupant(swap.a).is_some() { (swap.a, swap.b) } else { (swap.b, swap.a) };
+            let (from_trap, to_trap) = (graph.slot_trap(from), graph.slot_trap(to));
+            let changed_and_read = |port: SlotId| changes.get(port).is_some() && read(port);
+            match swap.kind {
+                GenericSwapKind::Reorder => {
+                    seen[0] += usize::from(changes.ports().iter().any(|&port| read(port)));
+                    let keeps_route = terms.iter().any(|t| {
+                        (moved_to(t.s1, &swap), moved_to(t.s2, &swap)) == (t.s1, t.s2)
+                            && t.route.ports.iter().any(|&port| {
+                                port != NO_PORT
+                                    && graph.slot_trap(port) == from_trap
+                                    && changes.get(port).is_none()
+                            })
+                    });
+                    seen[1] += usize::from(keeps_route);
+                }
+                GenericSwapKind::Shuttle { .. } => {
+                    let receiving = graph.topology().trap(to_trap);
+                    let full = receiving.capacity() as u32;
+                    seen[2] += usize::from(
+                        p.trap_free_slots(to_trap) == 1
+                            && [receiving.left_end(), receiving.right_end()].into_iter().any(
+                                |port| changed_and_read(port) && changes.get(port) == Some(full),
+                            ),
+                    );
+                    let sending = graph.topology().trap(from_trap);
+                    let far = if from == sending.left_end() {
+                        sending.right_end()
+                    } else {
+                        sending.left_end()
+                    };
+                    seen[3] += usize::from(changed_and_read(far));
+                }
+                GenericSwapKind::SwapGate => {
+                    seen[4] += usize::from(terms[scratch.frontier_len..].iter().any(|t| {
+                        (t.s1, t.s2) == (swap.a, swap.b) || (t.s1, t.s2) == (swap.b, swap.a)
+                    }));
+                }
+            }
+        }
+        seen
+    }
+
+    /// `frontier_len + lookahead_len` random two-qubit gates over `qubits`
+    /// qubits (node ids in list order) and a decay tracker with a few
+    /// recent marks.
+    fn random_pass(
+        qubits: usize,
+        frontier_len: usize,
+        lookahead_len: usize,
+        rng: &mut Mix,
+    ) -> (DecayTracker, Vec<(NodeId, Gate)>) {
+        let mut decay = DecayTracker::new(qubits, CompilerConfig::default().decay_delta, 3);
+        for _ in 0..rng.below(4) {
+            decay.mark(Qubit(rng.below(qubits) as u32));
+            decay.tick();
+        }
+        let gates = (0..frontier_len + lookahead_len)
+            .map(|i| {
+                let a = rng.below(qubits);
+                let b = (a + 1 + rng.below(qubits - 1)) % qubits;
+                (NodeId(i), Gate::Cx(Qubit(a as u32), Qubit(b as u32)))
+            })
+            .collect();
+        (decay, gates)
     }
 
     proptest! {
@@ -1225,41 +1459,37 @@ mod tests {
             let qubits = slots.saturating_sub(spare).max(2);
             let mut rng = Mix(seed);
             let p = random_placement(&device, qubits, &mut rng);
-            let config = CompilerConfig::default();
-            let mut decay = DecayTracker::new(qubits, config.decay_delta, 3);
-            for _ in 0..rng.below(4) {
-                decay.mark(Qubit(rng.below(qubits) as u32));
-                decay.tick();
-            }
-            let gates: Vec<(NodeId, Gate)> = (0..frontier_len + lookahead_len)
-                .map(|i| {
-                    let a = rng.below(qubits);
-                    let b = (a + 1 + rng.below(qubits - 1)) % qubits;
-                    (NodeId(i), Gate::Cx(Qubit(a as u32), Qubit(b as u32)))
-                })
-                .collect();
+            let (decay, gates) = random_pass(qubits, frontier_len, lookahead_len, &mut rng);
             let (frontier, lookahead) = gates.split_at(frontier_len);
-            let plain = |list: &[(NodeId, Gate)]| list.iter().map(|&(_, g)| g).collect::<Vec<_>>();
-            let (frontier_gates, lookahead_gates) = (plain(frontier), plain(lookahead));
+            check_scores(&device, &p, &decay, frontier, lookahead);
+        }
+    }
 
-            let reference = HeuristicScorer::new(device.graph(), device.router(), &config);
-            let scorer = HeuristicScorer::with_distance_matrix(
-                device.graph(),
-                device.router(),
-                &config,
-                device.distance_matrix(),
-            );
-            let mut scratch = ScoringScratch::default();
-            let mut cache = ScoreCache::new(gates.len(), device.topology().num_traps());
-            let mut memo = ReadinessMemo::default();
-            scorer.prepare_pass(&mut scratch, &mut cache, &p, &decay, frontier, lookahead);
-            memo.begin_pass();
-            for swap in GenericSwap::candidates(device.graph(), &p) {
-                let fast = scorer.score_swap_memo(&scratch, &mut memo, &p, &swap);
-                let slow =
-                    reference.score_swap(&p, &decay, &frontier_gates, &lookahead_gates, &swap);
-                prop_assert_eq!(fast.to_bits(), slow.to_bits(), "{}", swap);
+    #[test]
+    fn per_port_scores_equal_score_swap_on_lines_and_grids() {
+        // Lines and grids of capacity 2-6 with one to three spaces: every
+        // candidate agrees with `score_swap` to the bit, and together the
+        // placements hit every per-port case.
+        let mut seen = [0usize; 5];
+        for capacity in 2..=6 {
+            for (kind, traps) in [(0, 3), (0, 4), (1, 4), (1, 6)] {
+                for seed in 0..8u64 {
+                    let device = tight_device(kind, traps, capacity);
+                    let mut rng = Mix(seed * 31 + capacity as u64);
+                    let slots = device.graph().num_slots();
+                    let qubits = slots - 1 - rng.below(3).min(slots - 3);
+                    let p = random_placement(&device, qubits, &mut rng);
+                    let (decay, gates) = random_pass(qubits, 1 + rng.below(4), 24, &mut rng);
+                    let (frontier, lookahead) = gates.split_at(gates.len() - 24);
+                    let hits = check_scores(&device, &p, &decay, frontier, lookahead);
+                    for (total, hit) in seen.iter_mut().zip(hits) {
+                        *total += hit;
+                    }
+                }
             }
+        }
+        for (case, hits) in PORT_CASES.iter().zip(seen) {
+            assert!(hits > 0, "no candidate hit {case}");
         }
     }
 
@@ -1268,7 +1498,9 @@ mod tests {
         // Linear L-3 of capacity 3. Trap 0 is full; trap 1 holds one ion at
         // its right port; trap 2 holds two ions, leaving its left port free.
         // Shuttling trap 0's port ion out lowers the penalty; shuttling
-        // trap 1's into trap 2 fills trap 2 and raises it.
+        // trap 1's into trap 2 fills trap 2 and raises it, and leaves the
+        // capacity as the readiness of trap 2's left port, which the last
+        // look-ahead gate reads.
         let device = tight_device(0, 3, 3);
         let mut p = Placement::new(device.topology(), 6);
         for (q, slot) in [(0u32, 0u32), (1, 1), (2, 2), (3, 5), (4, 7), (5, 8)] {
@@ -1276,34 +1508,21 @@ mod tests {
         }
         let config = CompilerConfig::default();
         let decay = DecayTracker::new(6, config.decay_delta, config.decay_reset_interval);
-        let gates: Vec<(NodeId, Gate)> = [(0, 5), (2, 3), (1, 4), (0, 3), (2, 5), (4, 5)]
+        let gates: Vec<(NodeId, Gate)> = [(0, 5), (2, 3), (1, 4), (0, 3), (2, 5), (4, 5), (3, 4)]
             .into_iter()
             .enumerate()
             .map(|(i, (a, b))| (NodeId(i), Gate::Cx(Qubit(a), Qubit(b))))
             .collect();
         let (frontier, lookahead) = gates.split_at(1);
+        let [.., filled, _, _] = check_scores(&device, &p, &decay, frontier, lookahead);
+        assert!(filled > 0, "the shuttle into trap 2 filled its last space");
         let reference = HeuristicScorer::new(device.graph(), device.router(), &config);
-        let scorer = HeuristicScorer::with_distance_matrix(
-            device.graph(),
-            device.router(),
-            &config,
-            device.distance_matrix(),
-        );
-        let mut scratch = ScoringScratch::default();
-        let mut cache = ScoreCache::new(gates.len(), 3);
-        let mut memo = ReadinessMemo::default();
-        scorer.prepare_pass(&mut scratch, &mut cache, &p, &decay, frontier, lookahead);
-        memo.begin_pass();
         let full = p.full_trap_count();
         let mut moved = (false, false);
-        let plain = |list: &[(NodeId, Gate)]| list.iter().map(|&(_, g)| g).collect::<Vec<_>>();
         for swap in GenericSwap::candidates(device.graph(), &p) {
             let pen = reference.penalty_after(&p, &swap);
             moved.0 |= pen < full;
             moved.1 |= pen > full;
-            let fast = scorer.score_swap_memo(&scratch, &mut memo, &p, &swap);
-            let slow = reference.score_swap(&p, &decay, &plain(frontier), &plain(lookahead), &swap);
-            assert_eq!(fast.to_bits(), slow.to_bits(), "{swap}");
         }
         assert_eq!(moved, (true, true), "shuttles lowered and raised the full-trap penalty");
     }

@@ -27,7 +27,9 @@ use crate::generic_swap::{GenericSwap, GenericSwapKind};
 use crate::heuristic::{DecayTracker, HeuristicScorer, ReadinessMemo, ScoreCache, ScoringScratch};
 use crate::initial;
 use crate::mechanics::{op_count, Mechanics};
-use ssync_arch::{Device, DistanceMatrix, Placement, SlotGraph, SlotId, TrapId, TrapRouter};
+use ssync_arch::{
+    Device, DistanceMatrix, EdgeKind, Placement, SlotEdge, SlotGraph, SlotId, TrapId, TrapRouter,
+};
 use ssync_circuit::{Circuit, DependencyDag, Gate, LookaheadScratch, NodeId};
 use ssync_sim::{CompiledProgram, ScheduledOp};
 use ssync_telemetry::{FlightEvent, FlightRecorder, FlightRecording};
@@ -41,7 +43,12 @@ pub struct SchedulerStats {
     pub iterations: usize,
     /// Generic swaps applied through the heuristic search.
     pub heuristic_swaps: usize,
-    /// Gates routed by the deterministic fallback (should stay near zero).
+    /// Gates routed by the deterministic fallback. Not rare: one block of
+    /// S-SYNC cells on the small-trap grids G-3x3 and G-2x3 routes 392
+    /// gates this way over 48 cells, and 66% of its blocked rounds fall
+    /// inside stall windows that end in a fallback (46% on long-chain
+    /// devices; see [`CompilerConfig::max_stall_iterations`] and ROADMAP
+    /// item 3).
     pub fallback_routed_gates: usize,
 }
 
@@ -58,8 +65,10 @@ pub struct ScoringTelemetry {
     /// Scoring passes run: one per candidate or stall-fallback pass.
     pub scoring_passes: u64,
     /// Readiness lookups served from the per-pass [`ReadinessMemo`]
-    /// instead of a chain scan, counting lookups under a candidate's
-    /// hypothetical swap as well as plain ones.
+    /// instead of a chain scan: those of `prepare_pass` for the routes the
+    /// score cache does not hold, those of each candidate at both chain
+    /// ends of every trap whose spaces it shifts, and those of the stall
+    /// fallback.
     pub readiness_memo_hits: u64,
     /// Times the per-qubit gate lists were rebuilt after the frontier
     /// went stale (lazy rebuilds, so this counts actual work done).
@@ -153,9 +162,6 @@ pub struct SchedulerScratch {
     lookahead_scratch: LookaheadScratch,
     relevant_mask: Vec<bool>,
     relevant_list: Vec<TrapId>,
-    edge_stamp: Vec<u64>,
-    edge_epoch: u64,
-    edge_list: Vec<u32>,
     candidates: Vec<GenericSwap>,
     scoring: ScoringScratch,
     /// The readiness memo every scoring pass reads through (reset at the
@@ -166,14 +172,10 @@ pub struct SchedulerScratch {
 impl SchedulerScratch {
     /// Re-sizes the device-shaped buffers for a (possibly different) device
     /// and resets the cross-iteration marks, keeping every allocation.
-    /// The epoch counter keeps rising monotonically across compiles, so a
-    /// stale stamp can never collide with a future pass.
-    fn prepare(&mut self, num_traps: usize, num_edges: usize) {
+    fn prepare(&mut self, num_traps: usize) {
         self.relevant_mask.clear();
         self.relevant_mask.resize(num_traps, false);
         self.relevant_list.clear();
-        self.edge_stamp.clear();
-        self.edge_stamp.resize(num_edges, 0);
     }
 }
 
@@ -193,6 +195,9 @@ pub struct Scheduler<'a> {
     /// endpoint), ascending within each trap — the [`Device`]'s trap→edge
     /// candidate index.
     trap_edges: &'a [Vec<u32>],
+    /// The number of intra-trap edges. The static edge order lists them
+    /// first, grouped by ascending trap, and the inter-trap edges after.
+    intra_edges: usize,
     /// Reusable working memory (cleared, never reallocated, per iteration).
     scratch: SchedulerScratch,
     /// The flight recorder of the last [`Scheduler::run`], present when
@@ -238,7 +243,7 @@ impl<'a> Scheduler<'a> {
             "device was built with different edge weights than the scheduler config"
         );
         let graph = device.graph();
-        scratch.prepare(graph.topology().num_traps(), graph.edges().len());
+        scratch.prepare(graph.topology().num_traps());
         Scheduler {
             graph,
             router: device.router(),
@@ -247,6 +252,7 @@ impl<'a> Scheduler<'a> {
             telemetry: ScoringTelemetry::default(),
             dist: device.distance_matrix(),
             trap_edges: device.trap_edge_index(),
+            intra_edges: graph.edges().partition_point(|e| e.kind == EdgeKind::IntraTrap),
             scratch,
             recorder: None,
         }
@@ -379,40 +385,40 @@ impl<'a> Scheduler<'a> {
     /// reference's global enumerate-then-filter order exactly). `recent`
     /// filters out tabu pairs when given.
     fn collect_candidates(&mut self, placement: &Placement, recent: Option<&RecentSwaps>) {
-        // Union the per-trap edge lists, deduplicating inter-trap edges
-        // with an epoch stamp, then sort: candidate order must be the
-        // static edge order for tie-breaking to match the reference.
-        self.scratch.edge_epoch += 1;
-        let stamp = self.scratch.edge_epoch;
-        self.scratch.edge_list.clear();
-        for &t in &self.scratch.relevant_list {
-            for &e in &self.trap_edges[t.index()] {
-                let slot = &mut self.scratch.edge_stamp[e as usize];
-                if *slot != stamp {
-                    *slot = stamp;
-                    self.scratch.edge_list.push(e);
-                }
-            }
-        }
-        self.scratch.edge_list.sort_unstable();
-        self.scratch.candidates.clear();
-        for &ei in &self.scratch.edge_list {
-            let e = self.graph.edges()[ei as usize];
+        let mut candidates = std::mem::take(&mut self.scratch.candidates);
+        candidates.clear();
+        let mut consider = |e: &SlotEdge| {
             let Some(swap) =
                 GenericSwap::classify(self.graph, placement, e.a, e.b, e.kind, e.weight)
             else {
-                continue;
+                return;
             };
-            if let Some(recent) = recent {
-                if recent.contains(swap.a, swap.b) {
-                    continue;
-                }
+            if recent.is_some_and(|recent| recent.contains(swap.a, swap.b)) {
+                return;
             }
-            if !self.reorder_is_purposeful(placement, &swap) {
-                continue;
+            if self.reorder_is_purposeful(placement, &swap) {
+                candidates.push(swap);
             }
-            self.scratch.candidates.push(swap);
+        };
+        // Candidate order must be the static edge order for tie-breaking to
+        // match the reference. That order lists the intra-trap edges
+        // grouped by ascending trap, then the inter-trap edges, and each
+        // trap's index entry starts with its intra-trap run. Walking the
+        // relevant traps in order, then the inter-trap edges, therefore
+        // visits the relevant edges in that order.
+        let edges = self.graph.edges();
+        let mask = &self.scratch.relevant_mask;
+        for (trap_edges, _) in self.trap_edges.iter().zip(mask).filter(|&(_, &relevant)| relevant) {
+            for &e in trap_edges.iter().take_while(|&&e| (e as usize) < self.intra_edges) {
+                consider(&edges[e as usize]);
+            }
         }
+        for e in &edges[self.intra_edges..] {
+            if mask[self.graph.slot_trap(e.a).index()] || mask[self.graph.slot_trap(e.b).index()] {
+                consider(e);
+            }
+        }
+        self.scratch.candidates = candidates;
     }
 
     /// The straightforward transcription of Algorithm 1, kept as the
@@ -788,13 +794,13 @@ impl RoutingPolicy for SSyncRouting<'_, '_> {
             scorer.prepare_pass(
                 &mut s.scratch.scoring,
                 &mut self.cache,
+                &mut s.scratch.memo,
                 placement,
                 &self.decay,
                 &s.scratch.frontier,
                 &s.scratch.lookahead,
             );
             let pass_started = Instant::now();
-            s.scratch.memo.begin_pass();
             // The runner-up score is tracked only while the recorder is
             // on (it feeds the CandidateChosen margin and nothing else).
             let track_margin = recorder.is_some();
