@@ -3,7 +3,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ssync_arch::QccdTopology;
-use ssync_bench::{run_compiler, scaled_app, AppKind, CompilerKind};
+use ssync_bench::{
+    run_compiler, run_compiler_batch_with_workers, scaled_app, AppKind, CompilerKind,
+};
 use ssync_core::CompilerConfig;
 
 fn bench_compile_time(c: &mut Criterion) {
@@ -119,7 +121,7 @@ fn bench_initial_placement(c: &mut Criterion) {
 /// pre-`Device` code did ("rebuild_device"), through one shared device a
 /// worker at a time ("sequential") and with the full worker pool
 /// ("parallel"), the latter two via the identical
-/// `compile_batch_with_workers` code path.
+/// `run_compiler_batch_with_workers` code path.
 /// circuits/sec = circuit count ÷ (mean_ns × 1e-9). The circuit count is
 /// part of the benchmark name so the JSON stays self-describing.
 fn bench_batch_throughput(c: &mut Criterion) {
@@ -155,8 +157,7 @@ fn bench_batch_throughput(c: &mut Criterion) {
     });
     group.bench_function(BenchmarkId::new("sequential", format!("{n}circ")), |b| {
         b.iter(|| {
-            compiler
-                .compile_batch_with_workers(&device, &circuits, 1)
+            run_compiler_batch_with_workers(CompilerKind::SSync, &device, &circuits, &config, 1)
                 .into_iter()
                 .filter(|r| r.is_ok())
                 .count()
@@ -164,11 +165,16 @@ fn bench_batch_throughput(c: &mut Criterion) {
     });
     group.bench_function(BenchmarkId::new("parallel", format!("{n}circ/{workers}workers")), |b| {
         b.iter(|| {
-            compiler
-                .compile_batch_with_workers(&device, &circuits, workers)
-                .into_iter()
-                .filter(|r| r.is_ok())
-                .count()
+            run_compiler_batch_with_workers(
+                CompilerKind::SSync,
+                &device,
+                &circuits,
+                &config,
+                workers,
+            )
+            .into_iter()
+            .filter(|r| r.is_ok())
+            .count()
         })
     });
     group.finish();
@@ -234,9 +240,7 @@ fn bench_service_throughput(c: &mut Criterion) {
             for device in &devices {
                 for circuit in &circuits {
                     for kind in kinds {
-                        ok += usize::from(
-                            ssync_bench::run_compiler_on(kind, device, circuit, &config).is_ok(),
-                        );
+                        ok += usize::from(kind.compile_on(device, circuit, &config).is_ok());
                     }
                 }
             }

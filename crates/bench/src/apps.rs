@@ -71,9 +71,8 @@ pub fn scaled_app(kind: AppKind, qubits: usize) -> Circuit {
 /// (the device must hold every qubit plus one free slot), in input order.
 /// Returns one `(app, actual_qubits)` entry per kept circuit, aligned
 /// with the circuit list — the shape every batch-compiling fig binary
-/// feeds to `compile_batch` / `run_compiler_batch_with_workers`. This is the single
-/// home of the fit predicate, so every figure skips exactly the same
-/// cells.
+/// feeds to `run_compiler_batch_with_workers`. This is the single home of
+/// the fit predicate, so every figure skips exactly the same cells.
 pub fn fitting_cells(
     pairs: impl IntoIterator<Item = (AppKind, usize)>,
     topology: &QccdTopology,

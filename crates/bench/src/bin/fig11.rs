@@ -3,11 +3,13 @@
 //!
 //! Each (topology, capacity) cell builds its shared [`ssync_arch::Device`]
 //! exactly once and compiles every application against it in parallel
-//! through [`ssync_core::SSyncCompiler::compile_batch`].
+//! through [`ssync_bench::run_compiler_batch_with_workers`].
 
 use ssync_bench::table::{fmt_rate, fmt_us};
-use ssync_bench::{scaled_app, AppKind, BenchScale, Table};
-use ssync_core::{batch, CompileOutcome, CompilerConfig, SSyncCompiler};
+use ssync_bench::{
+    run_compiler_batch_with_workers, scaled_app, AppKind, BenchScale, CompilerKind, Table,
+};
+use ssync_core::{batch, CompileOutcome, CompilerConfig};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -52,7 +54,7 @@ fn main() {
     };
     let topologies = ["L-6", "G-2x3", "S-6", "L-4", "G-2x2", "S-4", "G-3x3"];
     let config = CompilerConfig::default();
-    let compiler = SSyncCompiler::new(config);
+    let workers = batch::resolve_workers(0);
 
     let circuits: Vec<_> = apps.iter().map(|&(app, qubits)| scaled_app(app, qubits)).collect();
     let labels: Vec<String> = apps
@@ -80,7 +82,13 @@ fn main() {
                 fitting.len()
             );
             let batch_circuits: Vec<_> = fitting.iter().map(|&a| circuits[a].clone()).collect();
-            let batch = compiler.compile_batch(&device, &batch_circuits);
+            let batch = run_compiler_batch_with_workers(
+                CompilerKind::SSync,
+                &device,
+                &batch_circuits,
+                &config,
+                workers,
+            );
             for (&a, outcome) in fitting.iter().zip(batch) {
                 let outcome = outcome.expect("compilation succeeds");
                 outcomes.insert((a, t, c), (total, outcome));
@@ -117,7 +125,7 @@ fn main() {
     println!(
         "Sweep wall-clock: {:.2}s with {} batch workers (SSYNC_BATCH_WORKERS=1 for serial).",
         sweep_time.as_secs_f64(),
-        batch::resolve_workers(0)
+        workers
     );
     println!("Expected shape: grid topologies (G-2x3, G-3x3) give the best execution");
     println!("time / success rate; peak success occurs around 10-15 ions per trap.");

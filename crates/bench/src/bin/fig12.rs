@@ -6,7 +6,8 @@
 //! The full (mapping × application) product goes through the compile
 //! service in one submission: the G-2x3 device is registered (and built)
 //! once, every circuit is shared by `Arc` across the three mapping
-//! configurations, and the work-stealing pool drains the product.
+//! configurations, and the pool drains the product from its one queue,
+//! interleaving the three mapping tenants.
 
 use ssync_bench::table::{fmt_rate, fmt_us};
 use ssync_bench::{fitting_cells, AppKind, BenchScale, CompilerKind, Table};

@@ -8,8 +8,10 @@
 
 use ssync_arch::Device;
 use ssync_bench::table::fmt_rate;
-use ssync_bench::{scaled_app, AppKind, BenchScale, Table};
-use ssync_core::{CompilerConfig, SSyncCompiler};
+use ssync_bench::{
+    run_compiler_batch_with_workers, scaled_app, AppKind, BenchScale, CompilerKind, Table,
+};
+use ssync_core::{batch, CompilerConfig, SSyncCompiler};
 use ssync_sim::{ExecutionTracer, GateImplementation};
 
 fn main() {
@@ -38,7 +40,13 @@ fn main() {
     // The schedule is gate-implementation independent: compile each circuit
     // once (in one shared-device batch) and re-evaluate the timing/fidelity
     // under each implementation.
-    let outcomes = compiler.compile_batch(&device, &circuits);
+    let outcomes = run_compiler_batch_with_workers(
+        CompilerKind::SSync,
+        &device,
+        &circuits,
+        &config,
+        batch::resolve_workers(0),
+    );
 
     let mut table = Table::new(["Application", "FM", "AM1", "AM2", "PM"]);
     for (label, outcome) in labels.into_iter().zip(outcomes) {

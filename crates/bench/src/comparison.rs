@@ -1,14 +1,15 @@
 //! The shared Figs. 8–10 comparison sweep: benchmark × topology × compiler.
 //!
-//! The sweep is one big submission to the
-//! [`CompileService`]: every topology is
-//! registered once in the service's device registry (the slot graph /
-//! router / distance matrix is built exactly once), every circuit travels
-//! as a shared `Arc` (one allocation per application, however many
-//! topologies it targets), and the full (application × topology ×
-//! compiler) product is queued at once for the work-stealing pool to
-//! drain. Row order (and every measured count) is identical to the
-//! historical one-compile-at-a-time nesting — the service guarantees
+//! The sweep is one big submission to the [`CompileService`]: every
+//! topology is registered once in the service's device registry (the slot
+//! graph / router / distance matrix is built exactly once), every circuit
+//! travels as a shared `Arc` (one allocation per application, however
+//! many topologies it targets), and the full (application × topology ×
+//! compiler) product is queued at once for the pool's workers to drain.
+//! The sweep runs at Normal priority under the anonymous tenant, so it
+//! shares that level fairly with any other tenant's work. Row order (and
+//! every measured count) is identical to the historical
+//! one-compile-at-a-time nesting — the service guarantees
 //! worker-count-independent, bit-identical results.
 
 use crate::apps::{scaled_app, AppKind};
@@ -68,7 +69,7 @@ pub fn comparison_targets(scale: BenchScale) -> Vec<(AppKind, usize, Vec<&'stati
 /// product is submitted to a [`CompileService`] in one batch: each
 /// topology's device is registered (and built) exactly once, each
 /// application's circuit is shared by `Arc` across every topology cell,
-/// and the pool's workers drain the queue with stealing. `progress` is
+/// and the pool's workers drain the queue. `progress` is
 /// called with a submission summary and once per drained topology group.
 pub fn comparison_rows(
     scale: BenchScale,

@@ -16,8 +16,9 @@ use std::borrow::Borrow;
 
 /// Compiles `circuit` for `topology` with the selected compiler and a
 /// shared evaluation configuration, building a throw-away [`Device`].
-/// Sweeps should build the device once and use [`run_compiler_on`] or
-/// [`run_compiler_batch_with_workers`] instead.
+/// Sweeps should build the device once and use
+/// [`CompilerKind::compile_on`] or [`run_compiler_batch_with_workers`]
+/// instead.
 ///
 /// # Errors
 ///
@@ -29,30 +30,15 @@ pub fn run_compiler(
     config: &CompilerConfig,
 ) -> Result<CompileOutcome, CompileError> {
     let device = Device::build(topology.clone(), config.weights);
-    run_compiler_on(kind, &device, circuit, config)
-}
-
-/// Compiles `circuit` against a prepared, shared `device` with the
-/// selected compiler.
-///
-/// # Errors
-///
-/// Propagates the underlying compiler's [`CompileError`].
-pub fn run_compiler_on(
-    kind: CompilerKind,
-    device: &Device,
-    circuit: &Circuit,
-    config: &CompilerConfig,
-) -> Result<CompileOutcome, CompileError> {
-    kind.compile_on(device, circuit, config)
+    kind.compile_on(&device, circuit, config)
 }
 
 /// Compiles every circuit against one shared `device` with the selected
 /// compiler, fanning out over `workers` threads. Results come back in
-/// input order and are bit-identical to calling [`run_compiler_on`] per
-/// circuit, whatever the worker count. The work-list is generic over
-/// [`Borrow<Circuit>`], so `&[Circuit]` and `&[Arc<Circuit>]` both work
-/// without cloning circuits.
+/// input order and are bit-identical to calling
+/// [`CompilerKind::compile_on`] per circuit, whatever the worker count.
+/// The work-list is generic over [`Borrow<Circuit>`], so `&[Circuit]` and
+/// `&[Arc<Circuit>]` both work without cloning circuits.
 ///
 /// Pass `1` when the per-circuit `compile_time` is the quantity under
 /// study (e.g. Fig. 15): concurrent workers contend for cores and would
@@ -126,7 +112,7 @@ mod tests {
             let batched = run_compiler_batch_with_workers(kind, &device, &circuits, &config, 2);
             assert_eq!(batched.len(), circuits.len());
             for (circuit, outcome) in circuits.iter().zip(&batched) {
-                let single = run_compiler_on(kind, &device, circuit, &config).unwrap();
+                let single = kind.compile_on(&device, circuit, &config).unwrap();
                 let outcome = outcome.as_ref().unwrap();
                 assert_eq!(outcome.program().ops(), single.program().ops(), "{kind:?}");
                 assert_eq!(outcome.final_placement(), single.final_placement(), "{kind:?}");
@@ -142,7 +128,7 @@ mod tests {
         let batched =
             run_compiler_batch_with_workers(CompilerKind::SSync, &device, &circuits, &config, 2);
         for (circuit, outcome) in circuits.iter().zip(&batched) {
-            let single = run_compiler_on(CompilerKind::SSync, &device, circuit, &config).unwrap();
+            let single = CompilerKind::SSync.compile_on(&device, circuit, &config).unwrap();
             assert_eq!(outcome.as_ref().unwrap().program().ops(), single.program().ops());
         }
     }

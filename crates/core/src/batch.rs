@@ -2,10 +2,11 @@
 //!
 //! Batch compilation over one shared [`ssync_arch::Device`] is
 //! embarrassingly parallel: every circuit compiles independently, reading
-//! the same immutable device artifact. This module provides the shared
-//! worker-pool primitive — a deterministic, index-preserving parallel map
-//! over `std::thread::scope` — plus the worker-count resolution used by
-//! [`crate::SSyncCompiler::compile_batch`] and the bench harness.
+//! the same immutable device artifact. This module provides the
+//! worker-pool primitive behind the bench harness's batch entry point — a
+//! deterministic, index-preserving parallel map over `std::thread::scope`
+//! — plus the worker-count resolution that the compile service and the
+//! harness's callers use.
 //!
 //! Determinism: results are written back by item index, so the output
 //! order (and every individual result) is independent of the worker count

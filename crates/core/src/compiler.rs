@@ -1,6 +1,5 @@
 //! The top-level S-SYNC compiler pipeline (Fig. 1).
 
-use crate::batch;
 use crate::config::CompilerConfig;
 use crate::driver;
 use crate::error::CompileError;
@@ -12,7 +11,6 @@ use ssync_arch::{Device, Placement, QccdTopology};
 use ssync_circuit::Circuit;
 use ssync_sim::{CompiledProgram, ExecutionReport, ExecutionTracer, OpCounts};
 use ssync_telemetry::FlightRecording;
-use std::borrow::Borrow;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -199,7 +197,7 @@ impl SSyncCompiler {
     /// This is a convenience wrapper that builds a throw-away [`Device`]
     /// and forwards to [`SSyncCompiler::compile_on`]; sweeps compiling many
     /// circuits against one machine should build the device once and call
-    /// `compile_on` (or [`SSyncCompiler::compile_batch`]) directly.
+    /// `compile_on` directly.
     ///
     /// # Errors
     ///
@@ -279,52 +277,6 @@ impl SSyncCompiler {
         );
         scratch.scheduler = scheduler.into_scratch();
         outcome
-    }
-
-    /// Compiles every circuit of `circuits` against one shared `device`,
-    /// fanning the independent compilations out over scoped worker threads.
-    /// The worker count comes from [`batch::resolve_workers`] (the
-    /// `SSYNC_BATCH_WORKERS` environment variable, then the machine's
-    /// available parallelism). Results are returned **in input order** and
-    /// are bit-identical to calling [`SSyncCompiler::compile_on`] per
-    /// circuit, whatever the worker count.
-    ///
-    /// The work-list is generic over [`Borrow<Circuit>`], so both plain
-    /// `&[Circuit]` slices and shared `&[Arc<Circuit>]` work-lists (the
-    /// service / sweep shape, where one circuit targets many devices
-    /// without being cloned) compile through the same entry point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `device` was built with different edge weights than this
-    /// compiler's configuration.
-    pub fn compile_batch<C: Borrow<Circuit> + Sync>(
-        &self,
-        device: &Device,
-        circuits: &[C],
-    ) -> Vec<Result<CompileOutcome, CompileError>> {
-        self.compile_batch_with_workers(device, circuits, batch::resolve_workers(0))
-    }
-
-    /// [`SSyncCompiler::compile_batch`] with an explicit worker count
-    /// (mainly for tests proving worker-count independence). Every worker
-    /// carries one [`CompileScratch`] across its share of the batch, so the
-    /// scheduler's working memory is allocated `workers` times, not
-    /// `circuits.len()` times.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `device` was built with different edge weights than this
-    /// compiler's configuration.
-    pub fn compile_batch_with_workers<C: Borrow<Circuit> + Sync>(
-        &self,
-        device: &Device,
-        circuits: &[C],
-        workers: usize,
-    ) -> Vec<Result<CompileOutcome, CompileError>> {
-        batch::parallel_map_with(workers, circuits, CompileScratch::default, |scratch, _, c| {
-            self.compile_on_with_scratch(device, c.borrow(), scratch)
-        })
     }
 }
 

@@ -46,8 +46,7 @@
 //! ## Compiling many circuits over one device
 //!
 //! Sweeps should build the shared [`ssync_arch::Device`] artifact once and
-//! fan the independent compilations out with
-//! [`SSyncCompiler::compile_batch`]:
+//! compile every circuit against it with [`SSyncCompiler::compile_on`]:
 //!
 //! ```
 //! use ssync_circuit::generators::qft;
@@ -56,11 +55,10 @@
 //!
 //! let config = CompilerConfig::default();
 //! let device = Device::build(QccdTopology::linear(2, 8), config.weights);
-//! let circuits: Vec<_> = (8..=12).map(|n| qft(n)).collect();
 //! let compiler = SSyncCompiler::new(config);
-//! let outcomes = compiler.compile_batch(&device, &circuits);
-//! assert_eq!(outcomes.len(), circuits.len()); // input order, any worker count
-//! assert!(outcomes.iter().all(|o| o.is_ok()));
+//! for n in 8..=12 {
+//!     assert!(compiler.compile_on(&device, &qft(n)).is_ok());
+//! }
 //! ```
 
 #![forbid(unsafe_code)]

@@ -373,40 +373,14 @@ impl ServiceClient {
         request: &RemoteRequest,
         policy: &BackoffPolicy,
     ) -> Result<RemoteJob, ClientError> {
-        self.retry_with_backoff(policy, |client| client.submit(request))
-    }
-
-    /// [`submit_qasm`](ServiceClient::submit_qasm) under the same retry
-    /// contract as [`submit_with_backoff`](ServiceClient::submit_with_backoff).
-    ///
-    /// # Errors
-    ///
-    /// As [`submit_with_backoff`](ServiceClient::submit_with_backoff);
-    /// parse rejections are permanent and propagate immediately.
-    pub fn submit_qasm_with_backoff(
-        &mut self,
-        request: &RemoteQasmRequest,
-        policy: &BackoffPolicy,
-    ) -> Result<(RemoteJob, ssync_qasm::ParseReport), ClientError> {
-        self.retry_with_backoff(policy, |client| client.submit_qasm(request))
-    }
-
-    /// The shared retry loop: classifies each failure as transient
-    /// (retry) or permanent (propagate), heals transport failures with a
-    /// reconnect when an endpoint is known, and enforces the deadline.
-    fn retry_with_backoff<T>(
-        &mut self,
-        policy: &BackoffPolicy,
-        mut attempt: impl FnMut(&mut Self) -> Result<T, ClientError>,
-    ) -> Result<T, ClientError> {
         let started = Instant::now();
         let mut backoff_ms = policy.initial_ms.max(1);
         let mut rng = policy.seed | 1; // xorshift must not start at 0
         let mut attempts = 0u32;
         loop {
             attempts += 1;
-            let error = match attempt(self) {
-                Ok(value) => return Ok(value),
+            let error = match self.submit(request) {
+                Ok(job) => return Ok(job),
                 Err(e) => e,
             };
             let hint_ms = match &error {

@@ -761,7 +761,7 @@ mod tests {
         assert_outcome_roundtrip(&outcome);
     }
 
-    /// The bytes of one fixed compile, pinned at wire version 8 and cache
+    /// The bytes of one fixed compile, pinned at wire version 9 and cache
     /// file version 1. Ops are narrower in memory than on the wire, so a
     /// layout change can move these bytes unnoticed by a round trip; if
     /// this fails, bump `WIRE_VERSION` and `PERSIST_VERSION` and re-pin.
@@ -777,7 +777,7 @@ mod tests {
         let mut h = StableHasher::new();
         h.write_bytes(&bytes[..bytes.len() - 8]);
         assert_eq!((bytes.len(), h.finish()), (11_924, 0xecb0_81d3_f142_cb96));
-        assert_eq!((crate::wire::WIRE_VERSION, crate::cache::PERSIST_VERSION), (8, 1));
+        assert_eq!((crate::wire::WIRE_VERSION, crate::cache::PERSIST_VERSION), (9, 1));
     }
 
     /// An op count is a `u64` on the wire but a `u16` in memory: the

@@ -290,7 +290,7 @@ impl Session {
                 .with_tenant(tenant);
         request.deadline_us = deadline_us;
         let trace_id = span.trace_id();
-        let handle = service.submit_with_span(request, span.clone(), None);
+        let handle = service.submit_with_span(request, span.clone());
         let job = self.next_id;
         self.next_id += 1;
         self.gate.acquire_tenant(tenant);

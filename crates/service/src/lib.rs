@@ -12,9 +12,9 @@
 //! * [`DeviceRegistry`] — names machines, builds each [`ssync_arch::Device`]
 //!   artifact exactly once per `(name, weights)` key, shares it as an
 //!   `Arc`, and fingerprints its *content* stably for cache keying.
-//! * [`CompileService`] — a work-stealing worker pool (per-worker deques +
-//!   a shared priority injector, hand-rolled on `std::sync`) executing
-//!   [`CompileRequest`]s through the unified
+//! * [`CompileService`] — a worker pool over one priority queue
+//!   (hand-rolled on `std::sync`) executing [`CompileRequest`]s through
+//!   the unified
 //!   [`CompilerKind`](ssync_baselines::CompilerKind) entry point.
 //!   Requests carry a [`Priority`] (High / Normal / Batch, strictly
 //!   ordered) and an opaque [`TenantId`]; tenants at the same level share

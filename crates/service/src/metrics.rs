@@ -7,10 +7,8 @@ use std::time::Duration;
 /// Per-worker execution counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WorkerMetrics {
-    /// Jobs this worker executed (from any queue).
+    /// Compiles this worker ran (deadline-expired jobs excluded).
     pub executed: u64,
-    /// Of those, jobs stolen from another worker's deque.
-    pub stolen: u64,
 }
 
 /// A point-in-time snapshot of the service's health, taken via
@@ -84,7 +82,7 @@ pub struct ServiceMetrics {
     /// Result-cache counters (hits, misses, entries, bytes, evictions,
     /// persistent-tier traffic).
     pub cache: CacheStats,
-    /// Per-worker executed/stolen counts, indexed by worker.
+    /// Per-worker executed counts, indexed by worker.
     pub workers: Vec<WorkerMetrics>,
     /// Wall-clock time since the service started.
     pub uptime: Duration,
@@ -94,11 +92,6 @@ impl ServiceMetrics {
     /// Jobs executed by workers (excludes cache hits), summed.
     pub fn jobs_executed(&self) -> u64 {
         self.workers.iter().map(|w| w.executed).sum()
-    }
-
-    /// Jobs that moved between workers through stealing, summed.
-    pub fn jobs_stolen(&self) -> u64 {
-        self.workers.iter().map(|w| w.stolen).sum()
     }
 
     /// Accepted requests at one priority level.

@@ -1,39 +1,24 @@
-//! The compile service: a work-stealing worker pool with priority classes
-//! and per-tenant fairness over the unified compiler entry point.
+//! The compile service: a worker pool with priority classes and
+//! per-tenant fairness over the unified compiler entry point.
 //!
 //! ## Scheduling structure
 //!
-//! Hand-rolled on `std::sync` (no external runtime):
+//! Hand-rolled on `std::sync` (no external runtime). Every submission —
+//! [`submit`], each request of [`submit_batch`] and every daemon request —
+//! lands in one queue. It is not one deque but a small set of
+//! [`Priority`] levels (High, Normal, Batch), each holding **per-tenant
+//! deques** drained with *weighted deficit round-robin*: every queued
+//! tenant accumulates deficit at its configured weight (default 1.0,
+//! [`set_tenant_weight`]) and pays 1.0 per job served, so one tenant's
+//! 10k-job sweep interleaves with — instead of starving — everyone else's
+//! work at the same level. Levels are strict: a worker claims any queued
+//! High job before any Normal one, and Normal before Batch.
 //!
-//! * **Priority injector** — the shared queue single [`submit`]s land in.
-//!   It is not one deque but a small set of [`Priority`] levels (High,
-//!   Normal, Batch), each holding **per-tenant deques** drained with
-//!   *weighted deficit round-robin*: every queued tenant accumulates
-//!   deficit at its configured weight (default 1.0,
-//!   [`set_tenant_weight`]) and pays 1.0 per job served, so one tenant's
-//!   10k-job sweep interleaves with — instead of starving — everyone
-//!   else's work at the same level. Levels are strict: any queued High job
-//!   is claimed before any Normal one, and Normal before Batch.
-//! * **Per-worker deques** — [`submit_batch`] deals *Normal-priority*
-//!   jobs round-robin across the workers' own deques, giving each worker
-//!   an affine run of work it pops LIFO-front from its own end. High and
-//!   Batch submissions always go through the injector (High so the next
-//!   free worker grabs them, Batch so they cannot bypass the fairness
-//!   queue).
-//! * **Stealing** — a worker whose deque and the injector are both empty
-//!   scans the other workers' deques and steals from the *back*, so
-//!   skewed batches (one giant circuit next to many small ones) rebalance
-//!   without any coordination from the submitter.
-//!
-//! A worker claims work in the order: High injector jobs → its own deque
-//! → Normal then Batch injector jobs → stealing.
-//!
-//! Sleeping is coordinated through one `Mutex<…>/Condvar` pair guarding a
-//! `queued` count: producers increment it under the lock *before* pushing
-//! a job (so a claim can never outrun its announcement and underflow the
-//! counter), workers decrement it when they claim one and only sleep
-//! while it is zero — so a wakeup can never be lost between "scanned
-//! empty" and "went to sleep".
+//! The levels, the tenant weights, the queued-job count and the shutdown
+//! flag sit under one `Mutex`, and idle workers sleep on one `Condvar`. A
+//! push, its count and a worker's decision to sleep happen under the same
+//! lock, so a wakeup cannot be lost between "found the queue empty" and
+//! "went to sleep".
 //!
 //! ## Deduplication, and its deliberate limit
 //!
@@ -106,8 +91,8 @@ use crate::telemetry::{kind_slug, ServiceTelemetry, Stage, TRACE_JOURNAL_CAPACIT
 use ssync_core::{batch, CacheBounds, CompileError, CompileScratch};
 use ssync_telemetry::Span;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 /// One queued unit of work. `attached` counts the submissions sharing this
@@ -219,54 +204,48 @@ impl<T> Level<T> {
     }
 }
 
-/// The shared injector: one [`Level`] per [`Priority`], plus the tenant
-/// weight table. Levels are strict; fairness lives inside each level.
-struct Injector<T> {
+/// The job queue: one [`Level`] per [`Priority`], the tenant weight
+/// table, the queued-job count and the shutdown flag, all under the one
+/// `Shared::queue` lock. Levels are strict; fairness lives inside each
+/// level.
+struct Queue<T> {
     levels: [Level<T>; 3],
     weights: HashMap<TenantId, f64>,
-}
-
-impl<T> Default for Injector<T> {
-    fn default() -> Self {
-        Injector { levels: Default::default(), weights: HashMap::new() }
-    }
-}
-
-impl<T> Injector<T> {
-    fn push(&mut self, priority: Priority, tenant: TenantId, item: T) {
-        self.levels[priority.index()].push(tenant, item);
-    }
-
-    fn pop(&mut self, priority: Priority) -> Option<T> {
-        // Split borrow: the level is mutated, the weight table only read.
-        let Injector { levels, weights } = self;
-        levels[priority.index()].pop(weights)
-    }
-}
-
-/// Producer/worker sleep coordination; see the module docs.
-#[derive(Debug, Default)]
-struct SleepState {
-    /// Jobs published to some queue and not yet claimed by a worker.
-    queued: usize,
-    /// Set once by `Drop`; workers drain every queue, then exit.
+    /// Jobs pushed and not yet popped.
+    len: usize,
+    /// Set once by `Drop`; workers drain the queue, then exit.
     shutdown: bool,
 }
 
+impl<T> Default for Queue<T> {
+    fn default() -> Self {
+        Queue { levels: Default::default(), weights: HashMap::new(), len: 0, shutdown: false }
+    }
+}
+
+impl<T> Queue<T> {
+    fn push(&mut self, priority: Priority, tenant: TenantId, item: T) {
+        self.levels[priority.index()].push(tenant, item);
+        self.len += 1;
+    }
+
+    /// The next job of the most urgent non-empty level, in DRR order.
+    fn pop(&mut self) -> Option<T> {
+        // Split borrow: a level is mutated, the weight table only read.
+        let Queue { levels, weights, len, .. } = self;
+        let item = levels.iter_mut().find_map(|level| level.pop(weights))?;
+        *len -= 1;
+        Some(item)
+    }
+}
+
 struct Shared {
-    injector: Mutex<Injector<Job>>,
+    queue: Mutex<Queue<Job>>,
+    /// Signalled once per push and at shutdown; idle workers wait here.
+    wake: Condvar,
     /// Whether executed compiles carry a flight recorder: every worker's
     /// [`CompileScratch`] is built with this switch.
     flight_recorder: bool,
-    /// High-priority jobs currently in the injector. Incremented *before*
-    /// the push (same never-ahead rule as `SleepState::queued`),
-    /// decremented on a successful High pop. Lets workers with affine
-    /// deque work skip the shared injector lock entirely while no High
-    /// job exists — the common case in a dealt batch.
-    high_pending: AtomicUsize,
-    deques: Vec<Mutex<VecDeque<Job>>>,
-    sleep: Mutex<SleepState>,
-    wake: Condvar,
     cache: ResultCache,
     pending: Mutex<PendingState>,
     submitted: AtomicU64,
@@ -283,67 +262,27 @@ struct Shared {
     scoring_passes: AtomicU64,
     readiness_memo_hits: AtomicU64,
     executed: Vec<AtomicU64>,
-    stolen: Vec<AtomicU64>,
     telemetry: ServiceTelemetry,
 }
 
 impl Shared {
-    /// Claims the next job for worker `me` in the priority-aware order:
-    /// High injector jobs, then the worker's own deque, then Normal and
-    /// Batch injector jobs, then the back of every other worker's deque.
-    /// Returns the job and whether it was stolen.
-    fn find_job(&self, me: usize) -> Option<(Job, bool)> {
-        // Fast path: only touch the shared injector for the High check
-        // when the counter says a High job may exist. A racing submit
-        // that lands after this load is caught by the locked re-check
-        // below (when the own deque is empty) or by the next claim.
-        if self.high_pending.load(Ordering::Acquire) > 0 {
-            if let Some(job) = self.pop_injector(Priority::High) {
-                self.claim();
-                return Some((job, false));
-            }
-        }
-        if let Some(job) = self.deques[me].lock().expect("deque lock poisoned").pop_front() {
-            self.claim();
-            return Some((job, false));
-        }
-        for priority in Priority::ALL {
-            if let Some(job) = self.pop_injector(priority) {
-                self.claim();
-                return Some((job, false));
-            }
-        }
-        let n = self.deques.len();
-        for offset in 1..n {
-            let victim = (me + offset) % n;
-            if let Some(job) = self.deques[victim].lock().expect("deque lock poisoned").pop_back() {
-                self.claim();
-                return Some((job, true));
-            }
-        }
-        None
+    fn queue(&self) -> std::sync::MutexGuard<'_, Queue<Job>> {
+        self.queue.lock().expect("queue lock poisoned")
     }
 
-    fn pop_injector(&self, priority: Priority) -> Option<Job> {
-        let job = self.injector.lock().expect("injector lock poisoned").pop(priority)?;
-        if priority == Priority::High {
-            self.high_pending.fetch_sub(1, Ordering::Release);
+    /// Blocks until a job is queued and claims it; `None` once the
+    /// service is shutting down and the queue is empty.
+    fn next_job(&self) -> Option<Job> {
+        let mut queue = self.queue();
+        loop {
+            if let Some(job) = queue.pop() {
+                return Some(job);
+            }
+            if queue.shutdown {
+                return None;
+            }
+            queue = self.wake.wait(queue).expect("queue lock poisoned");
         }
-        Some(job)
-    }
-
-    fn claim(&self) {
-        self.sleep.lock().expect("sleep lock poisoned").queued -= 1;
-    }
-
-    /// Raises the published-job count. MUST run *before* the job is pushed
-    /// into any queue: `claim()` pairs each decrement with a successful
-    /// pop, so as long as every push is preceded by its increment the
-    /// counter can never underflow — whereas increment-after-push would
-    /// let a racing worker pop and decrement first. A worker that sees
-    /// `queued > 0` but finds the queues momentarily empty just rescans.
-    fn announce(&self) {
-        self.sleep.lock().expect("sleep lock poisoned").queued += 1;
     }
 }
 
@@ -494,7 +433,6 @@ pub struct CompileService {
     shared: Arc<Shared>,
     registry: DeviceRegistry,
     workers: Vec<std::thread::JoinHandle<()>>,
-    round_robin: AtomicUsize,
     started: Instant,
 }
 
@@ -541,12 +479,9 @@ impl CompileService {
     ) -> Self {
         let workers = workers.max(1);
         let shared = Arc::new(Shared {
-            injector: Mutex::new(Injector::default()),
-            flight_recorder,
-            high_pending: AtomicUsize::new(0),
-            deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            sleep: Mutex::new(SleepState::default()),
+            queue: Mutex::new(Queue::default()),
             wake: Condvar::new(),
+            flight_recorder,
             cache: ResultCache::with_config(cache),
             pending: Mutex::new(PendingState::default()),
             submitted: AtomicU64::new(0),
@@ -563,7 +498,6 @@ impl CompileService {
             scoring_passes: AtomicU64::new(0),
             readiness_memo_hits: AtomicU64::new(0),
             executed: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            stolen: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             telemetry: ServiceTelemetry::with_journal_cap(journal_cap),
         });
         let handles = (0..workers)
@@ -579,7 +513,6 @@ impl CompileService {
             shared,
             registry: DeviceRegistry::new(),
             workers: handles,
-            round_robin: AtomicUsize::new(0),
             started: Instant::now(),
         }
     }
@@ -606,12 +539,12 @@ impl CompileService {
         self.shared.flight_recorder
     }
 
-    /// Jobs currently published to some queue and not yet claimed by a
-    /// worker — the instantaneous backlog the front-end's admission
-    /// control compares against its watermark. Cheap enough to call per
-    /// request (one short mutex hold).
+    /// Jobs currently queued and not yet claimed by a worker — the
+    /// instantaneous backlog the front-end's admission control compares
+    /// against its watermark. Cheap enough to call per request (one short
+    /// mutex hold).
     pub fn queue_depth(&self) -> usize {
-        self.shared.sleep.lock().expect("sleep lock poisoned").queued
+        self.shared.queue().len
     }
 
     /// Counts one request shed at admission with
@@ -683,7 +616,7 @@ impl CompileService {
     /// both are backlogged. Weights below 1/16 are clamped up at drain
     /// time. Affects only scheduling order, never outputs.
     pub fn set_tenant_weight(&self, tenant: TenantId, weight: f64) {
-        self.shared.injector.lock().expect("injector lock poisoned").weights.insert(tenant, weight);
+        self.shared.queue().weights.insert(tenant, weight);
     }
 
     /// Submits one request and returns its handle. The request carries its
@@ -693,7 +626,7 @@ impl CompileService {
     /// compiler) completed before, the handle is fulfilled immediately
     /// from the [`ResultCache`] and no job is queued.
     pub fn submit(&self, request: CompileRequest) -> JobHandle {
-        self.submit_to(request, None)
+        self.submit_with_span(request, self.shared.telemetry.begin_trace())
     }
 
     /// [`CompileService::submit`], additionally returning the request's
@@ -702,7 +635,7 @@ impl CompileService {
     /// delivery) and inspect the timeline afterwards.
     pub fn submit_traced(&self, request: CompileRequest) -> (JobHandle, Span) {
         let span = self.shared.telemetry.begin_trace();
-        let handle = self.submit_with_span(request, span.clone(), None);
+        let handle = self.submit_with_span(request, span.clone());
         (handle, span)
     }
 
@@ -712,24 +645,14 @@ impl CompileService {
         &self.shared.telemetry
     }
 
-    /// Submits a batch. Normal-priority cache-missing jobs are dealt
-    /// round-robin across the per-worker deques (stealing rebalances skew
-    /// later); High and Batch jobs go through the shared priority
-    /// injector. Handles come back in request order; results are
-    /// independent of the worker count and of how the deal landed.
+    /// [`CompileService::submit`]s each request in order and returns the
+    /// handles in request order. A batch gets no path of its own: its jobs
+    /// share their priority level with every other tenant's.
     pub fn submit_batch(
         &self,
         requests: impl IntoIterator<Item = CompileRequest>,
     ) -> Vec<JobHandle> {
-        let workers = self.workers.len();
-        requests
-            .into_iter()
-            .map(|request| {
-                let target = (request.priority == Priority::Normal)
-                    .then(|| self.round_robin.fetch_add(1, Ordering::Relaxed) % workers);
-                self.submit_to(request, target)
-            })
-            .collect()
+        requests.into_iter().map(|request| self.submit(request)).collect()
     }
 
     /// A point-in-time metrics snapshot.
@@ -745,7 +668,7 @@ impl CompileService {
                 self.shared.submitted_by_priority[1].load(Ordering::Relaxed),
                 self.shared.submitted_by_priority[2].load(Ordering::Relaxed),
             ],
-            queue_depth: self.shared.sleep.lock().expect("sleep lock poisoned").queued,
+            queue_depth: self.queue_depth(),
             rejected_overloaded: self.shared.rejected_overloaded.load(Ordering::Relaxed),
             rejected_unauthorized: self.shared.rejected_unauthorized.load(Ordering::Relaxed),
             conns_timed_out: self.shared.conns_timed_out.load(Ordering::Relaxed),
@@ -760,19 +683,10 @@ impl CompileService {
                 .shared
                 .executed
                 .iter()
-                .zip(&self.shared.stolen)
-                .map(|(e, s)| WorkerMetrics {
-                    executed: e.load(Ordering::Relaxed),
-                    stolen: s.load(Ordering::Relaxed),
-                })
+                .map(|e| WorkerMetrics { executed: e.load(Ordering::Relaxed) })
                 .collect(),
             uptime: self.started.elapsed(),
         }
-    }
-
-    fn submit_to(&self, request: CompileRequest, target: Option<usize>) -> JobHandle {
-        let span = self.shared.telemetry.begin_trace();
-        self.submit_with_span(request, span, target)
     }
 
     /// Submission under a caller-created span (the front-end starts the
@@ -780,12 +694,7 @@ impl CompileService {
     /// trace). Requests resolved at submission — cache hits and coalesced
     /// attachments — finish their trace immediately with an `outcome`
     /// attribute saying so; queued requests hand the span to the worker.
-    pub(crate) fn submit_with_span(
-        &self,
-        request: CompileRequest,
-        span: Span,
-        target: Option<usize>,
-    ) -> JobHandle {
+    pub(crate) fn submit_with_span(&self, request: CompileRequest, span: Span) -> JobHandle {
         self.shared.submitted.fetch_add(1, Ordering::Relaxed);
         self.shared.submitted_by_priority[request.priority.index()].fetch_add(1, Ordering::Relaxed);
         let telemetry = &self.shared.telemetry;
@@ -834,7 +743,7 @@ impl CompileService {
                 request,
                 span,
             };
-            self.enqueue(job, target);
+            self.enqueue(job);
             return handle;
         }
         // Coalesce onto an identical in-flight job, or register a new one.
@@ -889,34 +798,14 @@ impl CompileService {
             submitted: Instant::now(),
             span,
         };
-        self.enqueue(job, target);
+        self.enqueue(job);
         handle
     }
 
-    /// Publishes a built job to a worker deque or the priority injector.
-    fn enqueue(&self, job: Job, target: Option<usize>) {
-        let priority = job.request.priority;
-        let tenant = job.request.tenant;
-        // Announce strictly before the push makes the job claimable; see
-        // `Shared::announce` for why this ordering is load-bearing. The
-        // High counter follows the same increment-before-push rule so a
-        // racing pop can never drive it negative.
-        self.shared.announce();
-        match target {
-            Some(worker) => {
-                self.shared.deques[worker].lock().expect("deque lock poisoned").push_back(job)
-            }
-            None => {
-                if priority == Priority::High {
-                    self.shared.high_pending.fetch_add(1, Ordering::Release);
-                }
-                self.shared
-                    .injector
-                    .lock()
-                    .expect("injector lock poisoned")
-                    .push(priority, tenant, job)
-            }
-        }
+    /// Pushes a built job onto the queue and wakes one idle worker.
+    fn enqueue(&self, job: Job) {
+        let (priority, tenant) = (job.request.priority, job.request.tenant);
+        self.shared.queue().push(priority, tenant, job);
         self.shared.wake.notify_one();
     }
 }
@@ -948,10 +837,8 @@ impl Drop for Janitor {
 
 impl Drop for CompileService {
     fn drop(&mut self) {
-        {
-            let mut sleep = self.shared.sleep.lock().expect("sleep lock poisoned");
-            sleep.shutdown = true;
-        }
+        // No panic in `drop`: a poisoned lock still takes the flag.
+        self.shared.queue.lock().unwrap_or_else(PoisonError::into_inner).shutdown = true;
         self.shared.wake.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
@@ -961,27 +848,8 @@ impl Drop for CompileService {
 
 fn worker_loop(shared: &Shared, me: usize) {
     let mut scratch = CompileScratch::new(shared.flight_recorder);
-    loop {
-        match shared.find_job(me) {
-            Some((job, was_stolen)) => {
-                if was_stolen {
-                    shared.stolen[me].fetch_add(1, Ordering::Relaxed);
-                }
-                execute(shared, me, job, &mut scratch);
-            }
-            None => {
-                let sleep = shared.sleep.lock().expect("sleep lock poisoned");
-                if sleep.queued > 0 {
-                    continue; // published between our scan and the lock
-                }
-                if sleep.shutdown {
-                    return;
-                }
-                // Queue empty, no shutdown: sleep until a publish. The
-                // re-scan after waking handles spurious wakeups.
-                drop(shared.wake.wait(sleep).expect("sleep lock poisoned"));
-            }
-        }
+    while let Some(job) = shared.next_job() {
+        execute(shared, me, job, &mut scratch);
     }
 }
 
@@ -1363,51 +1231,73 @@ mod tests {
         );
     }
 
-    /// The DRR injector drains tenants fairly and priorities strictly;
-    /// tested on the raw structure so the order is fully deterministic.
+    /// The queue drains priorities strictly and tenants fairly within a
+    /// level; tested on the raw structure so the order is fully
+    /// deterministic.
     #[test]
     fn injector_is_strict_across_priorities_and_fair_within() {
-        let mut injector: Injector<&'static str> = Injector::default();
+        let mut queue: Queue<&'static str> = Queue::default();
         let (a, b) = (TenantId::from_name("a"), TenantId::from_name("b"));
-        injector.push(Priority::Batch, a, "batch-a1");
-        injector.push(Priority::Batch, a, "batch-a2");
-        injector.push(Priority::Normal, a, "norm-a1");
-        injector.push(Priority::High, b, "high-b1");
+        queue.push(Priority::Batch, a, "batch-a1");
+        queue.push(Priority::Batch, a, "batch-a2");
+        queue.push(Priority::Normal, a, "norm-a1");
+        queue.push(Priority::High, b, "high-b1");
+        assert_eq!(queue.len, 4);
         // Strict priority: High, then Normal, then Batch.
-        let mut order = Vec::new();
-        for priority in Priority::ALL {
-            while let Some(item) = injector.pop(priority) {
-                order.push(item);
-            }
-        }
+        let order: Vec<_> = std::iter::from_fn(|| queue.pop()).collect();
         assert_eq!(order, ["high-b1", "norm-a1", "batch-a1", "batch-a2"]);
+        assert_eq!(queue.len, 0);
 
         // Fairness: tenant A's long backlog interleaves 1:1 with B's.
-        let mut injector: Injector<u32> = Injector::default();
+        let mut queue: Queue<u32> = Queue::default();
         for i in 0..6 {
-            injector.push(Priority::Batch, a, i); // 0..6 from A
+            queue.push(Priority::Batch, a, i); // 0..6 from A
         }
         for i in 10..13 {
-            injector.push(Priority::Batch, b, i); // 10..13 from B
+            queue.push(Priority::Batch, b, i); // 10..13 from B
         }
-        let drained: Vec<u32> = std::iter::from_fn(|| injector.pop(Priority::Batch)).collect();
+        let drained: Vec<u32> = std::iter::from_fn(|| queue.pop()).collect();
         assert_eq!(drained, [0, 10, 1, 11, 2, 12, 3, 4, 5]);
     }
 
     /// A weight-2 tenant receives two slots per round while backlogged.
     #[test]
     fn tenant_weights_shift_the_interleave() {
-        let mut injector: Injector<u32> = Injector::default();
+        let mut queue: Queue<u32> = Queue::default();
         let (heavy, light) = (TenantId::from_name("heavy"), TenantId::from_name("light"));
-        injector.weights.insert(heavy, 2.0);
+        queue.weights.insert(heavy, 2.0);
         for i in 0..6 {
-            injector.push(Priority::Normal, heavy, i);
+            queue.push(Priority::Normal, heavy, i);
         }
         for i in 10..13 {
-            injector.push(Priority::Normal, light, i);
+            queue.push(Priority::Normal, light, i);
         }
-        let drained: Vec<u32> = std::iter::from_fn(|| injector.pop(Priority::Normal)).collect();
+        let drained: Vec<u32> = std::iter::from_fn(|| queue.pop()).collect();
         assert_eq!(drained, [0, 1, 10, 2, 3, 11, 4, 5, 12]);
+    }
+
+    /// A Normal batch shares its level with every other tenant: a lone
+    /// request submitted after a six-job sweep runs before the sweep ends.
+    #[test]
+    fn a_normal_batch_interleaves_with_other_tenants() {
+        let service = CompileService::with_workers(1);
+        let config = CompilerConfig::default();
+        let qft_request =
+            |n: usize| request(&service, &Arc::new(qft(n)), CompilerKind::SSync, &config);
+        // A High blocker keeps the one worker busy while the rest queue.
+        let blocker = service.submit(qft_request(40).with_priority(Priority::High));
+        let sweep = service.submit_batch(
+            (6..12).map(|n| qft_request(n).with_tenant(TenantId::from_name("sweep"))),
+        );
+        let (lone, span) =
+            service.submit_traced(qft_request(5).with_tenant(TenantId::from_name("interactive")));
+        for handle in sweep.iter().chain([&blocker, &lone]) {
+            handle.wait().expect("compiles");
+        }
+        let traces = service.telemetry().recent_traces();
+        assert_eq!(traces.len(), 8);
+        let position = traces.iter().position(|t| t.trace_id == span.trace_id()).unwrap();
+        assert!(position < 7, "the lone request finished at {position} of 8, after the sweep");
     }
 
     #[test]

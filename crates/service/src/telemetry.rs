@@ -608,11 +608,8 @@ pub fn render_text(metrics: &ServiceMetrics, telemetry: &TelemetrySnapshot) -> S
     }
 
     e.header("ssync_worker_executed_total", "counter", "Compiles executed per worker.");
-    e.header("ssync_worker_stolen_total", "counter", "Stolen jobs per worker.");
     for (i, w) in metrics.workers.iter().enumerate() {
-        let idx = i.to_string();
-        e.value("ssync_worker_executed_total", &[("worker", &idx)], w.executed);
-        e.value("ssync_worker_stolen_total", &[("worker", &idx)], w.stolen);
+        e.value("ssync_worker_executed_total", &[("worker", &i.to_string())], w.executed);
     }
 
     e.header(

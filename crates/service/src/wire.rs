@@ -79,7 +79,7 @@ use std::time::Duration;
 pub const WIRE_MAGIC: u32 = u32::from_le_bytes(*b"SSYC");
 /// The protocol version, written on every frame and the only one
 /// [`read_frame`] accepts; bumped on any payload layout change.
-pub const WIRE_VERSION: u32 = 8;
+pub const WIRE_VERSION: u32 = 9;
 /// Upper bound on a frame payload (a defence against corrupt length
 /// prefixes, not a practical limit — outcomes are kilobytes).
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
@@ -453,7 +453,6 @@ fn encode_metrics(w: &mut ByteWriter, m: &ServiceMetrics) {
     w.put_usize(m.workers.len());
     for worker in &m.workers {
         w.put_u64(worker.executed);
-        w.put_u64(worker.stolen);
     }
     w.put_u64(m.uptime.as_nanos() as u64);
     w.put_u64(m.candidates_scored);
@@ -487,10 +486,10 @@ fn decode_metrics(r: &mut ByteReader<'_>) -> Result<ServiceMetrics, CodecError> 
             persist_gc_deleted: r.get_u64()?,
         },
         workers: {
-            let n = r.get_len(16)?;
+            let n = r.get_len(8)?;
             let mut workers = Vec::with_capacity(n);
             for _ in 0..n {
-                workers.push(WorkerMetrics { executed: r.get_u64()?, stolen: r.get_u64()? });
+                workers.push(WorkerMetrics { executed: r.get_u64()? });
             }
             workers
         },
@@ -799,10 +798,7 @@ mod tests {
                 persist_stores: 5,
                 persist_gc_deleted: 2,
             },
-            workers: vec![
-                WorkerMetrics { executed: 5, stolen: 1 },
-                WorkerMetrics { executed: 4, stolen: 0 },
-            ],
+            workers: vec![WorkerMetrics { executed: 5 }, WorkerMetrics { executed: 4 }],
             uptime: Duration::from_millis(1234),
         }
     }

@@ -3,7 +3,7 @@
 //! success rate (the Fig. 11 style of analysis, at a laptop-friendly size).
 //!
 //! Each named device is built once as a shared [`Device`] artifact and the
-//! whole QFT size sweep compiles against it in one parallel batch.
+//! whole QFT size sweep compiles against it.
 //!
 //! ```text
 //! cargo run --release -p ssync-examples --bin topology_sweep
@@ -25,9 +25,8 @@ fn main() {
         // Slot graph, trap router and distance matrix are built once here;
         // every compilation below shares them.
         let device = Device::named(name, config.weights).expect("known device");
-        let outcomes = compiler.compile_batch(&device, &circuits);
-        for (circuit, outcome) in circuits.iter().zip(outcomes) {
-            match outcome {
+        for circuit in &circuits {
+            match compiler.compile_on(&device, circuit) {
                 Ok(outcome) => println!(
                     "{:<8} {:>6} {:>10} {:>6} {:>8} {:>14.1} {:>12.4}",
                     name,

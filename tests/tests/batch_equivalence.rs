@@ -2,19 +2,22 @@
 //! refactor.
 //!
 //! The contract: compiling through a prebuilt [`Device`]
-//! ([`SSyncCompiler::compile_on`], every kind's `compile_on`, batch
-//! compilation at any worker count) must emit **bit-identical** programs,
-//! statistics and placements to the single-shot `compile(circuit,
-//! topology)` path that rebuilds the device internally. Any divergence
-//! means sharing the artifact changed the algorithm, not just its cost.
+//! ([`SSyncCompiler::compile_on`], every kind's `compile_on`,
+//! [`run_compiler_batch_with_workers`] at any worker count) must emit
+//! **bit-identical** programs, statistics and placements to the
+//! single-shot `compile(circuit, topology)` path that rebuilds the device
+//! internally. Any divergence means sharing the artifact changed the
+//! algorithm, not just its cost.
 
 use ssync_arch::{Device, QccdTopology};
-use ssync_bench::{run_compiler, CompilerKind};
+use ssync_bench::{run_compiler, run_compiler_batch_with_workers, CompilerKind};
 use ssync_circuit::generators::{
     bernstein_vazirani, cuccaro_adder, qaoa_nearest_neighbor, qft, random_two_qubit_circuit,
 };
 use ssync_circuit::Circuit;
-use ssync_core::{CompileError, CompileOutcome, CompilerConfig, InitialMapping, SSyncCompiler};
+use ssync_core::{
+    batch, CompileError, CompileOutcome, CompilerConfig, InitialMapping, SSyncCompiler,
+};
 
 fn suite() -> Vec<Circuit> {
     vec![
@@ -94,7 +97,13 @@ fn batch_output_is_independent_of_worker_count() {
     let reference: Vec<CompileOutcome> =
         circuits.iter().map(|c| compiler.compile_on(&device, c).expect("compiles")).collect();
     for workers in [1usize, 2, 3, 8, 32] {
-        let batch = compiler.compile_batch_with_workers(&device, &circuits, workers);
+        let batch = run_compiler_batch_with_workers(
+            CompilerKind::SSync,
+            &device,
+            &circuits,
+            &config,
+            workers,
+        );
         assert_eq!(batch.len(), circuits.len(), "workers = {workers}");
         for ((circuit, expected), got) in circuits.iter().zip(&reference).zip(batch) {
             let got = got.expect("compiles");
@@ -110,11 +119,11 @@ fn batch_output_is_independent_of_worker_count() {
 #[test]
 fn batch_reports_per_circuit_errors_in_order() {
     let config = CompilerConfig::default();
-    let compiler = SSyncCompiler::new(config);
     // 8 slots: qft(12) cannot fit, qft(6) can.
     let device = Device::build(QccdTopology::linear(2, 4), config.weights);
     let circuits = vec![qft(6), qft(12), qft(5)];
-    let results = compiler.compile_batch_with_workers(&device, &circuits, 2);
+    let results =
+        run_compiler_batch_with_workers(CompilerKind::SSync, &device, &circuits, &config, 2);
     assert!(results[0].is_ok());
     assert!(matches!(results[1], Err(CompileError::DeviceTooSmall { qubits: 12, slots: 8 })));
     assert!(results[2].is_ok());
@@ -130,7 +139,9 @@ fn batch_equals_the_pre_refactor_single_shot_path_end_to_end() {
     let topo = QccdTopology::fully_connected(3, 7);
     let circuits = suite();
     let device = Device::build(topo.clone(), config.weights);
-    let batch = compiler.compile_batch(&device, &circuits);
+    let workers = batch::resolve_workers(0);
+    let batch =
+        run_compiler_batch_with_workers(CompilerKind::SSync, &device, &circuits, &config, workers);
     for (circuit, got) in circuits.iter().zip(batch) {
         let single = compiler.compile(circuit, &topo).expect("compiles");
         assert_same_outcome(&got.expect("compiles"), &single, circuit.name());

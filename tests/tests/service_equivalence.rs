@@ -1,7 +1,7 @@
 //! Golden equivalence tests for the `ssync-service` compile service.
 //!
 //! The contract: a result obtained through the service — whatever the
-//! worker count, however the work-stealing deal lands, whether the job
+//! worker count, whichever worker claims the job, whether the job
 //! executed, coalesced onto an in-flight twin or was served from the
 //! result cache — must be **bit-identical** to calling the compiler's
 //! `compile_on` directly on the same (device, circuit, config). Any
@@ -10,7 +10,7 @@
 
 use ssync_arch::QccdTopology;
 use ssync_baselines::CompilerKind;
-use ssync_bench::{comparison_rows, run_compiler_on, BenchScale};
+use ssync_bench::{comparison_rows, BenchScale};
 use ssync_circuit::generators::{
     bernstein_vazirani, cuccaro_adder, qaoa_nearest_neighbor, qft, random_two_qubit_circuit,
 };
@@ -59,8 +59,7 @@ fn service_results_are_bit_identical_to_direct_compile_at_any_worker_count() {
         let device = reference_registry.get_or_build(name, config.weights, || topo.clone());
         for circuit in &circuits {
             for kind in CompilerKind::ALL {
-                let outcome =
-                    run_compiler_on(kind, device.device(), circuit, &config).expect("compiles");
+                let outcome = kind.compile_on(device.device(), circuit, &config).expect("compiles");
                 reference.push((format!("{kind:?} on {name} / {}", circuit.name()), outcome));
             }
         }
@@ -90,8 +89,8 @@ fn service_results_are_bit_identical_to_direct_compile_at_any_worker_count() {
     }
 }
 
-/// Batch submission (round-robin deal + stealing) is just as bit-identical
-/// as one-by-one submission.
+/// Batch submission (each request queued in order under its tenant) is
+/// just as bit-identical as one-by-one submission.
 #[test]
 fn batch_submission_matches_direct_compile() {
     let config = CompilerConfig::default();
@@ -113,8 +112,7 @@ fn batch_submission_matches_direct_compile() {
     for circuit in &circuits {
         for kind in CompilerKind::ALL {
             let got = handles[i].wait().expect("compiles");
-            let direct =
-                run_compiler_on(kind, device.device(), circuit, &config).expect("compiles");
+            let direct = kind.compile_on(device.device(), circuit, &config).expect("compiles");
             assert_same_outcome(&got, &direct, &format!("{kind:?} / {}", circuit.name()));
             i += 1;
         }
@@ -171,8 +169,7 @@ fn priority_and_tenant_scheduling_changes_ordering_never_output() {
         let device = reference_registry.get_or_build(name, config.weights, || topo.clone());
         for circuit in &circuits {
             for kind in CompilerKind::ALL {
-                let outcome =
-                    run_compiler_on(kind, device.device(), circuit, &config).expect("compiles");
+                let outcome = kind.compile_on(device.device(), circuit, &config).expect("compiles");
                 reference.push((format!("{kind:?} on {name} / {}", circuit.name()), outcome));
             }
         }
@@ -237,7 +234,8 @@ fn eviction_pressure_never_changes_results() {
                 ))
                 .wait()
                 .expect("compiles");
-            let direct = run_compiler_on(CompilerKind::SSync, device.device(), circuit, &config)
+            let direct = CompilerKind::SSync
+                .compile_on(device.device(), circuit, &config)
                 .expect("compiles");
             assert_same_outcome(&got, &direct, &format!("pass {pass} / {}", circuit.name()));
         }
@@ -288,8 +286,7 @@ fn comparison_rows_match_the_direct_nested_loop() {
             },
             app_qubits,
         );
-        let direct =
-            run_compiler_on(row.compiler, device.device(), &circuit, &config).expect("compiles");
+        let direct = row.compiler.compile_on(device.device(), &circuit, &config).expect("compiles");
         assert_eq!(row.shuttles, direct.counts().shuttles, "{} on {}", row.app, row.topology);
         assert_eq!(row.swaps, direct.counts().swap_gates, "{} on {}", row.app, row.topology);
         assert_eq!(
