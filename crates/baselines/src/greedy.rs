@@ -157,7 +157,7 @@ mod tests {
     fn compile(style: BaselineStyle, circuit: &Circuit, topo: &QccdTopology) -> CompileOutcome {
         let config = CompilerConfig::default();
         let device = Device::build(topo.clone(), config.weights);
-        driver::compile(GreedyRouter::new(style), &device, circuit, &config, false).unwrap()
+        driver::compile(GreedyRouter::new(style), &device, circuit, &config, false).unwrap().0
     }
 
     fn place(style: BaselineStyle, circuit: &Circuit, topo: &QccdTopology) -> Placement {

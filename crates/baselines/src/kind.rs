@@ -11,7 +11,8 @@ use crate::greedy::{BaselineStyle, GreedyRouter};
 use ssync_arch::Device;
 use ssync_circuit::Circuit;
 use ssync_core::{
-    driver, CompileError, CompileOutcome, CompileScratch, CompilerConfig, PermRouter, SSyncCompiler,
+    driver, CompileError, CompileOutcome, CompileScratch, CompilerConfig, PermRouter, RunReport,
+    SSyncCompiler,
 };
 
 /// Every compiler the workspace can run against a prepared [`Device`].
@@ -77,11 +78,14 @@ impl CompilerKind {
         config: &CompilerConfig,
     ) -> Result<CompileOutcome, CompileError> {
         self.compile_on_with(device, circuit, config, &mut CompileScratch::default())
+            .map(|(outcome, _)| outcome)
     }
 
-    /// [`CompilerKind::compile_on`] with reusable worker state: `scratch`
+    /// [`CompilerKind::compile_on`] with reusable worker state, returning
+    /// the run's [`RunReport`] (scoring counters, and the flight recording
+    /// when the scratch's switch is on) beside the outcome: `scratch`
     /// carries the S-SYNC scheduler's working memory across compiles and
-    /// the flight-recorder switch every kind reads. Output is
+    /// the flight-recorder switch every kind reads. The outcome is
     /// bit-identical to `compile_on` for any scratch — it only recycles
     /// allocations and observes.
     ///
@@ -99,7 +103,7 @@ impl CompilerKind {
         circuit: &Circuit,
         config: &CompilerConfig,
         scratch: &mut CompileScratch,
-    ) -> Result<CompileOutcome, CompileError> {
+    ) -> Result<(CompileOutcome, RunReport), CompileError> {
         let record = scratch.flight_recorder();
         let style = match self {
             CompilerKind::SSync => {
@@ -171,7 +175,8 @@ mod tests {
         let mut scratch = CompileScratch::default();
         for kind in CompilerKind::ALL {
             let plain = kind.compile_on(&device, &circuit, &config).unwrap();
-            let prepared = kind.compile_on_with(&device, &circuit, &config, &mut scratch).unwrap();
+            let (prepared, _) =
+                kind.compile_on_with(&device, &circuit, &config, &mut scratch).unwrap();
             assert_eq!(plain.program().ops(), prepared.program().ops(), "{kind:?}");
             assert_eq!(plain.final_placement(), prepared.final_placement(), "{kind:?}");
             assert_eq!(plain.scheduler_stats(), prepared.scheduler_stats(), "{kind:?}");
@@ -184,16 +189,18 @@ mod tests {
         let config = CompilerConfig::default();
         let device = Device::build(QccdTopology::grid(2, 2, 5), config.weights);
         for kind in CompilerKind::ALL {
-            let plain = kind.compile_on(&device, &circuit, &config).unwrap();
-            let recorded = kind
+            let (plain, plain_run) = kind
+                .compile_on_with(&device, &circuit, &config, &mut CompileScratch::default())
+                .unwrap();
+            let (recorded, run) = kind
                 .compile_on_with(&device, &circuit, &config, &mut CompileScratch::new(true))
                 .unwrap();
             assert!(plain.counts().shuttles > 0, "{kind:?} routes on this device");
             assert_eq!(plain.program().ops(), recorded.program().ops(), "{kind:?}");
             assert_eq!(plain.final_placement(), recorded.final_placement(), "{kind:?}");
             assert_eq!(plain.scheduler_stats(), recorded.scheduler_stats(), "{kind:?}");
-            assert!(plain.flight_recording().is_none(), "{kind:?} recorded with the switch off");
-            let events = &recorded.flight_recording().expect("switch on records").events;
+            assert!(plain_run.recording.is_none(), "{kind:?} recorded with the switch off");
+            let events = &run.recording.expect("switch on records").events;
             let opened = events.iter().filter(|e| matches!(e, FlightEvent::LayerOpened { .. }));
             let drained: u64 = events
                 .iter()

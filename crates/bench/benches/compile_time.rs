@@ -323,9 +323,9 @@ fn bench_service_throughput(c: &mut Criterion) {
 /// recompiles.
 fn bench_cache_eviction(c: &mut Criterion) {
     use ssync_arch::Device;
-    use ssync_core::{CacheBounds, SSyncCompiler};
+    use ssync_core::SSyncCompiler;
     use ssync_service::hash::{config_hash, device_fingerprint};
-    use ssync_service::{CacheKey, ResultCache};
+    use ssync_service::{CacheBounds, CacheKey, ResultCache};
     use std::sync::Arc;
 
     let base = CompilerConfig::default();
@@ -465,8 +465,8 @@ fn bench_flight_recorder(c: &mut Criterion) {
 
     // Bit-identity gate, outside the timed region.
     for kind in CompilerKind::ALL {
-        let plain = compile(kind, false);
-        let recorded = compile(kind, true);
+        let (plain, plain_run) = compile(kind, false);
+        let (recorded, run) = compile(kind, true);
         assert_eq!(
             plain.program().ops(),
             recorded.program().ops(),
@@ -482,9 +482,9 @@ fn bench_flight_recorder(c: &mut Criterion) {
             recorded.scheduler_stats(),
             "{kind:?}: recording changed scheduler stats"
         );
-        assert!(plain.flight_recording().is_none(), "{kind:?}: off means off");
+        assert!(plain_run.recording.is_none(), "{kind:?}: off means off");
         if matches!(kind, CompilerKind::SSync | CompilerKind::PermRoute) {
-            let recording = recorded.flight_recording().expect("instrumented compiler records");
+            let recording = run.recording.expect("instrumented compiler records");
             assert!(!recording.events.is_empty(), "{kind:?}: recording captured events");
         }
     }
@@ -496,7 +496,7 @@ fn bench_flight_recorder(c: &mut Criterion) {
             b.iter(|| {
                 CompilerKind::ALL
                     .into_iter()
-                    .map(|kind| compile(kind, recording).counts().shuttles)
+                    .map(|kind| compile(kind, recording).0.counts().shuttles)
                     .sum::<usize>()
             })
         });

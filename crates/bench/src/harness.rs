@@ -53,7 +53,7 @@ pub fn run_compiler_batch_with_workers<C: Borrow<Circuit> + Sync>(
     workers: usize,
 ) -> Vec<Result<CompileOutcome, CompileError>> {
     batch::parallel_map_with(workers, circuits, CompileScratch::default, |scratch, _, c| {
-        kind.compile_on_with(device, c.borrow(), config, scratch)
+        kind.compile_on_with(device, c.borrow(), config, scratch).map(|(outcome, _)| outcome)
     })
 }
 

@@ -1,17 +1,13 @@
 //! The top-level S-SYNC compiler pipeline (Fig. 1).
 
 use crate::config::CompilerConfig;
-use crate::driver;
+use crate::driver::{self, RunReport};
 use crate::error::CompileError;
 use crate::idealized::IdealizationMode;
-use crate::scheduler::{
-    SSyncRouting, Scheduler, SchedulerScratch, SchedulerStats, ScoringTelemetry,
-};
+use crate::scheduler::{SSyncRouting, Scheduler, SchedulerScratch, SchedulerStats};
 use ssync_arch::{Device, Placement, QccdTopology};
 use ssync_circuit::Circuit;
 use ssync_sim::{CompiledProgram, ExecutionReport, ExecutionTracer, OpCounts};
-use ssync_telemetry::FlightRecording;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Reusable per-worker compile state: the scheduler's working memory,
@@ -20,36 +16,38 @@ use std::time::Duration;
 /// switch. One instance belongs to one worker at a time (it is `Send` but
 /// deliberately not shared), may be reused across circuits *and* devices,
 /// and never influences compiled output — the batch golden tests and the
-/// `flight_recorder` bench pin that down.
+/// `flight_recorder` bench pin that down. The recording, like the scoring
+/// counters, comes back in the compile's [`RunReport`], never on the
+/// [`CompileOutcome`].
 #[derive(Debug, Default)]
 pub struct CompileScratch {
     scheduler: SchedulerScratch,
+    flight_recorder: bool,
 }
 
 impl CompileScratch {
     /// Empty working memory; with `flight_recorder` set, compiles run with
-    /// it carry a [`CompileOutcome::flight_recording`].
+    /// it return a [`RunReport::recording`].
     pub fn new(flight_recorder: bool) -> Self {
-        let mut scratch = Self::default();
-        scratch.scheduler.flight_recorder = flight_recorder;
-        scratch
+        CompileScratch { scheduler: SchedulerScratch::default(), flight_recorder }
     }
 
-    /// Whether compiles run with this scratch carry a flight recording.
+    /// Whether compiles run with this scratch record a flight recording.
     pub fn flight_recorder(&self) -> bool {
-        self.scheduler.flight_recorder
+        self.flight_recorder
     }
 }
 
 /// The result of compiling (and evaluating) a circuit for a QCCD device.
+/// Every field is a function of the compile's inputs except
+/// `compile_time`, so a result cache may store and serve it; what a run
+/// did beside it is the [`RunReport`] the driver returns with it.
 #[derive(Debug, Clone)]
 pub struct CompileOutcome {
     pub(crate) program: CompiledProgram,
     pub(crate) report: ExecutionReport,
     pub(crate) final_placement: Placement,
     pub(crate) scheduler_stats: SchedulerStats,
-    pub(crate) scoring_telemetry: ScoringTelemetry,
-    pub(crate) flight_recording: Option<Arc<FlightRecording>>,
     pub(crate) compile_time: Duration,
 }
 
@@ -68,8 +66,6 @@ impl CompileOutcome {
             report,
             final_placement,
             scheduler_stats: SchedulerStats::default(),
-            scoring_telemetry: ScoringTelemetry::default(),
-            flight_recording: None,
             compile_time,
         }
     }
@@ -85,17 +81,7 @@ impl CompileOutcome {
         scheduler_stats: SchedulerStats,
         compile_time: Duration,
     ) -> Self {
-        CompileOutcome {
-            program,
-            report,
-            final_placement,
-            scheduler_stats,
-            // Recordings (like scoring telemetry) describe work performed,
-            // not the result, so rebuilt outcomes never carry one.
-            flight_recording: None,
-            scoring_telemetry: ScoringTelemetry::default(),
-            compile_time,
-        }
+        CompileOutcome { program, report, final_placement, scheduler_stats, compile_time }
     }
 
     /// The hardware-compatible operation stream.
@@ -121,22 +107,6 @@ impl CompileOutcome {
     /// Search statistics of the generic-swap scheduler.
     pub fn scheduler_stats(&self) -> SchedulerStats {
         self.scheduler_stats
-    }
-
-    /// Candidate-scoring telemetry of the scheduler run that produced this
-    /// outcome (zeros for the other compiler kinds, for outcomes rebuilt by a
-    /// codec, and for cache hits — the counters describe *work performed*,
-    /// not the result, so they are deliberately not persisted).
-    pub fn scoring_telemetry(&self) -> ScoringTelemetry {
-        self.scoring_telemetry
-    }
-
-    /// The compile flight recording, when this compile ran with a
-    /// recording [`CompileScratch`]. Like [`CompileOutcome::scoring_telemetry`]
-    /// it describes the scheduling run, not the result: cache hits and
-    /// codec-rebuilt outcomes return `None`.
-    pub fn flight_recording(&self) -> Option<&Arc<FlightRecording>> {
-        self.flight_recording.as_ref()
     }
 
     /// Wall-clock compilation time (the Fig. 15 quantity): initial
@@ -238,15 +208,17 @@ impl SSyncCompiler {
         circuit: &Circuit,
     ) -> Result<CompileOutcome, CompileError> {
         self.compile_on_with_scratch(device, circuit, &mut CompileScratch::default())
+            .map(|(outcome, _)| outcome)
     }
 
     /// [`SSyncCompiler::compile_on`] reusing a caller-owned
-    /// [`CompileScratch`]: the scheduler's working memory is taken from
-    /// `scratch` for the duration of the compile and handed back
-    /// afterwards, so a worker compiling many circuits allocates its
-    /// buffers once, and the scratch's flight-recorder switch decides
-    /// whether the outcome carries a recording. Output is bit-identical to
-    /// `compile_on` — the scratch only recycles allocations and observes.
+    /// [`CompileScratch`], returning the run's [`RunReport`] beside the
+    /// outcome: the scheduler's working memory is taken from `scratch`
+    /// for the duration of the compile and handed back afterwards, so a
+    /// worker compiling many circuits allocates its buffers once, and the
+    /// scratch's flight-recorder switch decides whether the report
+    /// carries a recording. The outcome is bit-identical to `compile_on`
+    /// — the scratch only recycles allocations and observes.
     ///
     /// # Errors
     ///
@@ -261,22 +233,21 @@ impl SSyncCompiler {
         device: &Device,
         circuit: &Circuit,
         scratch: &mut CompileScratch,
-    ) -> Result<CompileOutcome, CompileError> {
-        let flight_recorder = scratch.flight_recorder();
+    ) -> Result<(CompileOutcome, RunReport), CompileError> {
         // The scheduler borrows the lazily-built all-pairs matrix, so
         // building it here, before the driver starts its timer, keeps that
         // per-device cost out of the first compile's compile_time.
         let mut scheduler =
             Scheduler::with_scratch(device, &self.config, std::mem::take(&mut scratch.scheduler));
-        let outcome = driver::compile(
+        let compiled = driver::compile(
             SSyncRouting::new(&mut scheduler, circuit),
             device,
             circuit,
             &self.config,
-            flight_recorder,
+            scratch.flight_recorder,
         );
         scratch.scheduler = scheduler.into_scratch();
-        outcome
+        compiled
     }
 }
 

@@ -148,75 +148,9 @@ impl CompilerConfig {
     }
 }
 
-/// Capacity bounds for a compile-result cache tier. `None` means
-/// "unbounded" on that axis; both axes bounded means an entry is evicted
-/// as soon as *either* cap is exceeded.
-///
-/// This lives in `ssync-core` (rather than the service crate) so every
-/// cache tier — the in-process `ssync-service` result cache today, any
-/// future standalone tier — shares one configuration vocabulary and the
-/// same environment plumbing:
-///
-/// * `SSYNC_CACHE_MAX_ENTRIES` — maximum number of cached outcomes.
-/// * `SSYNC_CACHE_MAX_BYTES` — approximate maximum resident bytes
-///   (measured by the cache's weight function, not the allocator).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheBounds {
-    /// Maximum number of entries, `None` for unbounded.
-    pub max_entries: Option<usize>,
-    /// Approximate maximum resident bytes, `None` for unbounded.
-    pub max_bytes: Option<usize>,
-}
-
-impl CacheBounds {
-    /// No bounds on either axis (the historical unbounded-cache behaviour).
-    pub const UNBOUNDED: CacheBounds = CacheBounds { max_entries: None, max_bytes: None };
-
-    /// Bounds with an entry cap only.
-    pub fn with_max_entries(entries: usize) -> Self {
-        CacheBounds { max_entries: Some(entries), max_bytes: None }
-    }
-
-    /// Bounds with a byte cap only.
-    pub fn with_max_bytes(bytes: usize) -> Self {
-        CacheBounds { max_entries: None, max_bytes: Some(bytes) }
-    }
-
-    /// Reads the bounds from `SSYNC_CACHE_MAX_ENTRIES` /
-    /// `SSYNC_CACHE_MAX_BYTES`. Missing or unparsable variables leave the
-    /// axis unbounded; `0` also means unbounded (so a wrapper script can
-    /// always set the variable).
-    pub fn from_env() -> Self {
-        fn axis(var: &str) -> Option<usize> {
-            std::env::var(var).ok()?.trim().parse::<usize>().ok().filter(|&n| n > 0)
-        }
-        CacheBounds {
-            max_entries: axis("SSYNC_CACHE_MAX_ENTRIES"),
-            max_bytes: axis("SSYNC_CACHE_MAX_BYTES"),
-        }
-    }
-
-    /// `true` when neither axis is bounded.
-    pub fn is_unbounded(&self) -> bool {
-        self.max_entries.is_none() && self.max_bytes.is_none()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cache_bounds_builders_and_unbounded() {
-        assert!(CacheBounds::UNBOUNDED.is_unbounded());
-        assert!(CacheBounds::default().is_unbounded());
-        let entries = CacheBounds::with_max_entries(16);
-        assert_eq!(entries.max_entries, Some(16));
-        assert!(!entries.is_unbounded());
-        let bytes = CacheBounds::with_max_bytes(1 << 20);
-        assert_eq!(bytes.max_bytes, Some(1 << 20));
-        assert!(!bytes.is_unbounded());
-    }
 
     #[test]
     fn defaults_match_paper_hyperparameters() {

@@ -13,6 +13,12 @@
 //! every kind: `LayerClosed` for each round whose drain retired gates, and
 //! `LayerOpened` on the first blocked round after such a drain (and on the
 //! first blocked round of a compile).
+//!
+//! A compile returns two values. The [`CompileOutcome`] is the result:
+//! apart from its compile time, a pure function of the inputs, which a
+//! result cache may keep. The
+//! [`RunReport`] says what this one run did: the scoring counters and the
+//! flight recording. Nothing in the report affects the outcome.
 
 use crate::compiler::CompileOutcome;
 use crate::config::CompilerConfig;
@@ -22,9 +28,18 @@ use crate::scheduler::{SchedulerStats, ScoringTelemetry};
 use ssync_arch::{Device, Placement};
 use ssync_circuit::{Circuit, DependencyDag};
 use ssync_sim::{CompiledProgram, ExecutionTracer, ScheduledOp};
-use ssync_telemetry::{FlightEvent, FlightRecorder};
-use std::sync::Arc;
+use ssync_telemetry::{FlightEvent, FlightRecorder, FlightRecording};
 use std::time::Instant;
+
+/// What one compile did, as opposed to what it produced: run telemetry
+/// that never feeds back into the program and is never cached with it.
+#[derive(Debug, Clone, Default)]
+pub struct RunReport {
+    /// The S-SYNC scheduler's scoring counters; zeros for the other kinds.
+    pub scoring: ScoringTelemetry,
+    /// The compile's flight recording, when it ran with the recorder on.
+    pub recording: Option<FlightRecording>,
+}
 
 /// What one compiler kind decides. [`compile`] does everything else.
 pub trait RoutingPolicy {
@@ -77,7 +92,7 @@ pub struct BlockedRound<'r> {
 /// program with the tracer built from `config`'s gate implementation,
 /// operation times and noise model. [`CompileOutcome::compile_time`]
 /// covers placement and routing; it excludes the evaluation. With
-/// `flight_recorder` set, the outcome carries the compile's flight
+/// `flight_recorder` set, the [`RunReport`] carries the compile's flight
 /// recording.
 ///
 /// # Errors
@@ -96,7 +111,7 @@ pub fn compile<P: RoutingPolicy>(
     circuit: &Circuit,
     config: &CompilerConfig,
     flight_recorder: bool,
-) -> Result<CompileOutcome, CompileError> {
+) -> Result<(CompileOutcome, RunReport), CompileError> {
     assert!(
         device.weights() == config.weights,
         "device was built with different edge weights than the compiler config"
@@ -116,17 +131,16 @@ pub fn compile<P: RoutingPolicy>(
     let compile_time = start.elapsed();
     // The outcome may live for long in a result cache: keep no slack.
     routed.program.shrink_to_fit();
-    let (scheduler_stats, scoring_telemetry) = policy.stats(routed.rounds);
+    let (scheduler_stats, scoring) = policy.stats(routed.rounds);
     let report = tracer(config).evaluate(&routed.program);
-    Ok(CompileOutcome {
+    let outcome = CompileOutcome {
         program: routed.program,
         report,
         final_placement: routed.placement,
         scheduler_stats,
-        scoring_telemetry,
-        flight_recording: recorder.map(|r| Arc::new(r.into_recording())),
         compile_time,
-    })
+    };
+    Ok((outcome, RunReport { scoring, recording: recorder.map(FlightRecorder::into_recording) }))
 }
 
 /// The execution tracer for `config`'s gate implementation, operation

@@ -79,7 +79,8 @@ mod scheduler;
 mod swap_schedule;
 
 pub use compiler::{CompileOutcome, CompileScratch, SSyncCompiler};
-pub use config::{CacheBounds, CompilerConfig, InitialMapping};
+pub use config::{CompilerConfig, InitialMapping};
+pub use driver::RunReport;
 pub use error::CompileError;
 pub use generic_swap::{GenericSwap, GenericSwapKind};
 pub use heuristic::{DecayTracker, HeuristicScorer, ReadinessMemo, ScoreCache, ScoringScratch};

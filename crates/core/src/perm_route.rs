@@ -432,7 +432,7 @@ mod tests {
     use super::*;
     use crate::driver;
     use crate::swap_schedule::SwapScheduleKind;
-    use crate::CompileOutcome;
+    use crate::{CompileOutcome, RunReport};
     use ssync_circuit::generators::{qft, random_two_qubit_circuit};
 
     fn compile(
@@ -440,7 +440,7 @@ mod tests {
         topo: &QccdTopology,
         config: &CompilerConfig,
         flight_recorder: bool,
-    ) -> CompileOutcome {
+    ) -> (CompileOutcome, RunReport) {
         let device = Device::build(topo.clone(), config.weights);
         driver::compile(PermRouter::new(config), &device, circuit, config, flight_recorder).unwrap()
     }
@@ -451,7 +451,7 @@ mod tests {
         let topo = QccdTopology::grid(2, 2, 6);
         for kind in SwapScheduleKind::ALL {
             let config = CompilerConfig::default().with_perm_schedule(kind);
-            let outcome = compile(&circuit, &topo, &config, false);
+            let (outcome, _) = compile(&circuit, &topo, &config, false);
             assert_eq!(
                 outcome.counts().two_qubit_gates,
                 circuit.two_qubit_gate_count(),
@@ -466,13 +466,13 @@ mod tests {
         let circuit = random_two_qubit_circuit(12, 60, 3);
         let topo = QccdTopology::grid(2, 2, 5);
         let config = CompilerConfig::default();
-        let bubble = compile(
+        let (bubble, _) = compile(
             &circuit,
             &topo,
             &config.with_perm_schedule(SwapScheduleKind::BubbleSort),
             false,
         );
-        let recursive = compile(
+        let (recursive, _) = compile(
             &circuit,
             &topo,
             &config.with_perm_schedule(SwapScheduleKind::RecursiveSplitTwo),
@@ -492,7 +492,7 @@ mod tests {
         // cascaded space-making.
         let circuit = random_two_qubit_circuit(15, 80, 11);
         let topo = QccdTopology::grid(2, 2, 4);
-        let outcome = compile(&circuit, &topo, &CompilerConfig::default(), false);
+        let (outcome, _) = compile(&circuit, &topo, &CompilerConfig::default(), false);
         assert_eq!(outcome.counts().two_qubit_gates, circuit.two_qubit_gate_count());
         outcome.final_placement().validate().unwrap();
     }
@@ -512,15 +512,15 @@ mod tests {
         let circuit = random_two_qubit_circuit(12, 60, 7);
         let topo = QccdTopology::grid(2, 2, 5);
         let config = CompilerConfig::default();
-        let plain = compile(&circuit, &topo, &config, false);
-        let recorded = compile(&circuit, &topo, &config, true);
+        let (plain, plain_run) = compile(&circuit, &topo, &config, false);
+        let (recorded, run) = compile(&circuit, &topo, &config, true);
 
         // Bit-identical output: the recorder observes, it never steers.
         assert_eq!(plain.program().ops(), recorded.program().ops());
         assert_eq!(plain.final_placement(), recorded.final_placement());
 
-        assert!(plain.flight_recording().is_none(), "recorder off must not record");
-        let recording = recorded.flight_recording().expect("recorder on must record");
+        assert!(plain_run.recording.is_none(), "recorder off must not record");
+        let recording = run.recording.expect("recorder on must record");
         assert!(!recording.events.is_empty());
         let mut layers = 0usize;
         let mut schedules = 0usize;

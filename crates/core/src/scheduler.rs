@@ -32,7 +32,7 @@ use ssync_arch::{
 };
 use ssync_circuit::{Circuit, DependencyDag, Gate, LookaheadScratch, NodeId};
 use ssync_sim::{CompiledProgram, ScheduledOp};
-use ssync_telemetry::{FlightEvent, FlightRecorder, FlightRecording};
+use ssync_telemetry::{FlightEvent, FlightRecorder};
 use std::collections::{HashSet, VecDeque};
 use std::time::Instant;
 
@@ -153,9 +153,6 @@ impl RecentSwaps {
 /// enforce.
 #[derive(Debug, Default)]
 pub struct SchedulerScratch {
-    /// Whether compiles and [`Scheduler::run`] fill a flight recorder
-    /// (set through [`crate::CompileScratch::new`]).
-    pub(crate) flight_recorder: bool,
     frontier: Vec<(NodeId, Gate)>,
     lookahead: Vec<(NodeId, Gate)>,
     lookahead_ids: Vec<NodeId>,
@@ -200,12 +197,6 @@ pub struct Scheduler<'a> {
     intra_edges: usize,
     /// Reusable working memory (cleared, never reallocated, per iteration).
     scratch: SchedulerScratch,
-    /// The flight recorder of the last [`Scheduler::run`], present when
-    /// the scratch's `flight_recorder` switch was on. Observation-only:
-    /// nothing in the scheduling loop ever reads it, so output is
-    /// bit-identical with or without it. [`Scheduler::run_reference`]
-    /// never records.
-    recorder: Option<FlightRecorder>,
 }
 
 impl<'a> Scheduler<'a> {
@@ -254,7 +245,6 @@ impl<'a> Scheduler<'a> {
             trap_edges: device.trap_edge_index(),
             intra_edges: graph.edges().partition_point(|e| e.kind == EdgeKind::IntraTrap),
             scratch,
-            recorder: None,
         }
     }
 
@@ -279,14 +269,6 @@ impl<'a> Scheduler<'a> {
         self.telemetry
     }
 
-    /// Takes the flight recording of the last [`Scheduler::run`], if the
-    /// scratch's flight-recorder switch was on. Like the scoring
-    /// telemetry, events describe the run's decisions, not its output,
-    /// which stays bit-identical with or without the recorder.
-    pub fn take_recording(&mut self) -> Option<FlightRecording> {
-        self.recorder.take().map(FlightRecorder::into_recording)
-    }
-
     /// The precomputed all-pairs slot distance matrix.
     pub fn distance_matrix(&self) -> &DistanceMatrix {
         self.dist
@@ -298,6 +280,9 @@ impl<'a> Scheduler<'a> {
     /// [`CompiledProgram`]. This is the compile driver's routing loop with
     /// the S-SYNC policy, minus the initial placement, validation and
     /// evaluation, so output and stats are those of an S-SYNC compile.
+    /// Like [`Scheduler::run_reference`] it records no flight events; a
+    /// recording comes from a compile run with a recording
+    /// [`crate::CompileScratch`].
     ///
     /// # Errors
     ///
@@ -309,17 +294,14 @@ impl<'a> Scheduler<'a> {
         circuit: &Circuit,
         placement: Placement,
     ) -> Result<(CompiledProgram, Placement), CompileError> {
-        let mut recorder = self.scratch.flight_recorder.then(FlightRecorder::with_default_capacity);
         let mechanics = Mechanics::new(self.graph, self.router);
         let routed = driver::route(
             &mut SSyncRouting::new(self, circuit),
             &mechanics,
             circuit,
             placement,
-            recorder.as_mut(),
-        );
-        self.recorder = recorder;
-        let routed = routed?;
+            None,
+        )?;
         self.stats.iterations = routed.rounds;
         Ok((routed.program, routed.placement))
     }
@@ -436,10 +418,6 @@ impl<'a> Scheduler<'a> {
     ) -> Result<(CompiledProgram, Placement), CompileError> {
         self.stats = SchedulerStats::default();
         self.telemetry = ScoringTelemetry::default();
-        // The reference transcription never records — drop any recording
-        // left over from a previous `run` so `take_recording` can't serve
-        // a stale stream.
-        self.recorder = None;
         let mut program =
             CompiledProgram::new(circuit.num_qubits(), self.graph.topology().num_traps());
         for gate in circuit.iter() {
@@ -647,9 +625,8 @@ impl<'a> Scheduler<'a> {
 
     /// Applies a chosen generic swap: mutates the placement, emits the
     /// corresponding hardware operation and marks the moved qubits in the
-    /// decay tracker. `recorder` (taken out of `self` by the caller to
-    /// sidestep the shared borrow — `run_reference` always passes `None`)
-    /// logs executed shuttles.
+    /// decay tracker. `recorder` (the compile's flight recorder, if any;
+    /// `run_reference` always passes `None`) logs executed shuttles.
     fn apply_swap(
         &self,
         swap: &GenericSwap,
@@ -1072,20 +1049,19 @@ mod tests {
         let topo = QccdTopology::grid(2, 2, 5);
         let config = CompilerConfig::default();
         let device = Device::build(topo, config.weights);
-        let placement = initial::build_placement(&circuit, &device, &config);
+        let compiler = crate::SSyncCompiler::new(config);
+        let compile = |recorder: bool| {
+            let mut scratch = crate::CompileScratch::new(recorder);
+            compiler.compile_on_with_scratch(&device, &circuit, &mut scratch).unwrap()
+        };
 
-        let mut plain = Scheduler::new(&device, &config);
-        let (base_program, base_placement) = plain.run(&circuit, placement.clone()).unwrap();
-        let base_stats = plain.stats();
-        assert!(plain.take_recording().is_none(), "recorder off records nothing");
-
-        let recording_scratch = SchedulerScratch { flight_recorder: true, ..Default::default() };
-        let mut recording = Scheduler::with_scratch(&device, &config, recording_scratch);
-        let (rec_program, rec_placement) = recording.run(&circuit, placement.clone()).unwrap();
-        assert_eq!(base_program.ops(), rec_program.ops(), "recorder changed compiled output");
-        assert_eq!(base_placement, rec_placement);
-        assert_eq!(base_stats, recording.stats());
-        let stream = recording.take_recording().expect("recorder on yields a recording");
+        let (base, base_run) = compile(false);
+        assert!(base_run.recording.is_none(), "recorder off records nothing");
+        let (recorded, run) = compile(true);
+        assert_eq!(base.program().ops(), recorded.program().ops(), "recorder changed output");
+        assert_eq!(base.final_placement(), recorded.final_placement());
+        assert_eq!(base.scheduler_stats(), recorded.scheduler_stats());
+        let stream = run.recording.expect("recorder on yields a recording");
         assert!(!stream.events.is_empty());
         assert!(stream.events.iter().any(|e| matches!(e, FlightEvent::LayerClosed { .. })));
         // Every winner carries a real runner-up margin: never negative,
@@ -1103,12 +1079,14 @@ mod tests {
         assert!(!margins.is_empty(), "the scheduler chose candidates");
         assert!(margins.iter().all(|m| m.is_nan() || *m >= 0.0), "negative margin: {margins:?}");
         assert!(margins.iter().any(|m| m.is_finite()), "no pass recorded a finite margin");
-        assert!(recording.take_recording().is_none(), "take_recording drains");
 
-        // run_reference never records, even with the flag on.
-        let (ref_program, _) = recording.run_reference(&circuit, placement).unwrap();
-        assert_eq!(base_program.ops(), ref_program.ops());
-        assert!(recording.take_recording().is_none());
+        // The scheduler's own entry points emit the same program.
+        let placement = initial::build_placement(&circuit, &device, &config);
+        let mut scheduler = Scheduler::new(&device, &config);
+        let (run_program, _) = scheduler.run(&circuit, placement.clone()).unwrap();
+        let (ref_program, _) = scheduler.run_reference(&circuit, placement).unwrap();
+        assert_eq!(recorded.program().ops(), run_program.ops());
+        assert_eq!(recorded.program().ops(), ref_program.ops());
     }
 
     #[test]

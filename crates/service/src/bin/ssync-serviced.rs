@@ -85,8 +85,9 @@
 //! (rendered by the same text-exposition writer) before the process
 //! ends.
 
-use ssync_core::CacheBounds;
-use ssync_service::{front, render_text, CompileService, FrontConfig, Priority, SLO_TICK_INTERVAL};
+use ssync_service::{
+    front, render_text, CacheBounds, CompileService, FrontConfig, Priority, SLO_TICK_INTERVAL,
+};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;

@@ -45,7 +45,7 @@
 
 use crate::codec::{self, ByteReader, ByteWriter, CodecError};
 use ssync_baselines::CompilerKind;
-use ssync_core::{CacheBounds, CompileOutcome};
+use ssync_core::CompileOutcome;
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -104,6 +104,56 @@ impl CompiledWeight for CompileOutcome {
     }
 }
 
+/// Capacity bounds for the in-memory tier of a [`ResultCache`]. `None`
+/// means "unbounded" on that axis; both axes bounded means an entry is
+/// evicted as soon as *either* cap is exceeded. [`CacheBounds::from_env`]
+/// reads them from the environment:
+///
+/// * `SSYNC_CACHE_MAX_ENTRIES` — maximum number of cached outcomes.
+/// * `SSYNC_CACHE_MAX_BYTES` — approximate maximum resident bytes
+///   (measured by the cache's weight function, not the allocator).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CacheBounds {
+    /// Maximum number of entries, `None` for unbounded.
+    pub max_entries: Option<usize>,
+    /// Approximate maximum resident bytes, `None` for unbounded.
+    pub max_bytes: Option<usize>,
+}
+
+impl CacheBounds {
+    /// No bounds on either axis (the historical unbounded-cache behaviour).
+    pub const UNBOUNDED: CacheBounds = CacheBounds { max_entries: None, max_bytes: None };
+
+    /// Bounds with an entry cap only.
+    pub fn with_max_entries(entries: usize) -> Self {
+        CacheBounds { max_entries: Some(entries), max_bytes: None }
+    }
+
+    /// Bounds with a byte cap only.
+    pub fn with_max_bytes(bytes: usize) -> Self {
+        CacheBounds { max_entries: None, max_bytes: Some(bytes) }
+    }
+
+    /// Reads the bounds from `SSYNC_CACHE_MAX_ENTRIES` /
+    /// `SSYNC_CACHE_MAX_BYTES`. Missing or unparsable variables leave the
+    /// axis unbounded; `0` also means unbounded (so a wrapper script can
+    /// always set the variable).
+    pub fn from_env() -> Self {
+        fn axis(var: &str) -> Option<usize> {
+            std::env::var(var).ok()?.trim().parse::<usize>().ok().filter(|&n| n > 0)
+        }
+        CacheBounds {
+            max_entries: axis("SSYNC_CACHE_MAX_ENTRIES"),
+            max_bytes: axis("SSYNC_CACHE_MAX_BYTES"),
+        }
+    }
+
+    /// `true` when neither axis is bounded.
+    pub fn is_unbounded(&self) -> bool {
+        self.max_entries.is_none() && self.max_bytes.is_none()
+    }
+}
+
 /// Full configuration of a [`ResultCache`]: capacity bounds for the
 /// in-memory tier and the optional persistent directory tier, including
 /// the startup garbage collection that keeps the directory bounded on
@@ -130,11 +180,6 @@ pub struct CacheConfig {
 }
 
 impl CacheConfig {
-    /// An unbounded, memory-only configuration.
-    pub fn unbounded() -> Self {
-        Self::default()
-    }
-
     /// Returns a copy with the given capacity bounds.
     pub fn with_bounds(mut self, bounds: CacheBounds) -> Self {
         self.bounds = bounds;
@@ -446,46 +491,6 @@ impl ResultCache {
         let tmp = dir.join(format!(".{}.tmp-{}", key.file_name(), std::process::id()));
         std::fs::write(&tmp, &bytes)?;
         std::fs::rename(&tmp, dir.join(key.file_name()))
-    }
-
-    /// Writes every in-memory entry through to `dir` (creating it if
-    /// needed), regardless of whether the cache was configured with a
-    /// persistent tier. Returns the number of entries written.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first I/O failure; earlier files stay written.
-    pub fn snapshot_to(&self, dir: impl AsRef<Path>) -> std::io::Result<usize> {
-        let dir = dir.as_ref();
-        let entries: Vec<(CacheKey, Arc<CompileOutcome>)> = {
-            let inner = self.inner.lock().expect("cache lock poisoned");
-            inner.map.iter().map(|(k, e)| (*k, Arc::clone(&e.outcome))).collect()
-        };
-        for (key, outcome) in &entries {
-            self.store_persisted(dir, key, outcome)?;
-        }
-        Ok(entries.len())
-    }
-
-    /// Loads every valid `.outcome` file under `dir` into the memory tier
-    /// (still subject to the configured bounds). Corrupt files are skipped.
-    /// Returns the number of entries loaded. A missing directory loads
-    /// nothing.
-    pub fn load_from(&self, dir: impl AsRef<Path>) -> usize {
-        let Ok(listing) = std::fs::read_dir(dir.as_ref()) else { return 0 };
-        let mut paths: Vec<PathBuf> = listing
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.extension().is_some_and(|ext| ext == "outcome"))
-            .collect();
-        paths.sort(); // deterministic load (and eviction) order
-        let mut loaded = 0usize;
-        for path in paths {
-            let Ok(bytes) = std::fs::read(&path) else { continue };
-            let Ok((key, outcome)) = decode_persisted(&bytes) else { continue };
-            self.insert_memory(key, Arc::new(outcome));
-            loaded += 1;
-        }
-        loaded
     }
 
     /// Number of stored in-memory entries.
@@ -931,25 +936,14 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_and_load_round_trip_a_whole_cache() {
-        let dir = std::env::temp_dir().join(format!("ssync-cache-snap-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-
-        let source = ResultCache::new();
-        let outcome = some_outcome();
-        for n in 0..3 {
-            source.insert(key_n(n), Arc::clone(&outcome));
-        }
-        assert_eq!(source.snapshot_to(&dir).expect("snapshot"), 3);
-
-        let target = ResultCache::new();
-        assert_eq!(target.load_from(&dir), 3);
-        for n in 0..3 {
-            let loaded = target.get(&key_n(n)).expect("loaded entry");
-            assert_eq!(outcome.program().ops(), loaded.program().ops());
-        }
-        assert_eq!(ResultCache::new().load_from(dir.join("missing-subdir")), 0);
-
-        let _ = std::fs::remove_dir_all(&dir);
+    fn cache_bounds_builders_and_unbounded() {
+        assert!(CacheBounds::UNBOUNDED.is_unbounded());
+        assert!(CacheBounds::default().is_unbounded());
+        let entries = CacheBounds::with_max_entries(16);
+        assert_eq!(entries.max_entries, Some(16));
+        assert!(!entries.is_unbounded());
+        let bytes = CacheBounds::with_max_bytes(1 << 20);
+        assert_eq!(bytes.max_bytes, Some(1 << 20));
+        assert!(!bytes.is_unbounded());
     }
 }

@@ -498,7 +498,7 @@ impl ServiceClient {
     /// Transport/codec failures.
     pub fn metrics(&mut self) -> Result<crate::ServiceMetrics, ClientError> {
         match self.round_trip(&Request::Metrics)? {
-            Response::Metrics(metrics) => Ok(metrics),
+            Response::Metrics(metrics) => Ok(*metrics),
             _ => Err(ClientError::UnexpectedResponse("metrics expected Metrics")),
         }
     }

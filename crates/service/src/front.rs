@@ -370,7 +370,7 @@ impl Session {
                     Control::Continue,
                 ),
             },
-            Request::Metrics => (Response::Metrics(service.metrics()), Control::Continue),
+            Request::Metrics => (Response::Metrics(Box::new(service.metrics())), Control::Continue),
             Request::GetStats => (
                 Response::StatsText {
                     text: render_text(&service.metrics(), &service.telemetry().snapshot()),

@@ -72,7 +72,7 @@ pub mod registry;
 pub mod telemetry;
 pub mod wire;
 
-pub use cache::{CacheConfig, CacheKey, CacheStats, CompiledWeight, ResultCache};
+pub use cache::{CacheBounds, CacheConfig, CacheKey, CacheStats, CompiledWeight, ResultCache};
 pub use client::{BackoffPolicy, ServiceClient};
 pub use front::FrontConfig;
 pub use job::{CompileRequest, JobHandle, JobResult, Priority, TenantId};

@@ -2,6 +2,7 @@
 
 use crate::cache::CacheStats;
 use crate::job::Priority;
+use ssync_core::ScoringTelemetry;
 use std::time::Duration;
 
 /// Per-worker execution counters.
@@ -58,22 +59,18 @@ pub struct ServiceMetrics {
     /// deletions themselves land in
     /// [`CacheStats::persist_gc_deleted`](crate::CacheStats)).
     pub janitor_gc_runs: u64,
-    /// Generic-swap candidates scored by the intra-compile scheduler
-    /// across every compile this pool executed. **Deliberately zero for
-    /// work not performed here**: cache hits never ran a scheduler, and
-    /// outcomes rebuilt from the persistent tier's codec decode with
-    /// zeroed scoring telemetry (`CompileOutcome::from_saved_parts`), so
-    /// neither contributes. A pool that served everything from cache
-    /// reports 0 regardless of how much scoring the original compiles
-    /// did — the `persist_tier_outcomes_report_zero_scoring_counters`
-    /// test pins this.
-    pub candidates_scored: u64,
-    /// Scoring passes run by those schedulers: one per candidate or
-    /// stall-fallback pass.
-    pub scoring_passes: u64,
-    /// Route-readiness memo hits during scoring — the intra-pass
-    /// locality the per-pass memo recovers.
-    pub readiness_memo_hits: u64,
+    /// The S-SYNC scheduler's scoring counters, summed over the
+    /// [`RunReport`](ssync_core::RunReport)s of every compile this pool
+    /// executed. **Deliberately zero for work not performed here**: a
+    /// cache hit, from memory or from the persistent tier, serves an
+    /// outcome without running a scheduler, so it adds nothing. A pool that
+    /// served everything from cache reports zeros regardless of how much
+    /// scoring the original compiles did — the
+    /// `persist_tier_outcomes_report_zero_scoring_counters` test pins
+    /// this. The text exposition names them `ssync_candidates_scored_total`,
+    /// `ssync_scoring_passes_total`, `ssync_readiness_memo_hits_total` and
+    /// `ssync_sched_*_total`.
+    pub scoring: ScoringTelemetry,
     /// Request traces finished by the telemetry layer.
     pub traces_recorded: u64,
     /// Traces at or above the daemon's slow-request threshold, each

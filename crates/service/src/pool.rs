@@ -51,8 +51,8 @@
 //! ```
 //! use ssync_baselines::CompilerKind;
 //! use ssync_circuit::generators::qft;
-//! use ssync_core::{CacheBounds, CompilerConfig};
-//! use ssync_service::{CompileRequest, CompileService, Priority, TenantId};
+//! use ssync_core::CompilerConfig;
+//! use ssync_service::{CacheBounds, CompileRequest, CompileService, Priority, TenantId};
 //! use std::sync::Arc;
 //!
 //! let service = CompileService::builder()
@@ -82,13 +82,15 @@
 //! [`set_tenant_weight`]: CompileService::set_tenant_weight
 //! [`CompilerKind::compile_on`]: ssync_baselines::CompilerKind::compile_on
 
-use crate::cache::{CacheConfig, CacheKey, ResultCache};
+use crate::cache::{CacheBounds, CacheConfig, CacheKey, ResultCache};
 use crate::hash::config_hash;
-use crate::job::{CompileRequest, JobHandle, JobResult, JobState, Priority, TenantId};
+use crate::job::{CompileRequest, JobHandle, JobState, Priority, TenantId};
 use crate::metrics::{ServiceMetrics, WorkerMetrics};
 use crate::registry::DeviceRegistry;
 use crate::telemetry::{kind_slug, ServiceTelemetry, Stage, TRACE_JOURNAL_CAPACITY};
-use ssync_core::{batch, CacheBounds, CompileError, CompileScratch};
+use ssync_core::{
+    batch, CompileError, CompileOutcome, CompileScratch, RunReport, ScoringTelemetry,
+};
 use ssync_telemetry::Span;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -258,9 +260,8 @@ struct Shared {
     rejected_unauthorized: AtomicU64,
     conns_timed_out: AtomicU64,
     janitor_gc_runs: AtomicU64,
-    candidates_scored: AtomicU64,
-    scoring_passes: AtomicU64,
-    readiness_memo_hits: AtomicU64,
+    /// The scoring counters of every compile this pool ran, summed.
+    scoring: Mutex<ScoringTelemetry>,
     executed: Vec<AtomicU64>,
     telemetry: ServiceTelemetry,
 }
@@ -290,8 +291,7 @@ impl Shared {
 /// [`CompileService::builder`].
 ///
 /// ```
-/// use ssync_core::CacheBounds;
-/// use ssync_service::CompileService;
+/// use ssync_service::{CacheBounds, CompileService};
 ///
 /// let service = CompileService::builder()
 ///     .workers(2)
@@ -326,10 +326,10 @@ impl CompileServiceBuilder {
 
     /// Sets the result cache's entry/byte bounds — including an explicit
     /// [`CacheBounds::UNBOUNDED`], which is honoured verbatim. Only when
-    /// this method (and [`CompileServiceBuilder::cache_config`]) was never
-    /// called does [`CompileServiceBuilder::build`] fall back to
-    /// [`CacheBounds::from_env`], i.e. the `SSYNC_CACHE_MAX_ENTRIES` /
-    /// `SSYNC_CACHE_MAX_BYTES` environment variables.
+    /// this method was never called does [`CompileServiceBuilder::build`]
+    /// fall back to [`CacheBounds::from_env`], i.e. the
+    /// `SSYNC_CACHE_MAX_ENTRIES` / `SSYNC_CACHE_MAX_BYTES` environment
+    /// variables.
     pub fn cache_bounds(mut self, bounds: CacheBounds) -> Self {
         self.bounds = Some(bounds);
         self
@@ -362,9 +362,9 @@ impl CompileServiceBuilder {
     /// clamped to 1. When never called, [`CompileServiceBuilder::build`]
     /// falls back to the `SSYNC_TRACE_JOURNAL_CAP` environment variable,
     /// then [`TRACE_JOURNAL_CAPACITY`]. The cap bounds how far back
-    /// `GetTrace` can reach — and, because each journal slot keeps its
-    /// compile's flight recording alive, how much recorder memory a busy
-    /// daemon retains.
+    /// `GetTrace` can reach — and, because a journal slot holds the only
+    /// reference to its compile's flight recording, how much recorder
+    /// memory a busy daemon retains: evicting a trace frees its recording.
     pub fn trace_journal_cap(mut self, cap: usize) -> Self {
         self.trace_journal_cap = Some(cap);
         self
@@ -380,16 +380,6 @@ impl CompileServiceBuilder {
     /// [`CompileScratch`], not in any request's config or cache key.
     pub fn flight_recorder(mut self, enabled: bool) -> Self {
         self.flight_recorder = Some(enabled);
-        self
-    }
-
-    /// Replaces the whole cache configuration (bounds count as explicitly
-    /// configured, so the environment fallback is disabled).
-    pub fn cache_config(mut self, config: CacheConfig) -> Self {
-        self.bounds = Some(config.bounds);
-        self.persist_dir = config.persist_dir;
-        self.persist_max_bytes = config.persist_max_bytes;
-        self.persist_max_age = config.persist_max_age;
         self
     }
 
@@ -494,9 +484,7 @@ impl CompileService {
             rejected_unauthorized: AtomicU64::new(0),
             conns_timed_out: AtomicU64::new(0),
             janitor_gc_runs: AtomicU64::new(0),
-            candidates_scored: AtomicU64::new(0),
-            scoring_passes: AtomicU64::new(0),
-            readiness_memo_hits: AtomicU64::new(0),
+            scoring: Mutex::default(),
             executed: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             telemetry: ServiceTelemetry::with_journal_cap(journal_cap),
         });
@@ -673,9 +661,7 @@ impl CompileService {
             rejected_unauthorized: self.shared.rejected_unauthorized.load(Ordering::Relaxed),
             conns_timed_out: self.shared.conns_timed_out.load(Ordering::Relaxed),
             janitor_gc_runs: self.shared.janitor_gc_runs.load(Ordering::Relaxed),
-            candidates_scored: self.shared.candidates_scored.load(Ordering::Relaxed),
-            scoring_passes: self.shared.scoring_passes.load(Ordering::Relaxed),
-            readiness_memo_hits: self.shared.readiness_memo_hits.load(Ordering::Relaxed),
+            scoring: *self.shared.scoring.lock().expect("scoring lock poisoned"),
             traces_recorded: self.shared.telemetry.traces_recorded(),
             slow_requests: self.shared.telemetry.slow_requests(),
             cache: self.shared.cache.stats(),
@@ -866,14 +852,14 @@ fn execute(shared: &Shared, me: usize, job: Job, scratch: &mut CompileScratch) {
     let expired =
         request.deadline_us.filter(|&d| submitted.elapsed() >= std::time::Duration::from_micros(d));
     let ran_compile = expired.is_none();
-    let result = match expired {
+    let compiled = match expired {
         Some(deadline_us) => {
             shared.deadline_expired.fetch_add(1, Ordering::Relaxed);
             Err(CompileError::DeadlineExceeded { deadline_us })
         }
         None => {
             let compile_started = Instant::now();
-            let result = run_compile(&request, scratch).unwrap_or_else(|panic_message| {
+            let compiled = run_compile(&request, scratch).unwrap_or_else(|panic_message| {
                 // A panicking compile must not take the worker (and every
                 // queued tenant behind it) down; surface it on the one
                 // affected handle and replace the possibly-inconsistent
@@ -884,33 +870,40 @@ fn execute(shared: &Shared, me: usize, job: Job, scratch: &mut CompileScratch) {
             let compile_time = compile_started.elapsed();
             shared.telemetry.span_record(&span, "compile", compile_time);
             shared.telemetry.record(Stage::Compile, priority, kind, compile_time);
-            result
+            compiled
         }
     };
-    if let Ok(outcome) = &result {
-        // Scoring-work telemetry counts compiles actually run here: cache
-        // hits and codec-rebuilt outcomes report zeros by design.
-        let scoring = outcome.scoring_telemetry();
-        shared.candidates_scored.fetch_add(scoring.candidates_scored, Ordering::Relaxed);
-        shared.scoring_passes.fetch_add(scoring.scoring_passes, Ordering::Relaxed);
-        shared.readiness_memo_hits.fetch_add(scoring.readiness_memo_hits, Ordering::Relaxed);
-        shared.telemetry.note_scheduler_phases(&scoring);
-        // Per-request scoring work as span attributes, so the slow-request
-        // JSONL and GetTrace show what this compile cost — not just the
-        // pool-wide aggregates.
-        let t = &shared.telemetry;
-        t.span_attr(&span, "candidates_scored", scoring.candidates_scored.to_string());
-        t.span_attr(&span, "scoring_passes", scoring.scoring_passes.to_string());
-        t.span_attr(&span, "readiness_memo_hits", scoring.readiness_memo_hits.to_string());
-        t.span_attr(&span, "frontier_rebuilds", scoring.frontier_rebuilds.to_string());
-        t.span_attr(&span, "stall_fallback_entries", scoring.stall_fallback_entries.to_string());
-        // Insert into the cache *before* retiring the pending entry:
-        // identical submissions racing this completion find the job in at
-        // least one of the two, so nothing recompiles.
-        let write_started = Instant::now();
-        shared.cache.insert(key, Arc::clone(outcome));
-        shared.telemetry.span_record(&span, "cache_write", write_started.elapsed());
-    }
+    // The outcome goes to the cache and the waiters; the run report goes
+    // to the pool's counters, the span and, with its recording, the trace
+    // journal alone.
+    let (result, recording) = match compiled {
+        Ok((outcome, report)) => {
+            let scoring = report.scoring;
+            shared.scoring.lock().expect("scoring lock poisoned").merge(&scoring);
+            // Per-request scoring work as span attributes, so the
+            // slow-request JSONL and GetTrace show what this compile cost
+            // — not just the pool-wide aggregates.
+            let t = &shared.telemetry;
+            t.span_attr(&span, "candidates_scored", scoring.candidates_scored.to_string());
+            t.span_attr(&span, "scoring_passes", scoring.scoring_passes.to_string());
+            t.span_attr(&span, "readiness_memo_hits", scoring.readiness_memo_hits.to_string());
+            t.span_attr(&span, "frontier_rebuilds", scoring.frontier_rebuilds.to_string());
+            t.span_attr(
+                &span,
+                "stall_fallback_entries",
+                scoring.stall_fallback_entries.to_string(),
+            );
+            // Insert into the cache *before* retiring the pending entry:
+            // identical submissions racing this completion find the job in
+            // at least one of the two, so nothing recompiles.
+            let outcome = Arc::new(outcome);
+            let write_started = Instant::now();
+            shared.cache.insert(key, Arc::clone(&outcome));
+            t.span_record(&span, "cache_write", write_started.elapsed());
+            (Ok(outcome), report.recording.map(Arc::new))
+        }
+        Err(error) => (Err(error), None),
+    };
     if registered {
         let mut pending = shared.pending.lock().expect("pending lock poisoned");
         pending.jobs.remove(&key);
@@ -936,7 +929,6 @@ fn execute(shared: &Shared, me: usize, job: Job, scratch: &mut CompileScratch) {
         (Err(_), true) => "compile_failed",
     };
     shared.telemetry.span_attr(&span, "outcome", outcome_label);
-    let recording = result.as_ref().ok().and_then(|outcome| outcome.flight_recording().cloned());
     shared.telemetry.finish_request_with(&span, priority, kind, recording);
     shared.completed.fetch_add(attached.load(Ordering::Relaxed), Ordering::Relaxed);
     state.fulfil(result);
@@ -948,12 +940,14 @@ fn execute(shared: &Shared, me: usize, job: Job, scratch: &mut CompileScratch) {
 fn run_compile(
     request: &CompileRequest,
     scratch: &mut CompileScratch,
-) -> Result<JobResult, String> {
+) -> Result<Result<(CompileOutcome, RunReport), CompileError>, String> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        request
-            .compiler
-            .compile_on_with(request.device.device(), &request.circuit, &request.config, scratch)
-            .map(Arc::new)
+        request.compiler.compile_on_with(
+            request.device.device(),
+            &request.circuit,
+            &request.config,
+            scratch,
+        )
     }))
     .map_err(|payload| {
         if let Some(s) = payload.downcast_ref::<&str>() {
@@ -1033,7 +1027,6 @@ mod tests {
         let (handle, span) =
             service.submit_traced(request(&service, &circuit, CompilerKind::SSync, &config));
         let outcome = handle.wait().expect("compiles");
-        assert!(outcome.flight_recording().is_some(), "executed compile carries its recording");
         let (record, recording) =
             service.telemetry().trace_detail(span.trace_id()).expect("trace journaled");
         assert_eq!(record.trace_id, span.trace_id());
@@ -1048,10 +1041,45 @@ mod tests {
         let (handle, span) =
             plain.submit_traced(request(&plain, &circuit, CompilerKind::SSync, &config));
         let bare = handle.wait().expect("compiles");
-        assert!(bare.flight_recording().is_none());
         assert_eq!(outcome.program().ops(), bare.program().ops(), "recorder never steers");
         let (_, recording) = plain.telemetry().trace_detail(span.trace_id()).expect("journaled");
         assert!(recording.is_none());
+    }
+
+    /// A recording lives exactly as long as its trace's journal slot: the
+    /// cached outcome does not hold it, so the journal cap bounds recorder
+    /// memory however many outcomes the cache keeps.
+    #[test]
+    fn the_trace_journal_alone_keeps_a_recording_alive() {
+        let service = CompileService::builder()
+            .workers(1)
+            .flight_recorder(true)
+            .trace_journal_cap(1)
+            .cache_bounds(CacheBounds::UNBOUNDED)
+            .build();
+        let config = CompilerConfig::default();
+        let device = service
+            .registry()
+            .get_or_build("tight", config.weights, || QccdTopology::grid(2, 2, 8));
+        let compile = |n: usize| {
+            let request = CompileRequest::new(
+                Arc::clone(&device),
+                Arc::new(qft(n)),
+                CompilerKind::SSync,
+                config,
+            );
+            let (handle, span) = service.submit_traced(request);
+            handle.wait().expect("compiles");
+            span.trace_id()
+        };
+        let first = compile(12);
+        let (_, recording) = service.telemetry().trace_detail(first).expect("journaled");
+        let recording = Arc::downgrade(&recording.expect("recorder on"));
+        compile(6);
+        compile(7);
+        assert!(service.telemetry().trace_detail(first).is_none(), "cap 1 evicted the trace");
+        assert_eq!(service.cache().len(), 3, "every outcome is still cached");
+        assert!(recording.upgrade().is_none(), "evicting the trace freed its recording");
     }
 
     #[test]
@@ -1151,9 +1179,11 @@ mod tests {
         assert!(matches!(bad.wait(), Err(CompileError::Internal { .. })));
         // The (sole) worker survives and keeps serving, and its fresh
         // scratch keeps the pool's recorder switch.
-        let good = service.submit(request(&service, &circuit, CompilerKind::SSync, &config));
-        let outcome = good.wait().expect("compiles after the panic");
-        assert!(outcome.flight_recording().is_some(), "the scratch reset kept the recorder on");
+        let (good, span) =
+            service.submit_traced(request(&service, &circuit, CompilerKind::SSync, &config));
+        good.wait().expect("compiles after the panic");
+        let (_, recording) = service.telemetry().trace_detail(span.trace_id()).expect("journaled");
+        assert!(recording.is_some(), "the scratch reset kept the recorder on");
     }
 
     #[test]
@@ -1383,7 +1413,7 @@ mod tests {
             .registry()
             .get_or_build("tight", config.weights, || QccdTopology::grid(2, 2, 8));
         let circuit = Arc::new(qft(12));
-        let outcome = service
+        service
             .submit(CompileRequest::new(
                 Arc::clone(&device),
                 Arc::clone(&circuit),
@@ -1393,15 +1423,22 @@ mod tests {
             .wait()
             .expect("compiles");
         let metrics = service.metrics();
-        assert!(metrics.candidates_scored > 0, "the S-SYNC scheduler scored candidates");
-        assert!(metrics.scoring_passes > 0);
-        assert_eq!(metrics.candidates_scored, outcome.scoring_telemetry().candidates_scored);
+        assert!(metrics.scoring.candidates_scored > 0, "the S-SYNC scheduler scored candidates");
+        assert!(metrics.scoring.scoring_passes > 0);
+        // Every counter but the wall time matches the same compile's run
+        // report in process.
+        let (_, run) = CompilerKind::SSync
+            .compile_on_with(device.device(), &circuit, &config, &mut CompileScratch::default())
+            .expect("compiles");
+        let untimed =
+            |scoring: ScoringTelemetry| ScoringTelemetry { scoring_time_ns: 0, ..scoring };
+        assert_eq!(untimed(metrics.scoring), untimed(run.scoring));
         // A cache hit re-serves the outcome without scoring anything.
         service
             .submit(CompileRequest::new(device, circuit, CompilerKind::SSync, config))
             .wait()
             .expect("hits");
-        assert_eq!(service.metrics().candidates_scored, metrics.candidates_scored);
+        assert_eq!(service.metrics().scoring, metrics.scoring);
     }
 
     #[test]
@@ -1421,13 +1458,12 @@ mod tests {
         assert_eq!(stats.evictions, 1);
     }
 
-    /// Pins the `candidates_scored` documentation contract: the counter
-    /// counts scoring work performed by *this* pool, so a pool that
-    /// serves a request from the persistent tier — whose outcome is
-    /// rebuilt by the codec with zeroed scoring telemetry
-    /// (`CompileOutcome::from_saved_parts`) — reports zero even though
-    /// the original compile scored thousands of candidates. The request
-    /// still finishes a trace (it is a cache hit, observed end to end).
+    /// Pins the `ServiceMetrics::scoring` documentation contract: the
+    /// counters count scoring work performed by *this* pool, so a pool
+    /// that serves a request from the persistent tier — a cached outcome,
+    /// which carries no run report — reports zero even though the
+    /// original compile scored thousands of candidates. The request still
+    /// finishes a trace (it is a cache hit, observed end to end).
     #[test]
     fn persist_tier_outcomes_report_zero_scoring_counters() {
         let dir = std::env::temp_dir().join(format!("ssync-pool-persist-{}", std::process::id()));
@@ -1445,16 +1481,18 @@ mod tests {
 
         let warm = CompileService::builder().workers(1).persist_dir(&dir).build();
         let original = warm.submit(tight(&warm)).wait().expect("compiles");
-        assert!(warm.metrics().candidates_scored > 0, "a real compile scores candidates");
+        assert!(warm.metrics().scoring.candidates_scored > 0, "a real compile scores candidates");
 
         let cold = CompileService::builder().workers(1).persist_dir(&dir).build();
         let replayed = cold.submit(tight(&cold)).wait().expect("persist-tier hit");
         let metrics = cold.metrics();
         assert_eq!(metrics.cache.persist_hits, 1, "served from the persistent tier");
         assert_eq!(metrics.jobs_executed(), 0, "no compile ran in the cold pool");
-        assert_eq!(metrics.candidates_scored, 0, "scoring not performed here is not counted");
-        assert_eq!(metrics.scoring_passes, 0);
-        assert_eq!(metrics.readiness_memo_hits, 0);
+        assert_eq!(
+            metrics.scoring,
+            ScoringTelemetry::default(),
+            "scoring not performed here is not counted"
+        );
         assert_eq!(metrics.traces_recorded, 1, "the cache hit still traces end to end");
         assert_eq!(original.program().ops(), replayed.program().ops());
         let _ = std::fs::remove_dir_all(&dir);

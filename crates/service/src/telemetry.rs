@@ -30,16 +30,14 @@
 //! `service_equivalence` golden suites run with telemetry live, and the
 //! `telemetry_overhead` bench asserts on-vs-off bit-identity.
 //!
-//! Scheduler-internal phase counters (frontier rebuilds, stall-fallback
-//! entries, scoring wall time) arrive through
-//! [`ScoringTelemetry`] — the side channel
-//! deliberately kept outside the golden-compared `SchedulerStats` — and
-//! are aggregated here per pool.
+//! The scheduler's scoring counters are not kept here: each compile's
+//! [`RunReport`](ssync_core::RunReport) carries them, the pool sums them
+//! into [`ServiceMetrics::scoring`], and [`render_text`] reads them from
+//! there.
 
 use crate::job::Priority;
 use crate::metrics::ServiceMetrics;
 use ssync_baselines::CompilerKind;
-use ssync_core::ScoringTelemetry;
 use ssync_telemetry::{
     BurnWindow, FlightRecording, HistogramSnapshot, LatencyHistogram, Span, TextExposition,
     TraceJournal, TraceRecord,
@@ -194,23 +192,11 @@ impl StageSnapshot {
     }
 }
 
-/// Plain-data snapshot of every histogram and telemetry counter, taken via
-/// [`ServiceTelemetry::snapshot`].
+/// Plain-data snapshot of every histogram and the SLO state, taken via
+/// [`ServiceTelemetry::snapshot`]. The counters are in [`ServiceMetrics`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TelemetrySnapshot {
     stages: [StageSnapshot; Stage::ALL.len()],
-    /// Finished request traces (cache hits, coalesced waiters, expired
-    /// deadlines and executed compiles alike).
-    pub traces_recorded: u64,
-    /// Finished traces at or above the slow-request threshold; each one
-    /// emitted a JSONL line on stderr.
-    pub slow_requests: u64,
-    /// Scheduler frontier rebuilds across every compile this pool ran.
-    pub frontier_rebuilds: u64,
-    /// Scheduler stall-fallback entries across every compile.
-    pub stall_fallback_entries: u64,
-    /// Wall time spent in scheduler scoring passes, nanoseconds.
-    pub scoring_time_ns: u64,
     /// Per-priority SLO latency targets, nanoseconds
     /// (indexed by [`Priority::index`]).
     pub slo_target_ns: [u64; 3],
@@ -236,9 +222,6 @@ pub struct ServiceTelemetry {
     slow_threshold_ns: AtomicU64,
     traces_recorded: AtomicU64,
     slow_requests: AtomicU64,
-    frontier_rebuilds: AtomicU64,
-    stall_fallback_entries: AtomicU64,
-    scoring_time_ns: AtomicU64,
     slo_target_ns: [AtomicU64; 3],
     slo_windows: Mutex<[[BurnWindow; 2]; 3]>,
 }
@@ -266,9 +249,6 @@ impl ServiceTelemetry {
             slow_threshold_ns: AtomicU64::new(SLOW_DISABLED),
             traces_recorded: AtomicU64::new(0),
             slow_requests: AtomicU64::new(0),
-            frontier_rebuilds: AtomicU64::new(0),
-            stall_fallback_entries: AtomicU64::new(0),
-            scoring_time_ns: AtomicU64::new(0),
             slo_target_ns: std::array::from_fn(|i| {
                 AtomicU64::new(DEFAULT_SLO_MS[i].saturating_mul(1_000_000))
             }),
@@ -381,14 +361,6 @@ impl ServiceTelemetry {
         }
     }
 
-    /// Fold one compile's scheduler-internal phase counters into the
-    /// pool-wide aggregates.
-    pub(crate) fn note_scheduler_phases(&self, scoring: &ScoringTelemetry) {
-        self.frontier_rebuilds.fetch_add(scoring.frontier_rebuilds, Ordering::Relaxed);
-        self.stall_fallback_entries.fetch_add(scoring.stall_fallback_entries, Ordering::Relaxed);
-        self.scoring_time_ns.fetch_add(scoring.scoring_time_ns, Ordering::Relaxed);
-    }
-
     /// Finished request traces so far.
     pub fn traces_recorded(&self) -> u64 {
         self.traces_recorded.load(Ordering::Relaxed)
@@ -454,15 +426,10 @@ impl ServiceTelemetry {
         std::array::from_fn(|p| std::array::from_fn(|w| windows[p][w].burn_ppm()))
     }
 
-    /// Snapshot every histogram and counter.
+    /// Snapshot every histogram and the SLO state.
     pub fn snapshot(&self) -> TelemetrySnapshot {
         TelemetrySnapshot {
             stages: std::array::from_fn(|i| self.stages[i].snapshot()),
-            traces_recorded: self.traces_recorded.load(Ordering::Relaxed),
-            slow_requests: self.slow_requests.load(Ordering::Relaxed),
-            frontier_rebuilds: self.frontier_rebuilds.load(Ordering::Relaxed),
-            stall_fallback_entries: self.stall_fallback_entries.load(Ordering::Relaxed),
-            scoring_time_ns: self.scoring_time_ns.load(Ordering::Relaxed),
             slo_target_ns: std::array::from_fn(|i| self.slo_target_ns[i].load(Ordering::Relaxed)),
             slo_burn_ppm: self.slo_burn_ppm(),
         }
@@ -526,13 +493,13 @@ pub fn render_text(metrics: &ServiceMetrics, telemetry: &TelemetrySnapshot) -> S
         (
             "ssync_candidates_scored_total",
             "Scheduler candidates scored across executed compiles.",
-            metrics.candidates_scored,
+            metrics.scoring.candidates_scored,
         ),
-        ("ssync_scoring_passes_total", "Scoring passes run.", metrics.scoring_passes),
+        ("ssync_scoring_passes_total", "Scoring passes run.", metrics.scoring.scoring_passes),
         (
             "ssync_readiness_memo_hits_total",
             "Readiness-memo hits during scoring.",
-            metrics.readiness_memo_hits,
+            metrics.scoring.readiness_memo_hits,
         ),
         ("ssync_cache_hits_total", "Result-cache hits.", metrics.cache.hits),
         ("ssync_cache_misses_total", "Result-cache misses.", metrics.cache.misses),
@@ -556,17 +523,17 @@ pub fn render_text(metrics: &ServiceMetrics, telemetry: &TelemetrySnapshot) -> S
         (
             "ssync_sched_frontier_rebuilds_total",
             "Scheduler frontier rebuilds across executed compiles.",
-            telemetry.frontier_rebuilds,
+            metrics.scoring.frontier_rebuilds,
         ),
         (
             "ssync_sched_stall_fallback_entries_total",
             "Scheduler stall-fallback entries across executed compiles.",
-            telemetry.stall_fallback_entries,
+            metrics.scoring.stall_fallback_entries,
         ),
         (
             "ssync_sched_scoring_time_ns_total",
             "Wall nanoseconds in scheduler scoring passes.",
-            telemetry.scoring_time_ns,
+            metrics.scoring.scoring_time_ns,
         ),
     ] {
         e.header(name, "counter", help);
@@ -639,6 +606,7 @@ pub fn render_text(metrics: &ServiceMetrics, telemetry: &TelemetrySnapshot) -> S
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ssync_core::ScoringTelemetry;
 
     #[test]
     fn trace_ids_are_unique_and_nonzero() {
@@ -730,9 +698,14 @@ mod tests {
             rejected_unauthorized: 0,
             conns_timed_out: 0,
             janitor_gc_runs: 0,
-            candidates_scored: 10,
-            scoring_passes: 2,
-            readiness_memo_hits: 1,
+            scoring: ScoringTelemetry {
+                candidates_scored: 10,
+                scoring_passes: 2,
+                readiness_memo_hits: 1,
+                frontier_rebuilds: 4,
+                stall_fallback_entries: 5,
+                scoring_time_ns: 6,
+            },
             traces_recorded: 3,
             slow_requests: 1,
             cache: Default::default(),
@@ -744,6 +717,9 @@ mod tests {
         assert!(doc.contains("ssync_jobs_submitted_by_priority_total{priority=\"high\"} 1\n"));
         assert!(doc.contains("ssync_traces_recorded_total 3\n"));
         assert!(doc.contains("ssync_slow_requests_total 1\n"));
+        assert!(doc.contains("ssync_candidates_scored_total 10\n"));
+        assert!(doc.contains("ssync_sched_stall_fallback_entries_total 5\n"));
+        assert!(doc.contains("ssync_sched_scoring_time_ns_total 6\n"));
         assert!(doc.contains("ssync_worker_executed_total{worker=\"0\"} 0\n"));
         assert!(doc
             .contains("ssync_stage_latency_p50_ns{stage=\"queue_wait\",priority=\"high\"} 5000\n"));

@@ -70,7 +70,7 @@ use crate::job::{Priority, TenantId};
 use crate::metrics::{ServiceMetrics, WorkerMetrics};
 use ssync_baselines::CompilerKind;
 use ssync_circuit::Circuit;
-use ssync_core::{CompileError, CompileOutcome, CompilerConfig};
+use ssync_core::{CompileError, CompileOutcome, CompilerConfig, ScoringTelemetry};
 use std::io::{IoSlice, Read, Write};
 use std::sync::Arc;
 use std::time::Duration;
@@ -79,7 +79,7 @@ use std::time::Duration;
 pub const WIRE_MAGIC: u32 = u32::from_le_bytes(*b"SSYC");
 /// The protocol version, written on every frame and the only one
 /// [`read_frame`] accepts; bumped on any payload layout change.
-pub const WIRE_VERSION: u32 = 9;
+pub const WIRE_VERSION: u32 = 10;
 /// Upper bound on a frame payload (a defence against corrupt length
 /// prefixes, not a practical limit — outcomes are kilobytes).
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
@@ -277,8 +277,9 @@ pub enum Response {
         /// Human-readable reason.
         reason: String,
     },
-    /// A metrics snapshot.
-    Metrics(ServiceMetrics),
+    /// A metrics snapshot, boxed because it is by far the largest
+    /// variant.
+    Metrics(Box<ServiceMetrics>),
     /// Acknowledges `Shutdown`; the daemon exits after sending it.
     ShuttingDown,
     /// A QASM submission was parsed and queued. Carries the
@@ -455,9 +456,12 @@ fn encode_metrics(w: &mut ByteWriter, m: &ServiceMetrics) {
         w.put_u64(worker.executed);
     }
     w.put_u64(m.uptime.as_nanos() as u64);
-    w.put_u64(m.candidates_scored);
-    w.put_u64(m.scoring_passes);
-    w.put_u64(m.readiness_memo_hits);
+    w.put_u64(m.scoring.candidates_scored);
+    w.put_u64(m.scoring.scoring_passes);
+    w.put_u64(m.scoring.readiness_memo_hits);
+    w.put_u64(m.scoring.frontier_rebuilds);
+    w.put_u64(m.scoring.stall_fallback_entries);
+    w.put_u64(m.scoring.scoring_time_ns);
     w.put_u64(m.traces_recorded);
     w.put_u64(m.slow_requests);
 }
@@ -494,9 +498,14 @@ fn decode_metrics(r: &mut ByteReader<'_>) -> Result<ServiceMetrics, CodecError> 
             workers
         },
         uptime: Duration::from_nanos(r.get_u64()?),
-        candidates_scored: r.get_u64()?,
-        scoring_passes: r.get_u64()?,
-        readiness_memo_hits: r.get_u64()?,
+        scoring: ScoringTelemetry {
+            candidates_scored: r.get_u64()?,
+            scoring_passes: r.get_u64()?,
+            readiness_memo_hits: r.get_u64()?,
+            frontier_rebuilds: r.get_u64()?,
+            stall_fallback_entries: r.get_u64()?,
+            scoring_time_ns: r.get_u64()?,
+        },
         traces_recorded: r.get_u64()?,
         slow_requests: r.get_u64()?,
     })
@@ -566,7 +575,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, CodecError> {
         2 => Response::Outcome(Arc::new(codec::decode_outcome(&mut r)?)),
         3 => Response::CompileFailed(codec::decode_compile_error(&mut r)?),
         4 => Response::Rejected { reason: r.get_str()? },
-        5 => Response::Metrics(decode_metrics(&mut r)?),
+        5 => Response::Metrics(Box::new(decode_metrics(&mut r)?)),
         6 => Response::ShuttingDown,
         7 => Response::QasmSubmitted {
             job: r.get_u64()?,
@@ -783,9 +792,14 @@ mod tests {
             rejected_unauthorized: 2,
             conns_timed_out: 3,
             janitor_gc_runs: 11,
-            candidates_scored: 4242,
-            scoring_passes: 99,
-            readiness_memo_hits: 1717,
+            scoring: ScoringTelemetry {
+                candidates_scored: 4242,
+                scoring_passes: 99,
+                readiness_memo_hits: 1717,
+                frontier_rebuilds: 31,
+                stall_fallback_entries: 3,
+                scoring_time_ns: 5_000_000,
+            },
             traces_recorded: 88,
             slow_requests: 6,
             cache: crate::cache::CacheStats {
@@ -815,7 +829,7 @@ mod tests {
             Response::Outcome(Arc::new(outcome)),
             Response::CompileFailed(CompileError::Overloaded { retry_after_ms: 25 }),
             Response::Rejected { reason: "unknown job".into() },
-            Response::Metrics(sample_metrics()),
+            Response::Metrics(Box::new(sample_metrics())),
             Response::ShuttingDown,
             Response::QasmSubmitted {
                 job: 11,
@@ -1136,9 +1150,9 @@ mod tests {
     #[test]
     fn metrics_responses_round_trip() {
         let metrics = sample_metrics();
-        let bytes = encode_response(&Response::Metrics(metrics.clone()));
+        let bytes = encode_response(&Response::Metrics(Box::new(metrics.clone())));
         match decode_response(&bytes).expect("round-trips") {
-            Response::Metrics(decoded) => assert_eq!(metrics, decoded),
+            Response::Metrics(decoded) => assert_eq!(metrics, *decoded),
             other => panic!("wrong variant: {other:?}"),
         }
     }

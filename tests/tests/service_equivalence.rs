@@ -15,8 +15,10 @@ use ssync_circuit::generators::{
     bernstein_vazirani, cuccaro_adder, qaoa_nearest_neighbor, qft, random_two_qubit_circuit,
 };
 use ssync_circuit::Circuit;
-use ssync_core::{CacheBounds, CompileOutcome, CompilerConfig};
-use ssync_service::{CompileRequest, CompileService, DeviceRegistry, Priority, TenantId};
+use ssync_core::{CompileOutcome, CompilerConfig};
+use ssync_service::{
+    CacheBounds, CompileRequest, CompileService, DeviceRegistry, Priority, TenantId,
+};
 use std::sync::Arc;
 
 fn suite() -> Vec<Arc<Circuit>> {
