@@ -325,8 +325,7 @@ fn bench_cache_eviction(c: &mut Criterion) {
     use ssync_arch::Device;
     use ssync_core::SSyncCompiler;
     use ssync_service::hash::{config_hash, device_fingerprint};
-    use ssync_service::{CacheBounds, CacheKey, ResultCache};
-    use std::sync::Arc;
+    use ssync_service::{CacheBounds, CacheKey, EncodedOutcome, ResultCache};
 
     let base = CompilerConfig::default();
     let device = Device::build(QccdTopology::grid(2, 2, 8), base.weights);
@@ -360,7 +359,7 @@ fn bench_cache_eviction(c: &mut Criterion) {
             if cache.get(key).is_none() {
                 let outcome =
                     SSyncCompiler::new(*config).compile_on(&device, &circuit).expect("compiles");
-                cache.insert(*key, Arc::new(outcome));
+                cache.insert(*key, EncodedOutcome::encode(&outcome));
                 compiled += 1;
             }
         }

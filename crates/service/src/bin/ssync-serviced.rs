@@ -14,8 +14,8 @@
 //! * `--workers N` — worker threads (default: `SSYNC_BATCH_WORKERS` or
 //!   the machine's parallelism).
 //! * `--cache-max-entries N` / `--cache-max-bytes N` — result-cache
-//!   bounds (default: the `SSYNC_CACHE_MAX_*` environment variables,
-//!   else unbounded).
+//!   bounds, the byte cap on the stored outcome encodings (default: the
+//!   `SSYNC_CACHE_MAX_*` environment variables, else unbounded).
 //! * `--cache-dir DIR` — enable the persistent cache tier: outcomes are
 //!   written through to `DIR` and loaded back on a miss, sharing compiles
 //!   across daemon restarts and between processes.

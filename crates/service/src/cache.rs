@@ -5,16 +5,21 @@
 //! (device, circuit, compiler, config). A long-lived service can therefore
 //! memoise it — repeated requests (re-runs of a sweep, the same benchmark
 //! against the same machine from different tenants) are served from memory
-//! without recompiling, and because the service hands out `Arc`s of the
-//! original outcome, a cache hit is also allocation-free.
+//! without recompiling.
+//!
+//! The cache keeps each outcome in its stored form, an
+//! [`EncodedOutcome`]: the compact bytes the codec writes, about 3.6 per
+//! op where a decoded op takes 24. A remote hit costs no codec work at all,
+//! because the daemon writes those bytes as the response payload; an
+//! in-process hit costs one decode, when its handle is first waited on.
 //!
 //! ## Bounding and eviction (segmented LRU)
 //!
 //! Production traffic cannot run an unbounded memo table, so the cache
 //! enforces two caps from [`CacheBounds`]: a **maximum entry count** and
-//! an **approximate maximum resident byte size**, measured through the
-//! [`CompiledWeight`] trait on stored results. Exceeding either cap evicts
-//! entries under a *segmented-LRU* policy:
+//! a **maximum byte size**, where an entry weighs the length of its
+//! encoding. Exceeding either cap evicts entries under a *segmented-LRU*
+//! policy:
 //!
 //! * a new entry lands in the **probationary** segment;
 //! * a hit promotes it to the **protected** segment (capped at 3/4 of the
@@ -39,17 +44,18 @@
 //! [`CacheConfig::persist_dir`] set, every insert
 //! is written through to `<dir>/<key>.outcome` (atomic tmp-file + rename)
 //! and an in-memory miss falls back to loading that file, letting separate
-//! bench runs share one compile. Files use the [`crate::codec`] binary
-//! format behind a magic/version header; corrupt or truncated files are
-//! treated as misses, never errors.
+//! bench runs share one compile. A file is a magic/version header and the
+//! key, then the same bytes the memory tier keeps; a load decodes them once
+//! to check them, so corrupt or truncated files — and files of an older
+//! version — are treated as misses, never errors, and age out under the
+//! directory budgets.
 
-use crate::codec::{self, ByteReader, ByteWriter, CodecError};
+use crate::codec::{self, ByteReader, ByteWriter, CodecError, EncodedOutcome};
 use ssync_baselines::CompilerKind;
-use ssync_core::CompileOutcome;
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// The identity of one compile request, built from stable content hashes
 /// (never from process-local pointers or randomly-seeded hashers):
@@ -83,40 +89,20 @@ impl CacheKey {
     }
 }
 
-/// Approximate resident size of a cached result, used to enforce
-/// [`CacheBounds::max_bytes`]. Implementations estimate the heap footprint
-/// (they are a cap guide, not an allocator audit).
-pub trait CompiledWeight {
-    /// Approximate resident bytes of this value.
-    fn weight_bytes(&self) -> usize;
-}
-
-impl CompiledWeight for CompileOutcome {
-    fn weight_bytes(&self) -> usize {
-        let program = self.program();
-        let placement = self.final_placement();
-        std::mem::size_of::<CompileOutcome>()
-            + program.len() * std::mem::size_of::<ssync_sim::ScheduledOp>()
-            // slot_of + (occupant, slot_trap) + (trap_capacity, trap_occupancy)
-            + placement.num_qubits() * 8
-            + placement.num_slots() * 12
-            + program.num_traps() * 16
-    }
-}
-
 /// Capacity bounds for the in-memory tier of a [`ResultCache`]. `None`
 /// means "unbounded" on that axis; both axes bounded means an entry is
 /// evicted as soon as *either* cap is exceeded. [`CacheBounds::from_env`]
 /// reads them from the environment:
 ///
 /// * `SSYNC_CACHE_MAX_ENTRIES` — maximum number of cached outcomes.
-/// * `SSYNC_CACHE_MAX_BYTES` — approximate maximum resident bytes
-///   (measured by the cache's weight function, not the allocator).
+/// * `SSYNC_CACHE_MAX_BYTES` — maximum bytes of stored encodings (the
+///   entries' bookkeeping is not counted).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheBounds {
     /// Maximum number of entries, `None` for unbounded.
     pub max_entries: Option<usize>,
-    /// Approximate maximum resident bytes, `None` for unbounded.
+    /// Maximum summed length of the stored encodings, `None` for
+    /// unbounded.
     pub max_bytes: Option<usize>,
 }
 
@@ -233,7 +219,7 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries currently stored in memory.
     pub entries: usize,
-    /// Approximate resident bytes of the in-memory tier.
+    /// Summed length of the in-memory tier's stored encodings.
     pub bytes: usize,
     /// Entries evicted to stay within the configured bounds.
     pub evictions: u64,
@@ -259,10 +245,10 @@ impl CacheStats {
     }
 }
 
-/// One stored entry plus its bookkeeping.
+/// One stored entry plus its bookkeeping. It weighs its encoding's
+/// length.
 struct Entry {
-    outcome: Arc<CompileOutcome>,
-    bytes: usize,
+    outcome: EncodedOutcome,
     protected: bool,
     /// Matches the newest queue record for this key; older records with a
     /// different stamp are stale and skipped during eviction (lazy LRU).
@@ -281,7 +267,7 @@ struct Inner {
     bytes: usize,
 }
 
-/// A concurrent memo table from [`CacheKey`] to shared compile outcomes,
+/// A concurrent memo table from [`CacheKey`] to encoded compile outcomes,
 /// bounded and evicting per the module docs. Only successful outcomes are
 /// stored: errors are cheap to reproduce (validation fails before any
 /// scheduling work) and should not occupy memory.
@@ -375,14 +361,14 @@ impl ResultCache {
     /// Looks `key` up, counting the outcome as a hit or miss. An in-memory
     /// miss consults the persistent tier (when configured) before giving
     /// up; a loaded file counts as both a hit and a `persist_hit` and is
-    /// promoted into the memory tier.
-    pub fn get(&self, key: &CacheKey) -> Option<Arc<CompileOutcome>> {
+    /// promoted into the memory tier. A hit shares the stored buffer.
+    pub fn get(&self, key: &CacheKey) -> Option<EncodedOutcome> {
         if let Some(outcome) = self.get_memory(key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Some(outcome);
         }
         if let Some(outcome) = self.load_persisted(key) {
-            self.insert_memory(*key, Arc::clone(&outcome));
+            self.insert_memory(*key, outcome.clone());
             self.hits.fetch_add(1, Ordering::Relaxed);
             self.persist_hits.fetch_add(1, Ordering::Relaxed);
             return Some(outcome);
@@ -395,8 +381,8 @@ impl ResultCache {
     /// persistent tier when configured). Last write wins; since
     /// compilation is deterministic, concurrent writers store identical
     /// results and the race is benign.
-    pub fn insert(&self, key: CacheKey, outcome: Arc<CompileOutcome>) {
-        self.insert_memory(key, Arc::clone(&outcome));
+    pub fn insert(&self, key: CacheKey, outcome: EncodedOutcome) {
+        self.insert_memory(key, outcome.clone());
         if let Some(dir) = &self.config.persist_dir {
             if self.store_persisted(dir, &key, &outcome).is_ok() {
                 self.persist_stores.fetch_add(1, Ordering::Relaxed);
@@ -404,11 +390,11 @@ impl ResultCache {
         }
     }
 
-    fn get_memory(&self, key: &CacheKey) -> Option<Arc<CompileOutcome>> {
+    fn get_memory(&self, key: &CacheKey) -> Option<EncodedOutcome> {
         let mut inner = self.inner.lock().expect("cache lock poisoned");
         let inner = &mut *inner;
         let entry = inner.map.get_mut(key)?;
-        let outcome = Arc::clone(&entry.outcome);
+        let outcome = entry.outcome.clone();
         // Promote to protected, restamping so older queue records go stale.
         inner.tick += 1;
         entry.stamp = inner.tick;
@@ -438,8 +424,8 @@ impl ResultCache {
         Some(outcome)
     }
 
-    fn insert_memory(&self, key: CacheKey, outcome: Arc<CompileOutcome>) {
-        let bytes = outcome.weight_bytes();
+    fn insert_memory(&self, key: CacheKey, outcome: EncodedOutcome) {
+        let bytes = outcome.as_bytes().len();
         let mut inner = self.inner.lock().expect("cache lock poisoned");
         let inner = &mut *inner;
         inner.tick += 1;
@@ -447,9 +433,8 @@ impl ResultCache {
         match inner.map.entry(key) {
             std::collections::hash_map::Entry::Occupied(mut slot) => {
                 let entry = slot.get_mut();
-                inner.bytes = inner.bytes - entry.bytes + bytes;
+                inner.bytes = inner.bytes - entry.outcome.as_bytes().len() + bytes;
                 entry.outcome = outcome;
-                entry.bytes = bytes;
                 entry.stamp = tick;
                 if entry.protected {
                     inner.protected.push_back((tick, key));
@@ -458,7 +443,7 @@ impl ResultCache {
                 }
             }
             std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(Entry { outcome, bytes, protected: false, stamp: tick });
+                slot.insert(Entry { outcome, protected: false, stamp: tick });
                 inner.bytes += bytes;
                 inner.probation.push_back((tick, key));
             }
@@ -470,20 +455,20 @@ impl ResultCache {
         maybe_compact(inner);
     }
 
-    fn load_persisted(&self, key: &CacheKey) -> Option<Arc<CompileOutcome>> {
+    fn load_persisted(&self, key: &CacheKey) -> Option<EncodedOutcome> {
         let dir = self.config.persist_dir.as_ref()?;
         let bytes = std::fs::read(dir.join(key.file_name())).ok()?;
         decode_persisted(&bytes)
             .ok()
             .filter(|(stored, _)| stored == key)
-            .map(|(_, outcome)| Arc::new(outcome))
+            .map(|(_, outcome)| outcome)
     }
 
     fn store_persisted(
         &self,
         dir: &Path,
         key: &CacheKey,
-        outcome: &CompileOutcome,
+        outcome: &EncodedOutcome,
     ) -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
         let bytes = encode_persisted(key, outcome);
@@ -624,7 +609,7 @@ fn evict_one(inner: &mut Inner, from_protected: bool) -> bool {
             continue; // stale record: the entry moved or was restamped
         }
         let entry = inner.map.remove(&key).expect("checked present");
-        inner.bytes -= entry.bytes;
+        inner.bytes -= entry.outcome.as_bytes().len();
         if from_protected {
             inner.protected_count -= 1;
         }
@@ -634,9 +619,13 @@ fn evict_one(inner: &mut Inner, from_protected: bool) -> bool {
 }
 
 const PERSIST_MAGIC: u32 = 0x5353_4352; // "SSCR"
-pub(crate) const PERSIST_VERSION: u32 = 1;
+/// The cache-file version, bumped with any change to the outcome
+/// encoding; a file of any other version is a miss.
+pub(crate) const PERSIST_VERSION: u32 = 2;
 
-fn encode_persisted(key: &CacheKey, outcome: &CompileOutcome) -> Vec<u8> {
+/// A cache file: magic, version and key at fixed width, then the stored
+/// encoding as it is.
+fn encode_persisted(key: &CacheKey, outcome: &EncodedOutcome) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_u32(PERSIST_MAGIC);
     w.put_u32(PERSIST_VERSION);
@@ -644,11 +633,13 @@ fn encode_persisted(key: &CacheKey, outcome: &CompileOutcome) -> Vec<u8> {
     w.put_u64(key.circuit_hash);
     w.put_u64(key.config_hash);
     w.put_u8(codec::compiler_kind_tag(key.compiler));
-    codec::encode_outcome(&mut w, outcome);
+    w.put_bytes(outcome.as_bytes());
     w.into_bytes()
 }
 
-fn decode_persisted(bytes: &[u8]) -> Result<(CacheKey, CompileOutcome), CodecError> {
+/// Reads a cache file written by [`encode_persisted`], decoding its body
+/// once to check it.
+fn decode_persisted(bytes: &[u8]) -> Result<(CacheKey, EncodedOutcome), CodecError> {
     let mut r = ByteReader::new(bytes);
     if r.get_u32()? != PERSIST_MAGIC {
         return Err(CodecError::Invalid("cache file magic"));
@@ -662,11 +653,7 @@ fn decode_persisted(bytes: &[u8]) -> Result<(CacheKey, CompileOutcome), CodecErr
         config_hash: r.get_u64()?,
         compiler: codec::compiler_kind_from_tag(r.get_u8()?)?,
     };
-    let outcome = codec::decode_outcome(&mut r)?;
-    if !r.is_exhausted() {
-        return Err(CodecError::Invalid("trailing bytes"));
-    }
-    Ok((key, outcome))
+    Ok((key, EncodedOutcome::from_bytes(r.rest())?))
 }
 
 #[cfg(test)]
@@ -694,14 +681,16 @@ mod tests {
         }
     }
 
-    fn some_outcome() -> Arc<CompileOutcome> {
+    fn some_outcome() -> EncodedOutcome {
         let circuit = qft(6);
         let outcome = SSyncCompiler::default()
             .compile(&circuit, &QccdTopology::linear(2, 4))
             .expect("compiles");
-        Arc::new(outcome)
+        EncodedOutcome::encode(&outcome)
     }
 
+    /// A hit hands back the stored buffer itself, which decodes to the
+    /// inserted outcome bit for bit.
     #[test]
     fn identical_resubmit_hits_and_returns_the_same_arc() {
         let cache = ResultCache::new();
@@ -709,15 +698,50 @@ mod tests {
         let circuit = qft(6);
         let k = key(&config, circuit.content_hash());
         assert!(cache.get(&k).is_none());
-        let outcome = some_outcome();
-        cache.insert(k, Arc::clone(&outcome));
+        let outcome = codec::routed_outcome();
+        let stored = EncodedOutcome::encode(&outcome);
+        cache.insert(k, stored.clone());
         let hit = cache.get(&k).expect("second lookup hits");
-        assert!(Arc::ptr_eq(&hit, &outcome), "hits share the stored outcome");
+        assert!(EncodedOutcome::ptr_eq(&hit, &stored), "hits share the stored encoding");
+        let decoded = hit.decode();
+        assert_eq!(outcome.program().ops(), decoded.program().ops());
+        assert_eq!(outcome.final_placement(), decoded.final_placement());
+        assert_eq!(outcome.scheduler_stats(), decoded.scheduler_stats());
+        assert_eq!(
+            outcome.report().success_rate.to_bits(),
+            decoded.report().success_rate.to_bits()
+        );
+        assert_eq!(
+            outcome.report().total_time_us.to_bits(),
+            decoded.report().total_time_us.to_bits()
+        );
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
-        assert!(stats.bytes > 0, "weight accounting tracks resident bytes");
         assert_eq!(stats.evictions, 0);
+    }
+
+    /// An entry weighs exactly its encoding's length, so the byte cap and
+    /// `CacheStats::bytes` count the bytes the cache really keeps — about
+    /// 3.6 per op for a routed program, where each decoded op takes 24.
+    #[test]
+    fn an_entry_weighs_its_encoding() {
+        let outcome = codec::routed_outcome();
+        let stored = EncodedOutcome::encode(&outcome);
+        let cache = ResultCache::new();
+        cache.insert(key_n(1), stored.clone());
+        assert_eq!(cache.stats().bytes, stored.as_bytes().len());
+        let ops = outcome.program().len();
+        assert!(
+            stored.as_bytes().len() < ops * 8,
+            "{} bytes for {ops} ops",
+            stored.as_bytes().len()
+        );
+        cache.insert(key_n(2), some_outcome());
+        assert_eq!(cache.stats().bytes, stored.as_bytes().len() + some_outcome().as_bytes().len());
+        // Re-inserting a key swaps its weight rather than adding to it.
+        cache.insert(key_n(1), some_outcome());
+        assert_eq!(cache.stats().bytes, 2 * some_outcome().as_bytes().len());
     }
 
     #[test]
@@ -756,15 +780,15 @@ mod tests {
         let (a, b, c) = (key_n(1), key_n(2), key_n(3));
 
         // Two one-touch inserts: the older entry (A) is evicted.
-        cache.insert(a, Arc::clone(&outcome));
-        cache.insert(b, Arc::clone(&outcome));
+        cache.insert(a, outcome.clone());
+        cache.insert(b, outcome.clone());
         assert!(cache.get(&a).is_none(), "A was the probationary LRU");
         assert!(cache.get(&b).is_some(), "B survived (and is now protected)");
         assert_eq!(cache.stats().evictions, 1);
 
         // B is protected by the hit above; a newcomer churns through
         // probation without displacing it (scan resistance).
-        cache.insert(c, Arc::clone(&outcome));
+        cache.insert(c, outcome.clone());
         assert!(cache.get(&b).is_some(), "protected entry survives the scan");
         assert!(cache.get(&c).is_none(), "one-touch newcomer was evicted");
         assert_eq!(cache.stats().evictions, 2);
@@ -776,14 +800,14 @@ mod tests {
         let cache = ResultCache::bounded(CacheBounds::with_max_entries(4));
         let outcome = some_outcome();
         for n in 0..4 {
-            cache.insert(key_n(n), Arc::clone(&outcome));
+            cache.insert(key_n(n), outcome.clone());
         }
         // Touch 0 and 1: they are promoted to protected.
         assert!(cache.get(&key_n(0)).is_some());
         assert!(cache.get(&key_n(1)).is_some());
         // Four more one-touch inserts sweep through.
         for n in 4..8 {
-            cache.insert(key_n(n), Arc::clone(&outcome));
+            cache.insert(key_n(n), outcome.clone());
         }
         assert!(cache.get(&key_n(0)).is_some(), "hot entry survived the sweep");
         assert!(cache.get(&key_n(1)).is_some(), "hot entry survived the sweep");
@@ -794,14 +818,14 @@ mod tests {
     #[test]
     fn byte_cap_evicts_and_a_single_oversized_entry_is_dropped() {
         let outcome = some_outcome();
-        let per_entry = outcome.weight_bytes();
+        let per_entry = outcome.as_bytes().len();
 
         // Room for exactly two entries.
         let cache = ResultCache::bounded(CacheBounds::with_max_bytes(2 * per_entry + 1));
-        cache.insert(key_n(1), Arc::clone(&outcome));
-        cache.insert(key_n(2), Arc::clone(&outcome));
+        cache.insert(key_n(1), outcome.clone());
+        cache.insert(key_n(2), outcome.clone());
         assert_eq!(cache.len(), 2);
-        cache.insert(key_n(3), Arc::clone(&outcome));
+        cache.insert(key_n(3), outcome.clone());
         assert_eq!(cache.len(), 2, "third entry pushed out the LRU");
         assert!(cache.get(&key_n(1)).is_none());
         assert_eq!(cache.stats().evictions, 1);
@@ -809,7 +833,7 @@ mod tests {
 
         // A cap smaller than one entry refuses to retain anything.
         let tiny = ResultCache::bounded(CacheBounds::with_max_bytes(per_entry / 2));
-        tiny.insert(key_n(1), Arc::clone(&outcome));
+        tiny.insert(key_n(1), outcome.clone());
         assert!(tiny.is_empty(), "oversized entries cannot be cached");
         assert_eq!(tiny.stats().evictions, 1);
         assert_eq!(tiny.stats().bytes, 0);
@@ -820,15 +844,22 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ssync-cache-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
 
-        let outcome = some_outcome();
+        let outcome = codec::routed_outcome();
+        let stored = EncodedOutcome::encode(&outcome);
         let k = key_n(42);
         let writer = ResultCache::with_config(CacheConfig::default().with_persist_dir(&dir));
-        writer.insert(k, Arc::clone(&outcome));
+        writer.insert(k, stored.clone());
         assert_eq!(writer.stats().persist_stores, 1);
+        // The file is the header and the stored bytes, unchanged.
+        let file = std::fs::read(dir.join(k.file_name())).expect("written");
+        assert_eq!(file, encode_persisted(&k, &stored));
+        assert!(file.ends_with(stored.as_bytes()));
 
         // A second cache (standing in for a second process) finds the file.
         let reader = ResultCache::with_config(CacheConfig::default().with_persist_dir(&dir));
         let loaded = reader.get(&k).expect("served from the persistent tier");
+        assert_eq!(loaded, stored, "the loaded bytes are the stored bytes");
+        let loaded = loaded.decode();
         assert_eq!(outcome.program().ops(), loaded.program().ops());
         assert_eq!(outcome.final_placement(), loaded.final_placement());
         assert_eq!(outcome.scheduler_stats(), loaded.scheduler_stats());
@@ -839,6 +870,15 @@ mod tests {
         // The loaded entry was promoted into memory: next hit skips disk.
         assert!(reader.get(&k).is_some());
         assert_eq!(reader.stats().persist_hits, 1);
+
+        // A file of the previous version is a miss, left for the GC.
+        let mut v1 = file.clone();
+        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(dir.join(k.file_name()), &v1).expect("overwrite");
+        let old = ResultCache::with_config(CacheConfig::default().with_persist_dir(&dir));
+        assert!(old.get(&k).is_none());
+        assert_eq!(old.stats().misses, 1);
+        assert!(dir.join(k.file_name()).exists());
 
         // Corrupt files degrade to a miss, never an error.
         std::fs::write(dir.join(k.file_name()), b"garbage").expect("overwrite");
@@ -856,21 +896,20 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ssync-cache-count-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("mkdir");
-        let (outcome, count_at) = codec::one_gate_outcome();
+        let chain_len = 3;
+        let intact = codec::one_gate_bytes(chain_len, &[4]);
         let k = key_n(9);
-        let mut bytes = encode_persisted(&k, &outcome);
-        // The file is a header followed by the encoded outcome.
-        let mut w = ByteWriter::new();
-        codec::encode_outcome(&mut w, &outcome);
-        let at = bytes.len() - w.into_bytes().len() + count_at;
+        let file = encode_persisted(&k, &EncodedOutcome::from_bytes(&intact).expect("valid"));
         let path = dir.join(k.file_name());
 
-        std::fs::write(&path, &bytes).expect("write");
-        let intact = ResultCache::with_config(CacheConfig::default().with_persist_dir(&dir));
-        assert!(intact.get(&k).is_some(), "the unaltered file is a hit");
+        std::fs::write(&path, &file).expect("write");
+        let intact_cache = ResultCache::with_config(CacheConfig::default().with_persist_dir(&dir));
+        assert!(intact_cache.get(&k).is_some(), "the unaltered file is a hit");
 
-        bytes[at..at + 8].copy_from_slice(&(u64::from(u16::MAX) + 1).to_le_bytes());
-        std::fs::write(&path, &bytes).expect("overwrite");
+        // The file is a header followed by the encoded outcome.
+        let mut widened = file[..file.len() - intact.len()].to_vec();
+        widened.extend(codec::one_gate_bytes(chain_len, &codec::varint(u64::from(u16::MAX) + 1)));
+        std::fs::write(&path, &widened).expect("overwrite");
         let widened = ResultCache::with_config(CacheConfig::default().with_persist_dir(&dir));
         assert!(widened.get(&k).is_none());
         let stats = widened.stats();
@@ -890,7 +929,7 @@ mod tests {
         let writer = ResultCache::with_config(CacheConfig::default().with_persist_dir(&dir));
         let keys: Vec<CacheKey> = (0..4).map(key_n).collect();
         for key in &keys {
-            writer.insert(*key, Arc::clone(&outcome));
+            writer.insert(*key, outcome.clone());
             std::thread::sleep(std::time::Duration::from_millis(20));
         }
         let file_len = std::fs::metadata(dir.join(keys[0].file_name())).expect("written").len();
@@ -945,5 +984,27 @@ mod tests {
         let bytes = CacheBounds::with_max_bytes(1 << 20);
         assert_eq!(bytes.max_bytes, Some(1 << 20));
         assert!(!bytes.is_unbounded());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// A persisted file cut short, or with one byte's bits flipped,
+        /// decodes to an error — a miss — or to a key and an outcome that
+        /// re-encode to exactly the damaged file, never a panic.
+        #[test]
+        fn damaged_cache_files_are_misses_or_exact(cut in 0usize..1 << 16, at in 0usize..1 << 16, mask in 1u16..256) {
+            static FILE: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+            let file = FILE.get_or_init(|| {
+                encode_persisted(&key_n(5), &EncodedOutcome::encode(&codec::routed_outcome()))
+            });
+            let mut flipped = file.clone();
+            flipped[at % file.len()] ^= mask as u8;
+            for damaged in [&file[..cut % file.len()], &flipped[..]] {
+                if let Ok((key, outcome)) = decode_persisted(damaged) {
+                    assert_eq!(encode_persisted(&key, &outcome), damaged);
+                }
+            }
+        }
     }
 }

@@ -47,12 +47,11 @@
 
 use crate::codec::{ByteWriter, CodecError};
 use crate::wire::{
-    decode_response, encode_request, encode_submit, encode_submit_qasm, read_frame, write_frame,
-    RemoteQasmRequest, RemoteRequest, Request, Response,
+    decode_outcome_payload, decode_response, encode_request, encode_submit, encode_submit_qasm,
+    read_frame, write_frame, RemoteQasmRequest, RemoteRequest, Request, Response,
 };
 use ssync_core::{CompileError, CompileOutcome};
 use std::io::{Read, Write};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// What can go wrong talking to a remote service.
@@ -307,13 +306,39 @@ impl ServiceClient {
 
     /// Sends one encoded request and reads its response.
     fn exchange(&mut self, request: &[u8]) -> Result<Response, ClientError> {
+        let payload = self.send(request)?;
+        Self::accepted(decode_response(&payload)?)
+    }
+
+    /// Sends one encoded request and returns the response's payload.
+    fn send(&mut self, request: &[u8]) -> Result<Vec<u8>, ClientError> {
         write_frame(&mut self.writer, request)?;
-        let payload = read_frame(&mut self.reader)?.ok_or(ClientError::Disconnected)?;
-        let response = decode_response(&payload)?;
-        if let Response::Rejected { reason } = response {
-            return Err(ClientError::Rejected(reason));
+        read_frame(&mut self.reader)?.ok_or(ClientError::Disconnected)
+    }
+
+    /// Turns a `Rejected` response into the client's error.
+    fn accepted(response: Response) -> Result<Response, ClientError> {
+        match response {
+            Response::Rejected { reason } => Err(ClientError::Rejected(reason)),
+            response => Ok(response),
         }
-        Ok(response)
+    }
+
+    /// Sends a `Wait` or `Poll` and reads the job's status: `None` while it
+    /// runs. An outcome is decoded straight from the payload, once.
+    fn job_status(
+        &mut self,
+        request: &Request,
+    ) -> Result<Option<Result<CompileOutcome, CompileError>>, ClientError> {
+        let payload = self.send(&encode_request(request))?;
+        if let Some(outcome) = decode_outcome_payload(&payload) {
+            return Ok(Some(Ok(outcome?)));
+        }
+        match Self::accepted(decode_response(&payload)?)? {
+            Response::Pending => Ok(None),
+            Response::CompileFailed(error) => Ok(Some(Err(error))),
+            _ => Err(ClientError::UnexpectedResponse("expected a job status")),
+        }
     }
 
     /// Submits a compile request; the returned [`RemoteJob`] feeds
@@ -466,11 +491,8 @@ impl ServiceClient {
         &mut self,
         job: RemoteJob,
     ) -> Result<Result<CompileOutcome, CompileError>, ClientError> {
-        match self.round_trip(&Request::Wait { job: job.0 })? {
-            Response::Outcome(outcome) => Ok(Ok(Arc::unwrap_or_clone(outcome))),
-            Response::CompileFailed(error) => Ok(Err(error)),
-            _ => Err(ClientError::UnexpectedResponse("wait expected a result")),
-        }
+        self.job_status(&Request::Wait { job: job.0 })?
+            .ok_or(ClientError::UnexpectedResponse("wait expected a result"))
     }
 
     /// Non-blocking check of `job`: `None` while it is still running.
@@ -483,12 +505,7 @@ impl ServiceClient {
         &mut self,
         job: RemoteJob,
     ) -> Result<Option<Result<CompileOutcome, CompileError>>, ClientError> {
-        match self.round_trip(&Request::Poll { job: job.0 })? {
-            Response::Pending => Ok(None),
-            Response::Outcome(outcome) => Ok(Some(Ok(Arc::unwrap_or_clone(outcome)))),
-            Response::CompileFailed(error) => Ok(Some(Err(error))),
-            _ => Err(ClientError::UnexpectedResponse("poll expected a status")),
-        }
+        self.job_status(&Request::Poll { job: job.0 })
     }
 
     /// Fetches a metrics snapshot from the daemon.

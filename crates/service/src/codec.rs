@@ -5,12 +5,21 @@
 //! the `serde` on the dependency list is a marker-trait shim that performs
 //! no real (de)serialization. The persistent cache tier and the
 //! `ssync-serviced` IPC front-end nevertheless need real bytes, so this
-//! module defines them explicitly: little-endian fixed-width integers,
-//! IEEE-754 bit patterns for floats (full bit-identity round-trips, no
-//! text formatting loss), one tag byte per enum variant and
-//! length-prefixed sequences. Every `decode_*` function is total — corrupt
-//! or truncated input yields a [`CodecError`], never a panic — because the
-//! bytes may come from a shared cache directory or a remote peer.
+//! module defines them explicitly: IEEE-754 bit patterns for floats (full
+//! bit-identity round-trips, no text formatting loss), one tag byte per
+//! enum variant and length-prefixed sequences. Circuits, configs and the
+//! service's other messages write integers little-endian at fixed width.
+//! A compiled outcome writes every integer as an LEB128 varint
+//! ([`ByteWriter::put_var`]): seven value bits per byte, so the small ids
+//! and chain counts that make up an op stream take one byte each, about
+//! 3.6 bytes per op where fixed-width fields took 15. Every `decode_*`
+//! function is total — corrupt or truncated input yields a
+//! [`CodecError`], never a panic — because the bytes may come from a
+//! shared cache directory or a remote peer.
+//!
+//! [`EncodedOutcome`] is the stored form of a finished compile: the result
+//! cache keeps those bytes, the daemon writes them as an `Outcome` payload
+//! as they are, and a cache file is a header plus the same bytes.
 //!
 //! The encoding is versioned at the container level (cache files and wire
 //! frames both start with a magic + version header, see
@@ -27,6 +36,7 @@ use ssync_sim::{
     CompiledProgram, ExecutionReport, GateImplementation, NoiseModel, OpCounts, OperationTimes,
     ScheduledOp,
 };
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Why a byte stream failed to decode.
@@ -98,6 +108,22 @@ impl ByteWriter {
         self.put_u64(v as u64);
     }
 
+    /// Appends `v` as an LEB128 varint: seven value bits per byte, low
+    /// bits first, the top bit set on every byte but the last. A value
+    /// below 128 takes one byte, a `u32` at most five and a `u64` ten.
+    pub fn put_var(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
+
+    /// Appends raw bytes as they are.
+    pub fn put_bytes(&mut self, v: &[u8]) {
+        self.buf.extend_from_slice(v);
+    }
+
     /// Appends an `f64` as its IEEE-754 bit pattern (exact round-trip).
     pub fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
@@ -109,12 +135,12 @@ impl ByteWriter {
         self.buf.extend_from_slice(v.as_bytes());
     }
 
-    /// Appends `Some(v)` as `1` + value bytes, `None` as `0`.
-    pub fn put_opt_u32(&mut self, v: Option<u32>) {
+    /// Appends `Some(v)` as `1` + the value's varint, `None` as `0`.
+    pub fn put_opt_var(&mut self, v: Option<u32>) {
         match v {
             Some(v) => {
                 self.put_u8(1);
-                self.put_u32(v);
+                self.put_var(v.into());
             }
             None => self.put_u8(0),
         }
@@ -155,7 +181,9 @@ impl<'a> ByteReader<'a> {
 
     /// Reads one raw byte.
     pub fn get_u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
+        let byte = *self.buf.get(self.pos).ok_or(CodecError::Truncated)?;
+        self.pos += 1;
+        Ok(byte)
     }
 
     /// Reads a little-endian `u32`.
@@ -173,16 +201,72 @@ impl<'a> ByteReader<'a> {
         usize::try_from(self.get_u64()?).map_err(|_| CodecError::BadLength)
     }
 
+    /// Reads a varint written by [`ByteWriter::put_var`]. Only the
+    /// shortest form decodes: a zero last byte after the first, or a bit
+    /// past the 64th, is [`CodecError::Invalid`], so every value has
+    /// exactly one encoding.
+    #[inline]
+    pub fn get_var(&mut self) -> Result<u64, CodecError> {
+        // Most op fields are below 128: one byte, one branch.
+        match self.buf.get(self.pos) {
+            Some(&byte) if byte < 0x80 => {
+                self.pos += 1;
+                Ok(byte.into())
+            }
+            _ => self.get_long_var(),
+        }
+    }
+
+    fn get_long_var(&mut self) -> Result<u64, CodecError> {
+        let mut value = 0u64;
+        let mut shift = 0;
+        while shift < 64 {
+            let byte = self.get_u8()?;
+            value |= u64::from(byte & 0x7F) << shift;
+            if byte & 0x80 == 0 {
+                if (byte == 0 && shift > 0) || (shift == 63 && byte > 1) {
+                    break;
+                }
+                return Ok(value);
+            }
+            shift += 7;
+        }
+        Err(CodecError::Invalid("overlong varint"))
+    }
+
+    /// Reads a varint into a narrower field: a value the field cannot
+    /// hold is [`CodecError::Invalid`] naming `what`, never truncated.
+    pub fn get_var_as<T: TryFrom<u64>>(&mut self, what: &'static str) -> Result<T, CodecError> {
+        T::try_from(self.get_var()?).map_err(|_| CodecError::Invalid(what))
+    }
+
     /// Reads a sequence length prefix, rejecting values that could not
     /// possibly fit in the remaining input (each element needs at least
     /// `min_element_bytes`), so corrupt prefixes fail fast instead of
     /// triggering giant allocations.
     pub fn get_len(&mut self, min_element_bytes: usize) -> Result<usize, CodecError> {
         let len = self.get_usize()?;
+        self.check_len(len, min_element_bytes)
+    }
+
+    /// [`ByteReader::get_len`] for a length written as a varint.
+    pub fn get_var_len(&mut self, min_element_bytes: usize) -> Result<usize, CodecError> {
+        let len = usize::try_from(self.get_var()?).map_err(|_| CodecError::BadLength)?;
+        self.check_len(len, min_element_bytes)
+    }
+
+    fn check_len(&self, len: usize, min_element_bytes: usize) -> Result<usize, CodecError> {
         if len.saturating_mul(min_element_bytes.max(1)) > self.remaining() {
             return Err(CodecError::BadLength);
         }
         Ok(len)
+    }
+
+    /// Consumes and returns every byte not yet read.
+    pub fn rest(&mut self) -> &'a [u8] {
+        let rest = &self.buf[self.pos..];
+        self.pos = self.buf.len();
+        rest
     }
 
     /// Reads an `f64` from its IEEE-754 bit pattern.
@@ -197,11 +281,12 @@ impl<'a> ByteReader<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::Invalid("utf-8 string"))
     }
 
-    /// Reads an optional `u32` written by [`ByteWriter::put_opt_u32`].
-    pub fn get_opt_u32(&mut self) -> Result<Option<u32>, CodecError> {
+    /// Reads an optional `u32` written by [`ByteWriter::put_opt_var`];
+    /// `what` names the field for a value past `u32`.
+    pub fn get_opt_var(&mut self, what: &'static str) -> Result<Option<u32>, CodecError> {
         match self.get_u8()? {
             0 => Ok(None),
-            1 => Ok(Some(self.get_u32()?)),
+            1 => Ok(Some(self.get_var_as(what)?)),
             tag => Err(CodecError::BadTag { what: "option", tag }),
         }
     }
@@ -443,20 +528,19 @@ pub fn decode_config(r: &mut ByteReader<'_>) -> Result<CompilerConfig, CodecErro
 // ---------------------------------------------------------------------------
 
 fn encode_counts(w: &mut ByteWriter, c: OpCounts) {
-    w.put_usize(c.single_qubit_gates);
-    w.put_usize(c.two_qubit_gates);
-    w.put_usize(c.swap_gates);
-    w.put_usize(c.shuttles);
-    w.put_usize(c.reorders);
+    for count in [c.single_qubit_gates, c.two_qubit_gates, c.swap_gates, c.shuttles, c.reorders] {
+        w.put_var(count as u64);
+    }
 }
 
 fn decode_counts(r: &mut ByteReader<'_>) -> Result<OpCounts, CodecError> {
+    let mut count = || r.get_var_as("report count");
     Ok(OpCounts {
-        single_qubit_gates: r.get_usize()?,
-        two_qubit_gates: r.get_usize()?,
-        swap_gates: r.get_usize()?,
-        shuttles: r.get_usize()?,
-        reorders: r.get_usize()?,
+        single_qubit_gates: count()?,
+        two_qubit_gates: count()?,
+        swap_gates: count()?,
+        shuttles: count()?,
+        reorders: count()?,
     })
 }
 
@@ -464,28 +548,24 @@ fn encode_op(w: &mut ByteWriter, op: &ScheduledOp) {
     match *op {
         ScheduledOp::SingleQubitGate { qubit } => {
             w.put_u8(0);
-            w.put_u32(qubit.0);
+            w.put_var(qubit.0.into());
         }
         ScheduledOp::TwoQubitGate { a, b, trap, chain_len, ion_distance } => {
             w.put_u8(1);
-            w.put_u32(a.0);
-            w.put_u32(b.0);
-            w.put_u32(trap.0);
-            w.put_u64(chain_len.into());
-            w.put_u64(ion_distance.into());
+            for v in [a.0, b.0, trap.0, chain_len.into(), ion_distance.into()] {
+                w.put_var(v.into());
+            }
         }
         ScheduledOp::SwapGate { a, b, trap, chain_len, ion_distance } => {
             w.put_u8(2);
-            w.put_u32(a.0);
-            w.put_u32(b.0);
-            w.put_u32(trap.0);
-            w.put_u64(chain_len.into());
-            w.put_u64(ion_distance.into());
+            for v in [a.0, b.0, trap.0, chain_len.into(), ion_distance.into()] {
+                w.put_var(v.into());
+            }
         }
         ScheduledOp::IonReorder { trap, steps } => {
             w.put_u8(3);
-            w.put_u32(trap.0);
-            w.put_u64(steps.into());
+            w.put_var(trap.0.into());
+            w.put_var(steps.into());
         }
         ScheduledOp::Shuttle {
             qubit,
@@ -497,46 +577,56 @@ fn encode_op(w: &mut ByteWriter, op: &ScheduledOp) {
             dest_chain_len,
         } => {
             w.put_u8(4);
-            w.put_u32(qubit.0);
-            w.put_u32(from_trap.0);
-            w.put_u32(to_trap.0);
-            w.put_u32(junctions);
-            w.put_u64(segments.into());
-            w.put_u64(source_chain_len.into());
-            w.put_u64(dest_chain_len.into());
+            for v in [
+                qubit.0,
+                from_trap.0,
+                to_trap.0,
+                junctions,
+                segments.into(),
+                source_chain_len.into(),
+                dest_chain_len.into(),
+            ] {
+                w.put_var(v.into());
+            }
         }
     }
 }
 
-/// Reads an op's chain count, a `u64` on the wire and a `u16` in
-/// [`ScheduledOp`]; a wider value is invalid, not truncated.
+/// Reads an op's qubit or trap id, a `u32`; a wider value is invalid,
+/// not truncated.
+fn get_id(r: &mut ByteReader<'_>) -> Result<u32, CodecError> {
+    r.get_var_as("op id")
+}
+
+/// Reads an op's chain count, a `u16` in [`ScheduledOp`]; a wider value
+/// is invalid, not truncated.
 fn get_count(r: &mut ByteReader<'_>) -> Result<u16, CodecError> {
-    u16::try_from(r.get_u64()?).map_err(|_| CodecError::Invalid("op count"))
+    r.get_var_as("op count")
 }
 
 fn decode_op(r: &mut ByteReader<'_>) -> Result<ScheduledOp, CodecError> {
     Ok(match r.get_u8()? {
-        0 => ScheduledOp::SingleQubitGate { qubit: Qubit(r.get_u32()?) },
+        0 => ScheduledOp::SingleQubitGate { qubit: Qubit(get_id(r)?) },
         1 => ScheduledOp::TwoQubitGate {
-            a: Qubit(r.get_u32()?),
-            b: Qubit(r.get_u32()?),
-            trap: TrapId(r.get_u32()?),
+            a: Qubit(get_id(r)?),
+            b: Qubit(get_id(r)?),
+            trap: TrapId(get_id(r)?),
             chain_len: get_count(r)?,
             ion_distance: get_count(r)?,
         },
         2 => ScheduledOp::SwapGate {
-            a: Qubit(r.get_u32()?),
-            b: Qubit(r.get_u32()?),
-            trap: TrapId(r.get_u32()?),
+            a: Qubit(get_id(r)?),
+            b: Qubit(get_id(r)?),
+            trap: TrapId(get_id(r)?),
             chain_len: get_count(r)?,
             ion_distance: get_count(r)?,
         },
-        3 => ScheduledOp::IonReorder { trap: TrapId(r.get_u32()?), steps: get_count(r)? },
+        3 => ScheduledOp::IonReorder { trap: TrapId(get_id(r)?), steps: get_count(r)? },
         4 => ScheduledOp::Shuttle {
-            qubit: Qubit(r.get_u32()?),
-            from_trap: TrapId(r.get_u32()?),
-            to_trap: TrapId(r.get_u32()?),
-            junctions: r.get_u32()?,
+            qubit: Qubit(get_id(r)?),
+            from_trap: TrapId(get_id(r)?),
+            to_trap: TrapId(get_id(r)?),
+            junctions: r.get_var_as("op count")?,
             segments: get_count(r)?,
             source_chain_len: get_count(r)?,
             dest_chain_len: get_count(r)?,
@@ -547,49 +637,48 @@ fn decode_op(r: &mut ByteReader<'_>) -> Result<ScheduledOp, CodecError> {
 
 fn encode_placement(w: &mut ByteWriter, p: &Placement) {
     let raw = p.to_raw();
-    w.put_usize(raw.slot_of.len());
+    w.put_var(raw.slot_of.len() as u64);
     for s in &raw.slot_of {
-        w.put_opt_u32(s.map(|s| s.0));
+        w.put_opt_var(s.map(|s| s.0));
     }
-    w.put_usize(raw.occupant.len());
+    w.put_var(raw.occupant.len() as u64);
     for q in &raw.occupant {
-        w.put_opt_u32(q.map(|q| q.0));
+        w.put_opt_var(q.map(|q| q.0));
     }
     for t in &raw.slot_trap {
-        w.put_u32(t.0);
+        w.put_var(t.0.into());
     }
-    w.put_usize(raw.trap_capacity.len());
-    for &c in &raw.trap_capacity {
-        w.put_usize(c);
-    }
-    for &o in &raw.trap_occupancy {
-        w.put_usize(o);
+    w.put_var(raw.trap_capacity.len() as u64);
+    for &n in raw.trap_capacity.iter().chain(&raw.trap_occupancy) {
+        w.put_var(n as u64);
     }
 }
 
 fn decode_placement(r: &mut ByteReader<'_>) -> Result<Placement, CodecError> {
-    let num_qubits = r.get_len(1)?;
+    // A `None` slot is one byte; a slot also has a trap id, and a trap a
+    // capacity and an occupancy.
+    let num_qubits = r.get_var_len(1)?;
     let mut slot_of = Vec::with_capacity(num_qubits);
     for _ in 0..num_qubits {
-        slot_of.push(r.get_opt_u32()?.map(SlotId));
+        slot_of.push(r.get_opt_var("placement slot")?.map(SlotId));
     }
-    let num_slots = r.get_len(1)?;
+    let num_slots = r.get_var_len(2)?;
     let mut occupant = Vec::with_capacity(num_slots);
     for _ in 0..num_slots {
-        occupant.push(r.get_opt_u32()?.map(Qubit));
+        occupant.push(r.get_opt_var("placement qubit")?.map(Qubit));
     }
     let mut slot_trap = Vec::with_capacity(num_slots);
     for _ in 0..num_slots {
-        slot_trap.push(TrapId(r.get_u32()?));
+        slot_trap.push(TrapId(r.get_var_as("placement trap")?));
     }
-    let num_traps = r.get_len(8)?;
+    let num_traps = r.get_var_len(2)?;
     let mut trap_capacity = Vec::with_capacity(num_traps);
     for _ in 0..num_traps {
-        trap_capacity.push(r.get_usize()?);
+        trap_capacity.push(r.get_var_as("placement count")?);
     }
     let mut trap_occupancy = Vec::with_capacity(num_traps);
     for _ in 0..num_traps {
-        trap_occupancy.push(r.get_usize()?);
+        trap_occupancy.push(r.get_var_as("placement count")?);
     }
     Placement::from_raw(RawPlacement {
         slot_of,
@@ -602,14 +691,17 @@ fn decode_placement(r: &mut ByteReader<'_>) -> Result<Placement, CodecError> {
 }
 
 /// Encodes a full [`CompileOutcome`]: program stream, execution report,
-/// final placement, scheduler statistics and compile time. The decoded
-/// value is bit-identical to the original (float fields round-trip through
-/// their bit patterns).
+/// final placement, scheduler statistics and compile time. Every integer
+/// is a varint except the compile time, a fixed eight-byte nanosecond
+/// count at the very end: it differs from run to run, and a fixed width
+/// lets a digest of the bytes leave it out. The decoded value is
+/// bit-identical to the original (float fields round-trip through their
+/// bit patterns).
 pub fn encode_outcome(w: &mut ByteWriter, outcome: &CompileOutcome) {
     let program = outcome.program();
-    w.put_usize(program.num_qubits());
-    w.put_usize(program.num_traps());
-    w.put_usize(program.len());
+    w.put_var(program.num_qubits() as u64);
+    w.put_var(program.num_traps() as u64);
+    w.put_var(program.len() as u64);
     for op in program.ops() {
         encode_op(w, op);
     }
@@ -622,17 +714,18 @@ pub fn encode_outcome(w: &mut ByteWriter, outcome: &CompileOutcome) {
     w.put_f64(report.max_motional_quanta);
     encode_placement(w, outcome.final_placement());
     let stats = outcome.scheduler_stats();
-    w.put_usize(stats.iterations);
-    w.put_usize(stats.heuristic_swaps);
-    w.put_usize(stats.fallback_routed_gates);
+    w.put_var(stats.iterations as u64);
+    w.put_var(stats.heuristic_swaps as u64);
+    w.put_var(stats.fallback_routed_gates as u64);
     w.put_u64(outcome.compile_time().as_nanos() as u64);
 }
 
 /// Decodes an outcome written by [`encode_outcome`].
 pub fn decode_outcome(r: &mut ByteReader<'_>) -> Result<CompileOutcome, CodecError> {
-    let num_qubits = r.get_usize()?;
-    let num_traps = r.get_usize()?;
-    let len = r.get_len(5)?;
+    let num_qubits = r.get_var_as("program width")?;
+    let num_traps = r.get_var_as("program traps")?;
+    // The shortest op is a tag and a one-byte qubit id.
+    let len = r.get_var_len(2)?;
     let mut program = CompiledProgram::with_capacity(num_qubits, num_traps, len);
     for _ in 0..len {
         program.push(decode_op(r)?);
@@ -647,12 +740,72 @@ pub fn decode_outcome(r: &mut ByteReader<'_>) -> Result<CompileOutcome, CodecErr
     };
     let placement = decode_placement(r)?;
     let stats = SchedulerStats {
-        iterations: r.get_usize()?,
-        heuristic_swaps: r.get_usize()?,
-        fallback_routed_gates: r.get_usize()?,
+        iterations: r.get_var_as("scheduler stat")?,
+        heuristic_swaps: r.get_var_as("scheduler stat")?,
+        fallback_routed_gates: r.get_var_as("scheduler stat")?,
     };
     let compile_time = Duration::from_nanos(r.get_u64()?);
     Ok(CompileOutcome::from_saved_parts(program, report, placement, stats, compile_time))
+}
+
+/// Decodes a buffer that holds exactly one outcome; trailing bytes are
+/// invalid.
+pub(crate) fn decode_outcome_bytes(bytes: &[u8]) -> Result<CompileOutcome, CodecError> {
+    let mut r = ByteReader::new(bytes);
+    let outcome = decode_outcome(&mut r)?;
+    if !r.is_exhausted() {
+        return Err(CodecError::Invalid("trailing outcome bytes"));
+    }
+    Ok(outcome)
+}
+
+/// A finished compile in its stored form: exactly the bytes
+/// [`encode_outcome`] writes, in one shared, exact-length buffer. The
+/// result cache keeps it and weighs it by its length, the daemon writes it
+/// as an `Outcome` payload without encoding again, and a cache file is a
+/// header plus the same bytes. A clone shares the buffer.
+///
+/// Every value was either encoded here or checked by decoding it once
+/// ([`EncodedOutcome::from_bytes`]), so [`EncodedOutcome::decode`] cannot
+/// fail.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EncodedOutcome(Arc<[u8]>);
+
+impl EncodedOutcome {
+    /// Encodes `outcome`.
+    pub fn encode(outcome: &CompileOutcome) -> Self {
+        let mut w = ByteWriter::new();
+        encode_outcome(&mut w, outcome);
+        EncodedOutcome(w.into_bytes().into())
+    }
+
+    /// Keeps a copy of `bytes` after checking, by decoding them once, that
+    /// they hold exactly one outcome.
+    ///
+    /// # Errors
+    ///
+    /// Whatever [`decode_outcome`] raises, and
+    /// [`CodecError::Invalid`] for bytes left over after the outcome.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
+        decode_outcome_bytes(bytes)?;
+        Ok(EncodedOutcome(bytes.into()))
+    }
+
+    /// Decodes the outcome.
+    pub fn decode(&self) -> CompileOutcome {
+        decode_outcome_bytes(&self.0).expect("an encoded outcome decodes: it was checked when made")
+    }
+
+    /// The encoded bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.0
+    }
+
+    /// `true` when both values share one buffer.
+    #[cfg(test)]
+    pub(crate) fn ptr_eq(a: &Self, b: &Self) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
 }
 
 /// Encodes a [`CompileError`] (tag + payload).
@@ -696,12 +849,14 @@ pub fn decode_compile_error(r: &mut ByteReader<'_>) -> Result<CompileError, Code
     })
 }
 
-/// A compiled outcome whose op stream is one two-qubit gate, and the
-/// offset of that gate's `chain_len` in the bytes [`encode_outcome`]
-/// writes for it (three `u64` headers, the tag, three `u32` operands), so
-/// decoder tests can widen the count on the wire.
+/// The bytes [`encode_outcome`] writes for an outcome whose op stream is
+/// one two-qubit gate (qubits 0 and 1 in trap 0, chain length 4, distance
+/// 1), with the raw bytes `raw` in place of the gate's `field`-th varint
+/// (0 and 1 the qubits, 2 the trap, 3 the chain length, 4 the distance),
+/// so decoder tests can write any value, or a malformed varint, into an
+/// op field.
 #[cfg(test)]
-pub(crate) fn one_gate_outcome() -> (CompileOutcome, usize) {
+pub(crate) fn one_gate_bytes(field: usize, raw: &[u8]) -> Vec<u8> {
     let compiled = ssync_core::SSyncCompiler::default()
         .compile(&ssync_circuit::generators::qft(6), &ssync_arch::QccdTopology::linear(2, 4))
         .expect("compiles");
@@ -720,7 +875,33 @@ pub(crate) fn one_gate_outcome() -> (CompileOutcome, usize) {
         compiled.scheduler_stats(),
         compiled.compile_time(),
     );
-    (outcome, 3 * 8 + 1 + 3 * 4)
+    let mut bytes = EncodedOutcome::encode(&outcome).as_bytes().to_vec();
+    // Three one-byte header varints and the tag, then one byte per field.
+    let at = 4 + field;
+    assert_eq!(bytes[3..9], [1, 0, 1, 0, 4, 1], "the gate's tag and fields");
+    bytes.splice(at..=at, raw.iter().copied());
+    bytes
+}
+
+/// `v` as [`ByteWriter::put_var`] writes it.
+#[cfg(test)]
+pub(crate) fn varint(v: u64) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.put_var(v);
+    w.into_bytes()
+}
+
+/// An S-SYNC compile of QFT-10 on `grid(2, 2, 5)`, whose program holds
+/// all five op kinds.
+#[cfg(test)]
+pub(crate) fn routed_outcome() -> CompileOutcome {
+    let outcome = ssync_core::SSyncCompiler::default()
+        .compile(&ssync_circuit::generators::qft(10), &ssync_arch::QccdTopology::grid(2, 2, 5))
+        .expect("compiles");
+    let kinds: std::collections::HashSet<_> =
+        outcome.program().ops().iter().map(std::mem::discriminant).collect();
+    assert_eq!(kinds.len(), 5, "every op kind appears");
+    outcome
 }
 
 #[cfg(test)]
@@ -755,14 +936,11 @@ mod tests {
 
     #[test]
     fn outcome_round_trips_bit_identically() {
-        let outcome = SSyncCompiler::default()
-            .compile(&qft(10), &QccdTopology::grid(2, 2, 5))
-            .expect("compiles");
-        assert_outcome_roundtrip(&outcome);
+        assert_outcome_roundtrip(&routed_outcome());
     }
 
-    /// The bytes of one fixed compile, pinned at wire version 9 and cache
-    /// file version 1. Ops are narrower in memory than on the wire, so a
+    /// The bytes of one fixed compile, pinned at wire version 11 and cache
+    /// file version 2. Ops are narrower in memory than on the wire, so a
     /// layout change can move these bytes unnoticed by a round trip; if
     /// this fails, bump `WIRE_VERSION` and `PERSIST_VERSION` and re-pin.
     #[test]
@@ -770,37 +948,77 @@ mod tests {
         let outcome = SSyncCompiler::default()
             .compile(&qft(12), &QccdTopology::grid(2, 2, 5))
             .expect("compiles");
-        let mut w = ByteWriter::new();
-        encode_outcome(&mut w, &outcome);
-        let bytes = w.into_bytes();
+        let bytes = EncodedOutcome::encode(&outcome);
+        let bytes = bytes.as_bytes();
         // The trailing u64 is the compile time, which differs run to run.
         let mut h = StableHasher::new();
         h.write_bytes(&bytes[..bytes.len() - 8]);
-        assert_eq!((bytes.len(), h.finish()), (11_924, 0xecb0_81d3_f142_cb96));
-        assert_eq!((crate::wire::WIRE_VERSION, crate::cache::PERSIST_VERSION), (10, 1));
+        assert_eq!((bytes.len(), h.finish()), (2_779, 0x476d_bbbb_40fe_4432));
+        assert_eq!((crate::wire::WIRE_VERSION, crate::cache::PERSIST_VERSION), (11, 2));
     }
 
-    /// An op count is a `u64` on the wire but a `u16` in memory: the
-    /// widest count decodes, one more is rejected rather than truncated.
+    /// Every varint of every length round-trips, and only its shortest
+    /// form decodes.
+    #[test]
+    fn varints_round_trip_in_their_shortest_form_only() {
+        for shift in 0..64 {
+            for v in [(1u64 << shift) - 1, 1 << shift, (1 << shift) + 1, u64::MAX >> shift] {
+                let bytes = varint(v);
+                assert_eq!(bytes.len(), (64 - v.leading_zeros() as usize).div_ceil(7).max(1));
+                let mut r = ByteReader::new(&bytes);
+                assert_eq!(r.get_var(), Ok(v));
+                assert!(r.is_exhausted());
+                for cut in 0..bytes.len() {
+                    assert_eq!(
+                        ByteReader::new(&bytes[..cut]).get_var(),
+                        Err(CodecError::Truncated)
+                    );
+                }
+                // The same value with a zero byte appended is overlong.
+                let mut padded = bytes.clone();
+                *padded.last_mut().expect("non-empty") |= 0x80;
+                padded.push(0);
+                let overlong = Err(CodecError::Invalid("overlong varint"));
+                assert_eq!(ByteReader::new(&padded).get_var(), overlong, "{v}");
+            }
+        }
+        let overlong = Err(CodecError::Invalid("overlong varint"));
+        // A tenth byte may carry only bit 63, and there is no eleventh.
+        let mut past_64 = vec![0xFF; 9];
+        past_64.push(0x02);
+        assert_eq!(ByteReader::new(&past_64).get_var(), overlong);
+        let mut eleven = vec![0x80; 10];
+        eleven.push(0x01);
+        assert_eq!(ByteReader::new(&eleven).get_var(), overlong);
+    }
+
+    /// Op fields are varints in the stream but `u16` counts and `u32` ids
+    /// in memory: the widest value of each decodes, one more is rejected
+    /// rather than truncated, and so is an overlong varint.
     #[test]
     fn op_counts_beyond_u16_are_invalid() {
-        let (outcome, at) = one_gate_outcome();
-        let mut w = ByteWriter::new();
-        encode_outcome(&mut w, &outcome);
-        let mut bytes = w.into_bytes();
-        assert_eq!(bytes[at..at + 8], 4u64.to_le_bytes(), "the gate's chain_len");
-        let widest = u64::from(u16::MAX);
-        bytes[at..at + 8].copy_from_slice(&widest.to_le_bytes());
-        let decoded = decode_outcome(&mut ByteReader::new(&bytes)).expect("u16::MAX fits");
+        let decode = |field: usize, raw: &[u8]| {
+            decode_outcome_bytes(&one_gate_bytes(field, raw)).map(|o| o.program().ops()[0])
+        };
+        let (chain_len, trap) = (3, 2);
         assert!(matches!(
-            decoded.program().ops()[0],
-            ScheduledOp::TwoQubitGate { chain_len: u16::MAX, .. }
+            decode(chain_len, &varint(u16::MAX.into())),
+            Ok(ScheduledOp::TwoQubitGate { chain_len: u16::MAX, .. })
         ));
-        bytes[at..at + 8].copy_from_slice(&(widest + 1).to_le_bytes());
+        let past_u16 = decode(chain_len, &varint(u64::from(u16::MAX) + 1));
+        assert_eq!(past_u16.err(), Some(CodecError::Invalid("op count")));
+        assert!(matches!(
+            decode(trap, &varint(u32::MAX.into())),
+            Ok(ScheduledOp::TwoQubitGate { trap: TrapId(u32::MAX), .. })
+        ));
+        let past_u32 = decode(trap, &varint(u64::from(u32::MAX) + 1));
+        assert_eq!(past_u32.err(), Some(CodecError::Invalid("op id")));
+        // 4 written in two bytes instead of one.
         assert_eq!(
-            decode_outcome(&mut ByteReader::new(&bytes)).err(),
-            Some(CodecError::Invalid("op count"))
+            decode(chain_len, &[0x84, 0x00]).err(),
+            Some(CodecError::Invalid("overlong varint"))
         );
+        assert!(decode(chain_len, &[0x04]).is_ok(), "the shortest form decodes");
     }
 
     #[test]
@@ -947,26 +1165,67 @@ mod tests {
         ));
     }
 
+    /// A routed outcome holding all five op kinds: every truncation, a
+    /// trailing byte, a bad op tag and a giant length prefix each fail
+    /// with a codec error, never a panic.
     #[test]
     fn truncated_and_corrupt_input_fail_cleanly() {
-        let outcome = SSyncCompiler::default()
-            .compile(&qft(8), &QccdTopology::linear(2, 5))
-            .expect("compiles");
-        let mut w = ByteWriter::new();
-        encode_outcome(&mut w, &outcome);
-        let bytes = w.into_bytes();
-        // Every truncation point must error, never panic.
-        for cut in [0, 1, 8, bytes.len() / 2, bytes.len() - 1] {
-            assert!(decode_outcome(&mut ByteReader::new(&bytes[..cut])).is_err(), "cut {cut}");
+        let bytes = EncodedOutcome::encode(&routed_outcome());
+        let bytes = bytes.as_bytes();
+        for cut in 0..bytes.len() {
+            assert!(decode_outcome_bytes(&bytes[..cut]).is_err(), "cut {cut}");
         }
-        // A corrupted op tag errors.
-        let mut corrupt = bytes.clone();
-        corrupt[24] = 0xEE; // first op's tag byte (after 3 u64 headers)
-        assert!(decode_outcome(&mut ByteReader::new(&corrupt)).is_err());
+        let mut padded = bytes.to_vec();
+        padded.push(0);
+        assert_eq!(
+            decode_outcome_bytes(&padded).err(),
+            Some(CodecError::Invalid("trailing outcome bytes"))
+        );
+        // The first op's tag follows the width, trap and op-count varints.
+        let program = routed_outcome().program().clone();
+        let first_op = [program.num_qubits(), program.num_traps(), program.len()]
+            .map(|v| varint(v as u64).len());
+        let mut corrupt = bytes.to_vec();
+        corrupt[first_op.iter().sum::<usize>()] = 0xEE;
+        assert_eq!(
+            decode_outcome_bytes(&corrupt).err(),
+            Some(CodecError::BadTag { what: "scheduled op", tag: 0xEE })
+        );
         // A giant length prefix is rejected without allocating.
+        assert_eq!(ByteReader::new(&varint(u64::MAX)).get_var_len(1), Err(CodecError::BadLength));
         let mut huge = ByteWriter::new();
         huge.put_u64(u64::MAX);
         let huge = huge.into_bytes();
         assert!(matches!(ByteReader::new(&huge).get_len(1), Err(CodecError::BadLength)));
+    }
+
+    fn routed_bytes() -> &'static [u8] {
+        static BYTES: std::sync::OnceLock<EncodedOutcome> = std::sync::OnceLock::new();
+        BYTES.get_or_init(|| EncodedOutcome::encode(&routed_outcome())).as_bytes()
+    }
+
+    /// Decoding is total and exact: bytes that decode at all re-encode to
+    /// themselves, so no damaged stream passes for a different outcome
+    /// that happens to parse.
+    fn decodes_exactly_or_fails(bytes: &[u8]) {
+        if let Ok(outcome) = decode_outcome_bytes(bytes) {
+            assert_eq!(EncodedOutcome::encode(&outcome).as_bytes(), bytes);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// A routed outcome cut short, or with one byte's bits flipped,
+        /// ends in a codec error or an outcome that re-encodes to exactly
+        /// the damaged bytes — never a panic.
+        #[test]
+        fn damaged_outcomes_fail_cleanly(cut in 0usize..1 << 16, at in 0usize..1 << 16, mask in 1u16..256) {
+            let bytes = routed_bytes();
+            decodes_exactly_or_fails(&bytes[..cut % bytes.len()]);
+            let mut flipped = bytes.to_vec();
+            flipped[at % bytes.len()] ^= mask as u8;
+            decodes_exactly_or_fails(&flipped);
+        }
     }
 }

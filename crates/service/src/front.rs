@@ -307,8 +307,10 @@ impl Session {
         Some(span)
     }
 
-    fn result_response(result: crate::job::JobResult) -> Response {
-        match result {
+    /// The response for a settled job: the outcome's stored bytes, never
+    /// decoded or encoded here.
+    fn result_response(settled: crate::job::Settled) -> Response {
+        match settled {
             Ok(outcome) => Response::Outcome(outcome),
             Err(error) => Response::CompileFailed(error),
         }
@@ -319,7 +321,7 @@ impl Session {
     ///
     /// A job id is *consumed* by the response that delivers its terminal
     /// result (`Wait`, or a `Poll` that observes completion): the handle —
-    /// and the `Arc<CompileOutcome>` it pins — is dropped immediately, so
+    /// and the outcome it pins — is dropped immediately, so
     /// a connection submitting millions of jobs holds memory proportional
     /// to its *outstanding* jobs, not its lifetime total. A later
     /// `Poll`/`Wait` on a consumed id is `Rejected`.
@@ -347,7 +349,7 @@ impl Session {
             Request::Submit(remote) => (self.submit(service, *remote), Control::Continue),
             Request::SubmitQasm(remote) => (self.submit_qasm(service, *remote), Control::Continue),
             Request::Poll { job } => match self.jobs.get(&job) {
-                Some((handle, _tenant, _span)) => match handle.try_poll() {
+                Some((handle, _tenant, _span)) => match handle.try_poll_encoded() {
                     Some(result) => {
                         self.delivered = self.finish(job);
                         (Self::result_response(result), Control::Continue)
@@ -363,7 +365,7 @@ impl Session {
                 Some((handle, tenant, span)) => {
                     self.gate.release_tenant(tenant);
                     self.delivered = Some(span);
-                    (Self::result_response(handle.wait()), Control::Continue)
+                    (Self::result_response(handle.wait_encoded()), Control::Continue)
                 }
                 None => (
                     Response::Rejected { reason: format!("unknown job id {job}") },
@@ -697,7 +699,7 @@ mod tests {
         let Response::Outcome(outcome) = &responses[1] else {
             panic!("wait must return the outcome, got {:?}", responses[1]);
         };
-        assert_eq!(outcome.counts().two_qubit_gates, 90);
+        assert_eq!(outcome.decode().counts().two_qubit_gates, 90);
         // Wait consumed job id 0, so a later poll is rejected (the daemon
         // must not retain delivered outcomes per-connection forever).
         assert!(matches!(&responses[2], Response::Rejected { .. }), "consumed job id");
@@ -755,6 +757,7 @@ mod tests {
         let Response::Outcome(remote) = &responses[1] else {
             panic!("wait must return the outcome, got {:?}", responses[1]);
         };
+        let remote = remote.decode();
         // Identical to parsing locally and compiling in-process.
         let direct = service
             .submit(crate::CompileRequest::new(

@@ -1,10 +1,11 @@
 //! Requests and handles: what tenants submit and what they wait on.
 
+use crate::codec::EncodedOutcome;
 use crate::registry::RegisteredDevice;
 use ssync_baselines::CompilerKind;
 use ssync_circuit::{Circuit, StableHasher};
 use ssync_core::{CompileError, CompileOutcome, CompilerConfig};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Scheduling priority of a request. Levels are *strict*: a worker always
 /// drains every queued [`Priority::High`] job before touching
@@ -163,17 +164,30 @@ impl CompileRequest {
 /// the result cache) or the compiler's error.
 pub type JobResult = Result<Arc<CompileOutcome>, CompileError>;
 
+/// What a job settles to inside the service: the outcome's stored
+/// encoding, or the compiler's error.
+pub(crate) type Settled = Result<EncodedOutcome, CompileError>;
+
 #[derive(Debug, Default)]
 pub(crate) struct JobState {
-    slot: Mutex<Option<JobResult>>,
+    slot: Mutex<Option<Settled>>,
+    /// The decoded outcome every handle on this job shares: the one a
+    /// worker just compiled, or else decoded from the stored encoding by
+    /// the first `wait` or `try_poll` that returns it.
+    decoded: OnceLock<Arc<CompileOutcome>>,
     done: Condvar,
 }
 
 impl JobState {
-    pub(crate) fn fulfil(&self, result: JobResult) {
+    /// Settles the job. `compiled` is the outcome a worker just compiled
+    /// and encoded, so no handle decodes it again; a cache hit has none.
+    pub(crate) fn fulfil(&self, settled: Settled, compiled: Option<Arc<CompileOutcome>>) {
+        if let Some(outcome) = compiled {
+            let _ = self.decoded.set(outcome);
+        }
         let mut slot = self.slot.lock().expect("job lock poisoned");
         debug_assert!(slot.is_none(), "a job is fulfilled exactly once");
-        *slot = Some(result);
+        *slot = Some(settled);
         self.done.notify_all();
     }
 }
@@ -193,8 +207,27 @@ impl JobHandle {
 
     /// Blocks until the job completes and returns its result. Safe to call
     /// from multiple threads and multiple times — later calls return the
-    /// same (shared) result immediately.
+    /// same (shared) result immediately. A job served from the result
+    /// cache decodes its outcome here, once for all of its handles.
     pub fn wait(&self) -> JobResult {
+        self.decoded(self.wait_encoded())
+    }
+
+    /// Returns the result if the job already completed, `None` otherwise.
+    /// Never blocks beyond the internal lock and, for a cache hit, the
+    /// job's one decode.
+    pub fn try_poll(&self) -> Option<JobResult> {
+        self.try_poll_encoded().map(|settled| self.decoded(settled))
+    }
+
+    /// `true` once the job has completed (successfully or not).
+    pub fn is_done(&self) -> bool {
+        self.try_poll_encoded().is_some()
+    }
+
+    /// [`JobHandle::wait`] without decoding: the stored encoding, which
+    /// the front-end writes to the wire as it is.
+    pub(crate) fn wait_encoded(&self) -> Settled {
         let mut slot = self.state.slot.lock().expect("job lock poisoned");
         while slot.is_none() {
             slot = self.state.done.wait(slot).expect("job lock poisoned");
@@ -202,15 +235,15 @@ impl JobHandle {
         slot.clone().expect("loop exits only when fulfilled")
     }
 
-    /// Returns the result if the job already completed, `None` otherwise.
-    /// Never blocks beyond the internal lock.
-    pub fn try_poll(&self) -> Option<JobResult> {
+    /// [`JobHandle::try_poll`] without decoding.
+    pub(crate) fn try_poll_encoded(&self) -> Option<Settled> {
         self.state.slot.lock().expect("job lock poisoned").clone()
     }
 
-    /// `true` once the job has completed (successfully or not).
-    pub fn is_done(&self) -> bool {
-        self.try_poll().is_some()
+    fn decoded(&self, settled: Settled) -> JobResult {
+        settled.map(|encoded| {
+            Arc::clone(self.state.decoded.get_or_init(|| Arc::new(encoded.decode())))
+        })
     }
 }
 
@@ -227,12 +260,30 @@ mod tests {
         std::thread::scope(|scope| {
             let join = scope.spawn(move || waiter.wait());
             scope.spawn(move || {
-                state.fulfil(Err(CompileError::DisconnectedTopology));
+                state.fulfil(Err(CompileError::DisconnectedTopology), None);
             });
             let result = join.join().expect("waiter thread");
             assert!(matches!(result, Err(CompileError::DisconnectedTopology)));
         });
         assert!(handle.is_done());
         assert!(matches!(handle.wait(), Err(CompileError::DisconnectedTopology)));
+    }
+
+    /// A job settled from the cache alone decodes its outcome once: every
+    /// clone of the handle, every `wait` and every `try_poll` shares one
+    /// `Arc`, and the stored encoding stays the one buffer.
+    #[test]
+    fn a_cache_hit_decodes_once_for_every_handle() {
+        let (handle, state) = JobHandle::new();
+        let encoded = EncodedOutcome::encode(&crate::codec::routed_outcome());
+        state.fulfil(Ok(encoded.clone()), None);
+        let clone = handle.clone();
+        let waited = handle.wait().expect("ok");
+        let polled = clone.try_poll().expect("done").expect("ok");
+        assert!(Arc::ptr_eq(&waited, &polled));
+        assert!(Arc::ptr_eq(&waited, &clone.wait().expect("ok")));
+        assert_eq!(EncodedOutcome::encode(&waited), encoded, "decodes bit for bit");
+        let settled = clone.wait_encoded().expect("ok");
+        assert!(EncodedOutcome::ptr_eq(&settled, &encoded));
     }
 }

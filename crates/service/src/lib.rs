@@ -72,8 +72,9 @@ pub mod registry;
 pub mod telemetry;
 pub mod wire;
 
-pub use cache::{CacheBounds, CacheConfig, CacheKey, CacheStats, CompiledWeight, ResultCache};
+pub use cache::{CacheBounds, CacheConfig, CacheKey, CacheStats, ResultCache};
 pub use client::{BackoffPolicy, ServiceClient};
+pub use codec::EncodedOutcome;
 pub use front::FrontConfig;
 pub use job::{CompileRequest, JobHandle, JobResult, Priority, TenantId};
 pub use metrics::{ServiceMetrics, WorkerMetrics};

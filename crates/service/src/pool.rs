@@ -83,6 +83,7 @@
 //! [`CompilerKind::compile_on`]: ssync_baselines::CompilerKind::compile_on
 
 use crate::cache::{CacheBounds, CacheConfig, CacheKey, ResultCache};
+use crate::codec::EncodedOutcome;
 use crate::hash::config_hash;
 use crate::job::{CompileRequest, JobHandle, JobState, Priority, TenantId};
 use crate::metrics::{ServiceMetrics, WorkerMetrics};
@@ -705,7 +706,7 @@ impl CompileService {
         telemetry.record(Stage::CacheLookup, priority, kind, lookup);
         if let Some(cached) = cached {
             let (handle, state) = JobHandle::new();
-            state.fulfil(Ok(cached));
+            state.fulfil(Ok(cached), None);
             self.shared.completed.fetch_add(1, Ordering::Relaxed);
             telemetry.span_attr(&span, "outcome", "cache_hit");
             telemetry.finish_request(&span, priority, kind);
@@ -754,7 +755,7 @@ impl CompileService {
             // always pending → cache; workers never hold both).
             if let Some(cached) = self.shared.cache.get(&key) {
                 let (handle, state) = JobHandle::new();
-                state.fulfil(Ok(cached));
+                state.fulfil(Ok(cached), None);
                 self.shared.completed.fetch_add(1, Ordering::Relaxed);
                 telemetry.span_attr(&span, "outcome", "cache_hit");
                 telemetry.finish_request(&span, priority, kind);
@@ -876,7 +877,7 @@ fn execute(shared: &Shared, me: usize, job: Job, scratch: &mut CompileScratch) {
     // The outcome goes to the cache and the waiters; the run report goes
     // to the pool's counters, the span and, with its recording, the trace
     // journal alone.
-    let (result, recording) = match compiled {
+    let (result, outcome, recording) = match compiled {
         Ok((outcome, report)) => {
             let scoring = report.scoring;
             shared.scoring.lock().expect("scoring lock poisoned").merge(&scoring);
@@ -893,16 +894,18 @@ fn execute(shared: &Shared, me: usize, job: Job, scratch: &mut CompileScratch) {
                 "stall_fallback_entries",
                 scoring.stall_fallback_entries.to_string(),
             );
-            // Insert into the cache *before* retiring the pending entry:
-            // identical submissions racing this completion find the job in
-            // at least one of the two, so nothing recompiles.
-            let outcome = Arc::new(outcome);
+            // Encode once: the cache keeps these bytes and the front-end
+            // writes them as they are. Insert into the cache *before*
+            // retiring the pending entry: identical submissions racing
+            // this completion find the job in at least one of the two, so
+            // nothing recompiles.
             let write_started = Instant::now();
-            shared.cache.insert(key, Arc::clone(&outcome));
+            let encoded = EncodedOutcome::encode(&outcome);
+            shared.cache.insert(key, encoded.clone());
             t.span_record(&span, "cache_write", write_started.elapsed());
-            (Ok(outcome), report.recording.map(Arc::new))
+            (Ok(encoded), Some(Arc::new(outcome)), report.recording.map(Arc::new))
         }
-        Err(error) => (Err(error), None),
+        Err(error) => (Err(error), None, None),
     };
     if registered {
         let mut pending = shared.pending.lock().expect("pending lock poisoned");
@@ -931,7 +934,7 @@ fn execute(shared: &Shared, me: usize, job: Job, scratch: &mut CompileScratch) {
     shared.telemetry.span_attr(&span, "outcome", outcome_label);
     shared.telemetry.finish_request_with(&span, priority, kind, recording);
     shared.completed.fetch_add(attached.load(Ordering::Relaxed), Ordering::Relaxed);
-    state.fulfil(result);
+    state.fulfil(result, outcome);
 }
 
 /// Runs one compile under the request's own config — the one its cache
@@ -979,6 +982,21 @@ mod tests {
         CompileRequest::new(device, Arc::clone(circuit), kind, *config)
     }
 
+    /// `a` and `b` are the same compile: equal ops, placement, report bits
+    /// and scheduler stats.
+    fn assert_same_compile(a: &CompileOutcome, b: &CompileOutcome) {
+        assert_eq!(a.program().ops(), b.program().ops());
+        assert_eq!(a.final_placement(), b.final_placement());
+        assert_eq!(a.scheduler_stats(), b.scheduler_stats());
+        assert_eq!(a.report().success_rate.to_bits(), b.report().success_rate.to_bits());
+        assert_eq!(a.report().total_time_us.to_bits(), b.report().total_time_us.to_bits());
+    }
+
+    /// The stored encoding a settled handle holds.
+    fn encoding(handle: &JobHandle) -> EncodedOutcome {
+        handle.wait_encoded().expect("compiles")
+    }
+
     #[test]
     fn submit_and_wait_round_trips() {
         let service = CompileService::with_workers(2);
@@ -992,25 +1010,42 @@ mod tests {
         assert!(Arc::ptr_eq(&outcome, &polled));
     }
 
+    /// A hit is decoded from the bytes the first compile stored, so it is
+    /// a new `Arc` of the same compile sharing that one encoding.
     #[test]
     fn identical_resubmission_is_served_from_cache() {
         let service = CompileService::with_workers(2);
         let config = CompilerConfig::default();
         let circuit = Arc::new(qft(10));
-        let first = service
-            .submit(request(&service, &circuit, CompilerKind::SSync, &config))
-            .wait()
-            .expect("compiles");
-        let second = service
-            .submit(request(&service, &circuit, CompilerKind::SSync, &config))
-            .wait()
-            .expect("compiles");
-        assert!(Arc::ptr_eq(&first, &second), "hit shares the cached outcome");
+        let first = service.submit(request(&service, &circuit, CompilerKind::SSync, &config));
+        let compiled = first.wait().expect("compiles");
+        let second = service.submit(request(&service, &circuit, CompilerKind::SSync, &config));
+        assert_same_compile(&compiled, &second.wait().expect("hits"));
+        assert!(EncodedOutcome::ptr_eq(&encoding(&first), &encoding(&second)));
         let metrics = service.metrics();
         assert_eq!(metrics.cache.hits, 1);
         assert_eq!(metrics.jobs_executed(), 1, "second request must not recompile");
         assert_eq!(metrics.jobs_submitted, 2);
         assert_eq!(metrics.jobs_completed, 2);
+    }
+
+    /// Every hit on one key hands out the buffer the compile stored: the
+    /// pool encodes an outcome once and never copies it afterwards.
+    #[test]
+    fn hits_on_one_key_share_the_stored_encoding() {
+        let service = CompileService::with_workers(1);
+        let config = CompilerConfig::default();
+        let circuit = Arc::new(qft(10));
+        let submit = || service.submit(request(&service, &circuit, CompilerKind::SSync, &config));
+        let compiled = submit();
+        compiled.wait().expect("compiles");
+        let (first, second) = (submit(), submit());
+        assert!(EncodedOutcome::ptr_eq(&encoding(&first), &encoding(&second)));
+        assert!(EncodedOutcome::ptr_eq(&encoding(&compiled), &encoding(&first)));
+        assert_same_compile(&first.wait().expect("hits"), &second.wait().expect("hits"));
+        let metrics = service.metrics();
+        assert_eq!((metrics.cache.hits, metrics.jobs_executed()), (2, 1));
+        assert_eq!(metrics.cache.bytes, encoding(&compiled).as_bytes().len());
     }
 
     #[test]
@@ -1141,9 +1176,16 @@ mod tests {
         let service = CompileService::with_workers(1);
         let config = CompilerConfig::default();
         let circuit = Arc::new(qft(14));
-        // Ten identical requests in rapid succession: whichever way each
-        // one resolves (queued, coalesced onto the in-flight job, or a
-        // cache hit after completion), exactly one compile runs.
+        // A High blocker keeps the one worker busy while ten identical
+        // requests arrive, so the first queues and the other nine coalesce
+        // onto it, and every handle shares its one outcome. A request that
+        // arrived after completion would be a cache hit, which decodes its
+        // own `Arc` from the stored bytes
+        // (`hits_on_one_key_share_the_stored_encoding`).
+        let blocker = service.submit(
+            request(&service, &Arc::new(qft(40)), CompilerKind::SSync, &config)
+                .with_priority(Priority::High),
+        );
         let handles: Vec<_> = (0..10)
             .map(|_| service.submit(request(&service, &circuit, CompilerKind::SSync, &config)))
             .collect();
@@ -1151,11 +1193,12 @@ mod tests {
         for outcome in &outcomes {
             assert!(Arc::ptr_eq(outcome, &outcomes[0]), "all handles share one outcome");
         }
+        blocker.wait().expect("compiles");
         let metrics = service.metrics();
-        assert_eq!(metrics.jobs_executed(), 1, "one compile serves all ten");
-        assert_eq!(metrics.jobs_submitted, 10);
-        assert_eq!(metrics.jobs_completed, 10);
-        assert_eq!(metrics.cache.hits + metrics.jobs_coalesced, 9);
+        assert_eq!(metrics.jobs_executed(), 2, "one compile serves all ten, beside the blocker");
+        assert_eq!(metrics.jobs_submitted, 11);
+        assert_eq!(metrics.jobs_completed, 11);
+        assert_eq!((metrics.jobs_coalesced, metrics.cache.hits), (9, 0));
     }
 
     #[test]
@@ -1354,21 +1397,22 @@ mod tests {
         let service = CompileService::with_workers(2);
         let config = CompilerConfig::default();
         let circuit = Arc::new(qft(10));
-        let plain = service
-            .submit(request(&service, &circuit, CompilerKind::SSync, &config))
-            .wait()
-            .expect("compiles");
+        let plain = service.submit(request(&service, &circuit, CompilerKind::SSync, &config));
+        let plain_outcome = plain.wait().expect("compiles");
         // An hour-long deadline cannot expire; the request is served from
         // the cache (deadlines never bypass completed outcomes).
-        let relaxed = service
-            .submit(
-                request(&service, &circuit, CompilerKind::SSync, &config)
-                    .with_deadline_us(3_600_000_000),
-            )
-            .wait()
-            .expect("compiles");
-        assert!(Arc::ptr_eq(&plain, &relaxed), "cache serves deadline requests");
-        assert_eq!(service.metrics().jobs_deadline_expired, 0);
+        let relaxed = service.submit(
+            request(&service, &circuit, CompilerKind::SSync, &config)
+                .with_deadline_us(3_600_000_000),
+        );
+        assert_same_compile(&plain_outcome, &relaxed.wait().expect("hits"));
+        assert!(
+            EncodedOutcome::ptr_eq(&encoding(&plain), &encoding(&relaxed)),
+            "cache serves deadline requests"
+        );
+        let metrics = service.metrics();
+        assert_eq!((metrics.cache.hits, metrics.jobs_executed()), (1, 1));
+        assert_eq!(metrics.jobs_deadline_expired, 0);
 
         // And on a cold cache, the deadline path produces the same bits.
         let cold = CompileService::with_workers(2);
@@ -1379,8 +1423,8 @@ mod tests {
             )
             .wait()
             .expect("compiles");
-        assert_eq!(plain.program().ops(), fresh.program().ops());
-        assert_eq!(plain.final_placement(), fresh.final_placement());
+        assert_eq!(plain_outcome.program().ops(), fresh.program().ops());
+        assert_eq!(plain_outcome.final_placement(), fresh.final_placement());
     }
 
     #[test]

@@ -544,7 +544,7 @@ pub fn render_text(metrics: &ServiceMetrics, telemetry: &TelemetrySnapshot) -> S
     e.value("ssync_queue_depth", &[], metrics.queue_depth as u64);
     e.header("ssync_cache_entries", "gauge", "In-memory result-cache entries.");
     e.value("ssync_cache_entries", &[], metrics.cache.entries as u64);
-    e.header("ssync_cache_bytes", "gauge", "Approximate in-memory result-cache bytes.");
+    e.header("ssync_cache_bytes", "gauge", "Encoded bytes in the in-memory result cache.");
     e.value("ssync_cache_bytes", &[], metrics.cache.bytes as u64);
     e.header("ssync_uptime_seconds", "gauge", "Wall seconds since service start.");
     e.value("ssync_uptime_seconds", &[], metrics.uptime.as_secs());

@@ -9,7 +9,7 @@
 //! +----------+------------+-----------+------------------+
 //! | magic u32| version u32| length u32| payload (length) |
 //! +----------+------------+-----------+------------------+
-//!      "CYSS"     7          LE bytes    codec-encoded body
+//!      "CYSS"     11         LE bytes    codec-encoded body
 //! ```
 //!
 //! All integers are little-endian. A frame whose magic or version doesn't
@@ -18,7 +18,10 @@
 //! are encoded with the [`crate::codec`] primitives (exact-bit floats,
 //! tag bytes, length-prefixed sequences) — the vendored `serde` is a
 //! marker-trait stand-in, so the wire structs here pair each message with
-//! explicit `encode`/`decode` functions instead of derives.
+//! explicit `encode`/`decode` functions instead of derives. An `Outcome`
+//! payload is its tag and then the outcome's stored
+//! [`EncodedOutcome`] bytes, which the server copies out of its result
+//! cache without encoding anything.
 //!
 //! ## Conversation
 //!
@@ -65,21 +68,20 @@
 //! device artifact never crosses the wire — only the name does, exactly
 //! like the in-process API shares one registered `Arc`.
 
-use crate::codec::{self, ByteReader, ByteWriter, CodecError};
+use crate::codec::{self, ByteReader, ByteWriter, CodecError, EncodedOutcome};
 use crate::job::{Priority, TenantId};
 use crate::metrics::{ServiceMetrics, WorkerMetrics};
 use ssync_baselines::CompilerKind;
 use ssync_circuit::Circuit;
 use ssync_core::{CompileError, CompileOutcome, CompilerConfig, ScoringTelemetry};
 use std::io::{IoSlice, Read, Write};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Frame magic: `b"CYSS"` little-endian ("SSYC" on the wire).
 pub const WIRE_MAGIC: u32 = u32::from_le_bytes(*b"SSYC");
 /// The protocol version, written on every frame and the only one
 /// [`read_frame`] accepts; bumped on any payload layout change.
-pub const WIRE_VERSION: u32 = 10;
+pub const WIRE_VERSION: u32 = 11;
 /// Upper bound on a frame payload (a defence against corrupt length
 /// prefixes, not a practical limit — outcomes are kilobytes).
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
@@ -266,9 +268,10 @@ pub enum Response {
     },
     /// The polled job has not finished yet.
     Pending,
-    /// The job finished successfully. The server encodes the cached
-    /// outcome in place, without copying it.
-    Outcome(Arc<CompileOutcome>),
+    /// The job finished successfully: the outcome's stored encoding,
+    /// which the server writes as it is, for cache hits and fresh
+    /// compiles alike.
+    Outcome(EncodedOutcome),
     /// The job finished with a compile error.
     CompileFailed(CompileError),
     /// The request itself was invalid (unknown device name, unknown job
@@ -522,8 +525,8 @@ pub fn encode_response(response: &Response) -> Vec<u8> {
         }
         Response::Pending => w.put_u8(1),
         Response::Outcome(outcome) => {
-            w.put_u8(2);
-            codec::encode_outcome(&mut w, outcome);
+            w.put_u8(OUTCOME_TAG);
+            w.put_bytes(outcome.as_bytes());
         }
         Response::CompileFailed(error) => {
             w.put_u8(3);
@@ -566,13 +569,29 @@ pub fn encode_response(response: &Response) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Decodes a [`Response`] payload written by [`encode_response`].
+/// The tag of a [`Response::Outcome`] payload.
+const OUTCOME_TAG: u8 = 2;
+
+/// The outcome an `Outcome` payload carries, decoded straight from the
+/// payload; `None` for every other response. The client reads results
+/// through this, so an outcome is decoded once, where
+/// [`decode_response`] would decode it to check it and then keep only its
+/// bytes.
+pub(crate) fn decode_outcome_payload(payload: &[u8]) -> Option<Result<CompileOutcome, CodecError>> {
+    match payload.split_first() {
+        Some((&OUTCOME_TAG, body)) => Some(codec::decode_outcome_bytes(body)),
+        _ => None,
+    }
+}
+
+/// Decodes a [`Response`] payload written by [`encode_response`]. An
+/// `Outcome` body is decoded once to check it, then kept as bytes.
 pub fn decode_response(payload: &[u8]) -> Result<Response, CodecError> {
     let mut r = ByteReader::new(payload);
     let response = match r.get_u8()? {
         0 => Response::Submitted { job: r.get_u64()?, trace_id: r.get_u64()? },
         1 => Response::Pending,
-        2 => Response::Outcome(Arc::new(codec::decode_outcome(&mut r)?)),
+        OUTCOME_TAG => Response::Outcome(EncodedOutcome::from_bytes(r.rest())?),
         3 => Response::CompileFailed(codec::decode_compile_error(&mut r)?),
         4 => Response::Rejected { reason: r.get_str()? },
         5 => Response::Metrics(Box::new(decode_metrics(&mut r)?)),
@@ -817,16 +836,14 @@ mod tests {
         }
     }
 
-    /// One instance of every [`Response`] variant.
+    /// One instance of every [`Response`] variant; the outcome is a
+    /// routed program holding all five op kinds.
     fn every_response() -> Vec<Response> {
-        let outcome = ssync_core::SSyncCompiler::default()
-            .compile(&qft(6), &ssync_arch::QccdTopology::linear(2, 4))
-            .expect("compiles");
         vec![
             Response::Welcome { version: WIRE_VERSION },
             Response::Submitted { job: 5, trace_id: 42 },
             Response::Pending,
-            Response::Outcome(Arc::new(outcome)),
+            Response::Outcome(EncodedOutcome::encode(&codec::routed_outcome())),
             Response::CompileFailed(CompileError::Overloaded { retry_after_ms: 25 }),
             Response::Rejected { reason: "unknown job".into() },
             Response::Metrics(Box::new(sample_metrics())),
@@ -869,18 +886,38 @@ mod tests {
     }
 
     /// A well-framed outcome whose op carries a count wider than `u16`
-    /// fails to decode as invalid, exactly like any other bad value.
+    /// fails to decode as invalid, exactly like any other bad value, on
+    /// both the checking decoder and the client's.
     #[test]
     fn an_outcome_frame_with_an_op_count_beyond_u16_is_invalid() {
-        let (outcome, at) = codec::one_gate_outcome();
-        let mut payload = encode_response(&Response::Outcome(Arc::new(outcome)));
         // The payload is the response tag, then the encoded outcome.
-        let at = 1 + at;
-        payload[at..at + 8].copy_from_slice(&(u64::from(u16::MAX) + 1).to_le_bytes());
+        let mut payload = vec![OUTCOME_TAG];
+        payload.extend(codec::one_gate_bytes(3, &codec::varint(u64::from(u16::MAX) + 1)));
         let mut frame = Vec::new();
         write_frame(&mut frame, &payload).expect("write");
         let read = read_frame(&mut std::io::Cursor::new(&frame)).expect("frame").expect("payload");
-        assert_eq!(decode_response(&read).err(), Some(CodecError::Invalid("op count")));
+        let invalid = CodecError::Invalid("op count");
+        assert_eq!(decode_response(&read).err(), Some(invalid.clone()));
+        assert_eq!(decode_outcome_payload(&read).and_then(Result::err), Some(invalid));
+    }
+
+    /// An `Outcome` payload is the tag and the stored bytes as they are,
+    /// and the client's direct decode reads the same outcome the checking
+    /// decoder keeps.
+    #[test]
+    fn an_outcome_payload_is_the_stored_encoding() {
+        let stored = EncodedOutcome::encode(&codec::routed_outcome());
+        let payload = encode_response(&Response::Outcome(stored.clone()));
+        assert_eq!(payload[0], OUTCOME_TAG);
+        assert_eq!(&payload[1..], stored.as_bytes());
+        let Response::Outcome(kept) = decode_response(&payload).expect("decodes") else {
+            panic!("an outcome payload decodes to an outcome");
+        };
+        assert_eq!(kept, stored);
+        let direct = decode_outcome_payload(&payload).expect("an outcome").expect("decodes");
+        assert_eq!(EncodedOutcome::encode(&direct), stored);
+        let other = encode_response(&Response::Pending);
+        assert!(decode_outcome_payload(&other).is_none());
     }
 
     /// One protocol version: a frame stamped with any other — zero, the

@@ -9,6 +9,11 @@
 //! with an auth token and `--port-file` discovery) and repeats the proof
 //! over a real socket with the retrying `submit_with_backoff` client.
 //!
+//! QFT-24 does not fit in one of G-2x3's traps, so the outcome is a routed
+//! program with shuttles, SWAPs and reorders. The QASM resubmission of the
+//! same circuit is a cache hit: the daemon answers with the bytes it
+//! stored for the first compile, and they decode to the same outcome.
+//!
 //! ```sh
 //! cargo run --release -p ssync-examples --bin remote_compile
 //! ```
@@ -55,7 +60,7 @@ fn main() {
     );
 
     let config = CompilerConfig::default();
-    let circuit = qft(16);
+    let circuit = qft(24);
     let device_name = "G-2x3";
     println!("compiling {} on {device_name} through {}", circuit.name(), daemon.display());
 
@@ -81,7 +86,14 @@ fn main() {
     );
 
     let counts = remote.counts();
-    println!("remote outcome: {} shuttles, {} swaps", counts.shuttles, counts.swap_gates);
+    println!(
+        "remote outcome: {} shuttles, {} swaps, {} reorders",
+        counts.shuttles, counts.swap_gates, counts.reorders
+    );
+    assert!(
+        counts.shuttles > 0 && counts.swap_gates > 0 && counts.reorders > 0,
+        "the example must route a program that shuttles, swaps and reorders"
+    );
     println!("  success rate {:.4}", remote.report().success_rate);
     println!("  bit-identical to direct compile_on: yes");
 
@@ -107,9 +119,19 @@ fn main() {
         "qasm path must match local parse + compile_on"
     );
     assert_eq!(direct_qasm.final_placement(), from_qasm.final_placement());
+    assert_eq!(
+        direct_qasm.report().success_rate.to_bits(),
+        from_qasm.report().success_rate.to_bits()
+    );
     println!("  daemon-parsed QASM bit-identical to local parse + compile_on: yes");
 
     let metrics = client.metrics().expect("metrics");
+    assert_eq!(metrics.cache.hits, 1, "the QASM resubmission is served from the stored bytes");
+    println!(
+        "  served from the cache: {} stored bytes for {} ops",
+        metrics.cache.bytes,
+        from_qasm.program().len()
+    );
     println!(
         "daemon metrics: {} submitted / {} completed, {} high-priority",
         metrics.jobs_submitted,

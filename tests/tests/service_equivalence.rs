@@ -17,7 +17,7 @@ use ssync_circuit::generators::{
 use ssync_circuit::Circuit;
 use ssync_core::{CompileOutcome, CompilerConfig};
 use ssync_service::{
-    CacheBounds, CompileRequest, CompileService, DeviceRegistry, Priority, TenantId,
+    CacheBounds, CompileRequest, CompileService, DeviceRegistry, EncodedOutcome, Priority, TenantId,
 };
 use std::sync::Arc;
 
@@ -121,8 +121,9 @@ fn batch_submission_matches_direct_compile() {
     }
 }
 
-/// A resubmitted request is served from the result cache: same `Arc`, no
-/// second compile, and a config change still forces a fresh compile.
+/// A resubmitted request is served from the result cache: the same
+/// compile decoded from its stored bytes, no second compile, and a config
+/// change still forces a fresh compile.
 #[test]
 fn cache_serves_identical_resubmissions_and_respects_config_changes() {
     let config = CompilerConfig::default();
@@ -144,10 +145,19 @@ fn cache_serves_identical_resubmissions_and_respects_config_changes() {
 
     let first = submit(&config);
     let second = submit(&config);
-    assert!(Arc::ptr_eq(&first, &second), "identical resubmit must be the cached Arc");
+    assert_eq!(first.program().ops(), second.program().ops());
+    assert_eq!(first.final_placement(), second.final_placement());
+    assert_eq!(first.scheduler_stats(), second.scheduler_stats());
+    assert_eq!(first.report().success_rate.to_bits(), second.report().success_rate.to_bits());
+    assert_eq!(first.report().total_time_us.to_bits(), second.report().total_time_us.to_bits());
     let metrics = service.metrics();
     assert_eq!(metrics.cache.hits, 1);
     assert_eq!(metrics.jobs_executed(), 1);
+    // The cache holds that one compile's encoding, shared by both.
+    let stored = EncodedOutcome::encode(&first);
+    assert_eq!(metrics.cache.entries, 1);
+    assert_eq!(metrics.cache.bytes, stored.as_bytes().len());
+    assert_eq!(stored, EncodedOutcome::encode(&second));
 
     // A config change must miss and recompile.
     let changed = submit(&config.with_decay(0.01));
