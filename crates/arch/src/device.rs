@@ -8,7 +8,7 @@
 //! compiles many circuits against a handful of fixed devices. A [`Device`]
 //! bundles all four, built exactly once via [`Device::build`], and is
 //! immutable afterwards: compilers only ever take `&Device`, so one
-//! instance can be shared freely across threads for batch compilation.
+//! instance can be shared freely across a compile pool's threads.
 
 use crate::distance::DistanceMatrix;
 use crate::graph::{SlotGraph, WeightConfig};
@@ -37,7 +37,7 @@ pub struct Device {
     /// S-SYNC scheduler always needs it, but the greedy baselines (and
     /// capacity-only validation) never do, so a throw-away device for
     /// those paths skips the quadratic work. `OnceLock` keeps the device
-    /// shareable across batch workers — whichever thread asks first
+    /// shareable across pool workers — whichever thread asks first
     /// builds it, everyone else reads the same instance.
     dist: std::sync::OnceLock<DistanceMatrix>,
     /// Edge indices of the static graph touching each trap (either

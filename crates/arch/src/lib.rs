@@ -20,8 +20,8 @@
 //!   scheduler's O(1) inner loop,
 //! * [`Device`] — the once-built, immutable bundle of topology + slot
 //!   graph + trap router + distance matrix + trap→edge candidate index
-//!   that every compile entry point shares (and batch compilation shares
-//!   across worker threads).
+//!   that every compile entry point shares (and the compile service
+//!   shares across worker threads).
 //!
 //! ```
 //! use ssync_arch::{QccdTopology, SlotGraph, WeightConfig, Placement, TrapId};

@@ -2,10 +2,10 @@
 //! workspace can run, with a uniform `compile_on`-style entry point.
 //!
 //! Every kind is one routing policy run by `ssync_core::driver::compile`.
-//! The bench harness, the batch fan-out and the `ssync-service` worker
-//! pool all dispatch through [`CompilerKind`], so heterogeneous work-lists
-//! — the full (device × circuit × compiler × config) product of the
-//! paper's evaluation — flow through a single code path.
+//! The bench harness and the `ssync-service` worker pool both dispatch
+//! through [`CompilerKind`], so heterogeneous work-lists — the full
+//! (device × circuit × compiler × config) product of the paper's
+//! evaluation — flow through a single code path.
 
 use crate::greedy::{BaselineStyle, GreedyRouter};
 use ssync_arch::Device;

@@ -3,9 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ssync_arch::QccdTopology;
-use ssync_bench::{
-    run_compiler, run_compiler_batch_with_workers, scaled_app, AppKind, CompilerKind,
-};
+use ssync_bench::{run_compiler, scaled_app, AppKind, CompilerKind};
 use ssync_core::CompilerConfig;
 
 fn bench_compile_time(c: &mut Criterion) {
@@ -113,70 +111,6 @@ fn bench_initial_placement(c: &mut Criterion) {
             b.iter(|| initial::build_placement(circuit, &device, &config).num_placed())
         });
     }
-    group.finish();
-}
-
-/// Batch throughput over one shared device: the same circuit set compiled
-/// three ways — rebuilding the device artifact per compile like the
-/// pre-`Device` code did ("rebuild_device"), through one shared device a
-/// worker at a time ("sequential") and with the full worker pool
-/// ("parallel"), the latter two via the identical
-/// `run_compiler_batch_with_workers` code path.
-/// circuits/sec = circuit count ÷ (mean_ns × 1e-9). The circuit count is
-/// part of the benchmark name so the JSON stays self-describing.
-fn bench_batch_throughput(c: &mut Criterion) {
-    use ssync_arch::Device;
-    use ssync_core::SSyncCompiler;
-
-    let config = CompilerConfig::default();
-    let topo = QccdTopology::grid(2, 3, 10);
-    let device = Device::build(topo.clone(), config.weights);
-    let compiler = SSyncCompiler::new(config);
-    // A fig11-style cell: every application of the suite against one
-    // fixed device, at smoke-test sizes.
-    let circuits: Vec<_> = [
-        (AppKind::Qft, 16usize),
-        (AppKind::Bv, 16),
-        (AppKind::Adder, 16),
-        (AppKind::Qaoa, 16),
-        (AppKind::Alt, 16),
-        (AppKind::Heisenberg, 16),
-        (AppKind::Qft, 24),
-        (AppKind::Qaoa, 24),
-    ]
-    .into_iter()
-    .map(|(app, n)| scaled_app(app, n))
-    .collect();
-    let workers = std::thread::available_parallelism().map_or(1, usize::from);
-
-    let mut group = c.benchmark_group("batch_throughput");
-    group.sample_size(10);
-    let n = circuits.len();
-    group.bench_function(BenchmarkId::new("rebuild_device", format!("{n}circ")), |b| {
-        b.iter(|| circuits.iter().filter(|c| compiler.compile(c, &topo).is_ok()).count())
-    });
-    group.bench_function(BenchmarkId::new("sequential", format!("{n}circ")), |b| {
-        b.iter(|| {
-            run_compiler_batch_with_workers(CompilerKind::SSync, &device, &circuits, &config, 1)
-                .into_iter()
-                .filter(|r| r.is_ok())
-                .count()
-        })
-    });
-    group.bench_function(BenchmarkId::new("parallel", format!("{n}circ/{workers}workers")), |b| {
-        b.iter(|| {
-            run_compiler_batch_with_workers(
-                CompilerKind::SSync,
-                &device,
-                &circuits,
-                &config,
-                workers,
-            )
-            .into_iter()
-            .filter(|r| r.is_ok())
-            .count()
-        })
-    });
     group.finish();
 }
 
@@ -593,7 +527,6 @@ criterion_group!(
     bench_compile_apps,
     bench_scheduler_hot_path,
     bench_initial_placement,
-    bench_batch_throughput,
     bench_device_build,
     bench_service_throughput,
     bench_cache_eviction,

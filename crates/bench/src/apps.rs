@@ -70,9 +70,9 @@ pub fn scaled_app(kind: AppKind, qubits: usize) -> Circuit {
 /// Builds the (application, size) sweep cells that fit on `topology`
 /// (the device must hold every qubit plus one free slot), in input order.
 /// Returns one `(app, actual_qubits)` entry per kept circuit, aligned
-/// with the circuit list — the shape every batch-compiling fig binary
-/// feeds to `run_compiler_batch_with_workers`. This is the single home of
-/// the fit predicate, so every figure skips exactly the same cells.
+/// with the circuit list — the shape the fig binaries submit to the
+/// compile service as one batch. This is the single home of the fit
+/// predicate, so every figure skips exactly the same cells.
 pub fn fitting_cells(
     pairs: impl IntoIterator<Item = (AppKind, usize)>,
     topology: &QccdTopology,

@@ -1,16 +1,16 @@
 //! Regenerates Fig. 11: how communication topology and trap capacity affect
 //! success rate and execution time, across seven QCCD topologies.
 //!
-//! Each (topology, capacity) cell builds its shared [`ssync_arch::Device`]
-//! exactly once and compiles every application against it in parallel
-//! through [`ssync_bench::run_compiler_batch_with_workers`].
+//! Each (topology, capacity) cell registers its own device in the compile
+//! service (built exactly once), and the whole (topology × capacity ×
+//! application) product goes to the pool as one batch.
 
 use ssync_bench::table::{fmt_rate, fmt_us};
-use ssync_bench::{
-    run_compiler_batch_with_workers, scaled_app, AppKind, BenchScale, CompilerKind, Table,
-};
-use ssync_core::{batch, CompileOutcome, CompilerConfig};
+use ssync_bench::{scaled_app, AppKind, BenchScale, CompilerKind, Table};
+use ssync_core::CompilerConfig;
+use ssync_service::{CompileRequest, CompileService};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The seven topology families of Fig. 11 with a capacity chosen so the
@@ -54,19 +54,21 @@ fn main() {
     };
     let topologies = ["L-6", "G-2x3", "S-6", "L-4", "G-2x2", "S-4", "G-3x3"];
     let config = CompilerConfig::default();
-    let workers = batch::resolve_workers(0);
+    let service = CompileService::new();
 
-    let circuits: Vec<_> = apps.iter().map(|&(app, qubits)| scaled_app(app, qubits)).collect();
+    let circuits: Vec<_> =
+        apps.iter().map(|&(app, qubits)| Arc::new(scaled_app(app, qubits))).collect();
     let labels: Vec<String> = apps
         .iter()
         .zip(&circuits)
         .map(|(&(app, _), c)| format!("{}_{}", app.label(), c.num_qubits()))
         .collect();
 
-    // One device per (topology, capacity) cell; all fitting applications
-    // compile against it in one parallel batch.
+    // One device per (topology, capacity) cell, named after both; every
+    // fitting application of every cell is submitted at once.
     let sweep_start = Instant::now();
-    let mut outcomes: BTreeMap<(usize, usize, usize), (usize, CompileOutcome)> = BTreeMap::new();
+    let mut cells = Vec::new();
+    let mut requests = Vec::new();
     for (t, topo_name) in topologies.iter().enumerate() {
         for (c, &cap) in capacities.iter().enumerate() {
             let Some(topo) = topology(topo_name, cap) else { continue };
@@ -76,25 +78,32 @@ fn main() {
             if fitting.is_empty() {
                 continue;
             }
-            let device = ssync_arch::Device::build(topo, config.weights);
-            eprintln!(
-                "[fig11] {} circuits on {topo_name} (total capacity {total}) in parallel",
-                fitting.len()
-            );
-            let batch_circuits: Vec<_> = fitting.iter().map(|&a| circuits[a].clone()).collect();
-            let batch = run_compiler_batch_with_workers(
-                CompilerKind::SSync,
-                &device,
-                &batch_circuits,
-                &config,
-                workers,
-            );
-            for (&a, outcome) in fitting.iter().zip(batch) {
-                let outcome = outcome.expect("compilation succeeds");
-                outcomes.insert((a, t, c), (total, outcome));
+            let name = format!("{topo_name}@{total}");
+            let device = service.registry().get_or_build(&name, config.weights, || topo);
+            for a in fitting {
+                cells.push((a, t, c, total));
+                requests.push(CompileRequest::new(
+                    Arc::clone(&device),
+                    Arc::clone(&circuits[a]),
+                    CompilerKind::SSync,
+                    config,
+                ));
             }
         }
     }
+    eprintln!(
+        "[fig11] submitting {} compiles to the compile service ({} workers)",
+        requests.len(),
+        service.workers()
+    );
+    let handles = service.submit_batch(requests);
+    let outcomes: BTreeMap<_, _> = cells
+        .into_iter()
+        .zip(&handles)
+        .map(|((a, t, c, total), handle)| {
+            ((a, t, c), (total, handle.wait().expect("compilation succeeds")))
+        })
+        .collect();
     let sweep_time = sweep_start.elapsed();
 
     let mut table = Table::new([
@@ -123,9 +132,9 @@ fn main() {
     println!("Fig. 11 — topology and trap-capacity sweep (S-SYNC, FM gates)\n");
     println!("{table}");
     println!(
-        "Sweep wall-clock: {:.2}s with {} batch workers (SSYNC_BATCH_WORKERS=1 for serial).",
+        "Sweep wall-clock: {:.2}s with {} pool workers.",
         sweep_time.as_secs_f64(),
-        workers
+        service.workers()
     );
     println!("Expected shape: grid topologies (G-2x3, G-3x3) give the best execution");
     println!("time / success rate; peak success occurs around 10-15 ions per trap.");

@@ -2,17 +2,18 @@
 //! four two-qubit gate implementations (FM, AM1, AM2, PM) on a G-2x3
 //! device with trap capacity 16.
 //!
-//! The device is built once; every benchmark compiles against it in one
-//! parallel batch, then the schedule is re-evaluated (not recompiled)
-//! under each gate implementation.
+//! The device is registered (and built) once in the compile service;
+//! every benchmark compiles against it in one batch submission, then the
+//! schedule is re-evaluated (not recompiled) under each gate
+//! implementation.
 
-use ssync_arch::Device;
+use ssync_arch::QccdTopology;
 use ssync_bench::table::fmt_rate;
-use ssync_bench::{
-    run_compiler_batch_with_workers, scaled_app, AppKind, BenchScale, CompilerKind, Table,
-};
-use ssync_core::{batch, CompilerConfig, SSyncCompiler};
+use ssync_bench::{scaled_app, AppKind, BenchScale, CompilerKind, Table};
+use ssync_core::{CompilerConfig, SSyncCompiler};
+use ssync_service::{CompileRequest, CompileService};
 use ssync_sim::{ExecutionTracer, GateImplementation};
+use std::sync::Arc;
 
 fn main() {
     let scale = BenchScale::from_env();
@@ -27,30 +28,34 @@ fn main() {
         BenchScale::Small => vec![(AppKind::Qft, 16), (AppKind::Qaoa, 16)],
     };
     let config = CompilerConfig::default();
-    let device = Device::build(ssync_arch::QccdTopology::grid(2, 3, 16), config.weights);
+    let service = CompileService::new();
+    let device = service
+        .registry()
+        .get_or_build("G-2x3@96", config.weights, || QccdTopology::grid(2, 3, 16));
     let compiler = SSyncCompiler::new(config);
 
-    let circuits: Vec<_> = apps.iter().map(|&(app, qubits)| scaled_app(app, qubits)).collect();
+    let circuits: Vec<_> =
+        apps.iter().map(|&(app, qubits)| Arc::new(scaled_app(app, qubits))).collect();
     let labels: Vec<String> = apps
         .iter()
         .zip(&circuits)
         .map(|(&(app, _), c)| format!("{}_{}", app.label(), c.num_qubits()))
         .collect();
-    eprintln!("[fig13] compiling {} benchmarks in parallel", circuits.len());
+    eprintln!(
+        "[fig13] submitting {} benchmarks to the compile service ({} workers)",
+        circuits.len(),
+        service.workers()
+    );
     // The schedule is gate-implementation independent: compile each circuit
     // once (in one shared-device batch) and re-evaluate the timing/fidelity
     // under each implementation.
-    let outcomes = run_compiler_batch_with_workers(
-        CompilerKind::SSync,
-        &device,
-        &circuits,
-        &config,
-        batch::resolve_workers(0),
-    );
+    let handles = service.submit_batch(circuits.iter().map(|circuit| {
+        CompileRequest::new(Arc::clone(&device), Arc::clone(circuit), CompilerKind::SSync, config)
+    }));
 
     let mut table = Table::new(["Application", "FM", "AM1", "AM2", "PM"]);
-    for (label, outcome) in labels.into_iter().zip(outcomes) {
-        let outcome = outcome.expect("compilation succeeds");
+    for (label, handle) in labels.into_iter().zip(&handles) {
+        let outcome = handle.wait().expect("compilation succeeds");
         let rate_for = |gate_impl: GateImplementation| {
             let tracer = ExecutionTracer { gate_impl, ..compiler.tracer() };
             fmt_rate(tracer.evaluate(outcome.program()).success_rate)

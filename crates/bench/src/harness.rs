@@ -1,24 +1,22 @@
-//! Shared harness plumbing: compiler selection, shared-device batch
-//! compilation and benchmark scale.
+//! Shared harness plumbing: compiler selection and benchmark scale.
 //!
 //! The compiler selector itself is [`ssync_baselines::CompilerKind`] —
-//! re-exported here — so the figure binaries, the batch fan-out and the
-//! `ssync-service` pool all dispatch through one enum. Figures compare the
-//! paper's three compilers ([`CompilerKind::PAPER`]); the service also
-//! accepts the plain-greedy ablation ([`CompilerKind::Greedy`]).
+//! re-exported here — so the figure binaries and the `ssync-service` pool
+//! dispatch through one enum. Figures compare the paper's three compilers
+//! ([`CompilerKind::PAPER`]); the service also accepts the plain-greedy
+//! ablation ([`CompilerKind::Greedy`]).
 
 pub use ssync_baselines::CompilerKind;
 
 use ssync_arch::{Device, QccdTopology};
 use ssync_circuit::Circuit;
-use ssync_core::{batch, CompileError, CompileOutcome, CompileScratch, CompilerConfig};
-use std::borrow::Borrow;
+use ssync_core::{CompileError, CompileOutcome, CompilerConfig};
 
 /// Compiles `circuit` for `topology` with the selected compiler and a
 /// shared evaluation configuration, building a throw-away [`Device`].
 /// Sweeps should build the device once and use
-/// [`CompilerKind::compile_on`] or [`run_compiler_batch_with_workers`]
-/// instead.
+/// [`CompilerKind::compile_on`], or register it with an
+/// `ssync_service::CompileService` and submit the sweep as one batch.
 ///
 /// # Errors
 ///
@@ -31,30 +29,6 @@ pub fn run_compiler(
 ) -> Result<CompileOutcome, CompileError> {
     let device = Device::build(topology.clone(), config.weights);
     kind.compile_on(&device, circuit, config)
-}
-
-/// Compiles every circuit against one shared `device` with the selected
-/// compiler, fanning out over `workers` threads. Results come back in
-/// input order and are bit-identical to calling
-/// [`CompilerKind::compile_on`] per circuit, whatever the worker count.
-/// The work-list is generic over [`Borrow<Circuit>`], so `&[Circuit]` and
-/// `&[Arc<Circuit>]` both work without cloning circuits.
-///
-/// Pass `1` when the per-circuit `compile_time` is the quantity under
-/// study (e.g. Fig. 15): concurrent workers contend for cores and would
-/// inflate the wall-clock readings, while the compiled programs
-/// themselves are identical either way. Every worker reuses one
-/// [`CompileScratch`] across its share of the batch.
-pub fn run_compiler_batch_with_workers<C: Borrow<Circuit> + Sync>(
-    kind: CompilerKind,
-    device: &Device,
-    circuits: &[C],
-    config: &CompilerConfig,
-    workers: usize,
-) -> Vec<Result<CompileOutcome, CompileError>> {
-    batch::parallel_map_with(workers, circuits, CompileScratch::default, |scratch, _, c| {
-        kind.compile_on_with(device, c.borrow(), config, scratch).map(|(outcome, _)| outcome)
-    })
 }
 
 /// Problem-size scaling of the figure binaries.
@@ -90,7 +64,6 @@ impl BenchScale {
 mod tests {
     use super::*;
     use ssync_circuit::generators::qft;
-    use std::sync::Arc;
 
     #[test]
     fn all_four_compilers_run_through_the_harness() {
@@ -100,36 +73,6 @@ mod tests {
         for kind in CompilerKind::ALL {
             let outcome = run_compiler(kind, &circuit, &topo, &config).unwrap();
             assert_eq!(outcome.counts().two_qubit_gates, 132, "{kind:?}");
-        }
-    }
-
-    #[test]
-    fn batch_matches_per_circuit_compiles_for_every_compiler() {
-        let circuits: Vec<_> = vec![qft(8), qft(10), qft(12)];
-        let config = CompilerConfig::default();
-        let device = Device::build(QccdTopology::grid(2, 2, 5), config.weights);
-        for kind in CompilerKind::ALL {
-            let batched = run_compiler_batch_with_workers(kind, &device, &circuits, &config, 2);
-            assert_eq!(batched.len(), circuits.len());
-            for (circuit, outcome) in circuits.iter().zip(&batched) {
-                let single = kind.compile_on(&device, circuit, &config).unwrap();
-                let outcome = outcome.as_ref().unwrap();
-                assert_eq!(outcome.program().ops(), single.program().ops(), "{kind:?}");
-                assert_eq!(outcome.final_placement(), single.final_placement(), "{kind:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn arc_work_lists_batch_without_cloning_circuits() {
-        let circuits: Vec<Arc<Circuit>> = vec![Arc::new(qft(8)), Arc::new(qft(10))];
-        let config = CompilerConfig::default();
-        let device = Device::build(QccdTopology::grid(2, 2, 5), config.weights);
-        let batched =
-            run_compiler_batch_with_workers(CompilerKind::SSync, &device, &circuits, &config, 2);
-        for (circuit, outcome) in circuits.iter().zip(&batched) {
-            let single = CompilerKind::SSync.compile_on(&device, circuit, &config).unwrap();
-            assert_eq!(outcome.as_ref().unwrap().program().ops(), single.program().ops());
         }
     }
 

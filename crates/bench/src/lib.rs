@@ -36,5 +36,5 @@ pub mod table;
 
 pub use apps::{fitting_cells, scaled_app, AppKind};
 pub use comparison::{comparison_rows, comparison_table, comparison_targets, ComparisonRow};
-pub use harness::{run_compiler, run_compiler_batch_with_workers, BenchScale, CompilerKind};
+pub use harness::{run_compiler, BenchScale, CompilerKind};
 pub use table::Table;

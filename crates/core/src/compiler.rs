@@ -11,12 +11,12 @@ use ssync_sim::{CompiledProgram, ExecutionReport, ExecutionTracer, OpCounts};
 use std::time::Duration;
 
 /// Reusable per-worker compile state: the scheduler's working memory,
-/// carried across compiles so batch and service workers stop paying the
-/// per-compile scratch allocation, plus the worker's flight-recorder
+/// carried across compiles so the compile service's workers stop paying
+/// the per-compile scratch allocation, plus the worker's flight-recorder
 /// switch. One instance belongs to one worker at a time (it is `Send` but
 /// deliberately not shared), may be reused across circuits *and* devices,
-/// and never influences compiled output — the batch golden tests and the
-/// `flight_recorder` bench pin that down. The recording, like the scoring
+/// and never influences compiled output — the `service_equivalence`
+/// golden tests and the `flight_recorder` bench pin that down. The recording, like the scoring
 /// counters, comes back in the compile's [`RunReport`], never on the
 /// [`CompileOutcome`].
 #[derive(Debug, Default)]

@@ -64,7 +64,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 mod compiler;
 mod config;
 pub mod driver;

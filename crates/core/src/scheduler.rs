@@ -146,10 +146,10 @@ impl RecentSwaps {
 }
 
 /// The scheduler's reusable working memory: every per-iteration buffer the
-/// hot path touches, extracted so batch and service workers can carry one
+/// hot path touches, extracted so a compile service worker can carry one
 /// instance across many compiles (and devices) instead of reallocating it
 /// per [`Scheduler`]. The contents are pure scratch — they never influence
-/// the produced program, which the batch/service golden equivalence tests
+/// the produced program, which the `service_equivalence` golden tests
 /// enforce.
 #[derive(Debug, Default)]
 pub struct SchedulerScratch {
@@ -218,8 +218,8 @@ impl<'a> Scheduler<'a> {
     /// [`Scheduler::new`] reusing the working memory of a previous
     /// scheduler (recovered via [`Scheduler::into_scratch`]). The scratch
     /// may come from a run over a *different* device — the device-shaped
-    /// buffers are resized here. Batch and service workers use this to
-    /// compile many circuits with zero steady-state scratch allocation.
+    /// buffers are resized here. The compile service's workers use this
+    /// to compile many circuits with zero steady-state scratch allocation.
     ///
     /// # Panics
     ///

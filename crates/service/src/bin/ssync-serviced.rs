@@ -11,18 +11,17 @@
 //!
 //! General options:
 //!
-//! * `--workers N` — worker threads (default: `SSYNC_BATCH_WORKERS` or
-//!   the machine's parallelism).
+//! * `--workers N` — worker threads (default `0`: one per available
+//!   core).
 //! * `--cache-max-entries N` / `--cache-max-bytes N` — result-cache
-//!   bounds, the byte cap on the stored outcome encodings (default: the
-//!   `SSYNC_CACHE_MAX_*` environment variables, else unbounded).
+//!   bounds, the byte cap on the stored outcome encodings (default and
+//!   `0`: unbounded).
 //! * `--cache-dir DIR` — enable the persistent cache tier: outcomes are
 //!   written through to `DIR` and loaded back on a miss, sharing compiles
 //!   across daemon restarts and between processes.
 //! * `--cache-dir-max-bytes N` / `--cache-dir-max-age-secs N` — garbage-
 //!   collect the persistent directory at startup (oldest-mtime-first)
-//!   down to a byte/age budget (default: the `SSYNC_CACHE_DIR_MAX_*`
-//!   environment variables, else unbounded).
+//!   down to a byte/age budget (default and `0`: unbounded).
 //! * `--janitor-interval-secs N` — run the persistent-tier GC
 //!   periodically on a background janitor thread, not just at startup
 //!   (requires `--cache-dir` and at least one `--cache-dir-max-*`
@@ -62,13 +61,11 @@
 //! * `--flight-recorder` — record every compile's scheduler decision
 //!   stream (layer openings, winning candidates, shuttles, SWAP
 //!   schedules) into a bounded per-request ring, fetchable over the wire
-//!   via `GetTrace` (default: the `SSYNC_FLIGHT_RECORDER` environment
-//!   variable, else off). Recording never changes compiled output — the
-//!   bit-identity is bench-asserted — and costs one fixed buffer per
-//!   in-flight compile plus one per journaled trace.
+//!   via `GetTrace` (default off). Recording never changes compiled
+//!   output — the bit-identity is bench-asserted — and costs one fixed
+//!   buffer per in-flight compile plus one per journaled trace.
 //! * `--trace-journal-cap N` — how many recent traces (and their flight
-//!   recordings) the journal retains for `GetTrace` (default: the
-//!   `SSYNC_TRACE_JOURNAL_CAP` environment variable, else 256).
+//!   recordings) the journal retains for `GetTrace` (default 256).
 //! * `--slo-ms-high N` / `--slo-ms-normal N` / `--slo-ms-batch N` —
 //!   per-priority end-to-end latency SLO targets in milliseconds
 //!   (defaults 250 / 1000 / 5000). A background ticker samples the
@@ -86,7 +83,8 @@
 //! ends.
 
 use ssync_service::{
-    front, render_text, CacheBounds, CompileService, FrontConfig, Priority, SLO_TICK_INTERVAL,
+    front, render_text, CacheBounds, CompileService, CompileServiceBuilder, FrontConfig, Priority,
+    SLO_TICK_INTERVAL,
 };
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -96,11 +94,6 @@ struct Options {
     stdio: bool,
     socket: Option<std::path::PathBuf>,
     tcp: Option<String>,
-    workers: usize,
-    bounds: CacheBounds,
-    cache_dir: Option<std::path::PathBuf>,
-    cache_dir_max_bytes: Option<u64>,
-    cache_dir_max_age_secs: Option<u64>,
     janitor_interval_secs: Option<u64>,
     auth_token: Option<String>,
     idle_timeout_secs: u64,
@@ -112,8 +105,6 @@ struct Options {
     port_file: Option<std::path::PathBuf>,
     slow_request_ms: Option<u64>,
     metrics_text: Option<std::path::PathBuf>,
-    flight_recorder: Option<bool>,
-    trace_journal_cap: Option<usize>,
     slo_ms: [Option<u64>; 3],
 }
 
@@ -129,16 +120,15 @@ fn usage() -> &'static str {
      [--slo-ms-high N] [--slo-ms-normal N] [--slo-ms-batch N]"
 }
 
-fn parse_args() -> Result<Options, String> {
+/// Parses argv into the daemon's own options and the compile pool's
+/// builder.
+fn parse_args() -> Result<(Options, CompileServiceBuilder), String> {
+    let mut service = CompileService::builder();
+    let mut bounds = CacheBounds::UNBOUNDED;
     let mut options = Options {
         stdio: false,
         socket: None,
         tcp: None,
-        workers: 0,
-        bounds: CacheBounds::from_env(),
-        cache_dir: None,
-        cache_dir_max_bytes: None,
-        cache_dir_max_age_secs: None,
         janitor_interval_secs: None,
         auth_token: std::env::var("SSYNC_AUTH_TOKEN").ok().filter(|t| !t.is_empty()),
         idle_timeout_secs: 300,
@@ -150,8 +140,6 @@ fn parse_args() -> Result<Options, String> {
         port_file: None,
         slow_request_ms: None,
         metrics_text: None,
-        flight_recorder: None,
-        trace_journal_cap: None,
         slo_ms: [None; 3],
     };
     let mut args = std::env::args().skip(1);
@@ -166,32 +154,29 @@ fn parse_args() -> Result<Options, String> {
             "--socket" => options.socket = Some(value("--socket")?.into()),
             "--tcp" => options.tcp = Some(value("--tcp")?),
             "--workers" => {
-                options.workers = value("--workers")?
-                    .parse()
-                    .map_err(|_| "--workers expects an integer".to_string())?
+                service = service.workers(parse_u64("--workers", value("--workers")?)? as usize);
             }
-            // `0` means unbounded, matching the SSYNC_CACHE_MAX_* env vars.
+            // `0` means unbounded for every cache budget.
             "--cache-max-entries" => {
-                let n: usize = value("--cache-max-entries")?
-                    .parse()
-                    .map_err(|_| "--cache-max-entries expects an integer".to_string())?;
-                options.bounds.max_entries = (n > 0).then_some(n);
+                let n = parse_u64("--cache-max-entries", value("--cache-max-entries")?)?;
+                bounds.max_entries = (n > 0).then_some(n as usize);
             }
             "--cache-max-bytes" => {
-                let n: usize = value("--cache-max-bytes")?
-                    .parse()
-                    .map_err(|_| "--cache-max-bytes expects an integer".to_string())?;
-                options.bounds.max_bytes = (n > 0).then_some(n);
+                let n = parse_u64("--cache-max-bytes", value("--cache-max-bytes")?)?;
+                bounds.max_bytes = (n > 0).then_some(n as usize);
             }
-            "--cache-dir" => options.cache_dir = Some(value("--cache-dir")?.into()),
-            // `0` means unbounded, like the SSYNC_CACHE_DIR_MAX_* env vars.
+            "--cache-dir" => service = service.persist_dir(value("--cache-dir")?),
             "--cache-dir-max-bytes" => {
                 let n = parse_u64("--cache-dir-max-bytes", value("--cache-dir-max-bytes")?)?;
-                options.cache_dir_max_bytes = (n > 0).then_some(n);
+                if n > 0 {
+                    service = service.persist_max_bytes(n);
+                }
             }
             "--cache-dir-max-age-secs" => {
                 let n = parse_u64("--cache-dir-max-age-secs", value("--cache-dir-max-age-secs")?)?;
-                options.cache_dir_max_age_secs = (n > 0).then_some(n);
+                if n > 0 {
+                    service = service.persist_max_age(Duration::from_secs(n));
+                }
             }
             "--janitor-interval-secs" => {
                 let n = parse_u64("--janitor-interval-secs", value("--janitor-interval-secs")?)?;
@@ -230,12 +215,10 @@ fn parse_args() -> Result<Options, String> {
                     Some(parse_u64("--slow-request-ms", value("--slow-request-ms")?)?);
             }
             "--metrics-text" => options.metrics_text = Some(value("--metrics-text")?.into()),
-            // Presence enables; absent defers to SSYNC_FLIGHT_RECORDER
-            // (the builder reads the environment when the knob is unset).
-            "--flight-recorder" => options.flight_recorder = Some(true),
+            "--flight-recorder" => service = service.flight_recorder(true),
             "--trace-journal-cap" => {
-                options.trace_journal_cap =
-                    Some(parse_u64("--trace-journal-cap", value("--trace-journal-cap")?)? as usize);
+                let n = parse_u64("--trace-journal-cap", value("--trace-journal-cap")?)?;
+                service = service.trace_journal_cap(n as usize);
             }
             "--slo-ms-high" => {
                 options.slo_ms[Priority::High.index()] =
@@ -259,7 +242,7 @@ fn parse_args() -> Result<Options, String> {
     if transports != 1 {
         return Err(format!("pick exactly one transport\n{}", usage()));
     }
-    Ok(options)
+    Ok((options, service.cache_bounds(bounds)))
 }
 
 impl Options {
@@ -279,30 +262,13 @@ impl Options {
 }
 
 fn main() -> ExitCode {
-    let options = match parse_args() {
-        Ok(options) => options,
+    let (options, builder) = match parse_args() {
+        Ok(parsed) => parsed,
         Err(message) => {
             eprintln!("{message}");
             return ExitCode::FAILURE;
         }
     };
-    let mut builder =
-        CompileService::builder().workers(options.workers).cache_bounds(options.bounds);
-    if let Some(enabled) = options.flight_recorder {
-        builder = builder.flight_recorder(enabled);
-    }
-    if let Some(cap) = options.trace_journal_cap {
-        builder = builder.trace_journal_cap(cap);
-    }
-    if let Some(dir) = &options.cache_dir {
-        builder = builder.persist_dir(dir);
-    }
-    if let Some(bytes) = options.cache_dir_max_bytes {
-        builder = builder.persist_max_bytes(bytes);
-    }
-    if let Some(secs) = options.cache_dir_max_age_secs {
-        builder = builder.persist_max_age(std::time::Duration::from_secs(secs));
-    }
     let service = Arc::new(builder.build());
     service.telemetry().set_slow_threshold(options.slow_request_ms.map(Duration::from_millis));
     for priority in Priority::ALL {
@@ -338,7 +304,7 @@ fn main() -> ExitCode {
         "[ssync-serviced] serving with {} workers (cache: {:?}, persist: {:?}, janitor: {:?}, auth: {}, flight recorder: {})",
         service.workers(),
         service.cache().config().bounds,
-        options.cache_dir,
+        service.cache().config().persist_dir,
         options.janitor_interval_secs,
         if options.auth_token.is_some() { "token" } else { "open" },
         if service.flight_recorder_enabled() { "on" } else { "off" },

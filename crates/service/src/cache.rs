@@ -91,12 +91,8 @@ impl CacheKey {
 
 /// Capacity bounds for the in-memory tier of a [`ResultCache`]. `None`
 /// means "unbounded" on that axis; both axes bounded means an entry is
-/// evicted as soon as *either* cap is exceeded. [`CacheBounds::from_env`]
-/// reads them from the environment:
-///
-/// * `SSYNC_CACHE_MAX_ENTRIES` — maximum number of cached outcomes.
-/// * `SSYNC_CACHE_MAX_BYTES` — maximum bytes of stored encodings (the
-///   entries' bookkeeping is not counted).
+/// evicted as soon as *either* cap is exceeded. The byte cap counts the
+/// stored encodings, not the entries' bookkeeping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheBounds {
     /// Maximum number of entries, `None` for unbounded.
@@ -120,20 +116,6 @@ impl CacheBounds {
         CacheBounds { max_entries: None, max_bytes: Some(bytes) }
     }
 
-    /// Reads the bounds from `SSYNC_CACHE_MAX_ENTRIES` /
-    /// `SSYNC_CACHE_MAX_BYTES`. Missing or unparsable variables leave the
-    /// axis unbounded; `0` also means unbounded (so a wrapper script can
-    /// always set the variable).
-    pub fn from_env() -> Self {
-        fn axis(var: &str) -> Option<usize> {
-            std::env::var(var).ok()?.trim().parse::<usize>().ok().filter(|&n| n > 0)
-        }
-        CacheBounds {
-            max_entries: axis("SSYNC_CACHE_MAX_ENTRIES"),
-            max_bytes: axis("SSYNC_CACHE_MAX_BYTES"),
-        }
-    }
-
     /// `true` when neither axis is bounded.
     pub fn is_unbounded(&self) -> bool {
         self.max_entries.is_none() && self.max_bytes.is_none()
@@ -154,14 +136,11 @@ pub struct CacheConfig {
     /// Byte budget for `persist_dir`, enforced **at startup** by deleting
     /// `.outcome` files oldest-mtime-first until the directory fits.
     /// `None` (the default) leaves the directory unbounded — the
-    /// pre-GC behaviour. The `SSYNC_CACHE_DIR_MAX_BYTES` environment
-    /// variable supplies this through
-    /// [`CacheConfig::persist_gc_from_env`].
+    /// pre-GC behaviour.
     pub persist_max_bytes: Option<u64>,
     /// Age budget for `persist_dir`: `.outcome` files whose mtime is
     /// older than this are deleted at startup regardless of the byte
-    /// budget. `SSYNC_CACHE_DIR_MAX_AGE_SECS` supplies it through
-    /// [`CacheConfig::persist_gc_from_env`].
+    /// budget. `None` (the default) keeps files of any age.
     pub persist_max_age: Option<std::time::Duration>,
 }
 
@@ -187,25 +166,6 @@ impl CacheConfig {
     /// Returns a copy with a startup age budget for the persistent tier.
     pub fn with_persist_max_age(mut self, age: std::time::Duration) -> Self {
         self.persist_max_age = Some(age);
-        self
-    }
-
-    /// Fills *unset* GC budgets from the environment:
-    /// `SSYNC_CACHE_DIR_MAX_BYTES` (bytes) and
-    /// `SSYNC_CACHE_DIR_MAX_AGE_SECS` (seconds). Missing, unparsable or
-    /// zero values leave the axis unbounded, mirroring
-    /// [`CacheBounds::from_env`].
-    pub fn persist_gc_from_env(mut self) -> Self {
-        fn axis(var: &str) -> Option<u64> {
-            std::env::var(var).ok()?.trim().parse::<u64>().ok().filter(|&n| n > 0)
-        }
-        if self.persist_max_bytes.is_none() {
-            self.persist_max_bytes = axis("SSYNC_CACHE_DIR_MAX_BYTES");
-        }
-        if self.persist_max_age.is_none() {
-            self.persist_max_age =
-                axis("SSYNC_CACHE_DIR_MAX_AGE_SECS").map(std::time::Duration::from_secs);
-        }
         self
     }
 }
@@ -963,15 +923,6 @@ mod tests {
         assert_eq!(plain.stats().persist_gc_deleted, 0);
 
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn persist_gc_env_fallback_fills_only_unset_axes() {
-        // Explicit values are never overwritten by the env helper (the
-        // variables are unset in the test environment, so unset axes
-        // simply stay None).
-        let config = CacheConfig::default().with_persist_max_bytes(123).persist_gc_from_env();
-        assert_eq!(config.persist_max_bytes, Some(123));
     }
 
     #[test]

@@ -89,9 +89,7 @@ use crate::job::{CompileRequest, JobHandle, JobState, Priority, TenantId};
 use crate::metrics::{ServiceMetrics, WorkerMetrics};
 use crate::registry::DeviceRegistry;
 use crate::telemetry::{kind_slug, ServiceTelemetry, Stage, TRACE_JOURNAL_CAPACITY};
-use ssync_core::{
-    batch, CompileError, CompileOutcome, CompileScratch, RunReport, ScoringTelemetry,
-};
+use ssync_core::{CompileError, CompileOutcome, CompileScratch, RunReport, ScoringTelemetry};
 use ssync_telemetry::Span;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -289,7 +287,9 @@ impl Shared {
 }
 
 /// Configures and starts a [`CompileService`]; obtained from
-/// [`CompileService::builder`].
+/// [`CompileService::builder`]. This is the one place a pool is
+/// configured: the service reads no environment variable, and each
+/// `ssync-serviced` pool flag sets one of these values.
 ///
 /// ```
 /// use ssync_service::{CacheBounds, CompileService};
@@ -300,118 +300,124 @@ impl Shared {
 ///     .build();
 /// assert_eq!(service.workers(), 2);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct CompileServiceBuilder {
     workers: usize,
-    /// `None` = never configured → fall back to the environment at build
-    /// time. An explicit [`CacheBounds::UNBOUNDED`] is honoured as-is.
-    bounds: Option<CacheBounds>,
-    persist_dir: Option<std::path::PathBuf>,
-    persist_max_bytes: Option<u64>,
-    persist_max_age: Option<std::time::Duration>,
-    /// `None` = never configured → `SSYNC_TRACE_JOURNAL_CAP`, then
-    /// [`TRACE_JOURNAL_CAPACITY`].
-    trace_journal_cap: Option<usize>,
-    /// `None` = never configured → `SSYNC_FLIGHT_RECORDER`, then off.
-    flight_recorder: Option<bool>,
+    cache: CacheConfig,
+    trace_journal_cap: usize,
+    flight_recorder: bool,
+}
+
+impl Default for CompileServiceBuilder {
+    fn default() -> Self {
+        CompileServiceBuilder {
+            workers: 0,
+            cache: CacheConfig::default(),
+            trace_journal_cap: TRACE_JOURNAL_CAPACITY,
+            flight_recorder: false,
+        }
+    }
 }
 
 impl CompileServiceBuilder {
-    /// Sets the worker-thread count; `0` (the default) resolves through
-    /// [`batch::resolve_workers`] (the `SSYNC_BATCH_WORKERS` environment
-    /// variable, then the machine's available parallelism).
+    /// Sets the worker-thread count; `0` (the default) means the machine's
+    /// available parallelism.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
         self
     }
 
-    /// Sets the result cache's entry/byte bounds — including an explicit
-    /// [`CacheBounds::UNBOUNDED`], which is honoured verbatim. Only when
-    /// this method was never called does [`CompileServiceBuilder::build`]
-    /// fall back to [`CacheBounds::from_env`], i.e. the
-    /// `SSYNC_CACHE_MAX_ENTRIES` / `SSYNC_CACHE_MAX_BYTES` environment
-    /// variables.
+    /// Sets the result cache's entry/byte bounds (default
+    /// [`CacheBounds::UNBOUNDED`]).
     pub fn cache_bounds(mut self, bounds: CacheBounds) -> Self {
-        self.bounds = Some(bounds);
+        self.cache.bounds = bounds;
         self
     }
 
     /// Enables the write-through persistent cache tier rooted at `dir`.
     pub fn persist_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.persist_dir = Some(dir.into());
+        self.cache.persist_dir = Some(dir.into());
         self
     }
 
     /// Byte budget for the persistent cache directory, enforced at
     /// startup by deleting `.outcome` files oldest-mtime-first (see
-    /// [`CacheConfig`]). When never set, [`CompileServiceBuilder::build`]
-    /// falls back to the `SSYNC_CACHE_DIR_MAX_BYTES` environment
-    /// variable.
+    /// [`CacheConfig`]). Unbounded by default.
     pub fn persist_max_bytes(mut self, bytes: u64) -> Self {
-        self.persist_max_bytes = Some(bytes);
+        self.cache.persist_max_bytes = Some(bytes);
         self
     }
 
-    /// Age budget for the persistent cache directory (startup GC). The
-    /// environment fallback is `SSYNC_CACHE_DIR_MAX_AGE_SECS`.
+    /// Age budget for the persistent cache directory (startup GC).
+    /// Unbounded by default.
     pub fn persist_max_age(mut self, age: std::time::Duration) -> Self {
-        self.persist_max_age = Some(age);
+        self.cache.persist_max_age = Some(age);
         self
     }
 
-    /// Sets how many recent traces the in-memory journal retains; `0` is
-    /// clamped to 1. When never called, [`CompileServiceBuilder::build`]
-    /// falls back to the `SSYNC_TRACE_JOURNAL_CAP` environment variable,
-    /// then [`TRACE_JOURNAL_CAPACITY`]. The cap bounds how far back
-    /// `GetTrace` can reach — and, because a journal slot holds the only
-    /// reference to its compile's flight recording, how much recorder
-    /// memory a busy daemon retains: evicting a trace frees its recording.
+    /// Sets how many recent traces the in-memory journal retains (default
+    /// [`TRACE_JOURNAL_CAPACITY`]); `0` is clamped to 1. The cap bounds
+    /// how far back `GetTrace` can reach — and, because a journal slot
+    /// holds the only reference to its compile's flight recording, how
+    /// much recorder memory a busy daemon retains: evicting a trace frees
+    /// its recording.
     pub fn trace_journal_cap(mut self, cap: usize) -> Self {
-        self.trace_journal_cap = Some(cap);
+        self.trace_journal_cap = cap;
         self
     }
 
-    /// Enables (or explicitly disables) the compile flight recorder:
+    /// Enables (or disables, the default) the compile flight recorder:
     /// every executed compile fills a bounded in-memory event ring that is
-    /// retained alongside the trace and served by `GetTrace`. When never
-    /// called, [`CompileServiceBuilder::build`] falls back to the
-    /// `SSYNC_FLIGHT_RECORDER` environment variable (`1`/`true` = on),
-    /// then off. The recorder is observation-only: compiled output is
-    /// bit-identical either way, and the switch lives on each worker's
-    /// [`CompileScratch`], not in any request's config or cache key.
+    /// retained alongside the trace and served by `GetTrace`. The recorder
+    /// is observation-only: compiled output is bit-identical either way,
+    /// and the switch lives on each worker's [`CompileScratch`], not in
+    /// any request's config or cache key.
     pub fn flight_recorder(mut self, enabled: bool) -> Self {
-        self.flight_recorder = Some(enabled);
+        self.flight_recorder = enabled;
         self
     }
 
     /// Starts the service.
     pub fn build(self) -> CompileService {
-        let CompileServiceBuilder {
-            workers,
-            bounds,
-            persist_dir,
-            persist_max_bytes,
-            persist_max_age,
-            trace_journal_cap,
-            flight_recorder,
-        } = self;
-        let cache = CacheConfig {
-            bounds: bounds.unwrap_or_else(CacheBounds::from_env),
-            persist_dir,
-            persist_max_bytes,
-            persist_max_age,
-        }
-        .persist_gc_from_env();
-        let journal_cap = trace_journal_cap
-            .or_else(|| std::env::var("SSYNC_TRACE_JOURNAL_CAP").ok()?.parse().ok())
-            .unwrap_or(TRACE_JOURNAL_CAPACITY);
-        let flight_recorder = flight_recorder
-            .or_else(|| {
-                let v = std::env::var("SSYNC_FLIGHT_RECORDER").ok()?;
-                Some(v == "1" || v.eq_ignore_ascii_case("true"))
+        let workers = match self.workers {
+            0 => std::thread::available_parallelism().map_or(1, usize::from),
+            n => n,
+        };
+        let shared = Arc::new(Shared {
+            queue: Mutex::new(Queue::default()),
+            wake: Condvar::new(),
+            flight_recorder: self.flight_recorder,
+            cache: ResultCache::with_config(self.cache),
+            pending: Mutex::new(PendingState::default()),
+            submitted: AtomicU64::new(0),
+            submitted_by_priority: Default::default(),
+            completed: AtomicU64::new(0),
+            coalesced: AtomicU64::new(0),
+            near_duplicate: AtomicU64::new(0),
+            deadline_expired: AtomicU64::new(0),
+            rejected_overloaded: AtomicU64::new(0),
+            rejected_unauthorized: AtomicU64::new(0),
+            conns_timed_out: AtomicU64::new(0),
+            janitor_gc_runs: AtomicU64::new(0),
+            scoring: Mutex::default(),
+            executed: (0..workers).map(|_| AtomicU64::new(0)).collect(),
+            telemetry: ServiceTelemetry::with_journal_cap(self.trace_journal_cap),
+        });
+        let handles = (0..workers)
+            .map(|me| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("ssync-service-worker-{me}"))
+                    .spawn(move || worker_loop(&shared, me))
+                    .expect("spawn service worker")
             })
-            .unwrap_or(false);
-        CompileService::start(batch::resolve_workers(workers), cache, journal_cap, flight_recorder)
+            .collect();
+        CompileService {
+            shared,
+            registry: DeviceRegistry::new(),
+            workers: handles,
+            started: Instant::now(),
+        }
     }
 }
 
@@ -440,70 +446,22 @@ impl Default for CompileService {
 }
 
 impl CompileService {
-    /// Starts a service with the resolved default worker count (the
-    /// `SSYNC_BATCH_WORKERS` environment variable when set, otherwise the
-    /// machine's available parallelism — the same resolution chain batch
-    /// compilation uses, [`batch::resolve_workers`]) and cache bounds from
-    /// [`CacheBounds::from_env`].
+    /// Starts a service with the builder's defaults: one worker per
+    /// available core, an unbounded memory-only cache, no flight recorder.
     pub fn new() -> Self {
         Self::builder().build()
     }
 
-    /// A builder for explicit worker counts, cache bounds and the
-    /// persistent cache tier.
+    /// A builder for explicit worker counts, cache bounds, the persistent
+    /// cache tier and the trace settings.
     pub fn builder() -> CompileServiceBuilder {
         CompileServiceBuilder::default()
     }
 
-    /// Starts a service with exactly `workers` worker threads (clamped to
-    /// at least 1), ignoring the environment — the constructor for tests
-    /// pinning worker-count independence. The cache is unbounded.
+    /// [`CompileService::new`] with `workers` worker threads (`0` = one
+    /// per available core).
     pub fn with_workers(workers: usize) -> Self {
-        Self::start(workers, CacheConfig::default(), TRACE_JOURNAL_CAPACITY, false)
-    }
-
-    fn start(
-        workers: usize,
-        cache: CacheConfig,
-        journal_cap: usize,
-        flight_recorder: bool,
-    ) -> Self {
-        let workers = workers.max(1);
-        let shared = Arc::new(Shared {
-            queue: Mutex::new(Queue::default()),
-            wake: Condvar::new(),
-            flight_recorder,
-            cache: ResultCache::with_config(cache),
-            pending: Mutex::new(PendingState::default()),
-            submitted: AtomicU64::new(0),
-            submitted_by_priority: Default::default(),
-            completed: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-            near_duplicate: AtomicU64::new(0),
-            deadline_expired: AtomicU64::new(0),
-            rejected_overloaded: AtomicU64::new(0),
-            rejected_unauthorized: AtomicU64::new(0),
-            conns_timed_out: AtomicU64::new(0),
-            janitor_gc_runs: AtomicU64::new(0),
-            scoring: Mutex::default(),
-            executed: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            telemetry: ServiceTelemetry::with_journal_cap(journal_cap),
-        });
-        let handles = (0..workers)
-            .map(|me| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("ssync-service-worker-{me}"))
-                    .spawn(move || worker_loop(&shared, me))
-                    .expect("spawn service worker")
-            })
-            .collect();
-        CompileService {
-            shared,
-            registry: DeviceRegistry::new(),
-            workers: handles,
-            started: Instant::now(),
-        }
+        Self::builder().workers(workers).build()
     }
 
     /// The service's device registry; register machines here and hand the
@@ -1152,21 +1110,32 @@ mod tests {
         assert!(service.cache().is_empty(), "errors are not cached");
     }
 
+    /// Handles line up with requests, and a failing request in the middle
+    /// of the batch settles its error at its own index.
     #[test]
     fn batch_handles_come_back_in_request_order() {
         let service = CompileService::with_workers(3);
         let config = CompilerConfig::default();
         let circuits: Vec<Arc<Circuit>> = (6..=12).map(|n| Arc::new(qft(n))).collect();
-        let handles = service.submit_batch(
-            circuits.iter().map(|c| request(&service, c, CompilerKind::SSync, &config)),
-        );
-        assert_eq!(handles.len(), circuits.len());
+        let mut requests: Vec<_> =
+            circuits.iter().map(|c| request(&service, c, CompilerKind::SSync, &config)).collect();
+        // 8 slots cannot hold 12 qubits + 1 space.
+        let tiny =
+            service.registry().get_or_build("tiny", config.weights, || QccdTopology::linear(2, 4));
+        let too_big = CompileRequest::new(tiny, Arc::new(qft(12)), CompilerKind::SSync, config);
+        requests.insert(3, too_big);
+        let mut handles = service.submit_batch(requests);
+        assert_eq!(handles.len(), circuits.len() + 1);
+        assert!(matches!(
+            handles.remove(3).wait(),
+            Err(CompileError::DeviceTooSmall { qubits: 12, slots: 8 })
+        ));
         for (circuit, handle) in circuits.iter().zip(&handles) {
             let outcome = handle.wait().expect("compiles");
             assert_eq!(outcome.counts().two_qubit_gates, circuit.two_qubit_gate_count());
         }
         let metrics = service.metrics();
-        assert_eq!(metrics.jobs_completed, circuits.len() as u64);
+        assert_eq!(metrics.jobs_completed, circuits.len() as u64 + 1);
         assert_eq!(metrics.queue_depth, 0);
         assert_eq!(metrics.workers.len(), 3);
     }
@@ -1500,6 +1469,8 @@ mod tests {
         let stats = service.cache().stats();
         assert_eq!(stats.entries, 1, "bounded cache holds one entry");
         assert_eq!(stats.evictions, 1);
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        assert_eq!(CompileService::with_workers(0).workers(), cores, "0 = one per core");
     }
 
     /// Pins the `ServiceMetrics::scoring` documentation contract: the

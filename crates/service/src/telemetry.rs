@@ -53,7 +53,7 @@ const KINDS: usize = CompilerKind::ALL.len();
 const SLOW_DISABLED: u64 = u64::MAX;
 
 /// How many recent traces the in-memory journal retains by default; the
-/// daemon's `--trace-journal-cap` flag (env `SSYNC_TRACE_JOURNAL_CAP`)
+/// builder's `trace_journal_cap` (daemon flag `--trace-journal-cap`)
 /// overrides it per pool.
 pub const TRACE_JOURNAL_CAPACITY: usize = 256;
 

@@ -1,23 +1,21 @@
-//! Golden equivalence tests for the shared-`Device` / batch-compilation
-//! refactor.
+//! Golden equivalence tests for the shared-`Device` refactor.
 //!
 //! The contract: compiling through a prebuilt [`Device`]
-//! ([`SSyncCompiler::compile_on`], every kind's `compile_on`,
-//! [`run_compiler_batch_with_workers`] at any worker count) must emit
+//! ([`SSyncCompiler::compile_on`], every kind's `compile_on`) must emit
 //! **bit-identical** programs, statistics and placements to the
 //! single-shot `compile(circuit, topology)` path that rebuilds the device
 //! internally. Any divergence means sharing the artifact changed the
-//! algorithm, not just its cost.
+//! algorithm, not just its cost. The compile service's pool, which runs
+//! `compile_on` on its workers, is held to the same contract at any
+//! worker count by `service_equivalence`.
 
 use ssync_arch::{Device, QccdTopology};
-use ssync_bench::{run_compiler, run_compiler_batch_with_workers, CompilerKind};
+use ssync_bench::{run_compiler, CompilerKind};
 use ssync_circuit::generators::{
     bernstein_vazirani, cuccaro_adder, qaoa_nearest_neighbor, qft, random_two_qubit_circuit,
 };
 use ssync_circuit::Circuit;
-use ssync_core::{
-    batch, CompileError, CompileOutcome, CompilerConfig, InitialMapping, SSyncCompiler,
-};
+use ssync_core::{CompileOutcome, CompilerConfig, InitialMapping, SSyncCompiler};
 
 fn suite() -> Vec<Circuit> {
     vec![
@@ -44,7 +42,11 @@ fn assert_same_outcome(a: &CompileOutcome, b: &CompileOutcome, what: &str) {
 fn compile_on_matches_single_shot_compile() {
     let config = CompilerConfig::default();
     let compiler = SSyncCompiler::new(config);
-    for topo in [QccdTopology::grid(2, 2, 6), QccdTopology::linear(3, 7)] {
+    for topo in [
+        QccdTopology::grid(2, 2, 6),
+        QccdTopology::linear(3, 7),
+        QccdTopology::fully_connected(3, 7),
+    ] {
         let device = Device::build(topo.clone(), config.weights);
         for circuit in suite() {
             let single = compiler.compile(&circuit, &topo).expect("compiles");
@@ -85,65 +87,5 @@ fn baselines_compile_on_matches_single_shot_compile() {
                 &format!("{kind:?} {}", circuit.name()),
             );
         }
-    }
-}
-
-#[test]
-fn batch_output_is_independent_of_worker_count() {
-    let config = CompilerConfig::default();
-    let compiler = SSyncCompiler::new(config);
-    let device = Device::build(QccdTopology::grid(2, 2, 6), config.weights);
-    let circuits = suite();
-    let reference: Vec<CompileOutcome> =
-        circuits.iter().map(|c| compiler.compile_on(&device, c).expect("compiles")).collect();
-    for workers in [1usize, 2, 3, 8, 32] {
-        let batch = run_compiler_batch_with_workers(
-            CompilerKind::SSync,
-            &device,
-            &circuits,
-            &config,
-            workers,
-        );
-        assert_eq!(batch.len(), circuits.len(), "workers = {workers}");
-        for ((circuit, expected), got) in circuits.iter().zip(&reference).zip(batch) {
-            let got = got.expect("compiles");
-            assert_same_outcome(
-                &got,
-                expected,
-                &format!("{} with {workers} workers", circuit.name()),
-            );
-        }
-    }
-}
-
-#[test]
-fn batch_reports_per_circuit_errors_in_order() {
-    let config = CompilerConfig::default();
-    // 8 slots: qft(12) cannot fit, qft(6) can.
-    let device = Device::build(QccdTopology::linear(2, 4), config.weights);
-    let circuits = vec![qft(6), qft(12), qft(5)];
-    let results =
-        run_compiler_batch_with_workers(CompilerKind::SSync, &device, &circuits, &config, 2);
-    assert!(results[0].is_ok());
-    assert!(matches!(results[1], Err(CompileError::DeviceTooSmall { qubits: 12, slots: 8 })));
-    assert!(results[2].is_ok());
-}
-
-#[test]
-fn batch_equals_the_pre_refactor_single_shot_path_end_to_end() {
-    // The strongest form of the golden check: `compile(circuit, topology)`
-    // (which internally builds a fresh device per call, like the
-    // pre-refactor compiler did) versus one shared device + parallel batch.
-    let config = CompilerConfig::default();
-    let compiler = SSyncCompiler::new(config);
-    let topo = QccdTopology::fully_connected(3, 7);
-    let circuits = suite();
-    let device = Device::build(topo.clone(), config.weights);
-    let workers = batch::resolve_workers(0);
-    let batch =
-        run_compiler_batch_with_workers(CompilerKind::SSync, &device, &circuits, &config, workers);
-    for (circuit, got) in circuits.iter().zip(batch) {
-        let single = compiler.compile(circuit, &topo).expect("compiles");
-        assert_same_outcome(&got.expect("compiles"), &single, circuit.name());
     }
 }
