@@ -5,6 +5,7 @@
 //! service (built exactly once), and the whole (topology × capacity ×
 //! application) product goes to the pool as one batch.
 
+use ssync_arch::QccdTopology;
 use ssync_bench::table::{fmt_rate, fmt_us};
 use ssync_bench::{scaled_app, AppKind, BenchScale, CompilerKind, Table};
 use ssync_core::CompilerConfig;
@@ -12,30 +13,6 @@ use ssync_service::{CompileRequest, CompileService};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// The seven topology families of Fig. 11 with a capacity chosen so the
-/// total device capacity is close to the requested target.
-fn topology(name: &str, total_capacity: usize) -> Option<ssync_arch::QccdTopology> {
-    use ssync_arch::QccdTopology;
-    let traps = match name {
-        "L-4" | "S-4" | "G-2x2" => 4,
-        "L-6" | "G-2x3" | "S-6" => 6,
-        "G-3x3" => 9,
-        _ => return None,
-    };
-    let capacity = total_capacity.div_ceil(traps);
-    let t = match name {
-        "L-4" => QccdTopology::linear(4, capacity),
-        "L-6" => QccdTopology::linear(6, capacity),
-        "S-4" => QccdTopology::fully_connected(4, capacity),
-        "S-6" => QccdTopology::fully_connected(6, capacity),
-        "G-2x2" => QccdTopology::grid(2, 2, capacity),
-        "G-2x3" => QccdTopology::grid(2, 3, capacity),
-        "G-3x3" => QccdTopology::grid(3, 3, capacity),
-        _ => return None,
-    };
-    Some(t)
-}
 
 fn main() {
     let scale = BenchScale::from_env();
@@ -64,14 +41,17 @@ fn main() {
         .map(|(&(app, _), c)| format!("{}_{}", app.label(), c.num_qubits()))
         .collect();
 
-    // One device per (topology, capacity) cell, named after both; every
-    // fitting application of every cell is submitted at once.
+    // One device per (topology, capacity) cell: the paper topology with
+    // its traps resized so the total capacity is close to the target,
+    // named after both. Every fitting application of every cell is
+    // submitted at once.
     let sweep_start = Instant::now();
     let mut cells = Vec::new();
     let mut requests = Vec::new();
     for (t, topo_name) in topologies.iter().enumerate() {
         for (c, &cap) in capacities.iter().enumerate() {
-            let Some(topo) = topology(topo_name, cap) else { continue };
+            let named = QccdTopology::named(topo_name).expect("a paper topology");
+            let topo = named.with_capacity(cap.div_ceil(named.num_traps()));
             let total = topo.total_capacity();
             let fitting: Vec<usize> =
                 (0..circuits.len()).filter(|&a| total > circuits[a].num_qubits()).collect();

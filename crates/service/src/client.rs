@@ -1,9 +1,10 @@
 //! A minimal client for the `ssync-serviced` IPC front-end.
 //!
 //! Mirrors the in-process request/handle API over [`wire`](crate::wire)
-//! frames: `submit` returns a job id (the remote analogue of a
-//! [`JobHandle`](crate::JobHandle)), `wait`/`poll` resolve it, `metrics`
-//! snapshots the remote [`ServiceMetrics`](crate::ServiceMetrics). The
+//! frames: `submit` sends a circuit or QASM source and returns a job id
+//! (the remote analogue of a [`JobHandle`](crate::JobHandle)), `wait`
+//! resolves it, `metrics` snapshots the remote
+//! [`ServiceMetrics`](crate::ServiceMetrics). The
 //! client is deliberately synchronous and single-connection — one
 //! outstanding request at a time — because the concurrency lives
 //! server-side in the pool; spin up more connections for parallel
@@ -22,7 +23,8 @@
 //! [`ssync_core::CompileError::Overloaded`],
 //! the client surfaces it as [`ClientError::Overloaded`] carrying the
 //! server's `retry_after_ms` hint. [`ServiceClient::submit_with_backoff`]
-//! implements the retry contract a well-behaved client owes the service:
+//! implements, for circuits and QASM source alike, the retry contract a
+//! well-behaved client owes the service:
 //! bounded exponential backoff (doubling from
 //! [`BackoffPolicy::initial_ms`] up to [`BackoffPolicy::max_ms`]) with
 //! deterministic jitter, never sleeping less than the server's hint, and
@@ -37,18 +39,26 @@
 //! use ssync_service::wire::RemoteRequest;
 //!
 //! let mut client = ServiceClient::connect_unix("/tmp/ssync-serviced.sock").unwrap();
+//! let config = CompilerConfig::default();
 //! let job = client
-//!     .submit(&RemoteRequest::new("G-2x2", qft(10), CompilerKind::SSync,
-//!                                 CompilerConfig::default()))
+//!     .submit(&RemoteRequest::new("G-2x2", qft(10), CompilerKind::SSync, config))
 //!     .unwrap();
 //! let outcome = client.wait(job).unwrap().unwrap();
 //! println!("{} shuttles", outcome.counts().shuttles);
+//!
+//! // The same compile from OpenQASM 2.0 source, parsed by the daemon.
+//! let source = ssync_qasm::export(&qft(10));
+//! let submitted = client
+//!     .submit_traced(&RemoteRequest::new("G-2x2", source, CompilerKind::SSync, config))
+//!     .unwrap();
+//! assert!(!submitted.report.unwrap().stripped_anything());
+//! let outcome = client.wait(submitted.job).unwrap().unwrap();
 //! ```
 
 use crate::codec::{ByteWriter, CodecError};
 use crate::wire::{
-    decode_outcome_payload, decode_response, encode_request, encode_submit, encode_submit_qasm,
-    read_frame, write_frame, RemoteQasmRequest, RemoteRequest, Request, Response,
+    decode_outcome_payload, decode_response, encode_request, encode_submit, read_frame,
+    write_frame, RemoteRequest, Request, Response,
 };
 use ssync_core::{CompileError, CompileOutcome};
 use std::io::{Read, Write};
@@ -129,6 +139,23 @@ impl From<CodecError> for ClientError {
 /// connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RemoteJob(pub u64);
+
+/// The daemon's acceptance of a submit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Submitted {
+    /// The job to pass to [`ServiceClient::wait`].
+    pub job: RemoteJob,
+    /// The server-assigned id of the request's end-to-end trace in the
+    /// daemon's journal and slow-request log (see
+    /// [`ServiceClient::get_trace`]).
+    pub trace_id: u64,
+    /// For QASM source, what the server-side lowering stripped or counted
+    /// — check
+    /// [`stripped_anything`](ssync_qasm::ParseReport::stripped_anything)
+    /// to warn that the compiled circuit is not the whole program sent;
+    /// `None` for a circuit.
+    pub report: Option<ssync_qasm::ParseReport>,
+}
 
 /// The retry schedule [`ServiceClient::submit_with_backoff`] follows on
 /// transient failures (`Overloaded`, transport errors): exponential
@@ -324,49 +351,33 @@ impl ServiceClient {
         }
     }
 
-    /// Sends a `Wait` or `Poll` and reads the job's status: `None` while it
-    /// runs. An outcome is decoded straight from the payload, once.
-    fn job_status(
-        &mut self,
-        request: &Request,
-    ) -> Result<Option<Result<CompileOutcome, CompileError>>, ClientError> {
-        let payload = self.send(&encode_request(request))?;
-        if let Some(outcome) = decode_outcome_payload(&payload) {
-            return Ok(Some(Ok(outcome?)));
-        }
-        match Self::accepted(decode_response(&payload)?)? {
-            Response::Pending => Ok(None),
-            Response::CompileFailed(error) => Ok(Some(Err(error))),
-            _ => Err(ClientError::UnexpectedResponse("expected a job status")),
-        }
-    }
-
-    /// Submits a compile request; the returned [`RemoteJob`] feeds
-    /// [`ServiceClient::wait`] / [`ServiceClient::poll`].
+    /// Submits a compile request, of a circuit or of QASM source; the
+    /// returned [`RemoteJob`] feeds [`ServiceClient::wait`].
     ///
     /// # Errors
     ///
-    /// Transport/codec failures, or [`ClientError::Rejected`] for an
-    /// unknown device name.
+    /// As [`submit_traced`](ServiceClient::submit_traced).
     pub fn submit(&mut self, request: &RemoteRequest) -> Result<RemoteJob, ClientError> {
-        self.submit_traced(request).map(|(job, _trace_id)| job)
+        self.submit_traced(request).map(|submitted| submitted.job)
     }
 
-    /// [`submit`](ServiceClient::submit), additionally returning the
-    /// server-assigned **trace id** identifying this request's
-    /// end-to-end trace in the daemon's journal and slow-request log.
+    /// [`submit`](ServiceClient::submit), returning the whole
+    /// acceptance: the job, its trace id and, for QASM source, the parse
+    /// report. The daemon parses, lowers and compiles source
+    /// bit-identically to parsing locally and submitting the circuit.
     ///
     /// # Errors
     ///
-    /// As [`submit`](ServiceClient::submit).
-    pub fn submit_traced(
-        &mut self,
-        request: &RemoteRequest,
-    ) -> Result<(RemoteJob, u64), ClientError> {
+    /// Transport/codec failures, [`ClientError::Overloaded`] when the
+    /// server sheds the submit, or [`ClientError::Rejected`] carrying the
+    /// parse diagnostic (`line:col: ...`) or an unknown device name.
+    pub fn submit_traced(&mut self, request: &RemoteRequest) -> Result<Submitted, ClientError> {
         let mut w = ByteWriter::new();
         encode_submit(&mut w, request);
         match self.exchange(&w.into_bytes())? {
-            Response::Submitted { job, trace_id } => Ok((RemoteJob(job), trace_id)),
+            Response::Submitted { job, trace_id, report } => {
+                Ok(Submitted { job: RemoteJob(job), trace_id, report })
+            }
             Response::CompileFailed(CompileError::Overloaded { retry_after_ms }) => {
                 Err(ClientError::Overloaded { retry_after_ms })
             }
@@ -374,12 +385,25 @@ impl ServiceClient {
         }
     }
 
-    /// [`submit`](ServiceClient::submit) with the retry contract: on
-    /// `Overloaded` or a transport failure, sleep per `policy` (bounded
-    /// exponential backoff, deterministic jitter, never undercutting the
-    /// server's `retry_after_ms` hint), transparently reconnect TCP
-    /// sessions, and try again — until acceptance, a permanent error, or
-    /// the policy's deadline.
+    /// [`submit`](ServiceClient::submit) returning the parse report too
+    /// (the default report for a circuit).
+    ///
+    /// # Errors
+    ///
+    /// As [`submit_traced`](ServiceClient::submit_traced).
+    pub fn submit_qasm(
+        &mut self,
+        request: &RemoteRequest,
+    ) -> Result<(RemoteJob, ssync_qasm::ParseReport), ClientError> {
+        self.submit_traced(request).map(|s| (s.job, s.report.unwrap_or_default()))
+    }
+
+    /// [`submit_traced`](ServiceClient::submit_traced) with the retry
+    /// contract: on `Overloaded` or a transport failure, sleep per
+    /// `policy` (bounded exponential backoff, deterministic jitter, never
+    /// undercutting the server's `retry_after_ms` hint), transparently
+    /// reconnect TCP sessions, and try again — until acceptance, a
+    /// permanent error, or the policy's deadline.
     ///
     /// A retried submit is **at-least-once**: if the transport died after
     /// the server accepted but before the `Submitted` frame arrived, the
@@ -397,15 +421,15 @@ impl ServiceClient {
         &mut self,
         request: &RemoteRequest,
         policy: &BackoffPolicy,
-    ) -> Result<RemoteJob, ClientError> {
+    ) -> Result<Submitted, ClientError> {
         let started = Instant::now();
         let mut backoff_ms = policy.initial_ms.max(1);
         let mut rng = policy.seed | 1; // xorshift must not start at 0
         let mut attempts = 0u32;
         loop {
             attempts += 1;
-            let error = match self.submit(request) {
-                Ok(job) => return Ok(job),
+            let error = match self.submit_traced(request) {
+                Ok(submitted) => return Ok(submitted),
                 Err(e) => e,
             };
             let hint_ms = match &error {
@@ -434,51 +458,6 @@ impl ServiceClient {
         }
     }
 
-    /// Submits raw OpenQASM 2.0 source: the daemon parses,
-    /// lowers and compiles it server-side, bit-identically to parsing
-    /// locally and calling [`ServiceClient::submit`] with the circuit.
-    /// Alongside the job id, the returned
-    /// [`ParseReport`](ssync_qasm::ParseReport) tells the caller what
-    /// the server-side lowering stripped (measurements, resets,
-    /// conditionals) — check
-    /// [`stripped_anything`](ssync_qasm::ParseReport::stripped_anything)
-    /// to warn users that the compiled circuit is not the full program
-    /// they sent.
-    ///
-    /// # Errors
-    ///
-    /// Transport/codec failures, or [`ClientError::Rejected`] carrying
-    /// the parse diagnostic (`line:col: ...`) or an unknown device name.
-    pub fn submit_qasm(
-        &mut self,
-        request: &RemoteQasmRequest,
-    ) -> Result<(RemoteJob, ssync_qasm::ParseReport), ClientError> {
-        self.submit_qasm_traced(request).map(|(job, report, _trace_id)| (job, report))
-    }
-
-    /// [`submit_qasm`](ServiceClient::submit_qasm), additionally
-    /// returning the server-assigned trace id.
-    ///
-    /// # Errors
-    ///
-    /// As [`submit_qasm`](ServiceClient::submit_qasm).
-    pub fn submit_qasm_traced(
-        &mut self,
-        request: &RemoteQasmRequest,
-    ) -> Result<(RemoteJob, ssync_qasm::ParseReport, u64), ClientError> {
-        let mut w = ByteWriter::new();
-        encode_submit_qasm(&mut w, request);
-        match self.exchange(&w.into_bytes())? {
-            Response::QasmSubmitted { job, report, trace_id } => {
-                Ok((RemoteJob(job), report, trace_id))
-            }
-            Response::CompileFailed(CompileError::Overloaded { retry_after_ms }) => {
-                Err(ClientError::Overloaded { retry_after_ms })
-            }
-            _ => Err(ClientError::UnexpectedResponse("submit_qasm expected QasmSubmitted")),
-        }
-    }
-
     /// Blocks until `job` finishes; the inner result is the compile's own
     /// success or failure, exactly as [`crate::JobHandle::wait`] returns
     /// it in-process.
@@ -491,21 +470,15 @@ impl ServiceClient {
         &mut self,
         job: RemoteJob,
     ) -> Result<Result<CompileOutcome, CompileError>, ClientError> {
-        self.job_status(&Request::Wait { job: job.0 })?
-            .ok_or(ClientError::UnexpectedResponse("wait expected a result"))
-    }
-
-    /// Non-blocking check of `job`: `None` while it is still running.
-    ///
-    /// # Errors
-    ///
-    /// Transport/codec failures, or [`ClientError::Rejected`] for an
-    /// unknown job id.
-    pub fn poll(
-        &mut self,
-        job: RemoteJob,
-    ) -> Result<Option<Result<CompileOutcome, CompileError>>, ClientError> {
-        self.job_status(&Request::Poll { job: job.0 })
+        let payload = self.send(&encode_request(&Request::Wait { job: job.0 }))?;
+        // An outcome is decoded straight from the payload, once.
+        if let Some(outcome) = decode_outcome_payload(&payload) {
+            return Ok(Ok(outcome?));
+        }
+        match Self::accepted(decode_response(&payload)?)? {
+            Response::CompileFailed(error) => Ok(Err(error)),
+            _ => Err(ClientError::UnexpectedResponse("wait expected a result")),
+        }
     }
 
     /// Fetches a metrics snapshot from the daemon.

@@ -939,7 +939,7 @@ mod tests {
         assert_outcome_roundtrip(&routed_outcome());
     }
 
-    /// The bytes of one fixed compile, pinned at wire version 11 and cache
+    /// The bytes of one fixed compile, pinned at wire version 12 and cache
     /// file version 2. Ops are narrower in memory than on the wire, so a
     /// layout change can move these bytes unnoticed by a round trip; if
     /// this fails, bump `WIRE_VERSION` and `PERSIST_VERSION` and re-pin.
@@ -954,7 +954,7 @@ mod tests {
         let mut h = StableHasher::new();
         h.write_bytes(&bytes[..bytes.len() - 8]);
         assert_eq!((bytes.len(), h.finish()), (2_779, 0x476d_bbbb_40fe_4432));
-        assert_eq!((crate::wire::WIRE_VERSION, crate::cache::PERSIST_VERSION), (11, 2));
+        assert_eq!((crate::wire::WIRE_VERSION, crate::cache::PERSIST_VERSION), (12, 2));
     }
 
     /// Every varint of every length round-trips, and only its shortest

@@ -46,20 +46,20 @@
 //! [`serve_tcp`] returns once the last handler exits, so the daemon can
 //! flush a final metrics snapshot before the process ends.
 //!
-//! The front-end is otherwise a thin adapter: every `Submit` becomes a
+//! The front-end is otherwise a thin adapter: every `Submit` (of QASM
+//! source parsed here first, or of a circuit) becomes a
 //! [`CompileService::submit`] and the returned [`JobHandle`] is parked in
 //! a per-connection table keyed by a per-connection job id. `Wait` blocks
 //! only the requesting connection's thread — the pool keeps draining
 //! other work meanwhile.
 
-use crate::job::{JobHandle, Priority, TenantId};
+use crate::job::{CompileRequest, JobHandle, Priority, TenantId};
 use crate::pool::CompileService;
 use crate::telemetry::{render_text, Stage};
 use crate::wire::{
-    decode_request, encode_response, read_frame_deadline, write_frame, RemoteQasmRequest,
-    RemoteRequest, Request, Response, WIRE_VERSION,
+    decode_request, encode_response, read_frame_deadline, write_frame, Input, RemoteRequest,
+    Request, Response, WIRE_VERSION,
 };
-use ssync_circuit::Circuit;
 use ssync_core::CompileError;
 use ssync_telemetry::Span;
 use std::collections::HashMap;
@@ -136,12 +136,17 @@ impl Gate {
         })
     }
 
-    fn tenant_inflight(&self, tenant: TenantId) -> usize {
-        self.tenant_inflight.lock().expect("gate lock").get(&tenant).copied().unwrap_or(0)
-    }
-
-    fn acquire_tenant(&self, tenant: TenantId) {
-        *self.tenant_inflight.lock().expect("gate lock").entry(tenant).or_insert(0) += 1;
+    /// Takes one of `tenant`'s in-flight slots unless it already holds
+    /// `cap`; the check and the take share one lock hold, so concurrent
+    /// connections of one tenant cannot both pass at `cap - 1`.
+    fn try_acquire_tenant(&self, tenant: TenantId, cap: Option<usize>) -> bool {
+        let mut tenants = self.tenant_inflight.lock().expect("gate lock");
+        let held = tenants.get(&tenant).copied().unwrap_or(0);
+        if cap.is_some_and(|cap| held >= cap) {
+            return false;
+        }
+        tenants.insert(tenant, held + 1);
+        true
     }
 
     fn release_tenant(&self, tenant: TenantId) {
@@ -186,63 +191,60 @@ impl Session {
         Session { gate, jobs: HashMap::new(), next_id: 0, authed, delivered: None }
     }
 
+    /// Queues one request. QASM source is parsed here first, after the
+    /// trace starts, so the parse stage lands on the same timeline as
+    /// queueing and compiling; a parse failure is `Rejected` with the
+    /// `line:col` diagnostic a local `ssync_qasm::parse` would give, and
+    /// acceptance carries the lowering's `ParseReport`. Then the
+    /// admission gate, the device, and the tenant's in-flight slot,
+    /// taken last so that no refusal holds one.
     fn submit(&mut self, service: &CompileService, remote: RemoteRequest) -> Response {
-        let RemoteRequest { device, circuit, compiler, config, priority, tenant } = remote;
-        let span = service.telemetry().begin_trace();
-        self.submit_circuit(
-            service, &device, circuit, compiler, config, priority, tenant, None, span,
-        )
-    }
-
-    /// The QASM ingestion path: parse the source server-side,
-    /// then submit the lowered circuit exactly like `Submit`. Parse and
-    /// lowering failures come back as `Rejected` carrying the
-    /// `line:col` diagnostic, so the client sees the same message a
-    /// local `ssync_qasm::parse` would produce; acceptance answers with
-    /// `QasmSubmitted`, which carries the lowering's `ParseReport` so
-    /// the caller learns what was stripped.
-    fn submit_qasm(&mut self, service: &CompileService, remote: RemoteQasmRequest) -> Response {
-        let RemoteQasmRequest { device, source, compiler, config, priority, tenant, deadline_us } =
+        let RemoteRequest { device, input, compiler, config, priority, tenant, deadline_us } =
             remote;
-        // The trace starts *before* the parse so the parse stage lands
-        // on the same timeline as queueing and compiling.
         let span = service.telemetry().begin_trace();
-        let parse_started = Instant::now();
-        let parsed = match ssync_qasm::parse(&source) {
-            Ok(out) => out,
-            Err(e) => return Response::Rejected { reason: format!("qasm parse error: {e}") },
-        };
-        let parse_time = parse_started.elapsed();
-        service.telemetry().span_record(&span, "parse", parse_time);
-        service.telemetry().record(Stage::Parse, priority, compiler, parse_time);
-        match self.submit_circuit(
-            service,
-            &device,
-            parsed.circuit,
-            compiler,
-            config,
-            priority,
-            tenant,
-            deadline_us,
-            span,
-        ) {
-            Response::Submitted { job, trace_id } => {
-                Response::QasmSubmitted { job, report: parsed.report, trace_id }
+        let (circuit, report) = match input {
+            Input::Circuit(circuit) => (circuit, None),
+            Input::Qasm(source) => {
+                let parse_started = Instant::now();
+                let parsed = match ssync_qasm::parse(&source) {
+                    Ok(parsed) => parsed,
+                    Err(e) => {
+                        return Response::Rejected { reason: format!("qasm parse error: {e}") }
+                    }
+                };
+                let parse_time = parse_started.elapsed();
+                service.telemetry().span_record(&span, "parse", parse_time);
+                service.telemetry().record(Stage::Parse, priority, compiler, parse_time);
+                (parsed.circuit, Some(parsed.report))
             }
-            other => other,
+        };
+        if let Some(refusal) = self.admit(service, priority) {
+            return refusal;
         }
+        let Some(device) = service.registry().get_or_build_named(&device, config.weights) else {
+            return Response::Rejected { reason: format!("unknown device '{device}'") };
+        };
+        if !self.gate.try_acquire_tenant(tenant, self.gate.config.max_inflight_per_tenant) {
+            return self.overloaded(service);
+        }
+        let mut request = CompileRequest::new(device, Arc::new(circuit), compiler, config)
+            .with_priority(priority)
+            .with_tenant(tenant);
+        request.deadline_us = deadline_us;
+        let trace_id = span.trace_id();
+        let handle = service.submit_with_span(request, span.clone());
+        let job = self.next_id;
+        self.next_id += 1;
+        self.jobs.insert(job, (handle, tenant, span));
+        Response::Submitted { job, trace_id, report }
     }
 
-    /// Checks the admission gate; `Some(response)` means the request is
-    /// refused before touching the pool. Draining refusals are permanent
+    /// Checks the admission gate's draining flag, per-connection cap and
+    /// queue watermark; `Some(response)` means the request is refused
+    /// before touching the pool. Draining refusals are permanent
     /// (`Rejected`), capacity refusals are transient (`Overloaded` with a
-    /// retry hint).
-    fn admit(
-        &self,
-        service: &CompileService,
-        priority: Priority,
-        tenant: TenantId,
-    ) -> Option<Response> {
+    /// retry hint). The per-tenant cap is checked as its slot is taken.
+    fn admit(&self, service: &CompileService, priority: Priority) -> Option<Response> {
         if self.gate.draining.load(Ordering::SeqCst) {
             return Some(Response::Rejected {
                 reason: "service is draining and not accepting new work".into(),
@@ -250,67 +252,31 @@ impl Session {
         }
         let config = &self.gate.config;
         let conn_full = config.max_inflight_per_conn.is_some_and(|cap| self.jobs.len() >= cap);
-        let tenant_full = config
-            .max_inflight_per_tenant
-            .is_some_and(|cap| self.gate.tenant_inflight(tenant) >= cap);
         let queue_full = config
             .queue_watermark
             .is_some_and(|mark| service.queue_depth() >= priority.admission_threshold(mark));
-        if conn_full || tenant_full || queue_full {
-            service.note_rejected_overloaded();
-            return Some(Response::CompileFailed(CompileError::Overloaded {
-                retry_after_ms: config.retry_after_ms,
-            }));
-        }
-        None
+        (conn_full || queue_full).then(|| self.overloaded(service))
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn submit_circuit(
-        &mut self,
-        service: &CompileService,
-        device: &str,
-        circuit: Circuit,
-        compiler: ssync_baselines::CompilerKind,
-        config: ssync_core::CompilerConfig,
-        priority: crate::job::Priority,
-        tenant: crate::job::TenantId,
-        deadline_us: Option<u64>,
-        span: Span,
-    ) -> Response {
-        if let Some(refusal) = self.admit(service, priority, tenant) {
-            return refusal;
-        }
-        let Some(device) = service.registry().get_or_build_named(device, config.weights) else {
-            return Response::Rejected { reason: format!("unknown device '{device}'") };
+    /// A transient capacity refusal, counted in `rejected_overloaded`.
+    fn overloaded(&self, service: &CompileService) -> Response {
+        service.note_rejected_overloaded();
+        Response::CompileFailed(CompileError::Overloaded {
+            retry_after_ms: self.gate.config.retry_after_ms,
+        })
+    }
+
+    /// Consumes `job`: returns its tenant's in-flight slot, keeps its span
+    /// for the delivery event, and blocks until the result is settled.
+    /// An outcome goes out as its stored bytes, never decoded or encoded
+    /// here.
+    fn wait(&mut self, job: u64) -> Response {
+        let Some((handle, tenant, span)) = self.jobs.remove(&job) else {
+            return Response::Rejected { reason: format!("unknown job id {job}") };
         };
-        let mut request =
-            crate::job::CompileRequest::new(device, Arc::new(circuit), compiler, config)
-                .with_priority(priority)
-                .with_tenant(tenant);
-        request.deadline_us = deadline_us;
-        let trace_id = span.trace_id();
-        let handle = service.submit_with_span(request, span.clone());
-        let job = self.next_id;
-        self.next_id += 1;
-        self.gate.acquire_tenant(tenant);
-        self.jobs.insert(job, (handle, tenant, span));
-        Response::Submitted { job, trace_id }
-    }
-
-    /// Drops a delivered job id, returns its tenant's in-flight slot,
-    /// and hands back the job's span so the caller can stamp the
-    /// delivery event on it.
-    fn finish(&mut self, job: u64) -> Option<Span> {
-        let (_, tenant, span) = self.jobs.remove(&job)?;
         self.gate.release_tenant(tenant);
-        Some(span)
-    }
-
-    /// The response for a settled job: the outcome's stored bytes, never
-    /// decoded or encoded here.
-    fn result_response(settled: crate::job::Settled) -> Response {
-        match settled {
+        self.delivered = Some(span);
+        match handle.wait_encoded() {
             Ok(outcome) => Response::Outcome(outcome),
             Err(error) => Response::CompileFailed(error),
         }
@@ -319,12 +285,11 @@ impl Session {
     /// Handles one request; the control value says whether to keep
     /// serving, shut the daemon down, or close just this connection.
     ///
-    /// A job id is *consumed* by the response that delivers its terminal
-    /// result (`Wait`, or a `Poll` that observes completion): the handle —
-    /// and the outcome it pins — is dropped immediately, so
-    /// a connection submitting millions of jobs holds memory proportional
-    /// to its *outstanding* jobs, not its lifetime total. A later
-    /// `Poll`/`Wait` on a consumed id is `Rejected`.
+    /// A job id is *consumed* by the `Wait` that delivers its terminal
+    /// result: the handle — and the outcome it pins — is dropped
+    /// immediately, so a connection submitting millions of jobs holds
+    /// memory proportional to its *outstanding* jobs, not its lifetime
+    /// total. A later `Wait` on a consumed id is `Rejected`.
     fn handle(&mut self, service: &CompileService, request: Request) -> (Response, Control) {
         if !self.authed && !matches!(request, Request::Hello { .. }) {
             service.note_rejected_unauthorized();
@@ -347,31 +312,7 @@ impl Session {
                 }
             },
             Request::Submit(remote) => (self.submit(service, *remote), Control::Continue),
-            Request::SubmitQasm(remote) => (self.submit_qasm(service, *remote), Control::Continue),
-            Request::Poll { job } => match self.jobs.get(&job) {
-                Some((handle, _tenant, _span)) => match handle.try_poll_encoded() {
-                    Some(result) => {
-                        self.delivered = self.finish(job);
-                        (Self::result_response(result), Control::Continue)
-                    }
-                    None => (Response::Pending, Control::Continue),
-                },
-                None => (
-                    Response::Rejected { reason: format!("unknown job id {job}") },
-                    Control::Continue,
-                ),
-            },
-            Request::Wait { job } => match self.jobs.remove(&job) {
-                Some((handle, tenant, span)) => {
-                    self.gate.release_tenant(tenant);
-                    self.delivered = Some(span);
-                    (Self::result_response(handle.wait_encoded()), Control::Continue)
-                }
-                None => (
-                    Response::Rejected { reason: format!("unknown job id {job}") },
-                    Control::Continue,
-                ),
-            },
+            Request::Wait { job } => (self.wait(job), Control::Continue),
             Request::Metrics => (Response::Metrics(Box::new(service.metrics())), Control::Continue),
             Request::GetStats => (
                 Response::StatsText {
@@ -636,6 +577,12 @@ mod tests {
     use ssync_circuit::generators::qft;
     use ssync_core::CompilerConfig;
 
+    impl Gate {
+        fn tenant_inflight(&self, tenant: TenantId) -> usize {
+            self.tenant_inflight.lock().expect("gate lock").get(&tenant).copied().unwrap_or(0)
+        }
+    }
+
     /// Runs a scripted conversation through `serve_session` with an
     /// explicit gate, using in-memory buffers.
     fn converse(service: &CompileService, gate: &Arc<Gate>, requests: &[Request]) -> Vec<Response> {
@@ -669,8 +616,8 @@ mod tests {
                 config,
             ))),
             Request::Wait { job: 0 },
-            Request::Poll { job: 0 },
-            Request::Poll { job: 99 },
+            Request::Wait { job: 0 },
+            Request::Wait { job: 99 },
             Request::Metrics,
             Request::Submit(Box::new(RemoteRequest::new(
                 "no-such-device",
@@ -700,7 +647,7 @@ mod tests {
             panic!("wait must return the outcome, got {:?}", responses[1]);
         };
         assert_eq!(outcome.decode().counts().two_qubit_gates, 90);
-        // Wait consumed job id 0, so a later poll is rejected (the daemon
+        // Wait consumed job id 0, so a later wait is rejected (the daemon
         // must not retain delivered outcomes per-connection forever).
         assert!(matches!(&responses[2], Response::Rejected { .. }), "consumed job id");
         assert!(matches!(&responses[3], Response::Rejected { .. }), "unknown job id");
@@ -724,14 +671,14 @@ mod tests {
         let source = ssync_qasm::export(&circuit);
         let mut input = Vec::new();
         for request in [
-            Request::SubmitQasm(Box::new(RemoteQasmRequest::new(
+            Request::Submit(Box::new(RemoteRequest::new(
                 "G-2x2",
                 source.clone(),
                 CompilerKind::SSync,
                 config,
             ))),
             Request::Wait { job: 0 },
-            Request::SubmitQasm(Box::new(RemoteQasmRequest::new(
+            Request::Submit(Box::new(RemoteRequest::new(
                 "G-2x2",
                 "OPENQASM 2.0;\nqreg q[2];\nfrobnicate q[0];\n",
                 CompilerKind::SSync,
@@ -750,8 +697,8 @@ mod tests {
         while let Some(payload) = crate::wire::read_frame(&mut cursor).expect("frame") {
             responses.push(decode_response(&payload).expect("decode"));
         }
-        let Response::QasmSubmitted { job: 0, report, .. } = &responses[0] else {
-            panic!("expected QasmSubmitted, got {:?}", responses[0]);
+        let Response::Submitted { job: 0, report: Some(report), .. } = &responses[0] else {
+            panic!("expected Submitted with a parse report, got {:?}", responses[0]);
         };
         assert!(!report.stripped_anything(), "an exported circuit strips nothing");
         let Response::Outcome(remote) = &responses[1] else {
@@ -775,6 +722,40 @@ mod tests {
         };
         assert!(reason.contains("qasm parse error"), "{reason}");
         assert!(reason.contains("3:1"), "diagnostic carries line:col: {reason}");
+    }
+
+    /// A circuit submit carries a deadline like a QASM submit: one that
+    /// expired at submission answers `Wait` with `DeadlineExceeded`, and
+    /// its acceptance carries no parse report.
+    #[test]
+    fn a_circuit_submit_with_an_expired_deadline_fails_with_deadline_exceeded() {
+        let service = CompileService::with_workers(1);
+        let responses = converse(
+            &service,
+            &Gate::new(FrontConfig::default()),
+            &[
+                Request::Submit(Box::new(
+                    RemoteRequest::new(
+                        "G-2x2",
+                        qft(10),
+                        CompilerKind::SSync,
+                        CompilerConfig::default(),
+                    )
+                    .with_deadline_us(0),
+                )),
+                Request::Wait { job: 0 },
+            ],
+        );
+        assert!(matches!(responses[0], Response::Submitted { job: 0, report: None, .. }));
+        assert!(
+            matches!(
+                responses[1],
+                Response::CompileFailed(CompileError::DeadlineExceeded { deadline_us: 0 })
+            ),
+            "got {:?}",
+            responses[1]
+        );
+        assert_eq!(service.metrics().jobs_deadline_expired, 1);
     }
 
     /// The auth handshake: a correct token is welcomed and unlocks the
@@ -891,22 +872,58 @@ mod tests {
                     .with_tenant(tenant),
             ))
         };
-        // The cap binds within one session: sweep's second undelivered
-        // job is shed while a different tenant sails through. (The count
-        // is listener-wide state on the gate, so a second concurrent
-        // session would see exactly the same refusal.)
+        let refused = |device: &str, input: Input| {
+            Request::Submit(Box::new(
+                RemoteRequest::new(device, input, CompilerKind::SSync, config).with_tenant(sweep),
+            ))
+        };
+        // Refused requests take no slot: sweep's unknown device and bad
+        // QASM leave room for its first job. The cap binds within one
+        // session: sweep's second undelivered job is shed while a
+        // different tenant sails through. (The count is listener-wide
+        // state on the gate, so a second concurrent session would see
+        // exactly the same refusal.)
         let responses = converse(
             &service,
             &gate,
-            &[submit(1, sweep), submit(2, sweep), submit(3, TenantId::from_name("other"))],
+            &[
+                refused("no-such-device", qft(4).into()),
+                refused("G-2x2", "qreg q[1];\nfoo q;\n".into()),
+                submit(1, sweep),
+                submit(2, sweep),
+                submit(3, TenantId::from_name("other")),
+            ],
         );
-        assert!(matches!(responses[0], Response::Submitted { .. }));
-        let Response::CompileFailed(CompileError::Overloaded { .. }) = &responses[1] else {
-            panic!("saturated tenant must shed, got {:?}", responses[1]);
+        assert!(matches!(&responses[0], Response::Rejected { .. }), "unknown device");
+        assert!(matches!(&responses[1], Response::Rejected { .. }), "bad qasm");
+        assert!(matches!(responses[2], Response::Submitted { .. }));
+        let Response::CompileFailed(CompileError::Overloaded { .. }) = &responses[3] else {
+            panic!("saturated tenant must shed, got {:?}", responses[3]);
         };
-        assert!(matches!(responses[2], Response::Submitted { .. }), "other tenants unaffected");
+        assert!(matches!(responses[4], Response::Submitted { .. }), "other tenants unaffected");
+        assert_eq!(service.metrics().rejected_overloaded, 1, "the tenant refusal is counted");
         // Both sessions are gone, so every slot is released.
         assert_eq!(gate.tenant_inflight(sweep), 0, "session drop releases slots");
+    }
+
+    /// A tenant's slot is checked and taken in one step: a take at the
+    /// cap is refused and leaves the count where it was, and a release
+    /// makes room again.
+    #[test]
+    fn a_take_at_the_tenant_cap_fails_and_leaves_the_count() {
+        let gate = Gate::new(FrontConfig::default());
+        let tenant = TenantId::from_name("sweep");
+        assert!(gate.try_acquire_tenant(tenant, Some(2)));
+        assert!(gate.try_acquire_tenant(tenant, Some(2)));
+        assert!(!gate.try_acquire_tenant(tenant, Some(2)), "a take at the cap is refused");
+        assert_eq!(gate.tenant_inflight(tenant), 2, "the refusal takes no slot");
+        assert!(gate.try_acquire_tenant(tenant, None), "no cap, no refusal");
+        gate.release_tenant(tenant);
+        gate.release_tenant(tenant);
+        assert!(gate.try_acquire_tenant(tenant, Some(2)), "a release makes room");
+        assert_eq!(gate.tenant_inflight(tenant), 2);
+        assert!(!gate.try_acquire_tenant(TenantId::ANON, Some(0)));
+        assert_eq!(gate.tenant_inflight(TenantId::ANON), 0, "a refused tenant is not recorded");
     }
 
     /// Queue-watermark shedding degrades by priority: with the backlog
@@ -985,7 +1002,7 @@ mod tests {
                 Request::Wait { job: 0 },
             ],
         );
-        let Response::Submitted { job: 0, trace_id } = responses[0] else {
+        let Response::Submitted { job: 0, trace_id, .. } = responses[0] else {
             panic!("expected Submitted, got {:?}", responses[0]);
         };
         assert!(trace_id >= 1, "server-assigned trace ids start at 1");

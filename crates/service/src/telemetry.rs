@@ -13,7 +13,7 @@
 //! |----------------|------------------------------------------------------|
 //! | `cache_key`    | circuit content hash and config hash inside `submit` |
 //! | `cache_lookup` | result-cache probe inside `submit`                   |
-//! | `parse`        | OpenQASM parse in the front-end's `SubmitQasm` path  |
+//! | `parse`        | OpenQASM parse of a QASM `Submit` in the front-end   |
 //! | `queue_wait`   | submission → worker claim                            |
 //! | `compile`      | the `compile_on` call itself                         |
 //! | `end_to_end`   | span creation → terminal fulfilment                  |
@@ -86,7 +86,7 @@ pub enum Stage {
     CacheKey,
     /// Result-cache probe during submission.
     CacheLookup,
-    /// OpenQASM source parse (front-end `SubmitQasm` only).
+    /// OpenQASM source parse (front-end, a `Submit` of QASM source only).
     Parse,
     /// Submission to worker claim.
     QueueWait,

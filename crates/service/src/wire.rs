@@ -9,7 +9,7 @@
 //! +----------+------------+-----------+------------------+
 //! | magic u32| version u32| length u32| payload (length) |
 //! +----------+------------+-----------+------------------+
-//!      "CYSS"     11         LE bytes    codec-encoded body
+//!      "CYSS"     12         LE bytes    codec-encoded body
 //! ```
 //!
 //! All integers are little-endian. A frame whose magic or version doesn't
@@ -33,19 +33,19 @@
 //! | request | response |
 //! |---|---|
 //! | `Hello { token }` | `Welcome` or `Rejected` (required first on authed TCP) |
-//! | `Submit(RemoteRequest)` | `Submitted { job, trace_id }` or `Rejected` |
-//! | `SubmitQasm(RemoteQasmRequest)` | `QasmSubmitted { job, report, trace_id }` or `Rejected` |
-//! | `Poll { job }` | `Pending`, `Outcome`, `CompileFailed` or `Rejected` |
+//! | `Submit(RemoteRequest)` | `Submitted { job, trace_id, report }` or `Rejected` |
 //! | `Wait { job }` | `Outcome`, `CompileFailed` or `Rejected` (blocks) |
 //! | `Metrics` | `Metrics(ServiceMetrics)` |
 //! | `GetStats` | `StatsText { text }` (Prometheus-style exposition) |
 //! | `GetTrace { trace_id }` | `TraceDetail` or `Rejected` |
 //! | `Shutdown` | `ShuttingDown`, then the daemon exits |
 //!
-//! `SubmitQasm` carries raw OpenQASM 2.0 source: the daemon parses it
-//! with `ssync-qasm` and compiles the lowered circuit exactly as if the
-//! client had parsed locally and submitted the [`Circuit`]; parse errors
-//! come back as `Rejected` with the `line:col` diagnostic. `GetTrace`
+//! A `Submit` carries either a [`Circuit`] or raw OpenQASM 2.0 source
+//! ([`Input`]). The daemon parses source with `ssync-qasm` and compiles
+//! the lowered circuit exactly as if the client had parsed locally and
+//! submitted the circuit; a parse error comes back as `Rejected` with
+//! the `line:col` diagnostic, and `Submitted` carries the lowering's
+//! [`ParseReport`](ssync_qasm::ParseReport). `GetTrace`
 //! returns the trace's span in the slow-request-log JSONL schema plus —
 //! when the daemon runs with the flight recorder on — the request's
 //! recorder stream, both as plain strings.
@@ -58,11 +58,10 @@
 //! payload layout — including the [`CompilerConfig`] field walk in
 //! [`codec::encode_config`] — bumps the version.
 //!
-//! Job ids are per-connection and **single-delivery**: the response that
-//! carries a job's terminal result (`Wait`, or a `Poll` that observes
-//! completion) consumes the id, so a long-lived connection doesn't pin
-//! every outcome it ever received; a later `Poll`/`Wait` on a consumed id
-//! is `Rejected`. Devices are named: the server resolves
+//! Job ids are per-connection and **single-delivery**: the `Wait`
+//! response that carries a job's terminal result consumes the id, so a
+//! long-lived connection doesn't pin every outcome it ever received; a
+//! later `Wait` on it is `Rejected`. Devices are named: the server resolves
 //! [`RemoteRequest::device`] through its registry's paper-topology table
 //! ([`ssync_arch::QccdTopology::named`]), so the (potentially large)
 //! device artifact never crosses the wire — only the name does, exactly
@@ -81,10 +80,38 @@ use std::time::Duration;
 pub const WIRE_MAGIC: u32 = u32::from_le_bytes(*b"SSYC");
 /// The protocol version, written on every frame and the only one
 /// [`read_frame`] accepts; bumped on any payload layout change.
-pub const WIRE_VERSION: u32 = 11;
+pub const WIRE_VERSION: u32 = 12;
 /// Upper bound on a frame payload (a defence against corrupt length
 /// prefixes, not a practical limit — outcomes are kilobytes).
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
+
+/// What a [`RemoteRequest`] compiles.
+#[derive(Debug, Clone)]
+pub enum Input {
+    /// A circuit in the binary circuit encoding.
+    Circuit(Circuit),
+    /// OpenQASM 2.0 source text, which the daemon parses and lowers
+    /// first, so a client needs neither the circuit IR nor its encoding.
+    Qasm(String),
+}
+
+impl From<Circuit> for Input {
+    fn from(circuit: Circuit) -> Self {
+        Input::Circuit(circuit)
+    }
+}
+
+impl From<String> for Input {
+    fn from(source: String) -> Self {
+        Input::Qasm(source)
+    }
+}
+
+impl From<&str> for Input {
+    fn from(source: &str) -> Self {
+        Input::Qasm(source.to_owned())
+    }
+}
 
 /// One compile request as it crosses the wire: the device travels by
 /// *name* (resolved server-side through the registry), everything else by
@@ -94,63 +121,12 @@ pub struct RemoteRequest {
     /// Name of a paper topology (`"G-2x3"`, `"L-6"`, `"S-4"`, …) the
     /// server registers on first use.
     pub device: String,
-    /// The circuit to compile.
-    pub circuit: Circuit,
+    /// The circuit or QASM source to compile.
+    pub input: Input,
     /// Which compiler to run.
     pub compiler: CompilerKind,
     /// The evaluation configuration (its `weights` pick the device
     /// artifact variant, exactly as in-process).
-    pub config: CompilerConfig,
-    /// Scheduling priority.
-    pub priority: Priority,
-    /// Submitting tenant.
-    pub tenant: TenantId,
-}
-
-impl RemoteRequest {
-    /// A request at [`Priority::Normal`] for [`TenantId::ANON`].
-    pub fn new(
-        device: impl Into<String>,
-        circuit: Circuit,
-        compiler: CompilerKind,
-        config: CompilerConfig,
-    ) -> Self {
-        RemoteRequest {
-            device: device.into(),
-            circuit,
-            compiler,
-            config,
-            priority: Priority::default(),
-            tenant: TenantId::ANON,
-        }
-    }
-
-    /// Returns a copy with a different scheduling priority.
-    pub fn with_priority(mut self, priority: Priority) -> Self {
-        self.priority = priority;
-        self
-    }
-
-    /// Returns a copy attributed to `tenant`.
-    pub fn with_tenant(mut self, tenant: TenantId) -> Self {
-        self.tenant = tenant;
-        self
-    }
-}
-
-/// A compile request whose circuit travels as **raw OpenQASM 2.0 source
-/// text**: the daemon parses and lowers it server-side, so any
-/// QASM-producing client — with no knowledge of the workspace's circuit
-/// IR or its binary encoding — can feed the service.
-#[derive(Debug, Clone)]
-pub struct RemoteQasmRequest {
-    /// Name of a paper topology the server registers on first use.
-    pub device: String,
-    /// The OpenQASM 2.0 program to parse, lower and compile.
-    pub source: String,
-    /// Which compiler to run.
-    pub compiler: CompilerKind,
-    /// The evaluation configuration.
     pub config: CompilerConfig,
     /// Scheduling priority.
     pub priority: Priority,
@@ -161,18 +137,23 @@ pub struct RemoteQasmRequest {
     pub deadline_us: Option<u64>,
 }
 
-impl RemoteQasmRequest {
-    /// A request at [`Priority::Normal`] for [`TenantId::ANON`] with no
+/// A [`RemoteRequest`], under the name some callers give a request that
+/// carries QASM source ([`Input::Qasm`]).
+pub type RemoteQasmRequest = RemoteRequest;
+
+impl RemoteRequest {
+    /// A request for a circuit or QASM source (see [`Input`]'s `From`
+    /// impls) at [`Priority::Normal`] for [`TenantId::ANON`] with no
     /// deadline.
     pub fn new(
         device: impl Into<String>,
-        source: impl Into<String>,
+        input: impl Into<Input>,
         compiler: CompilerKind,
         config: CompilerConfig,
     ) -> Self {
-        RemoteQasmRequest {
+        RemoteRequest {
             device: device.into(),
-            source: source.into(),
+            input: input.into(),
             compiler,
             config,
             priority: Priority::default(),
@@ -216,18 +197,11 @@ pub enum Request {
         /// configured token. Empty when the client has none.
         token: String,
     },
-    /// Queue a compile; answered with `Submitted` or `Rejected`. Boxed:
-    /// a request carries a whole circuit + config, dwarfing the other
+    /// Queue a compile; answered with `Submitted`, or `Rejected` carrying
+    /// the reason (a QASM parse diagnostic among them). Boxed: a request
+    /// carries a whole circuit or program + config, dwarfing the other
     /// variants.
     Submit(Box<RemoteRequest>),
-    /// Queue a compile of raw QASM source; answered with
-    /// `QasmSubmitted`, or `Rejected` carrying the parse diagnostic.
-    SubmitQasm(Box<RemoteQasmRequest>),
-    /// Non-blocking status check of a submitted job.
-    Poll {
-        /// The id from `Submitted`.
-        job: u64,
-    },
     /// Block until the job finishes.
     Wait {
         /// The id from `Submitted`.
@@ -238,8 +212,8 @@ pub enum Request {
     /// Fetch the daemon's metrics + latency histograms rendered as
     /// Prometheus-style text exposition; answered with `StatsText`.
     GetStats,
-    /// Fetch one trace from the daemon's journal by the id `Submitted` /
-    /// `QasmSubmitted` returned; answered with `TraceDetail`,
+    /// Fetch one trace from the daemon's journal by the id `Submitted`
+    /// returned; answered with `TraceDetail`,
     /// or `Rejected` when the journal no longer holds the id.
     GetTrace {
         /// The server-assigned trace id to look up.
@@ -260,14 +234,16 @@ pub enum Response {
     },
     /// The submission was queued under this per-connection job id.
     Submitted {
-        /// Identifier to pass to `Poll` / `Wait`.
+        /// Identifier to pass to `Wait`.
         job: u64,
         /// Server-assigned trace id for the request's end-to-end trace
         /// (pass it to `GetTrace`).
         trace_id: u64,
+        /// For QASM source, what the lowering stripped or counted, exactly
+        /// as a local `ssync_qasm::parse` would report it; `None` for a
+        /// circuit.
+        report: Option<ssync_qasm::ParseReport>,
     },
-    /// The polled job has not finished yet.
-    Pending,
     /// The job finished successfully: the outcome's stored encoding,
     /// which the server writes as it is, for cache hits and fresh
     /// compiles alike.
@@ -285,19 +261,6 @@ pub enum Response {
     Metrics(Box<ServiceMetrics>),
     /// Acknowledges `Shutdown`; the daemon exits after sending it.
     ShuttingDown,
-    /// A QASM submission was parsed and queued. Carries the
-    /// lowering's [`ParseReport`](ssync_qasm::ParseReport) so the remote
-    /// caller learns what was stripped (measurements, resets,
-    /// conditionals) exactly as a local `ssync_qasm::parse` would tell
-    /// it.
-    QasmSubmitted {
-        /// Identifier to pass to `Poll` / `Wait`.
-        job: u64,
-        /// What the server-side lowering stripped or counted.
-        report: ssync_qasm::ParseReport,
-        /// Server-assigned trace id (pass it to `GetTrace`).
-        trace_id: u64,
-    },
     /// The daemon's metrics + latency histograms rendered as
     /// Prometheus-style text exposition (answers `GetStats`).
     StatsText {
@@ -337,10 +300,6 @@ pub fn encode_request(request: &Request) -> Vec<u8> {
     let mut w = ByteWriter::new();
     match request {
         Request::Submit(remote) => encode_submit(&mut w, remote),
-        Request::Poll { job } => {
-            w.put_u8(1);
-            w.put_u64(*job);
-        }
         Request::Wait { job } => {
             w.put_u8(2);
             w.put_u64(*job);
@@ -356,40 +315,56 @@ pub fn encode_request(request: &Request) -> Vec<u8> {
             w.put_u8(6);
             w.put_str(token);
         }
-        Request::SubmitQasm(remote) => encode_submit_qasm(&mut w, remote),
     }
     w.into_bytes()
 }
 
-/// Writes a `Submit` request. The client calls it on the caller's
-/// borrowed request, so a submit encodes without copying the circuit.
-pub(crate) fn encode_submit(w: &mut ByteWriter, remote: &RemoteRequest) {
-    w.put_u8(0);
-    w.put_str(&remote.device);
-    codec::encode_circuit(w, &remote.circuit);
-    w.put_u8(codec::compiler_kind_tag(remote.compiler));
-    codec::encode_config(w, &remote.config);
-    w.put_u8(priority_tag(remote.priority));
-    w.put_u64(remote.tenant.0);
-}
-
-/// Writes a `SubmitQasm` request; like [`encode_submit`], the client
-/// calls it on the borrowed request, so the source is not copied.
-pub(crate) fn encode_submit_qasm(w: &mut ByteWriter, remote: &RemoteQasmRequest) {
-    w.put_u8(5);
-    w.put_str(&remote.device);
-    w.put_str(&remote.source);
-    w.put_u8(codec::compiler_kind_tag(remote.compiler));
-    codec::encode_config(w, &remote.config);
-    w.put_u8(priority_tag(remote.priority));
-    w.put_u64(remote.tenant.0);
-    match remote.deadline_us {
-        Some(deadline) => {
+/// Writes `Some(value)` as `1` and the value, `None` as `0`.
+fn put_option<T>(w: &mut ByteWriter, value: Option<T>, put: impl FnOnce(&mut ByteWriter, T)) {
+    match value {
+        Some(value) => {
             w.put_u8(1);
-            w.put_u64(deadline);
+            put(w, value);
         }
         None => w.put_u8(0),
     }
+}
+
+/// Reads what [`put_option`] wrote; `what` names the option in a bad-tag
+/// error.
+fn get_option<'a, T>(
+    r: &mut ByteReader<'a>,
+    what: &'static str,
+    get: impl FnOnce(&mut ByteReader<'a>) -> Result<T, CodecError>,
+) -> Result<Option<T>, CodecError> {
+    match r.get_u8()? {
+        0 => Ok(None),
+        1 => get(r).map(Some),
+        tag => Err(CodecError::BadTag { what, tag }),
+    }
+}
+
+/// Writes a `Submit` request. The client calls it on the caller's
+/// borrowed request, so a submit encodes without copying its circuit or
+/// source.
+pub(crate) fn encode_submit(w: &mut ByteWriter, remote: &RemoteRequest) {
+    w.put_u8(0);
+    w.put_str(&remote.device);
+    match &remote.input {
+        Input::Circuit(circuit) => {
+            w.put_u8(0);
+            codec::encode_circuit(w, circuit);
+        }
+        Input::Qasm(source) => {
+            w.put_u8(1);
+            w.put_str(source);
+        }
+    }
+    w.put_u8(codec::compiler_kind_tag(remote.compiler));
+    codec::encode_config(w, &remote.config);
+    w.put_u8(priority_tag(remote.priority));
+    w.put_u64(remote.tenant.0);
+    put_option(w, remote.deadline_us, ByteWriter::put_u64);
 }
 
 /// Decodes a [`Request`] payload written by [`encode_request`].
@@ -398,29 +373,20 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, CodecError> {
     let request = match r.get_u8()? {
         0 => Request::Submit(Box::new(RemoteRequest {
             device: r.get_str()?,
-            circuit: codec::decode_circuit(&mut r)?,
+            input: match r.get_u8()? {
+                0 => Input::Circuit(codec::decode_circuit(&mut r)?),
+                1 => Input::Qasm(r.get_str()?),
+                tag => return Err(CodecError::BadTag { what: "input", tag }),
+            },
             compiler: codec::compiler_kind_from_tag(r.get_u8()?)?,
             config: codec::decode_config(&mut r)?,
             priority: priority_from_tag(r.get_u8()?)?,
             tenant: TenantId(r.get_u64()?),
+            deadline_us: get_option(&mut r, "deadline option", ByteReader::get_u64)?,
         })),
-        1 => Request::Poll { job: r.get_u64()? },
         2 => Request::Wait { job: r.get_u64()? },
         3 => Request::Metrics,
         4 => Request::Shutdown,
-        5 => Request::SubmitQasm(Box::new(RemoteQasmRequest {
-            device: r.get_str()?,
-            source: r.get_str()?,
-            compiler: codec::compiler_kind_from_tag(r.get_u8()?)?,
-            config: codec::decode_config(&mut r)?,
-            priority: priority_from_tag(r.get_u8()?)?,
-            tenant: TenantId(r.get_u64()?),
-            deadline_us: match r.get_u8()? {
-                0 => None,
-                1 => Some(r.get_u64()?),
-                tag => return Err(CodecError::BadTag { what: "deadline option", tag }),
-            },
-        })),
         6 => Request::Hello { token: r.get_str()? },
         7 => Request::GetStats,
         8 => Request::GetTrace { trace_id: r.get_u64()? },
@@ -518,12 +484,18 @@ fn decode_metrics(r: &mut ByteReader<'_>) -> Result<ServiceMetrics, CodecError> 
 pub fn encode_response(response: &Response) -> Vec<u8> {
     let mut w = ByteWriter::new();
     match response {
-        Response::Submitted { job, trace_id } => {
+        Response::Submitted { job, trace_id, report } => {
             w.put_u8(0);
             w.put_u64(*job);
             w.put_u64(*trace_id);
+            put_option(&mut w, report.as_ref(), |w, report| {
+                w.put_usize(report.measurements_stripped);
+                w.put_usize(report.resets_stripped);
+                w.put_usize(report.conditionals_stripped);
+                w.put_usize(report.barriers);
+                w.put_usize(report.gates_inlined);
+            });
         }
-        Response::Pending => w.put_u8(1),
         Response::Outcome(outcome) => {
             w.put_u8(OUTCOME_TAG);
             w.put_bytes(outcome.as_bytes());
@@ -544,16 +516,6 @@ pub fn encode_response(response: &Response) -> Vec<u8> {
         Response::Welcome { version } => {
             w.put_u8(8);
             w.put_u32(*version);
-        }
-        Response::QasmSubmitted { job, report, trace_id } => {
-            w.put_u8(7);
-            w.put_u64(*job);
-            w.put_usize(report.measurements_stripped);
-            w.put_usize(report.resets_stripped);
-            w.put_usize(report.conditionals_stripped);
-            w.put_usize(report.barriers);
-            w.put_usize(report.gates_inlined);
-            w.put_u64(*trace_id);
         }
         Response::StatsText { text } => {
             w.put_u8(9);
@@ -589,24 +551,24 @@ pub(crate) fn decode_outcome_payload(payload: &[u8]) -> Option<Result<CompileOut
 pub fn decode_response(payload: &[u8]) -> Result<Response, CodecError> {
     let mut r = ByteReader::new(payload);
     let response = match r.get_u8()? {
-        0 => Response::Submitted { job: r.get_u64()?, trace_id: r.get_u64()? },
-        1 => Response::Pending,
+        0 => Response::Submitted {
+            job: r.get_u64()?,
+            trace_id: r.get_u64()?,
+            report: get_option(&mut r, "parse report option", |r| {
+                Ok(ssync_qasm::ParseReport {
+                    measurements_stripped: r.get_usize()?,
+                    resets_stripped: r.get_usize()?,
+                    conditionals_stripped: r.get_usize()?,
+                    barriers: r.get_usize()?,
+                    gates_inlined: r.get_usize()?,
+                })
+            })?,
+        },
         OUTCOME_TAG => Response::Outcome(EncodedOutcome::from_bytes(r.rest())?),
         3 => Response::CompileFailed(codec::decode_compile_error(&mut r)?),
         4 => Response::Rejected { reason: r.get_str()? },
         5 => Response::Metrics(Box::new(decode_metrics(&mut r)?)),
         6 => Response::ShuttingDown,
-        7 => Response::QasmSubmitted {
-            job: r.get_u64()?,
-            report: ssync_qasm::ParseReport {
-                measurements_stripped: r.get_usize()?,
-                resets_stripped: r.get_usize()?,
-                conditionals_stripped: r.get_usize()?,
-                barriers: r.get_usize()?,
-                gates_inlined: r.get_usize()?,
-            },
-            trace_id: r.get_u64()?,
-        },
         8 => Response::Welcome { version: r.get_u32()? },
         9 => Response::StatsText { text: r.get_str()? },
         10 => Response::TraceDetail {
@@ -766,30 +728,30 @@ mod tests {
     use ssync_circuit::generators::qft;
     use ssync_core::SwapScheduleKind;
 
-    /// One instance of every [`Request`] variant.
+    /// One instance of every [`Request`] variant, with a `Submit` of each
+    /// input: a circuit with a deadline and QASM source without one.
     fn every_request() -> Vec<Request> {
-        let remote = RemoteRequest::new(
+        let circuit = RemoteRequest::new(
             "G-2x3",
             qft(8),
             CompilerKind::Dai,
             CompilerConfig::default().with_decay(0.01),
         )
         .with_priority(Priority::Batch)
-        .with_tenant(TenantId::from_name("sweep"));
-        let qasm = RemoteQasmRequest::new(
+        .with_tenant(TenantId::from_name("sweep"))
+        .with_deadline_us(250_000);
+        let qasm = RemoteRequest::new(
             "L-4",
             "OPENQASM 2.0;\nqreg q[2];\ncx q[0], q[1];\n",
             CompilerKind::PermRoute,
             CompilerConfig::default().with_perm_schedule(SwapScheduleKind::BubbleSort),
         )
         .with_priority(Priority::High)
-        .with_tenant(TenantId::from_name("qasm"))
-        .with_deadline_us(250_000);
+        .with_tenant(TenantId::from_name("qasm"));
         vec![
-            Request::Submit(Box::new(remote)),
-            Request::SubmitQasm(Box::new(qasm)),
+            Request::Submit(Box::new(circuit)),
+            Request::Submit(Box::new(qasm)),
             Request::Hello { token: "super-secret".into() },
-            Request::Poll { job: 7 },
             Request::Wait { job: 9 },
             Request::Metrics,
             Request::GetStats,
@@ -836,23 +798,30 @@ mod tests {
         }
     }
 
-    /// One instance of every [`Response`] variant; the outcome is a
-    /// routed program holding all five op kinds.
+    /// The report of a QASM submit: every field differs.
+    fn sample_report() -> ssync_qasm::ParseReport {
+        ssync_qasm::ParseReport {
+            measurements_stripped: 3,
+            resets_stripped: 1,
+            conditionals_stripped: 2,
+            barriers: 4,
+            gates_inlined: 7,
+        }
+    }
+
+    /// One instance of every [`Response`] variant, with `Submitted` both
+    /// with and without a parse report; the outcome is a routed program
+    /// holding all five op kinds.
     fn every_response() -> Vec<Response> {
         vec![
             Response::Welcome { version: WIRE_VERSION },
-            Response::Submitted { job: 5, trace_id: 42 },
-            Response::Pending,
+            Response::Submitted { job: 5, trace_id: 42, report: None },
+            Response::Submitted { job: 11, trace_id: 77, report: Some(sample_report()) },
             Response::Outcome(EncodedOutcome::encode(&codec::routed_outcome())),
             Response::CompileFailed(CompileError::Overloaded { retry_after_ms: 25 }),
             Response::Rejected { reason: "unknown job".into() },
             Response::Metrics(Box::new(sample_metrics())),
             Response::ShuttingDown,
-            Response::QasmSubmitted {
-                job: 11,
-                report: ssync_qasm::ParseReport { barriers: 4, ..Default::default() },
-                trace_id: 77,
-            },
             Response::StatsText { text: "ssync_jobs_submitted 3\n".into() },
             Response::TraceDetail {
                 trace_id: 42,
@@ -916,7 +885,7 @@ mod tests {
         assert_eq!(kept, stored);
         let direct = decode_outcome_payload(&payload).expect("an outcome").expect("decodes");
         assert_eq!(EncodedOutcome::encode(&direct), stored);
-        let other = encode_response(&Response::Pending);
+        let other = encode_response(&Response::ShuttingDown);
         assert!(decode_outcome_payload(&other).is_none());
     }
 
@@ -924,7 +893,7 @@ mod tests {
     /// first, the previous or the next — is a protocol error.
     #[test]
     fn frames_stamped_with_another_version_are_rejected() {
-        let payload = encode_request(&Request::Poll { job: 3 });
+        let payload = encode_request(&Request::Wait { job: 3 });
         let mut buf = Vec::new();
         write_frame(&mut buf, &payload).expect("write");
         let read = read_frame(&mut std::io::Cursor::new(&buf)).expect("current version reads");
@@ -955,7 +924,7 @@ mod tests {
 
     #[test]
     fn frames_round_trip_and_reject_corruption() {
-        let payload = encode_request(&Request::Poll { job: 3 });
+        let payload = encode_request(&Request::Wait { job: 3 });
         let mut buf = Vec::new();
         write_frame(&mut buf, &payload).expect("write");
         write_frame(&mut buf, &payload).expect("write");
@@ -1100,7 +1069,7 @@ mod tests {
                 Ok(1)
             }
         }
-        let payload = encode_request(&Request::Poll { job: 1 });
+        let payload = encode_request(&Request::Wait { job: 1 });
         let mut framed = Vec::new();
         write_frame(&mut framed, &payload).expect("write");
         let mut trickle =
@@ -1115,23 +1084,19 @@ mod tests {
         assert_eq!(read, Some(payload));
     }
 
+    /// A `Submitted` answering a QASM submit carries the parse report
+    /// field for field; one answering a circuit carries none.
     #[test]
     fn qasm_submitted_responses_round_trip() {
-        let report = ssync_qasm::ParseReport {
-            measurements_stripped: 3,
-            resets_stripped: 1,
-            conditionals_stripped: 2,
-            barriers: 4,
-            gates_inlined: 7,
-        };
-        let bytes = encode_response(&Response::QasmSubmitted { job: 11, report, trace_id: 77 });
-        match decode_response(&bytes).expect("round-trips") {
-            Response::QasmSubmitted { job, report: decoded, trace_id } => {
-                assert_eq!(job, 11);
-                assert_eq!(decoded, report);
-                assert_eq!(trace_id, 77);
+        for report in [Some(sample_report()), None] {
+            let bytes = encode_response(&Response::Submitted { job: 11, trace_id: 77, report });
+            match decode_response(&bytes).expect("round-trips") {
+                Response::Submitted { job, trace_id, report: decoded } => {
+                    assert_eq!((job, trace_id), (11, 77));
+                    assert_eq!(decoded, report);
+                }
+                other => panic!("wrong variant: {other:?}"),
             }
-            other => panic!("wrong variant: {other:?}"),
         }
     }
 

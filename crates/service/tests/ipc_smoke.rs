@@ -9,7 +9,7 @@ use ssync_baselines::CompilerKind;
 use ssync_circuit::generators::qft;
 use ssync_core::{CompileOutcome, CompilerConfig, SwapScheduleKind};
 use ssync_service::client::ServiceClient;
-use ssync_service::wire::{RemoteQasmRequest, RemoteRequest};
+use ssync_service::wire::RemoteRequest;
 use ssync_service::{Priority, TenantId};
 use std::process::{Child, Command, Stdio};
 
@@ -80,7 +80,7 @@ fn stdio_round_trip_is_bit_identical_to_direct_compile() {
 }
 
 /// Every compiler kind agrees with its direct counterpart through the
-/// daemon, and poll() eventually observes completion.
+/// daemon.
 #[test]
 fn all_compiler_kinds_agree_over_stdio() {
     let config = CompilerConfig::default();
@@ -92,11 +92,7 @@ fn all_compiler_kinds_agree_over_stdio() {
         let job = client
             .submit(&RemoteRequest::new("L-4", circuit.clone(), kind, config))
             .expect("submit");
-        // Drive the non-blocking path at least once, then block.
-        let remote = match client.poll(job).expect("poll") {
-            Some(result) => result.expect("compiles"),
-            None => client.wait(job).expect("wait").expect("compiles"),
-        };
+        let remote = client.wait(job).expect("wait").expect("compiles");
         let direct = kind.compile_on(&device, &circuit, &config).expect("compiles");
         assert_bit_identical(&direct, &remote, &format!("{kind:?}"));
     }
@@ -121,7 +117,7 @@ fn all_compiler_kinds_agree_over_stdio() {
     assert!(child.wait().expect("daemon exits").success());
 }
 
-/// Raw QASM source submitted over the wire (`SubmitQasm`) compiles in the
+/// Raw QASM source submitted over the wire compiles in the
 /// daemon bit-identically to parsing the same source locally and calling
 /// `compile_on`; a corpus file from
 /// `workloads/` rides along; parse failures surface as rejections with
@@ -139,12 +135,13 @@ fn qasm_submission_is_bit_identical_to_local_parse_and_compile() {
     )
     .expect("corpus file checked in");
     for (what, source) in [("exported qft", &exported), ("workloads/gatedefs.qasm", &corpus)] {
-        let (job, report) = client
-            .submit_qasm(
-                &RemoteQasmRequest::new("G-2x3", source.clone(), CompilerKind::SSync, config)
+        let submitted = client
+            .submit_traced(
+                &RemoteRequest::new("G-2x3", source.as_str(), CompilerKind::SSync, config)
                     .with_tenant(TenantId::from_name("qasm-smoke")),
             )
-            .expect("submit_qasm");
+            .expect("submit qasm");
+        let report = submitted.report.expect("a QASM submit carries its parse report");
         // The stripping report crosses the wire: the corpus file measures
         // four bits, the exported circuit strips nothing.
         if what == "workloads/gatedefs.qasm" {
@@ -153,7 +150,7 @@ fn qasm_submission_is_bit_identical_to_local_parse_and_compile() {
         } else {
             assert!(!report.stripped_anything(), "{what}");
         }
-        let remote = client.wait(job).expect("wait").expect("compiles");
+        let remote = client.wait(submitted.job).expect("wait").expect("compiles");
 
         let circuit = ssync_qasm::parse(source).expect("parses locally").circuit;
         let device = Device::build(QccdTopology::named("G-2x3").unwrap(), config.weights);
@@ -162,7 +159,7 @@ fn qasm_submission_is_bit_identical_to_local_parse_and_compile() {
     }
 
     // A malformed program is rejected with the parser's diagnostic.
-    let rejected = client.submit_qasm(&RemoteQasmRequest::new(
+    let rejected = client.submit(&RemoteRequest::new(
         "G-2x3",
         "OPENQASM 2.0;\nqreg q[2];\ncx q[0];\n",
         CompilerKind::SSync,
@@ -177,12 +174,11 @@ fn qasm_submission_is_bit_identical_to_local_parse_and_compile() {
     }
 
     // A pre-expired deadline crosses the wire as the typed error.
-    let (job, _report) = client
-        .submit_qasm(
-            &RemoteQasmRequest::new("G-2x3", exported, CompilerKind::Dai, config)
-                .with_deadline_us(0),
+    let job = client
+        .submit(
+            &RemoteRequest::new("G-2x3", exported, CompilerKind::Dai, config).with_deadline_us(0),
         )
-        .expect("submit_qasm");
+        .expect("submit qasm");
     let result = client.wait(job).expect("wait");
     assert!(
         matches!(result, Err(ssync_core::CompileError::DeadlineExceeded { deadline_us: 0 })),

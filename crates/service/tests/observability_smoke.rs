@@ -10,7 +10,7 @@ use ssync_baselines::CompilerKind;
 use ssync_circuit::generators::qft;
 use ssync_core::CompilerConfig;
 use ssync_service::client::ServiceClient;
-use ssync_service::wire::{RemoteQasmRequest, RemoteRequest};
+use ssync_service::wire::RemoteRequest;
 use ssync_service::Priority;
 use std::io::Read;
 use std::process::{Child, Command, Stdio};
@@ -95,18 +95,18 @@ fn daemon_reports_latency_histograms_on_both_surfaces() {
             let circuit = qft(5 + (i * CompilerKind::ALL.len() + j));
             let request =
                 RemoteRequest::new("G-2x2", circuit, kind, config).with_priority(priority);
-            let (job, trace_id) = client.submit_traced(&request).expect("submit");
-            assert!(trace_id > 0, "the daemon always assigns a trace id");
-            trace_ids.push(trace_id);
-            jobs.push(job);
+            let submitted = client.submit_traced(&request).expect("submit");
+            assert!(submitted.trace_id > 0, "the daemon always assigns a trace id");
+            trace_ids.push(submitted.trace_id);
+            jobs.push(submitted.job);
         }
     }
     let qasm =
-        RemoteQasmRequest::new("G-2x2", ssync_qasm::export(&qft(4)), CompilerKind::SSync, config);
-    let (qasm_job, _report, qasm_trace) = client.submit_qasm_traced(&qasm).expect("submit qasm");
-    assert!(qasm_trace > 0);
-    trace_ids.push(qasm_trace);
-    jobs.push(qasm_job);
+        RemoteRequest::new("G-2x2", ssync_qasm::export(&qft(4)), CompilerKind::SSync, config);
+    let submitted = client.submit_traced(&qasm).expect("submit qasm");
+    assert!(submitted.trace_id > 0);
+    trace_ids.push(submitted.trace_id);
+    jobs.push(submitted.job);
     let distinct: std::collections::HashSet<u64> = trace_ids.iter().copied().collect();
     assert_eq!(distinct.len(), trace_ids.len(), "trace ids are pairwise distinct");
     for job in jobs {
@@ -241,17 +241,17 @@ fn tcp_daemon_serves_flight_recorder_traces_exemplars_and_slo_gauges() {
     for (i, priority) in Priority::ALL.into_iter().enumerate() {
         let request = RemoteRequest::new("G-2x2", qft(6 + i), CompilerKind::SSync, config)
             .with_priority(priority);
-        let (job, trace_id) = client.submit_traced(&request).expect("submit");
-        assert!(trace_id > 0);
-        client.wait(job).expect("wait").expect("compiles");
-        trace_ids.push(trace_id);
+        let submitted = client.submit_traced(&request).expect("submit");
+        assert!(submitted.trace_id > 0);
+        client.wait(submitted.job).expect("wait").expect("compiles");
+        trace_ids.push(submitted.trace_id);
     }
     std::thread::sleep(std::time::Duration::from_millis(700));
     let late = RemoteRequest::new("G-2x2", qft(11), CompilerKind::SSync, config)
         .with_priority(Priority::Normal);
-    let (late_job, late_trace) = client.submit_traced(&late).expect("submit");
-    client.wait(late_job).expect("wait").expect("compiles");
-    trace_ids.push(late_trace);
+    let late = client.submit_traced(&late).expect("submit");
+    client.wait(late.job).expect("wait").expect("compiles");
+    trace_ids.push(late.trace_id);
     std::thread::sleep(std::time::Duration::from_millis(700));
 
     // GetTrace round-trips a recorded trace over TCP: the span JSONL

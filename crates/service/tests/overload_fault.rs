@@ -12,9 +12,7 @@ use ssync_baselines::CompilerKind;
 use ssync_circuit::generators::qft;
 use ssync_core::{CompileOutcome, CompilerConfig};
 use ssync_service::client::{BackoffPolicy, ClientError, ServiceClient};
-use ssync_service::wire::{
-    encode_request, RemoteQasmRequest, RemoteRequest, Request, WIRE_MAGIC, WIRE_VERSION,
-};
+use ssync_service::wire::{encode_request, RemoteRequest, Request, WIRE_MAGIC, WIRE_VERSION};
 use ssync_service::{front, CompileService, FrontConfig, Priority, TenantId};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -252,7 +250,7 @@ fn overload_sheds_batch_first_and_backoff_recovers() {
             &policy,
         )
         .expect("backoff eventually lands");
-    client.wait(batch).expect("wait").expect("compiles");
+    client.wait(batch.job).expect("wait").expect("compiles");
 
     let metrics = client.metrics().expect("metrics");
     assert!(metrics.rejected_overloaded >= 3, "got {}", metrics.rejected_overloaded);
@@ -456,7 +454,7 @@ fn daemon_tcp_transport_round_trips_with_auth_and_janitor() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A 6 KB `SubmitQasm` nesting 3,000 parentheses would recurse past the
+/// A 6 KB QASM `Submit` nesting 3,000 parentheses would recurse past the
 /// 2 MiB stack of the daemon's connection thread; a stack overflow
 /// aborts the whole process and breaks every other tenant's connection.
 /// Forty gate definitions that each apply the previous one twice would
@@ -498,8 +496,8 @@ fn deeply_nested_qasm_is_rejected_and_the_daemon_keeps_serving() {
         (nested, "3:132: expression nesting depth exceeds the limit"),
         (doubling, "43:1: gate count exceeds the limit"),
     ] {
-        let request = RemoteQasmRequest::new("G-2x2", source, CompilerKind::SSync, config);
-        match hostile.submit_qasm(&request) {
+        let request = RemoteRequest::new("G-2x2", source, CompilerKind::SSync, config);
+        match hostile.submit(&request) {
             Err(ClientError::Rejected(reason)) => assert!(reason.contains(expected), "{reason}"),
             other => panic!("{expected}: the QASM must be rejected, got {other:?}"),
         }
@@ -507,8 +505,8 @@ fn deeply_nested_qasm_is_rejected_and_the_daemon_keeps_serving() {
 
     let circuit = qft(6);
     let source = ssync_qasm::export(&circuit);
-    let (job, _) = bystander
-        .submit_qasm(&RemoteQasmRequest::new("G-2x2", source, CompilerKind::SSync, config))
+    let job = bystander
+        .submit(&RemoteRequest::new("G-2x2", source, CompilerKind::SSync, config))
         .expect("the daemon is still up");
     let remote = bystander.wait(job).expect("wait").expect("compiles");
     let device = Device::build(QccdTopology::named("G-2x2").unwrap(), config.weights);

@@ -7,7 +7,8 @@
 //! it changes where a compile runs, never what it produces. A second leg
 //! restarts the daemon as a hardened TCP listener (`--tcp 127.0.0.1:0`
 //! with an auth token and `--port-file` discovery) and repeats the proof
-//! over a real socket with the retrying `submit_with_backoff` client.
+//! over a real socket with the retrying `submit_with_backoff` client, for
+//! the circuit and for its QASM source.
 //!
 //! QFT-24 does not fit in one of G-2x3's traps, so the outcome is a routed
 //! program with shuttles, SWAPs and reorders. The QASM resubmission of the
@@ -27,7 +28,7 @@ use ssync_baselines::CompilerKind;
 use ssync_circuit::generators::qft;
 use ssync_core::CompilerConfig;
 use ssync_service::client::ServiceClient;
-use ssync_service::wire::{RemoteQasmRequest, RemoteRequest};
+use ssync_service::wire::RemoteRequest;
 use ssync_service::{Priority, TenantId};
 use std::process::{Command, Stdio};
 
@@ -97,19 +98,18 @@ fn main() {
     println!("  success rate {:.4}", remote.report().success_rate);
     println!("  bit-identical to direct compile_on: yes");
 
-    // The QASM path: ship raw OpenQASM 2.0 source text and let
-    // the daemon parse + lower + compile it. Proven bit-identical to
-    // parsing locally and compiling in-process.
+    // The QASM path: the same request carrying raw OpenQASM 2.0 source
+    // text, which the daemon parses + lowers + compiles. Proven
+    // bit-identical to parsing locally and compiling in-process.
     let source = ssync_qasm::export(&circuit);
+    let qasm_request =
+        RemoteRequest::new(device_name, source.as_str(), CompilerKind::SSync, config)
+            .with_tenant(TenantId::from_name("remote-example"));
     println!("re-submitting {} as {} bytes of OpenQASM 2.0 source", circuit.name(), source.len());
-    let (job, report) = client
-        .submit_qasm(
-            &RemoteQasmRequest::new(device_name, source.clone(), CompilerKind::SSync, config)
-                .with_tenant(TenantId::from_name("remote-example")),
-        )
-        .expect("submit qasm over the wire");
+    let submitted = client.submit_traced(&qasm_request).expect("submit qasm over the wire");
+    let report = submitted.report.expect("a QASM submit carries its parse report");
     assert!(!report.stripped_anything(), "an exported circuit strips nothing");
-    let from_qasm = client.wait(job).expect("wait over the wire").expect("compiles");
+    let from_qasm = client.wait(submitted.job).expect("wait over the wire").expect("compiles");
     let local_parse = ssync_qasm::parse(&source).expect("parses locally").circuit;
     let direct_qasm =
         CompilerKind::SSync.compile_on(&device, &local_parse, &config).expect("compiles");
@@ -170,19 +170,36 @@ fn main() {
         ServiceClient::connect_tcp(addr.as_str(), Some("example-secret")).expect("handshake");
     // submit_with_backoff is the production call: on an `Overloaded`
     // shed or a dropped connection it backs off (honouring the server's
-    // retry hint) and transparently reconnects. Against this idle daemon
-    // it simply succeeds on the first attempt.
-    let job = client
+    // retry hint) and transparently reconnects, for a circuit and for
+    // QASM source alike. Against this idle daemon it simply succeeds on
+    // the first attempt.
+    let policy = ssync_service::BackoffPolicy::default();
+    let submitted = client
         .submit_with_backoff(
             &RemoteRequest::new(device_name, circuit.clone(), CompilerKind::SSync, config)
                 .with_tenant(TenantId::from_name("remote-example")),
-            &ssync_service::BackoffPolicy::default(),
+            &policy,
         )
         .expect("submit over tcp");
-    let over_tcp = client.wait(job).expect("wait over tcp").expect("compiles");
+    let over_tcp = client.wait(submitted.job).expect("wait over tcp").expect("compiles");
     assert_eq!(direct.program().ops(), over_tcp.program().ops(), "tcp leg must match");
     assert_eq!(direct.final_placement(), over_tcp.final_placement());
     println!("  tcp outcome bit-identical to direct compile_on: yes");
+    let submitted =
+        client.submit_with_backoff(&qasm_request, &policy).expect("submit qasm over tcp");
+    assert!(!submitted.report.expect("a parse report").stripped_anything());
+    let qasm_over_tcp = client.wait(submitted.job).expect("wait over tcp").expect("compiles");
+    assert_eq!(
+        direct_qasm.program().ops(),
+        qasm_over_tcp.program().ops(),
+        "tcp qasm leg must match local parse + compile_on"
+    );
+    assert_eq!(direct_qasm.final_placement(), qasm_over_tcp.final_placement());
+    assert_eq!(
+        direct_qasm.report().success_rate.to_bits(),
+        qasm_over_tcp.report().success_rate.to_bits()
+    );
+    println!("  tcp QASM outcome bit-identical to local parse + compile_on: yes");
 
     client.shutdown().expect("shutdown");
     drop(client);
