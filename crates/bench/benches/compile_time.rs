@@ -259,7 +259,7 @@ fn bench_cache_eviction(c: &mut Criterion) {
     use ssync_arch::Device;
     use ssync_core::SSyncCompiler;
     use ssync_service::hash::{config_hash, device_fingerprint};
-    use ssync_service::{CacheBounds, CacheKey, EncodedOutcome, ResultCache};
+    use ssync_service::{CacheBounds, CacheConfig, CacheKey, EncodedOutcome, ResultCache};
 
     let base = CompilerConfig::default();
     let device = Device::build(QccdTopology::grid(2, 2, 8), base.weights);
@@ -305,7 +305,10 @@ fn bench_cache_eviction(c: &mut Criterion) {
     for (label, capacity) in
         [("cap25pct", jobs.len() / 4), ("cap50pct", jobs.len() / 2), ("cap100pct", jobs.len())]
     {
-        let cache = ResultCache::bounded(CacheBounds::with_max_entries(capacity));
+        let cache = ResultCache::with_config(CacheConfig {
+            bounds: CacheBounds::with_max_entries(capacity),
+            ..CacheConfig::default()
+        });
         sweep(&cache); // warm to steady state
         let before = cache.stats();
         sweep(&cache);

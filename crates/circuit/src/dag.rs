@@ -136,11 +136,6 @@ impl DependencyDag {
         self.nodes[id.0].gate
     }
 
-    /// `true` if the node has already been executed.
-    pub fn is_executed(&self, id: NodeId) -> bool {
-        self.nodes[id.0].executed
-    }
-
     /// Marks a frontier node as executed and advances the frontier.
     ///
     /// # Panics

@@ -90,22 +90,18 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// The daemon's own settings; the pool's go into a
+/// [`CompileServiceBuilder`] and the TCP listener's into `front`.
 struct Options {
     stdio: bool,
     socket: Option<std::path::PathBuf>,
     tcp: Option<String>,
     janitor_interval_secs: Option<u64>,
-    auth_token: Option<String>,
-    idle_timeout_secs: u64,
-    frame_budget_secs: u64,
-    max_inflight_per_conn: Option<usize>,
-    max_inflight_per_tenant: Option<usize>,
-    queue_watermark: Option<usize>,
-    retry_after_ms: u64,
     port_file: Option<std::path::PathBuf>,
     slow_request_ms: Option<u64>,
     metrics_text: Option<std::path::PathBuf>,
     slo_ms: [Option<u64>; 3],
+    front: FrontConfig,
 }
 
 fn usage() -> &'static str {
@@ -120,9 +116,14 @@ fn usage() -> &'static str {
      [--slo-ms-high N] [--slo-ms-normal N] [--slo-ms-batch N]"
 }
 
-/// Parses argv into the daemon's own options and the compile pool's
-/// builder.
-fn parse_args() -> Result<(Options, CompileServiceBuilder), String> {
+/// Parses the arguments after the program name into the daemon's own
+/// options and the compile pool's builder. `env_token` is the
+/// `SSYNC_AUTH_TOKEN` value, the auth token unless `--auth-token` is
+/// given; an empty one leaves the listener open.
+fn parse_args(
+    args: impl IntoIterator<Item = String>,
+    env_token: Option<String>,
+) -> Result<(Options, CompileServiceBuilder), String> {
     let mut service = CompileService::builder();
     let mut bounds = CacheBounds::UNBOUNDED;
     let mut options = Options {
@@ -130,108 +131,69 @@ fn parse_args() -> Result<(Options, CompileServiceBuilder), String> {
         socket: None,
         tcp: None,
         janitor_interval_secs: None,
-        auth_token: std::env::var("SSYNC_AUTH_TOKEN").ok().filter(|t| !t.is_empty()),
-        idle_timeout_secs: 300,
-        frame_budget_secs: 30,
-        max_inflight_per_conn: None,
-        max_inflight_per_tenant: None,
-        queue_watermark: None,
-        retry_after_ms: 50,
         port_file: None,
         slow_request_ms: None,
         metrics_text: None,
         slo_ms: [None; 3],
+        front: FrontConfig {
+            auth_token: env_token.filter(|t| !t.is_empty()),
+            read_timeout: Some(Duration::from_secs(300)),
+            frame_budget: Some(Duration::from_secs(30)),
+            ..FrontConfig::default()
+        },
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value =
-            |what: &str| args.next().ok_or_else(|| format!("{what} needs a value\n{}", usage()));
-        let parse_u64 = |what: &str, raw: String| -> Result<u64, String> {
-            raw.parse().map_err(|_| format!("{what} expects an integer"))
-        };
-        match arg.as_str() {
+    let mut args = args.into_iter();
+    while let Some(flag) = args.next() {
+        let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value\n{}", usage()));
+        let int =
+            |raw: String| raw.parse::<u64>().map_err(|_| format!("{flag} expects an integer"));
+        // The ten flags where `0` means off: no bound, no timeout, no run.
+        let nonzero = |raw: String| int(raw).map(|n| (n > 0).then_some(n));
+        let front = &mut options.front;
+        match flag.as_str() {
             "--stdio" => options.stdio = true,
-            "--socket" => options.socket = Some(value("--socket")?.into()),
-            "--tcp" => options.tcp = Some(value("--tcp")?),
-            "--workers" => {
-                service = service.workers(parse_u64("--workers", value("--workers")?)? as usize);
-            }
-            // `0` means unbounded for every cache budget.
-            "--cache-max-entries" => {
-                let n = parse_u64("--cache-max-entries", value("--cache-max-entries")?)?;
-                bounds.max_entries = (n > 0).then_some(n as usize);
-            }
-            "--cache-max-bytes" => {
-                let n = parse_u64("--cache-max-bytes", value("--cache-max-bytes")?)?;
-                bounds.max_bytes = (n > 0).then_some(n as usize);
-            }
-            "--cache-dir" => service = service.persist_dir(value("--cache-dir")?),
+            "--socket" => options.socket = Some(value()?.into()),
+            "--tcp" => options.tcp = Some(value()?),
+            "--workers" => service = service.workers(int(value()?)? as usize),
+            "--cache-max-entries" => bounds.max_entries = nonzero(value()?)?.map(|n| n as usize),
+            "--cache-max-bytes" => bounds.max_bytes = nonzero(value()?)?.map(|n| n as usize),
+            "--cache-dir" => service = service.persist_dir(value()?),
             "--cache-dir-max-bytes" => {
-                let n = parse_u64("--cache-dir-max-bytes", value("--cache-dir-max-bytes")?)?;
-                if n > 0 {
+                if let Some(n) = nonzero(value()?)? {
                     service = service.persist_max_bytes(n);
                 }
             }
             "--cache-dir-max-age-secs" => {
-                let n = parse_u64("--cache-dir-max-age-secs", value("--cache-dir-max-age-secs")?)?;
-                if n > 0 {
+                if let Some(n) = nonzero(value()?)? {
                     service = service.persist_max_age(Duration::from_secs(n));
                 }
             }
-            "--janitor-interval-secs" => {
-                let n = parse_u64("--janitor-interval-secs", value("--janitor-interval-secs")?)?;
-                options.janitor_interval_secs = (n > 0).then_some(n);
-            }
-            "--auth-token" => options.auth_token = Some(value("--auth-token")?),
+            "--janitor-interval-secs" => options.janitor_interval_secs = nonzero(value()?)?,
+            "--auth-token" => front.auth_token = Some(value()?),
             "--idle-timeout-secs" => {
-                options.idle_timeout_secs =
-                    parse_u64("--idle-timeout-secs", value("--idle-timeout-secs")?)?;
+                front.read_timeout = nonzero(value()?)?.map(Duration::from_secs)
             }
             "--frame-budget-secs" => {
-                options.frame_budget_secs =
-                    parse_u64("--frame-budget-secs", value("--frame-budget-secs")?)?;
+                front.frame_budget = nonzero(value()?)?.map(Duration::from_secs)
             }
             "--max-inflight-per-conn" => {
-                let n = parse_u64("--max-inflight-per-conn", value("--max-inflight-per-conn")?)?;
-                options.max_inflight_per_conn = (n > 0).then_some(n as usize);
+                front.max_inflight_per_conn = nonzero(value()?)?.map(|n| n as usize);
             }
             "--max-inflight-per-tenant" => {
-                let n =
-                    parse_u64("--max-inflight-per-tenant", value("--max-inflight-per-tenant")?)?;
-                options.max_inflight_per_tenant = (n > 0).then_some(n as usize);
+                front.max_inflight_per_tenant = nonzero(value()?)?.map(|n| n as usize);
             }
-            "--queue-watermark" => {
-                let n = parse_u64("--queue-watermark", value("--queue-watermark")?)?;
-                options.queue_watermark = (n > 0).then_some(n as usize);
-            }
-            "--retry-after-ms" => {
-                options.retry_after_ms = parse_u64("--retry-after-ms", value("--retry-after-ms")?)?;
-            }
-            "--port-file" => options.port_file = Some(value("--port-file")?.into()),
+            "--queue-watermark" => front.queue_watermark = nonzero(value()?)?.map(|n| n as usize),
+            "--retry-after-ms" => front.retry_after_ms = int(value()?)?,
+            "--port-file" => options.port_file = Some(value()?.into()),
             // `0` is meaningful here (log every request), so the flag's
             // mere presence enables slow-request logging.
-            "--slow-request-ms" => {
-                options.slow_request_ms =
-                    Some(parse_u64("--slow-request-ms", value("--slow-request-ms")?)?);
-            }
-            "--metrics-text" => options.metrics_text = Some(value("--metrics-text")?.into()),
+            "--slow-request-ms" => options.slow_request_ms = Some(int(value()?)?),
+            "--metrics-text" => options.metrics_text = Some(value()?.into()),
             "--flight-recorder" => service = service.flight_recorder(true),
-            "--trace-journal-cap" => {
-                let n = parse_u64("--trace-journal-cap", value("--trace-journal-cap")?)?;
-                service = service.trace_journal_cap(n as usize);
-            }
-            "--slo-ms-high" => {
-                options.slo_ms[Priority::High.index()] =
-                    Some(parse_u64("--slo-ms-high", value("--slo-ms-high")?)?);
-            }
-            "--slo-ms-normal" => {
-                options.slo_ms[Priority::Normal.index()] =
-                    Some(parse_u64("--slo-ms-normal", value("--slo-ms-normal")?)?);
-            }
-            "--slo-ms-batch" => {
-                options.slo_ms[Priority::Batch.index()] =
-                    Some(parse_u64("--slo-ms-batch", value("--slo-ms-batch")?)?);
-            }
+            "--trace-journal-cap" => service = service.trace_journal_cap(int(value()?)? as usize),
+            "--slo-ms-high" => options.slo_ms[Priority::High.index()] = Some(int(value()?)?),
+            "--slo-ms-normal" => options.slo_ms[Priority::Normal.index()] = Some(int(value()?)?),
+            "--slo-ms-batch" => options.slo_ms[Priority::Batch.index()] = Some(int(value()?)?),
             "--help" | "-h" => return Err(usage().to_string()),
             other => return Err(format!("unknown argument '{other}'\n{}", usage())),
         }
@@ -245,24 +207,9 @@ fn parse_args() -> Result<(Options, CompileServiceBuilder), String> {
     Ok((options, service.cache_bounds(bounds)))
 }
 
-impl Options {
-    fn front_config(&self) -> FrontConfig {
-        FrontConfig {
-            auth_token: self.auth_token.clone(),
-            read_timeout: (self.idle_timeout_secs > 0)
-                .then(|| Duration::from_secs(self.idle_timeout_secs)),
-            frame_budget: (self.frame_budget_secs > 0)
-                .then(|| Duration::from_secs(self.frame_budget_secs)),
-            max_inflight_per_conn: self.max_inflight_per_conn,
-            max_inflight_per_tenant: self.max_inflight_per_tenant,
-            queue_watermark: self.queue_watermark,
-            retry_after_ms: self.retry_after_ms,
-        }
-    }
-}
-
 fn main() -> ExitCode {
-    let (options, builder) = match parse_args() {
+    let parsed = parse_args(std::env::args().skip(1), std::env::var("SSYNC_AUTH_TOKEN").ok());
+    let (options, builder) = match parsed {
         Ok(parsed) => parsed,
         Err(message) => {
             eprintln!("{message}");
@@ -287,8 +234,16 @@ fn main() -> ExitCode {
             service.telemetry().slo_tick();
         });
     }
-    let _janitor =
-        options.janitor_interval_secs.map(|secs| service.spawn_janitor(Duration::from_secs(secs)));
+    if let Some(secs) = options.janitor_interval_secs {
+        // The janitor: repeats the persistent-tier GC that building the
+        // service ran at startup, once per interval. Detached like the
+        // other two loops.
+        let service = Arc::clone(&service);
+        std::thread::spawn(move || loop {
+            std::thread::sleep(Duration::from_secs(secs));
+            service.run_persist_gc();
+        });
+    }
     if let Some(path) = &options.metrics_text {
         // Periodic scrape file: a detached flusher rewrites it every
         // ~500 ms for the daemon's lifetime (it dies with the process),
@@ -306,7 +261,7 @@ fn main() -> ExitCode {
         service.cache().config().bounds,
         service.cache().config().persist_dir,
         options.janitor_interval_secs,
-        if options.auth_token.is_some() { "token" } else { "open" },
+        if options.front.auth_token.is_some() { "token" } else { "open" },
         if service.flight_recorder_enabled() { "on" } else { "off" },
     );
     let result = if options.stdio {
@@ -359,5 +314,231 @@ fn serve_tcp(service: &Arc<CompileService>, options: &Options, addr: &str) -> st
         std::fs::write(&tmp, format!("{local}\n"))?;
         std::fs::rename(&tmp, path)?;
     }
-    front::serve_tcp(service, listener, options.front_config())
+    front::serve_tcp(service, listener, options.front.clone())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str], env_token: Option<&str>) -> (Options, CompileServiceBuilder) {
+        match parse_args(args.iter().map(|a| a.to_string()), env_token.map(str::to_string)) {
+            Ok(parsed) => parsed,
+            Err(message) => panic!("{args:?} must parse: {message}"),
+        }
+    }
+
+    fn error(args: &[&str]) -> String {
+        match parse_args(args.iter().map(|a| a.to_string()), None) {
+            Ok(_) => panic!("{args:?} must not parse"),
+            Err(message) => message,
+        }
+    }
+
+    /// Builders have no accessors, so two compare by their `Debug` text.
+    fn assert_same_builder(got: &CompileServiceBuilder, expected: CompileServiceBuilder) {
+        assert_eq!(format!("{got:?}"), format!("{expected:?}"));
+    }
+
+    #[test]
+    fn the_usage_text_is_pinned() {
+        assert_eq!(
+            usage(),
+            concat!(
+                "usage: ssync-serviced (--stdio | --socket PATH | --tcp ADDR) [--workers N] ",
+                "[--cache-max-entries N] [--cache-max-bytes N] [--cache-dir DIR] ",
+                "[--cache-dir-max-bytes N] [--cache-dir-max-age-secs N] ",
+                "[--janitor-interval-secs N] [--auth-token SECRET] [--idle-timeout-secs N] ",
+                "[--frame-budget-secs N] [--max-inflight-per-conn N] ",
+                "[--max-inflight-per-tenant N] [--queue-watermark N] [--retry-after-ms N] ",
+                "[--port-file PATH] [--slow-request-ms N] [--metrics-text PATH] ",
+                "[--flight-recorder] [--trace-journal-cap N] ",
+                "[--slo-ms-high N] [--slo-ms-normal N] [--slo-ms-batch N]"
+            )
+        );
+    }
+
+    #[test]
+    fn every_default() {
+        let (options, service) = parse(&["--stdio"], None);
+        assert!(options.stdio);
+        assert_eq!((options.socket, options.tcp), (None, None));
+        assert_eq!(options.janitor_interval_secs, None);
+        assert_eq!(options.port_file, None);
+        assert_eq!(options.slow_request_ms, None, "slow-request logging is off");
+        assert_eq!(options.metrics_text, None);
+        assert_eq!(options.slo_ms, [None; 3]);
+        let front = options.front;
+        assert_eq!(front.auth_token, None, "no token: the listener is open");
+        assert_eq!(front.read_timeout, Some(Duration::from_secs(300)));
+        assert_eq!(front.frame_budget, Some(Duration::from_secs(30)));
+        assert_eq!(front.max_inflight_per_conn, None);
+        assert_eq!(front.max_inflight_per_tenant, None);
+        assert_eq!(front.queue_watermark, None);
+        assert_eq!(front.retry_after_ms, 50);
+        // One worker per core, an unbounded memory-only cache, the
+        // default journal cap and no flight recorder.
+        assert_same_builder(&service, CompileService::builder());
+    }
+
+    #[test]
+    fn every_flag_sets_its_value() {
+        let (options, service) = parse(
+            &[
+                "--tcp",
+                "127.0.0.1:0",
+                "--workers",
+                "3",
+                "--cache-max-entries",
+                "16",
+                "--cache-max-bytes",
+                "1048576",
+                "--cache-dir",
+                "cache",
+                "--cache-dir-max-bytes",
+                "4096",
+                "--cache-dir-max-age-secs",
+                "60",
+                "--janitor-interval-secs",
+                "5",
+                "--auth-token",
+                "sesame",
+                "--idle-timeout-secs",
+                "7",
+                "--frame-budget-secs",
+                "2",
+                "--max-inflight-per-conn",
+                "4",
+                "--max-inflight-per-tenant",
+                "6",
+                "--queue-watermark",
+                "8",
+                "--retry-after-ms",
+                "25",
+                "--port-file",
+                "port",
+                "--slow-request-ms",
+                "100",
+                "--metrics-text",
+                "metrics.txt",
+                "--flight-recorder",
+                "--trace-journal-cap",
+                "9",
+                "--slo-ms-high",
+                "11",
+                "--slo-ms-normal",
+                "12",
+                "--slo-ms-batch",
+                "13",
+            ],
+            Some("from-env"),
+        );
+        assert!(!options.stdio);
+        assert_eq!(options.socket, None);
+        assert_eq!(options.tcp.as_deref(), Some("127.0.0.1:0"));
+        assert_eq!(options.janitor_interval_secs, Some(5));
+        assert_eq!(options.port_file, Some("port".into()));
+        assert_eq!(options.slow_request_ms, Some(100));
+        assert_eq!(options.metrics_text, Some("metrics.txt".into()));
+        assert_eq!(options.slo_ms, [Some(11), Some(12), Some(13)]);
+        let front = options.front;
+        assert_eq!(front.auth_token.as_deref(), Some("sesame"), "the flag beats the variable");
+        assert_eq!(front.read_timeout, Some(Duration::from_secs(7)));
+        assert_eq!(front.frame_budget, Some(Duration::from_secs(2)));
+        assert_eq!(front.max_inflight_per_conn, Some(4));
+        assert_eq!(front.max_inflight_per_tenant, Some(6));
+        assert_eq!(front.queue_watermark, Some(8));
+        assert_eq!(front.retry_after_ms, 25);
+        assert_same_builder(
+            &service,
+            CompileService::builder()
+                .workers(3)
+                .cache_bounds(CacheBounds { max_entries: Some(16), max_bytes: Some(1 << 20) })
+                .persist_dir("cache")
+                .persist_max_bytes(4096)
+                .persist_max_age(Duration::from_secs(60))
+                .flight_recorder(true)
+                .trace_journal_cap(9),
+        );
+
+        let (options, _) = parse(&["--socket", "ssync.sock"], None);
+        assert_eq!(options.socket, Some("ssync.sock".into()));
+    }
+
+    /// `0` turns off each of the ten flags that bound, time out or
+    /// schedule something, the 300 s and 30 s timeouts included; on the
+    /// other integer flags it is a value.
+    #[test]
+    fn zero_means_off_on_the_ten_switchable_flags() {
+        let (options, service) = parse(
+            &[
+                "--stdio",
+                "--cache-max-entries",
+                "0",
+                "--cache-max-bytes",
+                "0",
+                "--cache-dir-max-bytes",
+                "0",
+                "--cache-dir-max-age-secs",
+                "0",
+                "--janitor-interval-secs",
+                "0",
+                "--idle-timeout-secs",
+                "0",
+                "--frame-budget-secs",
+                "0",
+                "--max-inflight-per-conn",
+                "0",
+                "--max-inflight-per-tenant",
+                "0",
+                "--queue-watermark",
+                "0",
+                "--workers",
+                "0",
+                "--retry-after-ms",
+                "0",
+                "--slow-request-ms",
+                "0",
+                "--slo-ms-high",
+                "0",
+            ],
+            None,
+        );
+        assert_eq!(options.janitor_interval_secs, None);
+        let front = &options.front;
+        assert_eq!((front.read_timeout, front.frame_budget), (None, None));
+        assert_eq!(front.max_inflight_per_conn, None);
+        assert_eq!(front.max_inflight_per_tenant, None);
+        assert_eq!(front.queue_watermark, None);
+        assert_eq!(front.retry_after_ms, 0);
+        assert_eq!(options.slow_request_ms, Some(0), "0 logs every request");
+        assert_eq!(options.slo_ms[Priority::High.index()], Some(0));
+        assert_same_builder(&service, CompileService::builder().workers(0));
+    }
+
+    #[test]
+    fn the_environment_token_applies_unless_empty() {
+        let (options, _) = parse(&["--stdio"], Some("from-env"));
+        assert_eq!(options.front.auth_token.as_deref(), Some("from-env"));
+        let (options, _) = parse(&["--stdio"], Some(""));
+        assert_eq!(options.front.auth_token, None, "an empty variable leaves it open");
+    }
+
+    #[test]
+    fn bad_arguments_are_errors_that_show_the_usage() {
+        let with_usage = |first: &str| format!("{first}\n{}", usage());
+        assert_eq!(error(&["--stdio", "--bogus"]), with_usage("unknown argument '--bogus'"));
+        assert_eq!(error(&["--stdio", "--workers"]), with_usage("--workers needs a value"));
+        assert_eq!(error(&["--stdio", "--workers", "many"]), "--workers expects an integer");
+        assert_eq!(
+            error(&["--stdio", "--queue-watermark", "-1"]),
+            "--queue-watermark expects an integer"
+        );
+        assert_eq!(error(&[]), with_usage("pick exactly one transport"));
+        assert_eq!(
+            error(&["--stdio", "--tcp", "127.0.0.1:0"]),
+            with_usage("pick exactly one transport")
+        );
+        assert_eq!(error(&["--help"]), usage());
+    }
 }

@@ -40,7 +40,7 @@
 //! [`Circuit::content_hash`](ssync_circuit::Circuit::content_hash)), so
 //! they are valid *across processes*. Changing how one is computed strands
 //! the files written under the old keys: they are never hit again, and
-//! the startup GC's age and byte budgets retire them. With
+//! the directory GC's age and byte budgets retire them. With
 //! [`CacheConfig::persist_dir`] set, every insert
 //! is written through to `<dir>/<key>.outcome` (atomic tmp-file + rename)
 //! and an in-memory miss falls back to loading that file, letting separate
@@ -48,7 +48,10 @@
 //! key, then the same bytes the memory tier keeps; a load decodes them once
 //! to check them, so corrupt or truncated files — and files of an older
 //! version — are treated as misses, never errors, and age out under the
-//! directory budgets.
+//! directory budgets. The directory GC runs when the cache is built and
+//! on each [`ResultCache::run_persist_gc`] (the daemon's janitor loop).
+//! [`CacheConfig`] is plain data that a pool's
+//! [`CompileServiceBuilder`](crate::CompileServiceBuilder) fills.
 
 use crate::codec::{self, ByteReader, ByteWriter, CodecError, EncodedOutcome};
 use ssync_baselines::CompilerKind;
@@ -122,10 +125,10 @@ impl CacheBounds {
     }
 }
 
-/// Full configuration of a [`ResultCache`]: capacity bounds for the
-/// in-memory tier and the optional persistent directory tier, including
-/// the startup garbage collection that keeps the directory bounded on
-/// disk.
+/// Full configuration of a [`ResultCache`], as plain data: capacity
+/// bounds for the in-memory tier and the optional persistent directory
+/// tier with the budgets its garbage collection keeps it within on disk.
+/// The default is an unbounded, memory-only cache.
 #[derive(Debug, Clone, Default)]
 pub struct CacheConfig {
     /// Entry / byte caps of the in-memory tier ([`CacheBounds::UNBOUNDED`]
@@ -133,41 +136,16 @@ pub struct CacheConfig {
     pub bounds: CacheBounds,
     /// Directory for the write-through persistent tier; `None` disables it.
     pub persist_dir: Option<PathBuf>,
-    /// Byte budget for `persist_dir`, enforced **at startup** by deleting
+    /// Byte budget for `persist_dir`, enforced by each directory GC (at
+    /// construction and on [`ResultCache::run_persist_gc`]) by deleting
     /// `.outcome` files oldest-mtime-first until the directory fits.
     /// `None` (the default) leaves the directory unbounded — the
     /// pre-GC behaviour.
     pub persist_max_bytes: Option<u64>,
-    /// Age budget for `persist_dir`: `.outcome` files whose mtime is
-    /// older than this are deleted at startup regardless of the byte
-    /// budget. `None` (the default) keeps files of any age.
+    /// Age budget for `persist_dir`: each directory GC deletes the
+    /// `.outcome` files whose mtime is older than this regardless of the
+    /// byte budget. `None` (the default) keeps files of any age.
     pub persist_max_age: Option<std::time::Duration>,
-}
-
-impl CacheConfig {
-    /// Returns a copy with the given capacity bounds.
-    pub fn with_bounds(mut self, bounds: CacheBounds) -> Self {
-        self.bounds = bounds;
-        self
-    }
-
-    /// Returns a copy with the persistent tier rooted at `dir`.
-    pub fn with_persist_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.persist_dir = Some(dir.into());
-        self
-    }
-
-    /// Returns a copy with a startup byte budget for the persistent tier.
-    pub fn with_persist_max_bytes(mut self, bytes: u64) -> Self {
-        self.persist_max_bytes = Some(bytes);
-        self
-    }
-
-    /// Returns a copy with a startup age budget for the persistent tier.
-    pub fn with_persist_max_age(mut self, age: std::time::Duration) -> Self {
-        self.persist_max_age = Some(age);
-        self
-    }
 }
 
 /// Counters of a [`ResultCache`], snapshot via [`ResultCache::stats`].
@@ -188,8 +166,8 @@ pub struct CacheStats {
     pub persist_hits: u64,
     /// Entries successfully written through to the persistent tier.
     pub persist_stores: u64,
-    /// `.outcome` files deleted by the startup garbage collection of the
-    /// persistent tier (byte/age budgets, oldest-mtime-first).
+    /// `.outcome` files deleted by the persistent tier's garbage
+    /// collection (byte/age budgets, oldest-mtime-first).
     pub persist_gc_deleted: u64,
 }
 
@@ -260,11 +238,6 @@ impl ResultCache {
         Self::default()
     }
 
-    /// An empty cache with entry/byte bounds (memory-only).
-    pub fn bounded(bounds: CacheBounds) -> Self {
-        Self::with_config(CacheConfig::default().with_bounds(bounds))
-    }
-
     /// An empty cache with the full configuration, including the optional
     /// persistent tier. When the persistent tier carries a byte or age
     /// budget, the directory is garbage-collected **now** (startup is the
@@ -294,7 +267,7 @@ impl ResultCache {
 
     /// Runs the persistent-tier garbage collection **now** against the
     /// configured byte/age budgets — the same sweep the constructor runs
-    /// at startup, callable periodically (the daemon's janitor thread)
+    /// at startup, callable periodically (the daemon's janitor loop)
     /// so a long-lived process keeps its directory bounded instead of
     /// only trimming it at boot. Deletion is safe while other processes
     /// share the directory: writers publish via tmp + rename (GC skips
@@ -641,6 +614,20 @@ mod tests {
         }
     }
 
+    /// A memory-only cache with `bounds`.
+    fn bounded(bounds: CacheBounds) -> ResultCache {
+        ResultCache::with_config(CacheConfig { bounds, ..CacheConfig::default() })
+    }
+
+    /// An unbounded cache whose persistent tier is `dir`, with no
+    /// directory budgets.
+    fn persisting(dir: &Path) -> ResultCache {
+        ResultCache::with_config(CacheConfig {
+            persist_dir: Some(dir.to_path_buf()),
+            ..CacheConfig::default()
+        })
+    }
+
     fn some_outcome() -> EncodedOutcome {
         let circuit = qft(6);
         let outcome = SSyncCompiler::default()
@@ -735,7 +722,7 @@ mod tests {
     /// outlives a one-touch newcomer.
     #[test]
     fn capacity_one_cache_evicts_deterministically() {
-        let cache = ResultCache::bounded(CacheBounds::with_max_entries(1));
+        let cache = bounded(CacheBounds::with_max_entries(1));
         let outcome = some_outcome();
         let (a, b, c) = (key_n(1), key_n(2), key_n(3));
 
@@ -757,7 +744,7 @@ mod tests {
 
     #[test]
     fn entry_cap_keeps_the_hot_set() {
-        let cache = ResultCache::bounded(CacheBounds::with_max_entries(4));
+        let cache = bounded(CacheBounds::with_max_entries(4));
         let outcome = some_outcome();
         for n in 0..4 {
             cache.insert(key_n(n), outcome.clone());
@@ -781,7 +768,7 @@ mod tests {
         let per_entry = outcome.as_bytes().len();
 
         // Room for exactly two entries.
-        let cache = ResultCache::bounded(CacheBounds::with_max_bytes(2 * per_entry + 1));
+        let cache = bounded(CacheBounds::with_max_bytes(2 * per_entry + 1));
         cache.insert(key_n(1), outcome.clone());
         cache.insert(key_n(2), outcome.clone());
         assert_eq!(cache.len(), 2);
@@ -792,7 +779,7 @@ mod tests {
         assert!(cache.stats().bytes <= 2 * per_entry + 1);
 
         // A cap smaller than one entry refuses to retain anything.
-        let tiny = ResultCache::bounded(CacheBounds::with_max_bytes(per_entry / 2));
+        let tiny = bounded(CacheBounds::with_max_bytes(per_entry / 2));
         tiny.insert(key_n(1), outcome.clone());
         assert!(tiny.is_empty(), "oversized entries cannot be cached");
         assert_eq!(tiny.stats().evictions, 1);
@@ -807,7 +794,7 @@ mod tests {
         let outcome = codec::routed_outcome();
         let stored = EncodedOutcome::encode(&outcome);
         let k = key_n(42);
-        let writer = ResultCache::with_config(CacheConfig::default().with_persist_dir(&dir));
+        let writer = persisting(&dir);
         writer.insert(k, stored.clone());
         assert_eq!(writer.stats().persist_stores, 1);
         // The file is the header and the stored bytes, unchanged.
@@ -816,7 +803,7 @@ mod tests {
         assert!(file.ends_with(stored.as_bytes()));
 
         // A second cache (standing in for a second process) finds the file.
-        let reader = ResultCache::with_config(CacheConfig::default().with_persist_dir(&dir));
+        let reader = persisting(&dir);
         let loaded = reader.get(&k).expect("served from the persistent tier");
         assert_eq!(loaded, stored, "the loaded bytes are the stored bytes");
         let loaded = loaded.decode();
@@ -835,14 +822,14 @@ mod tests {
         let mut v1 = file.clone();
         v1[4..8].copy_from_slice(&1u32.to_le_bytes());
         std::fs::write(dir.join(k.file_name()), &v1).expect("overwrite");
-        let old = ResultCache::with_config(CacheConfig::default().with_persist_dir(&dir));
+        let old = persisting(&dir);
         assert!(old.get(&k).is_none());
         assert_eq!(old.stats().misses, 1);
         assert!(dir.join(k.file_name()).exists());
 
         // Corrupt files degrade to a miss, never an error.
         std::fs::write(dir.join(k.file_name()), b"garbage").expect("overwrite");
-        let fresh = ResultCache::with_config(CacheConfig::default().with_persist_dir(&dir));
+        let fresh = persisting(&dir);
         assert!(fresh.get(&k).is_none());
         assert_eq!(fresh.stats().misses, 1);
 
@@ -863,14 +850,14 @@ mod tests {
         let path = dir.join(k.file_name());
 
         std::fs::write(&path, &file).expect("write");
-        let intact_cache = ResultCache::with_config(CacheConfig::default().with_persist_dir(&dir));
+        let intact_cache = persisting(&dir);
         assert!(intact_cache.get(&k).is_some(), "the unaltered file is a hit");
 
         // The file is a header followed by the encoded outcome.
         let mut widened = file[..file.len() - intact.len()].to_vec();
         widened.extend(codec::one_gate_bytes(chain_len, &codec::varint(u64::from(u16::MAX) + 1)));
         std::fs::write(&path, &widened).expect("overwrite");
-        let widened = ResultCache::with_config(CacheConfig::default().with_persist_dir(&dir));
+        let widened = persisting(&dir);
         assert!(widened.get(&k).is_none());
         let stats = widened.stats();
         assert_eq!((stats.hits, stats.persist_hits, stats.misses), (0, 0, 1));
@@ -886,7 +873,7 @@ mod tests {
         // Write four entries through a first (unbounded) cache, spacing
         // mtimes so "oldest" is unambiguous.
         let outcome = some_outcome();
-        let writer = ResultCache::with_config(CacheConfig::default().with_persist_dir(&dir));
+        let writer = persisting(&dir);
         let keys: Vec<CacheKey> = (0..4).map(key_n).collect();
         for key in &keys {
             writer.insert(*key, outcome.clone());
@@ -895,11 +882,11 @@ mod tests {
         let file_len = std::fs::metadata(dir.join(keys[0].file_name())).expect("written").len();
 
         // A byte budget of ~2 files deletes the two oldest at startup.
-        let gc = ResultCache::with_config(
-            CacheConfig::default()
-                .with_persist_dir(&dir)
-                .with_persist_max_bytes(2 * file_len + file_len / 2),
-        );
+        let gc = ResultCache::with_config(CacheConfig {
+            persist_dir: Some(dir.clone()),
+            persist_max_bytes: Some(2 * file_len + file_len / 2),
+            ..CacheConfig::default()
+        });
         assert_eq!(gc.stats().persist_gc_deleted, 2);
         assert!(!dir.join(keys[0].file_name()).exists(), "oldest deleted first");
         assert!(!dir.join(keys[1].file_name()).exists());
@@ -910,16 +897,16 @@ mod tests {
         assert!(gc.get(&keys[0]).is_none());
 
         // A zero age budget wipes whatever remains.
-        let wipe = ResultCache::with_config(
-            CacheConfig::default()
-                .with_persist_dir(&dir)
-                .with_persist_max_age(std::time::Duration::from_secs(0)),
-        );
+        let wipe = ResultCache::with_config(CacheConfig {
+            persist_dir: Some(dir.clone()),
+            persist_max_age: Some(std::time::Duration::from_secs(0)),
+            ..CacheConfig::default()
+        });
         assert_eq!(wipe.stats().persist_gc_deleted, 2);
         assert!(!dir.join(keys[3].file_name()).exists());
 
         // No budgets, no GC (the historical behaviour).
-        let plain = ResultCache::with_config(CacheConfig::default().with_persist_dir(&dir));
+        let plain = persisting(&dir);
         assert_eq!(plain.stats().persist_gc_deleted, 0);
 
         let _ = std::fs::remove_dir_all(&dir);

@@ -196,12 +196,6 @@ impl BackoffPolicy {
         self.deadline = deadline;
         self
     }
-
-    /// Returns a copy with a different jitter seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
 }
 
 /// One xorshift64 step: fast, seedable, plenty for decorrelating retry

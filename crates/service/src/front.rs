@@ -213,8 +213,7 @@ impl Session {
                     }
                 };
                 let parse_time = parse_started.elapsed();
-                service.telemetry().span_record(&span, "parse", parse_time);
-                service.telemetry().record(Stage::Parse, priority, compiler, parse_time);
+                service.telemetry().stage(&span, Stage::Parse, priority, compiler, parse_time);
                 (parsed.circuit, Some(parsed.report))
             }
         };
@@ -266,17 +265,19 @@ impl Session {
         })
     }
 
-    /// Consumes `job`: returns its tenant's in-flight slot, keeps its span
-    /// for the delivery event, and blocks until the result is settled.
-    /// An outcome goes out as its stored bytes, never decoded or encoded
+    /// Consumes `job`: keeps its span for the delivery event, blocks until
+    /// the result is settled and only then returns its tenant's in-flight
+    /// slot, so a job counts against the tenant cap until it is done. An
+    /// outcome goes out as its stored bytes, never decoded or encoded
     /// here.
     fn wait(&mut self, job: u64) -> Response {
         let Some((handle, tenant, span)) = self.jobs.remove(&job) else {
             return Response::Rejected { reason: format!("unknown job id {job}") };
         };
-        self.gate.release_tenant(tenant);
         self.delivered = Some(span);
-        match handle.wait_encoded() {
+        let result = handle.wait_encoded();
+        self.gate.release_tenant(tenant);
+        match result {
             Ok(outcome) => Response::Outcome(outcome),
             Err(error) => Response::CompileFailed(error),
         }
@@ -447,9 +448,58 @@ fn reap(handlers: &mut Vec<std::thread::JoinHandle<()>>) {
     *handlers = still_running;
 }
 
+/// The accept loop both listeners run: one handler thread per
+/// connection, all sharing `gate`, with finished handlers reaped as new
+/// connections arrive. A handler whose peer sends `Shutdown` turns the
+/// gate to draining, raises the stop flag and calls `wake`, whose
+/// connection lets the pending `accept` return and see the flag; the loop
+/// then joins every handler, so it returns once every peer is done.
+fn accept_loop<S>(
+    service: &Arc<CompileService>,
+    gate: Arc<Gate>,
+    mut accept: impl FnMut() -> std::io::Result<S>,
+    wake: impl Fn() + Clone + Send + 'static,
+) -> std::io::Result<()>
+where
+    S: Send + 'static,
+    for<'a> &'a S: Read + Write,
+{
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
+    loop {
+        let stream = accept()?;
+        if shutdown.load(Ordering::SeqCst) {
+            break; // the wake-up connection from a shutting-down handler
+        }
+        reap(&mut handlers);
+        let service = Arc::clone(service);
+        let gate = Arc::clone(&gate);
+        let shutdown = Arc::clone(&shutdown);
+        let wake = wake.clone();
+        handlers.push(std::thread::spawn(move || {
+            match serve_session(&service, &gate, &mut &stream, &mut &stream) {
+                Ok(true) => {
+                    // Drain: refuse new work first, then stop accepting.
+                    gate.draining.store(true, Ordering::SeqCst);
+                    shutdown.store(true, Ordering::SeqCst);
+                    wake();
+                }
+                Ok(false) => {}
+                Err(e) if is_timeout(&e) => service.note_conn_timed_out(),
+                Err(_) => {} // protocol violation or peer reset: drop the connection
+            }
+        }));
+    }
+    for handler in handlers {
+        let _ = handler.join();
+    }
+    Ok(())
+}
+
 /// Binds `path` (removing a stale socket file first) and serves
-/// connections until some peer sends `Shutdown`. Each connection gets a
-/// handler thread; all share `service`.
+/// connections with the permissive [`FrontConfig::default`] until some
+/// peer sends `Shutdown`. Each connection gets a handler thread; all
+/// share `service`.
 ///
 /// # Errors
 ///
@@ -461,36 +511,13 @@ pub fn serve_unix(service: &Arc<CompileService>, path: &Path) -> std::io::Result
 
     let _ = std::fs::remove_file(path); // stale socket from a dead daemon
     let listener = UnixListener::bind(path)?;
-    let gate = Gate::new(FrontConfig::default());
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    loop {
-        let (stream, _addr) = listener.accept()?;
-        if shutdown.load(Ordering::SeqCst) {
-            break; // the wake-up connection from a shutting-down handler
-        }
-        reap(&mut handlers);
-        let service = Arc::clone(service);
-        let gate = Arc::clone(&gate);
-        let shutdown = Arc::clone(&shutdown);
-        let wake_path = path.to_path_buf();
-        handlers.push(std::thread::spawn(move || {
-            let mut reader = match stream.try_clone() {
-                Ok(reader) => reader,
-                Err(_) => return,
-            };
-            let mut writer = stream;
-            if serve_session(&service, &gate, &mut reader, &mut writer).unwrap_or(false) {
-                gate.draining.store(true, Ordering::SeqCst);
-                shutdown.store(true, Ordering::SeqCst);
-                // Unblock the accept loop so it observes the flag.
-                let _ = UnixStream::connect(&wake_path);
-            }
-        }));
-    }
-    for handler in handlers {
-        let _ = handler.join();
-    }
+    let wake_path = path.to_path_buf();
+    accept_loop(
+        service,
+        Gate::new(FrontConfig::default()),
+        || listener.accept().map(|(stream, _addr)| stream),
+        move || drop(UnixStream::connect(&wake_path)),
+    )?;
     let _ = std::fs::remove_file(path);
     Ok(())
 }
@@ -505,7 +532,7 @@ fn is_timeout(error: &std::io::Error) -> bool {
 /// authenticated peer sends `Shutdown`, applying `config`'s auth,
 /// timeout and admission rules to every connection. Thread-per-connection
 /// like [`serve_unix`]; all handlers share `service` and one admission
-/// admission gate, so per-tenant caps hold across connections.
+/// gate, so per-tenant caps hold across connections.
 ///
 /// On `Shutdown` the listener **drains**: no new connections are
 /// accepted, later submissions on surviving connections are `Rejected`,
@@ -528,45 +555,20 @@ pub fn serve_tcp(
     config: FrontConfig,
 ) -> std::io::Result<()> {
     let local = listener.local_addr()?;
-    let gate = Gate::new(config);
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    loop {
-        let (stream, _peer) = listener.accept()?;
-        if shutdown.load(Ordering::SeqCst) {
-            break; // the wake-up connection from a shutting-down handler
-        }
-        reap(&mut handlers);
-        let service = Arc::clone(service);
-        let gate = Arc::clone(&gate);
-        let shutdown = Arc::clone(&shutdown);
-        handlers.push(std::thread::spawn(move || {
+    let read_timeout = config.read_timeout;
+    accept_loop(
+        service,
+        Gate::new(config),
+        || {
+            let (stream, _peer) = listener.accept()?;
             let _ = stream.set_nodelay(true); // request/response protocol
-            if gate.config.read_timeout.is_some() {
-                let _ = stream.set_read_timeout(gate.config.read_timeout);
+            if read_timeout.is_some() {
+                let _ = stream.set_read_timeout(read_timeout);
             }
-            let mut reader = match stream.try_clone() {
-                Ok(reader) => reader,
-                Err(_) => return,
-            };
-            let mut writer = stream;
-            match serve_session(&service, &gate, &mut reader, &mut writer) {
-                Ok(true) => {
-                    // Drain: refuse new work first, then stop accepting.
-                    gate.draining.store(true, Ordering::SeqCst);
-                    shutdown.store(true, Ordering::SeqCst);
-                    let _ = TcpStream::connect(local);
-                }
-                Ok(false) => {}
-                Err(e) if is_timeout(&e) => service.note_conn_timed_out(),
-                Err(_) => {} // protocol violation or peer reset: drop the connection
-            }
-        }));
-    }
-    for handler in handlers {
-        let _ = handler.join();
-    }
-    Ok(())
+            Ok(stream)
+        },
+        move || drop(TcpStream::connect(local)),
+    )
 }
 
 #[cfg(test)]
@@ -904,6 +906,55 @@ mod tests {
         assert_eq!(service.metrics().rejected_overloaded, 1, "the tenant refusal is counted");
         // Both sessions are gone, so every slot is released.
         assert_eq!(gate.tenant_inflight(sweep), 0, "session drop releases slots");
+    }
+
+    /// A job holds its tenant's in-flight slot until its result settles,
+    /// also while its connection is blocked in `Wait`: with cap 1 and the
+    /// tenant's one job queued behind a High blocker, connection A waits
+    /// on it, and until A's result arrives connection B's submit for the
+    /// same tenant is shed.
+    #[test]
+    fn a_waited_on_job_keeps_its_tenant_slot_until_it_settles() {
+        let service = Arc::new(CompileService::with_workers(1));
+        let config = CompilerConfig::default();
+        let gate =
+            Gate::new(FrontConfig { max_inflight_per_tenant: Some(1), ..FrontConfig::default() });
+        let tenant = TenantId::from_name("sweep");
+        let submit = |n: usize| {
+            Request::Submit(Box::new(
+                RemoteRequest::new("G-2x2", qft(n), CompilerKind::SSync, config)
+                    .with_tenant(tenant),
+            ))
+        };
+        // A High blocker keeps the one worker busy, as in the pool's
+        // `identical_submissions_never_compile_twice`: for about 1.4 s
+        // in the debug profile and 90 ms in release.
+        let device = service.registry().get_or_build_named("G-3x3", config.weights).unwrap();
+        let blocker = service.submit(
+            CompileRequest::new(device, Arc::new(qft(56)), CompilerKind::SSync, config)
+                .with_priority(Priority::High),
+        );
+        let a = std::thread::spawn({
+            let (service, gate) = (Arc::clone(&service), Arc::clone(&gate));
+            let requests = [submit(10), Request::Wait { job: 0 }];
+            move || converse(&service, &gate, &requests)
+        });
+        while service.metrics().jobs_submitted < 2 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Time for A to block in `Wait`; the slot must stay taken anyway.
+        std::thread::sleep(Duration::from_millis(5));
+        let b = converse(&service, &gate, &[submit(11)]);
+        assert!(
+            matches!(b[0], Response::CompileFailed(CompileError::Overloaded { .. })),
+            "the tenant's waited-on job still holds its slot, got {:?}",
+            b[0]
+        );
+        let a = a.join().expect("connection A");
+        assert!(matches!(a[1], Response::Outcome(_)), "got {:?}", a[1]);
+        blocker.wait().expect("compiles");
+        assert_eq!(service.metrics().rejected_overloaded, 1);
+        assert_eq!(gate.tenant_inflight(tenant), 0, "the settled job released its slot");
     }
 
     /// A tenant's slot is checked and taken in one step: a take at the

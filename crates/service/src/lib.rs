@@ -78,7 +78,7 @@ pub use codec::EncodedOutcome;
 pub use front::FrontConfig;
 pub use job::{CompileRequest, JobHandle, JobResult, Priority, TenantId};
 pub use metrics::{ServiceMetrics, WorkerMetrics};
-pub use pool::{CompileService, CompileServiceBuilder, Janitor};
+pub use pool::{CompileService, CompileServiceBuilder};
 pub use registry::{DeviceRegistry, RegisteredDevice};
 pub use telemetry::{
     render_text, ServiceTelemetry, Stage, StageSnapshot, TelemetrySnapshot, SLO_TICK_INTERVAL,

@@ -46,6 +46,13 @@
 //! a job runs, never *what* it computes. The `service_equivalence`
 //! integration tests enforce exactly that.
 //!
+//! ## Configuration and threads
+//!
+//! [`CompileServiceBuilder`] configures a pool, its result cache
+//! included. The pool starts no thread but its workers: periodic work
+//! such as re-running the cache-directory GC ([`run_persist_gc`]) is the
+//! caller's, and `ssync-serviced` runs it in a loop of its own.
+//!
 //! ## Example
 //!
 //! ```
@@ -78,6 +85,7 @@
 //! ```
 //!
 //! [`submit`]: CompileService::submit
+//! [`run_persist_gc`]: CompileService::run_persist_gc
 //! [`submit_batch`]: CompileService::submit_batch
 //! [`set_tenant_weight`]: CompileService::set_tenant_weight
 //! [`CompilerKind::compile_on`]: ssync_baselines::CompilerKind::compile_on
@@ -340,16 +348,16 @@ impl CompileServiceBuilder {
         self
     }
 
-    /// Byte budget for the persistent cache directory, enforced at
-    /// startup by deleting `.outcome` files oldest-mtime-first (see
+    /// Byte budget for the persistent cache directory, enforced by each
+    /// directory GC by deleting `.outcome` files oldest-mtime-first (see
     /// [`CacheConfig`]). Unbounded by default.
     pub fn persist_max_bytes(mut self, bytes: u64) -> Self {
         self.cache.persist_max_bytes = Some(bytes);
         self
     }
 
-    /// Age budget for the persistent cache directory (startup GC).
-    /// Unbounded by default.
+    /// Age budget for the persistent cache directory (see
+    /// [`CacheConfig`]). Unbounded by default.
     pub fn persist_max_age(mut self, age: std::time::Duration) -> Self {
         self.cache.persist_max_age = Some(age);
         self
@@ -516,46 +524,15 @@ impl CompileService {
 
     /// Runs the result cache's persistent-tier garbage collection now
     /// (see [`ResultCache::run_persist_gc`]) and counts the run in
-    /// [`ServiceMetrics::janitor_gc_runs`]. The janitor thread calls
-    /// this periodically so a long-lived daemon's cache directory stays
-    /// within its byte/age budgets instead of only being trimmed at
-    /// startup. Returns how many `.outcome` files were deleted.
+    /// [`ServiceMetrics::janitor_gc_runs`]. `ssync-serviced`'s janitor
+    /// loop calls this every `--janitor-interval-secs`, so a long-lived
+    /// daemon's cache directory stays within its byte/age budgets instead
+    /// of only being trimmed at startup. Returns how many `.outcome`
+    /// files were deleted.
     pub fn run_persist_gc(&self) -> u64 {
         let deleted = self.shared.cache.run_persist_gc();
         self.shared.janitor_gc_runs.fetch_add(1, Ordering::Relaxed);
         deleted
-    }
-
-    /// Spawns the cache **janitor**: a background thread that calls
-    /// [`CompileService::run_persist_gc`] every `interval` until the
-    /// returned [`Janitor`] is dropped (the drop joins the thread, so it
-    /// cannot outlive the `Arc<CompileService>` it holds). One run
-    /// happens immediately at spawn, making short-interval tests
-    /// deterministic about "at least one run".
-    pub fn spawn_janitor(self: &Arc<Self>, interval: std::time::Duration) -> Janitor {
-        let service = Arc::clone(self);
-        let stop = Arc::new((Mutex::new(false), Condvar::new()));
-        let signal = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("ssync-service-janitor".into())
-            .spawn(move || {
-                service.run_persist_gc();
-                let (flag, wake) = &*signal;
-                let mut stopped = flag.lock().expect("janitor lock poisoned");
-                loop {
-                    let (guard, timeout) =
-                        wake.wait_timeout(stopped, interval).expect("janitor lock poisoned");
-                    stopped = guard;
-                    if *stopped {
-                        return;
-                    }
-                    if timeout.timed_out() {
-                        service.run_persist_gc();
-                    }
-                }
-            })
-            .expect("spawn janitor thread");
-        Janitor { stop, handle: Some(handle) }
     }
 
     /// Sets `tenant`'s fair-share weight (default 1.0): a tenant with
@@ -654,14 +631,10 @@ impl CompileService {
             config_hash: config_hash(&request.config),
             compiler: request.compiler,
         };
-        let key_time = key_started.elapsed();
-        telemetry.span_record(&span, "cache_key", key_time);
-        telemetry.record(Stage::CacheKey, priority, kind, key_time);
+        telemetry.stage(&span, Stage::CacheKey, priority, kind, key_started.elapsed());
         let lookup_started = Instant::now();
         let cached = self.shared.cache.get(&key);
-        let lookup = lookup_started.elapsed();
-        telemetry.span_record(&span, "cache_lookup", lookup);
-        telemetry.record(Stage::CacheLookup, priority, kind, lookup);
+        telemetry.stage(&span, Stage::CacheLookup, priority, kind, lookup_started.elapsed());
         if let Some(cached) = cached {
             let (handle, state) = JobHandle::new();
             state.fulfil(Ok(cached), None);
@@ -755,31 +728,6 @@ impl CompileService {
     }
 }
 
-/// Handle to the janitor thread spawned by
-/// [`CompileService::spawn_janitor`]; dropping it stops and joins the
-/// thread.
-pub struct Janitor {
-    stop: Arc<(Mutex<bool>, Condvar)>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for Janitor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Janitor").finish_non_exhaustive()
-    }
-}
-
-impl Drop for Janitor {
-    fn drop(&mut self) {
-        let (flag, wake) = &*self.stop;
-        *flag.lock().expect("janitor lock poisoned") = true;
-        wake.notify_all();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
 impl Drop for CompileService {
     fn drop(&mut self) {
         // No panic in `drop`: a poisoned lock still takes the flag.
@@ -802,9 +750,7 @@ fn execute(shared: &Shared, me: usize, job: Job, scratch: &mut CompileScratch) {
     let Job { request, key, state, attached, registered, submitted, span } = job;
     let priority = request.priority;
     let kind = request.compiler;
-    let queue_wait = submitted.elapsed();
-    shared.telemetry.span_record(&span, "queue_wait", queue_wait);
-    shared.telemetry.record(Stage::QueueWait, priority, kind, queue_wait);
+    shared.telemetry.stage(&span, Stage::QueueWait, priority, kind, submitted.elapsed());
     // An expired deadline settles the job without a compile: the claim
     // itself is the only worker time spent. `deadline_us == 0` always
     // expires, which the tests use for determinism.
@@ -826,9 +772,13 @@ fn execute(shared: &Shared, me: usize, job: Job, scratch: &mut CompileScratch) {
                 *scratch = CompileScratch::new(shared.flight_recorder);
                 Err(CompileError::Internal { message: panic_message })
             });
-            let compile_time = compile_started.elapsed();
-            shared.telemetry.span_record(&span, "compile", compile_time);
-            shared.telemetry.record(Stage::Compile, priority, kind, compile_time);
+            shared.telemetry.stage(
+                &span,
+                Stage::Compile,
+                priority,
+                kind,
+                compile_started.elapsed(),
+            );
             compiled
         }
     };

@@ -58,11 +58,6 @@ impl RegisteredDevice {
     pub fn device(&self) -> &Device {
         &self.device
     }
-
-    /// A shareable handle to the device artifact.
-    pub fn device_arc(&self) -> Arc<Device> {
-        Arc::clone(&self.device)
-    }
 }
 
 /// Keys are the registered name plus the exact weight bits: the same

@@ -297,6 +297,20 @@ impl ServiceTelemetry {
         }
     }
 
+    /// Records one histogrammed stage: a `span` event named by
+    /// [`Stage::label`] and an observation in the stage's histograms.
+    pub(crate) fn stage(
+        &self,
+        span: &Span,
+        stage: Stage,
+        priority: Priority,
+        kind: CompilerKind,
+        dur: Duration,
+    ) {
+        self.span_record(span, stage.label(), dur);
+        self.record(stage, priority, kind, dur);
+    }
+
     /// Set a span attribute unless recording is disabled.
     pub(crate) fn span_attr(&self, span: &Span, key: &'static str, value: impl Into<String>) {
         if self.is_enabled() {
@@ -312,14 +326,6 @@ impl ServiceTelemetry {
             Some(d) => d.as_nanos().min((u64::MAX - 1) as u128) as u64,
         };
         self.slow_threshold_ns.store(ns, Ordering::Relaxed);
-    }
-
-    /// The active slow-request threshold in nanoseconds, if enabled.
-    pub fn slow_threshold(&self) -> Option<u64> {
-        match self.slow_threshold_ns.load(Ordering::Relaxed) {
-            SLOW_DISABLED => None,
-            ns => Some(ns),
-        }
     }
 
     /// Finish a request's span: fixes its total wall time, records the

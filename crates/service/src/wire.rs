@@ -831,6 +831,36 @@ mod tests {
         ]
     }
 
+    /// A request decoded from damaged bytes is still well formed: it
+    /// encodes to bytes that decode back to it exactly. Those bytes need
+    /// not be the damaged ones, because a gate's unused operand or angle
+    /// is dropped on decode.
+    fn decodes_to_a_stable_request_or_fails(bytes: &[u8]) {
+        if let Ok(request) = decode_request(bytes) {
+            let encoded = encode_request(&request);
+            let again = decode_request(&encoded).expect("a decoded request decodes again");
+            assert_eq!(encode_request(&again), encoded, "{request:?}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// A circuit `Submit` and a QASM `Submit` cut short, or with one
+        /// byte's bits flipped, end in a codec error or a request that
+        /// survives a second encode and decode unchanged — never a panic.
+        #[test]
+        fn damaged_submit_frames_fail_cleanly(cut in 0usize..1 << 16, at in 0usize..1 << 16, mask in 1u16..256) {
+            for request in &every_request()[..2] {
+                let bytes = encode_request(request);
+                decodes_to_a_stable_request_or_fails(&bytes[..cut % bytes.len()]);
+                let mut flipped = bytes.clone();
+                flipped[at % bytes.len()] ^= mask as u8;
+                decodes_to_a_stable_request_or_fails(&flipped);
+            }
+        }
+    }
+
     /// Decoding and re-encoding gives back the exact bytes. The sample
     /// values differ field by field, so a dropped, defaulted or swapped
     /// field changes the bytes.

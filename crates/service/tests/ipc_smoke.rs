@@ -12,6 +12,7 @@ use ssync_service::client::ServiceClient;
 use ssync_service::wire::RemoteRequest;
 use ssync_service::{Priority, TenantId};
 use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
 
 const DAEMON: &str = env!("CARGO_BIN_EXE_ssync-serviced");
 
@@ -293,5 +294,46 @@ fn persistent_cache_round_trips_across_two_processes() {
     assert!(second.wait().expect("daemon exits").success());
 
     assert_bit_identical(&original, &replayed, "cross-process persistence");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The janitor repeats the persistent-tier GC while the daemon runs:
+/// `.outcome` files added after start-up that put the directory over its
+/// byte budget are deleted, oldest first, within a few intervals.
+#[test]
+fn the_janitor_trims_the_cache_directory_while_the_daemon_runs() {
+    let dir = std::env::temp_dir().join(format!("ssync-serviced-janitor-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let (mut child, mut client) = spawn_stdio_daemon(&[
+        "--cache-dir",
+        dir.to_str().unwrap(),
+        "--cache-dir-max-bytes",
+        "1000",
+        "--janitor-interval-secs",
+        "1",
+    ]);
+    // An answer means start-up, and its GC of the empty directory, is over.
+    assert_eq!(client.metrics().expect("metrics").cache.persist_gc_deleted, 0);
+
+    // Three 1,000-byte files, oldest first: the budget keeps the newest.
+    let files: Vec<_> = ["a", "b", "c"].map(|name| dir.join(format!("{name}.outcome"))).into();
+    for file in &files {
+        std::fs::write(file, [0u8; 1000]).expect("write");
+    }
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let metrics = loop {
+        let metrics = client.metrics().expect("metrics");
+        if metrics.janitor_gc_runs >= 1 && !files[0].exists() && !files[1].exists() {
+            break metrics;
+        }
+        assert!(Instant::now() < deadline, "the janitor did not trim the directory");
+        std::thread::sleep(Duration::from_millis(100));
+    };
+    assert!(files[2].exists(), "the newest file fits the budget");
+    assert_eq!(metrics.cache.persist_gc_deleted, 2);
+
+    client.shutdown().expect("shutdown");
+    assert!(child.wait().expect("daemon exits").success());
     let _ = std::fs::remove_dir_all(&dir);
 }

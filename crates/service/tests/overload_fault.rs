@@ -443,9 +443,17 @@ fn daemon_tcp_transport_round_trips_with_auth_and_janitor() {
     let direct = CompilerKind::SSync.compile_on(&device, &circuit, &config).expect("compiles");
     assert_bit_identical(&direct, &remote, "daemon tcp round trip");
 
-    // The janitor has had time to tick at least once (it runs at spawn).
-    let metrics = client.metrics().expect("metrics");
-    assert!(metrics.janitor_gc_runs >= 1, "janitor ran, got {}", metrics.janitor_gc_runs);
+    // The janitor ticks in the background; its first run comes one
+    // interval after start-up.
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    let metrics = loop {
+        let metrics = client.metrics().expect("metrics");
+        if metrics.janitor_gc_runs >= 1 {
+            break metrics;
+        }
+        assert!(std::time::Instant::now() < deadline, "the janitor never ran");
+        std::thread::sleep(Duration::from_millis(50));
+    };
     assert_eq!(metrics.rejected_unauthorized, 1);
 
     client.shutdown().expect("shutdown");

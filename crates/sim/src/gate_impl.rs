@@ -49,13 +49,6 @@ impl GateImplementation {
         }
     }
 
-    /// Duration in microseconds of a single-qubit gate. Single-qubit gates
-    /// on trapped ions are fast and essentially independent of the chain;
-    /// a constant 5 µs is used.
-    pub fn single_qubit_duration_us(self) -> f64 {
-        5.0
-    }
-
     /// Duration of a SWAP gate, synthesised from three entangling gates.
     pub fn swap_duration_us(self, chain_len: usize, ion_distance: usize) -> f64 {
         3.0 * self.two_qubit_duration_us(chain_len, ion_distance)

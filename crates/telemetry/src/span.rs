@@ -78,12 +78,6 @@ impl Span {
         self.push_event(SpanEvent { stage, start_ns, dur_ns });
     }
 
-    /// Record a stage that started at `start` (a clock reading taken inside
-    /// this span's lifetime) and just finished.
-    pub fn record_since(&self, stage: &'static str, start: Instant) {
-        self.record(stage, start.elapsed());
-    }
-
     fn push_event(&self, event: SpanEvent) {
         self.inner.events.lock().expect("span events poisoned").push(event);
     }
