@@ -170,11 +170,6 @@ impl SlotGraph {
         self.slot_pos[slot.index()]
     }
 
-    /// The slots of `trap`, in chain order.
-    pub fn trap_slots(&self, trap: TrapId) -> Vec<SlotId> {
-        self.topology.trap(trap).slots()
-    }
-
     /// `true` if both slots are inside the same trap.
     pub fn same_trap(&self, a: SlotId, b: SlotId) -> bool {
         self.slot_trap(a) == self.slot_trap(b)
@@ -188,31 +183,6 @@ impl SlotGraph {
     pub fn intra_trap_distance(&self, a: SlotId, b: SlotId) -> usize {
         assert!(self.same_trap(a, b), "slots {a} and {b} are in different traps");
         self.slot_position(a).abs_diff(self.slot_position(b))
-    }
-
-    /// Weight of exchanging two slots of the same trap (inner weight scaled
-    /// by their chain distance, as in Fig. 5 where `w2 = 0.002` for a
-    /// distance of two ions).
-    pub fn intra_exchange_weight(&self, a: SlotId, b: SlotId) -> f64 {
-        self.weights.inner_weight * self.intra_trap_distance(a, b) as f64
-    }
-
-    /// Weight of the shuttle edge between two adjacent traps, or `None` if
-    /// they are not directly linked.
-    pub fn shuttle_weight_between(&self, a: TrapId, b: TrapId) -> Option<f64> {
-        self.topology.link_junctions(a, b).map(|j| self.weights.shuttle_weight * f64::from(j + 1))
-    }
-
-    /// `true` if a two-qubit gate may be applied between ions sitting at
-    /// `a` and `b` (rule 1 of Sec. 3.1): they must share a trap, i.e. the
-    /// connecting weight is below the threshold.
-    pub fn gate_applicable(&self, a: SlotId, b: SlotId) -> bool {
-        self.same_trap(a, b)
-    }
-
-    /// The edges incident to `slot`.
-    pub fn edges_of(&self, slot: SlotId) -> Vec<SlotEdge> {
-        self.edges.iter().copied().filter(|e| e.a == slot || e.b == slot).collect()
     }
 }
 
@@ -273,31 +243,20 @@ mod tests {
             .collect();
         assert!(!shuttle_weights.is_empty());
         assert!(shuttle_weights.iter().all(|&w| (w - 2.0).abs() < 1e-12));
-        assert_eq!(g.shuttle_weight_between(TrapId(0), TrapId(1)), Some(2.0));
-        assert_eq!(g.shuttle_weight_between(TrapId(0), TrapId(3)), None);
     }
 
     #[test]
     fn intra_trap_distances_and_weights() {
         let g = l2();
         assert_eq!(g.intra_trap_distance(SlotId(0), SlotId(3)), 3);
-        assert!((g.intra_exchange_weight(SlotId(0), SlotId(2)) - 0.002).abs() < 1e-12);
-        assert!(g.gate_applicable(SlotId(0), SlotId(3)));
-        assert!(!g.gate_applicable(SlotId(3), SlotId(4)));
+        assert!(g.same_trap(SlotId(0), SlotId(3)));
+        assert!(!g.same_trap(SlotId(3), SlotId(4)));
     }
 
     #[test]
     #[should_panic(expected = "different traps")]
     fn intra_distance_across_traps_panics() {
         l2().intra_trap_distance(SlotId(0), SlotId(5));
-    }
-
-    #[test]
-    fn edges_of_returns_incident_edges() {
-        let g = l2();
-        // Slot 3 is trap 0's right end: one intra edge (2-3) + the shuttle edge (3-4).
-        let edges = g.edges_of(SlotId(3));
-        assert_eq!(edges.len(), 2);
     }
 
     #[test]

@@ -33,7 +33,9 @@
 //!
 //! let graph = SlotGraph::new(topo.clone(), WeightConfig::default());
 //! let mut placement = Placement::new(&topo, 12);
-//! placement.place(Qubit(0), graph.trap_slots(TrapId(0))[0]);
+//! let left_end = topo.trap(TrapId(0)).left_end();
+//! placement.place(Qubit(0), left_end);
+//! assert_eq!(graph.slot_trap(left_end), TrapId(0));
 //! assert_eq!(placement.num_placed(), 1);
 //! ```
 

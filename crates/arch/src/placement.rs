@@ -208,25 +208,6 @@ impl Placement {
         self.trap_occupancy.iter().zip(&self.trap_capacity).filter(|(occ, cap)| occ >= cap).count()
     }
 
-    /// The qubits currently inside `trap`, ordered by chain position.
-    pub fn qubits_in_trap(&self, topology: &QccdTopology, trap: TrapId) -> Vec<Qubit> {
-        topology.trap(trap).slots().into_iter().filter_map(|s| self.occupant(s)).collect()
-    }
-
-    /// The empty slots of `trap`, ordered by chain position.
-    pub fn spaces_in_trap(&self, topology: &QccdTopology, trap: TrapId) -> Vec<SlotId> {
-        topology.trap(trap).slots().into_iter().filter(|&s| self.is_space(s)).collect()
-    }
-
-    /// The trap of each placed qubit, as `(qubit, trap)` pairs.
-    pub fn assignments(&self) -> Vec<(Qubit, TrapId)> {
-        self.slot_of
-            .iter()
-            .enumerate()
-            .filter_map(|(q, slot)| slot.map(|s| (Qubit(q as u32), self.slot_trap[s.index()])))
-            .collect()
-    }
-
     /// Exports the placement's raw column vectors, for codecs that persist
     /// or transmit a placement without access to the topology it was built
     /// from. [`Placement::from_raw`] reconstructs a bit-identical value.
@@ -409,8 +390,9 @@ mod tests {
         let (topo, mut p) = setup();
         p.place(Qubit(2), SlotId(2));
         p.place(Qubit(1), SlotId(0));
-        assert_eq!(p.qubits_in_trap(&topo, TrapId(0)), vec![Qubit(1), Qubit(2)]);
-        assert_eq!(p.spaces_in_trap(&topo, TrapId(0)), vec![SlotId(1)]);
+        let chain: Vec<_> =
+            topo.trap(TrapId(0)).slots().into_iter().map(|s| p.occupant(s)).collect();
+        assert_eq!(chain, vec![Some(Qubit(1)), None, Some(Qubit(2))]);
     }
 
     #[test]
@@ -427,9 +409,8 @@ mod tests {
         let (_, mut p) = setup();
         p.place(Qubit(0), SlotId(0));
         p.place(Qubit(3), SlotId(5));
-        let mut a = p.assignments();
-        a.sort();
-        assert_eq!(a, vec![(Qubit(0), TrapId(0)), (Qubit(3), TrapId(1))]);
+        let traps: Vec<_> = (0..4).map(|q| p.trap_of(Qubit(q))).collect();
+        assert_eq!(traps, vec![Some(TrapId(0)), None, None, Some(TrapId(1))]);
     }
 
     #[test]

@@ -23,7 +23,6 @@ pub struct TrapRouter {
     n: usize,
     dist: Vec<f64>,
     hops: Vec<usize>,
-    junctions: Vec<u32>,
     next: Vec<Option<TrapId>>,
 }
 
@@ -36,12 +35,10 @@ impl TrapRouter {
         let inf = f64::INFINITY;
         let mut dist = vec![inf; n * n];
         let mut hops = vec![usize::MAX; n * n];
-        let mut junctions = vec![u32::MAX; n * n];
         let mut next: Vec<Option<TrapId>> = vec![None; n * n];
         for i in 0..n {
             dist[idx(i, i)] = 0.0;
             hops[idx(i, i)] = 0;
-            junctions[idx(i, i)] = 0;
             next[idx(i, i)] = Some(TrapId(i as u32));
         }
         for (a, b, j) in topology.links() {
@@ -50,7 +47,6 @@ impl TrapRouter {
                 if w < dist[idx(x, y)] {
                     dist[idx(x, y)] = w;
                     hops[idx(x, y)] = 1;
-                    junctions[idx(x, y)] = j;
                     next[idx(x, y)] = Some(TrapId(y as u32));
                 }
             }
@@ -62,13 +58,12 @@ impl TrapRouter {
                     if via < dist[idx(i, j)] {
                         dist[idx(i, j)] = via;
                         hops[idx(i, j)] = hops[idx(i, k)] + hops[idx(k, j)];
-                        junctions[idx(i, j)] = junctions[idx(i, k)] + junctions[idx(k, j)];
                         next[idx(i, j)] = next[idx(i, k)];
                     }
                 }
             }
         }
-        TrapRouter { n, dist, hops, junctions, next }
+        TrapRouter { n, dist, hops, next }
     }
 
     #[inline]
@@ -90,11 +85,6 @@ impl TrapRouter {
     /// Number of inter-trap links on the shortest route.
     pub fn hops(&self, a: TrapId, b: TrapId) -> usize {
         self.hops[self.idx(a, b)]
-    }
-
-    /// Total junctions crossed along the shortest route.
-    pub fn junctions_on_path(&self, a: TrapId, b: TrapId) -> u32 {
-        self.junctions[self.idx(a, b)]
     }
 
     /// The next trap to move towards when travelling from `a` to `b`, or
@@ -144,7 +134,6 @@ mod tests {
         assert_eq!(r.distance(TrapId(0), TrapId(1)), 1.0);
         assert_eq!(r.distance(TrapId(0), TrapId(3)), 3.0);
         assert_eq!(r.hops(TrapId(0), TrapId(3)), 3);
-        assert_eq!(r.junctions_on_path(TrapId(0), TrapId(3)), 0);
         assert!(r.is_connected());
     }
 
@@ -157,7 +146,6 @@ mod tests {
         // Opposite corners of the 2x3 grid: 3 hops.
         assert_eq!(r.hops(TrapId(0), TrapId(5)), 3);
         assert_eq!(r.distance(TrapId(0), TrapId(5)), 6.0);
-        assert_eq!(r.junctions_on_path(TrapId(0), TrapId(5)), 3);
     }
 
     #[test]

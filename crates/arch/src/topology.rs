@@ -264,11 +264,6 @@ impl QccdTopology {
         self.total_capacity()
     }
 
-    /// The trap containing `slot`, or `None` if the slot id is out of range.
-    pub fn trap_of_slot(&self, slot: SlotId) -> Option<TrapId> {
-        self.traps.iter().find(|t| t.contains(slot)).map(Trap::id)
-    }
-
     /// Neighbouring traps of `trap`, with the junction count of each link.
     pub fn neighbors(&self, trap: TrapId) -> Vec<(TrapId, u32)> {
         let mut out = Vec::new();
@@ -398,8 +393,7 @@ mod tests {
         let t = QccdTopology::linear(3, 4);
         assert_eq!(t.trap(TrapId(0)).slots(), vec![SlotId(0), SlotId(1), SlotId(2), SlotId(3)]);
         assert_eq!(t.trap(TrapId(1)).left_end(), SlotId(4));
-        assert_eq!(t.trap_of_slot(SlotId(5)), Some(TrapId(1)));
-        assert_eq!(t.trap_of_slot(SlotId(100)), None);
+        assert!(t.trap(TrapId(1)).contains(SlotId(5)));
     }
 
     #[test]

@@ -1,41 +1,32 @@
 //! The greedy routing policy behind the Murali, Dai and Greedy kinds.
+//!
+//! Each blocked round moves one operand of one frontier gate into its
+//! partner's trap ([`Mechanics::route_directly`]). The kinds differ only in
+//! which gate and which operand they pick ([`BaselineStyle`]) and in how
+//! many routing slots their first-use start reserves per trap, which
+//! [`crate::CompilerKind`] names beside the style.
+//!
+//! [`Mechanics::route_directly`]: ssync_core::mechanics::Mechanics::route_directly
 
-use ssync_arch::{Device, Placement, SlotGraph, TrapRouter};
-use ssync_circuit::{Circuit, Gate, Qubit};
+use ssync_arch::{Placement, SlotGraph, TrapRouter};
+use ssync_circuit::{Gate, Qubit};
 use ssync_core::driver::{BlockedRound, RoutingPolicy};
-use ssync_core::{initial, CompileError};
+use ssync_core::CompileError;
 
-/// What differentiates the baselines inside the shared greedy engine.
+/// Which blocked gate the greedy policy serves and which operand it moves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BaselineStyle {
-    /// Murali et al.: two reserved slots per trap, always move the first
-    /// operand, serve blocked gates in DAG order.
-    Murali,
-    /// Dai et al.: one reserved slot per trap, move the cheaper operand,
-    /// serve the cheapest blocked gate first.
-    Dai,
-    /// Plain greedy: no reserved routing slots (traps pack completely
-    /// full), first operand moved, blocked gates served in DAG order. The
-    /// simplest policy the engine can express — an ablation isolating the
-    /// value of the reserved-slot headroom the published baselines keep.
-    Greedy,
-}
-
-impl BaselineStyle {
-    fn reserved_slots(self) -> usize {
-        match self {
-            BaselineStyle::Murali => 2,
-            BaselineStyle::Dai => 1,
-            BaselineStyle::Greedy => 0,
-        }
-    }
+    /// Murali et al. and the plain greedy ablation: serve the blocked
+    /// gates in DAG order and move each gate's first operand.
+    FirstInOrder,
+    /// Dai et al.: serve the blocked gate whose operands are the fewest
+    /// trap hops apart, and move its cheaper operand (fewer hops, closer
+    /// to a chain end, emptier destination).
+    CostAware,
 }
 
 /// The greedy routing policy behind Murali, Dai and the plain greedy
-/// ablation: qubits start in [`initial::first_use_packing`] order with the
-/// style's reserved slots, and each blocked round moves one operand of
-/// one frontier gate into its partner's trap through the shared placement
-/// mechanics.
+/// ablation, in one [`BaselineStyle`].
 #[derive(Debug, Clone, Copy)]
 pub struct GreedyRouter {
     style: BaselineStyle,
@@ -44,22 +35,13 @@ pub struct GreedyRouter {
 impl RoutingPolicy for GreedyRouter {
     const ROUNDS_PER_GATE: usize = 100;
 
-    fn place(&self, device: &Device, circuit: &Circuit) -> Placement {
-        initial::first_use_packing(circuit, device.topology(), self.style.reserved_slots())
-    }
-
     fn route_blocked(&mut self, step: BlockedRound<'_>) -> Result<(), CompileError> {
         let BlockedRound { dag, placement, program, mechanics, .. } = step;
         let (graph, router) = (mechanics.graph(), mechanics.router());
         let frontier: Vec<Gate> = dag.frontier().iter().map(|&id| dag.gate(id)).collect();
-        let gate = self.pick_gate(&frontier, placement, router, graph);
+        let gate = self.pick_gate(&frontier, placement, router);
         let (mover, anchor) = self.pick_mover(&gate, placement, router, graph);
-        let dest = placement.trap_of(anchor).expect("anchor placed");
-        if placement.trap_free_slots(dest) == 0 {
-            mechanics.make_space(placement, program, dest, 1, &[mover, anchor]);
-        }
-        let dest = placement.trap_of(anchor).expect("anchor placed");
-        if !mechanics.move_qubit_to_trap(placement, program, mover, dest) {
+        if !mechanics.route_directly(placement, program, mover, anchor) {
             return Err(CompileError::SchedulingStalled { remaining_gates: dag.remaining() });
         }
         Ok(())
@@ -73,19 +55,13 @@ impl GreedyRouter {
     }
 
     /// Which blocked gate to serve next.
-    fn pick_gate(
-        &self,
-        frontier: &[Gate],
-        placement: &Placement,
-        router: &TrapRouter,
-        graph: &SlotGraph,
-    ) -> Gate {
+    fn pick_gate(&self, frontier: &[Gate], placement: &Placement, router: &TrapRouter) -> Gate {
         match self.style {
-            BaselineStyle::Murali | BaselineStyle::Greedy => frontier[0],
-            BaselineStyle::Dai => frontier
+            BaselineStyle::FirstInOrder => frontier[0],
+            BaselineStyle::CostAware => frontier
                 .iter()
                 .copied()
-                .min_by_key(|g| self.gate_cost(g, placement, router, graph))
+                .min_by_key(|g| Self::gate_cost(g, placement, router))
                 .unwrap_or(frontier[0]),
         }
     }
@@ -100,8 +76,8 @@ impl GreedyRouter {
     ) -> (Qubit, Qubit) {
         let (a, b) = gate.two_qubit_pair().expect("frontier gates are two-qubit");
         match self.style {
-            BaselineStyle::Murali | BaselineStyle::Greedy => (a, b),
-            BaselineStyle::Dai => {
+            BaselineStyle::FirstInOrder => (a, b),
+            BaselineStyle::CostAware => {
                 let cost = |mover: Qubit, anchor: Qubit| -> usize {
                     let (Some(sm), Some(ta), Some(tb)) = (
                         placement.slot_of(mover),
@@ -126,19 +102,11 @@ impl GreedyRouter {
         }
     }
 
-    fn gate_cost(
-        &self,
-        gate: &Gate,
-        placement: &Placement,
-        router: &TrapRouter,
-        graph: &SlotGraph,
-    ) -> usize {
+    /// Trap hops between the operands of `gate`.
+    fn gate_cost(gate: &Gate, placement: &Placement, router: &TrapRouter) -> usize {
         let Some((a, b)) = gate.two_qubit_pair() else { return 0 };
         match (placement.trap_of(a), placement.trap_of(b)) {
-            (Some(ta), Some(tb)) => {
-                let _ = graph;
-                router.hops(ta, tb)
-            }
+            (Some(ta), Some(tb)) => router.hops(ta, tb),
             _ => usize::MAX,
         }
     }
@@ -147,28 +115,36 @@ impl GreedyRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssync_arch::QccdTopology;
+    use crate::CompilerKind;
+    use ssync_arch::{Device, QccdTopology};
     use ssync_circuit::generators::{qft, random_two_qubit_circuit};
+    use ssync_circuit::Circuit;
+    use ssync_core::initial::Start;
     use ssync_core::{driver, CompileOutcome, CompilerConfig};
 
-    const STYLES: [BaselineStyle; 3] =
-        [BaselineStyle::Murali, BaselineStyle::Dai, BaselineStyle::Greedy];
+    const GREEDY_KINDS: [CompilerKind; 3] =
+        [CompilerKind::Murali, CompilerKind::Dai, CompilerKind::Greedy];
 
-    fn compile(style: BaselineStyle, circuit: &Circuit, topo: &QccdTopology) -> CompileOutcome {
+    fn compile(kind: CompilerKind, circuit: &Circuit, topo: &QccdTopology) -> CompileOutcome {
         let config = CompilerConfig::default();
         let device = Device::build(topo.clone(), config.weights);
-        driver::compile(GreedyRouter::new(style), &device, circuit, &config, false).unwrap().0
+        kind.compile_on(&device, circuit, &config).unwrap()
     }
 
-    fn place(style: BaselineStyle, circuit: &Circuit, topo: &QccdTopology) -> Placement {
-        let device = Device::build(topo.clone(), CompilerConfig::default().weights);
-        GreedyRouter::new(style).place(&device, circuit)
+    /// Where `kind` starts `qubits` qubits: a circuit without two-qubit
+    /// gates never routes, so its final placement is its start.
+    fn start(kind: CompilerKind, qubits: usize, topo: &QccdTopology) -> Placement {
+        let mut circuit = Circuit::new(qubits);
+        for q in 0..qubits as u32 {
+            circuit.h(Qubit(q));
+        }
+        compile(kind, &circuit, topo).final_placement().clone()
     }
 
     #[test]
     fn plain_greedy_packs_traps_full() {
         let topo = QccdTopology::linear(4, 8);
-        let placement = place(BaselineStyle::Greedy, &qft(12), &topo);
+        let placement = start(CompilerKind::Greedy, 12, &topo);
         // 12 qubits into capacity-8 traps with zero reserved slots: the
         // first trap fills completely.
         assert_eq!(placement.trap_occupancy(topo.traps()[0].id()), 8);
@@ -178,12 +154,12 @@ mod tests {
     fn both_styles_schedule_every_gate() {
         let circuit = qft(14);
         let topo = QccdTopology::grid(2, 2, 6);
-        for style in STYLES {
-            let outcome = compile(style, &circuit, &topo);
+        for kind in GREEDY_KINDS {
+            let outcome = compile(kind, &circuit, &topo);
             assert_eq!(
                 outcome.counts().two_qubit_gates,
                 circuit.two_qubit_gate_count(),
-                "{style:?}"
+                "{kind:?}"
             );
             outcome.final_placement().validate().unwrap();
         }
@@ -192,7 +168,7 @@ mod tests {
     #[test]
     fn murali_reserves_two_slots_per_trap() {
         let topo = QccdTopology::linear(4, 8);
-        let placement = place(BaselineStyle::Murali, &qft(12), &topo);
+        let placement = start(CompilerKind::Murali, 12, &topo);
         for trap in topo.traps() {
             assert!(placement.trap_occupancy(trap.id()) <= trap.capacity() - 2);
         }
@@ -202,8 +178,8 @@ mod tests {
     fn dai_moves_the_cheaper_operand() {
         let circuit = random_two_qubit_circuit(10, 40, 9);
         let topo = QccdTopology::linear(3, 6);
-        let murali = compile(BaselineStyle::Murali, &circuit, &topo);
-        let dai = compile(BaselineStyle::Dai, &circuit, &topo);
+        let murali = compile(CompilerKind::Murali, &circuit, &topo);
+        let dai = compile(CompilerKind::Dai, &circuit, &topo);
         // Dai's cost-aware mover choice should not need more shuttles than
         // the always-move-first policy on the same workload.
         assert!(dai.counts().shuttles <= murali.counts().shuttles + 5);
@@ -215,7 +191,8 @@ mod tests {
         let config = CompilerConfig::default();
         let device = Device::build(QccdTopology::linear(2, 6), config.weights);
         let err = driver::compile(
-            GreedyRouter::new(BaselineStyle::Murali),
+            GreedyRouter::new(BaselineStyle::FirstInOrder),
+            Start::FirstUse { reserve: 2 },
             &device,
             &circuit,
             &config,

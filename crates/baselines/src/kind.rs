@@ -1,7 +1,8 @@
 //! The unified compiler selector: one enum naming every compiler the
 //! workspace can run, with a uniform `compile_on`-style entry point.
 //!
-//! Every kind is one routing policy run by `ssync_core::driver::compile`.
+//! Every kind is a start and a routing policy run by
+//! `ssync_core::driver::compile`.
 //! The bench harness and the `ssync-service` worker pool both dispatch
 //! through [`CompilerKind`], so heterogeneous work-lists — the full
 //! (device × circuit × compiler × config) product of the paper's
@@ -10,6 +11,7 @@
 use crate::greedy::{BaselineStyle, GreedyRouter};
 use ssync_arch::Device;
 use ssync_circuit::Circuit;
+use ssync_core::initial::Start;
 use ssync_core::{
     driver, CompileError, CompileOutcome, CompileScratch, CompilerConfig, PermRouter, RunReport,
     SSyncCompiler,
@@ -24,8 +26,8 @@ pub enum CompilerKind {
     Dai,
     /// This work (S-SYNC).
     SSync,
-    /// The plain greedy ablation ([`BaselineStyle::Greedy`]): no reserved
-    /// routing slots, first-operand movement, DAG-order gate service.
+    /// The plain greedy ablation: Murali's [`BaselineStyle::FirstInOrder`]
+    /// routing from a start with no reserved routing slots.
     Greedy,
     /// Permutation-level routing (`ssync_core::PermRouter`):
     /// blocked frontier layers are realised wholesale through a
@@ -105,19 +107,23 @@ impl CompilerKind {
         scratch: &mut CompileScratch,
     ) -> Result<(CompileOutcome, RunReport), CompileError> {
         let record = scratch.flight_recorder();
-        let style = match self {
+        // Each kind's start, next to its router. S-SYNC's is
+        // `Start::TwoLevel`, which `SSyncCompiler` passes.
+        let first_use = |reserve| Start::FirstUse { reserve };
+        let (style, start) = match self {
             CompilerKind::SSync => {
                 return SSyncCompiler::new(*config)
                     .compile_on_with_scratch(device, circuit, scratch)
             }
             CompilerKind::PermRoute => {
-                return driver::compile(PermRouter::new(config), device, circuit, config, record)
+                let router = PermRouter::new(config);
+                return driver::compile(router, first_use(1), device, circuit, config, record);
             }
-            CompilerKind::Murali => BaselineStyle::Murali,
-            CompilerKind::Dai => BaselineStyle::Dai,
-            CompilerKind::Greedy => BaselineStyle::Greedy,
+            CompilerKind::Murali => (BaselineStyle::FirstInOrder, first_use(2)),
+            CompilerKind::Dai => (BaselineStyle::CostAware, first_use(1)),
+            CompilerKind::Greedy => (BaselineStyle::FirstInOrder, first_use(0)),
         };
-        driver::compile(GreedyRouter::new(style), device, circuit, config, record)
+        driver::compile(GreedyRouter::new(style), start, device, circuit, config, record)
     }
 }
 

@@ -15,9 +15,14 @@
 //! recomputes them and fails on any difference, printing each changed
 //! cell's quality delta. A change that moves output therefore rewrites the
 //! file in the same diff, and that diff is its quality report.
+//!
+//! [`paper_cells`] does the same for the 27 paper-scale cells of Figs. 8–10
+//! under every kind, pinned in `BENCH_paper.json`. They take seconds in
+//! the debug profile, so their test runs in release only.
 
 use crate::apps::{scaled_app, AppKind};
-use crate::harness::CompilerKind;
+use crate::comparison::comparison_targets;
+use crate::harness::{BenchScale, CompilerKind};
 use crate::qasm_corpus::{corpus_dir, load_corpus};
 use ssync_arch::{Device, QccdTopology};
 use ssync_circuit::{Circuit, Qubit, StableHasher};
@@ -48,6 +53,12 @@ pub fn quality_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_quality.json")
 }
 
+/// Where the paper-scale pins live: `BENCH_paper.json` at the workspace
+/// root.
+pub fn paper_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_paper.json")
+}
+
 /// The generator apps pinned on each device, at two small sizes.
 const APP_SIZES: [usize; 2] = [6, 10];
 
@@ -57,7 +68,7 @@ const APP_SIZES: [usize; 2] = [6, 10];
 /// non-default evaluation model (`-eval`: AM2 gates, twice the move time,
 /// twice the heating rate), which pins that each kind's tracer reads the
 /// config it was given.
-fn settings() -> Vec<(String, CompilerKind, CompilerConfig)> {
+fn settings() -> Vec<Setting> {
     let base = CompilerConfig::default();
     let mut settings: Vec<_> = InitialMapping::ALL
         .into_iter()
@@ -82,6 +93,9 @@ fn settings() -> Vec<(String, CompilerKind, CompilerConfig)> {
 
 /// A circuit and the device it is pinned on, each with its cell label.
 type Pair = (String, Circuit, &'static str, QccdTopology);
+
+/// A compiler setting: its cell label, kind and config.
+type Setting = (String, CompilerKind, CompilerConfig);
 
 /// The (circuit, device) pairs: the `workloads/` corpus on the small-trap
 /// grid, then each generator app at [`APP_SIZES`] on three tight devices.
@@ -111,17 +125,45 @@ fn pairs() -> Vec<Pair> {
     pairs
 }
 
-/// Compiles every cell, in file order. Cells are independent, so they are
-/// spread over up to two scoped threads; the order of the result does not
-/// depend on the thread count.
+/// Compiles every cell of `BENCH_quality.json`, in file order.
 ///
 /// # Panics
 ///
 /// Panics if the corpus does not parse or a cell fails to compile: every
 /// pinned cell is expected to compile.
 pub fn quality_cells() -> Vec<QualityCell> {
-    let settings = settings();
-    let jobs = pairs();
+    compile_cells(&pairs(), &settings())
+}
+
+/// Compiles every cell of `BENCH_paper.json`, in file order: each
+/// application and named topology of
+/// [`comparison_targets`]`(BenchScale::Paper)`, compiled by every kind
+/// under the default config.
+///
+/// # Panics
+///
+/// Panics if a cell fails to compile.
+pub fn paper_cells() -> Vec<QualityCell> {
+    let mut pairs: Vec<Pair> = Vec::new();
+    for (app, qubits, topologies) in comparison_targets(BenchScale::Paper) {
+        let circuit = scaled_app(app, qubits);
+        let name = format!("{}-{}", app.label(), circuit.num_qubits());
+        for device in topologies {
+            let topology = QccdTopology::named(device).expect("known topology name");
+            pairs.push((name.clone(), circuit.clone(), device, topology));
+        }
+    }
+    let settings: Vec<Setting> = CompilerKind::ALL
+        .into_iter()
+        .map(|kind| (kind_slug(kind).to_string(), kind, CompilerConfig::default()))
+        .collect();
+    compile_cells(&pairs, &settings)
+}
+
+/// Compiles every pair under every setting, pair by pair. Pairs are
+/// independent, so they are spread over up to two scoped threads; the
+/// order of the result does not depend on the thread count.
+fn compile_cells(jobs: &[Pair], settings: &[Setting]) -> Vec<QualityCell> {
     let compile_pair = |(name, circuit, device_name, topology): &Pair| {
         let device = Device::build(topology.clone(), CompilerConfig::default().weights);
         settings

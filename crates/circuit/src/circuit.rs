@@ -265,23 +265,6 @@ impl Circuit {
         }
     }
 
-    /// Keeps only the first `n` two-qubit gates (and all single-qubit gates
-    /// that precede them). Used by the application-size sweeps (Fig. 12, 15).
-    pub fn truncate_two_qubit_gates(&self, n: usize) -> Circuit {
-        let mut out = Circuit::with_name(self.num_qubits, self.name.clone());
-        let mut seen = 0usize;
-        for g in &self.gates {
-            if g.is_two_qubit() {
-                if seen >= n {
-                    break;
-                }
-                seen += 1;
-            }
-            out.gates.push(*g);
-        }
-        out
-    }
-
     /// The register's qubits ordered by the index of the first gate that
     /// touches them (never-used qubits come last, by index). This is the
     /// packing order the greedy baseline compilers place ions in; it
@@ -332,18 +315,6 @@ impl Circuit {
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         z ^ (z >> 31)
-    }
-
-    /// Restricts the circuit to the first `n` qubits, dropping every gate
-    /// that touches a higher-indexed qubit. Used by application-size sweeps.
-    pub fn restrict_to_qubits(&self, n: usize) -> Circuit {
-        let mut out = Circuit::with_name(n.min(self.num_qubits), self.name.clone());
-        for g in &self.gates {
-            if g.qubits().iter().all(|q| q.index() < n) {
-                out.gates.push(*g);
-            }
-        }
-        out
     }
 }
 
@@ -454,28 +425,6 @@ mod tests {
         parallel.cx(Qubit(0), Qubit(1));
         parallel.cx(Qubit(2), Qubit(3));
         assert_eq!(parallel.two_qubit_depth(), 1);
-    }
-
-    #[test]
-    fn truncate_keeps_first_n_two_qubit_gates() {
-        let mut c = Circuit::new(3);
-        c.h(Qubit(0));
-        c.cx(Qubit(0), Qubit(1));
-        c.cx(Qubit(1), Qubit(2));
-        c.cx(Qubit(0), Qubit(2));
-        let t = c.truncate_two_qubit_gates(2);
-        assert_eq!(t.two_qubit_gate_count(), 2);
-        assert_eq!(t.single_qubit_gate_count(), 1);
-    }
-
-    #[test]
-    fn restrict_drops_gates_on_high_qubits() {
-        let mut c = Circuit::new(4);
-        c.cx(Qubit(0), Qubit(1));
-        c.cx(Qubit(2), Qubit(3));
-        let r = c.restrict_to_qubits(2);
-        assert_eq!(r.num_qubits(), 2);
-        assert_eq!(r.two_qubit_gate_count(), 1);
     }
 
     #[test]

@@ -63,11 +63,6 @@ impl DependencyDag {
         Self::from_gates(circuit.iter().copied().filter(Gate::is_two_qubit))
     }
 
-    /// Builds the DAG over every gate of `circuit` (single-qubit included).
-    pub fn from_circuit_all_gates(circuit: &Circuit) -> Self {
-        Self::from_gates(circuit.iter().copied())
-    }
-
     /// Builds the DAG from an explicit gate sequence.
     pub fn from_gates(gates: impl IntoIterator<Item = Gate>) -> Self {
         let gates: Vec<Gate> = gates.into_iter().collect();
@@ -310,7 +305,7 @@ mod tests {
         c.h(Qubit(0));
         c.cx(Qubit(0), Qubit(1));
         assert_eq!(DependencyDag::from_circuit(&c).len(), 1);
-        assert_eq!(DependencyDag::from_circuit_all_gates(&c).len(), 2);
+        assert_eq!(DependencyDag::from_gates(c.iter().copied()).len(), 2);
     }
 
     #[test]

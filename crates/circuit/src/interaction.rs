@@ -87,14 +87,6 @@ impl InteractionGraph {
         self.counts.iter().filter(|(&(a, b), _)| a == q || b == q).map(|(_, &c)| c).sum()
     }
 
-    /// Qubits sorted by descending interaction degree (ties by index). This
-    /// is a convenient seed ordering for clustering-style initial mappings.
-    pub fn qubits_by_degree(&self) -> Vec<Qubit> {
-        let mut qs: Vec<Qubit> = (0..self.num_qubits as u32).map(Qubit).collect();
-        qs.sort_by_key(|&q| (std::cmp::Reverse(self.degree(q)), q.0));
-        qs
-    }
-
     /// The gate-count-weighted average "distance" between interacting qubit
     /// indices, a cheap proxy for the communication pattern labels of
     /// Table 2 (nearest-neighbour vs. long-distance).
@@ -139,16 +131,6 @@ mod tests {
         let g = InteractionGraph::from_circuit(&sample());
         assert_eq!(g.degree(Qubit(0)), 3);
         assert_eq!(g.degree(Qubit(2)), 1);
-    }
-
-    #[test]
-    fn qubits_by_degree_is_descending() {
-        let g = InteractionGraph::from_circuit(&sample());
-        let order = g.qubits_by_degree();
-        assert_eq!(order[0], Qubit(0));
-        assert_eq!(order.len(), 4);
-        let degs: Vec<usize> = order.iter().map(|&q| g.degree(q)).collect();
-        assert!(degs.windows(2).all(|w| w[0] >= w[1]));
     }
 
     #[test]

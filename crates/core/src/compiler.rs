@@ -4,6 +4,7 @@ use crate::config::CompilerConfig;
 use crate::driver::{self, RunReport};
 use crate::error::CompileError;
 use crate::idealized::IdealizationMode;
+use crate::initial::Start;
 use crate::scheduler::{SSyncRouting, Scheduler, SchedulerScratch, SchedulerStats};
 use ssync_arch::{Device, Placement, QccdTopology};
 use ssync_circuit::Circuit;
@@ -241,6 +242,7 @@ impl SSyncCompiler {
             Scheduler::with_scratch(device, &self.config, std::mem::take(&mut scratch.scheduler));
         let compiled = driver::compile(
             SSyncRouting::new(&mut scheduler, circuit),
+            Start::TwoLevel,
             device,
             circuit,
             &self.config,

@@ -1,13 +1,13 @@
 //! The compile driver: the one skeleton every compiler kind runs.
 //!
 //! Every kind compiles the same way. [`compile`] checks that the circuit
-//! fits the device, asks the kind for an initial placement and emits the
-//! single-qubit gates up front (they never constrain routing). Then it
-//! loops: each round executes every frontier gate whose operands share a
-//! trap, and a round in which none does hands the blocked frontier to the
-//! kind for one routing step. Once every gate has executed, the driver
-//! evaluates the program. A [`RoutingPolicy`] holds only what differs
-//! between kinds: the initial placement and that routing step.
+//! fits the device, places every qubit from the kind's [`Start`] and
+//! emits the single-qubit gates up front (they never constrain routing).
+//! Then it loops: each round executes every frontier gate whose operands
+//! share a trap, and a round in which none does hands the blocked frontier
+//! to the kind for one routing step. Once every gate has executed, the
+//! driver evaluates the program. A kind is therefore a start and a
+//! [`RoutingPolicy`], which holds that routing step.
 //!
 //! The driver also records the layer events of the flight recorder for
 //! every kind: `LayerClosed` for each round whose drain retired gates, and
@@ -23,6 +23,7 @@
 use crate::compiler::CompileOutcome;
 use crate::config::CompilerConfig;
 use crate::error::CompileError;
+use crate::initial::Start;
 use crate::mechanics::Mechanics;
 use crate::scheduler::{SchedulerStats, ScoringTelemetry};
 use ssync_arch::{Device, Placement};
@@ -41,14 +42,12 @@ pub struct RunReport {
     pub recording: Option<FlightRecording>,
 }
 
-/// What one compiler kind decides. [`compile`] does everything else.
+/// How one compiler kind routes. Its [`Start`] and [`compile`] do
+/// everything else.
 pub trait RoutingPolicy {
     /// Rounds the driver allows per two-qubit gate, on top of a fixed
     /// 10,000, before it gives up with [`CompileError::SchedulingStalled`].
     const ROUNDS_PER_GATE: usize;
-
-    /// Places every program qubit of `circuit` on `device`.
-    fn place(&self, device: &Device, circuit: &Circuit) -> Placement;
 
     /// Takes one routing step while no frontier gate can execute. The
     /// step may leave the frontier blocked; the driver then calls again
@@ -88,12 +87,12 @@ pub struct BlockedRound<'r> {
     pub frontier_changed: bool,
 }
 
-/// Compiles `circuit` on `device` with `policy`, then evaluates the
-/// program with the tracer built from `config`'s gate implementation,
-/// operation times and noise model. [`CompileOutcome::compile_time`]
-/// covers placement and routing; it excludes the evaluation. With
-/// `flight_recorder` set, the [`RunReport`] carries the compile's flight
-/// recording.
+/// Compiles `circuit` on `device`, placing its qubits from `start` and
+/// routing with `policy`, then evaluates the program with the tracer built
+/// from `config`'s gate implementation, operation times and noise model.
+/// [`CompileOutcome::compile_time`] covers placement and routing; it
+/// excludes the evaluation. With `flight_recorder` set, the [`RunReport`]
+/// carries the compile's flight recording.
 ///
 /// # Errors
 ///
@@ -107,6 +106,7 @@ pub struct BlockedRound<'r> {
 /// Panics if `device` was built with different edge weights than `config`.
 pub fn compile<P: RoutingPolicy>(
     mut policy: P,
+    start: Start,
     device: &Device,
     circuit: &Circuit,
     config: &CompilerConfig,
@@ -124,11 +124,11 @@ pub fn compile<P: RoutingPolicy>(
         return Err(CompileError::DisconnectedTopology);
     }
     let mut recorder = flight_recorder.then(FlightRecorder::with_default_capacity);
-    let start = Instant::now();
-    let placement = policy.place(device, circuit);
+    let started = Instant::now();
+    let placement = start.place(circuit, device, config);
     let mechanics = Mechanics::new(device.graph(), device.router());
     let mut routed = route(&mut policy, &mechanics, circuit, placement, recorder.as_mut())?;
-    let compile_time = start.elapsed();
+    let compile_time = started.elapsed();
     // The outcome may live for long in a result cache: keep no slack.
     routed.program.shrink_to_fit();
     let (scheduler_stats, scoring) = policy.stats(routed.rounds);

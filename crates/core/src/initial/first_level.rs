@@ -67,24 +67,38 @@ fn even_divided(circuit: &Circuit, topology: &QccdTopology) -> Vec<Vec<Qubit>> {
 /// Gathering mapping: cluster qubits into as few traps as possible (in
 /// first-use order), leaving one reserved space per trap.
 fn gathering(circuit: &Circuit, topology: &QccdTopology) -> Vec<Vec<Qubit>> {
-    let n = circuit.num_qubits();
-    let caps = usable_capacity(topology, n);
+    first_use_fill(circuit, topology, &usable_capacity(topology, circuit.num_qubits()))
+}
+
+/// The fill loop of gathering and of first-use packing: qubits in
+/// [`Circuit::first_use_order`] fill the traps in index order, each up to
+/// its entry of `soft_caps` (at most its capacity), and qubits left over
+/// once every trap is at its soft cap go to the first trap with a free
+/// slot. Returns one qubit list per trap, in fill order.
+///
+/// # Panics
+///
+/// Panics if the device has fewer slots than the circuit has qubits.
+pub(super) fn first_use_fill(
+    circuit: &Circuit,
+    topology: &QccdTopology,
+    soft_caps: &[usize],
+) -> Vec<Vec<Qubit>> {
     let num_traps = topology.num_traps();
     let mut groups: Vec<Vec<Qubit>> = vec![Vec::new(); num_traps];
     let mut trap = 0usize;
     for q in circuit.first_use_order() {
-        while trap < num_traps && groups[trap].len() >= caps[trap] {
+        while trap < num_traps && groups[trap].len() >= soft_caps[trap] {
             trap += 1;
         }
-        if trap >= num_traps {
-            // Soft caps exhausted: place into any trap with hard room.
-            let fallback = (0..num_traps)
-                .find(|&t| groups[t].len() < topology.traps()[t].capacity())
-                .expect("device has room for every qubit");
-            groups[fallback].push(q);
+        let t = if trap < num_traps {
+            trap
         } else {
-            groups[trap].push(q);
-        }
+            (0..num_traps)
+                .find(|&t| groups[t].len() < topology.traps()[t].capacity())
+                .expect("device has room for every qubit")
+        };
+        groups[t].push(q);
     }
     groups
 }

@@ -22,11 +22,12 @@
 //!    spreads work across qubits) and apply the cheapest.
 //!
 //! Every compiler kind runs through one compile driver,
-//! [`driver::compile`]. It validates the device, drains the DAG and
-//! evaluates the program; a [`driver::RoutingPolicy`] supplies the initial
-//! placement and the step taken while every frontier gate is blocked.
-//! S-SYNC (run by [`SSyncCompiler`]) and permutation routing ([`PermRouter`])
-//! are two such policies, and `ssync-baselines` adds the greedy ones.
+//! [`driver::compile`]. It validates the device, places the qubits from
+//! the kind's [`initial::Start`], drains the DAG and evaluates the
+//! program; a [`driver::RoutingPolicy`] supplies the step taken while
+//! every frontier gate is blocked. S-SYNC (run by [`SSyncCompiler`]) and
+//! permutation routing ([`PermRouter`]) are two such policies, and
+//! `ssync-baselines` adds the greedy ones.
 //!
 //! ## Quickstart
 //!

@@ -115,8 +115,7 @@ impl<'a> Mechanics<'a> {
         let trap_ref = self.graph.topology().trap(trap);
         let target_pos = self.graph.slot_position(target);
         // Scan chain positions directly (slots are contiguous) for the
-        // space nearest to the target; ties break towards the left end,
-        // matching the old chain-ordered `spaces_in_trap` minimum.
+        // space nearest to the target; ties break towards the left end.
         let mut nearest: Option<usize> = None;
         for pos in 0..trap_ref.capacity() {
             if placement.is_space(trap_ref.slot_at(pos)) {
@@ -287,21 +286,23 @@ impl<'a> Mechanics<'a> {
         placement.trap_of(qubit) == Some(dest)
     }
 
-    /// Brings the two qubits of a gate into the same trap (moving `mobile`
-    /// towards `anchor`'s trap) and emits the gate.
-    pub fn route_and_execute(
+    /// Routes a gate directly: moves `mover` into `anchor`'s trap, first
+    /// making space there if that trap is full (evicting neither operand
+    /// while another ion can go). Returns `false` if the move failed.
+    pub fn route_directly(
         &self,
         placement: &mut Placement,
         program: &mut CompiledProgram,
-        mobile: Qubit,
+        mover: Qubit,
         anchor: Qubit,
     ) -> bool {
         let dest = placement.trap_of(anchor).expect("anchor must be placed");
-        if !self.move_qubit_to_trap(placement, program, mobile, dest) {
-            return false;
+        if placement.trap_free_slots(dest) == 0 {
+            self.make_space(placement, program, dest, 1, &[mover, anchor]);
         }
-        self.emit_two_qubit_gate(placement, program, mobile, anchor);
-        true
+        // Making space may have moved the anchor on.
+        let dest = placement.trap_of(anchor).expect("anchor must be placed");
+        self.move_qubit_to_trap(placement, program, mover, dest)
     }
 
     /// BFS over the trap graph from `start` to the nearest trap with a free
@@ -478,18 +479,36 @@ mod tests {
     }
 
     #[test]
-    fn route_and_execute_emits_the_gate() {
+    fn route_directly_moves_the_mover_to_the_anchor() {
         let (graph, router) = device(3, 3);
         let m = Mechanics::new(&graph, &router);
         let mut p = Placement::new(graph.topology(), 2);
         p.place(Qubit(0), SlotId(0));
         p.place(Qubit(1), SlotId(8));
         let mut prog = CompiledProgram::new(2, 3);
-        assert!(m.route_and_execute(&mut p, &mut prog, Qubit(0), Qubit(1)));
-        let counts = prog.counts();
-        assert_eq!(counts.two_qubit_gates, 1);
-        assert_eq!(counts.shuttles, 2);
+        assert!(m.route_directly(&mut p, &mut prog, Qubit(0), Qubit(1)));
+        assert_eq!(prog.counts().shuttles, 2);
         assert_eq!(p.trap_of(Qubit(0)), p.trap_of(Qubit(1)));
+        assert_eq!(p.trap_of(Qubit(1)), Some(TrapId(2)));
+    }
+
+    #[test]
+    fn route_directly_makes_space_without_evicting_an_operand() {
+        let (graph, router) = device(3, 2);
+        let m = Mechanics::new(&graph, &router);
+        let mut p = Placement::new(graph.topology(), 4);
+        // Trap 1 is full: a bystander (qubit 2), then the anchor (qubit 1)
+        // at the port that faces trap 2, the only trap with room.
+        p.place(Qubit(0), SlotId(0));
+        p.place(Qubit(2), SlotId(2));
+        p.place(Qubit(1), SlotId(3));
+        p.place(Qubit(3), SlotId(1));
+        let mut prog = CompiledProgram::new(4, 3);
+        assert!(m.route_directly(&mut p, &mut prog, Qubit(0), Qubit(1)));
+        assert_eq!(p.trap_of(Qubit(0)), Some(TrapId(1)));
+        assert_eq!(p.trap_of(Qubit(1)), Some(TrapId(1)));
+        assert_eq!(p.trap_of(Qubit(2)), Some(TrapId(2)), "the bystander made room");
+        p.validate().unwrap();
     }
 
     #[test]

@@ -35,17 +35,11 @@
 use crate::config::CompilerConfig;
 use crate::driver::{BlockedRound, RoutingPolicy};
 use crate::error::CompileError;
-use crate::initial;
 use crate::mechanics::{op_count, Mechanics};
-use ssync_arch::{Device, Placement, QccdTopology, TrapId, TrapRouter, WeightConfig};
-use ssync_circuit::{Circuit, DependencyDag, NodeId, Qubit};
+use ssync_arch::{Placement, QccdTopology, TrapId, TrapRouter, WeightConfig};
+use ssync_circuit::{DependencyDag, NodeId, Qubit};
 use ssync_sim::{CompiledProgram, ScheduledOp};
 use ssync_telemetry::{FlightEvent, FlightRecorder, SWAP_SCHEDULE_BUBBLE, SWAP_SCHEDULE_RECURSIVE};
-
-/// Routing slots kept free per trap by the initial placement when the
-/// device has room (the Dai-style single-slot headroom: enough for an
-/// incoming shuttle without starving capacity).
-const RESERVED_SLOTS: usize = 1;
 
 /// Consecutive blocked-layer rounds that may pass without a single planned
 /// gate becoming co-trapped before the compiler declares a stall.
@@ -93,7 +87,8 @@ struct PlannedGate {
 /// The permutation-routing policy (`CompilerKind::PermRoute` in
 /// `ssync-baselines`): blocked frontier layers are realised wholesale via
 /// a sub-quadratic swap schedule with Eq. 2 cost-weighted swap selection.
-/// Qubits start in [`initial::first_use_packing`] order with one routing
+/// That kind starts from
+/// [`Start::FirstUse`](crate::initial::Start::FirstUse) with one routing
 /// slot reserved per trap.
 #[derive(Debug, Clone)]
 pub struct PermRouter {
@@ -103,10 +98,6 @@ pub struct PermRouter {
 
 impl RoutingPolicy for PermRouter {
     const ROUNDS_PER_GATE: usize = 100;
-
-    fn place(&self, device: &Device, circuit: &Circuit) -> Placement {
-        initial::first_use_packing(circuit, device.topology(), RESERVED_SLOTS)
-    }
 
     fn route_blocked(&mut self, step: BlockedRound<'_>) -> Result<(), CompileError> {
         let realized = self.route_layer(
@@ -431,9 +422,15 @@ impl PermRouter {
 mod tests {
     use super::*;
     use crate::driver;
+    use crate::initial::Start;
     use crate::swap_schedule::SwapScheduleKind;
     use crate::{CompileOutcome, RunReport};
+    use ssync_arch::Device;
     use ssync_circuit::generators::{qft, random_two_qubit_circuit};
+    use ssync_circuit::Circuit;
+
+    /// The start `CompilerKind::PermRoute` gives this policy.
+    const START: Start = Start::FirstUse { reserve: 1 };
 
     fn compile(
         circuit: &Circuit,
@@ -442,7 +439,8 @@ mod tests {
         flight_recorder: bool,
     ) -> (CompileOutcome, RunReport) {
         let device = Device::build(topo.clone(), config.weights);
-        driver::compile(PermRouter::new(config), &device, circuit, config, flight_recorder).unwrap()
+        driver::compile(PermRouter::new(config), START, &device, circuit, config, flight_recorder)
+            .unwrap()
     }
 
     #[test]
@@ -502,8 +500,9 @@ mod tests {
         let circuit = qft(12);
         let config = CompilerConfig::default();
         let device = Device::build(QccdTopology::linear(2, 6), config.weights);
-        let err = driver::compile(PermRouter::new(&config), &device, &circuit, &config, false)
-            .unwrap_err();
+        let err =
+            driver::compile(PermRouter::new(&config), START, &device, &circuit, &config, false)
+                .unwrap_err();
         assert!(matches!(err, CompileError::DeviceTooSmall { .. }));
     }
 

@@ -25,7 +25,6 @@ use crate::driver::{self, BlockedRound, RoutingPolicy};
 use crate::error::CompileError;
 use crate::generic_swap::{GenericSwap, GenericSwapKind};
 use crate::heuristic::{DecayTracker, HeuristicScorer, ReadinessMemo, ScoreCache, ScoringScratch};
-use crate::initial;
 use crate::mechanics::{op_count, Mechanics};
 use ssync_arch::{
     Device, DistanceMatrix, EdgeKind, Placement, SlotEdge, SlotGraph, SlotId, TrapId, TrapRouter,
@@ -515,12 +514,7 @@ impl<'a> Scheduler<'a> {
                     .map(|(_, i)| frontier[i])
                     .expect("frontier is non-empty while the DAG is incomplete");
                 let (q1, q2) = gate.two_qubit_pair().expect("frontier gates are two-qubit");
-                let dest = placement.trap_of(q2).expect("qubit placed");
-                if placement.trap_free_slots(dest) == 0 {
-                    mechanics.make_space(&mut placement, &mut program, dest, 1, &[q1, q2]);
-                }
-                let dest = placement.trap_of(q2).expect("qubit placed");
-                if !mechanics.move_qubit_to_trap(&mut placement, &mut program, q1, dest) {
+                if !mechanics.route_directly(&mut placement, &mut program, q1, q2) {
                     return Err(CompileError::SchedulingStalled {
                         remaining_gates: dag.remaining(),
                     });
@@ -734,10 +728,6 @@ impl<'s, 'a> SSyncRouting<'s, 'a> {
 impl RoutingPolicy for SSyncRouting<'_, '_> {
     const ROUNDS_PER_GATE: usize = 400;
 
-    fn place(&self, device: &Device, circuit: &Circuit) -> Placement {
-        initial::build_placement(circuit, device, self.scheduler.config)
-    }
-
     fn route_blocked(&mut self, step: BlockedRound<'_>) -> Result<(), CompileError> {
         let BlockedRound {
             round,
@@ -864,12 +854,7 @@ impl RoutingPolicy for SSyncRouting<'_, '_> {
                 .map(|(_, i)| s.scratch.frontier[i].1)
                 .expect("frontier is non-empty while the DAG is incomplete");
             let (q1, q2) = gate.two_qubit_pair().expect("frontier gates are two-qubit");
-            let dest = placement.trap_of(q2).expect("qubit placed");
-            if placement.trap_free_slots(dest) == 0 {
-                mechanics.make_space(placement, program, dest, 1, &[q1, q2]);
-            }
-            let dest = placement.trap_of(q2).expect("qubit placed");
-            if !mechanics.move_qubit_to_trap(placement, program, q1, dest) {
+            if !mechanics.route_directly(placement, program, q1, q2) {
                 return Err(CompileError::SchedulingStalled { remaining_gates: dag.remaining() });
             }
             s.stats.fallback_routed_gates += 1;

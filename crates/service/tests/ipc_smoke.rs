@@ -11,22 +11,23 @@ use ssync_core::{CompileOutcome, CompilerConfig, SwapScheduleKind};
 use ssync_service::client::ServiceClient;
 use ssync_service::wire::RemoteRequest;
 use ssync_service::{Priority, TenantId};
-use std::process::{Child, Command, Stdio};
+use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
-const DAEMON: &str = env!("CARGO_BIN_EXE_ssync-serviced");
+mod common;
+use common::{Daemon, DAEMON};
 
 /// Spawns the daemon in stdio mode and wires a client to its pipes.
-fn spawn_stdio_daemon(extra_args: &[&str]) -> (Child, ServiceClient) {
-    let mut child = Command::new(DAEMON)
-        .arg("--stdio")
-        .args(["--workers", "2"])
-        .args(extra_args)
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn ssync-serviced");
+fn spawn_stdio_daemon(extra_args: &[&str]) -> (Daemon, ServiceClient) {
+    let mut child = Daemon::spawn(
+        Command::new(DAEMON)
+            .arg("--stdio")
+            .args(["--workers", "2"])
+            .args(extra_args)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null()),
+    );
     let writer = child.stdin.take().expect("piped stdin");
     let reader = child.stdout.take().expect("piped stdout");
     (child, ServiceClient::over(reader, writer))
@@ -226,11 +227,11 @@ fn unix_socket_transport_round_trips() {
     let socket =
         std::env::temp_dir().join(format!("ssync-serviced-test-{}.sock", std::process::id()));
     let _ = std::fs::remove_file(&socket);
-    let mut child = Command::new(DAEMON)
-        .args(["--socket", socket.to_str().unwrap(), "--workers", "1"])
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn ssync-serviced");
+    let mut child = Daemon::spawn(
+        Command::new(DAEMON)
+            .args(["--socket", socket.to_str().unwrap(), "--workers", "1"])
+            .stderr(Stdio::null()),
+    );
 
     // The daemon needs a moment to bind.
     let mut client = None;

@@ -13,9 +13,10 @@ use ssync_service::client::ServiceClient;
 use ssync_service::wire::RemoteRequest;
 use ssync_service::Priority;
 use std::io::Read;
-use std::process::{Child, Command, Stdio};
+use std::process::{Command, Stdio};
 
-const DAEMON: &str = env!("CARGO_BIN_EXE_ssync-serviced");
+mod common;
+use common::{Daemon, DAEMON};
 
 /// Spawns the daemon in stdio mode with every observability surface on:
 /// `--slow-request-ms 0` logs a JSONL trace for every request, and
@@ -24,16 +25,16 @@ const DAEMON: &str = env!("CARGO_BIN_EXE_ssync-serviced");
 /// pipe buffer, and an undrained pipe would deadlock the daemon's exit.
 fn spawn_observable_daemon(
     metrics_path: &std::path::Path,
-) -> (Child, ServiceClient, std::thread::JoinHandle<String>) {
-    let mut child = Command::new(DAEMON)
-        .arg("--stdio")
-        .args(["--workers", "2", "--slow-request-ms", "0"])
-        .args(["--metrics-text", metrics_path.to_str().unwrap()])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn ssync-serviced");
+) -> (Daemon, ServiceClient, std::thread::JoinHandle<String>) {
+    let mut child = Daemon::spawn(
+        Command::new(DAEMON)
+            .arg("--stdio")
+            .args(["--workers", "2", "--slow-request-ms", "0"])
+            .args(["--metrics-text", metrics_path.to_str().unwrap()])
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped()),
+    );
     let writer = child.stdin.take().expect("piped stdin");
     let reader = child.stdout.take().expect("piped stdout");
     let mut stderr = child.stderr.take().expect("piped stderr");
@@ -198,18 +199,18 @@ fn tcp_daemon_serves_flight_recorder_traces_exemplars_and_slo_gauges() {
     std::fs::create_dir_all(&dir).expect("scratch dir");
     let metrics_path = dir.join("metrics.prom");
     let port_file = dir.join("port");
-    let mut child = Command::new(DAEMON)
-        .args(["--tcp", "127.0.0.1:0"])
-        .args(["--port-file", port_file.to_str().unwrap()])
-        .args(["--workers", "2", "--slow-request-ms", "0"])
-        .args(["--metrics-text", metrics_path.to_str().unwrap()])
-        .args(["--flight-recorder", "--trace-journal-cap", "64"])
-        .args(["--slo-ms-high", "250", "--slo-ms-normal", "1000", "--slo-ms-batch", "5000"])
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn ssync-serviced");
+    let mut child = Daemon::spawn(
+        Command::new(DAEMON)
+            .args(["--tcp", "127.0.0.1:0"])
+            .args(["--port-file", port_file.to_str().unwrap()])
+            .args(["--workers", "2", "--slow-request-ms", "0"])
+            .args(["--metrics-text", metrics_path.to_str().unwrap()])
+            .args(["--flight-recorder", "--trace-journal-cap", "64"])
+            .args(["--slo-ms-high", "250", "--slo-ms-normal", "1000", "--slo-ms-batch", "5000"])
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped()),
+    );
     let mut stderr = child.stderr.take().expect("piped stderr");
     let drain = std::thread::spawn(move || {
         let mut buf = String::new();

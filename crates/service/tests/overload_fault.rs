@@ -16,10 +16,12 @@ use ssync_service::wire::{encode_request, RemoteRequest, Request, WIRE_MAGIC, WI
 use ssync_service::{front, CompileService, FrontConfig, Priority, TenantId};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::process::{Command, Stdio};
 use std::sync::Arc;
 use std::time::Duration;
 
-const DAEMON: &str = env!("CARGO_BIN_EXE_ssync-serviced");
+mod common;
+use common::{Daemon, DAEMON};
 
 /// Starts an in-process hardened TCP front-end on an OS-assigned port.
 /// The returned thread runs until an authenticated peer sends `Shutdown`
@@ -310,13 +312,13 @@ fn two_daemons_share_one_cache_dir_without_tearing() {
     let sizes: Vec<usize> = (8..14).collect();
 
     let spawn_daemon = |dir_arg: &str| {
-        let mut child = std::process::Command::new(DAEMON)
-            .args(["--stdio", "--workers", "2", "--cache-dir", dir_arg])
-            .stdin(std::process::Stdio::piped())
-            .stdout(std::process::Stdio::piped())
-            .stderr(std::process::Stdio::null())
-            .spawn()
-            .expect("spawn ssync-serviced");
+        let mut child = Daemon::spawn(
+            Command::new(DAEMON)
+                .args(["--stdio", "--workers", "2", "--cache-dir", dir_arg])
+                .stdin(Stdio::piped())
+                .stdout(Stdio::piped())
+                .stderr(Stdio::null()),
+        );
         let writer = child.stdin.take().expect("piped stdin");
         let reader = child.stdout.take().expect("piped stdout");
         (child, ServiceClient::over(reader, writer))
@@ -405,16 +407,16 @@ fn daemon_tcp_transport_round_trips_with_auth_and_janitor() {
     let port_file = dir.join("port");
     let cache_dir = dir.join("cache");
 
-    let mut child = std::process::Command::new(DAEMON)
-        .args(["--tcp", "127.0.0.1:0", "--workers", "1"])
-        .args(["--auth-token", "hunter2"])
-        .args(["--port-file", port_file.to_str().unwrap()])
-        .args(["--cache-dir", cache_dir.to_str().unwrap()])
-        .args(["--cache-dir-max-bytes", "1048576"])
-        .args(["--janitor-interval-secs", "1"])
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .expect("spawn ssync-serviced");
+    let mut child = Daemon::spawn(
+        Command::new(DAEMON)
+            .args(["--tcp", "127.0.0.1:0", "--workers", "1"])
+            .args(["--auth-token", "hunter2"])
+            .args(["--port-file", port_file.to_str().unwrap()])
+            .args(["--cache-dir", cache_dir.to_str().unwrap()])
+            .args(["--cache-dir-max-bytes", "1048576"])
+            .args(["--janitor-interval-secs", "1"])
+            .stderr(Stdio::null()),
+    );
 
     // Discover the OS-assigned port.
     let mut addr = None;
@@ -475,12 +477,12 @@ fn deeply_nested_qasm_is_rejected_and_the_daemon_keeps_serving() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("mkdir");
     let port_file = dir.join("port");
-    let mut child = std::process::Command::new(DAEMON)
-        .args(["--tcp", "127.0.0.1:0", "--workers", "1"])
-        .args(["--port-file", port_file.to_str().unwrap()])
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .expect("spawn ssync-serviced");
+    let mut child = Daemon::spawn(
+        Command::new(DAEMON)
+            .args(["--tcp", "127.0.0.1:0", "--workers", "1"])
+            .args(["--port-file", port_file.to_str().unwrap()])
+            .stderr(Stdio::null()),
+    );
     let mut addr = None;
     for _ in 0..500 {
         if let Ok(contents) = std::fs::read_to_string(&port_file) {

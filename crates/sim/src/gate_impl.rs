@@ -49,11 +49,6 @@ impl GateImplementation {
         }
     }
 
-    /// Duration of a SWAP gate, synthesised from three entangling gates.
-    pub fn swap_duration_us(self, chain_len: usize, ion_distance: usize) -> f64 {
-        3.0 * self.two_qubit_duration_us(chain_len, ion_distance)
-    }
-
     /// Short label used in reports ("FM", "PM", "AM1", "AM2").
     pub fn label(self) -> &'static str {
         match self {
@@ -74,6 +69,9 @@ impl fmt::Display for GateImplementation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CompiledProgram, ExecutionTracer, ScheduledOp};
+    use ssync_arch::TrapId;
+    use ssync_circuit::Qubit;
 
     #[test]
     fn fm_duration_has_floor_and_grows_with_chain() {
@@ -111,8 +109,18 @@ mod tests {
 
     #[test]
     fn swap_is_three_gates() {
-        let g = GateImplementation::Fm;
-        assert_eq!(g.swap_duration_us(10, 1), 3.0 * g.two_qubit_duration_us(10, 1));
+        // The tracer times a SWAP as three gates of the configured kind.
+        let g = GateImplementation::Am2;
+        let mut p = CompiledProgram::new(2, 1);
+        p.push(ScheduledOp::SwapGate {
+            a: Qubit(0),
+            b: Qubit(1),
+            trap: TrapId(0),
+            chain_len: 10,
+            ion_distance: 3,
+        });
+        let report = ExecutionTracer::with_gate_impl(g).evaluate(&p);
+        assert_eq!(report.gate_time_us, 3.0 * g.two_qubit_duration_us(10, 3));
     }
 
     #[test]

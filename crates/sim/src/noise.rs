@@ -66,23 +66,14 @@ impl NoiseModel {
             - self.thermal_factor_a(chain_len) * (2.0 * n_bar + 1.0);
         f.clamp(0.0, 1.0)
     }
-
-    /// Motional quanta added to the chains involved in one shuttle crossing
-    /// `junctions` junctions: the split/merge contribution `k₁` plus `k₂`
-    /// per traversed segment (junction crossings count as extra segments).
-    pub fn shuttle_heating(&self, junctions: u32) -> f64 {
-        self.k1_split_merge + self.k2_shuttle_segment * f64::from(junctions + 1)
-    }
-
-    /// Background heating accumulated over `tau_us` microseconds.
-    pub fn background_heating(&self, tau_us: f64) -> f64 {
-        self.heating_rate_gamma * tau_us * 1e-6
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CompiledProgram, ExecutionTracer, ScheduledOp};
+    use ssync_arch::TrapId;
+    use ssync_circuit::Qubit;
 
     #[test]
     fn defaults_match_paper_constants() {
@@ -121,14 +112,31 @@ mod tests {
 
     #[test]
     fn shuttle_heating_accounts_for_junctions() {
-        let m = NoiseModel::default();
-        assert!((m.shuttle_heating(0) - 0.11).abs() < 1e-12);
-        assert!(m.shuttle_heating(2) > m.shuttle_heating(0));
+        // The tracer heats the destination chain of a shuttle by half of
+        // k₁ (the merge) plus k₂ per segment, counting each junction
+        // crossing as an extra segment.
+        let heat = |junctions| {
+            let mut p = CompiledProgram::new(1, 2);
+            p.push(ScheduledOp::Shuttle {
+                qubit: Qubit(0),
+                from_trap: TrapId(0),
+                to_trap: TrapId(1),
+                junctions,
+                segments: 1,
+                source_chain_len: 1,
+                dest_chain_len: 1,
+            });
+            ExecutionTracer::default().evaluate(&p).max_motional_quanta
+        };
+        assert!((heat(0) - 0.06).abs() < 1e-12);
+        assert!((heat(2) - 0.08).abs() < 1e-12);
     }
 
     #[test]
     fn background_heating_converts_microseconds() {
-        let m = NoiseModel::default();
-        assert!((m.background_heating(1_000_000.0) - 1.0).abs() < 1e-12);
+        // Γτ with τ in microseconds: half a second at Γ = 1 costs half
+        // the fidelity.
+        let m = NoiseModel { thermal_scale: 0.0, ..NoiseModel::default() };
+        assert!((m.two_qubit_fidelity(500_000.0, 2, 0.0) - 0.5).abs() < 1e-12);
     }
 }

@@ -81,14 +81,6 @@ pub enum ScheduledOp {
 // A wider field would double the memory of every cached op stream.
 const _: () = assert!(std::mem::size_of::<ScheduledOp>() == 24);
 
-impl ScheduledOp {
-    /// `true` for operations that apply an entangling interaction (two-qubit
-    /// gates and SWAPs).
-    pub fn is_entangling(&self) -> bool {
-        matches!(self, ScheduledOp::TwoQubitGate { .. } | ScheduledOp::SwapGate { .. })
-    }
-}
-
 impl fmt::Display for ScheduledOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -117,14 +109,6 @@ pub struct OpCounts {
     pub shuttles: usize,
     /// Intra-trap reorder operations inserted by the compiler.
     pub reorders: usize,
-}
-
-impl OpCounts {
-    /// Total entangling gates executed on hardware (program gates plus
-    /// three per SWAP).
-    pub fn total_entangling(&self) -> usize {
-        self.two_qubit_gates + 3 * self.swap_gates
-    }
 }
 
 /// A compiled, hardware-compatible program: the full operation stream plus
@@ -203,11 +187,6 @@ impl CompiledProgram {
     pub fn shuttle_count(&self) -> usize {
         self.counts().shuttles
     }
-
-    /// Number of inserted SWAP gates (convenience accessor).
-    pub fn swap_count(&self) -> usize {
-        self.counts().swap_gates
-    }
 }
 
 impl Extend<ScheduledOp> for CompiledProgram {
@@ -258,25 +237,16 @@ mod tests {
         assert_eq!(c.swap_gates, 1);
         assert_eq!(c.shuttles, 1);
         assert_eq!(c.reorders, 1);
-        assert_eq!(c.total_entangling(), 4);
     }
 
     #[test]
     fn convenience_accessors() {
         let p = sample();
         assert_eq!(p.shuttle_count(), 1);
-        assert_eq!(p.swap_count(), 1);
         assert_eq!(p.len(), 5);
         assert!(!p.is_empty());
         assert_eq!(p.num_qubits(), 4);
         assert_eq!(p.num_traps(), 2);
-    }
-
-    #[test]
-    fn entangling_classification() {
-        let p = sample();
-        let entangling = p.ops().iter().filter(|o| o.is_entangling()).count();
-        assert_eq!(entangling, 2);
     }
 
     #[test]
