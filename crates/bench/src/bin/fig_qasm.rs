@@ -1,5 +1,5 @@
 //! Sweeps the checked-in `workloads/` OpenQASM corpus through the
-//! compile service across **all four** compilers and the corpus
+//! compile service across **all five** compilers and the corpus
 //! topology set — the scenario-diversity counterpart of the Figs. 8–10
 //! comparison, over circuits ingested as text instead of generated
 //! in-process.

@@ -182,7 +182,7 @@ mod tests {
         let barriers = entries.iter().find(|e| e.name == "barriers").expect("barriers.qasm");
         assert!(barriers.report.barriers >= 4);
 
-        // A one-file sweep produces all four compiler rows per topology.
+        // A one-file sweep produces all five compiler rows per topology.
         let one = &entries[..1];
         let rows = corpus_rows(one, &CompilerConfig::default(), |_| {});
         assert!(!rows.is_empty());

@@ -5,8 +5,15 @@
 //! its first character, and the 1-based `line:col` (columns counted in
 //! characters) is worked out from that offset only when a diagnostic
 //! needs it. Line (`// ...`) and block (`/* ... */`) comments are skipped.
-//! A register index written directly after its name, `[digits]`, can also
-//! be read from the bytes in one step instead of as three tokens.
+//!
+//! The parser can also read the common forms straight from the bytes,
+//! without tokens: a register index written directly after its name,
+//! `[digits]` ([`Lexer::bracket_index`]), and the pieces of a built-in
+//! gate application (a separator, a literal parameter, a `reg[idx]`
+//! argument) at an offset it tracks itself before it moves the lexer
+//! ([`Lexer::seek`]). Each such read returns `None` for any form it does
+//! not take, and the tokens then read and report that form. Both paths
+//! scan numbers, identifiers and whitespace with the same functions.
 //!
 //! The scan steps over whole ASCII bytes and jumps over comment and
 //! string bodies to an ASCII delimiter, so every offset it stops at is a
@@ -129,7 +136,7 @@ impl<'a> Lexer<'a> {
             let single = |tok| Ok(Token { tok, at: start });
             self.at += 1;
             match byte {
-                b' ' | b'\t' | b'\r' | b'\n' => {}
+                byte if is_space(byte) => {}
                 b'/' => match bytes.get(start + 1) {
                     Some(b'/') => {
                         self.at = match self.source[start..].find('\n') {
@@ -155,11 +162,7 @@ impl<'a> Lexer<'a> {
                 }
                 b'0'..=b'9' | b'.' => return self.number(start),
                 b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
-                    let len = bytes[start..]
-                        .iter()
-                        .position(|b| !(b.is_ascii_alphanumeric() || *b == b'_'))
-                        .unwrap_or(bytes.len() - start);
-                    self.at = start + len;
+                    self.at = ident_end(bytes, start);
                     return single(Tok::Ident(&self.source[start..self.at]));
                 }
                 b'-' if bytes.get(start + 1) == Some(&b'>') => {
@@ -199,45 +202,13 @@ impl<'a> Lexer<'a> {
         QasmError::at(QasmErrorKind::UnterminatedToken(unterminated), self.source, at)
     }
 
-    /// Lexes an integer or real literal: digits, optional fraction,
-    /// optional exponent. A literal containing `.` or an exponent is a
-    /// real; otherwise it is an integer.
+    /// Lexes the number literal at `start` with [`scan_number`].
     fn number(&mut self, start: usize) -> Result<Token<'a>, QasmError> {
-        let bytes = self.source.as_bytes();
-        let digits = |from: usize| {
-            from + bytes[from..]
-                .iter()
-                .position(|b| !b.is_ascii_digit())
-                .unwrap_or(bytes.len() - from)
-        };
-        let mut end = digits(start);
-        let mut real = false;
-        if bytes.get(end) == Some(&b'.') {
-            real = true;
-            end = digits(end + 1);
-        }
-        let mut exponent_ok = true;
-        if matches!(bytes.get(end), Some(b'e' | b'E')) {
-            real = true;
-            end += 1;
-            if matches!(bytes.get(end), Some(b'+' | b'-')) {
-                end += 1;
-            }
-            let exponent_start = end;
-            end = digits(end);
-            exponent_ok = end > exponent_start;
-        }
+        let (end, tok) = scan_number(self.source, start);
         self.at = end;
-        let text = &self.source[start..end];
-        let malformed =
-            || QasmError::at(QasmErrorKind::MalformedNumber(text.to_string()), self.source, start);
-        if !exponent_ok || text == "." {
-            return Err(malformed());
-        }
-        let tok = if real {
-            Tok::Real(text.parse().map_err(|_| malformed())?)
-        } else {
-            Tok::Int(decimal(text.as_bytes()).ok_or_else(malformed)?)
+        let Some(tok) = tok else {
+            let text = self.source[start..end].to_string();
+            return Err(QasmError::at(QasmErrorKind::MalformedNumber(text), self.source, start));
         };
         Ok(Token { tok, at: start })
     }
@@ -248,15 +219,124 @@ impl<'a> Lexer<'a> {
     /// missing `]`) returns `None` and leaves the position unchanged, so
     /// the token path reads it and reports what it reports.
     pub(crate) fn bracket_index(&mut self) -> Option<u64> {
-        let rest = self.source.as_bytes().get(self.at..)?.strip_prefix(b"[")?;
+        let (index, end) = self.index_at(self.at)?;
+        self.at = end;
+        Some(index)
+    }
+
+    /// The byte offset the next token is scanned from: just past the last
+    /// token read.
+    pub(crate) fn offset(&self) -> usize {
+        self.at
+    }
+
+    /// Moves to `offset`, which a direct read stopped at just past an
+    /// ASCII byte, so the next token is scanned from there.
+    pub(crate) fn seek(&mut self, offset: usize) {
+        self.at = offset;
+    }
+
+    /// The offset just past `byte` if it is written at `at`.
+    pub(crate) fn punct(&self, at: usize, byte: u8) -> Option<usize> {
+        (self.source.as_bytes().get(at) == Some(&byte)).then_some(at + 1)
+    }
+
+    /// Reads the literal parameter written at `at`: a number as
+    /// [`scan_number`] scans it, with at most one `-` directly before it.
+    /// Returns its value as an expression evaluates it (an integer
+    /// converts to the nearest `f64`, and `-` negates, keeping the sign of
+    /// zero) and where it ends; any other form, a malformed number
+    /// included, is `None`.
+    pub(crate) fn literal(&self, at: usize) -> Option<(f64, usize)> {
+        let bytes = self.source.as_bytes();
+        let negative = bytes.get(at) == Some(&b'-');
+        let start = at + usize::from(negative);
+        if !matches!(bytes.get(start), Some(b'0'..=b'9' | b'.')) {
+            return None;
+        }
+        let (value, end) = match scan_number(self.source, start) {
+            (end, Some(Tok::Int(value))) => (value as f64, end),
+            (end, Some(Tok::Real(value))) => (value, end),
+            _ => return None,
+        };
+        Some((if negative { -value } else { value }, end))
+    }
+
+    /// Reads a register argument written as `name[digits]` at `at`, after
+    /// any whitespace: the name, the index and where it ends. A comment,
+    /// a whole register or an index [`Lexer::bracket_index`] would not
+    /// take is `None`.
+    pub(crate) fn indexed_at(&self, at: usize) -> Option<(&'a str, u64, usize)> {
+        let bytes = self.source.as_bytes();
+        let start = at + bytes.get(at..)?.iter().position(|&byte| !is_space(byte))?;
+        if !matches!(bytes[start], b'a'..=b'z' | b'A'..=b'Z' | b'_') {
+            return None;
+        }
+        let end = ident_end(bytes, start);
+        let (index, past) = self.index_at(end)?;
+        Some((&self.source[start..end], index, past))
+    }
+
+    /// `[` digits `]` written at `at`, with where it ends.
+    fn index_at(&self, at: usize) -> Option<(u64, usize)> {
+        let rest = self.source.as_bytes().get(at..)?.strip_prefix(b"[")?;
         let len = rest.iter().position(|b| !b.is_ascii_digit())?;
         if len == 0 || rest[len] != b']' {
             return None;
         }
-        let index = decimal(&rest[..len])?;
-        self.at += len + 2;
-        Some(index)
+        Some((decimal(&rest[..len])?, at + len + 2))
     }
+}
+
+/// The whitespace between tokens.
+fn is_space(byte: u8) -> bool {
+    matches!(byte, b' ' | b'\t' | b'\r' | b'\n')
+}
+
+/// The end of the identifier starting at `start`.
+fn ident_end(bytes: &[u8], start: usize) -> usize {
+    bytes[start..]
+        .iter()
+        .position(|b| !(b.is_ascii_alphanumeric() || *b == b'_'))
+        .map_or(bytes.len(), |len| start + len)
+}
+
+/// Scans the number literal at `start`: digits, an optional fraction and
+/// an optional exponent. Returns where it ends and its token, a real if it
+/// holds `.` or an exponent and an integer otherwise, or `None` if it is
+/// malformed: a lone `.`, an exponent without digits, an integer past
+/// `u64::MAX`.
+fn scan_number(source: &str, start: usize) -> (usize, Option<Tok<'static>>) {
+    let bytes = source.as_bytes();
+    let digits = |from: usize| {
+        from + bytes[from..].iter().position(|b| !b.is_ascii_digit()).unwrap_or(bytes.len() - from)
+    };
+    let mut end = digits(start);
+    let mut real = false;
+    if bytes.get(end) == Some(&b'.') {
+        real = true;
+        end = digits(end + 1);
+    }
+    let mut exponent_ok = true;
+    if matches!(bytes.get(end), Some(b'e' | b'E')) {
+        real = true;
+        end += 1;
+        if matches!(bytes.get(end), Some(b'+' | b'-')) {
+            end += 1;
+        }
+        let exponent_start = end;
+        end = digits(end);
+        exponent_ok = end > exponent_start;
+    }
+    let text = &source[start..end];
+    let tok = if !exponent_ok || text == "." {
+        None
+    } else if real {
+        text.parse().ok().map(Tok::Real)
+    } else {
+        decimal(text.as_bytes()).map(Tok::Int)
+    };
+    (end, tok)
 }
 
 /// The value of a run of ASCII digits, or `None` past `u64::MAX`.
@@ -390,6 +470,26 @@ mod tests {
             "[18446744073709551616]",
         ] {
             assert_eq!(read(other), (None, 0), "{other:?}");
+        }
+    }
+
+    #[test]
+    fn literal_and_indexed_reads_take_only_their_own_forms() {
+        let literal =
+            |source: &str| Lexer::new(source).literal(0).map(|(value, end)| (value.to_bits(), end));
+        assert_eq!(literal("7)"), Some((7f64.to_bits(), 1)));
+        assert_eq!(literal("-0,"), Some(((-0f64).to_bits(), 2)));
+        assert_eq!(literal(".5e1)"), Some((5f64.to_bits(), 4)));
+        for other in ["", " 1", "--1", "- 1", "+1", "pi", "1.5e", ".", "18446744073709551616"] {
+            assert_eq!(literal(other), None, "{other:?}");
+        }
+        fn indexed(source: &str) -> Option<(&str, u64, usize)> {
+            Lexer::new(source).indexed_at(0)
+        }
+        assert_eq!(indexed("q[3];"), Some(("q", 3, 4)));
+        assert_eq!(indexed(" \t\r\nr_1[0],"), Some(("r_1", 0, 10)));
+        for other in ["", "q", "q;", "q [0]", "/**/q[0]", "1q[0]", "q[0", "[0]", "q[-1]"] {
+            assert_eq!(indexed(other), None, "{other:?}");
         }
     }
 }

@@ -10,9 +10,12 @@
 //! byte lexer hands out tokens that borrow from the source, and a
 //! recursive-descent parser lowers each top-level statement as soon as it
 //! is parsed; only `gate` bodies are kept, in a compiled form. Nothing is
-//! allocated per token. Declarations must precede use, and expression and
-//! gate-definition nesting are capped so that no input can exhaust the
-//! parsing thread's stack.
+//! allocated per token, and a built-in application in the plain form an
+//! exporter writes (literal parameters, indexed arguments) is read
+//! straight from the bytes without tokens; anything else goes through the
+//! tokens, which report every error. Declarations must precede use, and
+//! expression and gate-definition nesting are capped so that no input can
+//! exhaust the parsing thread's stack.
 //!
 //! * [`parse`] — source text → [`ParseOutput`] (a
 //!   [`Circuit`](ssync_circuit::Circuit) + a [`ParseReport`] counting

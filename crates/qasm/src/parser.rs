@@ -17,6 +17,13 @@
 //!               unary functions sin/cos/tan/exp/ln/sqrt
 //! ```
 //!
+//! A built-in application in the plain form an exporter writes, such as
+//! `rz(-0.5) q[3];` or `cx q[0], q[1];` (literal parameters, indexed
+//! arguments), is read straight from the bytes ([`Parser::direct`]).
+//! Anything else, from a space inside the parentheses to a malformed
+//! number, goes through the tokens, so the token path alone reports
+//! errors.
+//!
 //! `include "qelib1.inc";` is accepted (the standard library is built into
 //! the lowering — nothing is read from disk); any other include is an
 //! error, keeping the front-end hermetic.
@@ -82,7 +89,7 @@ struct Parser<'a> {
     tok: Token<'a>,
     /// Quantum registers: `(flat offset, size)`.
     qregs: HashMap<&'a str, (usize, usize)>,
-    /// The register [`Parser::argument`] resolved last, checked before
+    /// The register [`Parser::qreg`] resolved last, checked before
     /// `qregs`: consecutive arguments mostly name the same register.
     last_qreg: Option<(&'a str, (usize, usize))>,
     cregs: HashSet<&'a str>,
@@ -306,18 +313,23 @@ impl<'a> Parser<'a> {
         Ok((name, at, index))
     }
 
+    /// The `(flat offset, size)` of quantum register `name`, if declared.
+    fn qreg(&mut self, name: &'a str) -> Option<(usize, usize)> {
+        match self.last_qreg {
+            Some((last, register)) if last == name => Some(register),
+            _ => {
+                let register = *self.qregs.get(name)?;
+                self.last_qreg = Some((name, register));
+                Some(register)
+            }
+        }
+    }
+
     /// A top-level argument, resolved to flat qubit indices.
     fn argument(&mut self) -> Result<Arg, QasmError> {
         let (name, at, index) = self.indexed_name("a register name")?;
-        let (offset, size) = match self.last_qreg {
-            Some((last, register)) if last == name => register,
-            _ => {
-                let Some(&register) = self.qregs.get(name) else {
-                    return Err(self.error(QasmErrorKind::UnknownRegister(name.into()), at));
-                };
-                self.last_qreg = Some((name, register));
-                register
-            }
+        let Some((offset, size)) = self.qreg(name) else {
+            return Err(self.error(QasmErrorKind::UnknownRegister(name.into()), at));
         };
         match index {
             None => Ok(Arg { base: offset, whole: Some(size), at }),
@@ -430,8 +442,23 @@ impl<'a> Parser<'a> {
     /// broadcast element-wise (all must have equal length); indexed
     /// arguments stay fixed. A built-in over fixed arguments is emitted
     /// directly; broadcasts and user gates expand through
-    /// [`Emitter::apply`].
+    /// [`Emitter::apply`]. A built-in whose rest [`Parser::direct`] reads
+    /// skips the tokens.
     fn application(&mut self, conditional: bool) -> Result<(), QasmError> {
+        if let Token { tok: Tok::Ident(name), at } = self.tok {
+            if let Some(gate) = Native::from_name(name) {
+                if let Some((qubits, end)) = self.direct(gate) {
+                    // The token path reads the next token before it emits.
+                    self.lexer.seek(end);
+                    self.advance()?;
+                    if conditional {
+                        return Ok(());
+                    }
+                    self.emit.evaluate(&self.code)?;
+                    return self.emit.native(gate, name, &qubits[..gate.signature().1], at);
+                }
+            }
+        }
         let (name, at) = self.ident("a gate name")?;
         let (callee, want_params, want_qubits) = self.callee(name, at)?;
         self.scope.clear();
@@ -479,6 +506,46 @@ impl<'a> Parser<'a> {
             self.emit.apply(&self.defs, name, callee, qubits, at)?;
         }
         Ok(())
+    }
+
+    /// Reads the rest of an application of built-in `gate` straight from
+    /// the bytes after its name: literal parameters (`(`, a number with at
+    /// most one `-` before it, then `,` or `)`), then `reg[idx]` arguments,
+    /// each after optional whitespace, separated by `,` and ended by `;`.
+    /// The parameters are compiled into `code` as the token path compiles
+    /// them. Returns the flat qubits and the offset past the `;`, or `None`
+    /// at the first byte that does not fit (whitespace or a comment inside
+    /// the parentheses, an expression, a whole register, a count that does
+    /// not match the gate), an unknown register or an index out of range,
+    /// without moving the lexer: the token path then reads the statement
+    /// and reports what it reports.
+    fn direct(&mut self, gate: Native) -> Option<([usize; 3], usize)> {
+        let (params, qubits) = gate.signature();
+        let mut at = self.lexer.offset();
+        self.code.clear();
+        for i in 0..params {
+            at = self.lexer.punct(at, if i == 0 { b'(' } else { b',' })?;
+            let (value, end) = self.lexer.literal(at)?;
+            self.code.push(Op::Num(value));
+            at = end;
+        }
+        if params > 0 {
+            at = self.lexer.punct(at, b')')?;
+        }
+        let mut flat = [0; 3];
+        for (i, qubit) in flat[..qubits].iter_mut().enumerate() {
+            if i > 0 {
+                at = self.lexer.punct(at, b',')?;
+            }
+            let (name, index, end) = self.lexer.indexed_at(at)?;
+            let (offset, size) = self.qreg(name)?;
+            if index >= size as u64 {
+                return None;
+            }
+            *qubit = offset + index as usize;
+            at = end;
+        }
+        Some((flat, self.lexer.punct(at, b';')?))
     }
 
     /// `name ("(" ids? ")")? ids` — shared by `gate` and `opaque`; leaves
@@ -706,7 +773,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssync_circuit::{Gate, Qubit};
+    use ssync_circuit::{Circuit, Gate, Qubit};
 
     #[test]
     fn parses_declarations_and_applications() {
@@ -794,6 +861,63 @@ mod tests {
         let err = parse("OPENQASM 2.0;\nqreg q[2]").unwrap_err();
         assert_eq!((err.pos.line, err.pos.col), (2, 10));
         assert!(err.to_string().ends_with("found end of input"), "{err}");
+    }
+
+    /// Every application in `export` output takes the direct read, so the
+    /// speed-up cannot switch off while the goldens stay green: the six
+    /// generator apps, and every other gate the exporter writes (`cp`,
+    /// `ms`, `ryy` among them) with negative, zero, tiny, integral and
+    /// infinite angles. (A NaN angle exports as `sqrt(-1)`, an
+    /// expression, which the token path reads.)
+    #[test]
+    fn every_exported_application_takes_the_direct_read() {
+        use crate::error::SourcePos;
+        use ssync_circuit::generators;
+
+        let (a, b, c) = (Qubit(0), Qubit(1), Qubit(2));
+        let mut others = Circuit::with_name(3, "others");
+        for gate in [
+            Gate::Cp(a, b, 0.25),
+            Gate::Ms(b, c),
+            Gate::Ryy(c, a, -1.5),
+            Gate::Rxx(a, c, 1e-300),
+            Gate::Rzz(b, a, 1e19),
+            Gate::Cz(c, b),
+            Gate::Swap(a, b),
+            Gate::X(c),
+            Gate::Rz(a, -0.0),
+            Gate::Rx(b, f64::INFINITY),
+            Gate::Ry(c, f64::NEG_INFINITY),
+        ] {
+            others.push(gate);
+        }
+        let circuits = [
+            generators::qft(8),
+            generators::cuccaro_adder(4),
+            generators::bernstein_vazirani(8),
+            generators::qaoa_nearest_neighbor(8, 2),
+            generators::alt_ansatz(8, 2),
+            generators::heisenberg_chain(6, 3),
+            others,
+        ];
+        for circuit in &circuits {
+            let text = crate::export(circuit);
+            let mut parser = Parser::new(&text).expect("lexes");
+            parser.header().expect("exports have the header");
+            let mut direct = 0;
+            while parser.tok.tok != Tok::Eof {
+                if let Tok::Ident(name) = parser.tok.tok {
+                    if let Some(gate) = Native::from_name(name) {
+                        let pos = SourcePos::of_offset(&text, parser.tok.at);
+                        let read = parser.direct(gate);
+                        assert!(read.is_some(), "{}: {pos} left the direct read", circuit.name());
+                        direct += 1;
+                    }
+                }
+                parser.statement().expect("exports parse");
+            }
+            assert_eq!(direct, circuit.len(), "{}: one application per gate", circuit.name());
+        }
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //! **Determinism guarantee:** compiled output is bit-identical to a
 //! sequential `compile_on` loop at any worker count, priority mix and
 //! tenant labelling; the `service_equivalence` integration tests enforce
-//! it at 1, 2 and 8 workers for all four compiler kinds.
+//! it at 1, 2 and 8 workers for all five compiler kinds.
 //!
 //! ```
 //! use ssync_baselines::CompilerKind;

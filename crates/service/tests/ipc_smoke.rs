@@ -15,7 +15,7 @@ use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 mod common;
-use common::{Daemon, DAEMON};
+use common::{Daemon, TempPath, DAEMON};
 
 /// Spawns the daemon in stdio mode and wires a client to its pipes.
 fn spawn_stdio_daemon(extra_args: &[&str]) -> (Daemon, ServiceClient) {
@@ -224,9 +224,7 @@ fn errors_and_rejections_survive_the_wire() {
 #[cfg(unix)]
 #[test]
 fn unix_socket_transport_round_trips() {
-    let socket =
-        std::env::temp_dir().join(format!("ssync-serviced-test-{}.sock", std::process::id()));
-    let _ = std::fs::remove_file(&socket);
+    let socket = TempPath::new("ssync-serviced-test-sock");
     let mut child = Daemon::spawn(
         Command::new(DAEMON)
             .args(["--socket", socket.to_str().unwrap(), "--workers", "1"])
@@ -258,7 +256,6 @@ fn unix_socket_transport_round_trips() {
 
     client.shutdown().expect("shutdown");
     assert!(child.wait().expect("daemon exits").success());
-    let _ = std::fs::remove_file(&socket);
 }
 
 /// The persistent cache tier round-trips across two *processes*: a first
@@ -267,8 +264,7 @@ fn unix_socket_transport_round_trips() {
 /// executing any compile, bit-identically.
 #[test]
 fn persistent_cache_round_trips_across_two_processes() {
-    let dir = std::env::temp_dir().join(format!("ssync-serviced-cache-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempPath::new("ssync-serviced-cache");
     let dir_arg = dir.to_str().unwrap();
     let config = CompilerConfig::default();
     let circuit = qft(11);
@@ -295,7 +291,6 @@ fn persistent_cache_round_trips_across_two_processes() {
     assert!(second.wait().expect("daemon exits").success());
 
     assert_bit_identical(&original, &replayed, "cross-process persistence");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The janitor repeats the persistent-tier GC while the daemon runs:
@@ -303,9 +298,7 @@ fn persistent_cache_round_trips_across_two_processes() {
 /// byte budget are deleted, oldest first, within a few intervals.
 #[test]
 fn the_janitor_trims_the_cache_directory_while_the_daemon_runs() {
-    let dir = std::env::temp_dir().join(format!("ssync-serviced-janitor-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("mkdir");
+    let dir = TempPath::dir("ssync-serviced-janitor");
     let (mut child, mut client) = spawn_stdio_daemon(&[
         "--cache-dir",
         dir.to_str().unwrap(),
@@ -336,5 +329,4 @@ fn the_janitor_trims_the_cache_directory_while_the_daemon_runs() {
 
     client.shutdown().expect("shutdown");
     assert!(child.wait().expect("daemon exits").success());
-    let _ = std::fs::remove_dir_all(&dir);
 }

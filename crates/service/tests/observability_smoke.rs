@@ -16,7 +16,7 @@ use std::io::Read;
 use std::process::{Command, Stdio};
 
 mod common;
-use common::{Daemon, DAEMON};
+use common::{Daemon, TempPath, DAEMON};
 
 /// Spawns the daemon in stdio mode with every observability surface on:
 /// `--slow-request-ms 0` logs a JSONL trace for every request, and
@@ -78,9 +78,7 @@ const SUBMIT_STAGES: [&str; 4] = ["cache_key", "cache_lookup", "queue_wait", "en
 
 #[test]
 fn daemon_reports_latency_histograms_on_both_surfaces() {
-    let dir = std::env::temp_dir().join(format!("ssync-obs-smoke-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let dir = TempPath::dir("ssync-obs-smoke");
     let metrics_path = dir.join("metrics.prom");
     let (mut child, mut client, stderr_drain) = spawn_observable_daemon(&metrics_path);
 
@@ -182,8 +180,6 @@ fn daemon_reports_latency_histograms_on_both_surfaces() {
             "trace {hex} from the Submitted response appears in the slow log"
         );
     }
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The ISSUE-10 acceptance path: a TCP daemon with the flight recorder
@@ -194,9 +190,7 @@ fn daemon_reports_latency_histograms_on_both_surfaces() {
 /// stream carries the scoring attributes.
 #[test]
 fn tcp_daemon_serves_flight_recorder_traces_exemplars_and_slo_gauges() {
-    let dir = std::env::temp_dir().join(format!("ssync-obs-tcp-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let dir = TempPath::dir("ssync-obs-tcp");
     let metrics_path = dir.join("metrics.prom");
     let port_file = dir.join("port");
     let mut child = Daemon::spawn(
@@ -338,6 +332,4 @@ fn tcp_daemon_serves_flight_recorder_traces_exemplars_and_slo_gauges() {
         jsonl.iter().any(|line| line.contains("\"candidates_scored\":")),
         "slow lines carry the scoring attributes:\n{stderr}"
     );
-
-    let _ = std::fs::remove_dir_all(&dir);
 }

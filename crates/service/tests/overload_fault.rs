@@ -21,7 +21,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 mod common;
-use common::{Daemon, DAEMON};
+use common::{Daemon, TempPath, DAEMON};
 
 /// Starts an in-process hardened TCP front-end on an OS-assigned port.
 /// The returned thread runs until an authenticated peer sends `Shutdown`
@@ -304,9 +304,7 @@ fn drain_finishes_inflight_work_and_refuses_new_work() {
 /// other's files.
 #[test]
 fn two_daemons_share_one_cache_dir_without_tearing() {
-    let dir = std::env::temp_dir().join(format!("ssync-shared-cache-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("mkdir");
+    let dir = TempPath::dir("ssync-shared-cache");
     let dir_arg = dir.to_str().unwrap().to_string();
     let config = CompilerConfig::default();
     let sizes: Vec<usize> = (8..14).collect();
@@ -352,8 +350,11 @@ fn two_daemons_share_one_cache_dir_without_tearing() {
             })
         })
         .collect();
+    // Join both before either failure surfaces, so no daemon still writes
+    // into the directory when its guard removes it.
+    let joined: Vec<_> = workers.into_iter().map(|w| w.join()).collect();
     let results: Vec<Vec<CompileOutcome>> =
-        workers.into_iter().map(|w| w.join().expect("worker thread")).collect();
+        joined.into_iter().map(|r| r.expect("worker thread")).collect();
 
     // Bit-identical across daemons and against direct compilation.
     let device = Device::build(QccdTopology::named("G-2x2").unwrap(), config.weights);
@@ -391,8 +392,6 @@ fn two_daemons_share_one_cache_dir_without_tearing() {
     assert_eq!(metrics.cache.persist_hits as usize, sizes.len());
     client.shutdown().expect("shutdown");
     assert!(child.wait().expect("daemon exits").success());
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The daemon binary's TCP leg end-to-end: `--tcp 127.0.0.1:0` with an
@@ -401,9 +400,7 @@ fn two_daemons_share_one_cache_dir_without_tearing() {
 /// `Shutdown`.
 #[test]
 fn daemon_tcp_transport_round_trips_with_auth_and_janitor() {
-    let dir = std::env::temp_dir().join(format!("ssync-tcp-daemon-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("mkdir");
+    let dir = TempPath::dir("ssync-tcp-daemon");
     let port_file = dir.join("port");
     let cache_dir = dir.join("cache");
 
@@ -461,7 +458,6 @@ fn daemon_tcp_transport_round_trips_with_auth_and_janitor() {
     client.shutdown().expect("shutdown");
     drop(client);
     assert!(child.wait().expect("daemon exits").success(), "clean drain");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A 6 KB QASM `Submit` nesting 3,000 parentheses would recurse past the
@@ -473,9 +469,7 @@ fn daemon_tcp_transport_round_trips_with_auth_and_janitor() {
 /// beforehand is still served, bit-identically.
 #[test]
 fn deeply_nested_qasm_is_rejected_and_the_daemon_keeps_serving() {
-    let dir = std::env::temp_dir().join(format!("ssync-nested-qasm-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("mkdir");
+    let dir = TempPath::dir("ssync-nested-qasm");
     let port_file = dir.join("port");
     let mut child = Daemon::spawn(
         Command::new(DAEMON)
@@ -526,5 +520,4 @@ fn deeply_nested_qasm_is_rejected_and_the_daemon_keeps_serving() {
     bystander.shutdown().expect("shutdown");
     drop((bystander, hostile));
     assert!(child.wait().expect("daemon exits").success(), "clean drain");
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -10,10 +10,15 @@
 //!    Heisenberg-48×48 export lower to pinned widths, gate counts,
 //!    lowering digests and reports.
 //! 4. **Diagnostics** — one table row per error kind and per position
-//!    rule, through the public `parse`: kind, `line:col` and message.
-//! 5. **Robustness** — no prefix or random edit of a corpus file makes
-//!    the parser panic, and nesting 100,000 levels deep is a typed error
-//!    on a 2 MiB thread stack, not a stack overflow.
+//!    rule, through the public `parse`: kind, `line:col` and message,
+//!    including the malformed applications the direct read hands back to
+//!    the token path; each literal form lowers to the same bits read
+//!    directly or through the tokens.
+//! 5. **Robustness** — every prefix of the corpus files and of two
+//!    exports, and a seeded list of random edits, parse to a pinned digest
+//!    of every circuit, report and error message; no random edit makes the
+//!    parser panic, and nesting 100,000 levels deep is a typed error on a
+//!    2 MiB thread stack, not a stack overflow.
 
 use proptest::prelude::*;
 use ssync_baselines::CompilerKind;
@@ -253,7 +258,7 @@ fn every_corpus_file_parses_and_round_trips() {
     }
 }
 
-/// Golden: every corpus file compiles under all four compiler kinds on a
+/// Golden: every corpus file compiles under all five compiler kinds on a
 /// device that forces real routing, and the compile-service output is
 /// bit-identical to direct `compile_on` — the service changes *where* a
 /// parsed workload compiles, never *what* it produces.
@@ -514,11 +519,56 @@ fn diagnostics() -> Vec<(String, QasmErrorKind, &'static str, &'static str)> {
             "3:1",
             "gate 'rz' takes 1 parameters, got 0",
         ),
+        // Malformed applications that the direct read hands back to the
+        // token path, which reports them.
+        (
+            h("qreg q[1];\nrz(-) q[0];"),
+            Expected { expected: "an expression", found: "')'".into() },
+            "3:5",
+            "expected an expression, found ')'",
+        ),
+        (
+            h("qreg q[1];\nrz(0.1 q[0];"),
+            Expected { expected: "')' closing the parameter list", found: "identifier 'q'".into() },
+            "3:8",
+            "expected ')' closing the parameter list, found identifier 'q'",
+        ),
+        (
+            h("qreg q[1];\nrz(0.1, 0.2) q[0];"),
+            ArityMismatch { gate: "rz".into(), expected: 1, got: 2, what: "parameters" },
+            "3:1",
+            "gate 'rz' takes 1 parameters, got 2",
+        ),
+        (
+            h("qreg q[2];\ncx q[0] q[1];"),
+            Expected { expected: "';' after the gate application", found: "identifier 'q'".into() },
+            "3:9",
+            "expected ';' after the gate application, found identifier 'q'",
+        ),
+        (
+            h("qreg q[1];\nrz(0.1) q[0]"),
+            Expected { expected: "';' after the gate application", found: "end of input".into() },
+            "3:13",
+            "expected ';' after the gate application, found end of input",
+        ),
+        (
+            h("qreg q[1];\nrz(18446744073709551616) q[0];"),
+            MalformedNumber("18446744073709551616".into()),
+            "3:4",
+            "malformed number '18446744073709551616'",
+        ),
         (
             h("qreg q[2];\ncx q[0], q[0];"),
             DuplicateQubit("cx".into()),
             "3:1",
             "gate 'cx' applied to the same qubit twice",
+        ),
+        // The token after the ';' is read before the gate is emitted.
+        (
+            h("qreg q[2];\ncx q[0], q[0]; @"),
+            UnexpectedChar('@'),
+            "3:16",
+            "unexpected character '@'",
         ),
         (
             h("qreg a[2];\nqreg b[3];\ncx a, b;"),
@@ -619,6 +669,35 @@ fn spaced_and_commented_indices_lower_like_the_direct_form() {
     }
 }
 
+/// Each literal form lowers to the same angle bits written directly,
+/// `rz(X)`, and with spaces inside the parentheses, `rz( X )`, which the
+/// token path reads. `-0` keeps its sign bit, which `content_hash` reads.
+#[test]
+fn literal_angles_lower_to_the_same_bits_compact_and_spaced() {
+    let angle = |parameter: &str| {
+        let source = format!("OPENQASM 2.0;\nqreg q[1];\nrz({parameter}) q[0];");
+        let out = parse(&source).unwrap_or_else(|e| panic!("{source}: {e}"));
+        match out.circuit.gates() {
+            [Gate::Rz(Qubit(0), angle)] => angle.to_bits(),
+            other => panic!("{source}: {other:?}"),
+        }
+    };
+    for (literal, value) in [
+        (".5", 0.5),
+        ("5.", 5.0),
+        ("1e-3", 1e-3),
+        ("1E+2", 100.0),
+        ("007", 7.0),
+        ("--1", 1.0),
+        ("-0", -0.0),
+        ("18446744073709551615", u64::MAX as f64),
+        ("1.5707963267948966", std::f64::consts::FRAC_PI_2),
+    ] {
+        assert_eq!(angle(literal), f64::to_bits(value), "{literal}");
+        assert_eq!(angle(&format!(" {literal} ")), f64::to_bits(value), "{literal} spaced");
+    }
+}
+
 /// Byte strings the edit fuzzer splices in: punctuation, operators and
 /// keywords of the grammar, comment and string openers, numbers that
 /// overflow, and multi-byte UTF-8 characters.
@@ -665,16 +744,86 @@ const SPLICES: [&[u8]; 40] = [
     "\u{0}".as_bytes(),
 ];
 
-/// Parsing a cut file must return `Ok` or `Err`: a prefix can end inside
-/// a comment, a string, a number, a multi-byte character's neighbours or
-/// a gate body.
+/// One byte edit `(kind, at, splice, byte)`: kind 0 inserts splice
+/// `splice` at `at`, 1 substitutes it for the byte there, 2 deletes that
+/// byte and 3 inserts `byte`; `at` wraps to the length.
+fn apply_edit(bytes: &mut Vec<u8>, (kind, at, splice, byte): (usize, usize, usize, u8)) {
+    let at = at % (bytes.len() + 1);
+    let next = (at + 1).min(bytes.len());
+    match kind {
+        0 => drop(bytes.splice(at..at, SPLICES[splice].iter().copied())),
+        1 => drop(bytes.splice(at..next, SPLICES[splice].iter().copied())),
+        2 => drop(bytes.drain(at..next)),
+        _ => bytes.insert(at, byte),
+    }
+}
+
+/// Folds one parse result into `h`: the lowering digest and report of a
+/// circuit, or the full message (kind and `line:col`) of an error.
+fn fold_result(h: &mut StableHasher, result: &Result<ParseOutput, QasmError>) {
+    match result {
+        Ok(out) => {
+            h.write_u64(lowering_digest(&out.circuit));
+            let ParseReport {
+                measurements_stripped,
+                resets_stripped,
+                conditionals_stripped,
+                barriers,
+                gates_inlined,
+            } = out.report;
+            for count in [
+                measurements_stripped,
+                resets_stripped,
+                conditionals_stripped,
+                barriers,
+                gates_inlined,
+            ] {
+                h.write_usize(count);
+            }
+        }
+        Err(err) => h.write_str(&err.to_string()),
+    }
+}
+
+/// The digest of [`every_prefix_and_seeded_edit_parses_to_the_pinned_digest`],
+/// recorded from the token-only parser before applications were read
+/// straight from the bytes.
+const PARSE_DIGEST: u64 = 0x9362_4c78_fc30_db16;
+
+/// Golden over malformed input: every char-boundary prefix of the corpus
+/// files and of a QFT-6 and a Heisenberg-4×2 export, then 4,096 seeded
+/// programs of one to seven random edits each, parse to the pinned
+/// circuits and reports or fail with the pinned messages. A prefix can end
+/// inside a comment, a string, a number, a multi-byte character's
+/// neighbours or a gate body, and none of them may panic.
 #[test]
-fn every_prefix_of_every_corpus_file_parses_or_errors() {
-    for (_, source) in corpus_sources() {
+fn every_prefix_and_seeded_edit_parses_to_the_pinned_digest() {
+    let exports = [generators::qft(6), generators::heisenberg_chain(4, 2)];
+    let sources: Vec<String> = corpus_sources()
+        .into_iter()
+        .map(|(_, source)| source)
+        .chain(exports.iter().map(export))
+        .collect();
+    let mut h = StableHasher::new();
+    for source in &sources {
         for end in (0..=source.len()).filter(|&end| source.is_char_boundary(end)) {
-            let _ = parse(&source[..end]);
+            fold_result(&mut h, &parse(&source[..end]));
         }
     }
+    let mut state = 0x5eed_u64;
+    let mut next = move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (state >> 33) as usize
+    };
+    for _ in 0..4096 {
+        let mut bytes = sources[next() % sources.len()].clone().into_bytes();
+        for _ in 0..1 + next() % 7 {
+            let edit = (next() % 4, next() % (1 << 20), next() % SPLICES.len(), next() as u8);
+            apply_edit(&mut bytes, edit);
+        }
+        fold_result(&mut h, &parse(&String::from_utf8_lossy(&bytes)));
+    }
+    assert_eq!(h.finish(), PARSE_DIGEST, "parse digest {:#018x}", h.finish());
 }
 
 proptest! {
@@ -694,14 +843,7 @@ proptest! {
     ) {
         let mut bytes = corpus_sources()[file].1.clone().into_bytes();
         for (kind, at, splice, byte) in edits {
-            let at = at % (bytes.len() + 1);
-            let next = (at + 1).min(bytes.len());
-            match kind {
-                0 => drop(bytes.splice(at..at, SPLICES[splice].iter().copied())),
-                1 => drop(bytes.splice(at..next, SPLICES[splice].iter().copied())),
-                2 => drop(bytes.drain(at..next)),
-                _ => bytes.insert(at, byte as u8),
-            }
+            apply_edit(&mut bytes, (kind, at, splice, byte as u8));
         }
         let _ = parse(&String::from_utf8_lossy(&bytes));
     }

@@ -48,7 +48,7 @@ fn assert_same_outcome(a: &CompileOutcome, b: &CompileOutcome, what: &str) {
 
 /// The golden test the tentpole hangs on: the full (device × circuit ×
 /// compiler) product through the service, at worker counts 1, 2 and 8,
-/// against direct sequential `compile_on` calls — all four compiler kinds.
+/// against direct sequential `compile_on` calls — all five compiler kinds.
 #[test]
 fn service_results_are_bit_identical_to_direct_compile_at_any_worker_count() {
     let config = CompilerConfig::default();
